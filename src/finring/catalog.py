@@ -27,6 +27,7 @@ from .core import (
     make_quotient,
     make_zero_mul_ring,
     make_zn,
+    render_poly,
     validate_ring,
 )
 
@@ -220,20 +221,6 @@ class _Parser:
 
 def parse_ring_spec(text: str) -> RingSpecAst:
     return _Parser(text).parse_spec()
-
-
-def render_poly(coeffs) -> str:
-    terms = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if c == 0:
-            continue
-        if e == 0:
-            terms.append(str(c))
-        else:
-            var = "x" if e == 1 else f"x^{e}"
-            terms.append(var if c == 1 else f"{c}{var}")
-    return "+".join(terms) if terms else "0"
 
 
 def render_ring_spec(ast: RingSpecAst) -> str:

@@ -11,12 +11,10 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .catalog import (
     RingSpecError,
-    parse_poly_text,
     parse_ring_spec,
     realize,
     render_poly,
@@ -26,111 +24,20 @@ from .core import (
     FiniteRing,
     UnsupportedStructureError,
     analyze,
-    identity_embedding,
     local_decomposition,
-    residue_field,
 )
 from .polyfun import (
     DEFAULT_CAP,
     IncompleteSearchError,
     Polynomial,
-    poly_x,
     polynomial_function_set,
 )
-from .theorems import (
-    RESULT_IDS,
-    Verdict,
-    check_bijections_iff_field,
-    check_char_from_image,
-    check_char_functions_iff_field,
-    check_char_support_cosets,
-    check_nilpotent_shift_powers,
-    check_reachability_iff_field,
-    check_residue_field_bound,
-    check_residue_lift,
-    check_spectrum_bound,
-    check_unit_exponent_nilpotency,
-    check_unit_order_bound,
-    classify_char_function_existence,
-    verify_subring_char_function,
-)
+from .theorems import CHECKS, RESULT_IDS, CheckOptions, Verdict
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
-
-
-@dataclass
-class CheckOptions:
-    cap: int = DEFAULT_CAP
-    max_bijection_order: int = 6
-    max_subset_order: int = 16
-    poly: str | None = None
-    subset: str | None = None
-    s_max: int = 3
-
-
-def _poly_or_x(ring: FiniteRing, opts: CheckOptions) -> Polynomial:
-    if opts.poly is not None:
-        return parse_poly_text(opts.poly, ring)
-    return poly_x(ring)
-
-
-def _subset_ids(opts: CheckOptions) -> list[int] | None:
-    if opts.subset is None:
-        return None
-    try:
-        return [int(part) for part in opts.subset.split(",") if part.strip() != ""]
-    except ValueError:
-        raise RingSpecError(f"subset must be comma-separated indices, got {opts.subset!r}")
-
-
-def _run_p21(ring: FiniteRing, opts: CheckOptions) -> Verdict:
-    emb = identity_embedding(ring)
-    return verify_subring_char_function(emb, _poly_or_x(ring, opts))
-
-
-def _run_p26lift(ring: FiniteRing, opts: CheckOptions) -> Verdict:
-    k, _, _ = residue_field(ring)
-    f = parse_poly_text(opts.poly, k) if opts.poly is not None else None
-    return check_residue_lift(ring, f)
-
-
-def _run_p27(ring: FiniteRing, opts: CheckOptions) -> Verdict:
-    w = parse_poly_text(opts.poly, ring) if opts.poly is not None else None
-    return classify_char_function_existence(ring, cap=opts.cap, witness_poly=w)
-
-
-# id -> (requirement, runner); requirement is checked against the invariants.
-_REQUIRES = {
-    "any": lambda inv: True,
-    "commutative": lambda inv: inv.is_commutative,
-    "unital": lambda inv: inv.is_unital,
-    "comm-unital": lambda inv: inv.is_unital and inv.is_commutative,
-    "local-unital": lambda inv: inv.is_unital and bool(inv.is_local),
-    "comm-local-unital": lambda inv: inv.is_unital and inv.is_commutative and bool(inv.is_local),
-}
-
-CHECKS: dict[str, tuple[str, object]] = {
-    "L1.1": ("any", lambda ring, opts: check_reachability_iff_field(ring)),
-    "P1.2": ("any", lambda ring, opts: check_bijections_iff_field(
-        ring, max_order=opts.max_bijection_order, cap=opts.cap)),
-    "P1.3": ("unital", lambda ring, opts: check_char_functions_iff_field(
-        ring, max_order=opts.max_subset_order, cap=opts.cap)),
-    "P2.1": ("comm-unital", _run_p21),
-    "L2.2": ("commutative", lambda ring, opts: check_nilpotent_shift_powers(ring, s_max=opts.s_max)),
-    "P2.3i": ("local-unital", lambda ring, opts: check_unit_order_bound(ring)),
-    "P2.3ii": ("comm-local-unital", lambda ring, opts: check_unit_exponent_nilpotency(ring)),
-    "L2.4": ("comm-unital", lambda ring, opts: check_residue_field_bound(
-        identity_embedding(ring), _poly_or_x(ring, opts))),
-    "L2.5": ("comm-unital", lambda ring, opts: check_spectrum_bound(ring, _poly_or_x(ring, opts))),
-    "P2.6fwd": ("comm-local-unital", lambda ring, opts: check_char_from_image(ring, _poly_or_x(ring, opts))),
-    "P2.6lift": ("comm-local-unital", _run_p26lift),
-    "P2.7": ("comm-unital", _run_p27),
-    "R2.8": ("local-unital", lambda ring, opts: check_char_support_cosets(
-        ring, subset=_subset_ids(opts), sweep_limit=opts.max_subset_order, cap=opts.cap)),
-}
 
 
 def _witness_json(value):
@@ -177,6 +84,12 @@ def _invariants_json(ring: FiniteRing) -> dict:
         "is_local": inv.is_local,
         "residue_field_order": inv.residue_field_order,
     }
+
+
+def _check_options(args, **extra) -> CheckOptions:
+    """CheckOptions from the flags every subcommand shares, plus the given ones."""
+    return CheckOptions(cap=args.cap_functions, max_bijection_order=args.max_bijection_order,
+                        max_subset_order=args.max_subset_order, **extra)
 
 
 def _status_exit(verdicts: list[Verdict]) -> int:
@@ -235,24 +148,16 @@ def cmd_check(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     ring = realize(parse_ring_spec(args.spec))
-    opts = CheckOptions(
-        cap=args.cap_functions,
-        max_bijection_order=args.max_bijection_order,
-        max_subset_order=args.max_subset_order,
-        poly=args.poly,
-        subset=args.subset,
-        s_max=args.s_max,
-    )
-    requirement, runner = CHECKS[args.result_id]
-    inv = analyze(ring)
-    if not _REQUIRES[requirement](inv):
-        verdict = Verdict(args.result_id, True, vacuous=True,
-                          details=f"not applicable: ring is not {requirement}")
-        ms = 0.0
-    else:
+    opts = _check_options(args, poly=args.poly, subset=args.subset, s_max=args.s_max)
+    check = CHECKS[args.result_id]
+    if check.applies(ring):
         start = time.perf_counter()
-        verdict = runner(ring, opts)
+        verdict = check.run(ring, opts)
         ms = (time.perf_counter() - start) * 1000.0
+    else:
+        verdict = Verdict(args.result_id, True, vacuous=True,
+                          details=f"not applicable: ring is not {check.requires}")
+        ms = 0.0
     doc = {
         "version": __version__,
         "kind": "check",
@@ -274,14 +179,12 @@ def cmd_check(args) -> int:
 def _sweep_rows(max_order: int, opts: CheckOptions):
     rows = []
     for name, ring in standard_catalog(max_order):
-        inv = analyze(ring)
-        for result_id in RESULT_IDS:
-            requirement, runner = CHECKS[result_id]
-            if not _REQUIRES[requirement](inv):
+        for result_id, check in CHECKS.items():
+            if not check.applies(ring):
                 continue
             start = time.perf_counter()
             try:
-                verdict = runner(ring, opts)
+                verdict = check.run(ring, opts)
             except IncompleteSearchError as exc:
                 verdict = Verdict(result_id, None, details=str(exc))
             ms = (time.perf_counter() - start) * 1000.0
@@ -294,12 +197,7 @@ def cmd_sweep(args) -> int:
     if not 2 <= args.max_order <= 16:
         print("sweep --max-order must be between 2 and 16", file=sys.stderr)
         return EXIT_USAGE
-    opts = CheckOptions(
-        cap=args.cap_functions,
-        max_bijection_order=args.max_bijection_order,
-        max_subset_order=args.max_subset_order,
-    )
-    rows = _sweep_rows(args.max_order, opts)
+    rows = _sweep_rows(args.max_order, _check_options(args))
     counts = {"pass": 0, "fail": 0, "vacuous": 0, "unknown": 0}
     for _, _, verdict, _ in rows:
         counts[verdict.status] += 1

@@ -44,6 +44,7 @@ __all__ = [
     "multiplicative_inverse",
     "invariant_signature",
     "rings_isomorphic",
+    "render_poly",
 ]
 
 
@@ -418,10 +419,11 @@ def make_quotient(base: FiniteRing, modulus, label: str | None = None) -> Finite
                     if vl != 0:
                         conv[k + l] = base.add(conv[k + l], base.mul(uk, vl))
             mul[i][j] = encode(reduce_vec(conv) if len(conv) > d else conv + [0] * (d - len(conv)))
-    return _build(add, mul, label or f"{base.label}[x]/({_poly_label(coeffs)})")
+    return _build(add, mul, label or f"{base.label}[x]/({render_poly(coeffs)})")
 
 
-def _poly_label(coeffs: Sequence[int]) -> str:
+def render_poly(coeffs: Sequence[int]) -> str:
+    """Coefficients (constant first) in grammar syntax, e.g. ``x^2+x+1``."""
     terms = []
     for e in range(len(coeffs) - 1, -1, -1):
         c = coeffs[e]

@@ -363,7 +363,6 @@ def _unique_rows(rows: np.ndarray, weights: np.ndarray | None):
     return np.unique(rows, axis=0, return_index=True)
 
 
-@lru_cache(maxsize=None)
 def polynomial_function_set(ring: FiniteRing, cap: int = DEFAULT_CAP,
                             field_shortcut: bool = True) -> PolyFunctionSet:
     """Materialise {r -> a_0 + sum a_k r^k} as explicit function tables.
@@ -373,7 +372,16 @@ def polynomial_function_set(ring: FiniteRing, cap: int = DEFAULT_CAP,
     the set is built as constants + sum over k of {a * v_k}, one sumset step
     per power vector.  Candidates are generated in bounded chunks so the cap
     truncates (complete=False) before memory blows up.
+
+    Cached per (ring, cap, field_shortcut) however the arguments are passed.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    return _function_set(ring, cap, field_shortcut)
+
+
+@lru_cache(maxsize=None)
+def _function_set(ring: FiniteRing, cap: int, field_shortcut: bool) -> PolyFunctionSet:
     n = ring.order
     t, p = power_stabilization(ring)
     inv = analyze(ring)
@@ -426,6 +434,10 @@ def polynomial_function_set(ring: FiniteRing, cap: int = DEFAULT_CAP,
     return PolyFunctionSet(ring, (t, p), complete, tables, wits, count=len(tables))
 
 
+polynomial_function_set.cache_info = _function_set.cache_info
+polynomial_function_set.cache_clear = _function_set.cache_clear
+
+
 def is_polynomial_function(ring: FiniteRing, table,
                            cap: int = DEFAULT_CAP) -> Polynomial | None:
     """A witness polynomial inducing the table, or None when provably none exists.
@@ -472,6 +484,7 @@ def char_poly_for_subset(ring: FiniteRing, subset,
     """Witness for the 0/1-valued indicator table of a subset, if one exists."""
     if ring.unity is None:
         raise UnsupportedStructureError("indicator tables need 0 and 1 as values")
-    ids = set(subset.indices() if isinstance(subset, SubsetMask) else subset)
-    values = tuple(ring.unity if x in ids else 0 for x in range(ring.order))
+    if not isinstance(subset, SubsetMask):
+        subset = SubsetMask.from_indices(ring, subset)
+    values = tuple(ring.unity if x in subset else 0 for x in range(ring.order))
     return is_polynomial_function(ring, values, cap)

@@ -41,16 +41,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from typing import Any
+from itertools import chain, combinations, permutations
+from typing import Any, Callable
 
+from .catalog import RingSpecError, parse_poly_text
 from .core import (
     Embedding,
     FiniteRing,
+    RingInvariants,
     SubsetMask,
     UnsupportedStructureError,
     analyze,
     element_nilpotency_index,
+    identity_embedding,
     local_decomposition,
     multiplicative_order,
     residue_field,
@@ -72,6 +75,9 @@ from .polyfun import (
 )
 
 __all__ = [
+    "CHECKS",
+    "Check",
+    "CheckOptions",
     "RESULT_IDS",
     "Verdict",
     "BinomialExponent",
@@ -96,12 +102,6 @@ __all__ = [
     "classify_char_function_existence",
     "check_char_support_cosets",
 ]
-
-RESULT_IDS = (
-    "L1.1", "P1.2", "P1.3", "P2.1", "L2.2", "P2.3i", "P2.3ii",
-    "L2.4", "L2.5", "P2.6fwd", "P2.6lift", "P2.7", "R2.8",
-)
-
 
 class TrivialImageError(ValueError):
     """The requested 0/1-valued output would be constant, so it is refused."""
@@ -147,6 +147,28 @@ class LiftData:
     alphas: tuple[int, ...]
     betas: tuple[int, ...]
     exponent: int
+
+
+# ---------------------------------------------------------------------------
+# ring requirements
+# ---------------------------------------------------------------------------
+
+_REQUIREMENTS: dict[str, Callable[[RingInvariants], bool]] = {
+    "any": lambda inv: True,
+    "commutative": lambda inv: inv.is_commutative,
+    "unital": lambda inv: inv.is_unital,
+    "comm-unital": lambda inv: inv.is_unital and inv.is_commutative,
+    "local-unital": lambda inv: inv.is_unital and bool(inv.is_local),
+    "comm-local-unital": lambda inv: inv.is_unital and inv.is_commutative and bool(inv.is_local),
+}
+
+
+def _require(ring: FiniteRing, name: str) -> RingInvariants:
+    """The ring's invariants, or UnsupportedStructureError if it fails the requirement."""
+    inv = analyze(ring)
+    if not _REQUIREMENTS[name](inv):
+        raise UnsupportedStructureError(f"{ring.label} is not {name}")
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +225,18 @@ def _subgroup_closure(ring: FiniteRing, generators) -> set[int]:
 # L1.1 / P1.2 / P1.3: field characterizations
 # ---------------------------------------------------------------------------
 
+def _first_absent(pset, tables) -> tuple[tuple[int, ...] | None, bool]:
+    """The first table the set provably lacks (or None), and whether an
+    earlier lookup hit the cap."""
+    capped = False
+    for table in tables:
+        status, _ = pset.lookup(table)
+        if status == "absent":
+            return table, capped
+        capped = capped or status == "unknown"
+    return None, capped
+
+
 def check_reachability_iff_field(ring: FiniteRing) -> Verdict:
     """L1.1: every nonzero s reachable from every nonzero u via zero-constant
     polynomials, if and only if the ring is a field.
@@ -213,12 +247,10 @@ def check_reachability_iff_field(ring: FiniteRing) -> Verdict:
     inv = analyze(ring)
     unreachable = None
     for u in range(1, ring.order):
-        powers = []
-        seen = set()
+        powers = set()
         p = u
-        while p not in seen:
-            seen.add(p)
-            powers.append(p)
+        while p not in powers:
+            powers.add(p)
             p = ring.mul_table[p][u]
         gens = {ring.mul_table[a][pk] for a in range(ring.order) for pk in powers}
         reach = _subgroup_closure(ring, gens)
@@ -250,28 +282,11 @@ def check_bijections_iff_field(ring: FiniteRing, max_order: int = 6,
             details=f"skipped-with-note: order {ring.order} exceeds bijection cap {max_order}",
         )
     inv = analyze(ring)
-    pset = polynomial_function_set(ring, cap)
     n = ring.order
-    identity = list(range(n))
-
-    def candidates():
-        for i in range(n):
-            for j in range(i + 1, n):
-                swap = identity.copy()
-                swap[i], swap[j] = swap[j], swap[i]
-                yield tuple(swap)
-        for perm in permutations(range(n)):
-            yield perm
-
-    missing = None
-    capped = False
-    for table in candidates():
-        status, _ = pset.lookup(table)
-        if status == "absent":
-            missing = table
-            break
-        if status == "unknown":
-            capped = True
+    swaps = (tuple(j if x == i else i if x == j else x for x in range(n))
+             for i, j in combinations(range(n), 2))
+    missing, capped = _first_absent(polynomial_function_set(ring, cap),
+                                    chain(swaps, permutations(range(n))))
     if missing is None and capped:
         return Verdict("P1.2", None, details="function set truncated; bijection sweep inconclusive")
     all_bijections = missing is None
@@ -285,26 +300,16 @@ def check_bijections_iff_field(ring: FiniteRing, max_order: int = 6,
 def check_char_functions_iff_field(ring: FiniteRing, max_order: int = 16,
                                    cap: int = DEFAULT_CAP) -> Verdict:
     """P1.3: every subset indicator is induced by a polynomial iff the ring is a field."""
-    if ring.unity is None:
-        raise UnsupportedStructureError("indicator functions need a unity")
+    inv = _require(ring, "unital")
     if ring.order > max_order:
         return Verdict(
             "P1.3", True, vacuous=True,
             details=f"skipped-with-note: order {ring.order} exceeds subset cap {max_order}",
         )
-    inv = analyze(ring)
-    pset = polynomial_function_set(ring, cap)
     n, one = ring.order, ring.unity
-    missing = None
-    capped = False
-    for bits in range(1 << n):
-        table = tuple(one if bits >> x & 1 else 0 for x in range(n))
-        status, _ = pset.lookup(table)
-        if status == "absent":
-            missing = [x for x in range(n) if bits >> x & 1]
-            break
-        if status == "unknown":
-            capped = True
+    tables = (tuple(one if bits >> x & 1 else 0 for x in range(n)) for bits in range(1 << n))
+    table, capped = _first_absent(polynomial_function_set(ring, cap), tables)
+    missing = None if table is None else [x for x, v in enumerate(table) if v]
     if missing is None and capped:
         return Verdict("P1.3", None, details="function set truncated; subset sweep inconclusive")
     all_subsets = missing is None
@@ -331,9 +336,7 @@ def verify_subring_char_function(emb: Embedding, f: Polynomial) -> Verdict:
     if f.ring is not big:
         raise ValueError("polynomial must have coefficients in the big ring")
     for r in (big, small):
-        inv_r = analyze(r)
-        if not (inv_r.is_unital and inv_r.is_commutative):
-            raise UnsupportedStructureError("both rings must be commutative and unital")
+        _require(r, "comm-unital")
     bad = None
     if poly_eval(f, 0, via=emb) != 0:
         bad = 0
@@ -376,9 +379,9 @@ def verify_nilpotent_shift_power(ring: FiniteRing, b: int, c: int,
                                  s_max: int = 5) -> Verdict:
     """L2.2: with N built from the characteristic and c's own nilpotency index,
     (b + c)^(sN) = b^(sN) for s = 1..s_max."""
-    inv = analyze(ring)
-    if not inv.is_commutative:
-        raise UnsupportedStructureError("the binomial expansion needs a commutative ring")
+    inv = _require(ring, "commutative")
+    if s_max < 1:
+        raise ValueError(f"s_max must be >= 1, got {s_max}")
     idx = element_nilpotency_index(ring, c)
     if idx is None:
         raise ValueError(f"element {c} is not nilpotent")
@@ -401,6 +404,8 @@ def verify_nilpotent_shift_power(ring: FiniteRing, b: int, c: int,
 
 def check_nilpotent_shift_powers(ring: FiniteRing, s_max: int = 3) -> Verdict:
     """L2.2 over every (b, nilpotent c) pair of the ring."""
+    if s_max < 1:
+        raise ValueError(f"s_max must be >= 1, got {s_max}")
     inv = analyze(ring)
     checked = 0
     for c in inv.nilpotents.indices():
@@ -432,9 +437,7 @@ def check_unit_order_bound(ring: FiniteRing) -> Verdict:
     where p^e is the characteristic, r the nilpotency index and n the
     residue field order.  Cross-checks that the unit-group exponent divides
     N*(n-1)."""
-    inv = analyze(ring)
-    if not (inv.is_unital and inv.is_local):
-        raise UnsupportedStructureError("unit order bound needs a local unital ring")
+    inv = _require(ring, "local-unital")
     _prime_power_characteristic(inv)
     N = inv.characteristic * math.factorial(inv.nilpotency_index - 1)
     E = N * (inv.residue_field_order - 1)
@@ -456,9 +459,7 @@ def split_unit_nilpotent(f: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Coefficientwise split f = g + h over a local ring: unit coefficients go
     to g, nilpotent ones to h."""
     ring = f.ring
-    inv = analyze(ring)
-    if not (inv.is_unital and inv.is_local):
-        raise UnsupportedStructureError("the coefficient split needs a local unital ring")
+    inv = _require(ring, "local-unital")
     g = [0] * len(f.coeffs)
     h = [0] * len(f.coeffs)
     for i, c in enumerate(f.coeffs):
@@ -497,9 +498,7 @@ def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
     index in R[X].  Then f^N = g^N in R[X] and c^(sN) = 0 for every
     nilpotent c.
     """
-    inv = analyze(ring)
-    if not (inv.is_unital and inv.is_commutative and inv.is_local):
-        raise UnsupportedStructureError("needs a commutative local unital ring")
+    inv = _require(ring, "comm-local-unital")
     bound = check_unit_order_bound(ring)
     orders_divide = bool(bound.holds) and all(
         bound.witness["exponent"] % multiplicative_order(ring, u) == 0
@@ -546,6 +545,21 @@ def _factor_residue_maps(ring: FiniteRing):
     return tuple(out)
 
 
+def _constant_modulo_a_maximal_ideal(result_id: str, ring: FiniteRing, values,
+                                     subject: str) -> Verdict | None:
+    """A precondition-failed verdict if the values (elements of ring) have a
+    single residue modulo some maximal ideal, else None."""
+    for factor, _, to_residue in _factor_residue_maps(ring):
+        if len({to_residue[v] for v in values}) == 1:
+            return Verdict(
+                result_id, True, vacuous=True,
+                witness={"constant_factor_order": factor.ring.order},
+                details=f"precondition-failed: {subject} constant modulo the maximal ideal "
+                        f"of the factor of order {factor.ring.order}",
+            )
+    return None
+
+
 def check_residue_field_bound(emb: Embedding, f: Polynomial) -> Verdict:
     """L2.4: residue field orders of the small ring are at most |f(A)| * deg f.
 
@@ -557,19 +571,11 @@ def check_residue_field_bound(emb: Embedding, f: Polynomial) -> Verdict:
     if f.ring is not big:
         raise ValueError("polynomial must have coefficients in the big ring")
     for r in (small, big):
-        inv_r = analyze(r)
-        if not (inv_r.is_unital and inv_r.is_commutative):
-            raise UnsupportedStructureError("both rings must be commutative and unital")
+        _require(r, "comm-unital")
     values = [poly_eval(f, a, via=emb) for a in range(small.order)]
-    for factor, k, chain in _factor_residue_maps(big):
-        residues = {chain[v] for v in values}
-        if len(residues) == 1:
-            return Verdict(
-                "L2.4", True, vacuous=True,
-                witness={"constant_factor_order": factor.ring.order},
-                details=f"precondition-failed: values constant modulo the maximal ideal "
-                        f"of the factor of order {factor.ring.order}",
-            )
+    failed = _constant_modulo_a_maximal_ideal("L2.4", big, values, "values")
+    if failed is not None:
+        return failed
     img = len(set(values))
     deg = f.degree
     bound = img * deg
@@ -591,19 +597,11 @@ def check_spectrum_bound(ring: FiniteRing, f: Polynomial) -> Verdict:
     """
     if f.ring is not ring:
         raise ValueError("polynomial must have coefficients in the ring itself")
-    inv = analyze(ring)
-    if not (inv.is_unital and inv.is_commutative):
-        raise UnsupportedStructureError("needs a commutative unital ring")
+    _require(ring, "comm-unital")
     values = [poly_eval(f, x) for x in range(ring.order)]
-    for factor, k, chain in _factor_residue_maps(ring):
-        residues = {chain[v] for v in values}
-        if len(residues) == 1:
-            return Verdict(
-                "L2.5", True, vacuous=True,
-                witness={"constant_factor_order": factor.ring.order},
-                details=f"precondition-failed: f is constant modulo the maximal ideal "
-                        f"of the factor of order {factor.ring.order}",
-            )
+    failed = _constant_modulo_a_maximal_ideal("L2.5", ring, values, "f is")
+    if failed is not None:
+        return failed
     img = len(set(values))
     omega = _omega(img)
     spectrum = len(local_decomposition(ring))
@@ -626,9 +624,7 @@ def char_function_from_image(ring: FiniteRing, f: Polynomial) -> Polynomial:
     Refuses (TrivialImageError) when f's values are all units or all
     non-units, since the power would then be the constant 1 or 0.
     """
-    inv = analyze(ring)
-    if not (inv.is_unital and inv.is_commutative and inv.is_local):
-        raise UnsupportedStructureError("needs a commutative local unital ring")
+    inv = _require(ring, "comm-local-unital")
     if f.ring is not ring:
         raise ValueError("polynomial must have coefficients in the ring itself")
     values = set(function_table(f).values)
@@ -642,8 +638,7 @@ def char_function_from_image(ring: FiniteRing, f: Polynomial) -> Polynomial:
     kill = max(element_nilpotency_index(ring, v) for v in nil_vals)
     N = ((kill + lcm_orders - 1) // lcm_orders) * lcm_orders
     result = poly_pow(f, N)
-    table = function_table(result).values
-    if not (set(table) <= {0, ring.unity} and len(set(table)) == 2):
+    if not _verify_char_polynomial(ring, result)[0]:
         raise AssertionError("power of the polynomial is not a nontrivial 0/1 table")
     return result
 
@@ -656,8 +651,7 @@ def check_char_from_image(ring: FiniteRing, f: Polynomial) -> Verdict:
         return Verdict("P2.6fwd", True, vacuous=True,
                        witness={"refused": str(exc)},
                        details=f"refused: {exc}")
-    table = function_table(result).values
-    support = [x for x, v in enumerate(table) if v == ring.unity]
+    _, support = _verify_char_polynomial(ring, result)
     return Verdict(
         "P2.6fwd", True,
         witness={"polynomial": result.stripped(), "support": support},
@@ -669,9 +663,7 @@ def check_char_from_image(ring: FiniteRing, f: Polynomial) -> Verdict:
 def _lift_basis(ring: FiniteRing):
     """Per-ring data reused by every lift: residue field, representatives,
     exponent, and the pre-raised products prod_{j != i} (X - alpha_j)^E."""
-    inv = analyze(ring)
-    if not (inv.is_unital and inv.is_commutative and inv.is_local):
-        raise UnsupportedStructureError("lifting needs a commutative local unital ring")
+    inv = _require(ring, "comm-local-unital")
     k, proj, reps = residue_field(ring)
     e = inv.nilpotency_index
     e_units = inv.unit_group_exponent
@@ -753,9 +745,7 @@ def classify_char_function_existence(ring: FiniteRing, cap: int = DEFAULT_CAP,
     With ``witness_poly`` given, verification mode: the supplied polynomial
     is checked to be a nontrivial indicator, instead of searching.
     """
-    inv = analyze(ring)
-    if not (inv.is_unital and inv.is_commutative):
-        raise UnsupportedStructureError("classification needs a commutative unital ring")
+    inv = _require(ring, "comm-unital")
     is_local = bool(inv.is_local)
 
     if witness_poly is not None:
@@ -802,34 +792,28 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
     Checks the given subset (default: the units) and, when the order is
     within ``sweep_limit``, every 0/1-valued table in the whole function set.
     """
-    inv = analyze(ring)
-    if not (inv.is_unital and inv.is_local):
-        raise UnsupportedStructureError("needs a local unital ring")
-    _, proj, _ = residue_field(ring)
+    inv = _require(ring, "local-unital")
+    k, proj, _ = residue_field(ring)
 
-    def is_coset_union(support: set[int]) -> bool:
-        per_coset: dict[int, bool] = {}
-        for x in range(ring.order):
-            inside = x in support
-            prev = per_coset.setdefault(proj[x], inside)
-            if prev != inside:
-                return False
-        return True
+    def is_coset_union(support) -> bool:
+        # membership is constant on each coset: one (coset, inside) pair per coset
+        return len({(proj[x], x in support) for x in range(ring.order)}) == k.order
 
     if subset is None:
-        subset_ids = set(inv.units.indices())
-    else:
-        subset_ids = set(subset.indices() if isinstance(subset, SubsetMask) else subset)
+        subset = inv.units
+    elif not isinstance(subset, SubsetMask):
+        subset = SubsetMask.from_indices(ring, subset)
 
     one = ring.unity
-    table = tuple(one if x in subset_ids else 0 for x in range(ring.order))
+    table = tuple(one if x in subset else 0 for x in range(ring.order))
     pset = polynomial_function_set(ring, cap)
     status, wit = pset.lookup(table)
     if status == "unknown":
         return Verdict("R2.8", None, details="function set truncated; membership undecided")
-    subset_report: dict[str, Any] = {"subset": sorted(subset_ids), "polynomial_exists": status == "present"}
+    subset_report: dict[str, Any] = {"subset": list(subset.indices()),
+                                     "polynomial_exists": status == "present"}
     if status == "present":
-        union = is_coset_union(subset_ids)
+        union = is_coset_union(subset)
         subset_report["coset_union"] = union
         subset_report["polynomial"] = wit
         if not union:
@@ -860,3 +844,77 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
     note = "all polynomial indicator supports are coset unions" if swept != 0 else \
         "given subset checked"
     return Verdict("R2.8", True, witness=subset_report, details=note)
+
+
+# ---------------------------------------------------------------------------
+# the check registry
+# ---------------------------------------------------------------------------
+
+@dataclass
+class CheckOptions:
+    """Inputs a registry runner passes on to its check, as the CLI spells them."""
+
+    cap: int = DEFAULT_CAP
+    max_bijection_order: int = 6
+    max_subset_order: int = 16
+    poly: str | None = None
+    subset: str | None = None
+    s_max: int = 3
+
+
+@dataclass(frozen=True)
+class Check:
+    """One result code: the ring requirement it needs and how to run it."""
+
+    requires: str
+    run: Callable[[FiniteRing, CheckOptions], Verdict]
+
+    def applies(self, ring: FiniteRing) -> bool:
+        return _REQUIREMENTS[self.requires](analyze(ring))
+
+
+def _poly_arg(opts: CheckOptions, ring: FiniteRing) -> Polynomial | None:
+    """The ``poly`` option parsed over the given ring, or None when unset."""
+    return None if opts.poly is None else parse_poly_text(opts.poly, ring)
+
+
+def _poly_or_x(opts: CheckOptions, ring: FiniteRing) -> Polynomial:
+    return poly_x(ring) if opts.poly is None else _poly_arg(opts, ring)
+
+
+def _subset_ids(opts: CheckOptions) -> list[int] | None:
+    if opts.subset is None:
+        return None
+    try:
+        return [int(part) for part in opts.subset.split(",") if part.strip() != ""]
+    except ValueError:
+        raise RingSpecError(f"subset must be comma-separated indices, got {opts.subset!r}")
+
+
+# Runners name the check functions at call time, so a patched module
+# attribute (e.g. a tracing wrapper) is what runs.
+CHECKS: dict[str, Check] = {
+    "L1.1": Check("any", lambda ring, o: check_reachability_iff_field(ring)),
+    "P1.2": Check("any", lambda ring, o: check_bijections_iff_field(
+        ring, max_order=o.max_bijection_order, cap=o.cap)),
+    "P1.3": Check("unital", lambda ring, o: check_char_functions_iff_field(
+        ring, max_order=o.max_subset_order, cap=o.cap)),
+    "P2.1": Check("comm-unital", lambda ring, o: verify_subring_char_function(
+        identity_embedding(ring), _poly_or_x(o, ring))),
+    "L2.2": Check("commutative", lambda ring, o: check_nilpotent_shift_powers(ring, s_max=o.s_max)),
+    "P2.3i": Check("local-unital", lambda ring, o: check_unit_order_bound(ring)),
+    "P2.3ii": Check("comm-local-unital", lambda ring, o: check_unit_exponent_nilpotency(ring)),
+    "L2.4": Check("comm-unital", lambda ring, o: check_residue_field_bound(
+        identity_embedding(ring), _poly_or_x(o, ring))),
+    "L2.5": Check("comm-unital", lambda ring, o: check_spectrum_bound(ring, _poly_or_x(o, ring))),
+    "P2.6fwd": Check("comm-local-unital",
+                     lambda ring, o: check_char_from_image(ring, _poly_or_x(o, ring))),
+    "P2.6lift": Check("comm-local-unital", lambda ring, o: check_residue_lift(
+        ring, _poly_arg(o, residue_field(ring)[0]))),
+    "P2.7": Check("comm-unital", lambda ring, o: classify_char_function_existence(
+        ring, cap=o.cap, witness_poly=_poly_arg(o, ring))),
+    "R2.8": Check("local-unital", lambda ring, o: check_char_support_cosets(
+        ring, subset=_subset_ids(o), sweep_limit=o.max_subset_order, cap=o.cap)),
+}
+
+RESULT_IDS = tuple(CHECKS)

@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from finring.cli import main
 
@@ -106,6 +107,19 @@ def test_check_not_applicable_is_vacuous(capsys):
 
 def test_check_unknown_id_exits_2(capsys):
     assert main(["check", "Z/4", "P9.9"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "Z/4", "R2.8", "--subset", "99"],
+    ["check", "Z/4", "R2.8", "--subset", "-1"],
+    ["check", "Z/9", "L2.2", "--s-max", "0"],
+    ["check", "Z/4", "P2.7", "--cap-functions", "-3"],
+    ["report", "Z/4", "--cap-functions", "-3"],
+])
+def test_out_of_range_input_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_sweep_small_catalog(tmp_path, capsys):

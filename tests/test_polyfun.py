@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finring import (
+    DEFAULT_CAP,
     IncompleteSearchError,
     UnsupportedStructureError,
     char_poly_for_subset,
@@ -164,6 +165,24 @@ def test_membership_cap_is_reported(z6):
         is_polynomial_function(z6, (0, 1, 1, 1, 1, 1), cap=50)
 
 
+def test_function_set_cache_key_ignores_call_form():
+    ring = make_zn(10)
+    before = polynomial_function_set.cache_info()
+    first = polynomial_function_set(ring)
+    assert polynomial_function_set(ring, DEFAULT_CAP) is first
+    assert polynomial_function_set(ring, cap=DEFAULT_CAP) is first
+    after = polynomial_function_set.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+
+
+def test_function_set_rejects_negative_cap(z4):
+    with pytest.raises(ValueError, match="cap"):
+        polynomial_function_set(z4, -3)
+    empty = polynomial_function_set(z4, 0)
+    assert not empty.complete and empty.count == 0
+    assert empty.lookup((0, 0, 0, 0))[0] == "unknown"
+
+
 def test_interpolate_identity(z3):
     w = interpolate_field(z3, tuple(range(3)))
     assert w.coeffs == (0, 1)
@@ -213,6 +232,12 @@ def test_no_char_poly_on_z6(z6):
 def test_char_poly_needs_unity():
     with pytest.raises(UnsupportedStructureError):
         char_poly_for_subset(make_zero_mul_ring(2), [1])
+
+
+@pytest.mark.parametrize("subset", [[99], [-1], [1, 4]])
+def test_char_poly_rejects_out_of_range_ids(z4, subset):
+    with pytest.raises(ValueError, match="out of range"):
+        char_poly_for_subset(z4, subset)
 
 
 _RINGS = [make_zn(n) for n in (2, 4, 6)] + [make_zero_mul_ring(4)]

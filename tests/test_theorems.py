@@ -167,6 +167,13 @@ def test_shift_power_rejects_non_nilpotent(z4):
         verify_nilpotent_shift_power(z4, 1, 3)
 
 
+def test_shift_power_rejects_empty_s_range(z9):
+    with pytest.raises(ValueError, match="s_max"):
+        verify_nilpotent_shift_power(z9, 1, 3, s_max=0)
+    with pytest.raises(ValueError, match="s_max"):
+        check_nilpotent_shift_powers(z9, s_max=0)
+
+
 def test_shift_power_all_pairs(z9):
     v = check_nilpotent_shift_powers(z9)
     assert v.holds
@@ -410,6 +417,12 @@ def test_cosets_field_case(gf4):
 def test_cosets_rejects_non_local(z6):
     with pytest.raises(UnsupportedStructureError):
         check_char_support_cosets(z6)
+
+
+@pytest.mark.parametrize("subset", [[99], [-1]])
+def test_cosets_rejects_out_of_range_ids(z4, subset):
+    with pytest.raises(ValueError, match="out of range"):
+        check_char_support_cosets(z4, subset=subset)
 
 
 # --- witnesses survive independent re-checking ------------------------------
