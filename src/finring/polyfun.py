@@ -8,15 +8,19 @@ coefficients are used throughout, so noncommutative rings are supported.
 The set of all functions induced by polynomials is an additive subgroup of
 R^R: power vectors v_k(x) = x^k repeat with preperiod t and period p, so
 the whole set is {constants} + span{a * v_k : a in R, 1 <= k <= t+p-1}.
-It is materialised by an iterated sumset over numpy arrays, with a witness
-coefficient row kept per reachable function table.
+It is materialised by growing that group one generator at a time: the
+multiples of a generator g split the grown group into disjoint cosets
+H + i*g, so rows are concatenated and never deduplicated.  A witness
+coefficient row is kept per reachable function table.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, product
 from typing import Iterable
 
 import numpy as np
@@ -256,59 +260,51 @@ def power_stabilization(ring: FiniteRing) -> tuple[int, int]:
     return t, p
 
 
-@lru_cache(maxsize=None)
-def _np_tables(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
-    if ring.order > 255:
-        raise ValueError("function-set machinery is limited to orders <= 255")
-    add = np.array(ring.add_table, dtype=np.uint8)
-    mul = np.array(ring.mul_table, dtype=np.uint8)
-    return add, mul
+def _table_values(ring: FiniteRing, table) -> tuple[int, ...]:
+    """A table's values as element indices of ``ring``; ValueError unless each is one."""
+    raw = table.values if isinstance(table, FunctionTable) else table
+    try:
+        values = tuple(map(operator.index, raw))
+    except TypeError:
+        raise ValueError("table values must be integer element indices") from None
+    if len(values) != ring.order:
+        raise ValueError("table length differs from the ring order")
+    if min(values) < 0 or max(values) >= ring.order:
+        raise ValueError(f"table values must lie in range({ring.order})")
+    return values
 
 
 class PolyFunctionSet:
     """All function tables induced by polynomials over one ring.
 
     ``tables`` holds one row per reachable function and ``witnesses`` a
-    parallel coefficient row realising it.  For fields the set is every
-    function, so it is represented analytically (``field_mode``) with
-    membership answered by interpolation instead of materialising
-    |F|^|F| rows.
+    parallel coefficient row realising it; ``index`` maps each row's bytes
+    to its position.  Without tables (``field_mode``) the set is every
+    function of a field, represented analytically: membership is answered
+    by interpolation instead of materialising |F|^|F| rows.
     """
 
     def __init__(self, ring: FiniteRing, stabilization: tuple[int, int],
                  complete: bool, tables: np.ndarray | None,
-                 witnesses: np.ndarray | None, count: int,
-                 field_mode: bool = False):
+                 witnesses: np.ndarray | None, index: dict[bytes, int] | None):
         self.ring = ring
         self.stabilization = stabilization
         self.complete = complete
         self.tables = tables
         self.witnesses = witnesses
-        self.count = count
-        self.field_mode = field_mode
-        self._lookup: dict[bytes, int] | None = None
+        self.field_mode = tables is None
+        self.count = ring.order ** ring.order if self.field_mode else len(tables)
+        self._index = index
 
     def __len__(self) -> int:
         return self.count
 
-    def _ensure_lookup(self) -> dict[bytes, int]:
-        if self._lookup is None:
-            self._lookup = {row.tobytes(): i for i, row in enumerate(self.tables)}
-        return self._lookup
-
-    def _values_of(self, table) -> tuple[int, ...]:
-        values = table.values if isinstance(table, FunctionTable) else tuple(table)
-        if len(values) != self.ring.order:
-            raise ValueError("table length differs from the ring order")
-        return tuple(int(v) for v in values)
-
     def lookup(self, table) -> tuple[str, Polynomial | None]:
         """('present', witness) / ('absent', None) / ('unknown', None)."""
-        values = self._values_of(table)
+        values = _table_values(self.ring, table)
         if self.field_mode:
             return "present", interpolate_field(self.ring, values)
-        key = bytes(values)
-        idx = self._ensure_lookup().get(key)
+        idx = self._index.get(bytes(values))
         if idx is not None:
             row = self.witnesses[idx]
             return "present", Polynomial(self.ring, tuple(int(c) for c in row)).stripped()
@@ -323,7 +319,6 @@ class PolyFunctionSet:
         if self.field_mode:
             if self.count > limit:
                 raise ValueError("function set too large to materialise")
-            from itertools import product
             return frozenset(product(range(self.ring.order), repeat=self.ring.order))
         return frozenset(tuple(int(v) for v in row) for row in self.tables)
 
@@ -346,32 +341,15 @@ class PolyFunctionSet:
         return out
 
 
-def _row_weights(n: int) -> np.ndarray | None:
-    """Weights packing a length-n row of values < 2^bits into one uint64, if it fits."""
-    bits = max(1, (n - 1).bit_length())
-    if bits * n > 64:
-        return None
-    return (np.uint64(1) << (np.arange(n, dtype=np.uint64) * np.uint64(bits)))
-
-
-def _unique_rows(rows: np.ndarray, weights: np.ndarray | None):
-    """Deduplicate rows, keeping the first occurrence of each."""
-    if weights is not None:
-        keys = rows.astype(np.uint64) @ weights
-        _, first = np.unique(keys, return_index=True)
-        return rows[first], first
-    return np.unique(rows, axis=0, return_index=True)
-
-
 def polynomial_function_set(ring: FiniteRing, cap: int = DEFAULT_CAP,
                             field_shortcut: bool = True) -> PolyFunctionSet:
     """Materialise {r -> a_0 + sum a_k r^k} as explicit function tables.
 
     Fields short-circuit by default: there every table is induced, the count
     is |F|^|F|, and witnesses come from interpolation on demand.  Otherwise
-    the set is built as constants + sum over k of {a * v_k}, one sumset step
-    per power vector.  Candidates are generated in bounded chunks so the cap
-    truncates (complete=False) before memory blows up.
+    the group generated by the constants and every a * v_k is grown one
+    generator at a time.  At most ``cap`` rows are materialised; a set cut
+    there is marked complete=False.
 
     Cached per (ring, cap, field_shortcut) however the arguments are passed.
     """
@@ -387,51 +365,47 @@ def _function_set(ring: FiniteRing, cap: int, field_shortcut: bool) -> PolyFunct
     inv = analyze(ring)
     if field_shortcut and inv.is_field:
         return PolyFunctionSet(ring, (t, p), complete=True, tables=None,
-                               witnesses=None, count=n ** n, field_mode=True)
+                               witnesses=None, index=None)
 
-    add_np, mul_np = _np_tables(ring)
+    if n > 255:
+        raise ValueError("function-set machinery is limited to orders <= 255")
+    add = np.array(ring.add_table, dtype=np.uint8)
+    mul = np.array(ring.mul_table, dtype=np.uint8)
     m = t + p - 1
     powers = np.empty((m + 1, n), dtype=np.uint8)
     powers[1] = np.arange(n, dtype=np.uint8)
     for k in range(2, m + 1):
-        powers[k] = mul_np[powers[k - 1], np.arange(n)]
-    weights = _row_weights(n)
+        powers[k] = mul[powers[k - 1], powers[1]]
 
-    tables = np.repeat(np.arange(n, dtype=np.uint8)[:, None], n, axis=1)
-    wits = np.zeros((n, m + 1), dtype=np.uint8)
-    wits[:, 0] = np.arange(n, dtype=np.uint8)
-    complete = True
-    for k in range(1, m + 1):
-        scaled = mul_np[np.arange(n, dtype=np.intp)[:, None], powers[k][None, :]]
-        gen, gen_first = _unique_rows(scaled, weights)
-        if len(gen) == 1:
-            continue  # only the zero multiple: v_k contributes nothing new
-        coeff_of_gen = gen_first.astype(np.uint8)
-        chunk = max(1, (1 << 21) // len(gen))
-        cur_t = np.empty((0, n), dtype=np.uint8)
-        cur_w = np.empty((0, m + 1), dtype=np.uint8)
-        overflow = False
-        for start in range(0, len(tables), chunk):
-            part_t = tables[start:start + chunk]
-            part_w = wits[start:start + chunk]
-            cand = add_np[part_t[:, None, :], gen[None, :, :]].reshape(-1, n)
-            cand_w = np.repeat(part_w[:, None, :], len(gen), axis=1)
-            cand_w[:, :, k] = coeff_of_gen[None, :]
-            cand_w = cand_w.reshape(-1, m + 1)
-            merged = np.concatenate([cur_t, cand])
-            merged_w = np.concatenate([cur_w, cand_w])
-            cur_t, first = _unique_rows(merged, weights)
-            cur_w = merged_w[first]
-            if len(cur_t) > cap:
-                overflow = True
-                cur_t = cur_t[:cap]
-                cur_w = cur_w[:cap]
-                break
-        tables, wits = cur_t, cur_w
-        if overflow:
-            complete = False
+    # H starts as {0}.  For a generator g the least i with i*g in H splits
+    # H + <g> into the disjoint cosets H + j*g, j < i, so the new rows are
+    # appended as they come.  A row h + j*g is witnessed by h's coefficients
+    # with a_k replaced by a_k + j*a, by distributivity of left coefficients.
+    tables = np.zeros((min(cap, 1), n), dtype=np.uint8)
+    wits = np.zeros((len(tables), m + 1), dtype=np.uint8)
+    index = {bytes(n): 0} if cap else {}
+    complete = cap > 0
+    for k, a in product(range(m + 1), range(1, n)):
+        if not complete:
             break
-    return PolyFunctionSet(ring, (t, p), complete, tables, wits, count=len(tables))
+        g = np.full(n, a, dtype=np.uint8) if k == 0 else mul[a, powers[k]]
+        new_t, new_w = [tables], [wits]
+        step, coeff = g, a
+        while complete and step.tobytes() not in index:
+            coset_t = add[tables, step]
+            coset_w = wits.copy()
+            coset_w[:, k] = add[wits[:, k], coeff]
+            room = cap - len(index)
+            if len(coset_t) > room:
+                coset_t, coset_w, complete = coset_t[:room], coset_w[:room], False
+            keys = coset_t.view(np.dtype((np.void, n))).ravel().tolist()
+            index.update(zip(keys, count(len(index))))
+            new_t.append(coset_t)
+            new_w.append(coset_w)
+            step, coeff = add[step, g], add[coeff, a]
+        if len(new_t) > 1:
+            tables, wits = np.concatenate(new_t), np.concatenate(new_w)
+    return PolyFunctionSet(ring, (t, p), complete, tables, wits, index)
 
 
 polynomial_function_set.cache_info = _function_set.cache_info
@@ -458,9 +432,7 @@ def interpolate_field(field: FiniteRing, table) -> Polynomial:
     inv = analyze(field)
     if not inv.is_field:
         raise UnsupportedStructureError(f"{field.label} is not a field")
-    values = table.values if isinstance(table, FunctionTable) else tuple(table)
-    if len(values) != field.order:
-        raise ValueError("table length differs from the field order")
+    values = _table_values(field, table)
     n = field.order
     acc = Polynomial(field, ())
     for i in range(n):

@@ -2,7 +2,7 @@
 
 The oracle enumerates every coefficient tuple up to the stabilization
 degree and tabulates it with plain ring arithmetic; it deliberately shares
-no code with the numpy sumset closure it cross-checks.
+no code with the numpy coset-growth closure it cross-checks.
 """
 
 from __future__ import annotations
@@ -11,7 +11,14 @@ from itertools import product
 
 import pytest
 
-from finring import make_zn, parse_ring_spec, power_stabilization, realize, standard_catalog
+from finring import (
+    make_table_ring,
+    make_zn,
+    parse_ring_spec,
+    power_stabilization,
+    realize,
+    standard_catalog,
+)
 
 
 def brute_force_function_tables(ring) -> frozenset:
@@ -31,6 +38,23 @@ def brute_force_function_tables(ring) -> frozenset:
             values.append(acc)
         tables.add(tuple(values))
     return frozenset(tables)
+
+
+def upper_triangular_f2():
+    """T2(F2): [[a, b], [0, d]] over F2 is element a + 2b + 4d."""
+    def split(e):
+        return e & 1, e >> 1 & 1, e >> 2
+
+    add = [[x ^ y for y in range(8)] for x in range(8)]
+    mul = []
+    for x in range(8):
+        a, b, d = split(x)
+        row = []
+        for y in range(8):
+            a2, b2, d2 = split(y)
+            row.append((a * a2) | ((a * b2 + b * d2) & 1) << 1 | (d * d2) << 2)
+        mul.append(row)
+    return make_table_ring(add, mul, "T2(F2)")
 
 
 @pytest.fixture(scope="session")

@@ -18,15 +18,26 @@ from finring import (
     is_polynomial_function,
     make_zero_mul_ring,
     make_zn,
+    parse_ring_spec,
     poly_eval,
     poly_from,
     poly_x,
     polynomial_function_set,
     power_stabilization,
+    realize,
 )
-from finring.polyfun import poly_add, poly_mul, poly_pow
+from finring.polyfun import Polynomial, poly_add, poly_mul, poly_pow
 
-from conftest import brute_force_function_tables
+from conftest import brute_force_function_tables, upper_triangular_f2
+
+
+def assert_rows_witnessed(pset):
+    """Rows are pairwise distinct and each equals the table of its witness."""
+    rows = [tuple(int(v) for v in row) for row in pset.tables]
+    assert len(set(rows)) == len(rows) == pset.count
+    for row, coeffs in zip(rows, pset.witnesses):
+        witness = Polynomial(pset.ring, tuple(int(c) for c in coeffs))
+        assert function_table(witness).values == row
 
 
 def test_eval_square_on_z4(z4):
@@ -109,6 +120,15 @@ def test_function_set_matches_brute_force_zero_ring():
     assert closure == oracle == frozenset({(0, 0), (1, 1)})
 
 
+@pytest.mark.parametrize("spec", ["T2(F2)", "Z/6", "Z/8", "Z/2 x Z/4", "zero-ring-4"])
+def test_closure_matches_oracle_with_witnesses(spec):
+    ring = upper_triangular_f2() if spec == "T2(F2)" else realize(parse_ring_spec(spec))
+    pset = polynomial_function_set(ring)
+    assert pset.complete
+    assert pset.as_tuple_set() == brute_force_function_tables(ring)
+    assert_rows_witnessed(pset)
+
+
 def test_field_shortcut_agrees_with_closure(gf4):
     shortcut = polynomial_function_set(gf4)
     closure = polynomial_function_set(gf4, field_shortcut=False)
@@ -159,10 +179,19 @@ def test_membership_on_field_via_interpolation(z3):
 
 
 def test_membership_cap_is_reported(z6):
-    pset = polynomial_function_set(z6, 50)
-    assert not pset.complete and pset.count == 50
+    for cap in (1, 7, 50):
+        pset = polynomial_function_set(z6, cap)
+        assert not pset.complete and pset.count == cap
+        assert_rows_witnessed(pset)
     with pytest.raises(IncompleteSearchError):
         is_polynomial_function(z6, (0, 1, 1, 1, 1, 1), cap=50)
+
+
+def test_cap_bounds_a_set_of_constants():
+    # zero multiplication: only the constants are induced, and the cap still binds
+    pset = polynomial_function_set(make_zero_mul_ring(4), 2)
+    assert not pset.complete and pset.count == 2
+    assert_rows_witnessed(pset)
 
 
 def test_function_set_cache_key_ignores_call_form():
@@ -181,6 +210,26 @@ def test_function_set_rejects_negative_cap(z4):
     empty = polynomial_function_set(z4, 0)
     assert not empty.complete and empty.count == 0
     assert empty.lookup((0, 0, 0, 0))[0] == "unknown"
+
+
+def test_membership_rejects_out_of_range_value(z4):
+    with pytest.raises(ValueError, match="range"):
+        is_polynomial_function(z4, (0, 1, 2, 7))
+
+
+def test_field_membership_rejects_out_of_range_value():
+    with pytest.raises(ValueError, match="range"):
+        is_polynomial_function(make_zn(5), (0, 1, 2, 3, 9))
+
+
+def test_interpolate_rejects_negative_value():
+    with pytest.raises(ValueError, match="range"):
+        interpolate_field(make_zn(5), (0, 1, 2, 3, -1))
+
+
+def test_membership_rejects_non_integer_value(z4):
+    with pytest.raises(ValueError, match="integer"):
+        is_polynomial_function(z4, (0, 1, 2, 3.7))
 
 
 def test_interpolate_identity(z3):

@@ -11,7 +11,6 @@ import pytest
 import finring.theorems as theorems
 from finring import (
     UnsupportedStructureError,
-    make_table_ring,
     make_zero_mul_ring,
     make_zn,
     parse_ring_spec,
@@ -19,24 +18,9 @@ from finring import (
 )
 from finring.theorems import CHECKS, RESULT_IDS, CheckOptions, Verdict
 
+from conftest import upper_triangular_f2
+
 SCHEMA_PATH = Path(__file__).resolve().parents[1] / "docs" / "report.schema.json"
-
-
-def upper_triangular_f2():
-    """T2(F2): [[a, b], [0, d]] over F2 is element a + 2b + 4d."""
-    def split(e):
-        return e & 1, e >> 1 & 1, e >> 2
-
-    add = [[x ^ y for y in range(8)] for x in range(8)]
-    mul = []
-    for x in range(8):
-        a, b, d = split(x)
-        row = []
-        for y in range(8):
-            a2, b2, d2 = split(y)
-            row.append((a * a2) | ((a * b2 + b * d2) & 1) << 1 | (d * d2) << 2)
-        mul.append(row)
-    return make_table_ring(add, mul, "T2(F2)")
 
 
 def _rings():
