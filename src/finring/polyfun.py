@@ -31,7 +31,6 @@ from .core import (
     SubsetMask,
     UnsupportedStructureError,
     analyze,
-    multiplicative_inverse,
 )
 
 __all__ = [
@@ -280,8 +279,9 @@ class PolyFunctionSet:
     ``tables`` holds one row per reachable function and ``witnesses`` a
     parallel coefficient row realising it; ``index`` maps each row's bytes
     to its position.  Without tables (``field_mode``) the set is every
-    function of a field, represented analytically: membership is answered
-    by interpolation instead of materialising |F|^|F| rows.
+    function of a field, represented analytically instead of materialising
+    |F|^|F| rows: membership is answered without interpolation, witnesses
+    on demand.
     """
 
     def __init__(self, ring: FiniteRing, stabilization: tuple[int, int],
@@ -311,8 +311,11 @@ class PolyFunctionSet:
         return ("absent", None) if self.complete else ("unknown", None)
 
     def contains(self, table) -> bool | None:
-        status, _ = self.lookup(table)
-        return {"present": True, "absent": False, "unknown": None}[status]
+        """True / False / None (undecided at the cap), building no witness."""
+        values = _table_values(self.ring, table)
+        if self.field_mode or bytes(values) in self._index:
+            return True
+        return False if self.complete else None
 
     def as_tuple_set(self, limit: int = 1 << 20) -> frozenset:
         """Every table as a tuple; materialises the field case up to ``limit``."""
@@ -428,27 +431,24 @@ def is_polynomial_function(ring: FiniteRing, table,
 
 
 def interpolate_field(field: FiniteRing, table) -> Polynomial:
-    """Lagrange interpolation: the degree < |F| polynomial matching the table."""
-    inv = analyze(field)
-    if not inv.is_field:
+    """The unique polynomial of degree < q = |F| inducing the table, in O(q^2).
+
+    f = sum_a f(a) (1 - (X - a)^(q-1)), and in characteristic p every
+    binomial C(q-1, j) is (-1)^j, so c_0 = f(0) and
+    c_j = -sum_a f(a) a^(q-1-j) for 1 <= j <= q-1, with 0^0 = 1.
+    """
+    if not analyze(field).is_field:
         raise UnsupportedStructureError(f"{field.label} is not a field")
     values = _table_values(field, table)
-    n = field.order
-    acc = Polynomial(field, ())
-    for i in range(n):
-        y = values[i]
-        if y == 0:
-            continue
-        num = poly_const(field, field.unity)
-        denom = field.unity
-        for j in range(n):
-            if j == i:
-                continue
-            num = poly_mul(num, Polynomial(field, (field.neg(j), field.unity)))
-            denom = field.mul(denom, field.sub(i, j))
-        scale = field.mul(y, multiplicative_inverse(field, denom))
-        acc = poly_add(acc, poly_scale(scale, num))
-    return acc.stripped()
+    q, add, mul = field.order, field.add_table, field.mul_table
+    sums = [0] * (q - 1)  # sums[e] = sum_a f(a) a^e
+    for a, y in enumerate(values):
+        power = field.unity
+        for e in range(q - 1):
+            sums[e] = add[sums[e]][mul[y][power]]
+            power = mul[power][a]
+    coeffs = (values[0],) + tuple(field.neg(sums[q - 1 - j]) for j in range(1, q))
+    return Polynomial(field, coeffs).stripped()
 
 
 def char_poly_for_subset(ring: FiniteRing, subset,

@@ -227,13 +227,14 @@ def _subgroup_closure(ring: FiniteRing, generators) -> set[int]:
 
 def _first_absent(pset, tables) -> tuple[tuple[int, ...] | None, bool]:
     """The first table the set provably lacks (or None), and whether an
-    earlier lookup hit the cap."""
+    earlier table was undecided at the cap.  Membership only: no witness is
+    built, so a field never interpolates."""
     capped = False
     for table in tables:
-        status, _ = pset.lookup(table)
-        if status == "absent":
+        found = pset.contains(table)
+        if found is False:
             return table, capped
-        capped = capped or status == "unknown"
+        capped = capped or found is None
     return None, capped
 
 

@@ -1,8 +1,10 @@
-"""Shared fixtures and the pure-Python brute-force oracle.
+"""Shared fixtures and the pure-Python oracles.
 
-The oracle enumerates every coefficient tuple up to the stabilization
-degree and tabulates it with plain ring arithmetic; it deliberately shares
-no code with the numpy coset-growth closure it cross-checks.
+The brute-force oracle enumerates every coefficient tuple up to the
+stabilization degree and tabulates it with plain ring arithmetic; it
+deliberately shares no code with the numpy coset-growth closure it
+cross-checks.  The Lagrange oracle builds field interpolants from basis
+polynomials, independently of the closed form in ``interpolate_field``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from finring import (
     realize,
     standard_catalog,
 )
+from finring.core import multiplicative_inverse
+from finring.polyfun import Polynomial, poly_add, poly_const, poly_mul, poly_scale
 
 
 def brute_force_function_tables(ring) -> frozenset:
@@ -38,6 +42,26 @@ def brute_force_function_tables(ring) -> frozenset:
             values.append(acc)
         tables.add(tuple(values))
     return frozenset(tables)
+
+
+def lagrange_interpolate(field, values) -> Polynomial:
+    """The degree < |F| interpolant as sum_i y_i prod_{j != i} (X - j)/(i - j); O(q^3)."""
+    n = field.order
+    acc = Polynomial(field, ())
+    for i in range(n):
+        y = values[i]
+        if y == 0:
+            continue
+        num = poly_const(field, field.unity)
+        denom = field.unity
+        for j in range(n):
+            if j == i:
+                continue
+            num = poly_mul(num, Polynomial(field, (field.neg(j), field.unity)))
+            denom = field.mul(denom, field.sub(i, j))
+        scale = field.mul(y, multiplicative_inverse(field, denom))
+        acc = poly_add(acc, poly_scale(scale, num))
+    return acc.stripped()
 
 
 def upper_triangular_f2():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
@@ -28,7 +29,7 @@ from finring import (
 )
 from finring.polyfun import Polynomial, poly_add, poly_mul, poly_pow
 
-from conftest import brute_force_function_tables, upper_triangular_f2
+from conftest import brute_force_function_tables, lagrange_interpolate, upper_triangular_f2
 
 
 def assert_rows_witnessed(pset):
@@ -255,6 +256,57 @@ def test_interpolate_round_trip_exhaustive(z2, gf4):
             assert function_table(w).values == values
             d = w.degree
             assert d is None or d < field.order
+
+
+@pytest.mark.parametrize("spec", ["Z/2", "Z/3", "Z/5", "Z/7", "Z/11", "Z/13", "Z/17", "Z/19",
+                                  "Z/23", "GF(4)", "GF(8)", "GF(9)", "GF(16)", "GF(25)",
+                                  "GF(27)"])
+def test_closed_form_matches_lagrange(spec):
+    field = realize(parse_ring_spec(spec))
+    q = field.order
+    rng = random.Random(q)
+    tables = [tuple(rng.randrange(q) for _ in range(q)) for _ in range(8)]
+    tables += [(0,) * q, (field.unity,) * q, tuple(range(q))]
+    for values in tables:
+        w = interpolate_field(field, values)
+        assert w == lagrange_interpolate(field, values)
+        assert w.degree is None or w.degree < q
+        assert function_table(w).values == values
+
+
+@pytest.mark.parametrize("spec, cap", [("GF(4)", DEFAULT_CAP), ("Z/6", DEFAULT_CAP),
+                                       ("Z/6", 7), ("T2(F2)", DEFAULT_CAP)])
+def test_contains_agrees_with_lookup(spec, cap):
+    ring = upper_triangular_f2() if spec == "T2(F2)" else realize(parse_ring_spec(spec))
+    pset = polynomial_function_set(ring, cap)
+    n = ring.order
+    if n <= 4:
+        tables = list(product(range(n), repeat=n))
+    else:
+        rng = random.Random(n)
+        tables = [tuple(int(v) for v in row) for row in pset.tables]
+        tables += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(300)]
+    as_bool = {"present": True, "absent": False, "unknown": None}
+    for table in tables:
+        assert pset.contains(table) is as_bool[pset.lookup(table)[0]]
+    answers = {True} if pset.field_mode else {True, False} if pset.complete else {True, None}
+    assert {pset.contains(t) for t in tables} == answers
+
+
+@pytest.mark.parametrize("spec", ["GF(5)", "Z/6"])
+@pytest.mark.parametrize("bad, match", [(lambda n: (n,) * n, "range"),
+                                        (lambda n: (-1,) + (0,) * (n - 1), "range"),
+                                        (lambda n: (1.5,) + (0,) * (n - 1), "integer"),
+                                        (lambda n: (0,) * (n - 1), "length"),
+                                        (lambda n: (0,) * (n + 1), "length")],
+                         ids=["too-big", "negative", "non-integer", "short", "long"])
+def test_contains_validates_like_lookup(spec, bad, match):
+    pset = polynomial_function_set(realize(parse_ring_spec(spec)))
+    table = bad(pset.ring.order)
+    with pytest.raises(ValueError, match=match):
+        pset.contains(table)
+    with pytest.raises(ValueError, match=match):
+        pset.lookup(table)
 
 
 def test_interpolate_rejects_non_field(z4):

@@ -104,6 +104,16 @@ def test_char_functions_z6(z6):
     assert check_char_functions_iff_field(z6).holds
 
 
+def test_field_sweeps_never_interpolate(monkeypatch, gf8):
+    def refuse(*args):
+        raise AssertionError("membership sweeps must not build witnesses")
+
+    monkeypatch.setattr("finring.polyfun.interpolate_field", refuse)
+    for v in (check_bijections_iff_field(gf8, max_order=8), check_char_functions_iff_field(make_zn(13))):
+        assert v.holds is True and not v.vacuous
+        assert v.witness is None
+
+
 def test_char_functions_need_unity():
     with pytest.raises(UnsupportedStructureError):
         check_char_functions_iff_field(make_zero_mul_ring(2))
