@@ -8,10 +8,16 @@ coefficients are used throughout, so noncommutative rings are supported.
 The set of all functions induced by polynomials is an additive subgroup of
 R^R: power vectors v_k(x) = x^k repeat with preperiod t and period p, so
 the whole set is {constants} + span{a * v_k : a in R, 1 <= k <= t+p-1}.
-It is materialised by growing that group one generator at a time: the
-multiples of a generator g split the grown group into disjoint cosets
-H + i*g, so rows are concatenated and never deduplicated.  A witness
-coefficient row is kept per reachable function table.
+
+A product of fields F_1 x ... x F_m (a commutative unital ring without
+nonzero nilpotents; a field is the case m = 1) is answered analytically
+by the Chinese remainder theorem: a table is induced iff its projection
+onto each F_i is a function of the argument's projection, so nothing is
+materialised.  Every other ring's set is materialised by growing that
+group one generator at a time: the multiples of a generator g split the
+grown group into disjoint cosets H + i*g, so rows are concatenated and
+never deduplicated.  A witness coefficient row is kept per reachable
+function table.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .core import (
     SubsetMask,
     UnsupportedStructureError,
     analyze,
+    local_decomposition,
 )
 
 __all__ = [
@@ -273,27 +280,59 @@ def _table_values(ring: FiniteRing, table) -> tuple[int, ...]:
     return values
 
 
+@dataclass(frozen=True)
+class _FieldFactor:
+    """One field factor F_i of a product of fields, seen through pi_i: R -> F_i.
+
+    ``reps[v]`` is the least x with pi_i(x) = v, and ``pairs`` holds
+    (x, reps[pi_i(x)]) for every x that is not its own fibre's representative.
+    """
+
+    field: FiniteRing
+    projection: tuple[int, ...]
+    reps: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, field: FiniteRing, projection: tuple[int, ...]) -> "_FieldFactor":
+        reps = tuple(map(projection.index, range(field.order)))
+        pairs = tuple((x, reps[v]) for x, v in enumerate(projection) if reps[v] != x)
+        return cls(field, projection, reps, pairs)
+
+
 class PolyFunctionSet:
     """All function tables induced by polynomials over one ring.
 
-    ``tables`` holds one row per reachable function and ``witnesses`` a
-    parallel coefficient row realising it; ``index`` maps each row's bytes
-    to its position.  Without tables (``field_mode``) the set is every
-    function of a field, represented analytically instead of materialising
-    |F|^|F| rows: membership is answered without interpolation, witnesses
-    on demand.
+    Materialised: ``tables`` holds one row per reachable function and
+    ``witnesses`` a parallel coefficient row realising it; ``index`` maps
+    each row's bytes to its position.
+
+    Analytic (``tables is None``): the ring is a product of fields
+    F_1 x ... x F_m, given as ``factors``.  A table F is induced iff each
+    pi_i o F factors as g_i o pi_i, so the set is complete with
+    prod |F_i|^|F_i| members, membership compares values across each
+    fibre, and a witness glues the interpolants of the g_i by CRT.  A
+    field is the one-factor case (``field_mode``), where every table is
+    induced.
     """
 
     def __init__(self, ring: FiniteRing, stabilization: tuple[int, int],
                  complete: bool, tables: np.ndarray | None,
-                 witnesses: np.ndarray | None, index: dict[bytes, int] | None):
+                 witnesses: np.ndarray | None, index: dict[bytes, int] | None,
+                 factors: tuple[_FieldFactor, ...] = ()):
         self.ring = ring
         self.stabilization = stabilization
         self.complete = complete
         self.tables = tables
         self.witnesses = witnesses
-        self.field_mode = tables is None
-        self.count = ring.order ** ring.order if self.field_mode else len(tables)
+        self.factors = factors
+        self.field_mode = tables is None and len(factors) == 1
+        if tables is None:
+            self.count = math.prod(f.field.order ** f.field.order for f in factors)
+            self._checks = [(f.projection, x, r) for f in factors for x, r in f.pairs]
+            self._crt = {tuple(f.projection[x] for f in factors): x for x in range(ring.order)}
+        else:
+            self.count = len(tables)
         self._index = index
 
     def __len__(self) -> int:
@@ -302,8 +341,16 @@ class PolyFunctionSet:
     def lookup(self, table) -> tuple[str, Polynomial | None]:
         """('present', witness) / ('absent', None) / ('unknown', None)."""
         values = _table_values(self.ring, table)
-        if self.field_mode:
-            return "present", interpolate_field(self.ring, values)
+        if self.tables is None:
+            if not self._induced(values):
+                return "absent", None
+            # Interpolate each g_i = pi_i o F on F_i and glue the coefficients by CRT.
+            rows = [interpolate_field(f.field, [f.projection[values[r]] for r in f.reps]).coeffs
+                    for f in self.factors]
+            width = max(map(len, rows), default=0)
+            rows = [row + (0,) * (width - len(row)) for row in rows]
+            glued = tuple(self._crt[column] for column in zip(*rows))
+            return "present", Polynomial(self.ring, glued).stripped()
         idx = self._index.get(bytes(values))
         if idx is not None:
             row = self.witnesses[idx]
@@ -313,17 +360,33 @@ class PolyFunctionSet:
     def contains(self, table) -> bool | None:
         """True / False / None (undecided at the cap), building no witness."""
         values = _table_values(self.ring, table)
-        if self.field_mode or bytes(values) in self._index:
+        if self.tables is None:
+            return self.field_mode or self._induced(values)
+        if bytes(values) in self._index:
             return True
         return False if self.complete else None
 
+    def _induced(self, values: tuple[int, ...]) -> bool:
+        """Each pi_i o F is constant on the fibres of pi_i."""
+        return all(proj[values[x]] == proj[values[r]] for proj, x, r in self._checks)
+
     def as_tuple_set(self, limit: int = 1 << 20) -> frozenset:
-        """Every table as a tuple; materialises the field case up to ``limit``."""
-        if self.field_mode:
-            if self.count > limit:
-                raise ValueError("function set too large to materialise")
-            return frozenset(product(range(self.ring.order), repeat=self.ring.order))
-        return frozenset(tuple(int(v) for v in row) for row in self.tables)
+        """Every table as a tuple; glues analytic sets of up to ``limit`` tables."""
+        if self.tables is not None:
+            return frozenset(tuple(int(v) for v in row) for row in self.tables)
+        if self.count > limit:
+            raise ValueError("function set too large to materialise")
+        # Every choice of (g_1, ..., g_m), as mixed-radix codes of (g_i(pi_i x))_i.
+        n = self.ring.order
+        rows, codes = np.zeros((1, n), dtype=np.intp), np.zeros(n, dtype=np.intp)
+        for f in self.factors:
+            q, proj = f.field.order, np.array(f.projection, dtype=np.intp)
+            g = np.array(list(product(range(q), repeat=q)), dtype=np.intp)[:, proj]
+            rows = (rows[:, None, :] * q + g[None]).reshape(-1, n)
+            codes = codes * q + proj
+        glue = np.empty(n, dtype=np.intp)
+        glue[codes] = np.arange(n)
+        return frozenset(map(tuple, glue[rows].tolist()))
 
     def nontrivial_char_tables(self) -> list[tuple[tuple[int, ...], Polynomial]]:
         """All 0/1-valued non-constant tables in the set, with witnesses."""
@@ -333,6 +396,8 @@ class PolyFunctionSet:
             raise UnsupportedStructureError(
                 "the field case represents every subset; enumerate subsets directly")
         one = self.ring.unity
+        if self.tables is None:
+            return [(table, self.lookup(table)[1]) for table in self._block_indicators(one)]
         rows = self.tables
         zero_or_one = ((rows == 0) | (rows == one)).all(axis=1)
         constant = (rows == 0).all(axis=1) | (rows == one).all(axis=1)
@@ -343,16 +408,37 @@ class PolyFunctionSet:
             out.append((row, wit))
         return out
 
+    def _block_indicators(self, one: int) -> list[tuple[int, ...]]:
+        """0/1 tables whose support is a nontrivial union of the blocks that
+        all factors' fibres generate: exactly the induced 0/1 tables, since
+        pi_i(0) != pi_i(1) for every factor."""
+        root = list(range(self.ring.order))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for _, x, r in self._checks:
+            root[find(x)] = find(r)
+        blocks = [find(x) for x in range(self.ring.order)]
+        bit = {head: i for i, head in enumerate(sorted(set(blocks)))}
+        return [tuple(one if bits >> bit[b] & 1 else 0 for b in blocks)
+                for bits in range(1, (1 << len(bit)) - 1)]
+
 
 def polynomial_function_set(ring: FiniteRing, cap: int = DEFAULT_CAP,
                             field_shortcut: bool = True) -> PolyFunctionSet:
-    """Materialise {r -> a_0 + sum a_k r^k} as explicit function tables.
+    """The set {r -> a_0 + sum a_k r^k} of functions polynomials induce.
 
-    Fields short-circuit by default: there every table is induced, the count
-    is |F|^|F|, and witnesses come from interpolation on demand.  Otherwise
-    the group generated by the constants and every a * v_k is grown one
-    generator at a time.  At most ``cap`` rows are materialised; a set cut
-    there is marked complete=False.
+    Products of fields, fields included, short-circuit by default: the set
+    is split by CRT into its field factors, is complete with
+    prod |F_i|^|F_i| tables, and builds witnesses on demand from per-factor
+    interpolation; the cap does not apply, since no row is materialised.
+    Otherwise (or with ``field_shortcut=False``) the group generated by the
+    constants and every a * v_k is grown one generator at a time as explicit
+    tables.  At most ``cap`` rows are materialised; a set cut there is
+    marked complete=False.
 
     Cached per (ring, cap, field_shortcut) however the arguments are passed.
     """
@@ -366,9 +452,12 @@ def _function_set(ring: FiniteRing, cap: int, field_shortcut: bool) -> PolyFunct
     n = ring.order
     t, p = power_stabilization(ring)
     inv = analyze(ring)
-    if field_shortcut and inv.is_field:
-        return PolyFunctionSet(ring, (t, p), complete=True, tables=None,
-                               witnesses=None, index=None)
+    if field_shortcut and inv.is_commutative and inv.is_unital and inv.nilpotents.size == 1:
+        # A product of fields; a field is its own single factor.
+        split = ((ring, tuple(range(n))),) if inv.is_field else \
+            tuple((f.ring, f.projection) for f in local_decomposition(ring))
+        return PolyFunctionSet(ring, (t, p), complete=True, tables=None, witnesses=None,
+                               index=None, factors=tuple(_FieldFactor.of(*f) for f in split))
 
     if n > 255:
         raise ValueError("function-set machinery is limited to orders <= 255")

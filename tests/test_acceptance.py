@@ -207,10 +207,11 @@ def test_criterion_9_cross_oracle_count():
     for n in (2, 3, 4):
         ring = realize(parse_ring_spec(f"Z/{n}"))
         assert _count_formula(n) == len(brute_force_function_tables(ring))
-    for n in (*range(2, 13), 15, 16, 18, 20, 24):
+    for n in (*range(2, 13), 14, 15, 16, 18, 20, 21, 22, 24, 30):
         ring = realize(parse_ring_spec(f"Z/{n}"))
         assert polynomial_function_set(ring).count == _count_formula(n), f"Z/{n}"
-    _report(9, "function counts match prod n/gcd(k!, n) for n = 2..12, 15, 16, 18, 20, 24")
+    _report(9, "function counts match prod n/gcd(k!, n) for n = 2..12, 14, 15, 16, 18, 20, 21, "
+               "22, 24, 30")
 
 
 def test_criterion_10_indicator_supports_are_coset_unions(catalog16):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import finring
 from finring.cli import main
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report.schema.json").read_text())
@@ -79,9 +81,17 @@ def test_check_skip_note_for_big_bijection_sweep(capsys):
 
 
 def test_check_capped_is_inconclusive(capsys):
-    code, doc = run_json(capsys, "check", "Z/6", "P2.7", "--cap-functions", "50")
+    code, doc = run_json(capsys, "check", "Z/12", "P2.7", "--cap-functions", "50")
     assert code == 3
     assert doc["verdict"]["status"] == "unknown"
+
+
+def test_check_product_of_fields_is_exact_at_any_cap(capsys):
+    code, doc = run_json(capsys, "check", "Z/6", "P2.7", "--cap-functions", "50")
+    assert code == 0 and doc["verdict"]["status"] == "pass"
+    code, doc = run_json(capsys, "check", "Z/6", "P1.3", "--cap-functions", "50")
+    assert code == 0 and doc["verdict"]["status"] == "pass"
+    assert doc["verdict"]["witness"] == {"subset": [0]}
 
 
 def test_check_poly_arguments(capsys):
@@ -166,9 +176,13 @@ def test_sweep_rejects_large_order(capsys):
 
 
 def test_module_entry_point():
+    # the child does not inherit pytest's pythonpath, so point it at this finring
+    package_root = str(Path(finring.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "finring.cli", "report", "Z/4", "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -124,7 +124,7 @@ def test_function_set_matches_brute_force_zero_ring():
 @pytest.mark.parametrize("spec", ["T2(F2)", "Z/6", "Z/8", "Z/2 x Z/4", "zero-ring-4"])
 def test_closure_matches_oracle_with_witnesses(spec):
     ring = upper_triangular_f2() if spec == "T2(F2)" else realize(parse_ring_spec(spec))
-    pset = polynomial_function_set(ring)
+    pset = polynomial_function_set(ring, field_shortcut=False)
     assert pset.complete
     assert pset.as_tuple_set() == brute_force_function_tables(ring)
     assert_rows_witnessed(pset)
@@ -179,13 +179,20 @@ def test_membership_on_field_via_interpolation(z3):
         assert function_table(w).values == values
 
 
-def test_membership_cap_is_reported(z6):
+def test_membership_cap_is_reported():
+    z12 = make_zn(12)
     for cap in (1, 7, 50):
-        pset = polynomial_function_set(z6, cap)
+        pset = polynomial_function_set(z12, cap)
         assert not pset.complete and pset.count == cap
         assert_rows_witnessed(pset)
     with pytest.raises(IncompleteSearchError):
-        is_polynomial_function(z6, (0, 1, 1, 1, 1, 1), cap=50)
+        is_polynomial_function(z12, (0,) + (1,) * 11, cap=50)
+
+
+def test_product_of_fields_is_exact_at_any_cap(z6):
+    pset = polynomial_function_set(z6, 50)
+    assert pset.complete and pset.tables is None and pset.count == 108
+    assert is_polynomial_function(z6, (0, 1, 1, 1, 1, 1), cap=50) is None
 
 
 def test_cap_bounds_a_set_of_constants():
@@ -274,8 +281,8 @@ def test_closed_form_matches_lagrange(spec):
         assert function_table(w).values == values
 
 
-@pytest.mark.parametrize("spec, cap", [("GF(4)", DEFAULT_CAP), ("Z/6", DEFAULT_CAP),
-                                       ("Z/6", 7), ("T2(F2)", DEFAULT_CAP)])
+@pytest.mark.parametrize("spec, cap", [("GF(4)", DEFAULT_CAP), ("Z/12", DEFAULT_CAP),
+                                       ("Z/12", 7), ("T2(F2)", DEFAULT_CAP)])
 def test_contains_agrees_with_lookup(spec, cap):
     ring = upper_triangular_f2() if spec == "T2(F2)" else realize(parse_ring_spec(spec))
     pset = polynomial_function_set(ring, cap)
@@ -384,3 +391,77 @@ def test_function_set_addition_closure_sampled(z9):
         s = rng.choice(tables)
         t = rng.choice(tables)
         assert tuple(z9.add(a, b) for a, b in zip(s, t)) in as_set
+
+
+# --- products of fields: the CRT engine against independent oracles ---------
+
+PRODUCTS_OF_FIELDS = ("Z/6", "Z/10", "Z/14", "Z/15", "Z/2 x Z/2", "Z/2 x Z/3")
+
+
+def _char_rows(pset) -> set:
+    return {row for row, _ in pset.nontrivial_char_tables()}
+
+
+def test_catalog_products_of_fields_are_answered_by_crt(catalog16):
+    crt = {name for name, ring in catalog16
+           if (pset := polynomial_function_set(ring)).tables is None and not pset.field_mode}
+    assert crt == set(PRODUCTS_OF_FIELDS)
+
+
+@pytest.mark.parametrize("spec", [s for s in PRODUCTS_OF_FIELDS if s != "Z/14"])
+def test_crt_engine_matches_closure(spec):
+    ring = realize(parse_ring_spec(spec))
+    pset = polynomial_function_set(ring)
+    closure = polynomial_function_set(ring, field_shortcut=False)
+    assert pset.complete and closure.complete and pset.tables is None
+    assert pset.count == closure.count
+    rows = [tuple(row) for row in closure.tables.tolist()]
+    tables = pset.as_tuple_set()
+    if ring.order <= 6:
+        assert tables == brute_force_function_tables(ring)
+    assert tables == frozenset(rows)
+    assert all(pset.contains(row) is True for row in rows)
+    n = ring.order
+    rng = random.Random(n)
+    noise = [tuple(rng.randrange(n) for _ in range(n)) for _ in range(300)]
+    for table in noise:
+        assert pset.contains(table) is closure.contains(table)
+    for table in rng.sample(rows, min(300, len(rows))) + noise:
+        status, witness = pset.lookup(table)
+        assert status == closure.lookup(table)[0]
+        if witness is not None:
+            assert function_table(witness).values == table
+    assert _char_rows(pset) == _char_rows(closure) == set()
+
+
+def test_crt_engine_on_z14_materialises_nothing():
+    # 14^2 * 7^5 = 3,294,172 tables: the engine answers without building them.
+    ring = make_zn(14)
+    pset = polynomial_function_set(ring)
+    assert pset.tables is None and pset.complete and pset.count == 2 ** 2 * 7 ** 7
+    rng = random.Random(14)
+
+    def glued(g2, g7):
+        return tuple(next(y for y in range(14) if y % 2 == g2[x % 2] and y % 7 == g7[x % 7])
+                     for x in range(14))
+
+    for _ in range(300):
+        table = glued([rng.randrange(2) for _ in range(2)], [rng.randrange(7) for _ in range(7)])
+        assert pset.contains(table) is True
+        status, witness = pset.lookup(table)
+        assert status == "present" and function_table(witness).values == table
+        x = rng.randrange(7)  # x and x + 7 share a residue mod 7 but not mod 2
+        broken = list(table)
+        broken[x + 7] = (table[x + 7] + 2) % 14
+        assert pset.contains(broken) is False
+        assert pset.lookup(broken) == ("absent", None)
+    assert pset.nontrivial_char_tables() == []
+
+
+def test_block_indicators_of_one_factor_are_every_subset(gf4):
+    # With a single factor every fibre is a point, so each of the 2^4 - 2
+    # nontrivial 0/1 tables is a union of blocks.
+    pset = polynomial_function_set(gf4)
+    tables = pset._block_indicators(gf4.unity)
+    assert len(tables) == len(set(tables)) == 2 ** 4 - 2
+    assert all(pset.contains(t) for t in tables)

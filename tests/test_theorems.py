@@ -398,8 +398,8 @@ def test_classify_verification_mode(z4):
     assert not v.holds
 
 
-def test_classify_inconclusive_when_capped(z6):
-    v = classify_char_function_existence(z6, cap=50)
+def test_classify_inconclusive_when_capped():
+    v = classify_char_function_existence(make_zn(12), cap=50)
     assert v.holds is None
     assert v.status == "unknown"
 
@@ -483,6 +483,6 @@ def test_lift_data_invariants(z9):
     assert data.exponent % inv.unit_group_exponent == 0
 
 
-def test_char_functions_capped_is_unknown(z6):
-    v = check_char_functions_iff_field(z6, cap=50)
+def test_char_functions_capped_is_unknown():
+    v = check_char_functions_iff_field(make_zn(12), cap=50)
     assert v.holds is None and v.status == "unknown"
