@@ -5,6 +5,7 @@ from .core import (
     AxiomViolation,
     Embedding,
     FiniteRing,
+    InternalInvariantError,
     InvalidEmbedding,
     LocalFactor,
     RingInvariants,

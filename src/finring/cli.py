@@ -1,7 +1,8 @@
 """Command-line front end: ring reports, single checks, and catalog sweeps.
 
 Exit codes: 0 pass/vacuous, 1 a check found a violation, 2 usage or I/O
-error, 3 inconclusive (a function-set cap was hit).
+error, 3 inconclusive (a function-set cap was hit), 4 internal error (a
+computed result broke an invariant the mathematics guarantees).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .catalog import (
 )
 from .core import (
     FiniteRing,
+    InternalInvariantError,
     UnsupportedStructureError,
     analyze,
     local_decomposition,
@@ -38,6 +40,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _witness_json(value):
@@ -290,6 +293,9 @@ def main(argv=None) -> int:
     except IncompleteSearchError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ __all__ = [
     "AxiomViolation",
     "InvalidEmbedding",
     "UnsupportedStructureError",
+    "InternalInvariantError",
     "make_zn",
     "make_quotient",
     "make_product",
@@ -71,6 +72,10 @@ class InvalidEmbedding(ValueError):
 
 class UnsupportedStructureError(ValueError):
     """The operation needs structure (unity, commutativity, locality) the ring lacks."""
+
+
+class InternalInvariantError(RuntimeError):
+    """A computed object broke a guarantee of the mathematics: a bug, not bad input."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +156,15 @@ class SubsetMask:
                 raise ValueError(f"element index {i} out of range")
             bits |= 1 << i
         return cls(ring, bits)
+
+    @classmethod
+    def of(cls, ring: FiniteRing, subset) -> "SubsetMask":
+        """``subset`` as a mask of ``ring``: a mask must be over ``ring``, indices are read."""
+        if not isinstance(subset, SubsetMask):
+            return cls.from_indices(ring, subset)
+        if subset.ring is not ring:
+            raise ValueError(f"subset of {subset.ring.label} given for {ring.label}")
+        return subset
 
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.ring.order) if self.bits >> i & 1)
@@ -580,12 +594,12 @@ def local_decomposition(ring: FiniteRing) -> tuple[LocalFactor, ...]:
         elems = sorted({ring.mul_table[e][r] for r in range(ring.order)})
         sub, index = _subring_on(ring, elems, f"{ring.label}|e={e}")
         if sub.unity != index[e]:
-            raise AssertionError("factor unity must be the defining idempotent")
+            raise InternalInvariantError("factor unity must be the defining idempotent")
         projection = tuple(index[ring.mul_table[e][x]] for x in range(ring.order))
         factors.append(LocalFactor(idempotent=e, ring=sub, projection=projection))
     total = math.prod(f.ring.order for f in factors)
     if total != ring.order:
-        raise AssertionError("local factor orders do not multiply to the ring order")
+        raise InternalInvariantError("local factor orders do not multiply to the ring order")
     return tuple(factors)
 
 
@@ -610,7 +624,7 @@ def residue_field(ring: FiniteRing) -> tuple[FiniteRing, tuple[int, ...], tuple[
     mul = [[proj[ring.mul_table[reps[i]][reps[j]]] for j in range(len(reps))] for i in range(len(reps))]
     field = _build(add, mul, f"{ring.label}/m")
     if not analyze(field).is_field:
-        raise AssertionError("residue ring of a local ring must be a field")
+        raise InternalInvariantError("residue ring of a local ring must be a field")
     return field, proj, tuple(reps)
 
 

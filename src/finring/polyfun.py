@@ -9,15 +9,15 @@ The set of all functions induced by polynomials is an additive subgroup of
 R^R: power vectors v_k(x) = x^k repeat with preperiod t and period p, so
 the whole set is {constants} + span{a * v_k : a in R, 1 <= k <= t+p-1}.
 
-A product of fields F_1 x ... x F_m (a commutative unital ring without
-nonzero nilpotents; a field is the case m = 1) is answered analytically
-by the Chinese remainder theorem: a table is induced iff its projection
-onto each F_i is a function of the argument's projection, so nothing is
-materialised.  Every other ring's set is materialised by growing that
-group one generator at a time: the multiples of a generator g split the
-grown group into disjoint cosets H + i*g, so rows are concatenated and
-never deduplicated.  A witness coefficient row is kept per reachable
-function table.
+A product of fields (a commutative unital ring without nonzero
+nilpotents; a field is the one-factor case) is answered analytically by
+its primitive idempotents e: R is the sum of the fields eR, a table F is
+induced iff e*F(x) = e*F(e*x) for every e and x, and one interpolant sums
+each field's closed form inside R, so nothing is materialised.  Every
+other ring's set is materialised by growing that group one generator at a
+time: the multiples of a generator g split the grown group into disjoint
+cosets H + i*g, so rows are concatenated and never deduplicated.  A
+witness coefficient row is kept per reachable function table.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ class Polynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if any(not 0 <= c < self.ring.order for c in self.coeffs):
-            raise ValueError("coefficients must be element indices of the coefficient ring")
+        object.__setattr__(self, "coeffs", _indices(self.coeffs, self.ring.order, "coefficients"))
 
     @property
     def degree(self) -> int | None:
@@ -92,8 +91,7 @@ class Polynomial:
         return None
 
     def stripped(self) -> "Polynomial":
-        d = self.degree
-        return Polynomial(self.ring, self.coeffs[: (d + 1) if d is not None else 0])
+        return _stripped(self.ring, list(self.coeffs))
 
     def __repr__(self) -> str:
         return f"Polynomial({self.ring.label!r}, {list(self.coeffs)})"
@@ -108,14 +106,14 @@ class FunctionTable:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.values) != self.domain.order:
+        values = _indices(self.values, self.codomain.order, "table values")
+        if len(values) != self.domain.order:
             raise ValueError("table must assign a value to every domain element")
-        if any(not 0 <= v < self.codomain.order for v in self.values):
-            raise ValueError("table values out of codomain range")
+        object.__setattr__(self, "values", values)
 
 
 def poly_from(ring: FiniteRing, coeffs: Iterable[int]) -> Polynomial:
-    return Polynomial(ring, tuple(int(c) for c in coeffs))
+    return Polynomial(ring, tuple(coeffs))
 
 
 def poly_const(ring: FiniteRing, c: int) -> Polynomial:
@@ -247,57 +245,67 @@ def power_stabilization(ring: FiniteRing) -> tuple[int, int]:
     Per element the power sequence is a rho: tail values never recur, so the
     per-element preperiod and cycle length combine by max and lcm.
     """
-    t = 1
-    p = 1
+    t = p = 1
     for x in range(ring.order):
-        seen = {x: 1}
-        prev = x
-        k = 1
-        while True:
-            k += 1
-            prev = ring.mul_table[prev][x]
-            if prev in seen:
-                tau = seen[prev]
-                lam = k - tau
-                break
-            seen[prev] = k
-        t = max(t, tau)
-        p = math.lcm(p, lam)
+        seen, power = {}, x  # seen[x^k] = k
+        while power not in seen:
+            seen[power] = len(seen) + 1
+            power = ring.mul_table[power][x]
+        t, p = max(t, seen[power]), math.lcm(p, len(seen) + 1 - seen[power])
     return t, p
 
 
-def _table_values(ring: FiniteRing, table) -> tuple[int, ...]:
-    """A table's values as element indices of ``ring``; ValueError unless each is one."""
-    raw = table.values if isinstance(table, FunctionTable) else table
+def _indices(values, order: int, what: str) -> tuple[int, ...]:
+    """``values`` as element indices below ``order``; ValueError unless each is one."""
     try:
-        values = tuple(map(operator.index, raw))
+        out = tuple(map(operator.index, values))
     except TypeError:
-        raise ValueError("table values must be integer element indices") from None
+        raise ValueError(f"{what} must be integer element indices") from None
+    if out and (min(out) < 0 or max(out) >= order):
+        raise ValueError(f"{what} must lie in range({order})")
+    return out
+
+
+def _table_values(ring: FiniteRing, table) -> tuple[int, ...]:
+    """A table's values as element indices of ``ring``; ValueError unless each is
+    one, or if a FunctionTable (validated when built) maps between other rings."""
+    if isinstance(table, FunctionTable):
+        if table.domain is not ring or table.codomain is not ring:
+            raise ValueError(f"table maps {table.domain.label} to {table.codomain.label}, "
+                             f"not {ring.label} to itself")
+        return table.values
+    values = _indices(table, ring.order, "table values")
     if len(values) != ring.order:
         raise ValueError("table length differs from the ring order")
-    if min(values) < 0 or max(values) >= ring.order:
-        raise ValueError(f"table values must lie in range({ring.order})")
     return values
 
 
-@dataclass(frozen=True)
-class _FieldFactor:
-    """One field factor F_i of a product of fields, seen through pi_i: R -> F_i.
+def _stripped(ring: FiniteRing, coeffs: list[int]) -> Polynomial:
+    """The polynomial with these coefficients, trailing zeros dropped first."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return Polynomial(ring, tuple(coeffs))
 
-    ``reps[v]`` is the least x with pi_i(x) = v, and ``pairs`` holds
-    (x, reps[pi_i(x)]) for every x that is not its own fibre's representative.
+
+def _interpolant(ring: FiniteRing, idempotents: Iterable[int], values) -> Polynomial:
+    """The least-degree polynomial inducing an induced table F on a product of
+    fields, given by its primitive idempotents e (a field's is its unity).
+
+    On the field eR, e*F has c_0 = e*F(0) and c_j = -sum_{a in eR} F(a) a^(q-1-j)
+    for 1 <= j < q = |eR|, with a^0 = e, since a^k lies in eR and in
+    characteristic p every C(q-1, j) is (-1)^j.  Summed over e these are R's
+    coefficients, with c_0 = F(0): O(n*q) reads of R's own tables.
     """
-
-    field: FiniteRing
-    projection: tuple[int, ...]
-    reps: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, field: FiniteRing, projection: tuple[int, ...]) -> "_FieldFactor":
-        reps = tuple(map(projection.index, range(field.order)))
-        pairs = tuple((x, reps[v]) for x, v in enumerate(projection) if reps[v] != x)
-        return cls(field, projection, reps, pairs)
+    add, mul = ring.add_table, ring.mul_table
+    acc = [0] * ring.order
+    for e in idempotents:
+        ideal = set(mul[e])
+        for a in ideal:
+            by_y, by_a, power = mul[values[a]], mul[a], e
+            for j in range(len(ideal) - 1, 0, -1):
+                acc[j] = add[acc[j]][by_y[power]]
+                power = by_a[power]
+    return _stripped(ring, [values[0]] + [ring.neg_table[c] for c in acc[1:]])
 
 
 class PolyFunctionSet:
@@ -307,30 +315,29 @@ class PolyFunctionSet:
     ``witnesses`` a parallel coefficient row realising it; ``index`` maps
     each row's bytes to its position.
 
-    Analytic (``tables is None``): the ring is a product of fields
-    F_1 x ... x F_m, given as ``factors``.  A table F is induced iff each
-    pi_i o F factors as g_i o pi_i, so the set is complete with
-    prod |F_i|^|F_i| members, membership compares values across each
-    fibre, and a witness glues the interpolants of the g_i by CRT.  A
-    field is the one-factor case (``field_mode``), where every table is
-    induced.
+    Analytic (``tables is None``): the ring is the product of the fields eR
+    for its primitive ``idempotents`` e (one for a field: ``field_mode``).  A
+    table F is induced iff e*F(x) = e*F(e*x) for every e and x, so the set
+    is complete with prod |eR|^|eR| members; witnesses are interpolated on
+    demand.
     """
 
     def __init__(self, ring: FiniteRing, stabilization: tuple[int, int],
                  complete: bool, tables: np.ndarray | None,
                  witnesses: np.ndarray | None, index: dict[bytes, int] | None,
-                 factors: tuple[_FieldFactor, ...] = ()):
+                 idempotents: tuple[int, ...] = ()):
         self.ring = ring
         self.stabilization = stabilization
         self.complete = complete
         self.tables = tables
         self.witnesses = witnesses
-        self.factors = factors
-        self.field_mode = tables is None and len(factors) == 1
+        self.idempotents = idempotents
+        self.field_mode = tables is None and len(idempotents) == 1
         if tables is None:
-            self.count = math.prod(f.field.order ** f.field.order for f in factors)
-            self._checks = [(f.projection, x, r) for f in factors for x, r in f.pairs]
-            self._crt = {tuple(f.projection[x] for f in factors): x for x in range(ring.order)}
+            mul = ring.mul_table
+            self.count = math.prod(q ** q for q in (len(set(mul[e])) for e in idempotents))
+            self._pairs = [(mul[e], x, ex) for e in idempotents
+                           for x, ex in enumerate(mul[e]) if ex != x]
         else:
             self.count = len(tables)
         self._index = index
@@ -344,17 +351,10 @@ class PolyFunctionSet:
         if self.tables is None:
             if not self._induced(values):
                 return "absent", None
-            # Interpolate each g_i = pi_i o F on F_i and glue the coefficients by CRT.
-            rows = [interpolate_field(f.field, [f.projection[values[r]] for r in f.reps]).coeffs
-                    for f in self.factors]
-            width = max(map(len, rows), default=0)
-            rows = [row + (0,) * (width - len(row)) for row in rows]
-            glued = tuple(self._crt[column] for column in zip(*rows))
-            return "present", Polynomial(self.ring, glued).stripped()
+            return "present", _interpolant(self.ring, self.idempotents, values)
         idx = self._index.get(bytes(values))
         if idx is not None:
-            row = self.witnesses[idx]
-            return "present", Polynomial(self.ring, tuple(int(c) for c in row)).stripped()
+            return "present", _stripped(self.ring, self.witnesses[idx].tolist())
         return ("absent", None) if self.complete else ("unknown", None)
 
     def contains(self, table) -> bool | None:
@@ -362,31 +362,27 @@ class PolyFunctionSet:
         values = _table_values(self.ring, table)
         if self.tables is None:
             return self.field_mode or self._induced(values)
-        if bytes(values) in self._index:
-            return True
-        return False if self.complete else None
+        return bytes(values) in self._index or (False if self.complete else None)
 
     def _induced(self, values: tuple[int, ...]) -> bool:
-        """Each pi_i o F is constant on the fibres of pi_i."""
-        return all(proj[values[x]] == proj[values[r]] for proj, x, r in self._checks)
+        """e*F(x) = e*F(e*x) for every idempotent e and every x."""
+        return all(project[values[x]] == project[values[ex]] for project, x, ex in self._pairs)
 
     def as_tuple_set(self, limit: int = 1 << 20) -> frozenset:
-        """Every table as a tuple; glues analytic sets of up to ``limit`` tables."""
-        if self.tables is not None:
-            return frozenset(tuple(int(v) for v in row) for row in self.tables)
+        """Every table as a tuple; refuses sets of more than ``limit`` tables."""
         if self.count > limit:
             raise ValueError("function set too large to materialise")
-        # Every choice of (g_1, ..., g_m), as mixed-radix codes of (g_i(pi_i x))_i.
+        if self.tables is not None:
+            return frozenset(map(tuple, self.tables.tolist()))
+        # Every choice of g_e: eR -> eR, summed as x -> sum_e g_e(e*x).
         n = self.ring.order
-        rows, codes = np.zeros((1, n), dtype=np.intp), np.zeros(n, dtype=np.intp)
-        for f in self.factors:
-            q, proj = f.field.order, np.array(f.projection, dtype=np.intp)
-            g = np.array(list(product(range(q), repeat=q)), dtype=np.intp)[:, proj]
-            rows = (rows[:, None, :] * q + g[None]).reshape(-1, n)
-            codes = codes * q + proj
-        glue = np.empty(n, dtype=np.intp)
-        glue[codes] = np.arange(n)
-        return frozenset(map(tuple, glue[rows].tolist()))
+        add = np.array(self.ring.add_table, dtype=np.intp)
+        rows = np.zeros((1, n), dtype=np.intp)
+        for e in self.idempotents:
+            ideal, position = np.unique(self.ring.mul_table[e], return_inverse=True)
+            g = np.array(list(product(ideal.tolist(), repeat=len(ideal))))[:, position]
+            rows = add[rows[:, None, :], g[None]].reshape(-1, n)
+        return frozenset(map(tuple, rows.tolist()))
 
     def nontrivial_char_tables(self) -> list[tuple[tuple[int, ...], Polynomial]]:
         """All 0/1-valued non-constant tables in the set, with witnesses."""
@@ -401,17 +397,13 @@ class PolyFunctionSet:
         rows = self.tables
         zero_or_one = ((rows == 0) | (rows == one)).all(axis=1)
         constant = (rows == 0).all(axis=1) | (rows == one).all(axis=1)
-        out = []
-        for i in np.nonzero(zero_or_one & ~constant)[0]:
-            row = tuple(int(v) for v in rows[i])
-            wit = Polynomial(self.ring, tuple(int(c) for c in self.witnesses[i])).stripped()
-            out.append((row, wit))
-        return out
+        return [(tuple(rows[i].tolist()), _stripped(self.ring, self.witnesses[i].tolist()))
+                for i in np.nonzero(zero_or_one & ~constant)[0]]
 
     def _block_indicators(self, one: int) -> list[tuple[int, ...]]:
         """0/1 tables whose support is a nontrivial union of the blocks that
-        all factors' fibres generate: exactly the induced 0/1 tables, since
-        pi_i(0) != pi_i(1) for every factor."""
+        joining each x to every e*x generates: exactly the induced 0/1
+        tables, since e*0 != e*1 for every idempotent e."""
         root = list(range(self.ring.order))
 
         def find(x: int) -> int:
@@ -419,46 +411,47 @@ class PolyFunctionSet:
                 x = root[x]
             return x
 
-        for _, x, r in self._checks:
-            root[find(x)] = find(r)
+        for _, x, ex in self._pairs:
+            root[find(x)] = find(ex)
         blocks = [find(x) for x in range(self.ring.order)]
         bit = {head: i for i, head in enumerate(sorted(set(blocks)))}
         return [tuple(one if bits >> bit[b] & 1 else 0 for b in blocks)
                 for bits in range(1, (1 << len(bit)) - 1)]
 
 
-def polynomial_function_set(ring: FiniteRing, cap: int = DEFAULT_CAP,
-                            field_shortcut: bool = True) -> PolyFunctionSet:
+def polynomial_function_set(ring: FiniteRing, cap: int = DEFAULT_CAP) -> PolyFunctionSet:
     """The set {r -> a_0 + sum a_k r^k} of functions polynomials induce.
 
-    Products of fields, fields included, short-circuit by default: the set
-    is split by CRT into its field factors, is complete with
-    prod |F_i|^|F_i| tables, and builds witnesses on demand from per-factor
-    interpolation; the cap does not apply, since no row is materialised.
-    Otherwise (or with ``field_shortcut=False``) the group generated by the
-    constants and every a * v_k is grown one generator at a time as explicit
-    tables.  At most ``cap`` rows are materialised; a set cut there is
-    marked complete=False.
+    A product of fields, a field included, is answered through its primitive
+    idempotents: the set is complete with prod |eR|^|eR| tables, and
+    witnesses are interpolated on demand; the cap does not apply, since no
+    row is materialised.  Every other ring's set is grown as explicit tables
+    by coset growth; at most ``cap`` rows are materialised, and a set cut
+    there is marked complete=False.
 
-    Cached per (ring, cap, field_shortcut) however the arguments are passed.
+    Cached per (ring, cap) however the arguments are passed.
     """
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    return _function_set(ring, cap, field_shortcut)
+    return _function_set(ring, cap)
 
 
 @lru_cache(maxsize=None)
-def _function_set(ring: FiniteRing, cap: int, field_shortcut: bool) -> PolyFunctionSet:
+def _function_set(ring: FiniteRing, cap: int) -> PolyFunctionSet:
+    inv = analyze(ring)
+    if not (inv.is_commutative and inv.is_unital and inv.nilpotents.size == 1):
+        return _coset_growth(ring, cap)
+    idempotents = (ring.unity,) if inv.is_field else \
+        tuple(f.idempotent for f in local_decomposition(ring))
+    return PolyFunctionSet(ring, power_stabilization(ring), complete=True, tables=None,
+                           witnesses=None, index=None, idempotents=idempotents)
+
+
+def _coset_growth(ring: FiniteRing, cap: int) -> PolyFunctionSet:
+    """The group generated by the constants and every a * v_k, grown one
+    generator at a time as explicit tables, with at most ``cap`` rows."""
     n = ring.order
     t, p = power_stabilization(ring)
-    inv = analyze(ring)
-    if field_shortcut and inv.is_commutative and inv.is_unital and inv.nilpotents.size == 1:
-        # A product of fields; a field is its own single factor.
-        split = ((ring, tuple(range(n))),) if inv.is_field else \
-            tuple((f.ring, f.projection) for f in local_decomposition(ring))
-        return PolyFunctionSet(ring, (t, p), complete=True, tables=None, witnesses=None,
-                               index=None, factors=tuple(_FieldFactor.of(*f) for f in split))
-
     if n > 255:
         raise ValueError("function-set machinery is limited to orders <= 255")
     add = np.array(ring.add_table, dtype=np.uint8)
@@ -520,24 +513,12 @@ def is_polynomial_function(ring: FiniteRing, table,
 
 
 def interpolate_field(field: FiniteRing, table) -> Polynomial:
-    """The unique polynomial of degree < q = |F| inducing the table, in O(q^2).
-
-    f = sum_a f(a) (1 - (X - a)^(q-1)), and in characteristic p every
-    binomial C(q-1, j) is (-1)^j, so c_0 = f(0) and
-    c_j = -sum_a f(a) a^(q-1-j) for 1 <= j <= q-1, with 0^0 = 1.
-    """
+    """The unique polynomial of degree < q = |F| inducing the table, in O(q^2):
+    c_0 = f(0) and c_j = -sum_a f(a) a^(q-1-j) for 1 <= j <= q-1, with
+    0^0 = 1 (``_interpolant`` with the unity as the one idempotent)."""
     if not analyze(field).is_field:
         raise UnsupportedStructureError(f"{field.label} is not a field")
-    values = _table_values(field, table)
-    q, add, mul = field.order, field.add_table, field.mul_table
-    sums = [0] * (q - 1)  # sums[e] = sum_a f(a) a^e
-    for a, y in enumerate(values):
-        power = field.unity
-        for e in range(q - 1):
-            sums[e] = add[sums[e]][mul[y][power]]
-            power = mul[power][a]
-    coeffs = (values[0],) + tuple(field.neg(sums[q - 1 - j]) for j in range(1, q))
-    return Polynomial(field, coeffs).stripped()
+    return _interpolant(field, (field.unity,), _table_values(field, table))
 
 
 def char_poly_for_subset(ring: FiniteRing, subset,
@@ -545,7 +526,6 @@ def char_poly_for_subset(ring: FiniteRing, subset,
     """Witness for the 0/1-valued indicator table of a subset, if one exists."""
     if ring.unity is None:
         raise UnsupportedStructureError("indicator tables need 0 and 1 as values")
-    if not isinstance(subset, SubsetMask):
-        subset = SubsetMask.from_indices(ring, subset)
+    subset = SubsetMask.of(ring, subset)
     values = tuple(ring.unity if x in subset else 0 for x in range(ring.order))
     return is_polynomial_function(ring, values, cap)

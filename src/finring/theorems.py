@@ -48,6 +48,7 @@ from .catalog import RingSpecError, parse_poly_text
 from .core import (
     Embedding,
     FiniteRing,
+    InternalInvariantError,
     RingInvariants,
     SubsetMask,
     UnsupportedStructureError,
@@ -471,7 +472,7 @@ def split_unit_nilpotent(f: Polynomial) -> tuple[Polynomial, Polynomial]:
         elif c in inv.nilpotents:
             h[i] = c
         else:
-            raise AssertionError("local ring element neither unit nor nilpotent")
+            raise InternalInvariantError("local ring element neither unit nor nilpotent")
     return Polynomial(ring, tuple(g)), Polynomial(ring, tuple(h))
 
 
@@ -640,7 +641,7 @@ def char_function_from_image(ring: FiniteRing, f: Polynomial) -> Polynomial:
     N = ((kill + lcm_orders - 1) // lcm_orders) * lcm_orders
     result = poly_pow(f, N)
     if not _verify_char_polynomial(ring, result)[0]:
-        raise AssertionError("power of the polynomial is not a nontrivial 0/1 table")
+        raise InternalInvariantError("power of the polynomial is not a nontrivial 0/1 table")
     return result
 
 
@@ -762,7 +763,7 @@ def classify_char_function_existence(ring: FiniteRing, cap: int = DEFAULT_CAP,
         w = Polynomial(ring, (0,) * (ring.order - 1) + (ring.unity,))
         ok, support = _verify_char_polynomial(ring, w)
         if not ok:
-            raise AssertionError("x^(q-1) must be the indicator of the nonzero elements")
+            raise InternalInvariantError("x^(q-1) must be the indicator of the nonzero elements")
         return Verdict(
             "P2.7", True,
             witness={"polynomial": w, "support": support},
@@ -800,10 +801,7 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
         # membership is constant on each coset: one (coset, inside) pair per coset
         return len({(proj[x], x in support) for x in range(ring.order)}) == k.order
 
-    if subset is None:
-        subset = inv.units
-    elif not isinstance(subset, SubsetMask):
-        subset = SubsetMask.from_indices(ring, subset)
+    subset = inv.units if subset is None else SubsetMask.of(ring, subset)
 
     one = ring.unity
     table = tuple(one if x in subset else 0 for x in range(ring.order))

@@ -5,6 +5,9 @@ stabilization degree and tabulates it with plain ring arithmetic; it
 deliberately shares no code with the numpy coset-growth closure it
 cross-checks.  The Lagrange oracle builds field interpolants from basis
 polynomials, independently of the closed form in ``interpolate_field``.
+The CRT oracle builds each local factor of a product of fields as its own
+ring, interpolates there and glues the coefficients by the Chinese
+remainder theorem, where the library interpolates once inside the ring.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ from itertools import product
 import pytest
 
 from finring import (
+    interpolate_field,
+    local_decomposition,
     make_table_ring,
     make_zn,
     parse_ring_spec,
@@ -62,6 +67,20 @@ def lagrange_interpolate(field, values) -> Polynomial:
         scale = field.mul(y, multiplicative_inverse(field, denom))
         acc = poly_add(acc, poly_scale(scale, num))
     return acc.stripped()
+
+
+def crt_interpolate(ring, values) -> Polynomial:
+    """A product of fields' least-degree witness: interpolate pi_i o F on
+    each factor field F_i and glue the coefficient columns by CRT."""
+    factors = local_decomposition(ring)
+    rows = []
+    for f in factors:
+        reps = [f.projection.index(v) for v in range(f.ring.order)]
+        rows.append(interpolate_field(f.ring, [f.projection[values[r]] for r in reps]).coeffs)
+    crt = {tuple(f.projection[x] for f in factors): x for x in range(ring.order)}
+    width = max(map(len, rows))
+    columns = zip(*(row + (0,) * (width - len(row)) for row in rows))
+    return Polynomial(ring, tuple(crt[column] for column in columns)).stripped()
 
 
 def upper_triangular_f2():

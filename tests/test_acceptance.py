@@ -27,6 +27,7 @@ from finring import (
     residue_field,
 )
 from finring.cli import main
+from finring.polyfun import DEFAULT_CAP, _coset_growth
 from finring.theorems import (
     TrivialImageError,
     char_function_from_image,
@@ -188,12 +189,12 @@ def test_criterion_7_image_bounds(catalog8):
 def test_criterion_8_oracle_equivalence(catalog4):
     for name, ring in catalog4:
         oracle = brute_force_function_tables(ring)
-        closure = polynomial_function_set(ring, field_shortcut=False)
+        closure = _coset_growth(ring, DEFAULT_CAP)
         assert closure.complete and not closure.field_mode
         assert closure.as_tuple_set() == oracle, f"{name}: closure differs from the oracle"
-        shortcut = polynomial_function_set(ring)
-        assert shortcut.count == len(oracle)
-        assert shortcut.as_tuple_set() == oracle
+        pset = polynomial_function_set(ring)
+        assert pset.count == len(oracle)
+        assert pset.as_tuple_set() == oracle
     _report(8, f"closure set == brute-force enumeration on all {len(catalog4)} rings of order <= 4")
 
 

@@ -11,9 +11,11 @@ import jsonschema
 import pytest
 
 import finring
+from finring import InternalInvariantError
 from finring.cli import main
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report.schema.json").read_text())
+GOLDEN_SWEEP = Path(__file__).resolve().parent / "data" / "sweep16.json"
 
 
 def run_json(capsys, *argv):
@@ -169,6 +171,29 @@ def test_sweep_unwritable_out_exits_2(capsys):
     code = main(["sweep", "--max-order", "4", "--out", "/nonexistent-dir/x.json"])
     assert code == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_sweep_reproduces_the_golden_file(tmp_path):
+    # Any change of verdict, detail or witness shows up as a diff of the file.
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--max-order", "16", "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    golden = json.loads(GOLDEN_SWEEP.read_text())
+    assert doc["summary"] == golden["summary"] == {"pass": 269, "fail": 0, "vacuous": 43,
+                                                    "unknown": 0}
+    rows = [{k: v for k, v in row.items() if k != "ms"} for row in doc["rows"]]
+    assert len(rows) == len(golden["rows"]) == 312
+    assert rows == golden["rows"]
+
+
+def test_internal_invariant_breach_exits_4(monkeypatch, capsys):
+    assert not issubclass(InternalInvariantError, ValueError)
+    monkeypatch.setattr("finring.theorems._verify_char_polynomial", lambda ring, f: (False, []))
+    assert main(["check", "GF(4)", "P2.7"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_sweep_rejects_large_order(capsys):

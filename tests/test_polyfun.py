@@ -17,6 +17,7 @@ from finring import (
     image,
     interpolate_field,
     is_polynomial_function,
+    local_decomposition,
     make_zero_mul_ring,
     make_zn,
     parse_ring_spec,
@@ -27,9 +28,15 @@ from finring import (
     power_stabilization,
     realize,
 )
-from finring.polyfun import Polynomial, poly_add, poly_mul, poly_pow
+from finring.core import SubsetMask
+from finring.polyfun import FunctionTable, Polynomial, _coset_growth, poly_add, poly_mul, poly_pow
 
-from conftest import brute_force_function_tables, lagrange_interpolate, upper_triangular_f2
+from conftest import (
+    brute_force_function_tables,
+    crt_interpolate,
+    lagrange_interpolate,
+    upper_triangular_f2,
+)
 
 
 def assert_rows_witnessed(pset):
@@ -124,18 +131,18 @@ def test_function_set_matches_brute_force_zero_ring():
 @pytest.mark.parametrize("spec", ["T2(F2)", "Z/6", "Z/8", "Z/2 x Z/4", "zero-ring-4"])
 def test_closure_matches_oracle_with_witnesses(spec):
     ring = upper_triangular_f2() if spec == "T2(F2)" else realize(parse_ring_spec(spec))
-    pset = polynomial_function_set(ring, field_shortcut=False)
+    pset = _coset_growth(ring, DEFAULT_CAP)
     assert pset.complete
     assert pset.as_tuple_set() == brute_force_function_tables(ring)
     assert_rows_witnessed(pset)
 
 
-def test_field_shortcut_agrees_with_closure(gf4):
-    shortcut = polynomial_function_set(gf4)
-    closure = polynomial_function_set(gf4, field_shortcut=False)
+def test_field_set_agrees_with_coset_growth(gf4):
+    pset = polynomial_function_set(gf4)
+    closure = _coset_growth(gf4, DEFAULT_CAP)
     assert closure.complete and not closure.field_mode
-    assert closure.count == shortcut.count == 256
-    assert closure.as_tuple_set() == shortcut.as_tuple_set()
+    assert closure.count == pset.count == 256
+    assert closure.as_tuple_set() == pset.as_tuple_set()
 
 
 def test_function_set_closed_under_addition(z4):
@@ -189,6 +196,13 @@ def test_membership_cap_is_reported():
         is_polynomial_function(z12, (0,) + (1,) * 11, cap=50)
 
 
+def test_as_tuple_set_refuses_over_limit_before_work():
+    pset = polynomial_function_set(make_zn(12), 50)
+    assert pset.count == 50 and len(pset.as_tuple_set(limit=50)) == 50
+    with pytest.raises(ValueError, match="too large"):
+        pset.as_tuple_set(limit=10)
+
+
 def test_product_of_fields_is_exact_at_any_cap(z6):
     pset = polynomial_function_set(z6, 50)
     assert pset.complete and pset.tables is None and pset.count == 108
@@ -238,6 +252,34 @@ def test_interpolate_rejects_negative_value():
 def test_membership_rejects_non_integer_value(z4):
     with pytest.raises(ValueError, match="integer"):
         is_polynomial_function(z4, (0, 1, 2, 3.7))
+
+
+def test_polynomials_and_tables_reject_non_integers(z4):
+    with pytest.raises(ValueError, match="integer"):
+        poly_from(z4, [1.5])
+    with pytest.raises(ValueError, match="integer"):
+        Polynomial(z4, (1.5,))
+    with pytest.raises(ValueError, match="integer"):
+        FunctionTable(z4, z4, (1.5,) * 4)
+    # integer-like values are read as plain element indices
+    assert poly_from(z4, [True, 2]).coeffs == (1, 2)
+
+
+def test_membership_rejects_a_table_of_another_ring(z2, z4, gf4):
+    over_gf4 = function_table(poly_x(gf4))
+    with pytest.raises(ValueError, match="not Z/4 to itself"):
+        is_polynomial_function(z4, over_gf4)
+    into_gf4 = function_table(poly_x(gf4), via=embed(z2, gf4, [0, 1]))
+    for pset in (polynomial_function_set(gf4), polynomial_function_set(z2)):
+        with pytest.raises(ValueError, match="table maps Z/2 to"):
+            pset.contains(into_gf4)
+    with pytest.raises(ValueError, match="table maps Z/2 to"):
+        interpolate_field(gf4, into_gf4)
+
+
+def test_char_poly_rejects_a_subset_of_another_ring(z4, gf4):
+    with pytest.raises(ValueError, match="given for Z/4"):
+        char_poly_for_subset(z4, SubsetMask.from_indices(gf4, [1]))
 
 
 def test_interpolate_identity(z3):
@@ -412,7 +454,7 @@ def test_catalog_products_of_fields_are_answered_by_crt(catalog16):
 def test_crt_engine_matches_closure(spec):
     ring = realize(parse_ring_spec(spec))
     pset = polynomial_function_set(ring)
-    closure = polynomial_function_set(ring, field_shortcut=False)
+    closure = _coset_growth(ring, DEFAULT_CAP)
     assert pset.complete and closure.complete and pset.tables is None
     assert pset.count == closure.count
     rows = [tuple(row) for row in closure.tables.tolist()]
@@ -456,6 +498,34 @@ def test_crt_engine_on_z14_materialises_nothing():
         assert pset.contains(broken) is False
         assert pset.lookup(broken) == ("absent", None)
     assert pset.nontrivial_char_tables() == []
+
+
+@pytest.mark.parametrize("spec", ["Z/6", "Z/10", "Z/14", "Z/15", "Z/2 x Z/2", "Z/2 x Z/3",
+                                  "Z/30", "GF(4) x Z/3", "Z/2 x Z/2 x Z/2"])
+def test_witnesses_equal_the_crt_oracle(spec):
+    ring = realize(parse_ring_spec(spec))
+    pset = polynomial_function_set(ring)
+    assert pset.tables is None and len(pset.idempotents) == len(local_decomposition(ring)) > 1
+    n = ring.order
+    width = max(f.ring.order for f in local_decomposition(ring))
+    rng = random.Random(n)
+    for _ in range(300):
+        # a random polynomial of degree < width reaches every induced table
+        table = function_table(Polynomial(ring, tuple(rng.randrange(n) for _ in range(width))))
+        witness = crt_interpolate(ring, table.values)
+        assert pset.lookup(table) == ("present", witness)
+        assert function_table(witness) == table
+
+
+def test_product_of_three_fields_matches_coset_growth():
+    ring = realize(parse_ring_spec("Z/2 x Z/2 x Z/2"))
+    pset, closure = polynomial_function_set(ring), _coset_growth(ring, DEFAULT_CAP)
+    assert pset.count == closure.count == (2 ** 2) ** 3
+    assert pset.as_tuple_set() == closure.as_tuple_set() == brute_force_function_tables(ring)
+    rng = random.Random(8)
+    tables = closure.tables.tolist() + [[rng.randrange(8) for _ in range(8)] for _ in range(300)]
+    assert [pset.contains(t) for t in tables] == [closure.contains(t) for t in tables]
+    assert pset.nontrivial_char_tables() == closure.nontrivial_char_tables() == []
 
 
 def test_block_indicators_of_one_factor_are_every_subset(gf4):

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from finring import (
+    SubsetMask,
     UnsupportedStructureError,
     embed,
     function_table,
@@ -108,7 +109,7 @@ def test_field_sweeps_never_interpolate(monkeypatch, gf8):
     def refuse(*args):
         raise AssertionError("membership sweeps must not build witnesses")
 
-    monkeypatch.setattr("finring.polyfun.interpolate_field", refuse)
+    monkeypatch.setattr("finring.polyfun._interpolant", refuse)
     for v in (check_bijections_iff_field(gf8, max_order=8), check_char_functions_iff_field(make_zn(13))):
         assert v.holds is True and not v.vacuous
         assert v.witness is None
@@ -433,6 +434,11 @@ def test_cosets_rejects_non_local(z6):
 def test_cosets_rejects_out_of_range_ids(z4, subset):
     with pytest.raises(ValueError, match="out of range"):
         check_char_support_cosets(z4, subset=subset)
+
+
+def test_cosets_rejects_a_subset_of_another_ring():
+    with pytest.raises(ValueError, match="given for Z/8"):
+        check_char_support_cosets(make_zn(8), SubsetMask.from_indices(make_zn(9), [8]))
 
 
 # --- witnesses survive independent re-checking ------------------------------
