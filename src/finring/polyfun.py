@@ -153,13 +153,14 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     fd, gd = f.degree, g.degree
     if fd is None or gd is None:
         return Polynomial(r, ())
+    add, mul = r.add_table, r.mul_table
+    terms = [(j, b) for j, b in enumerate(g.coeffs[: gd + 1]) if b]
     out = [0] * (fd + gd + 1)
     for i, a in enumerate(f.coeffs[: fd + 1]):
-        if a == 0:
-            continue
-        for j, b in enumerate(g.coeffs[: gd + 1]):
-            if b != 0:
-                out[i + j] = r.add(out[i + j], r.mul(a, b))
+        if a:
+            by_a = mul[a]
+            for j, b in terms:
+                out[i + j] = add[out[i + j]][by_a[b]]
     return Polynomial(r, tuple(out))
 
 
@@ -203,13 +204,13 @@ def poly_eval(f: Polynomial, r: int, via: Embedding | None = None) -> int:
         if not 0 <= r < ring.order:
             raise ValueError("element out of the ring's range")
         x = r
+    add, mul = ring.add_table, ring.mul_table
     acc = f.coeffs[0] if f.coeffs else 0
     power = None
-    for i in range(1, len(f.coeffs)):
-        power = x if power is None else ring.mul(power, x)
-        c = f.coeffs[i]
-        if c != 0:
-            acc = ring.add(acc, ring.mul(c, power))
+    for c in f.coeffs[1:]:
+        power = x if power is None else mul[power][x]
+        if c:
+            acc = add[acc][mul[c][power]]
     return acc
 
 
@@ -385,38 +386,26 @@ class PolyFunctionSet:
         return frozenset(map(tuple, rows.tolist()))
 
     def nontrivial_char_tables(self) -> list[tuple[tuple[int, ...], Polynomial]]:
-        """All 0/1-valued non-constant tables in the set, with witnesses."""
+        """All 0/1-valued non-constant tables in the set, with witnesses.
+
+        An analytic set with two or more idempotents has none.  An induced
+        0/1 table F has F(x) = F(e*x) for every idempotent e, since e*0 != e*1.
+        For any x and y and two of the idempotents e1, e2, the element
+        z = e1*x + e2*y has e1*z = e1*x and e2*z = e2*y, so F(x) = F(z) = F(y).
+        """
         if self.ring.unity is None:
             raise UnsupportedStructureError("0/1-valued tables need unity")
         if self.field_mode:
             raise UnsupportedStructureError(
                 "the field case represents every subset; enumerate subsets directly")
-        one = self.ring.unity
         if self.tables is None:
-            return [(table, self.lookup(table)[1]) for table in self._block_indicators(one)]
+            return []
+        one = self.ring.unity
         rows = self.tables
         zero_or_one = ((rows == 0) | (rows == one)).all(axis=1)
         constant = (rows == 0).all(axis=1) | (rows == one).all(axis=1)
         return [(tuple(rows[i].tolist()), _stripped(self.ring, self.witnesses[i].tolist()))
                 for i in np.nonzero(zero_or_one & ~constant)[0]]
-
-    def _block_indicators(self, one: int) -> list[tuple[int, ...]]:
-        """0/1 tables whose support is a nontrivial union of the blocks that
-        joining each x to every e*x generates: exactly the induced 0/1
-        tables, since e*0 != e*1 for every idempotent e."""
-        root = list(range(self.ring.order))
-
-        def find(x: int) -> int:
-            while root[x] != x:
-                x = root[x]
-            return x
-
-        for _, x, ex in self._pairs:
-            root[find(x)] = find(ex)
-        blocks = [find(x) for x in range(self.ring.order)]
-        bit = {head: i for i, head in enumerate(sorted(set(blocks)))}
-        return [tuple(one if bits >> bit[b] & 1 else 0 for b in blocks)
-                for bits in range(1, (1 << len(bit)) - 1)]
 
 
 def polynomial_function_set(ring: FiniteRing, cap: int = DEFAULT_CAP) -> PolyFunctionSet:

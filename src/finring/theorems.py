@@ -228,8 +228,12 @@ def _subgroup_closure(ring: FiniteRing, generators) -> set[int]:
 
 def _first_absent(pset, tables) -> tuple[tuple[int, ...] | None, bool]:
     """The first table the set provably lacks (or None), and whether an
-    earlier table was undecided at the cap.  Membership only: no witness is
-    built, so a field never interpolates."""
+    earlier table was undecided at the cap.  A complete set of n^n distinct
+    tables holds every table, so it answers at once; any other set is asked
+    table by table, for membership only, so no witness is built."""
+    n = pset.ring.order
+    if pset.complete and pset.count == n ** n:
+        return None, False
     capped = False
     for table in tables:
         found = pset.contains(table)
@@ -275,8 +279,9 @@ def check_bijections_iff_field(ring: FiniteRing, max_order: int = 6,
                                cap: int = DEFAULT_CAP) -> Verdict:
     """P1.2: every bijection is induced by a polynomial iff the ring is a field.
 
-    Exhausts all order! bijections; transpositions are tried first so a
-    failing witness is a swap whenever one exists.
+    A set of n^n tables holds every bijection at once.  Otherwise all order!
+    bijections are tried, transpositions first so a failing witness is a
+    swap whenever one exists.
     """
     if ring.order > max_order:
         return Verdict(

@@ -8,6 +8,8 @@ polynomials, independently of the closed form in ``interpolate_field``.
 The CRT oracle builds each local factor of a product of fields as its own
 ring, interpolates there and glues the coefficients by the Chinese
 remainder theorem, where the library interpolates once inside the ring.
+The schoolbook oracles multiply and evaluate polynomials term by term
+through ``ring.add``/``ring.mul``, where the library indexes table rows.
 """
 
 from __future__ import annotations
@@ -81,6 +83,36 @@ def crt_interpolate(ring, values) -> Polynomial:
     width = max(map(len, rows))
     columns = zip(*(row + (0,) * (width - len(row)) for row in rows))
     return Polynomial(ring, tuple(crt[column] for column in columns)).stripped()
+
+
+def schoolbook_mul(f, g) -> Polynomial:
+    """f*g with left coefficients: c_k = sum_{i+j=k} a_i * b_j, stripped."""
+    ring = f.ring
+    out = [0] * (len(f.coeffs) + len(g.coeffs))
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = ring.add(out[i + j], ring.mul(a, b))
+    return Polynomial(ring, tuple(out)).stripped()
+
+
+def schoolbook_pow(f, k: int) -> Polynomial:
+    """f^k for k >= 1 as k - 1 left multiplications by f."""
+    acc = f.stripped()
+    for _ in range(k - 1):
+        acc = schoolbook_mul(acc, f)
+    return acc
+
+
+def schoolbook_eval(f, x: int) -> int:
+    """a_0 + sum_{i>=1} a_i * x^i, with x^i as i - 1 multiplications by x."""
+    ring = f.ring
+    acc = f.coeffs[0] if f.coeffs else 0
+    for i in range(1, len(f.coeffs)):
+        power = x
+        for _ in range(i - 1):
+            power = ring.mul(power, x)
+        acc = ring.add(acc, ring.mul(f.coeffs[i], power))
+    return acc
 
 
 def upper_triangular_f2():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from finring import (
     standard_catalog,
     validate_ring,
 )
+from finring import catalog, core
 from finring.catalog import Product, Quotient, TableRef, Zn
 from finring.theorems import classify_char_function_existence
 
@@ -145,6 +148,21 @@ def test_catalog_dedup_and_validity(catalog9):
     assert len(names) == len(set(names))
     for _, ring in catalog9:
         validate_ring(ring)
+
+
+def test_catalog_validates_each_ring_once(monkeypatch):
+    seen = []
+    validate = core.validate_ring
+
+    def record(ring):
+        seen.append(ring)
+        validate(ring)
+
+    for module in (core, catalog):  # catalog would call it by an imported name
+        monkeypatch.setattr(module, "validate_ring", record, raising=False)
+    monkeypatch.setattr(catalog, "realize", lru_cache(maxsize=None)(catalog.realize.__wrapped__))
+    for name, ring in catalog.standard_catalog(16):
+        assert sum(r is ring for r in seen) == 1, name
 
 
 def test_catalog_rejects_out_of_range():

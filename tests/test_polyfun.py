@@ -35,6 +35,9 @@ from conftest import (
     brute_force_function_tables,
     crt_interpolate,
     lagrange_interpolate,
+    schoolbook_eval,
+    schoolbook_mul,
+    schoolbook_pow,
     upper_triangular_f2,
 )
 
@@ -415,6 +418,23 @@ def test_eval_is_multiplicative_over_commutative_rings(z6, data):
     assert poly_eval(poly_mul(f, g), r) == z6.mul(poly_eval(f, r), poly_eval(g, r))
 
 
+_ARITHMETIC_RINGS = [upper_triangular_f2(), make_zn(12), realize(parse_ring_spec("GF(9)")),
+                     make_zero_mul_ring(4)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring=st.sampled_from(_ARITHMETIC_RINGS), data=st.data())
+def test_arithmetic_matches_the_schoolbook_oracle(ring, data):
+    coeffs_list = st.lists(st.integers(min_value=0, max_value=ring.order - 1), max_size=6)
+    f = poly_from(ring, data.draw(coeffs_list))
+    g = poly_from(ring, data.draw(coeffs_list))
+    k = data.draw(st.integers(min_value=1, max_value=6))
+    assert poly_mul(f, g).stripped() == schoolbook_mul(f, g)
+    assert poly_pow(f, k).stripped() == schoolbook_pow(f, k)
+    assert [poly_eval(f, x) for x in range(ring.order)] == \
+        [schoolbook_eval(f, x) for x in range(ring.order)]
+
+
 def test_poly_pow_matches_repeated_mul(z6):
     f = poly_from(z6, (1, 2, 3))
     acc = f
@@ -528,10 +548,14 @@ def test_product_of_three_fields_matches_coset_growth():
     assert pset.nontrivial_char_tables() == closure.nontrivial_char_tables() == []
 
 
-def test_block_indicators_of_one_factor_are_every_subset(gf4):
-    # With a single factor every fibre is a point, so each of the 2^4 - 2
-    # nontrivial 0/1 tables is a union of blocks.
-    pset = polynomial_function_set(gf4)
-    tables = pset._block_indicators(gf4.unity)
-    assert len(tables) == len(set(tables)) == 2 ** 4 - 2
-    assert all(pset.contains(t) for t in tables)
+@pytest.mark.parametrize("spec", ["Z/6", "Z/2 x Z/2 x Z/2", "GF(4) x Z/3"])
+def test_products_of_fields_induce_no_nontrivial_indicator(spec):
+    # The one-block argument behind nontrivial_char_tables() == [], checked
+    # against every 0/1 table by both engines.
+    ring = realize(parse_ring_spec(spec))
+    pset, closure = polynomial_function_set(ring), _coset_growth(ring, DEFAULT_CAP)
+    n, one = ring.order, ring.unity
+    indicators = [tuple(one if bits >> x & 1 else 0 for x in range(n))
+                  for bits in range(1, (1 << n) - 1)]
+    assert not any(pset.contains(t) or closure.contains(t) for t in indicators)
+    assert pset.nontrivial_char_tables() == []

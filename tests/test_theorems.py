@@ -12,10 +12,13 @@ from finring import (
     identity_embedding,
     make_zero_mul_ring,
     make_zn,
+    parse_ring_spec,
     poly_from,
     poly_x,
+    realize,
     residue_field,
 )
+from finring.polyfun import PolyFunctionSet
 from finring.theorems import (
     TrivialImageError,
     binomial_exponent,
@@ -98,7 +101,7 @@ def test_char_functions_field(gf4):
 def test_char_functions_z4(z4):
     v = check_char_functions_iff_field(z4)
     assert v.holds
-    assert v.witness["subset"]  # some non-representable subset
+    assert v.witness == {"subset": [0]}  # the first non-representable subset
 
 
 def test_char_functions_z6(z6):
@@ -111,6 +114,19 @@ def test_field_sweeps_never_interpolate(monkeypatch, gf8):
 
     monkeypatch.setattr("finring.polyfun._interpolant", refuse)
     for v in (check_bijections_iff_field(gf8, max_order=8), check_char_functions_iff_field(make_zn(13))):
+        assert v.holds is True and not v.vacuous
+        assert v.witness is None
+
+
+def test_sets_of_every_table_answer_without_membership(monkeypatch):
+    def refuse(self, table):
+        raise AssertionError("a set of n^n tables holds every table")
+
+    monkeypatch.setattr(PolyFunctionSet, "contains", refuse)
+    gf9 = realize(parse_ring_spec("GF(9)"))
+    for v in (check_bijections_iff_field(make_zn(7), max_order=7),
+              check_char_functions_iff_field(make_zn(13)),
+              check_char_functions_iff_field(gf9)):
         assert v.holds is True and not v.vacuous
         assert v.witness is None
 
