@@ -32,6 +32,7 @@ from .polyfun import (
     Polynomial,
     PolyFunctionSet,
     char_poly_for_subset,
+    function_count,
     function_table,
     image,
     interpolate_field,

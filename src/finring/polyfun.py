@@ -5,19 +5,24 @@ f = a_0 + a_1 X + ... + a_n X^n the value at r is a_0 + sum a_i * r^i,
 with the constant entering as a ring element (never as a_0 * r^0).  Left
 coefficients are used throughout, so noncommutative rings are supported.
 
-The set of all functions induced by polynomials is an additive subgroup of
+The set of all functions induced by polynomials is an additive subgroup G of
 R^R: power vectors v_k(x) = x^k repeat with preperiod t and period p, so
-the whole set is {constants} + span{a * v_k : a in R, 1 <= k <= t+p-1}.
+G = {constants} + span{a * v_k : a in R, 1 <= k <= t+p-1}.  Its size is
+always exact and never materialises a table (``function_count``): a
+product of fields has a closed form, and any other ring is counted per
+prime as a Z/p^s-lattice.
 
 A product of fields (a commutative unital ring without nonzero
 nilpotents; a field is the one-factor case) is answered analytically by
 its primitive idempotents e: R is the sum of the fields eR, a table F is
 induced iff e*F(x) = e*F(e*x) for every e and x, and one interpolant sums
-each field's closed form inside R, so nothing is materialised.  Every
-other ring's set is materialised by growing that group one generator at a
-time: the multiples of a generator g split the grown group into disjoint
-cosets H + i*g, so rows are concatenated and never deduplicated.  A
-witness coefficient row is kept per reachable function table.
+each field's closed form inside R.  On every other ring the exact count is
+compared with the cap before any work.  A set within the cap is
+materialised by growing G one generator at a time: the multiples of a
+generator g split the grown group into disjoint cosets H + i*g, so rows are
+concatenated and never deduplicated, and a witness coefficient row is kept
+per table.  A set over the cap materialises nothing and answers membership
+unknown.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import numpy as np
 from .core import (
     Embedding,
     FiniteRing,
+    InternalInvariantError,
     SubsetMask,
     UnsupportedStructureError,
     analyze,
@@ -60,6 +66,7 @@ __all__ = [
     "image",
     "power_stabilization",
     "polynomial_function_set",
+    "function_count",
     "is_polynomial_function",
     "interpolate_field",
     "char_poly_for_subset",
@@ -69,7 +76,7 @@ DEFAULT_CAP = 1 << 24
 
 
 class IncompleteSearchError(RuntimeError):
-    """Membership could not be decided because the function set hit its cap."""
+    """Membership could not be decided because the function set is over its cap."""
 
 
 @dataclass(frozen=True)
@@ -310,37 +317,40 @@ def _interpolant(ring: FiniteRing, idempotents: Iterable[int], values) -> Polyno
 
 
 class PolyFunctionSet:
-    """All function tables induced by polynomials over one ring.
+    """All function tables induced by polynomials over one ring; ``count``
+    is always exact (``function_count``).
 
     Materialised: ``tables`` holds one row per reachable function and
     ``witnesses`` a parallel coefficient row realising it; ``index`` maps
     each row's bytes to its position.
 
-    Analytic (``tables is None``): the ring is the product of the fields eR
-    for its primitive ``idempotents`` e (one for a field: ``field_mode``).  A
-    table F is induced iff e*F(x) = e*F(e*x) for every e and x, so the set
-    is complete with prod |eR|^|eR| members; witnesses are interpolated on
-    demand.
+    Analytic (``idempotents`` given): the ring is the product of the fields
+    eR for its primitive ``idempotents`` e (one for a field: ``field_mode``).
+    A table F is induced iff e*F(x) = e*F(e*x) for every e and x;
+    witnesses are interpolated on demand.
+
+    Over the cap (``complete`` False): nothing is materialised, and every
+    membership question answers unknown.
     """
 
     def __init__(self, ring: FiniteRing, stabilization: tuple[int, int],
                  complete: bool, tables: np.ndarray | None,
                  witnesses: np.ndarray | None, index: dict[bytes, int] | None,
-                 idempotents: tuple[int, ...] = ()):
+                 idempotents: tuple[int, ...] = (), count: int | None = None):
         self.ring = ring
         self.stabilization = stabilization
         self.complete = complete
         self.tables = tables
         self.witnesses = witnesses
         self.idempotents = idempotents
-        self.field_mode = tables is None and len(idempotents) == 1
-        if tables is None:
+        self.field_mode = len(idempotents) == 1
+        if idempotents:
             mul = ring.mul_table
             self.count = math.prod(q ** q for q in (len(set(mul[e])) for e in idempotents))
             self._pairs = [(mul[e], x, ex) for e in idempotents
                            for x, ex in enumerate(mul[e]) if ex != x]
         else:
-            self.count = len(tables)
+            self.count = len(tables) if count is None else count
         self._index = index
 
     def __len__(self) -> int:
@@ -349,30 +359,38 @@ class PolyFunctionSet:
     def lookup(self, table) -> tuple[str, Polynomial | None]:
         """('present', witness) / ('absent', None) / ('unknown', None)."""
         values = _table_values(self.ring, table)
-        if self.tables is None:
+        if self.idempotents:
             if not self._induced(values):
                 return "absent", None
             return "present", _interpolant(self.ring, self.idempotents, values)
+        if not self.complete:
+            return "unknown", None
         idx = self._index.get(bytes(values))
-        if idx is not None:
-            return "present", _stripped(self.ring, self.witnesses[idx].tolist())
-        return ("absent", None) if self.complete else ("unknown", None)
+        if idx is None:
+            return "absent", None
+        return "present", _stripped(self.ring, self.witnesses[idx].tolist())
 
     def contains(self, table) -> bool | None:
-        """True / False / None (undecided at the cap), building no witness."""
+        """True / False / None (undecided over the cap), building no witness."""
         values = _table_values(self.ring, table)
-        if self.tables is None:
+        if self.idempotents:
             return self.field_mode or self._induced(values)
-        return bytes(values) in self._index or (False if self.complete else None)
+        if not self.complete:
+            return None
+        return bytes(values) in self._index
 
     def _induced(self, values: tuple[int, ...]) -> bool:
         """e*F(x) = e*F(e*x) for every idempotent e and every x."""
         return all(project[values[x]] == project[values[ex]] for project, x, ex in self._pairs)
 
     def as_tuple_set(self, limit: int = 1 << 20) -> frozenset:
-        """Every table as a tuple; refuses sets of more than ``limit`` tables."""
+        """Every table as a tuple; refuses sets of more than ``limit`` tables,
+        and sets over their cap, before any work."""
         if self.count > limit:
             raise ValueError("function set too large to materialise")
+        if not self.complete:
+            raise IncompleteSearchError(
+                f"{self.ring.label}'s {self.count} functions are over the cap")
         if self.tables is not None:
             return frozenset(map(tuple, self.tables.tolist()))
         # Every choice of g_e: eR -> eR, summed as x -> sum_e g_e(e*x).
@@ -398,8 +416,11 @@ class PolyFunctionSet:
         if self.field_mode:
             raise UnsupportedStructureError(
                 "the field case represents every subset; enumerate subsets directly")
-        if self.tables is None:
+        if self.idempotents:
             return []
+        if not self.complete:
+            raise IncompleteSearchError(
+                f"{self.ring.label}'s {self.count} functions are over the cap")
         one = self.ring.unity
         rows = self.tables
         zero_or_one = ((rows == 0) | (rows == one)).all(axis=1)
@@ -412,11 +433,12 @@ def polynomial_function_set(ring: FiniteRing, cap: int = DEFAULT_CAP) -> PolyFun
     """The set {r -> a_0 + sum a_k r^k} of functions polynomials induce.
 
     A product of fields, a field included, is answered through its primitive
-    idempotents: the set is complete with prod |eR|^|eR| tables, and
-    witnesses are interpolated on demand; the cap does not apply, since no
-    row is materialised.  Every other ring's set is grown as explicit tables
-    by coset growth; at most ``cap`` rows are materialised, and a set cut
-    there is marked complete=False.
+    idempotents: the set is complete, and witnesses are interpolated on
+    demand; the cap does not apply, since no row is materialised.  On every
+    other ring the exact ``function_count`` is compared with ``cap`` before
+    any work: a set of at most ``cap`` functions is grown as explicit tables
+    by coset growth, and a larger one materialises nothing, keeps its exact
+    count and answers every membership question unknown (complete=False).
 
     Cached per (ring, cap) however the arguments are passed.
     """
@@ -428,17 +450,25 @@ def polynomial_function_set(ring: FiniteRing, cap: int = DEFAULT_CAP) -> PolyFun
 @lru_cache(maxsize=None)
 def _function_set(ring: FiniteRing, cap: int) -> PolyFunctionSet:
     inv = analyze(ring)
-    if not (inv.is_commutative and inv.is_unital and inv.nilpotents.size == 1):
-        return _coset_growth(ring, cap)
-    idempotents = (ring.unity,) if inv.is_field else \
-        tuple(f.idempotent for f in local_decomposition(ring))
-    return PolyFunctionSet(ring, power_stabilization(ring), complete=True, tables=None,
-                           witnesses=None, index=None, idempotents=idempotents)
+    if inv.is_commutative and inv.is_unital and inv.nilpotents.size == 1:
+        idempotents = (ring.unity,) if inv.is_field else \
+            tuple(f.idempotent for f in local_decomposition(ring))
+        return PolyFunctionSet(ring, power_stabilization(ring), complete=True, tables=None,
+                               witnesses=None, index=None, idempotents=idempotents)
+    count = _lattice_count(ring)
+    if count > cap:
+        return PolyFunctionSet(ring, power_stabilization(ring), complete=False, tables=None,
+                               witnesses=None, index=None, count=count)
+    pset = _coset_growth(ring)
+    if pset.count != count:
+        raise InternalInvariantError(f"{ring.label}: coset growth built {pset.count} "
+                                     f"functions, the lattice counts {count}")
+    return pset
 
 
-def _coset_growth(ring: FiniteRing, cap: int) -> PolyFunctionSet:
+def _coset_growth(ring: FiniteRing) -> PolyFunctionSet:
     """The group generated by the constants and every a * v_k, grown one
-    generator at a time as explicit tables, with at most ``cap`` rows."""
+    generator at a time as explicit tables."""
     n = ring.order
     t, p = power_stabilization(ring)
     if n > 255:
@@ -455,23 +485,17 @@ def _coset_growth(ring: FiniteRing, cap: int) -> PolyFunctionSet:
     # H + <g> into the disjoint cosets H + j*g, j < i, so the new rows are
     # appended as they come.  A row h + j*g is witnessed by h's coefficients
     # with a_k replaced by a_k + j*a, by distributivity of left coefficients.
-    tables = np.zeros((min(cap, 1), n), dtype=np.uint8)
-    wits = np.zeros((len(tables), m + 1), dtype=np.uint8)
-    index = {bytes(n): 0} if cap else {}
-    complete = cap > 0
+    tables = np.zeros((1, n), dtype=np.uint8)
+    wits = np.zeros((1, m + 1), dtype=np.uint8)
+    index = {bytes(n): 0}
     for k, a in product(range(m + 1), range(1, n)):
-        if not complete:
-            break
         g = np.full(n, a, dtype=np.uint8) if k == 0 else mul[a, powers[k]]
         new_t, new_w = [tables], [wits]
         step, coeff = g, a
-        while complete and step.tobytes() not in index:
+        while step.tobytes() not in index:
             coset_t = add[tables, step]
             coset_w = wits.copy()
             coset_w[:, k] = add[wits[:, k], coeff]
-            room = cap - len(index)
-            if len(coset_t) > room:
-                coset_t, coset_w, complete = coset_t[:room], coset_w[:room], False
             keys = coset_t.view(np.dtype((np.void, n))).ravel().tolist()
             index.update(zip(keys, count(len(index))))
             new_t.append(coset_t)
@@ -479,7 +503,126 @@ def _coset_growth(ring: FiniteRing, cap: int) -> PolyFunctionSet:
             step, coeff = add[step, g], add[coeff, a]
         if len(new_t) > 1:
             tables, wits = np.concatenate(new_t), np.concatenate(new_w)
-    return PolyFunctionSet(ring, (t, p), complete, tables, wits, index)
+    return PolyFunctionSet(ring, (t, p), True, tables, wits, index)
+
+
+# ---------------------------------------------------------------------------
+# exact counts: the function group as a Z/p^s-lattice per prime
+# ---------------------------------------------------------------------------
+
+def function_count(ring: FiniteRing) -> int:
+    """|G|, the number of functions R -> R induced by polynomials, exactly
+    and without materialising a table, on any finite ring: the count of the
+    set ``polynomial_function_set(ring, 0)``, which builds no row.
+
+    A product of fields has prod |eR|^|eR| over its primitive idempotents e;
+    any other ring is counted by ``_lattice_count``.
+    """
+    return _function_set(ring, 0).count
+
+
+def _lattice_count(ring: FiniteRing) -> int:
+    """|G| as the product of its p-parts |G_p|, each the order of a lattice.
+
+    G is the Z-span of the constants b and the tables b * x^k
+    (k = 1..t+p-1) for b in an additive basis of R, since a * x^k is
+    additive in a; noncommutative and non-unital rings need nothing extra.
+    Per prime p, ``_p_basis`` embeds the p-part R_p in (Z/p^s)^r, so the
+    generators' tables for a basis of R_p become rows over Z/p^s.  Each step
+    pivots on an entry of least valuation v among all rows, which divides
+    every other entry of its column and row; clearing the column leaves a
+    summand Z/p^(s-v), so |G_p| = prod p^(s - v) over the pivots
+    (Storjohann and Mulders, "Fast algorithms for linear algebra modulo N",
+    ESA 1998).
+    """
+    n = ring.order
+    add = np.array(ring.add_table, dtype=np.intp)
+    mul = np.array(ring.mul_table, dtype=np.intp)
+    t, period = power_stabilization(ring)
+    powers = np.empty((t + period, n), dtype=np.intp)  # x^0 is never read
+    powers[1] = np.arange(n)
+    for k in range(2, t + period):
+        powers[k] = mul[powers[k - 1], powers[1]]
+    total, rest = 1, n
+    for p in range(2, n + 1):
+        if rest % p:  # smaller primes are divided out, so p | rest means p is prime
+            continue
+        while rest % p == 0:
+            rest //= p
+        basis, s, embed = _p_basis(add, p)
+        q = p ** s
+        gens = np.concatenate((basis[:, None] + np.zeros((1, n), dtype=np.intp),
+                               mul[basis[:, None, None], powers[1:]].reshape(-1, n)))
+        rows = embed[gens].reshape(len(gens), -1)
+        valuation = np.zeros(q, dtype=np.intp)
+        for k in range(1, s + 1):
+            valuation[::p ** k] += 1
+        reduce = np.arange(q * q) % q  # y mod q for -(q-1)^2 <= y < q, negatives by wrapping
+        while True:
+            v_rows = valuation[rows]
+            at = int(v_rows.argmin())
+            v = int(v_rows.flat[at])
+            if v == s:
+                break
+            total *= p ** (s - v)
+            i, j = divmod(at, rows.shape[1])
+            pv = p ** v
+            factors = rows[:, j] // pv * pow(int(rows[i, j]) // pv, -1, q) % q
+            rows = reduce[rows - factors[:, None] * rows[i]]
+    return total
+
+
+def _p_basis(add: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """A basis b_1, b_2, ... of the p-part R_p of (R, +) with orders
+    p^e_1 >= p^e_2 >= ..., s = e_1, and the embedding of R_p in (Z/p^s)^r:
+    row z = sum c_i * b_i holds the c_i * p^(s - e_i) (rows off R_p are 0).
+
+    Each b is an element x of largest order p^e modulo the span S so far,
+    lifted: p^e * x = sum c_i * b_i with every c_i divisible by p^e, because
+    each b_i was chosen of largest order, so b = x - sum (c_i / p^e) * b_i
+    has order p^e and S + <b> is direct.
+    """
+    def times(k: int, x: np.ndarray) -> np.ndarray:
+        """k * x for every element of x, by doubling."""
+        acc = np.zeros_like(x)
+        while k:
+            if k & 1:
+                acc = add[acc, x]
+            x = add[x, x]
+            k >>= 1
+        return acc
+
+    n = len(add)
+    elements = np.arange(n)
+    p_order = 1
+    while n % (p_order * p) == 0:
+        p_order *= p
+    part = np.flatnonzero(times(p_order, elements) == 0)
+    times_p = times(p, elements)
+    inside = elements == 0
+    embed = np.zeros((n, len(part).bit_length()), dtype=np.intp)
+    basis = np.zeros(embed.shape[1], dtype=np.intp)
+    r = s = 0
+    while not inside[part].all():
+        # order[i] = e with p^e * part[i] the first multiple in S, at w[i]
+        order, w = np.zeros(len(part), dtype=np.intp), part
+        while (outside := ~inside[w]).any():
+            order += outside
+            w = np.where(outside, times_p[w], w)
+        i = int(order.argmax())
+        e = int(order[i])
+        s = s or e
+        lift = np.flatnonzero(inside & (embed == embed[w[i]] // p ** e).all(axis=1))[0]
+        basis[r] = np.flatnonzero(add[:, lift] == part[i])[0]  # b + lift = x
+        members, step = np.flatnonzero(inside), 0
+        for j in range(1, p ** e):
+            step = add[step, basis[r]]
+            grown = add[members, step]
+            embed[grown] = embed[members]
+            embed[grown, r] = j * p ** (s - e)
+            inside[grown] = True
+        r += 1
+    return basis[:r], s, embed[:, :r]
 
 
 polynomial_function_set.cache_info = _function_set.cache_info
@@ -490,14 +633,15 @@ def is_polynomial_function(ring: FiniteRing, table,
                            cap: int = DEFAULT_CAP) -> Polynomial | None:
     """A witness polynomial inducing the table, or None when provably none exists.
 
-    Raises IncompleteSearchError when the capped search cannot distinguish
-    absence from truncation.
+    Raises IncompleteSearchError when the ring induces more than ``cap``
+    functions, so that its set is not materialised.
     """
     pset = polynomial_function_set(ring, cap)
     status, witness = pset.lookup(table)
     if status == "unknown":
         raise IncompleteSearchError(
-            f"function set of {ring.label} truncated at {cap} tables; membership undecided")
+            f"{ring.label} induces {pset.count} functions, over the cap of {cap}; "
+            "membership undecided")
     return witness
 
 

@@ -4,8 +4,9 @@ Every check returns a :class:`Verdict` whose ``holds`` flag reports whether
 the claimed equivalence or bound was confirmed, with a witness payload that
 can be re-verified independently (a polynomial to re-evaluate, an element
 pair to re-check, a bound with its ingredients).  ``holds=None`` means the
-search was inconclusive because a function-set cap was hit; ``vacuous=True``
-means a hypothesis or precondition failed, so there was nothing to refute.
+search was inconclusive because the ring induces more functions than the
+cap allows to materialise; ``vacuous=True`` means a hypothesis or
+precondition failed, so there was nothing to refute.
 
 Check codes:
 
@@ -226,21 +227,13 @@ def _subgroup_closure(ring: FiniteRing, generators) -> set[int]:
 # L1.1 / P1.2 / P1.3: field characterizations
 # ---------------------------------------------------------------------------
 
-def _first_absent(pset, tables) -> tuple[tuple[int, ...] | None, bool]:
-    """The first table the set provably lacks (or None), and whether an
-    earlier table was undecided at the cap.  A complete set of n^n distinct
+def _first_absent(pset, tables) -> tuple[int, ...] | None:
+    """The first table a complete set lacks, or None.  A set of n^n distinct
     tables holds every table, so it answers at once; any other set is asked
     table by table, for membership only, so no witness is built."""
-    n = pset.ring.order
-    if pset.complete and pset.count == n ** n:
-        return None, False
-    capped = False
-    for table in tables:
-        found = pset.contains(table)
-        if found is False:
-            return table, capped
-        capped = capped or found is None
-    return None, capped
+    if pset.count == pset.ring.order ** pset.ring.order:
+        return None
+    return next((table for table in tables if not pset.contains(table)), None)
 
 
 def check_reachability_iff_field(ring: FiniteRing) -> Verdict:
@@ -292,10 +285,11 @@ def check_bijections_iff_field(ring: FiniteRing, max_order: int = 6,
     n = ring.order
     swaps = (tuple(j if x == i else i if x == j else x for x in range(n))
              for i, j in combinations(range(n), 2))
-    missing, capped = _first_absent(polynomial_function_set(ring, cap),
-                                    chain(swaps, permutations(range(n))))
-    if missing is None and capped:
-        return Verdict("P1.2", None, details="function set truncated; bijection sweep inconclusive")
+    pset = polynomial_function_set(ring, cap)
+    if not pset.complete:
+        return Verdict("P1.2", None,
+                       details=f"{pset.count} functions exceed the cap; bijection sweep inconclusive")
+    missing = _first_absent(pset, chain(swaps, permutations(range(n))))
     all_bijections = missing is None
     holds = all_bijections == inv.is_field
     witness = None if all_bijections else {"bijection": list(missing)}
@@ -315,10 +309,12 @@ def check_char_functions_iff_field(ring: FiniteRing, max_order: int = 16,
         )
     n, one = ring.order, ring.unity
     tables = (tuple(one if bits >> x & 1 else 0 for x in range(n)) for bits in range(1 << n))
-    table, capped = _first_absent(polynomial_function_set(ring, cap), tables)
+    pset = polynomial_function_set(ring, cap)
+    if not pset.complete:
+        return Verdict("P1.3", None,
+                       details=f"{pset.count} functions exceed the cap; subset sweep inconclusive")
+    table = _first_absent(pset, tables)
     missing = None if table is None else [x for x, v in enumerate(table) if v]
-    if missing is None and capped:
-        return Verdict("P1.3", None, details="function set truncated; subset sweep inconclusive")
     all_subsets = missing is None
     holds = all_subsets == inv.is_field
     witness = None if all_subsets else {"subset": missing}
@@ -776,9 +772,10 @@ def classify_char_function_existence(ring: FiniteRing, cap: int = DEFAULT_CAP,
         )
 
     pset = polynomial_function_set(ring, cap)
+    if not pset.complete:
+        return Verdict("P2.7", None,
+                       details=f"{pset.count} functions exceed the cap; search inconclusive")
     found = pset.nontrivial_char_tables()
-    if not found and not pset.complete:
-        return Verdict("P2.7", None, details="function set truncated; search inconclusive")
     exists = bool(found)
     holds = exists == is_local
     if exists:
@@ -811,9 +808,10 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
     one = ring.unity
     table = tuple(one if x in subset else 0 for x in range(ring.order))
     pset = polynomial_function_set(ring, cap)
+    if not pset.complete:
+        return Verdict("R2.8", None,
+                       details=f"{pset.count} functions exceed the cap; membership undecided")
     status, wit = pset.lookup(table)
-    if status == "unknown":
-        return Verdict("R2.8", None, details="function set truncated; membership undecided")
     subset_report: dict[str, Any] = {"subset": list(subset.indices()),
                                      "polynomial_exists": status == "present"}
     if status == "present":
@@ -841,9 +839,6 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
                         witness={"subset": sorted(support), "polynomial": w},
                         details="swept indicator support is not a coset union",
                     )
-            if not pset.complete:
-                return Verdict("R2.8", None,
-                               details="function set truncated; sweep inconclusive")
     subset_report["swept"] = swept
     note = "all polynomial indicator supports are coset unions" if swept != 0 else \
         "given subset checked"

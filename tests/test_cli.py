@@ -88,6 +88,24 @@ def test_check_capped_is_inconclusive(capsys):
     assert doc["verdict"]["status"] == "unknown"
 
 
+def test_large_local_rings_are_decided_before_any_row_is_built(monkeypatch, capsys):
+    # Each of these would need 2^24 or more rows; the cap is decided from the
+    # exact count first, so coset growth is never entered.
+    def refuse(ring):
+        raise AssertionError(f"coset growth entered on {ring.label}")
+
+    monkeypatch.setattr(finring.polyfun, "_coset_growth", refuse)
+    for spec, count in (("Z/25", 30517578125), ("Z/27", 387420489), ("Z/32", 16777216)):
+        code, doc = run_json(capsys, "report", spec)
+        assert code == 0 and doc["function_count"] == count and doc["function_count_complete"]
+        assert main(["report", spec]) == 0
+        assert f"polynomial_functions: {count}" in capsys.readouterr().out
+    code, doc = run_json(capsys, "check", "Z/27", "P2.7")
+    assert code == 3 and doc["verdict"]["status"] == "unknown"
+    with pytest.raises(finring.IncompleteSearchError):
+        finring.is_polynomial_function(finring.make_zn(27), (0,) * 27)
+
+
 def test_check_product_of_fields_is_exact_at_any_cap(capsys):
     code, doc = run_json(capsys, "check", "Z/6", "P2.7", "--cap-functions", "50")
     assert code == 0 and doc["verdict"]["status"] == "pass"

@@ -4,20 +4,25 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from finring import (
     DEFAULT_CAP,
     IncompleteSearchError,
     UnsupportedStructureError,
+    analyze,
     char_poly_for_subset,
     embed,
+    function_count,
     function_table,
     image,
     interpolate_field,
     is_polynomial_function,
     local_decomposition,
+    make_product,
+    make_quotient,
+    make_table_ring,
     make_zero_mul_ring,
     make_zn,
     parse_ring_spec,
@@ -27,6 +32,7 @@ from finring import (
     polynomial_function_set,
     power_stabilization,
     realize,
+    standard_catalog,
 )
 from finring.core import SubsetMask
 from finring.polyfun import FunctionTable, Polynomial, _coset_growth, poly_add, poly_mul, poly_pow
@@ -134,7 +140,7 @@ def test_function_set_matches_brute_force_zero_ring():
 @pytest.mark.parametrize("spec", ["T2(F2)", "Z/6", "Z/8", "Z/2 x Z/4", "zero-ring-4"])
 def test_closure_matches_oracle_with_witnesses(spec):
     ring = upper_triangular_f2() if spec == "T2(F2)" else realize(parse_ring_spec(spec))
-    pset = _coset_growth(ring, DEFAULT_CAP)
+    pset = _coset_growth(ring)
     assert pset.complete
     assert pset.as_tuple_set() == brute_force_function_tables(ring)
     assert_rows_witnessed(pset)
@@ -142,7 +148,7 @@ def test_closure_matches_oracle_with_witnesses(spec):
 
 def test_field_set_agrees_with_coset_growth(gf4):
     pset = polynomial_function_set(gf4)
-    closure = _coset_growth(gf4, DEFAULT_CAP)
+    closure = _coset_growth(gf4)
     assert closure.complete and not closure.field_mode
     assert closure.count == pset.count == 256
     assert closure.as_tuple_set() == pset.as_tuple_set()
@@ -190,20 +196,27 @@ def test_membership_on_field_via_interpolation(z3):
 
 
 def test_membership_cap_is_reported():
+    # Z/12 induces 1728 functions: under a smaller cap none is materialised,
+    # the count stays exact and every membership question is unknown.
     z12 = make_zn(12)
-    for cap in (1, 7, 50):
+    for cap in (1, 7, 50, 1727):
         pset = polynomial_function_set(z12, cap)
-        assert not pset.complete and pset.count == cap
-        assert_rows_witnessed(pset)
+        assert not pset.complete and pset.count == 1728 and pset.tables is None
+        assert pset.lookup((0,) * 12) == ("unknown", None)
+        assert pset.contains((0,) * 12) is None
+    assert polynomial_function_set(z12, 1728).complete
     with pytest.raises(IncompleteSearchError):
         is_polynomial_function(z12, (0,) + (1,) * 11, cap=50)
 
 
 def test_as_tuple_set_refuses_over_limit_before_work():
     pset = polynomial_function_set(make_zn(12), 50)
-    assert pset.count == 50 and len(pset.as_tuple_set(limit=50)) == 50
+    assert pset.count == 1728 and pset.tables is None
     with pytest.raises(ValueError, match="too large"):
         pset.as_tuple_set(limit=10)
+    with pytest.raises(IncompleteSearchError):
+        pset.as_tuple_set(limit=1728)
+    assert len(polynomial_function_set(make_zn(12)).as_tuple_set(limit=1728)) == 1728
 
 
 def test_product_of_fields_is_exact_at_any_cap(z6):
@@ -213,10 +226,15 @@ def test_product_of_fields_is_exact_at_any_cap(z6):
 
 
 def test_cap_bounds_a_set_of_constants():
-    # zero multiplication: only the constants are induced, and the cap still binds
-    pset = polynomial_function_set(make_zero_mul_ring(4), 2)
-    assert not pset.complete and pset.count == 2
-    assert_rows_witnessed(pset)
+    # zero multiplication: only the 4 constants are induced, and a cap of 2
+    # materialises none of them
+    ring = make_zero_mul_ring(4)
+    pset = polynomial_function_set(ring, 2)
+    assert not pset.complete and pset.count == 4 and pset.tables is None
+    assert pset.lookup((1,) * 4) == ("unknown", None)
+    full = polynomial_function_set(ring, 4)
+    assert full.complete and full.count == 4
+    assert_rows_witnessed(full)
 
 
 def test_function_set_cache_key_ignores_call_form():
@@ -233,7 +251,7 @@ def test_function_set_rejects_negative_cap(z4):
     with pytest.raises(ValueError, match="cap"):
         polynomial_function_set(z4, -3)
     empty = polynomial_function_set(z4, 0)
-    assert not empty.complete and empty.count == 0
+    assert not empty.complete and empty.count == 64
     assert empty.lookup((0, 0, 0, 0))[0] == "unknown"
 
 
@@ -336,12 +354,12 @@ def test_contains_agrees_with_lookup(spec, cap):
         tables = list(product(range(n), repeat=n))
     else:
         rng = random.Random(n)
-        tables = [tuple(int(v) for v in row) for row in pset.tables]
+        tables = [tuple(row) for row in polynomial_function_set(ring).tables.tolist()]
         tables += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(300)]
     as_bool = {"present": True, "absent": False, "unknown": None}
     for table in tables:
         assert pset.contains(table) is as_bool[pset.lookup(table)[0]]
-    answers = {True} if pset.field_mode else {True, False} if pset.complete else {True, None}
+    answers = {True} if pset.field_mode else {True, False} if pset.complete else {None}
     assert {pset.contains(t) for t in tables} == answers
 
 
@@ -474,7 +492,7 @@ def test_catalog_products_of_fields_are_answered_by_crt(catalog16):
 def test_crt_engine_matches_closure(spec):
     ring = realize(parse_ring_spec(spec))
     pset = polynomial_function_set(ring)
-    closure = _coset_growth(ring, DEFAULT_CAP)
+    closure = _coset_growth(ring)
     assert pset.complete and closure.complete and pset.tables is None
     assert pset.count == closure.count
     rows = [tuple(row) for row in closure.tables.tolist()]
@@ -539,7 +557,7 @@ def test_witnesses_equal_the_crt_oracle(spec):
 
 def test_product_of_three_fields_matches_coset_growth():
     ring = realize(parse_ring_spec("Z/2 x Z/2 x Z/2"))
-    pset, closure = polynomial_function_set(ring), _coset_growth(ring, DEFAULT_CAP)
+    pset, closure = polynomial_function_set(ring), _coset_growth(ring)
     assert pset.count == closure.count == (2 ** 2) ** 3
     assert pset.as_tuple_set() == closure.as_tuple_set() == brute_force_function_tables(ring)
     rng = random.Random(8)
@@ -553,9 +571,106 @@ def test_products_of_fields_induce_no_nontrivial_indicator(spec):
     # The one-block argument behind nontrivial_char_tables() == [], checked
     # against every 0/1 table by both engines.
     ring = realize(parse_ring_spec(spec))
-    pset, closure = polynomial_function_set(ring), _coset_growth(ring, DEFAULT_CAP)
+    pset, closure = polynomial_function_set(ring), _coset_growth(ring)
     n, one = ring.order, ring.unity
     indicators = [tuple(one if bits >> x & 1 else 0 for x in range(n))
                   for bits in range(1, (1 << n) - 1)]
     assert not any(pset.contains(t) or closure.contains(t) for t in indicators)
     assert pset.nontrivial_char_tables() == []
+
+
+# --- exact counts: the per-prime lattice against independent oracles ---------
+
+def _spec_ring(spec):
+    return upper_triangular_f2() if spec == "T2(F2)" else realize(parse_ring_spec(spec))
+
+
+def _row_matrices_f2():
+    """[[a, b], [0, 0]] over F2 as element a + 2b: noncommutative, non-unital,
+    of order 4, since (a, b)(a', b') = (a*a', a*b')."""
+    mul = [[(x & y & 1) | (x & 1) * (y >> 1) << 1 for y in range(4)] for x in range(4)]
+    return make_table_ring([[x ^ y for y in range(4)] for x in range(4)], mul, "row-matrices-F2")
+
+
+def _relabelled(ring, nonzero_labels):
+    """An isomorphic copy whose element x != 0 is nonzero_labels[x - 1], so
+    that the basis search meets the elements in another order."""
+    new = [0, *nonzero_labels]
+    old = sorted(range(ring.order), key=new.__getitem__)
+    relabel = lambda table: [[new[table[old[a]][old[b]]] for b in range(ring.order)]
+                             for a in range(ring.order)]
+    return make_table_ring(relabel(ring.add_table), relabel(ring.mul_table), ring.label)
+
+
+def _non_reduced_catalog(max_order):
+    # Rings with a nonzero nilpotent, or not commutative and unital: these
+    # are the ones the lattice counts (products of fields have a closed form).
+    return [(name, ring) for name, ring in standard_catalog(max_order)
+            if not (analyze(ring).is_commutative and ring.unity is not None
+                    and analyze(ring).nilpotents.size == 1)]
+
+
+@pytest.mark.parametrize("spec", [name for name, _ in _non_reduced_catalog(20)]
+                         + ["T2(F2)", "Z/8 x Z/2", "Z/2[x]/(x^4)", "Z/2[x]/(x^3) x Z/2"])
+def test_function_count_equals_coset_growth(spec):
+    ring = _spec_ring(spec)
+    assert function_count(ring) == _coset_growth(ring).count
+
+
+@pytest.mark.parametrize("spec", ["Z/8 x Z/2", "Z/4 x Z/4", "Z/2[x]/(x^4)", "Z/4[x]/(x^2+2)",
+                                  "T2(F2)"])
+def test_function_count_ignores_element_labels(spec):
+    ring = _spec_ring(spec)
+    count = function_count(ring)
+    for labels in (range(ring.order - 1, 0, -1),
+                   random.Random(0).sample(range(1, ring.order), ring.order - 1)):
+        copy = _relabelled(ring, list(labels))
+        assert function_count(copy) == count == _coset_growth(copy).count
+
+
+def test_function_count_equals_brute_force_on_small_rings():
+    rings = [ring for _, ring in standard_catalog(6)]
+    rings += [make_zero_mul_ring(2), make_zero_mul_ring(4), _row_matrices_f2()]
+    assert not analyze(rings[-1]).is_commutative and rings[-1].unity is None
+    for ring in rings:
+        assert function_count(ring) == len(brute_force_function_tables(ring)), ring.label
+
+
+_LOCAL_BASES = {2: 4, 3: 2, 4: 2, 5: 1, 7: 1, 8: 1, 9: 1, 11: 1, 13: 1, 16: 1, 17: 1, 19: 1}
+
+
+@st.composite
+def _small_rings(draw):
+    """Z/m[x]/(monic) for a prime power m, times Z/2..Z/4 or not; order <= 20."""
+    m = draw(st.sampled_from(sorted(_LOCAL_BASES)))
+    degree = draw(st.integers(1, _LOCAL_BASES[m]))
+    lower = draw(st.lists(st.integers(0, m - 1), min_size=degree, max_size=degree))
+    ring = make_quotient(make_zn(m), lower + [1])
+    other = draw(st.sampled_from([None, 2, 3, 4]))
+    if other is not None and ring.order * other <= 20:
+        ring = make_product(ring, make_zn(other))
+    return _relabelled(ring, draw(st.permutations(range(1, ring.order))))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(ring=_small_rings())
+def test_function_count_equals_coset_growth_on_random_rings(ring):
+    # Products of fields have a closed form, not the lattice.  Five of these
+    # rings have 2^24 functions, too many to grow here; the square-zero test
+    # below covers them.
+    assume(analyze(ring).nilpotents.size > 1)
+    count = function_count(ring)
+    assume(count <= 1 << 18)
+    assert count == _coset_growth(ring).count
+
+
+@pytest.mark.parametrize("spec, q", [("Z/4", 2), ("Z/9", 3), ("Z/25", 5), ("Z/2[x]/(x^2)", 2),
+                                     ("Z/3[x]/(x^2)", 3), ("Z/4[x]/(x^2+x+1)", 4),
+                                     ("Z/4[x]/(x^2+3x+3)", 4), ("Z/2[x]/(x^4+x^2+1)", 4)])
+def test_function_count_of_square_zero_local_rings(spec, q):
+    # A local ring whose maximal ideal M has M^2 = 0 and |M| = q = |R/M|
+    # induces q^(3q) functions: f(a + m) = f(a) + f'(a)*m, with q^2 choices
+    # of f(a) and q of f'(a) mod M for each of the q residues a.
+    ring = realize(parse_ring_spec(spec))
+    assert ring.order == q * q and analyze(ring).is_local
+    assert function_count(ring) == q ** (3 * q)
