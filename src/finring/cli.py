@@ -1,9 +1,9 @@
 """Command-line front end: ring reports, single checks, and catalog sweeps.
 
 Exit codes: 0 pass/vacuous, 1 a check found a violation, 2 usage or I/O
-error, 3 inconclusive (the ring induces more functions than the cap lets a
-check materialise), 4 internal error (a computed result broke an invariant
-the mathematics guarantees).
+error, 3 inconclusive (P1.2, or R2.8 on a given subset or in its sweep,
+needs a function set larger than the cap), 4 internal error (a computed
+result broke an invariant the mathematics guarantees).
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ from .core import (
     analyze,
     local_decomposition,
 )
-from .polyfun import (
-    DEFAULT_CAP,
-    IncompleteSearchError,
-    Polynomial,
-    function_count,
-    power_stabilization,
-)
+from .polyfun import DEFAULT_CAP, Polynomial, function_count, power_stabilization
 from .theorems import CHECKS, RESULT_IDS, CheckOptions, Verdict
 
 EXIT_OK = 0
@@ -123,8 +117,6 @@ def cmd_report(args) -> int:
             {"idempotent": f.idempotent, "order": f.ring.order}
             for f in local_decomposition(ring)
         ]
-    if args.cap_functions < 0:
-        raise ValueError(f"cap must be >= 0, got {args.cap_functions}")
     doc["stabilization"] = list(power_stabilization(ring))
     doc["function_count"] = function_count(ring)
     doc["function_count_complete"] = True
@@ -186,10 +178,7 @@ def _sweep_rows(max_order: int, opts: CheckOptions):
             if not check.applies(ring):
                 continue
             start = time.perf_counter()
-            try:
-                verdict = check.run(ring, opts)
-            except IncompleteSearchError as exc:
-                verdict = Verdict(result_id, None, details=str(exc))
+            verdict = check.run(ring, opts)
             ms = (time.perf_counter() - start) * 1000.0
             rows.append((name, result_id, verdict, ms))
     rows.sort(key=lambda row: (row[0], row[1]))
@@ -197,9 +186,6 @@ def _sweep_rows(max_order: int, opts: CheckOptions):
 
 
 def cmd_sweep(args) -> int:
-    if not 2 <= args.max_order <= 16:
-        print("sweep --max-order must be between 2 and 16", file=sys.stderr)
-        return EXIT_USAGE
     rows = _sweep_rows(args.max_order, _check_options(args))
     counts = {"pass": 0, "fail": 0, "vacuous": 0, "unknown": 0}
     for _, _, verdict, _ in rows:
@@ -254,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-bijection-order", type=int, default=6,
                        help="largest ring order for which bijection sweeps run")
         p.add_argument("--max-subset-order", type=int, default=16,
-                       help="largest ring order for which subset sweeps run")
+                       help="largest ring order for which R2.8 sweeps every 0/1-valued "
+                            "polynomial function")
 
     p_report = sub.add_parser("report", help="print a ring's invariants")
     p_report.add_argument("spec", help='ring spec, e.g. "Z/4" or "Z/2[x]/(x^3)"')
@@ -287,13 +274,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.cap_functions < 0:
+            raise ValueError(f"cap must be >= 0, got {args.cap_functions}")
         return args.func(args)
     except (RingSpecError, ValueError, UnsupportedStructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IncompleteSearchError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

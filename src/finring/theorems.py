@@ -15,7 +15,8 @@ L1.1   reachability of every nonzero target from every nonzero point by
        zero-constant polynomials, equivalent to being a field
 P1.2   every bijection induced by a polynomial, equivalent to being a field
 P1.3   every subset indicator induced by a polynomial (unital rings),
-       equivalent to being a field
+       equivalent to being a field; a non-field's least nonzero non-unit
+       certifies that the indicator of {0} is not induced
 P2.1   a subring whose nonzero elements are sent to 1 by a polynomial over
        the big ring is a finite field
 L2.2   the shift-by-nilpotent power identity (b+c)^(sN) = b^(sN) with the
@@ -31,7 +32,8 @@ P2.6fwd raising a polynomial with mixed unit/non-unit values to a power
 P2.6lift lifting a residue-field polynomial to the ring without growing its
        image
 P2.7   a nontrivial polynomial indicator function exists iff the ring is
-       local
+       local; the witness is x^N, the units' indicator, on a local ring and
+       an idempotent other than 0 and 1 on any other
 R2.8   the support of any polynomial indicator function is a union of
        cosets of the maximal ideal
 ====== =====================================================================
@@ -63,6 +65,7 @@ from .core import (
 from .polyfun import (
     DEFAULT_CAP,
     Polynomial,
+    function_count,
     function_table,
     poly_add,
     poly_const,
@@ -227,15 +230,6 @@ def _subgroup_closure(ring: FiniteRing, generators) -> set[int]:
 # L1.1 / P1.2 / P1.3: field characterizations
 # ---------------------------------------------------------------------------
 
-def _first_absent(pset, tables) -> tuple[int, ...] | None:
-    """The first table a complete set lacks, or None.  A set of n^n distinct
-    tables holds every table, so it answers at once; any other set is asked
-    table by table, for membership only, so no witness is built."""
-    if pset.count == pset.ring.order ** pset.ring.order:
-        return None
-    return next((table for table in tables if not pset.contains(table)), None)
-
-
 def check_reachability_iff_field(ring: FiniteRing) -> Verdict:
     """L1.1: every nonzero s reachable from every nonzero u via zero-constant
     polynomials, if and only if the ring is a field.
@@ -289,7 +283,10 @@ def check_bijections_iff_field(ring: FiniteRing, max_order: int = 6,
     if not pset.complete:
         return Verdict("P1.2", None,
                        details=f"{pset.count} functions exceed the cap; bijection sweep inconclusive")
-    missing = _first_absent(pset, chain(swaps, permutations(range(n))))
+    # A set of n^n distinct tables holds every table, so it answers at once;
+    # any other set is asked for membership only, so no witness is built.
+    missing = None if pset.count == n ** n else \
+        next((b for b in chain(swaps, permutations(range(n))) if not pset.contains(b)), None)
     all_bijections = missing is None
     holds = all_bijections == inv.is_field
     witness = None if all_bijections else {"bijection": list(missing)}
@@ -298,28 +295,29 @@ def check_bijections_iff_field(ring: FiniteRing, max_order: int = 6,
     return Verdict("P1.2", holds, witness=witness, details=f"{side}; is_field={inv.is_field}")
 
 
-def check_char_functions_iff_field(ring: FiniteRing, max_order: int = 16,
-                                   cap: int = DEFAULT_CAP) -> Verdict:
-    """P1.3: every subset indicator is induced by a polynomial iff the ring is a field."""
+def check_char_functions_iff_field(ring: FiniteRing) -> Verdict:
+    """P1.3: every subset indicator is induced by a polynomial iff the ring is a field.
+
+    Without a nonzero non-unit the ring is a finite division ring, hence a
+    field (Wedderburn), and a set of n^n tables holds every indicator.
+    Otherwise let c be the least nonzero non-unit.  A polynomial F inducing
+    the indicator of {0} would give -1 = F(c) - F(0) = sum_k (a_k c^(k-1)) * c,
+    so some r would have r*c = -1 and c would be a unit.  Only left
+    coefficients enter, so this holds on noncommutative rings too.
+    """
     inv = _require(ring, "unital")
-    if ring.order > max_order:
-        return Verdict(
-            "P1.3", True, vacuous=True,
-            details=f"skipped-with-note: order {ring.order} exceeds subset cap {max_order}",
-        )
-    n, one = ring.order, ring.unity
-    tables = (tuple(one if bits >> x & 1 else 0 for x in range(n)) for bits in range(1 << n))
-    pset = polynomial_function_set(ring, cap)
-    if not pset.complete:
-        return Verdict("P1.3", None,
-                       details=f"{pset.count} functions exceed the cap; subset sweep inconclusive")
-    table = _first_absent(pset, tables)
-    missing = None if table is None else [x for x, v in enumerate(table) if v]
-    all_subsets = missing is None
+    n = ring.order
+    c = next((x for x in range(1, n) if x not in inv.units), None)
+    if c is None:
+        all_subsets, witness = function_count(ring) == n ** n, None
+    else:
+        minus_one = ring.neg(ring.unity)
+        if any(row[c] == minus_one for row in ring.mul_table):
+            raise InternalInvariantError(f"r*{c} = -1 for some r, but {c} is not a unit")
+        all_subsets, witness = False, {"subset": [0], "non_unit": c}
     holds = all_subsets == inv.is_field
-    witness = None if all_subsets else {"subset": missing}
     side = "every subset indicator is polynomial" if all_subsets else \
-        f"indicator of {missing} is not polynomial"
+        "indicator of [0] is not polynomial"
     return Verdict("P1.3", holds, witness=witness, details=f"{side}; is_field={inv.is_field}")
 
 
@@ -738,12 +736,19 @@ def _verify_char_polynomial(ring: FiniteRing, w: Polynomial) -> tuple[bool, list
     return ok, support
 
 
-def classify_char_function_existence(ring: FiniteRing, cap: int = DEFAULT_CAP,
+def classify_char_function_existence(ring: FiniteRing,
                                      witness_poly: Polynomial | None = None) -> Verdict:
     """P2.7: a nontrivial polynomial indicator function exists iff the ring
     is local.  (For a finite ring the remaining classification conditions,
     zero-dimensionality and finiteness of residue field and nilpotency
     index, hold automatically.)
+
+    A local ring's witness is x^N, the indicator of the units
+    (``char_function_from_image`` on x).  A non-local ring has an idempotent
+    e not in {0, 1}, which is the witness: every generator g of the induced
+    functions (the constants and the b * x^k) has e*g(x) = e*g(e*x), so
+    every induced F does.  A 0/1-valued F then has F(x) = F(e*x), since
+    e*0 != e*1, and so F(x) = F(e*x) = F((1-e)*e*x) = F(0): F is constant.
 
     With ``witness_poly`` given, verification mode: the supplied polynomial
     is checked to be a nontrivial indicator, instead of searching.
@@ -760,32 +765,15 @@ def classify_char_function_existence(ring: FiniteRing, cap: int = DEFAULT_CAP,
             details=f"supplied polynomial is a nontrivial indicator: {ok}; is_local={is_local}",
         )
 
-    if inv.is_field:
-        w = Polynomial(ring, (0,) * (ring.order - 1) + (ring.unity,))
-        ok, support = _verify_char_polynomial(ring, w)
-        if not ok:
-            raise InternalInvariantError("x^(q-1) must be the indicator of the nonzero elements")
-        return Verdict(
-            "P2.7", True,
-            witness={"polynomial": w, "support": support},
-            details="field: indicator of the nonzero elements; is_local=True",
-        )
-
-    pset = polynomial_function_set(ring, cap)
-    if not pset.complete:
-        return Verdict("P2.7", None,
-                       details=f"{pset.count} functions exceed the cap; search inconclusive")
-    found = pset.nontrivial_char_tables()
-    exists = bool(found)
-    holds = exists == is_local
-    if exists:
-        table, w = found[0]
-        witness = {"polynomial": w, "support": [x for x, v in enumerate(table) if v == ring.unity]}
-        side = "nontrivial indicator exists"
+    if is_local:
+        w = char_function_from_image(ring, poly_x(ring))
+        witness = {"polynomial": w, "support": _verify_char_polynomial(ring, w)[1]}
+        side = "x^N is the indicator of the units"
     else:
-        witness = {"local_factors": len(local_decomposition(ring))}
-        side = "no nontrivial indicator among all polynomial functions"
-    return Verdict("P2.7", holds, witness=witness, details=f"{side}; is_local={is_local}")
+        e = next(x for x in inv.idempotents if x not in (0, ring.unity))
+        witness = {"idempotent": e}
+        side = f"idempotent {e} makes every 0/1-valued polynomial function constant"
+    return Verdict("P2.7", True, witness=witness, details=f"{side}; is_local={is_local}")
 
 
 def check_char_support_cosets(ring: FiniteRing, subset=None,
@@ -795,6 +783,8 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
 
     Checks the given subset (default: the units) and, when the order is
     within ``sweep_limit``, every 0/1-valued table in the whole function set.
+    On a commutative ring the units' indicator is x^N (P2.7's witness), so
+    that subset needs no function set.
     """
     inv = _require(ring, "local-unital")
     k, proj, _ = residue_field(ring)
@@ -804,14 +794,19 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
         return len({(proj[x], x in support) for x in range(ring.order)}) == k.order
 
     subset = inv.units if subset is None else SubsetMask.of(ring, subset)
+    units_by_power = inv.is_commutative and subset.bits == inv.units.bits
+    sweep = ring.order <= sweep_limit and not inv.is_field
 
-    one = ring.unity
-    table = tuple(one if x in subset else 0 for x in range(ring.order))
-    pset = polynomial_function_set(ring, cap)
-    if not pset.complete:
-        return Verdict("R2.8", None,
-                       details=f"{pset.count} functions exceed the cap; membership undecided")
-    status, wit = pset.lookup(table)
+    if not units_by_power or sweep:
+        pset = polynomial_function_set(ring, cap)
+        if not pset.complete:
+            return Verdict("R2.8", None,
+                           details=f"{pset.count} functions exceed the cap; membership undecided")
+    if units_by_power:
+        status, wit = "present", char_function_from_image(ring, poly_x(ring))
+    else:
+        status, wit = pset.lookup(tuple(ring.unity if x in subset else 0
+                                        for x in range(ring.order)))
     subset_report: dict[str, Any] = {"subset": list(subset.indices()),
                                      "polynomial_exists": status == "present"}
     if status == "present":
@@ -825,20 +820,19 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
             )
 
     swept = 0
-    if ring.order <= sweep_limit:
-        if inv.is_field:
-            # Cosets are singletons, so every support is trivially a union.
-            swept = -1
-        else:
-            for row, w in pset.nontrivial_char_tables():
-                support = {x for x, v in enumerate(row) if v == one}
-                swept += 1
-                if not is_coset_union(support):
-                    return Verdict(
-                        "R2.8", False,
-                        witness={"subset": sorted(support), "polynomial": w},
-                        details="swept indicator support is not a coset union",
-                    )
+    if sweep:
+        for row, w in pset.nontrivial_char_tables():
+            support = {x for x, v in enumerate(row) if v == ring.unity}
+            swept += 1
+            if not is_coset_union(support):
+                return Verdict(
+                    "R2.8", False,
+                    witness={"subset": sorted(support), "polynomial": w},
+                    details="swept indicator support is not a coset union",
+                )
+    elif inv.is_field and ring.order <= sweep_limit:
+        # Cosets are singletons, so every support is trivially a union.
+        swept = -1
     subset_report["swept"] = swept
     note = "all polynomial indicator supports are coset unions" if swept != 0 else \
         "given subset checked"
@@ -896,8 +890,7 @@ CHECKS: dict[str, Check] = {
     "L1.1": Check("any", lambda ring, o: check_reachability_iff_field(ring)),
     "P1.2": Check("any", lambda ring, o: check_bijections_iff_field(
         ring, max_order=o.max_bijection_order, cap=o.cap)),
-    "P1.3": Check("unital", lambda ring, o: check_char_functions_iff_field(
-        ring, max_order=o.max_subset_order, cap=o.cap)),
+    "P1.3": Check("unital", lambda ring, o: check_char_functions_iff_field(ring)),
     "P2.1": Check("comm-unital", lambda ring, o: verify_subring_char_function(
         identity_embedding(ring), _poly_or_x(o, ring))),
     "L2.2": Check("commutative", lambda ring, o: check_nilpotent_shift_powers(ring, s_max=o.s_max)),
@@ -911,7 +904,7 @@ CHECKS: dict[str, Check] = {
     "P2.6lift": Check("comm-local-unital", lambda ring, o: check_residue_lift(
         ring, _poly_arg(o, residue_field(ring)[0]))),
     "P2.7": Check("comm-unital", lambda ring, o: classify_char_function_existence(
-        ring, cap=o.cap, witness_poly=_poly_arg(o, ring))),
+        ring, witness_poly=_poly_arg(o, ring))),
     "R2.8": Check("local-unital", lambda ring, o: check_char_support_cosets(
         ring, subset=_subset_ids(o), sweep_limit=o.max_subset_order, cap=o.cap)),
 }

@@ -28,6 +28,7 @@ from finring import (
     realize,
     standard_catalog,
 )
+from finring import polyfun
 from finring.core import multiplicative_inverse
 from finring.polyfun import Polynomial, poly_add, poly_const, poly_mul, poly_scale
 
@@ -130,6 +131,20 @@ def upper_triangular_f2():
             row.append((a * a2) | ((a * b2 + b * d2) & 1) << 1 | (d * d2) << 2)
         mul.append(row)
     return make_table_ring(add, mul, "T2(F2)")
+
+
+def refuse_coset_growth(monkeypatch, above: int = 0) -> None:
+    """Make coset growth raise on rings of order > ``above``.  Cached sets
+    are dropped first, since a set cached by an earlier test would hide a
+    build."""
+    grow = polyfun._coset_growth
+
+    def guarded(ring):
+        assert ring.order <= above, f"coset growth entered on {ring.label}"
+        return grow(ring)
+
+    polyfun.polynomial_function_set.cache_clear()
+    monkeypatch.setattr(polyfun, "_coset_growth", guarded)
 
 
 @pytest.fixture(scope="session")

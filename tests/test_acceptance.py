@@ -82,7 +82,7 @@ def test_criterion_2_char_functions_iff_field(catalog9):
         inv = analyze(ring)
         if not inv.is_unital:
             continue
-        verdict = check_char_functions_iff_field(ring, max_order=16)
+        verdict = check_char_functions_iff_field(ring)
         assert verdict.holds and not verdict.vacuous, f"{name}: {verdict.details}"
         checked += 1
         if inv.is_field:

@@ -12,7 +12,10 @@ import pytest
 
 import finring
 from finring import InternalInvariantError
-from finring.cli import main
+from finring.cli import _witness_json, main
+from finring.theorems import CHECKS, CheckOptions
+
+from conftest import refuse_coset_growth
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report.schema.json").read_text())
 GOLDEN_SWEEP = Path(__file__).resolve().parent / "data" / "sweep16.json"
@@ -83,25 +86,29 @@ def test_check_skip_note_for_big_bijection_sweep(capsys):
 
 
 def test_check_capped_is_inconclusive(capsys):
-    code, doc = run_json(capsys, "check", "Z/12", "P2.7", "--cap-functions", "50")
+    code, doc = run_json(capsys, "check", "Z/8", "R2.8", "--subset", "1,3,5,7",
+                         "--cap-functions", "50")
     assert code == 3
     assert doc["verdict"]["status"] == "unknown"
 
 
 def test_large_local_rings_are_decided_before_any_row_is_built(monkeypatch, capsys):
-    # Each of these would need 2^24 or more rows; the cap is decided from the
-    # exact count first, so coset growth is never entered.
-    def refuse(ring):
-        raise AssertionError(f"coset growth entered on {ring.label}")
-
-    monkeypatch.setattr(finring.polyfun, "_coset_growth", refuse)
+    # Each of these would need 2^24 or more rows.  Counts come from the
+    # lattice, P2.7 and R2.8's default subset from x^N, and membership
+    # compares the exact count with the cap first, so coset growth is never
+    # entered.
+    refuse_coset_growth(monkeypatch)
     for spec, count in (("Z/25", 30517578125), ("Z/27", 387420489), ("Z/32", 16777216)):
         code, doc = run_json(capsys, "report", spec)
         assert code == 0 and doc["function_count"] == count and doc["function_count_complete"]
         assert main(["report", spec]) == 0
         assert f"polynomial_functions: {count}" in capsys.readouterr().out
-    code, doc = run_json(capsys, "check", "Z/27", "P2.7")
-    assert code == 3 and doc["verdict"]["status"] == "unknown"
+    for spec, power in (("Z/27", "x^18"), ("Z/32", "x^8")):
+        code, doc = run_json(capsys, "check", spec, "P2.7")
+        assert code == 0 and doc["verdict"]["witness"]["polynomial"] == power
+    for spec in ("Z/25", "Z/32"):
+        code, doc = run_json(capsys, "check", spec, "R2.8")
+        assert code == 0 and doc["verdict"]["status"] == "pass"
     with pytest.raises(finring.IncompleteSearchError):
         finring.is_polynomial_function(finring.make_zn(27), (0,) * 27)
 
@@ -109,9 +116,10 @@ def test_large_local_rings_are_decided_before_any_row_is_built(monkeypatch, caps
 def test_check_product_of_fields_is_exact_at_any_cap(capsys):
     code, doc = run_json(capsys, "check", "Z/6", "P2.7", "--cap-functions", "50")
     assert code == 0 and doc["verdict"]["status"] == "pass"
+    assert doc["verdict"]["witness"] == {"idempotent": 3}
     code, doc = run_json(capsys, "check", "Z/6", "P1.3", "--cap-functions", "50")
     assert code == 0 and doc["verdict"]["status"] == "pass"
-    assert doc["verdict"]["witness"] == {"subset": [0]}
+    assert doc["verdict"]["witness"] == {"subset": [0], "non_unit": 2}
 
 
 def test_check_poly_arguments(capsys):
@@ -145,6 +153,7 @@ def test_check_unknown_id_exits_2(capsys):
     ["check", "Z/9", "L2.2", "--s-max", "0"],
     ["check", "Z/4", "P2.7", "--cap-functions", "-3"],
     ["report", "Z/4", "--cap-functions", "-3"],
+    ["sweep", "--max-order", "4", "--out", "/nonexistent-dir/x.json", "--cap-functions", "-3"],
 ])
 def test_out_of_range_input_exits_2(capsys, argv):
     assert main(argv) == 2
@@ -204,6 +213,33 @@ def test_sweep_reproduces_the_golden_file(tmp_path):
     assert rows == golden["rows"]
 
 
+def test_char_checks_match_the_golden_file_without_function_sets(monkeypatch):
+    golden = {(row["ring"], row["check"]): row
+              for row in json.loads(GOLDEN_SWEEP.read_text())["rows"]}
+    refuse_coset_growth(monkeypatch)
+    checked = 0
+    for name, ring in finring.standard_catalog(16):
+        for result_id in ("P1.3", "P2.7"):
+            if (name, result_id) in golden:
+                verdict = CHECKS[result_id].run(ring, CheckOptions())
+                row = golden[name, result_id]
+                assert (verdict.status, _witness_json(verdict.witness)) == \
+                    (row["status"], row["witness"]), f"{result_id} on {name}"
+                checked += 1
+    assert checked == 54
+
+
+def test_sweep_covers_the_whole_catalog_at_the_default_cap(monkeypatch, tmp_path):
+    # Above order 16 P1.2 is skipped, P1.3 and P2.7 argue from the ring's
+    # elements and R2.8's default subset (the units) is induced by x^N.
+    refuse_coset_growth(monkeypatch, above=16)
+    out = tmp_path / "sweep32.json"
+    assert main(["sweep", "--max-order", "32", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["rows"]) == 480
+    assert doc["summary"] == {"pass": 405, "fail": 0, "vacuous": 75, "unknown": 0}
+
+
 def test_internal_invariant_breach_exits_4(monkeypatch, capsys):
     assert not issubclass(InternalInvariantError, ValueError)
     monkeypatch.setattr("finring.theorems._verify_char_polynomial", lambda ring, f: (False, []))
@@ -215,7 +251,7 @@ def test_internal_invariant_breach_exits_4(monkeypatch, capsys):
 
 
 def test_sweep_rejects_large_order(capsys):
-    assert main(["sweep", "--max-order", "17", "--out", "/tmp/x.json"]) == 2
+    assert main(["sweep", "--max-order", "33", "--out", "/tmp/x.json"]) == 2
 
 
 def test_module_entry_point():

@@ -84,4 +84,4 @@ def test_noncommutative_dispatch_on_t2f2():
 
     p13 = verdicts["P1.3"]
     assert p13.status == "pass"
-    assert p13.witness == {"subset": [0]}
+    assert p13.witness == {"subset": [0], "non_unit": 1}

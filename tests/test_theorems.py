@@ -7,6 +7,7 @@ import pytest
 from finring import (
     SubsetMask,
     UnsupportedStructureError,
+    analyze,
     embed,
     function_table,
     identity_embedding,
@@ -15,10 +16,12 @@ from finring import (
     parse_ring_spec,
     poly_from,
     poly_x,
+    power_stabilization,
     realize,
     residue_field,
+    standard_catalog,
 )
-from finring.polyfun import PolyFunctionSet
+from finring.polyfun import PolyFunctionSet, _coset_growth, function_count
 from finring.theorems import (
     TrivialImageError,
     binomial_exponent,
@@ -40,6 +43,8 @@ from finring.theorems import (
     verify_nilpotent_shift_power,
     verify_subring_char_function,
 )
+
+from conftest import brute_force_function_tables, refuse_coset_growth, upper_triangular_f2
 
 
 # --- L1.1 ------------------------------------------------------------------
@@ -101,7 +106,7 @@ def test_char_functions_field(gf4):
 def test_char_functions_z4(z4):
     v = check_char_functions_iff_field(z4)
     assert v.holds
-    assert v.witness == {"subset": [0]}  # the first non-representable subset
+    assert v.witness == {"subset": [0], "non_unit": 2}
 
 
 def test_char_functions_z6(z6):
@@ -396,7 +401,7 @@ def test_classify_z4(z4):
 def test_classify_z6(z6):
     v = classify_char_function_existence(z6)
     assert v.holds
-    assert v.witness == {"local_factors": 2}
+    assert v.witness == {"idempotent": 3}
 
 
 def test_classify_f8(gf8):
@@ -415,10 +420,10 @@ def test_classify_verification_mode(z4):
     assert not v.holds
 
 
-def test_classify_inconclusive_when_capped():
-    v = classify_char_function_existence(make_zn(12), cap=50)
-    assert v.holds is None
-    assert v.status == "unknown"
+def test_classify_decided_without_function_set(monkeypatch):
+    refuse_coset_growth(monkeypatch)
+    v = classify_char_function_existence(make_zn(12))
+    assert v.status == "pass" and v.witness == {"idempotent": 4}
 
 
 # --- R2.8 ------------------------------------------------------------------
@@ -472,6 +477,58 @@ def test_failed_side_witnesses_recheck(z4, z6, catalog9):
     assert is_polynomial_function(z4, table) is None
 
 
+# Certificates of "no" are checked from the ring's tables alone and against
+# function sets grown without the checks' code: brute force up to order 6,
+# coset growth up to 2^20 functions.  Z/14 induces 3.3M functions (coset
+# growth takes about 2.6 s and 580 MB), so only its certificate is checked.
+
+def _oracle_tables(ring) -> list[tuple[int, ...]]:
+    tables = list(brute_force_function_tables(ring)) if ring.order <= 6 else []
+    if function_count(ring) <= 1 << 20:
+        tables += map(tuple, _coset_growth(ring).tables.tolist())
+    return tables
+
+
+def _generator_tables(ring):
+    """The constants and every b * x^k with k <= t+p-1, which span the induced functions."""
+    t, p = power_stabilization(ring)
+    elements = range(ring.order)
+    for b in elements:
+        yield [b] * ring.order
+        for k in range(1, t + p):
+            yield [ring.mul(b, ring.pow(x, k)) for x in elements]
+
+
+def _catalog16_names(keep):
+    return [name for name, ring in standard_catalog(16)
+            if analyze(ring).is_unital and keep(analyze(ring))]
+
+
+@pytest.mark.parametrize("spec", _catalog16_names(
+    lambda inv: inv.is_commutative and not inv.is_local)
+    + ["Z/2 x Z/2 x Z/2", "GF(4) x Z/3", "Z/18", "Z/20"])
+def test_non_local_idempotent_certificate(spec):
+    ring = realize(parse_ring_spec(spec))
+    v = classify_char_function_existence(ring)
+    assert v.status == "pass"
+    e, one = v.witness["idempotent"], ring.unity
+    assert ring.mul(e, e) == e and e not in (0, one)
+    for g in _generator_tables(ring):
+        assert all(ring.mul(e, g[x]) == ring.mul(e, g[ring.mul(e, x)]) for x in range(ring.order))
+    assert not [table for table in _oracle_tables(ring) if set(table) == {0, one}]
+
+
+@pytest.mark.parametrize("spec", _catalog16_names(lambda inv: not inv.is_field) + ["T2(F2)"])
+def test_non_field_non_unit_certificate(spec):
+    ring = upper_triangular_f2() if spec == "T2(F2)" else realize(parse_ring_spec(spec))
+    v = check_char_functions_iff_field(ring)
+    assert v.status == "pass" and v.witness["subset"] == [0]
+    c, minus_one = v.witness["non_unit"], ring.neg(ring.unity)
+    assert c != 0 and all(ring.mul(r, c) != minus_one for r in range(ring.order))
+    indicator = (ring.unity,) + (0,) * (ring.order - 1)
+    assert indicator not in _oracle_tables(ring)
+
+
 def test_binomial_exponent_valuation_invariant():
     # beta_i is exactly the largest power of p_i dividing (r-1)!
     import math as _math
@@ -505,6 +562,7 @@ def test_lift_data_invariants(z9):
     assert data.exponent % inv.unit_group_exponent == 0
 
 
-def test_char_functions_capped_is_unknown():
-    v = check_char_functions_iff_field(make_zn(12), cap=50)
-    assert v.holds is None and v.status == "unknown"
+def test_char_functions_decided_without_function_set(monkeypatch):
+    refuse_coset_growth(monkeypatch)
+    v = check_char_functions_iff_field(make_zn(12))
+    assert v.status == "pass" and v.witness == {"subset": [0], "non_unit": 2}
