@@ -1,7 +1,7 @@
 """Command-line front end: ring reports, single checks, and catalog sweeps.
 
 Exit codes: 0 pass/vacuous, 1 a check found a violation, 2 usage or I/O
-error, 3 inconclusive (P1.2, or R2.8 on a given subset or in its sweep,
+error, 3 inconclusive (R2.8's given subset is induced, but its witness
 needs a function set larger than the cap), 4 internal error (a computed
 result broke an invariant the mathematics guarantees).
 """
@@ -235,13 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--cap-functions", type=int, default=DEFAULT_CAP,
-                       help="materialise a function set for membership only up to this many "
-                            "tables (checked before any work; counts are always exact)")
+                       help="materialise a function set for a witness lookup only up to this "
+                            "many tables (checked before any work; counts and membership "
+                            "are always exact)")
         p.add_argument("--max-bijection-order", type=int, default=6,
                        help="largest ring order for which bijection sweeps run")
         p.add_argument("--max-subset-order", type=int, default=16,
-                       help="largest ring order for which R2.8 sweeps every 0/1-valued "
-                            "polynomial function")
+                       help="largest ring order (at most 32) for which R2.8 sweeps every "
+                            "0/1-valued polynomial function")
 
     p_report = sub.add_parser("report", help="print a ring's invariants")
     p_report.add_argument("spec", help='ring spec, e.g. "Z/4" or "Z/2[x]/(x^3)"')

@@ -10,7 +10,9 @@ R^R: power vectors v_k(x) = x^k repeat with preperiod t and period p, so
 G = {constants} + span{a * v_k : a in R, 1 <= k <= t+p-1}.  Its size is
 always exact and never materialises a table (``function_count``): a
 product of fields has a closed form, and any other ring is counted per
-prime as a Z/p^s-lattice.
+prime as a Z/p^s-lattice.  The same elimination, with its column
+operations recorded, gives a syndrome map that decides membership
+without a witness on any ring and at any cap (``contains``).
 
 A product of fields (a commutative unital ring without nonzero
 nilpotents; a field is the one-factor case) is answered analytically by
@@ -21,8 +23,8 @@ compared with the cap before any work.  A set within the cap is
 materialised by growing G one generator at a time: the multiples of a
 generator g split the grown group into disjoint cosets H + i*g, so rows are
 concatenated and never deduplicated, and a witness coefficient row is kept
-per table.  A set over the cap materialises nothing and answers membership
-unknown.
+per table.  A set over the cap materialises nothing: ``lookup`` answers
+unknown there, while ``contains`` reads the syndrome.
 """
 
 from __future__ import annotations
@@ -329,8 +331,8 @@ class PolyFunctionSet:
     A table F is induced iff e*F(x) = e*F(e*x) for every e and x;
     witnesses are interpolated on demand.
 
-    Over the cap (``complete`` False): nothing is materialised, and every
-    membership question answers unknown.
+    Over the cap (``complete`` False): nothing is materialised; ``lookup``
+    answers unknown, and ``contains`` reads the lattice syndrome.
     """
 
     def __init__(self, ring: FiniteRing, stabilization: tuple[int, int],
@@ -338,6 +340,7 @@ class PolyFunctionSet:
                  witnesses: np.ndarray | None, index: dict[bytes, int] | None,
                  idempotents: tuple[int, ...] = (), count: int | None = None):
         self.ring = ring
+        self._syndrome = None
         self.stabilization = stabilization
         self.complete = complete
         self.tables = tables
@@ -370,14 +373,59 @@ class PolyFunctionSet:
             return "absent", None
         return "present", _stripped(self.ring, self.witnesses[idx].tolist())
 
-    def contains(self, table) -> bool | None:
-        """True / False / None (undecided over the cap), building no witness."""
+    def contains(self, table) -> bool:
+        """Whether the table is induced, building no witness: a materialised
+        set answers from its index, any other from the lattice syndrome."""
         values = _table_values(self.ring, table)
         if self.idempotents:
             return self.field_mode or self._induced(values)
-        if not self.complete:
-            return None
+        if self._index is None:
+            parts, moduli = self._syndrome_map()
+            return not (parts[np.arange(len(values)), values].sum(axis=0) % moduli).any()
         return bytes(values) in self._index
+
+    def _syndrome_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """``parts[x, y]``, the syndrome of the table that is y at x and 0
+        elsewhere, and ``moduli`` (``_lattice``), built once per set: a table
+        F is induced iff sum_x parts[x, F(x)] is 0 modulo ``moduli``."""
+        if self._syndrome is None:
+            self._syndrome = _lattice(self.ring, track=True)[1:]
+        return self._syndrome
+
+    def indicator_supports(self) -> list[int]:
+        """Every subset whose indicator (the unity on it, 0 elsewhere) is
+        induced, the two constants included, as bit masks in increasing
+        order; refuses rings of order above 32 before any work.
+
+        An indicator's syndrome is the sum of the syndromes of the unity at
+        each of its points, so the subsets of the lower and of the upper half
+        of R are summed apart (2 * 2^(n/2) sums, not 2^n) and matched on
+        syndromes that cancel.
+        """
+        ring = self.ring
+        if ring.unity is None:
+            raise UnsupportedStructureError("indicator tables need 0 and 1 as values")
+        n = ring.order
+        if n > 32:
+            raise ValueError(f"indicator supports are enumerated only up to order 32, not {n}")
+        parts, moduli = self._syndrome_map()
+        moduli = moduli.astype(np.uint8)  # p^v <= n: sums of two stay below 2^8
+        ones = parts[:, ring.unity].astype(np.uint8)
+        half = n // 2
+        sums = []  # row m of each: the syndrome of {x in the half : bit x of m set}
+        for points in (range(half), range(half, n)):
+            acc = np.zeros((1, len(moduli)), dtype=np.uint8)
+            for x in points:
+                acc = np.concatenate((acc, (acc + ones[x]) % moduli))
+            sums.append(acc)
+        upper = {}
+        for high, row in enumerate((moduli - sums[1]) % moduli):
+            upper.setdefault(row.tobytes(), []).append(high)
+        found = []
+        for low, row in enumerate(sums[0]):
+            for high in upper.get(row.tobytes(), ()):
+                found.append(low | high << half)
+        return sorted(found)
 
     def _induced(self, values: tuple[int, ...]) -> bool:
         """e*F(x) = e*F(e*x) for every idempotent e and every x."""
@@ -403,31 +451,6 @@ class PolyFunctionSet:
             rows = add[rows[:, None, :], g[None]].reshape(-1, n)
         return frozenset(map(tuple, rows.tolist()))
 
-    def nontrivial_char_tables(self) -> list[tuple[tuple[int, ...], Polynomial]]:
-        """All 0/1-valued non-constant tables in the set, with witnesses.
-
-        An analytic set with two or more idempotents has none.  An induced
-        0/1 table F has F(x) = F(e*x) for every idempotent e, since e*0 != e*1.
-        For any x and y and two of the idempotents e1, e2, the element
-        z = e1*x + e2*y has e1*z = e1*x and e2*z = e2*y, so F(x) = F(z) = F(y).
-        """
-        if self.ring.unity is None:
-            raise UnsupportedStructureError("0/1-valued tables need unity")
-        if self.field_mode:
-            raise UnsupportedStructureError(
-                "the field case represents every subset; enumerate subsets directly")
-        if self.idempotents:
-            return []
-        if not self.complete:
-            raise IncompleteSearchError(
-                f"{self.ring.label}'s {self.count} functions are over the cap")
-        one = self.ring.unity
-        rows = self.tables
-        zero_or_one = ((rows == 0) | (rows == one)).all(axis=1)
-        constant = (rows == 0).all(axis=1) | (rows == one).all(axis=1)
-        return [(tuple(rows[i].tolist()), _stripped(self.ring, self.witnesses[i].tolist()))
-                for i in np.nonzero(zero_or_one & ~constant)[0]]
-
 
 def polynomial_function_set(ring: FiniteRing, cap: int = DEFAULT_CAP) -> PolyFunctionSet:
     """The set {r -> a_0 + sum a_k r^k} of functions polynomials induce.
@@ -438,7 +461,9 @@ def polynomial_function_set(ring: FiniteRing, cap: int = DEFAULT_CAP) -> PolyFun
     other ring the exact ``function_count`` is compared with ``cap`` before
     any work: a set of at most ``cap`` functions is grown as explicit tables
     by coset growth, and a larger one materialises nothing, keeps its exact
-    count and answers every membership question unknown (complete=False).
+    count and answers every lookup unknown (complete=False).  ``contains``
+    is exact on every set; ``cap=0`` gives the row-free set that
+    ``function_count`` reads.
 
     Cached per (ring, cap) however the arguments are passed.
     """
@@ -455,7 +480,7 @@ def _function_set(ring: FiniteRing, cap: int) -> PolyFunctionSet:
             tuple(f.idempotent for f in local_decomposition(ring))
         return PolyFunctionSet(ring, power_stabilization(ring), complete=True, tables=None,
                                witnesses=None, index=None, idempotents=idempotents)
-    count = _lattice_count(ring)
+    count = _lattice(ring)[0]
     if count > cap:
         return PolyFunctionSet(ring, power_stabilization(ring), complete=False, tables=None,
                                witnesses=None, index=None, count=count)
@@ -516,24 +541,35 @@ def function_count(ring: FiniteRing) -> int:
     set ``polynomial_function_set(ring, 0)``, which builds no row.
 
     A product of fields has prod |eR|^|eR| over its primitive idempotents e;
-    any other ring is counted by ``_lattice_count``.
+    any other ring is counted by ``_lattice``.
     """
     return _function_set(ring, 0).count
 
 
-def _lattice_count(ring: FiniteRing) -> int:
-    """|G| as the product of its p-parts |G_p|, each the order of a lattice.
+def _lattice(ring: FiniteRing, track: bool = False
+             ) -> tuple[int, np.ndarray | None, np.ndarray | None]:
+    """|G| as the product of its p-parts |G_p|, each the order of a lattice,
+    and with ``track`` the syndrome map that decides membership in G.
 
     G is the Z-span of the constants b and the tables b * x^k
     (k = 1..t+p-1) for b in an additive basis of R, since a * x^k is
     additive in a; noncommutative and non-unital rings need nothing extra.
     Per prime p, ``_p_basis`` embeds the p-part R_p in (Z/p^s)^r, so the
-    generators' tables for a basis of R_p become rows over Z/p^s.  Each step
-    pivots on an entry of least valuation v among all rows, which divides
-    every other entry of its column and row; clearing the column leaves a
-    summand Z/p^(s-v), so |G_p| = prod p^(s - v) over the pivots
-    (Storjohann and Mulders, "Fast algorithms for linear algebra modulo N",
-    ESA 1998).
+    generators' tables for a basis of R_p become the rows of a matrix M over
+    Z/p^s.  Each step pivots on an entry of least valuation v among all
+    rows, which divides every other entry of its column and row; clearing
+    the column leaves a summand Z/p^(s-v), so |G_p| = prod p^(s - v) over
+    the pivots (Storjohann and Mulders, "Fast algorithms for linear algebra
+    modulo N", ESA 1998).
+
+    Clearing the pivot's row too, by column operations recorded in V,
+    brings M to U*M*V = D with one entry u*p^v per pivot column and none
+    elsewhere (Howell, "Spans in the module (Z_m)^s", 1986), so a vector w
+    is in the row span of M iff (w*V)_j = 0 mod p^v_j for every column j,
+    with v_j = s where no pivot fell.  A table F is in G iff for each p its
+    p-part e_p * F passes (``_p_basis`` maps each value to its p-part);
+    without that projection a ring such as Z/12 would test its 3-part
+    against the 2-part's lattice.
     """
     n = ring.order
     add = np.array(ring.add_table, dtype=np.intp)
@@ -544,6 +580,7 @@ def _lattice_count(ring: FiniteRing) -> int:
     for k in range(2, t + period):
         powers[k] = mul[powers[k - 1], powers[1]]
     total, rest = 1, n
+    parts, moduli = [], []
     for p in range(2, n + 1):
         if rest % p:  # smaller primes are divided out, so p | rest means p is prime
             continue
@@ -554,6 +591,9 @@ def _lattice_count(ring: FiniteRing) -> int:
         gens = np.concatenate((basis[:, None] + np.zeros((1, n), dtype=np.intp),
                                mul[basis[:, None, None], powers[1:]].reshape(-1, n)))
         rows = embed[gens].reshape(len(gens), -1)
+        width = rows.shape[1]
+        columns = np.eye(width, dtype=np.intp) if track else None  # V
+        level = np.full(width, s)  # v_j
         valuation = np.zeros(q, dtype=np.intp)
         for k in range(1, s + 1):
             valuation[::p ** k] += 1
@@ -565,17 +605,33 @@ def _lattice_count(ring: FiniteRing) -> int:
             if v == s:
                 break
             total *= p ** (s - v)
-            i, j = divmod(at, rows.shape[1])
+            i, j = divmod(at, width)
             pv = p ** v
-            factors = rows[:, j] // pv * pow(int(rows[i, j]) // pv, -1, q) % q
-            rows = reduce[rows - factors[:, None] * rows[i]]
-    return total
+            inverse = pow(int(rows[i, j]) // pv, -1, q)
+            if track:
+                clear = rows[i] // pv * inverse % q
+                clear[j] = 0
+                columns = reduce[columns - columns[:, j, None] * clear]
+                level[j] = v
+            rows = reduce[rows - (rows[:, j] // pv * inverse % q)[:, None] * rows[i]]
+        if not track:
+            continue
+        kept = level > 0
+        modulus = p ** level[kept]
+        per_point = columns[:, kept].reshape(n, embed.shape[1], -1)
+        parts.append(np.einsum("yi,xik->xyk", embed, per_point) % modulus)
+        moduli.append(modulus)
+    if not track:
+        return total, None, None
+    return total, np.concatenate(parts, axis=2), np.concatenate(moduli)
 
 
 def _p_basis(add: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray]:
     """A basis b_1, b_2, ... of the p-part R_p of (R, +) with orders
-    p^e_1 >= p^e_2 >= ..., s = e_1, and the embedding of R_p in (Z/p^s)^r:
-    row z = sum c_i * b_i holds the c_i * p^(s - e_i) (rows off R_p are 0).
+    p^e_1 >= p^e_2 >= ..., s = e_1, and the additive map R -> (Z/p^s)^r
+    that embeds R_p: row z = sum c_i * b_i of R_p holds the c_i * p^(s - e_i),
+    and any other row z that of its p-part e_p * z, where e_p = 1 mod |R_p|
+    and e_p = 0 mod n/|R_p|.
 
     Each b is an element x of largest order p^e modulo the span S so far,
     lifted: p^e * x = sum c_i * b_i with every c_i divisible by p^e, because
@@ -622,7 +678,8 @@ def _p_basis(add: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray]:
             embed[grown, r] = j * p ** (s - e)
             inside[grown] = True
         r += 1
-    return basis[:r], s, embed[:, :r]
+    cofactor = n // p_order
+    return basis[:r], s, embed[times(cofactor * pow(cofactor, -1, p_order), elements), :r]
 
 
 polynomial_function_set.cache_info = _function_set.cache_info
@@ -656,9 +713,16 @@ def interpolate_field(field: FiniteRing, table) -> Polynomial:
 
 def char_poly_for_subset(ring: FiniteRing, subset,
                          cap: int = DEFAULT_CAP) -> Polynomial | None:
-    """Witness for the 0/1-valued indicator table of a subset, if one exists."""
+    """Witness for the 0/1-valued indicator table of a subset, if one exists.
+
+    Absence is decided by the row-free set at any cap; a present indicator
+    fetches its witness as ``is_polynomial_function`` does, so over the cap
+    it raises IncompleteSearchError.
+    """
     if ring.unity is None:
         raise UnsupportedStructureError("indicator tables need 0 and 1 as values")
     subset = SubsetMask.of(ring, subset)
     values = tuple(ring.unity if x in subset else 0 for x in range(ring.order))
+    if not polynomial_function_set(ring, 0).contains(values):
+        return None
     return is_polynomial_function(ring, values, cap)

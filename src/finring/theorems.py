@@ -3,10 +3,11 @@
 Every check returns a :class:`Verdict` whose ``holds`` flag reports whether
 the claimed equivalence or bound was confirmed, with a witness payload that
 can be re-verified independently (a polynomial to re-evaluate, an element
-pair to re-check, a bound with its ingredients).  ``holds=None`` means the
-search was inconclusive because the ring induces more functions than the
-cap allows to materialise; ``vacuous=True`` means a hypothesis or
-precondition failed, so there was nothing to refute.
+pair to re-check, a bound with its ingredients).  ``holds=None`` means a
+witness could not be fetched because the ring induces more functions than
+the cap allows to materialise (only R2.8 on a given, induced subset);
+``vacuous=True`` means a hypothesis or precondition failed, so there was
+nothing to refute.
 
 Check codes:
 
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, filterfalse, permutations
 from typing import Any, Callable
 
 from .catalog import RingSpecError, parse_poly_text
@@ -64,7 +65,9 @@ from .core import (
 )
 from .polyfun import (
     DEFAULT_CAP,
+    IncompleteSearchError,
     Polynomial,
+    char_poly_for_subset,
     function_count,
     function_table,
     poly_add,
@@ -77,6 +80,7 @@ from .polyfun import (
     poly_sub,
     poly_x,
     polynomial_function_set,
+    power_stabilization,
 )
 
 __all__ = [
@@ -262,13 +266,14 @@ def check_reachability_iff_field(ring: FiniteRing) -> Verdict:
     )
 
 
-def check_bijections_iff_field(ring: FiniteRing, max_order: int = 6,
-                               cap: int = DEFAULT_CAP) -> Verdict:
+def check_bijections_iff_field(ring: FiniteRing, max_order: int = 6) -> Verdict:
     """P1.2: every bijection is induced by a polynomial iff the ring is a field.
 
     A set of n^n tables holds every bijection at once.  Otherwise all order!
     bijections are tried, transpositions first so a failing witness is a
-    swap whenever one exists.
+    swap whenever one exists.  Membership is read from the row-free set
+    ``polynomial_function_set(ring, 0)``, so no witness and no row is built
+    and the answer is exact on every ring.
     """
     if ring.order > max_order:
         return Verdict(
@@ -279,12 +284,7 @@ def check_bijections_iff_field(ring: FiniteRing, max_order: int = 6,
     n = ring.order
     swaps = (tuple(j if x == i else i if x == j else x for x in range(n))
              for i, j in combinations(range(n), 2))
-    pset = polynomial_function_set(ring, cap)
-    if not pset.complete:
-        return Verdict("P1.2", None,
-                       details=f"{pset.count} functions exceed the cap; bijection sweep inconclusive")
-    # A set of n^n distinct tables holds every table, so it answers at once;
-    # any other set is asked for membership only, so no witness is built.
+    pset = polynomial_function_set(ring, 0)
     missing = None if pset.count == n ** n else \
         next((b for b in chain(swaps, permutations(range(n))) if not pset.contains(b)), None)
     all_bijections = missing is None
@@ -663,20 +663,40 @@ def check_char_from_image(ring: FiniteRing, f: Polynomial) -> Verdict:
 @lru_cache(maxsize=None)
 def _lift_basis(ring: FiniteRing):
     """Per-ring data reused by every lift: residue field, representatives,
-    exponent, and the pre-raised products prod_{j != i} (X - alpha_j)^E."""
+    exponent, and the pre-raised products prod_{j != i} (X - alpha_j)^E.
+
+    Every product and power is reduced modulo X^(t+p) - X^t for the power
+    stabilization (t, p): x^(k+p) = x^k for k >= t, so the reduced
+    polynomial induces the same function and its degree stays below t+p.
+    """
     inv = _require(ring, "comm-local-unital")
     k, proj, reps = residue_field(ring)
     e = inv.nilpotency_index
     e_units = inv.unit_group_exponent
     n_big = e // e_units + 1          # least N with N * e_units > e
     exponent = n_big * e_units
+    t, period = power_stabilization(ring)
+
+    def reduced_mul(f: Polynomial, g: Polynomial) -> Polynomial:
+        coeffs = list(poly_mul(f, g).coeffs)
+        for d in range(len(coeffs) - 1, t + period - 1, -1):
+            coeffs[d - period] = ring.add(coeffs[d - period], coeffs[d])
+        return Polynomial(ring, tuple(coeffs[:t + period]))
+
     raised = []
     for i in range(len(reps)):
         prod = poly_const(ring, ring.unity)
         for j, alpha in enumerate(reps):
             if j != i:
-                prod = poly_mul(prod, poly_from(ring, (ring.neg(alpha), ring.unity)))
-        raised.append(poly_pow(prod, exponent))
+                prod = reduced_mul(prod, poly_from(ring, (ring.neg(alpha), ring.unity)))
+        power, base, rest = poly_const(ring, ring.unity), prod, exponent
+        while rest:
+            if rest & 1:
+                power = reduced_mul(power, base)
+            rest >>= 1
+            if rest:
+                base = reduced_mul(base, base)
+        raised.append(power)
     return k, proj, reps, exponent, tuple(raised)
 
 
@@ -684,7 +704,8 @@ def lift_residue_polynomial(ring: FiniteRing, f: Polynomial | None = None
                             ) -> tuple[Polynomial, LiftData]:
     """P2.6 converse: lift a residue-field polynomial f to the ring as
     sum_i beta_i * (prod_{j != i} (X - alpha_j))^(N e'), preserving both the
-    residue table and the image size.
+    residue table and the image size.  The lift is returned reduced modulo
+    X^(t+p) - X^t (``_lift_basis``), which leaves its table unchanged.
 
     alpha_i are the least coset representatives, beta_i the least lifts of
     f's residue values (equal residues get equal lifts), and N the least
@@ -721,7 +742,7 @@ def check_residue_lift(ring: FiniteRing, f: Polynomial | None = None) -> Verdict
                  "image_size": len(set(lift_values)),
                  "residue_image_size": len(set(res_values))},
         details=f"|lift(R)| = {len(set(lift_values))} vs |f(k)| = {len(set(res_values))}; "
-                f"residue tables agree: {residue_ok}",
+                f"residue tables agree: {residue_ok}; lift reduced mod X^(t+p) - X^t",
     )
 
 
@@ -782,35 +803,34 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
     is a union of cosets of the maximal ideal.
 
     Checks the given subset (default: the units) and, when the order is
-    within ``sweep_limit``, every 0/1-valued table in the whole function set.
-    On a commutative ring the units' indicator is x^N (P2.7's witness), so
-    that subset needs no function set.
+    within ``sweep_limit``, every subset whose indicator is induced.  On a
+    commutative ring the units' indicator is x^N (P2.7's witness).  Any
+    other subset is decided by the lattice syndrome; only a present one
+    fetches its witness from the materialised set, which ``cap`` bounds.
+    The sweep matches syndromes of half-subsets (``indicator_supports``) and
+    builds no row; the swept count leaves out the two constants.
     """
     inv = _require(ring, "local-unital")
     k, proj, _ = residue_field(ring)
 
-    def is_coset_union(support) -> bool:
+    def is_coset_union(bits: int) -> bool:
         # membership is constant on each coset: one (coset, inside) pair per coset
-        return len({(proj[x], x in support) for x in range(ring.order)}) == k.order
+        return len({(proj[x], bits >> x & 1) for x in range(ring.order)}) == k.order
 
     subset = inv.units if subset is None else SubsetMask.of(ring, subset)
-    units_by_power = inv.is_commutative and subset.bits == inv.units.bits
-    sweep = ring.order <= sweep_limit and not inv.is_field
-
-    if not units_by_power or sweep:
-        pset = polynomial_function_set(ring, cap)
-        if not pset.complete:
-            return Verdict("R2.8", None,
-                           details=f"{pset.count} functions exceed the cap; membership undecided")
-    if units_by_power:
-        status, wit = "present", char_function_from_image(ring, poly_x(ring))
+    if inv.is_commutative and subset.bits == inv.units.bits:
+        wit = char_function_from_image(ring, poly_x(ring))
     else:
-        status, wit = pset.lookup(tuple(ring.unity if x in subset else 0
-                                        for x in range(ring.order)))
+        try:
+            wit = char_poly_for_subset(ring, subset, cap)
+        except IncompleteSearchError:
+            return Verdict("R2.8", None,
+                           details=f"{function_count(ring)} functions exceed the cap; "
+                                   "no witness for the given subset")
     subset_report: dict[str, Any] = {"subset": list(subset.indices()),
-                                     "polynomial_exists": status == "present"}
-    if status == "present":
-        union = is_coset_union(subset)
+                                     "polynomial_exists": wit is not None}
+    if wit is not None:
+        union = is_coset_union(subset.bits)
         subset_report["coset_union"] = union
         subset_report["polynomial"] = wit
         if not union:
@@ -820,19 +840,21 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
             )
 
     swept = 0
-    if sweep:
-        for row, w in pset.nontrivial_char_tables():
-            support = {x for x, v in enumerate(row) if v == ring.unity}
-            swept += 1
-            if not is_coset_union(support):
+    if ring.order <= sweep_limit:
+        if inv.is_field:
+            # Cosets are singletons, so every support is trivially a union.
+            swept = -1
+        else:
+            supports = polynomial_function_set(ring, 0).indicator_supports()
+            swept = len(supports) - 2
+            bad = next(filterfalse(is_coset_union, supports), None)
+            if bad is not None:
                 return Verdict(
                     "R2.8", False,
-                    witness={"subset": sorted(support), "polynomial": w},
+                    witness={"subset": list(SubsetMask(ring, bad).indices()),
+                             "polynomial": char_poly_for_subset(ring, SubsetMask(ring, bad), cap)},
                     details="swept indicator support is not a coset union",
                 )
-    elif inv.is_field and ring.order <= sweep_limit:
-        # Cosets are singletons, so every support is trivially a union.
-        swept = -1
     subset_report["swept"] = swept
     note = "all polynomial indicator supports are coset unions" if swept != 0 else \
         "given subset checked"
@@ -889,7 +911,7 @@ def _subset_ids(opts: CheckOptions) -> list[int] | None:
 CHECKS: dict[str, Check] = {
     "L1.1": Check("any", lambda ring, o: check_reachability_iff_field(ring)),
     "P1.2": Check("any", lambda ring, o: check_bijections_iff_field(
-        ring, max_order=o.max_bijection_order, cap=o.cap)),
+        ring, max_order=o.max_bijection_order)),
     "P1.3": Check("unital", lambda ring, o: check_char_functions_iff_field(ring)),
     "P2.1": Check("comm-unital", lambda ring, o: verify_subring_char_function(
         identity_embedding(ring), _poly_or_x(o, ring))),

@@ -86,7 +86,13 @@ def test_check_skip_note_for_big_bijection_sweep(capsys):
 
 
 def test_check_capped_is_inconclusive(capsys):
+    # The units take x^N and the sweep reads the lattice, so no row is needed.
     code, doc = run_json(capsys, "check", "Z/8", "R2.8", "--subset", "1,3,5,7",
+                         "--cap-functions", "50")
+    assert code == 0 and doc["verdict"]["status"] == "pass"
+    assert doc["verdict"]["witness"]["swept"] == 2
+    # The maximal ideal's indicator is induced, but its witness needs rows.
+    code, doc = run_json(capsys, "check", "Z/8", "R2.8", "--subset", "0,2,4,6",
                          "--cap-functions", "50")
     assert code == 3
     assert doc["verdict"]["status"] == "unknown"
@@ -230,14 +236,27 @@ def test_char_checks_match_the_golden_file_without_function_sets(monkeypatch):
 
 
 def test_sweep_covers_the_whole_catalog_at_the_default_cap(monkeypatch, tmp_path):
-    # Above order 16 P1.2 is skipped, P1.3 and P2.7 argue from the ring's
-    # elements and R2.8's default subset (the units) is induced by x^N.
-    refuse_coset_growth(monkeypatch, above=16)
+    # P1.2 and R2.8's sweep read the lattice syndrome, P1.3 and P2.7 argue
+    # from the ring's elements and R2.8's default subset (the units) is
+    # induced by x^N, so no check builds a row.
+    refuse_coset_growth(monkeypatch)
     out = tmp_path / "sweep32.json"
     assert main(["sweep", "--max-order", "32", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert len(doc["rows"]) == 480
     assert doc["summary"] == {"pass": 405, "fail": 0, "vacuous": 75, "unknown": 0}
+
+
+@pytest.mark.parametrize("spec", ["Z/4[x]/(x^2+x+1)", "Z/2[x]/(x^4+x^2+1)", "Z/4[x]/(x^2+3x+3)"])
+def test_r28_sweeps_rings_of_2_24_functions_without_rows(monkeypatch, capsys, spec):
+    # Each ring is local with residue field GF(4) and 2^24 functions: its 16
+    # coset unions, less the two constants, are the induced indicators.
+    refuse_coset_growth(monkeypatch)
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "check", spec, "R2.8")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and doc["verdict"]["status"] == "pass"
+    assert doc["verdict"]["witness"]["swept"] == 14
 
 
 def test_internal_invariant_breach_exits_4(monkeypatch, capsys):

@@ -35,12 +35,22 @@ from finring import (
     standard_catalog,
 )
 from finring.core import SubsetMask
-from finring.polyfun import FunctionTable, Polynomial, _coset_growth, poly_add, poly_mul, poly_pow
+from finring.polyfun import (
+    FunctionTable,
+    Polynomial,
+    _coset_growth,
+    poly_add,
+    poly_mul,
+    poly_pow,
+)
+
+from finring.theorems import check_char_support_cosets
 
 from conftest import (
     brute_force_function_tables,
     crt_interpolate,
     lagrange_interpolate,
+    refuse_coset_growth,
     schoolbook_eval,
     schoolbook_mul,
     schoolbook_pow,
@@ -197,13 +207,17 @@ def test_membership_on_field_via_interpolation(z3):
 
 def test_membership_cap_is_reported():
     # Z/12 induces 1728 functions: under a smaller cap none is materialised,
-    # the count stays exact and every membership question is unknown.
+    # the count stays exact and every lookup is unknown, while contains reads
+    # the lattice and gives coset growth's answer.
     z12 = make_zn(12)
+    closure = _coset_growth(z12)
+    absent = (0,) + (1,) * 11
     for cap in (1, 7, 50, 1727):
         pset = polynomial_function_set(z12, cap)
         assert not pset.complete and pset.count == 1728 and pset.tables is None
         assert pset.lookup((0,) * 12) == ("unknown", None)
-        assert pset.contains((0,) * 12) is None
+        assert pset.contains((0,) * 12) is closure.contains((0,) * 12) is True
+        assert pset.contains(absent) is closure.contains(absent) is False
     assert polynomial_function_set(z12, 1728).complete
     with pytest.raises(IncompleteSearchError):
         is_polynomial_function(z12, (0,) + (1,) * 11, cap=50)
@@ -356,11 +370,13 @@ def test_contains_agrees_with_lookup(spec, cap):
         rng = random.Random(n)
         tables = [tuple(row) for row in polynomial_function_set(ring).tables.tolist()]
         tables += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(300)]
-    as_bool = {"present": True, "absent": False, "unknown": None}
+    # A capped set looks nothing up, but contains still answers exactly.
+    full = polynomial_function_set(ring)
+    as_bool = {"present": True, "absent": False}
     for table in tables:
-        assert pset.contains(table) is as_bool[pset.lookup(table)[0]]
-    answers = {True} if pset.field_mode else {True, False} if pset.complete else {None}
-    assert {pset.contains(t) for t in tables} == answers
+        assert pset.contains(table) is as_bool[full.lookup(table)[0]]
+        assert pset.lookup(table)[0] == (full.lookup(table)[0] if pset.complete else "unknown")
+    assert {pset.contains(t) for t in tables} == ({True} if pset.field_mode else {True, False})
 
 
 @pytest.mark.parametrize("spec", ["GF(5)", "Z/6"])
@@ -478,8 +494,11 @@ def test_function_set_addition_closure_sampled(z9):
 PRODUCTS_OF_FIELDS = ("Z/6", "Z/10", "Z/14", "Z/15", "Z/2 x Z/2", "Z/2 x Z/3")
 
 
-def _char_rows(pset) -> set:
-    return {row for row, _ in pset.nontrivial_char_tables()}
+def _nonconstant_indicators(ring) -> list[tuple[int, ...]]:
+    """Every 0/1-valued table other than the two constants."""
+    n, one = ring.order, ring.unity
+    return [tuple(one if bits >> x & 1 else 0 for x in range(n))
+            for bits in range(1, (1 << n) - 1)]
 
 
 def test_catalog_products_of_fields_are_answered_by_crt(catalog16):
@@ -511,7 +530,8 @@ def test_crt_engine_matches_closure(spec):
         assert status == closure.lookup(table)[0]
         if witness is not None:
             assert function_table(witness).values == table
-    assert _char_rows(pset) == _char_rows(closure) == set()
+    # No product of two or more fields induces a non-constant indicator.
+    assert not any(pset.contains(t) or closure.contains(t) for t in _nonconstant_indicators(ring))
 
 
 def test_crt_engine_on_z14_materialises_nothing():
@@ -535,7 +555,7 @@ def test_crt_engine_on_z14_materialises_nothing():
         broken[x + 7] = (table[x + 7] + 2) % 14
         assert pset.contains(broken) is False
         assert pset.lookup(broken) == ("absent", None)
-    assert pset.nontrivial_char_tables() == []
+    assert not any(map(pset.contains, _nonconstant_indicators(ring)))
 
 
 @pytest.mark.parametrize("spec", ["Z/6", "Z/10", "Z/14", "Z/15", "Z/2 x Z/2", "Z/2 x Z/3",
@@ -563,20 +583,18 @@ def test_product_of_three_fields_matches_coset_growth():
     rng = random.Random(8)
     tables = closure.tables.tolist() + [[rng.randrange(8) for _ in range(8)] for _ in range(300)]
     assert [pset.contains(t) for t in tables] == [closure.contains(t) for t in tables]
-    assert pset.nontrivial_char_tables() == closure.nontrivial_char_tables() == []
+    assert not any(pset.contains(t) or closure.contains(t) for t in _nonconstant_indicators(ring))
 
 
 @pytest.mark.parametrize("spec", ["Z/6", "Z/2 x Z/2 x Z/2", "GF(4) x Z/3"])
 def test_products_of_fields_induce_no_nontrivial_indicator(spec):
-    # The one-block argument behind nontrivial_char_tables() == [], checked
-    # against every 0/1 table by both engines.
+    # The one-block argument: an induced 0/1 table F has F(x) = F(e*x) for
+    # every idempotent e, and z = e1*x + e2*y has F(x) = F(z) = F(y).  Checked
+    # against every 0/1 table by both engines and by the lattice syndrome.
     ring = realize(parse_ring_spec(spec))
     pset, closure = polynomial_function_set(ring), _coset_growth(ring)
-    n, one = ring.order, ring.unity
-    indicators = [tuple(one if bits >> x & 1 else 0 for x in range(n))
-                  for bits in range(1, (1 << n) - 1)]
-    assert not any(pset.contains(t) or closure.contains(t) for t in indicators)
-    assert pset.nontrivial_char_tables() == []
+    assert not any(pset.contains(t) or closure.contains(t) for t in _nonconstant_indicators(ring))
+    assert polynomial_function_set(ring, 0).indicator_supports() == [0, (1 << ring.order) - 1]
 
 
 # --- exact counts: the per-prime lattice against independent oracles ---------
@@ -674,3 +692,82 @@ def test_function_count_of_square_zero_local_rings(spec, q):
     ring = realize(parse_ring_spec(spec))
     assert ring.order == q * q and analyze(ring).is_local
     assert function_count(ring) == q ** (3 * q)
+
+
+# --- membership from the lattice syndrome against coset growth --------------
+
+def _syndrome_probes(closure, rng) -> list[tuple[int, ...]]:
+    """Present rows, random tables and present rows with one value moved."""
+    n = closure.ring.order
+    rows = [tuple(row) for row in closure.tables.tolist()]
+    probes = rng.sample(rows, min(200, len(rows)))
+    probes += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(200)]
+    for row in rng.sample(rows, min(200, len(rows))):
+        moved = list(row)
+        moved[rng.randrange(n)] = rng.randrange(n)
+        probes.append(tuple(moved))
+    return probes
+
+
+def _indicator_rows(closure) -> list[int]:
+    """The supports of coset growth's 0/1-valued rows, as sorted bit masks."""
+    one = closure.ring.unity
+    return sorted(sum(1 << x for x, v in enumerate(row) if v == one)
+                  for row in closure.tables.tolist() if set(row) <= {0, one})
+
+
+def _assert_syndrome_matches_closure(ring, seed):
+    pset, closure = polynomial_function_set(ring, 0), _coset_growth(ring)
+    assert pset.tables is None and not pset.idempotents
+    probes = _syndrome_probes(closure, random.Random(seed))
+    assert [pset.contains(t) for t in probes] == [closure.contains(t) for t in probes]
+    assert {closure.contains(t) for t in probes} == {True, False}
+    return closure
+
+
+@pytest.mark.parametrize("spec", ["Z/4", "Z/9", "Z/12", "Z/18", "Z/20", "Z/24", "Z/4 x Z/3",
+                                  "Z/8 x Z/2", "T2(F2)", "zero-ring-4"])
+def test_syndrome_membership_matches_coset_growth(spec):
+    # Z/12 and Z/18 have two primes: without the projection e_p * F onto
+    # each p-part, the syndrome mixes the parts and answers wrongly.
+    ring = _spec_ring(spec)
+    _assert_syndrome_matches_closure(ring, ring.order)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(ring=_small_rings(), seed=st.integers(0, 2 ** 16))
+def test_syndrome_membership_matches_coset_growth_on_random_rings(ring, seed):
+    assume(analyze(ring).nilpotents.size > 1)
+    assume(function_count(ring) <= 1 << 16)
+    closure = _assert_syndrome_matches_closure(ring, seed)
+    assert polynomial_function_set(ring, 0).indicator_supports() == _indicator_rows(closure)
+
+
+@pytest.mark.parametrize("spec", [name for name, ring in standard_catalog(16)
+                                  if analyze(ring).is_local and not analyze(ring).is_field])
+def test_indicator_supports_match_coset_growth(spec):
+    # Every non-field local ring R2.8 sweeps: the supports found by matching
+    # half-subset syndromes are exactly coset growth's 0/1 rows.
+    ring = _spec_ring(spec)
+    expected = _indicator_rows(_coset_growth(ring))
+    assert polynomial_function_set(ring, 0).indicator_supports() == expected
+    assert len(expected) == 2 ** analyze(ring).residue_field_order
+    assert check_char_support_cosets(ring).witness["swept"] == len(expected) - 2
+
+
+def test_absent_indicators_are_decided_over_the_cap(monkeypatch):
+    # Z/27 induces 3^18 functions, over the default cap: an absent indicator
+    # is answered from the lattice, a present one still needs rows.
+    refuse_coset_growth(monkeypatch)
+    z27 = make_zn(27)
+    assert char_poly_for_subset(z27, [0]) is None
+    assert char_poly_for_subset(z27, [1]) is None
+    with pytest.raises(IncompleteSearchError):
+        char_poly_for_subset(z27, [x for x in range(27) if x % 3])
+
+
+def test_indicator_supports_refuse_large_orders():
+    with pytest.raises(ValueError, match="order 32"):
+        polynomial_function_set(make_zn(64), 0).indicator_supports()
+    with pytest.raises(UnsupportedStructureError):
+        polynomial_function_set(make_zero_mul_ring(4), 0).indicator_supports()

@@ -21,7 +21,16 @@ from finring import (
     residue_field,
     standard_catalog,
 )
-from finring.polyfun import PolyFunctionSet, _coset_growth, function_count
+from finring.polyfun import (
+    Polynomial,
+    PolyFunctionSet,
+    _coset_growth,
+    function_count,
+    poly_add,
+    poly_mul,
+    poly_pow,
+    poly_scale,
+)
 from finring.theorems import (
     TrivialImageError,
     binomial_exponent,
@@ -359,7 +368,8 @@ def test_check_char_from_image_verdict(z4):
 
 def test_lift_identity_z4(z4):
     lifted, data = lift_residue_polynomial(z4)
-    assert lifted.stripped().coeffs == (0, 0, 0, 0, 1)  # X^4
+    # X^4, reduced modulo X^4 - X^2 since (t, p) = (2, 2) on Z/4
+    assert lifted.stripped().coeffs == (0, 0, 1)
     assert data.alphas == (0, 1)
     assert data.betas == (0, 1)
     assert data.exponent == 4
@@ -379,6 +389,47 @@ def test_lift_on_field_reproduces_table(gf4):
     f = poly_from(k, (1, 2, 3))
     lifted, _ = lift_residue_polynomial(gf4, f)
     assert function_table(lifted).values == function_table(poly_from(gf4, (1, 2, 3))).values
+
+
+def _unreduced_lift_table(ring, data) -> tuple[int, ...]:
+    """sum_i beta_i * (prod_{j != i} (x - alpha_j))^E at every x, in plain
+    ring arithmetic: on a commutative ring evaluation is a homomorphism, so
+    this is the table of the unreduced lift."""
+    def value(x):
+        acc = 0
+        for i, beta in enumerate(data.betas):
+            prod = ring.unity
+            for j, alpha in enumerate(data.alphas):
+                if j != i:
+                    prod = ring.mul(prod, ring.sub(x, alpha))
+            power = ring.unity
+            for _ in range(data.exponent):
+                power = ring.mul(power, prod)
+            acc = ring.add(acc, ring.mul(beta, power))
+        return acc
+    return tuple(value(x) for x in range(ring.order))
+
+
+@pytest.mark.parametrize("spec", [name for name, ring in standard_catalog(32)
+                                  if analyze(ring).is_local and analyze(ring).is_commutative
+                                  and ring.unity is not None])
+def test_reduced_lift_induces_the_unreduced_table(spec):
+    ring = realize(parse_ring_spec(spec))
+    t, p = power_stabilization(ring)
+    k = residue_field(ring)[0]
+    for f in (poly_x(k), poly_from(k, (1, k.unity, 0, k.unity))):
+        lifted, data = lift_residue_polynomial(ring, f)
+        assert len(lifted.coeffs) <= t + p
+        assert function_table(lifted).values == _unreduced_lift_table(ring, data)
+        if ring.order <= 16:
+            unreduced = Polynomial(ring, ())
+            for beta, alpha_i in zip(data.betas, data.alphas):
+                prod = poly_from(ring, (ring.unity,))
+                for alpha in data.alphas:
+                    if alpha != alpha_i:
+                        prod = poly_mul(prod, poly_from(ring, (ring.neg(alpha), ring.unity)))
+                unreduced = poly_add(unreduced, poly_scale(beta, poly_pow(prod, data.exponent)))
+            assert function_table(lifted) == function_table(unreduced)
 
 
 def test_lift_constant(z4):
