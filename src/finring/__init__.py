@@ -26,9 +26,7 @@ from .core import (
     validate_ring,
 )
 from .polyfun import (
-    DEFAULT_CAP,
     FunctionTable,
-    IncompleteSearchError,
     Polynomial,
     PolyFunctionSet,
     char_poly_for_subset,

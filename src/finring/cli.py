@@ -1,9 +1,9 @@
 """Command-line front end: ring reports, single checks, and catalog sweeps.
 
 Exit codes: 0 pass/vacuous, 1 a check found a violation, 2 usage or I/O
-error, 3 inconclusive (R2.8's given subset is induced, but its witness
-needs a function set larger than the cap), 4 internal error (a computed
-result broke an invariant the mathematics guarantees).
+error, 4 internal error (a computed result broke an invariant the
+mathematics guarantees).  Every check is decided, so no verdict is
+``unknown``; the sweep summary keeps its ``unknown`` count, always 0.
 """
 
 from __future__ import annotations
@@ -29,13 +29,12 @@ from .core import (
     analyze,
     local_decomposition,
 )
-from .polyfun import DEFAULT_CAP, Polynomial, function_count, power_stabilization
+from .polyfun import Polynomial, function_count, power_stabilization
 from .theorems import CHECKS, RESULT_IDS, CheckOptions, Verdict
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
 
 
@@ -87,16 +86,12 @@ def _invariants_json(ring: FiniteRing) -> dict:
 
 def _check_options(args, **extra) -> CheckOptions:
     """CheckOptions from the flags every subcommand shares, plus the given ones."""
-    return CheckOptions(cap=args.cap_functions, max_bijection_order=args.max_bijection_order,
+    return CheckOptions(max_bijection_order=args.max_bijection_order,
                         max_subset_order=args.max_subset_order, **extra)
 
 
 def _status_exit(verdicts: list[Verdict]) -> int:
-    if any(v.status == "fail" for v in verdicts):
-        return EXIT_VIOLATION
-    if any(v.status == "unknown" for v in verdicts):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return EXIT_VIOLATION if any(v.status == "fail" for v in verdicts) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--cap-functions", type=int, default=DEFAULT_CAP,
-                       help="materialise a function set for a witness lookup only up to this "
-                            "many tables (checked before any work; counts and membership "
-                            "are always exact)")
+        p.add_argument("--cap-functions", type=int,
+                       help="ignored: every answer is exact and no cap applies; still "
+                            "accepted so that older command lines parse")
         p.add_argument("--max-bijection-order", type=int, default=6,
                        help="largest ring order for which bijection sweeps run")
         p.add_argument("--max-subset-order", type=int, default=16,
@@ -275,8 +269,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.cap_functions < 0:
-            raise ValueError(f"cap must be >= 0, got {args.cap_functions}")
         return args.func(args)
     except (RingSpecError, ValueError, UnsupportedStructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

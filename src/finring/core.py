@@ -301,8 +301,10 @@ def _build(add, mul, label: str) -> FiniteRing:
     add = _freeze(add)
     mul = _freeze(mul)
     n = len(add)
-    if n < 1 or any(len(row) != n for row in add) or len(mul) != n or any(len(row) != n for row in mul):
+    if any(len(row) != n for row in add) or len(mul) != n or any(len(row) != n for row in mul):
         raise ValueError("tables must be square matrices of equal size")
+    if n < 2:
+        raise ValueError(f"a ring needs at least 2 elements, got {n}")
     # Locate the additive identity before anything else; it must sit at index 0.
     identity = None
     for e in range(n):

@@ -7,24 +7,22 @@ coefficients are used throughout, so noncommutative rings are supported.
 
 The set of all functions induced by polynomials is an additive subgroup G of
 R^R: power vectors v_k(x) = x^k repeat with preperiod t and period p, so
-G = {constants} + span{a * v_k : a in R, 1 <= k <= t+p-1}.  Its size is
-always exact and never materialises a table (``function_count``): a
-product of fields has a closed form, and any other ring is counted per
-prime as a Z/p^s-lattice.  The same elimination, with its column
-operations recorded, gives a syndrome map that decides membership
-without a witness on any ring and at any cap (``contains``).
+G = {constants} + span{a * v_k : a in R, 1 <= k <= t+p-1}.  Every
+answer is exact, on any ring.
 
 A product of fields (a commutative unital ring without nonzero
 nilpotents; a field is the one-factor case) is answered analytically by
 its primitive idempotents e: R is the sum of the fields eR, a table F is
 induced iff e*F(x) = e*F(e*x) for every e and x, and one interpolant sums
-each field's closed form inside R.  On every other ring the exact count is
-compared with the cap before any work.  A set within the cap is
-materialised by growing G one generator at a time: the multiples of a
-generator g split the grown group into disjoint cosets H + i*g, so rows are
-concatenated and never deduplicated, and a witness coefficient row is kept
-per table.  A set over the cap materialises nothing: ``lookup`` answers
-unknown there, while ``contains`` reads the syndrome.
+each field's closed form inside R.
+
+Any other ring is answered by one elimination per prime, of G as a
+Z/p^s-lattice (``_lattice``).  Untracked, it counts G without building a
+table (``function_count``).  Tracked, it writes G as a direct sum of cyclic
+groups <g_a>, each with a witness coefficient row, and gives a syndrome
+map that decides membership (``contains``) and solves for the multiple of
+each g_a.  ``lookup`` enumerates a set of at most ``INDEX_LIMIT`` tables
+into an index on its first call, and solves on a larger one.
 """
 
 from __future__ import annotations
@@ -52,8 +50,7 @@ __all__ = [
     "Polynomial",
     "FunctionTable",
     "PolyFunctionSet",
-    "IncompleteSearchError",
-    "DEFAULT_CAP",
+    "INDEX_LIMIT",
     "poly_from",
     "poly_const",
     "poly_x",
@@ -74,11 +71,7 @@ __all__ = [
     "char_poly_for_subset",
 ]
 
-DEFAULT_CAP = 1 << 24
-
-
-class IncompleteSearchError(RuntimeError):
-    """Membership could not be decided because the function set is over its cap."""
+INDEX_LIMIT = 1 << 16  # sets of at most this many tables are enumerated into an index
 
 
 @dataclass(frozen=True)
@@ -319,78 +312,133 @@ def _interpolant(ring: FiniteRing, idempotents: Iterable[int], values) -> Polyno
 
 
 class PolyFunctionSet:
-    """All function tables induced by polynomials over one ring; ``count``
-    is always exact (``function_count``).
-
-    Materialised: ``tables`` holds one row per reachable function and
-    ``witnesses`` a parallel coefficient row realising it; ``index`` maps
-    each row's bytes to its position.
+    """All function tables induced by polynomials over one ring: ``count``
+    is exact, and every lookup is decided, with a witness when present.
 
     Analytic (``idempotents`` given): the ring is the product of the fields
     eR for its primitive ``idempotents`` e (one for a field: ``field_mode``).
     A table F is induced iff e*F(x) = e*F(e*x) for every e and x;
     witnesses are interpolated on demand.
 
-    Over the cap (``complete`` False): nothing is materialised; ``lookup``
-    answers unknown, and ``contains`` reads the lattice syndrome.
+    Lattice (any other ring): G is the direct sum of the cyclic groups
+    <g_a> of ``_lattice``, each with a witness coefficient row.  On the
+    first ``lookup``, a set of at most ``INDEX_LIMIT`` tables is enumerated
+    from them: ``tables`` holds every table, ``witnesses`` a parallel
+    coefficient row, and an index maps each table's bytes to its row.  A
+    larger set solves each lookup for the multiples z_a and sums the
+    z_a-fold witness rows.  ``contains`` reads the index once it is built,
+    and the syndrome otherwise.
+
+    ``complete`` is always True; it stays for readers of earlier releases.
     """
 
-    def __init__(self, ring: FiniteRing, stabilization: tuple[int, int],
-                 complete: bool, tables: np.ndarray | None,
-                 witnesses: np.ndarray | None, index: dict[bytes, int] | None,
-                 idempotents: tuple[int, ...] = (), count: int | None = None):
+    def __init__(self, ring: FiniteRing, idempotents: tuple[int, ...] = (),
+                 count: int | None = None):
         self.ring = ring
-        self._syndrome = None
-        self.stabilization = stabilization
-        self.complete = complete
-        self.tables = tables
-        self.witnesses = witnesses
+        self.complete = True
+        self.tables = self.witnesses = None
         self.idempotents = idempotents
         self.field_mode = len(idempotents) == 1
+        self._basis = self._rows = self._index = None
         if idempotents:
             mul = ring.mul_table
             self.count = math.prod(q ** q for q in (len(set(mul[e])) for e in idempotents))
             self._pairs = [(mul[e], x, ex) for e in idempotents
                            for x, ex in enumerate(mul[e]) if ex != x]
         else:
-            self.count = len(tables) if count is None else count
-        self._index = index
-
-    def __len__(self) -> int:
-        return self.count
+            self.count = count
 
     def lookup(self, table) -> tuple[str, Polynomial | None]:
-        """('present', witness) / ('absent', None) / ('unknown', None)."""
+        """('present', witness) or ('absent', None)."""
         values = _table_values(self.ring, table)
         if self.idempotents:
             if not self._induced(values):
                 return "absent", None
             return "present", _interpolant(self.ring, self.idempotents, values)
-        if not self.complete:
-            return "unknown", None
-        idx = self._index.get(bytes(values))
-        if idx is None:
+        if self.count <= INDEX_LIMIT and self.ring.order <= 256:  # bytes keys need values < 256
+            idx = self._table_index().get(bytes(values))
+            if idx is None:
+                return "absent", None
+            return "present", _stripped(self.ring, self.witnesses[idx].tolist())
+        parts, moduli, (columns, shifts, inverses, orders), _ = self._lattice_basis()
+        syndrome = parts[np.arange(len(values)), values].sum(axis=0)
+        if (syndrome % moduli).any():
             return "absent", None
-        return "present", _stripped(self.ring, self.witnesses[idx].tolist())
+        z = syndrome[columns] // shifts * inverses % orders
+        rows, _, times, add = self._witness_rows()
+        return "present", _stripped(self.ring, _ring_sum(add, times[z[:, None], rows]).tolist())
 
     def contains(self, table) -> bool:
-        """Whether the table is induced, building no witness: a materialised
-        set answers from its index, any other from the lattice syndrome."""
+        """Whether the table is induced, building no witness: from the index
+        once a lookup has built it, and from the lattice syndrome before."""
         values = _table_values(self.ring, table)
         if self.idempotents:
             return self.field_mode or self._induced(values)
-        if self._index is None:
-            parts, moduli = self._syndrome_map()
-            return not (parts[np.arange(len(values)), values].sum(axis=0) % moduli).any()
-        return bytes(values) in self._index
+        if self._index is not None:
+            return bytes(values) in self._index
+        parts, moduli = self._lattice_basis()[:2]
+        return not (parts[np.arange(len(values)), values].sum(axis=0) % moduli).any()
 
-    def _syndrome_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """``parts[x, y]``, the syndrome of the table that is y at x and 0
-        elsewhere, and ``moduli`` (``_lattice``), built once per set: a table
-        F is induced iff sum_x parts[x, F(x)] is 0 modulo ``moduli``."""
-        if self._syndrome is None:
-            self._syndrome = _lattice(self.ring, track=True)[1:]
-        return self._syndrome
+    def _lattice_basis(self) -> tuple:
+        """G as the direct sum of the cyclic groups <g_a>, one per pivot of
+        the tracked ``_lattice``, built once per set: (parts, moduli,
+        pivots, generators).
+
+        A table F has the syndrome S = sum_x parts[x, F(x)].  F is in G iff
+        S is 0 modulo ``moduli``, and then F = sum_a z_a * g_a, where pivot a
+        has the column, shift, inverse and order in ``pivots[:, a]`` and
+        z_a = S[column] / shift * inverse mod order.  Per prime p,
+        ``generators`` holds the additive basis b of R_p, the rows U_a of
+        its pivots and the generators' tables: g_a is sum_g U_a[g] times
+        table g, and has the coefficient sum_i U_a[k, i] * b_i at x^k.
+        """
+        if self._basis is None:
+            self._basis = _lattice(self.ring, track=True)[1]
+        return self._basis
+
+    def _witness_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each g_a's coefficient row and table, ``times[c, y]`` = c*y, and
+        the addition table; built on the first lookup."""
+        if self._rows is None:
+            n = self.ring.order
+            add = np.array(self.ring.add_table, dtype=np.intp)
+            times = np.zeros((n, n), dtype=np.intp)
+            for c in range(1, n):
+                times[c] = add[times[c - 1], np.arange(n)]
+            generators = self._lattice_basis()[3]
+            rows = np.concatenate([  # sum over i of U_a[k, i] * b_i
+                _ring_sum(add, np.moveaxis(times[u.reshape(len(u), -1, len(b)), b], 2, 0))
+                for b, u, _ in generators])
+            tables = np.concatenate([  # sum over generators g of U_a[g] * table_g
+                _ring_sum(add, np.moveaxis(times[u[:, :, None], gens], 1, 0))
+                for _, u, gens in generators])
+            self._rows = rows, tables, times, add
+        return self._rows
+
+    def _enumerate(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every table of G and a witness row for each: the sums of z_a * g_a
+        over 0 <= z_a < orders[a], in mixed radix."""
+        rows, row_tables, _, add = self._witness_rows()
+        add = add.astype(np.min_scalar_type(self.ring.order - 1))
+        both = np.zeros((1, self.ring.order + rows.shape[1]), dtype=add.dtype)  # table | row
+        orders = self._lattice_basis()[2][3]
+        for g, order in zip(np.concatenate((row_tables, rows), axis=1), orders):
+            steps = [both]
+            for _ in range(1, order):
+                steps.append(add[steps[-1], g])
+            both = np.concatenate(steps)
+        return np.split(both, [self.ring.order], axis=1)
+
+    def _table_index(self) -> dict[bytes, int]:
+        """The bytes of every table mapped to its row, built once per set."""
+        if self._index is None:
+            self.tables, self.witnesses = self._enumerate()
+            keys = self.tables.view(np.dtype((np.void, self.ring.order))).ravel().tolist()
+            self._index = dict(zip(keys, count()))
+            if len(self._index) != self.count:
+                raise InternalInvariantError(f"{self.ring.label}: the lattice basis spans "
+                                             f"{len(self._index)} tables, not {self.count}")
+        return self._index
 
     def indicator_supports(self) -> list[int]:
         """Every subset whose indicator (the unity on it, 0 elsewhere) is
@@ -408,9 +456,10 @@ class PolyFunctionSet:
         n = ring.order
         if n > 32:
             raise ValueError(f"indicator supports are enumerated only up to order 32, not {n}")
-        parts, moduli = self._syndrome_map()
-        moduli = moduli.astype(np.uint8)  # p^v <= n: sums of two stay below 2^8
-        ones = parts[:, ring.unity].astype(np.uint8)
+        parts, moduli = self._lattice_basis()[:2]
+        kept = moduli > 1  # a pivot of valuation 0 constrains nothing
+        moduli = moduli[kept].astype(np.uint8)  # p^v <= n: sums of two stay below 2^8
+        ones = parts[:, ring.unity, kept].astype(np.uint8)
         half = n // 2
         sums = []  # row m of each: the syndrome of {x in the half : bit x of m set}
         for points in (range(half), range(half, n)):
@@ -432,15 +481,12 @@ class PolyFunctionSet:
         return all(project[values[x]] == project[values[ex]] for project, x, ex in self._pairs)
 
     def as_tuple_set(self, limit: int = 1 << 20) -> frozenset:
-        """Every table as a tuple; refuses sets of more than ``limit`` tables,
-        and sets over their cap, before any work."""
+        """Every table as a tuple; refuses sets of more than ``limit`` tables
+        before any work."""
         if self.count > limit:
             raise ValueError("function set too large to materialise")
-        if not self.complete:
-            raise IncompleteSearchError(
-                f"{self.ring.label}'s {self.count} functions are over the cap")
-        if self.tables is not None:
-            return frozenset(map(tuple, self.tables.tolist()))
+        if not self.idempotents:
+            return frozenset(map(tuple, self._enumerate()[0].tolist()))
         # Every choice of g_e: eR -> eR, summed as x -> sum_e g_e(e*x).
         n = self.ring.order
         add = np.array(self.ring.add_table, dtype=np.intp)
@@ -452,83 +498,34 @@ class PolyFunctionSet:
         return frozenset(map(tuple, rows.tolist()))
 
 
-def polynomial_function_set(ring: FiniteRing, cap: int = DEFAULT_CAP) -> PolyFunctionSet:
+def _ring_sum(add: np.ndarray, terms) -> np.ndarray:
+    """The elementwise ring sum of the arrays in ``terms`` (at least one)."""
+    acc, *rest = terms
+    for term in rest:
+        acc = add[acc, term]
+    return acc
+
+
+def polynomial_function_set(ring: FiniteRing) -> PolyFunctionSet:
     """The set {r -> a_0 + sum a_k r^k} of functions polynomials induce.
 
     A product of fields, a field included, is answered through its primitive
-    idempotents: the set is complete, and witnesses are interpolated on
-    demand; the cap does not apply, since no row is materialised.  On every
-    other ring the exact ``function_count`` is compared with ``cap`` before
-    any work: a set of at most ``cap`` functions is grown as explicit tables
-    by coset growth, and a larger one materialises nothing, keeps its exact
-    count and answers every lookup unknown (complete=False).  ``contains``
-    is exact on every set; ``cap=0`` gives the row-free set that
-    ``function_count`` reads.
+    idempotents, and any other ring through its lattice (``_lattice``).  No
+    table is built until a lookup needs one, and every answer is exact.
 
-    Cached per (ring, cap) however the arguments are passed.
+    Cached per ring however the argument is passed.
     """
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
-    return _function_set(ring, cap)
+    return _function_set(ring)
 
 
 @lru_cache(maxsize=None)
-def _function_set(ring: FiniteRing, cap: int) -> PolyFunctionSet:
+def _function_set(ring: FiniteRing) -> PolyFunctionSet:
     inv = analyze(ring)
     if inv.is_commutative and inv.is_unital and inv.nilpotents.size == 1:
         idempotents = (ring.unity,) if inv.is_field else \
             tuple(f.idempotent for f in local_decomposition(ring))
-        return PolyFunctionSet(ring, power_stabilization(ring), complete=True, tables=None,
-                               witnesses=None, index=None, idempotents=idempotents)
-    count = _lattice(ring)[0]
-    if count > cap:
-        return PolyFunctionSet(ring, power_stabilization(ring), complete=False, tables=None,
-                               witnesses=None, index=None, count=count)
-    pset = _coset_growth(ring)
-    if pset.count != count:
-        raise InternalInvariantError(f"{ring.label}: coset growth built {pset.count} "
-                                     f"functions, the lattice counts {count}")
-    return pset
-
-
-def _coset_growth(ring: FiniteRing) -> PolyFunctionSet:
-    """The group generated by the constants and every a * v_k, grown one
-    generator at a time as explicit tables."""
-    n = ring.order
-    t, p = power_stabilization(ring)
-    if n > 255:
-        raise ValueError("function-set machinery is limited to orders <= 255")
-    add = np.array(ring.add_table, dtype=np.uint8)
-    mul = np.array(ring.mul_table, dtype=np.uint8)
-    m = t + p - 1
-    powers = np.empty((m + 1, n), dtype=np.uint8)
-    powers[1] = np.arange(n, dtype=np.uint8)
-    for k in range(2, m + 1):
-        powers[k] = mul[powers[k - 1], powers[1]]
-
-    # H starts as {0}.  For a generator g the least i with i*g in H splits
-    # H + <g> into the disjoint cosets H + j*g, j < i, so the new rows are
-    # appended as they come.  A row h + j*g is witnessed by h's coefficients
-    # with a_k replaced by a_k + j*a, by distributivity of left coefficients.
-    tables = np.zeros((1, n), dtype=np.uint8)
-    wits = np.zeros((1, m + 1), dtype=np.uint8)
-    index = {bytes(n): 0}
-    for k, a in product(range(m + 1), range(1, n)):
-        g = np.full(n, a, dtype=np.uint8) if k == 0 else mul[a, powers[k]]
-        new_t, new_w = [tables], [wits]
-        step, coeff = g, a
-        while step.tobytes() not in index:
-            coset_t = add[tables, step]
-            coset_w = wits.copy()
-            coset_w[:, k] = add[wits[:, k], coeff]
-            keys = coset_t.view(np.dtype((np.void, n))).ravel().tolist()
-            index.update(zip(keys, count(len(index))))
-            new_t.append(coset_t)
-            new_w.append(coset_w)
-            step, coeff = add[step, g], add[coeff, a]
-        if len(new_t) > 1:
-            tables, wits = np.concatenate(new_t), np.concatenate(new_w)
-    return PolyFunctionSet(ring, (t, p), True, tables, wits, index)
+        return PolyFunctionSet(ring, idempotents=idempotents)
+    return PolyFunctionSet(ring, count=_lattice(ring)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -537,19 +534,18 @@ def _coset_growth(ring: FiniteRing) -> PolyFunctionSet:
 
 def function_count(ring: FiniteRing) -> int:
     """|G|, the number of functions R -> R induced by polynomials, exactly
-    and without materialising a table, on any finite ring: the count of the
-    set ``polynomial_function_set(ring, 0)``, which builds no row.
+    and without materialising a table, on any finite ring.
 
     A product of fields has prod |eR|^|eR| over its primitive idempotents e;
     any other ring is counted by ``_lattice``.
     """
-    return _function_set(ring, 0).count
+    return _function_set(ring).count
 
 
-def _lattice(ring: FiniteRing, track: bool = False
-             ) -> tuple[int, np.ndarray | None, np.ndarray | None]:
+def _lattice(ring: FiniteRing, track: bool = False) -> tuple[int, tuple | None]:
     """|G| as the product of its p-parts |G_p|, each the order of a lattice,
-    and with ``track`` the syndrome map that decides membership in G.
+    and with ``track`` the basis of G that decides and solves membership
+    (``PolyFunctionSet._lattice_basis``).
 
     G is the Z-span of the constants b and the tables b * x^k
     (k = 1..t+p-1) for b in an additive basis of R, since a * x^k is
@@ -562,14 +558,16 @@ def _lattice(ring: FiniteRing, track: bool = False
     the pivots (Storjohann and Mulders, "Fast algorithms for linear algebra
     modulo N", ESA 1998).
 
-    Clearing the pivot's row too, by column operations recorded in V,
-    brings M to U*M*V = D with one entry u*p^v per pivot column and none
-    elsewhere (Howell, "Spans in the module (Z_m)^s", 1986), so a vector w
-    is in the row span of M iff (w*V)_j = 0 mod p^v_j for every column j,
-    with v_j = s where no pivot fell.  A table F is in G iff for each p its
-    p-part e_p * F passes (``_p_basis`` maps each value to its p-part);
-    without that projection a ring such as Z/12 would test its 3-part
-    against the 2-part's lattice.
+    Tracking records the pivot rows g_a as combinations U_a of the
+    generators, and clears each pivot's row too by column operations
+    recorded in V, so that g_a * V = u * p^v at the pivot's column j and 0
+    elsewhere (Howell, "Spans in the module (Z_m)^s", 1986).  A vector w
+    is then in the row span of M iff (w*V)_j = 0 mod p^v_j for every column
+    j, with v_j = s where no pivot fell, and w = sum_a z_a * g_a with
+    z_a = (w*V)_j / p^v * u^-1 mod p^(s-v).  A table F is in G iff for each
+    p its p-part e_p * F passes (``_p_basis`` maps each value to its
+    p-part); without that projection a ring such as Z/12 would test its
+    3-part against the 2-part's lattice.
     """
     n = ring.order
     add = np.array(ring.add_table, dtype=np.intp)
@@ -579,21 +577,25 @@ def _lattice(ring: FiniteRing, track: bool = False
     powers[1] = np.arange(n)
     for k in range(2, t + period):
         powers[k] = mul[powers[k - 1], powers[1]]
-    total, rest = 1, n
-    parts, moduli = [], []
+    total, rest, offset = 1, n, 0
+    parts, moduli, pivots, generators = [], [], [], []
     for p in range(2, n + 1):
         if rest % p:  # smaller primes are divided out, so p | rest means p is prime
             continue
         while rest % p == 0:
             rest //= p
         basis, s, embed = _p_basis(add, p)
-        q = p ** s
-        gens = np.concatenate((basis[:, None] + np.zeros((1, n), dtype=np.intp),
-                               mul[basis[:, None, None], powers[1:]].reshape(-1, n)))
+        q, r = p ** s, len(basis)
+        # row k*r + i is the table of b_i * x^k, and of the constant b_i at k = 0
+        gens = np.concatenate((np.repeat(basis[:, None], n, axis=1),
+                               mul[basis[:, None], powers[1:, None]].reshape(-1, n)))
         rows = embed[gens].reshape(len(gens), -1)
         width = rows.shape[1]
-        columns = np.eye(width, dtype=np.intp) if track else None  # V
-        level = np.full(width, s)  # v_j
+        if track:
+            columns = np.eye(width, dtype=np.intp)  # V
+            combos = np.eye(len(gens), dtype=np.intp)  # U
+            level = np.full(width, s)  # v_j
+            pivot_rows = []
         valuation = np.zeros(q, dtype=np.intp)
         for k in range(1, s + 1):
             valuation[::p ** k] += 1
@@ -608,22 +610,26 @@ def _lattice(ring: FiniteRing, track: bool = False
             i, j = divmod(at, width)
             pv = p ** v
             inverse = pow(int(rows[i, j]) // pv, -1, q)
+            factor = rows[:, j] // pv * inverse % q
             if track:
                 clear = rows[i] // pv * inverse % q
                 clear[j] = 0
                 columns = reduce[columns - columns[:, j, None] * clear]
                 level[j] = v
-            rows = reduce[rows - (rows[:, j] // pv * inverse % q)[:, None] * rows[i]]
+                pivots.append((offset + j, pv, inverse, q // pv))
+                pivot_rows.append(combos[i])
+                combos = reduce[combos - factor[:, None] * combos[i]]
+            rows = reduce[rows - factor[:, None] * rows[i]]
         if not track:
             continue
-        kept = level > 0
-        modulus = p ** level[kept]
-        per_point = columns[:, kept].reshape(n, embed.shape[1], -1)
-        parts.append(np.einsum("yi,xik->xyk", embed, per_point) % modulus)
-        moduli.append(modulus)
+        parts.append(np.einsum("yi,xik->xyk", embed, columns.reshape(n, r, width)) % q)
+        moduli.append(p ** level)
+        generators.append((basis, np.array(pivot_rows), gens))
+        offset += width
     if not track:
-        return total, None, None
-    return total, np.concatenate(parts, axis=2), np.concatenate(moduli)
+        return total, None
+    return total, (np.concatenate(parts, axis=2), np.concatenate(moduli),
+                   np.array(pivots).T, generators)
 
 
 def _p_basis(add: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray]:
@@ -686,20 +692,9 @@ polynomial_function_set.cache_info = _function_set.cache_info
 polynomial_function_set.cache_clear = _function_set.cache_clear
 
 
-def is_polynomial_function(ring: FiniteRing, table,
-                           cap: int = DEFAULT_CAP) -> Polynomial | None:
-    """A witness polynomial inducing the table, or None when provably none exists.
-
-    Raises IncompleteSearchError when the ring induces more than ``cap``
-    functions, so that its set is not materialised.
-    """
-    pset = polynomial_function_set(ring, cap)
-    status, witness = pset.lookup(table)
-    if status == "unknown":
-        raise IncompleteSearchError(
-            f"{ring.label} induces {pset.count} functions, over the cap of {cap}; "
-            "membership undecided")
-    return witness
+def is_polynomial_function(ring: FiniteRing, table) -> Polynomial | None:
+    """A witness polynomial inducing the table, or None when none exists."""
+    return polynomial_function_set(ring).lookup(table)[1]
 
 
 def interpolate_field(field: FiniteRing, table) -> Polynomial:
@@ -711,18 +706,10 @@ def interpolate_field(field: FiniteRing, table) -> Polynomial:
     return _interpolant(field, (field.unity,), _table_values(field, table))
 
 
-def char_poly_for_subset(ring: FiniteRing, subset,
-                         cap: int = DEFAULT_CAP) -> Polynomial | None:
-    """Witness for the 0/1-valued indicator table of a subset, if one exists.
-
-    Absence is decided by the row-free set at any cap; a present indicator
-    fetches its witness as ``is_polynomial_function`` does, so over the cap
-    it raises IncompleteSearchError.
-    """
+def char_poly_for_subset(ring: FiniteRing, subset) -> Polynomial | None:
+    """Witness for the 0/1-valued indicator table of a subset, if one exists."""
     if ring.unity is None:
         raise UnsupportedStructureError("indicator tables need 0 and 1 as values")
     subset = SubsetMask.of(ring, subset)
-    values = tuple(ring.unity if x in subset else 0 for x in range(ring.order))
-    if not polynomial_function_set(ring, 0).contains(values):
-        return None
-    return is_polynomial_function(ring, values, cap)
+    return is_polynomial_function(ring, tuple(ring.unity if x in subset else 0
+                                              for x in range(ring.order)))

@@ -3,9 +3,7 @@
 Every check returns a :class:`Verdict` whose ``holds`` flag reports whether
 the claimed equivalence or bound was confirmed, with a witness payload that
 can be re-verified independently (a polynomial to re-evaluate, an element
-pair to re-check, a bound with its ingredients).  ``holds=None`` means a
-witness could not be fetched because the ring induces more functions than
-the cap allows to materialise (only R2.8 on a given, induced subset);
+pair to re-check, a bound with its ingredients).  Every check is decided;
 ``vacuous=True`` means a hypothesis or precondition failed, so there was
 nothing to refute.
 
@@ -64,8 +62,6 @@ from .core import (
     residue_field,
 )
 from .polyfun import (
-    DEFAULT_CAP,
-    IncompleteSearchError,
     Polynomial,
     char_poly_for_subset,
     function_count,
@@ -119,15 +115,13 @@ class TrivialImageError(ValueError):
 @dataclass
 class Verdict:
     result_id: str
-    holds: bool | None
+    holds: bool
     vacuous: bool = False
     witness: dict[str, Any] | None = None
     details: str = ""
 
     @property
     def status(self) -> str:
-        if self.holds is None:
-            return "unknown"
         if not self.holds:
             return "fail"
         return "vacuous" if self.vacuous else "pass"
@@ -271,9 +265,8 @@ def check_bijections_iff_field(ring: FiniteRing, max_order: int = 6) -> Verdict:
 
     A set of n^n tables holds every bijection at once.  Otherwise all order!
     bijections are tried, transpositions first so a failing witness is a
-    swap whenever one exists.  Membership is read from the row-free set
-    ``polynomial_function_set(ring, 0)``, so no witness and no row is built
-    and the answer is exact on every ring.
+    swap whenever one exists.  Membership is read with ``contains``, so no
+    witness is built and the answer is exact on every ring.
     """
     if ring.order > max_order:
         return Verdict(
@@ -284,7 +277,7 @@ def check_bijections_iff_field(ring: FiniteRing, max_order: int = 6) -> Verdict:
     n = ring.order
     swaps = (tuple(j if x == i else i if x == j else x for x in range(n))
              for i, j in combinations(range(n), 2))
-    pset = polynomial_function_set(ring, 0)
+    pset = polynomial_function_set(ring)
     missing = None if pset.count == n ** n else \
         next((b for b in chain(swaps, permutations(range(n))) if not pset.contains(b)), None)
     all_bijections = missing is None
@@ -798,15 +791,14 @@ def classify_char_function_existence(ring: FiniteRing,
 
 
 def check_char_support_cosets(ring: FiniteRing, subset=None,
-                              sweep_limit: int = 16, cap: int = DEFAULT_CAP) -> Verdict:
+                              sweep_limit: int = 16) -> Verdict:
     """R2.8: the support of a polynomial indicator function on a local ring
     is a union of cosets of the maximal ideal.
 
     Checks the given subset (default: the units) and, when the order is
     within ``sweep_limit``, every subset whose indicator is induced.  On a
-    commutative ring the units' indicator is x^N (P2.7's witness).  Any
-    other subset is decided by the lattice syndrome; only a present one
-    fetches its witness from the materialised set, which ``cap`` bounds.
+    commutative ring the units' indicator is x^N (P2.7's witness), and any
+    other subset takes its witness from ``char_poly_for_subset``.
     The sweep matches syndromes of half-subsets (``indicator_supports``) and
     builds no row; the swept count leaves out the two constants.
     """
@@ -821,12 +813,7 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
     if inv.is_commutative and subset.bits == inv.units.bits:
         wit = char_function_from_image(ring, poly_x(ring))
     else:
-        try:
-            wit = char_poly_for_subset(ring, subset, cap)
-        except IncompleteSearchError:
-            return Verdict("R2.8", None,
-                           details=f"{function_count(ring)} functions exceed the cap; "
-                                   "no witness for the given subset")
+        wit = char_poly_for_subset(ring, subset)
     subset_report: dict[str, Any] = {"subset": list(subset.indices()),
                                      "polynomial_exists": wit is not None}
     if wit is not None:
@@ -845,14 +832,14 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
             # Cosets are singletons, so every support is trivially a union.
             swept = -1
         else:
-            supports = polynomial_function_set(ring, 0).indicator_supports()
+            supports = polynomial_function_set(ring).indicator_supports()
             swept = len(supports) - 2
             bad = next(filterfalse(is_coset_union, supports), None)
             if bad is not None:
                 return Verdict(
                     "R2.8", False,
                     witness={"subset": list(SubsetMask(ring, bad).indices()),
-                             "polynomial": char_poly_for_subset(ring, SubsetMask(ring, bad), cap)},
+                             "polynomial": char_poly_for_subset(ring, SubsetMask(ring, bad))},
                     details="swept indicator support is not a coset union",
                 )
     subset_report["swept"] = swept
@@ -869,7 +856,6 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
 class CheckOptions:
     """Inputs a registry runner passes on to its check, as the CLI spells them."""
 
-    cap: int = DEFAULT_CAP
     max_bijection_order: int = 6
     max_subset_order: int = 16
     poly: str | None = None
@@ -928,7 +914,7 @@ CHECKS: dict[str, Check] = {
     "P2.7": Check("comm-unital", lambda ring, o: classify_char_function_existence(
         ring, witness_poly=_poly_arg(o, ring))),
     "R2.8": Check("local-unital", lambda ring, o: check_char_support_cosets(
-        ring, subset=_subset_ids(o), sweep_limit=o.max_subset_order, cap=o.cap)),
+        ring, subset=_subset_ids(o), sweep_limit=o.max_subset_order)),
 }
 
 RESULT_IDS = tuple(CHECKS)

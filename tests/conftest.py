@@ -1,9 +1,10 @@
 """Shared fixtures and the pure-Python oracles.
 
 The brute-force oracle enumerates every coefficient tuple up to the
-stabilization degree and tabulates it with plain ring arithmetic; it
-deliberately shares no code with the numpy coset-growth closure it
-cross-checks.  The Lagrange oracle builds field interpolants from basis
+stabilization degree and tabulates it with plain ring arithmetic.  The
+coset-growth oracle grows the function group one generator at a time as
+explicit tables with witness rows; it shares no code with the lattice that
+the library counts, decides and solves membership with.  The Lagrange oracle builds field interpolants from basis
 polynomials, independently of the closed form in ``interpolate_field``.
 The CRT oracle builds each local factor of a product of fields as its own
 ring, interpolates there and glues the coefficients by the Chinese
@@ -14,8 +15,9 @@ through ``ring.add``/``ring.mul``, where the library indexes table rows.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import count, product
 
+import numpy as np
 import pytest
 
 from finring import (
@@ -133,18 +135,81 @@ def upper_triangular_f2():
     return make_table_ring(add, mul, "T2(F2)")
 
 
-def refuse_coset_growth(monkeypatch, above: int = 0) -> None:
-    """Make coset growth raise on rings of order > ``above``.  Cached sets
-    are dropped first, since a set cached by an earlier test would hide a
-    build."""
-    grow = polyfun._coset_growth
+class Closure:
+    """A function group grown as explicit tables: ``tables`` holds one row
+    per function, ``witnesses`` a parallel coefficient row inducing it."""
 
-    def guarded(ring):
-        assert ring.order <= above, f"coset growth entered on {ring.label}"
-        return grow(ring)
+    def __init__(self, ring, tables: np.ndarray, witnesses: np.ndarray, index: dict):
+        self.ring, self.tables, self.witnesses, self.index = ring, tables, witnesses, index
+        self.count = len(tables)
+
+    def contains(self, table) -> bool:
+        return bytes(table) in self.index
+
+    def lookup(self, table):
+        idx = self.index.get(bytes(table))
+        if idx is None:
+            return "absent", None
+        return "present", Polynomial(self.ring, tuple(self.witnesses[idx].tolist())).stripped()
+
+    def as_tuple_set(self) -> frozenset:
+        return frozenset(map(tuple, self.tables.tolist()))
+
+
+def coset_growth(ring) -> Closure:
+    """The group generated by the constants and every a * x^k (k <= t+p-1),
+    grown one generator at a time.  For a generator g the least i with i*g
+    in the grown group H splits H + <g> into the disjoint cosets H + j*g,
+    j < i, so new rows are appended as they come; a row h + j*g is
+    witnessed by h's coefficients with a_k replaced by a_k + j*a."""
+    n = ring.order
+    t, p = power_stabilization(ring)
+    add = np.array(ring.add_table, dtype=np.uint8)
+    mul = np.array(ring.mul_table, dtype=np.uint8)
+    m = t + p - 1
+    powers = np.empty((m + 1, n), dtype=np.uint8)
+    powers[1] = np.arange(n, dtype=np.uint8)
+    for k in range(2, m + 1):
+        powers[k] = mul[powers[k - 1], powers[1]]
+    tables = np.zeros((1, n), dtype=np.uint8)
+    wits = np.zeros((1, m + 1), dtype=np.uint8)
+    index = {bytes(n): 0}
+    for k, a in product(range(m + 1), range(1, n)):
+        g = np.full(n, a, dtype=np.uint8) if k == 0 else mul[a, powers[k]]
+        new_t, new_w = [tables], [wits]
+        step, coeff = g, a
+        while step.tobytes() not in index:
+            coset_t = add[tables, step]
+            coset_w = wits.copy()
+            coset_w[:, k] = add[wits[:, k], coeff]
+            keys = coset_t.view(np.dtype((np.void, n))).ravel().tolist()
+            index.update(zip(keys, count(len(index))))
+            new_t.append(coset_t)
+            new_w.append(coset_w)
+            step, coeff = add[step, g], add[coeff, a]
+        if len(new_t) > 1:
+            tables, wits = np.concatenate(new_t), np.concatenate(new_w)
+    return Closure(ring, tables, wits, index)
+
+
+def set_index_limit(monkeypatch, limit: int) -> None:
+    """Index sets of at most ``limit`` tables, and solve every other lookup
+    (0 solves them all).  Cached sets are dropped first, so that no index
+    built by an earlier test answers."""
+    polyfun.polynomial_function_set.cache_clear()
+    monkeypatch.setattr(polyfun, "INDEX_LIMIT", limit)
+
+
+@pytest.fixture
+def refuse_index(monkeypatch):
+    """Make enumerating a function set's tables, which the lookup index and
+    ``as_tuple_set`` need, raise.  Cached sets are dropped first, since a
+    set cached by an earlier test would hide a build."""
+    def refuse(self):
+        raise AssertionError(f"tables of {self.ring.label} enumerated")
 
     polyfun.polynomial_function_set.cache_clear()
-    monkeypatch.setattr(polyfun, "_coset_growth", guarded)
+    monkeypatch.setattr(polyfun.PolyFunctionSet, "_enumerate", refuse)
 
 
 @pytest.fixture(scope="session")

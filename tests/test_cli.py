@@ -15,8 +15,6 @@ from finring import InternalInvariantError
 from finring.cli import _witness_json, main
 from finring.theorems import CHECKS, CheckOptions
 
-from conftest import refuse_coset_growth
-
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report.schema.json").read_text())
 GOLDEN_SWEEP = Path(__file__).resolve().parent / "data" / "sweep16.json"
 
@@ -86,24 +84,27 @@ def test_check_skip_note_for_big_bijection_sweep(capsys):
 
 
 def test_check_capped_is_inconclusive(capsys):
-    # The units take x^N and the sweep reads the lattice, so no row is needed.
+    # --cap-functions is accepted and ignored: every verdict is exact.  The
+    # units take x^N, and the maximal ideal's indicator, which once needed a
+    # function set over the cap, now comes with a witness.
     code, doc = run_json(capsys, "check", "Z/8", "R2.8", "--subset", "1,3,5,7",
                          "--cap-functions", "50")
     assert code == 0 and doc["verdict"]["status"] == "pass"
     assert doc["verdict"]["witness"]["swept"] == 2
-    # The maximal ideal's indicator is induced, but its witness needs rows.
     code, doc = run_json(capsys, "check", "Z/8", "R2.8", "--subset", "0,2,4,6",
-                         "--cap-functions", "50")
-    assert code == 3
-    assert doc["verdict"]["status"] == "unknown"
+                         "--cap-functions", "-3")
+    assert code == 0 and doc["verdict"]["status"] == "pass"
+    witness = doc["verdict"]["witness"]
+    assert witness["polynomial_exists"] is True and witness["coset_union"] is True
+    z8 = finring.make_zn(8)
+    table = finring.function_table(finring.parse_poly_text(witness["polynomial"], z8)).values
+    assert table == tuple(int(x % 2 == 0) for x in range(8))
 
 
-def test_large_local_rings_are_decided_before_any_row_is_built(monkeypatch, capsys):
-    # Each of these would need 2^24 or more rows.  Counts come from the
-    # lattice, P2.7 and R2.8's default subset from x^N, and membership
-    # compares the exact count with the cap first, so coset growth is never
-    # entered.
-    refuse_coset_growth(monkeypatch)
+def test_large_local_rings_are_decided_before_any_row_is_built(refuse_index, capsys):
+    # Each of these induces 2^24 or more functions.  Counts come from the
+    # lattice, P2.7 and R2.8's default subset from x^N, and a lookup is
+    # solved from the lattice basis, so no table is enumerated.
     for spec, count in (("Z/25", 30517578125), ("Z/27", 387420489), ("Z/32", 16777216)):
         code, doc = run_json(capsys, "report", spec)
         assert code == 0 and doc["function_count"] == count and doc["function_count_complete"]
@@ -115,8 +116,11 @@ def test_large_local_rings_are_decided_before_any_row_is_built(monkeypatch, caps
     for spec in ("Z/25", "Z/32"):
         code, doc = run_json(capsys, "check", spec, "R2.8")
         assert code == 0 and doc["verdict"]["status"] == "pass"
-    with pytest.raises(finring.IncompleteSearchError):
-        finring.is_polynomial_function(finring.make_zn(27), (0,) * 27)
+    z27 = finring.make_zn(27)
+    table = finring.function_table(finring.poly_from(z27, (2, 0, 0, 1))).values
+    witness = finring.is_polynomial_function(z27, table)
+    assert finring.function_table(witness).values == table
+    assert finring.is_polynomial_function(z27, (1,) + table[1:]) is None
 
 
 def test_check_product_of_fields_is_exact_at_any_cap(capsys):
@@ -157,9 +161,9 @@ def test_check_unknown_id_exits_2(capsys):
     ["check", "Z/4", "R2.8", "--subset", "99"],
     ["check", "Z/4", "R2.8", "--subset", "-1"],
     ["check", "Z/9", "L2.2", "--s-max", "0"],
-    ["check", "Z/4", "P2.7", "--cap-functions", "-3"],
-    ["report", "Z/4", "--cap-functions", "-3"],
-    ["sweep", "--max-order", "4", "--out", "/nonexistent-dir/x.json", "--cap-functions", "-3"],
+    ["check", "Z/4", "R2.8", "--subset", "4"],
+    ["report", "Z/1"],
+    ["sweep", "--max-order", "1", "--out", "/nonexistent-dir/x.json"],
 ])
 def test_out_of_range_input_exits_2(capsys, argv):
     assert main(argv) == 2
@@ -219,10 +223,9 @@ def test_sweep_reproduces_the_golden_file(tmp_path):
     assert rows == golden["rows"]
 
 
-def test_char_checks_match_the_golden_file_without_function_sets(monkeypatch):
+def test_char_checks_match_the_golden_file_without_function_sets(refuse_index):
     golden = {(row["ring"], row["check"]): row
               for row in json.loads(GOLDEN_SWEEP.read_text())["rows"]}
-    refuse_coset_growth(monkeypatch)
     checked = 0
     for name, ring in finring.standard_catalog(16):
         for result_id in ("P1.3", "P2.7"):
@@ -235,11 +238,10 @@ def test_char_checks_match_the_golden_file_without_function_sets(monkeypatch):
     assert checked == 54
 
 
-def test_sweep_covers_the_whole_catalog_at_the_default_cap(monkeypatch, tmp_path):
+def test_sweep_covers_the_whole_catalog_at_the_default_cap(refuse_index, tmp_path):
     # P1.2 and R2.8's sweep read the lattice syndrome, P1.3 and P2.7 argue
     # from the ring's elements and R2.8's default subset (the units) is
-    # induced by x^N, so no check builds a row.
-    refuse_coset_growth(monkeypatch)
+    # induced by x^N, so no check enumerates a table.
     out = tmp_path / "sweep32.json"
     assert main(["sweep", "--max-order", "32", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -248,10 +250,9 @@ def test_sweep_covers_the_whole_catalog_at_the_default_cap(monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("spec", ["Z/4[x]/(x^2+x+1)", "Z/2[x]/(x^4+x^2+1)", "Z/4[x]/(x^2+3x+3)"])
-def test_r28_sweeps_rings_of_2_24_functions_without_rows(monkeypatch, capsys, spec):
+def test_r28_sweeps_rings_of_2_24_functions_without_rows(refuse_index, capsys, spec):
     # Each ring is local with residue field GF(4) and 2^24 functions: its 16
     # coset unions, less the two constants, are the induced indicators.
-    refuse_coset_growth(monkeypatch)
     start = time.perf_counter()
     code, doc = run_json(capsys, "check", spec, "R2.8")
     assert time.perf_counter() - start < 1.0

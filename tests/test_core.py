@@ -146,6 +146,14 @@ def test_table_ring_identity_must_sit_at_zero():
         make_table_ring(add, mul)
 
 
+@pytest.mark.parametrize("add, mul", [([[0]], [[0]]), ([], [])], ids=["order-1", "empty"])
+def test_table_ring_refuses_fewer_than_two_elements(add, mul):
+    # The order-1 ring was once accepted, and then analyze divided by its
+    # number of non-units.
+    with pytest.raises(ValueError, match="at least 2 elements"):
+        make_table_ring(add, mul)
+
+
 def test_zero_mul_ring_is_non_unital():
     r = make_zero_mul_ring(2)
     inv = analyze(r)

@@ -8,8 +8,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from finring import (
-    DEFAULT_CAP,
-    IncompleteSearchError,
     UnsupportedStructureError,
     analyze,
     char_poly_for_subset,
@@ -34,11 +32,11 @@ from finring import (
     realize,
     standard_catalog,
 )
+from finring import polyfun
 from finring.core import SubsetMask
 from finring.polyfun import (
     FunctionTable,
     Polynomial,
-    _coset_growth,
     poly_add,
     poly_mul,
     poly_pow,
@@ -48,12 +46,13 @@ from finring.theorems import check_char_support_cosets
 
 from conftest import (
     brute_force_function_tables,
+    coset_growth,
     crt_interpolate,
     lagrange_interpolate,
-    refuse_coset_growth,
     schoolbook_eval,
     schoolbook_mul,
     schoolbook_pow,
+    set_index_limit,
     upper_triangular_f2,
 )
 
@@ -149,17 +148,22 @@ def test_function_set_matches_brute_force_zero_ring():
 
 @pytest.mark.parametrize("spec", ["T2(F2)", "Z/6", "Z/8", "Z/2 x Z/4", "zero-ring-4"])
 def test_closure_matches_oracle_with_witnesses(spec):
+    # The coset-growth oracle against brute force, then the lattice
+    # basis's enumerated index against both.
     ring = upper_triangular_f2() if spec == "T2(F2)" else realize(parse_ring_spec(spec))
-    pset = _coset_growth(ring)
-    assert pset.complete
-    assert pset.as_tuple_set() == brute_force_function_tables(ring)
-    assert_rows_witnessed(pset)
+    closure = coset_growth(ring)
+    assert closure.as_tuple_set() == brute_force_function_tables(ring)
+    assert_rows_witnessed(closure)
+    pset = polynomial_function_set(ring)
+    if not pset.idempotents:
+        pset.lookup((0,) * ring.order)
+        assert_rows_witnessed(pset)
+        assert pset.as_tuple_set() == closure.as_tuple_set()
 
 
 def test_field_set_agrees_with_coset_growth(gf4):
     pset = polynomial_function_set(gf4)
-    closure = _coset_growth(gf4)
-    assert closure.complete and not closure.field_mode
+    closure = coset_growth(gf4)
     assert closure.count == pset.count == 256
     assert closure.as_tuple_set() == pset.as_tuple_set()
 
@@ -205,49 +209,54 @@ def test_membership_on_field_via_interpolation(z3):
         assert function_table(w).values == values
 
 
-def test_membership_cap_is_reported():
-    # Z/12 induces 1728 functions: under a smaller cap none is materialised,
-    # the count stays exact and every lookup is unknown, while contains reads
-    # the lattice and gives coset growth's answer.
+def test_membership_cap_is_reported(monkeypatch):
+    # Z/12 induces 1728 functions.  Below that index limit (the successor
+    # of the cap) no table is built, and every lookup is solved exactly:
+    # coset growth's status, and a witness inducing the table.
     z12 = make_zn(12)
-    closure = _coset_growth(z12)
-    absent = (0,) + (1,) * 11
-    for cap in (1, 7, 50, 1727):
-        pset = polynomial_function_set(z12, cap)
-        assert not pset.complete and pset.count == 1728 and pset.tables is None
-        assert pset.lookup((0,) * 12) == ("unknown", None)
-        assert pset.contains((0,) * 12) is closure.contains((0,) * 12) is True
-        assert pset.contains(absent) is closure.contains(absent) is False
-    assert polynomial_function_set(z12, 1728).complete
-    with pytest.raises(IncompleteSearchError):
-        is_polynomial_function(z12, (0,) + (1,) * 11, cap=50)
+    closure = coset_growth(z12)
+    tables = [(0,) * 12, (0,) + (1,) * 11, tuple(x * x % 12 for x in range(12))]
+    for limit in (1, 7, 50, 1727, 1728):
+        set_index_limit(monkeypatch, limit)
+        pset = polynomial_function_set(z12)
+        for table in tables:
+            status, witness = pset.lookup(table)
+            assert status == closure.lookup(table)[0] and pset.contains(table) is (witness is not None)
+            assert witness is None or function_table(witness).values == table
+        assert pset.count == 1728 and (pset.tables is None) == (limit < 1728)
+    assert is_polynomial_function(z12, (0,) + (1,) * 11) is None
 
 
 def test_as_tuple_set_refuses_over_limit_before_work():
-    pset = polynomial_function_set(make_zn(12), 50)
-    assert pset.count == 1728 and pset.tables is None
+    pset = polynomial_function_set(make_zn(12))
+    assert pset.count == 1728
     with pytest.raises(ValueError, match="too large"):
         pset.as_tuple_set(limit=10)
-    with pytest.raises(IncompleteSearchError):
-        pset.as_tuple_set(limit=1728)
-    assert len(polynomial_function_set(make_zn(12)).as_tuple_set(limit=1728)) == 1728
+    assert pset.as_tuple_set(limit=1728) == coset_growth(make_zn(12)).as_tuple_set()
 
 
-def test_product_of_fields_is_exact_at_any_cap(z6):
-    pset = polynomial_function_set(z6, 50)
+def test_product_of_fields_is_exact_at_any_cap(monkeypatch, z6):
+    # A product of fields builds no table at any index limit.
+    set_index_limit(monkeypatch, 0)
+    pset = polynomial_function_set(z6)
     assert pset.complete and pset.tables is None and pset.count == 108
-    assert is_polynomial_function(z6, (0, 1, 1, 1, 1, 1), cap=50) is None
+    assert is_polynomial_function(z6, (0, 1, 1, 1, 1, 1)) is None
 
 
-def test_cap_bounds_a_set_of_constants():
-    # zero multiplication: only the 4 constants are induced, and a cap of 2
-    # materialises none of them
+def test_cap_bounds_a_set_of_constants(monkeypatch):
+    # zero multiplication: only the 4 constants are induced.  Under an
+    # index limit of 2 none is tabulated and each lookup is solved.
     ring = make_zero_mul_ring(4)
-    pset = polynomial_function_set(ring, 2)
-    assert not pset.complete and pset.count == 4 and pset.tables is None
-    assert pset.lookup((1,) * 4) == ("unknown", None)
-    full = polynomial_function_set(ring, 4)
-    assert full.complete and full.count == 4
+    set_index_limit(monkeypatch, 2)
+    pset = polynomial_function_set(ring)
+    assert pset.count == 4
+    assert pset.lookup((1,) * 4) == ("present", Polynomial(ring, (1,)))
+    assert pset.lookup((0, 1, 2, 3)) == ("absent", None)
+    assert pset.tables is None
+    set_index_limit(monkeypatch, 4)
+    full = polynomial_function_set(ring)
+    assert full.lookup((1,) * 4) == ("present", Polynomial(ring, (1,)))
+    assert full.count == 4
     assert_rows_witnessed(full)
 
 
@@ -255,18 +264,21 @@ def test_function_set_cache_key_ignores_call_form():
     ring = make_zn(10)
     before = polynomial_function_set.cache_info()
     first = polynomial_function_set(ring)
-    assert polynomial_function_set(ring, DEFAULT_CAP) is first
-    assert polynomial_function_set(ring, cap=DEFAULT_CAP) is first
+    assert polynomial_function_set(ring=ring) is first
+    assert polynomial_function_set(ring) is first
     after = polynomial_function_set.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
 
 
 def test_function_set_rejects_negative_cap(z4):
-    with pytest.raises(ValueError, match="cap"):
+    # No cap is taken at all, and every answer is exact.
+    with pytest.raises(TypeError):
         polynomial_function_set(z4, -3)
-    empty = polynomial_function_set(z4, 0)
-    assert not empty.complete and empty.count == 64
-    assert empty.lookup((0, 0, 0, 0))[0] == "unknown"
+    with pytest.raises(TypeError):
+        is_polynomial_function(z4, (0, 0, 0, 0), cap=-3)
+    pset = polynomial_function_set(z4)
+    assert pset.complete and pset.count == 64
+    assert pset.lookup((0, 0, 0, 0)) == ("present", Polynomial(z4, ()))
 
 
 def test_membership_rejects_out_of_range_value(z4):
@@ -358,25 +370,29 @@ def test_closed_form_matches_lagrange(spec):
         assert function_table(w).values == values
 
 
-@pytest.mark.parametrize("spec, cap", [("GF(4)", DEFAULT_CAP), ("Z/12", DEFAULT_CAP),
-                                       ("Z/12", 7), ("T2(F2)", DEFAULT_CAP)])
-def test_contains_agrees_with_lookup(spec, cap):
+@pytest.mark.parametrize("spec, index_limit", [("GF(4)", 1 << 24), ("Z/12", 1 << 24),
+                                               ("Z/12", 7), ("T2(F2)", 1 << 24), ("T2(F2)", 0)])
+def test_contains_agrees_with_lookup(monkeypatch, spec, index_limit):
+    # Sets within the index limit answer from their index, the others solve;
+    # both agree with contains and with coset growth.
     ring = upper_triangular_f2() if spec == "T2(F2)" else realize(parse_ring_spec(spec))
-    pset = polynomial_function_set(ring, cap)
+    set_index_limit(monkeypatch, index_limit)
+    pset = polynomial_function_set(ring)
     n = ring.order
+    closure = coset_growth(ring)
     if n <= 4:
         tables = list(product(range(n), repeat=n))
     else:
         rng = random.Random(n)
-        tables = [tuple(row) for row in polynomial_function_set(ring).tables.tolist()]
+        tables = [tuple(row) for row in closure.tables.tolist()]
         tables += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(300)]
-    # A capped set looks nothing up, but contains still answers exactly.
-    full = polynomial_function_set(ring)
-    as_bool = {"present": True, "absent": False}
     for table in tables:
-        assert pset.contains(table) is as_bool[full.lookup(table)[0]]
-        assert pset.lookup(table)[0] == (full.lookup(table)[0] if pset.complete else "unknown")
+        status, witness = pset.lookup(table)
+        assert status == closure.lookup(table)[0]
+        assert pset.contains(table) is (status == "present") is (witness is not None)
+        assert witness is None or function_table(witness).values == table
     assert {pset.contains(t) for t in tables} == ({True} if pset.field_mode else {True, False})
+    assert (pset.tables is not None) == (not pset.idempotents and pset.count <= index_limit)
 
 
 @pytest.mark.parametrize("spec", ["GF(5)", "Z/6"])
@@ -502,8 +518,7 @@ def _nonconstant_indicators(ring) -> list[tuple[int, ...]]:
 
 
 def test_catalog_products_of_fields_are_answered_by_crt(catalog16):
-    crt = {name for name, ring in catalog16
-           if (pset := polynomial_function_set(ring)).tables is None and not pset.field_mode}
+    crt = {name for name, ring in catalog16 if len(polynomial_function_set(ring).idempotents) > 1}
     assert crt == set(PRODUCTS_OF_FIELDS)
 
 
@@ -511,8 +526,8 @@ def test_catalog_products_of_fields_are_answered_by_crt(catalog16):
 def test_crt_engine_matches_closure(spec):
     ring = realize(parse_ring_spec(spec))
     pset = polynomial_function_set(ring)
-    closure = _coset_growth(ring)
-    assert pset.complete and closure.complete and pset.tables is None
+    closure = coset_growth(ring)
+    assert pset.complete and pset.tables is None
     assert pset.count == closure.count
     rows = [tuple(row) for row in closure.tables.tolist()]
     tables = pset.as_tuple_set()
@@ -577,7 +592,7 @@ def test_witnesses_equal_the_crt_oracle(spec):
 
 def test_product_of_three_fields_matches_coset_growth():
     ring = realize(parse_ring_spec("Z/2 x Z/2 x Z/2"))
-    pset, closure = polynomial_function_set(ring), _coset_growth(ring)
+    pset, closure = polynomial_function_set(ring), coset_growth(ring)
     assert pset.count == closure.count == (2 ** 2) ** 3
     assert pset.as_tuple_set() == closure.as_tuple_set() == brute_force_function_tables(ring)
     rng = random.Random(8)
@@ -592,9 +607,9 @@ def test_products_of_fields_induce_no_nontrivial_indicator(spec):
     # every idempotent e, and z = e1*x + e2*y has F(x) = F(z) = F(y).  Checked
     # against every 0/1 table by both engines and by the lattice syndrome.
     ring = realize(parse_ring_spec(spec))
-    pset, closure = polynomial_function_set(ring), _coset_growth(ring)
+    pset, closure = polynomial_function_set(ring), coset_growth(ring)
     assert not any(pset.contains(t) or closure.contains(t) for t in _nonconstant_indicators(ring))
-    assert polynomial_function_set(ring, 0).indicator_supports() == [0, (1 << ring.order) - 1]
+    assert polynomial_function_set(ring).indicator_supports() == [0, (1 << ring.order) - 1]
 
 
 # --- exact counts: the per-prime lattice against independent oracles ---------
@@ -632,7 +647,7 @@ def _non_reduced_catalog(max_order):
                          + ["T2(F2)", "Z/8 x Z/2", "Z/2[x]/(x^4)", "Z/2[x]/(x^3) x Z/2"])
 def test_function_count_equals_coset_growth(spec):
     ring = _spec_ring(spec)
-    assert function_count(ring) == _coset_growth(ring).count
+    assert function_count(ring) == coset_growth(ring).count
 
 
 @pytest.mark.parametrize("spec", ["Z/8 x Z/2", "Z/4 x Z/4", "Z/2[x]/(x^4)", "Z/4[x]/(x^2+2)",
@@ -643,7 +658,7 @@ def test_function_count_ignores_element_labels(spec):
     for labels in (range(ring.order - 1, 0, -1),
                    random.Random(0).sample(range(1, ring.order), ring.order - 1)):
         copy = _relabelled(ring, list(labels))
-        assert function_count(copy) == count == _coset_growth(copy).count
+        assert function_count(copy) == count == coset_growth(copy).count
 
 
 def test_function_count_equals_brute_force_on_small_rings():
@@ -679,7 +694,7 @@ def test_function_count_equals_coset_growth_on_random_rings(ring):
     assume(analyze(ring).nilpotents.size > 1)
     count = function_count(ring)
     assume(count <= 1 << 18)
-    assert count == _coset_growth(ring).count
+    assert count == coset_growth(ring).count
 
 
 @pytest.mark.parametrize("spec, q", [("Z/4", 2), ("Z/9", 3), ("Z/25", 5), ("Z/2[x]/(x^2)", 2),
@@ -694,7 +709,7 @@ def test_function_count_of_square_zero_local_rings(spec, q):
     assert function_count(ring) == q ** (3 * q)
 
 
-# --- membership from the lattice syndrome against coset growth --------------
+# --- membership and witnesses from the lattice against coset growth ---------
 
 def _syndrome_probes(closure, rng) -> list[tuple[int, ...]]:
     """Present rows, random tables and present rows with one value moved."""
@@ -717,17 +732,35 @@ def _indicator_rows(closure) -> list[int]:
 
 
 def _assert_syndrome_matches_closure(ring, seed):
-    pset, closure = polynomial_function_set(ring, 0), _coset_growth(ring)
-    assert pset.tables is None and not pset.idempotents
+    pset, closure = polynomial_function_set(ring), coset_growth(ring)
+    assert not pset.idempotents
     probes = _syndrome_probes(closure, random.Random(seed))
     assert [pset.contains(t) for t in probes] == [closure.contains(t) for t in probes]
     assert {closure.contains(t) for t in probes} == {True, False}
+    assert pset.tables is None
     return closure
 
 
-@pytest.mark.parametrize("spec", ["Z/4", "Z/9", "Z/12", "Z/18", "Z/20", "Z/24", "Z/4 x Z/3",
-                                  "Z/8 x Z/2", "T2(F2)", "zero-ring-4"])
-def test_syndrome_membership_matches_coset_growth(spec):
+def _assert_lookup_matches_closure(ring, seed):
+    """Every status is coset growth's, and every witness induces its table
+    under the schoolbook evaluation."""
+    pset, closure = polynomial_function_set(ring), coset_growth(ring)
+    probes = _syndrome_probes(closure, random.Random(seed))
+    answers = [pset.lookup(t) for t in probes]
+    assert [status for status, _ in answers] == [closure.lookup(t)[0] for t in probes]
+    for table, (status, witness) in zip(probes, answers):
+        assert (witness is not None) == (status == "present")
+        if witness is not None:
+            assert tuple(schoolbook_eval(witness, x) for x in range(ring.order)) == table
+    return pset
+
+
+MEMBERSHIP_RINGS = ["Z/4", "Z/9", "Z/12", "Z/18", "Z/20", "Z/24", "Z/4 x Z/3", "Z/8 x Z/2",
+                    "T2(F2)", "zero-ring-4"]
+
+
+@pytest.mark.parametrize("spec", MEMBERSHIP_RINGS)
+def test_syndrome_membership_matches_coset_growth(refuse_index, spec):
     # Z/12 and Z/18 have two primes: without the projection e_p * F onto
     # each p-part, the syndrome mixes the parts and answers wrongly.
     ring = _spec_ring(spec)
@@ -740,7 +773,32 @@ def test_syndrome_membership_matches_coset_growth_on_random_rings(ring, seed):
     assume(analyze(ring).nilpotents.size > 1)
     assume(function_count(ring) <= 1 << 16)
     closure = _assert_syndrome_matches_closure(ring, seed)
-    assert polynomial_function_set(ring, 0).indicator_supports() == _indicator_rows(closure)
+    assert polynomial_function_set(ring).indicator_supports() == _indicator_rows(closure)
+
+
+@pytest.mark.parametrize("path", ["index", "solve"])
+@pytest.mark.parametrize("spec", MEMBERSHIP_RINGS)
+def test_lookup_matches_coset_growth(request, monkeypatch, spec, path):
+    # The index enumerated from the lattice basis, and with an index limit
+    # of 0 the solve path, which enumerates nothing.
+    set_index_limit(monkeypatch, 1 << 16 if path == "index" else 0)
+    if path == "solve":
+        request.getfixturevalue("refuse_index")
+    ring = _spec_ring(spec)
+    pset = _assert_lookup_matches_closure(ring, ring.order)
+    assert (pset.tables is None) == (path == "solve" or pset.count > 1 << 16)
+
+
+@pytest.mark.parametrize("path", ["index", "solve"])
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(ring=_small_rings(), seed=st.integers(0, 2 ** 16))
+def test_lookup_matches_coset_growth_on_random_rings(path, ring, seed):
+    assume(analyze(ring).nilpotents.size > 1)
+    assume(function_count(ring) <= 1 << 16)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        set_index_limit(monkeypatch, 1 << 16 if path == "index" else 0)
+        pset = _assert_lookup_matches_closure(ring, seed)
+    assert (pset.tables is None) == (path == "solve")
 
 
 @pytest.mark.parametrize("spec", [name for name, ring in standard_catalog(16)
@@ -749,25 +807,68 @@ def test_indicator_supports_match_coset_growth(spec):
     # Every non-field local ring R2.8 sweeps: the supports found by matching
     # half-subset syndromes are exactly coset growth's 0/1 rows.
     ring = _spec_ring(spec)
-    expected = _indicator_rows(_coset_growth(ring))
-    assert polynomial_function_set(ring, 0).indicator_supports() == expected
+    expected = _indicator_rows(coset_growth(ring))
+    assert polynomial_function_set(ring).indicator_supports() == expected
     assert len(expected) == 2 ** analyze(ring).residue_field_order
     assert check_char_support_cosets(ring).witness["swept"] == len(expected) - 2
 
 
-def test_absent_indicators_are_decided_over_the_cap(monkeypatch):
-    # Z/27 induces 3^18 functions, over the default cap: an absent indicator
-    # is answered from the lattice, a present one still needs rows.
-    refuse_coset_growth(monkeypatch)
+def test_absent_indicators_are_decided_over_the_cap(refuse_index):
+    # Z/27 induces 3^18 functions, far over any table index: an absent
+    # indicator is answered from the syndrome, and a present one is solved
+    # for its witness.
     z27 = make_zn(27)
     assert char_poly_for_subset(z27, [0]) is None
     assert char_poly_for_subset(z27, [1]) is None
-    with pytest.raises(IncompleteSearchError):
-        char_poly_for_subset(z27, [x for x in range(27) if x % 3])
+    units = [x for x in range(27) if x % 3]
+    witness = char_poly_for_subset(z27, units)
+    assert function_table(witness).values == tuple(int(x % 3 != 0) for x in range(27))
 
 
 def test_indicator_supports_refuse_large_orders():
     with pytest.raises(ValueError, match="order 32"):
-        polynomial_function_set(make_zn(64), 0).indicator_supports()
+        polynomial_function_set(make_zn(64)).indicator_supports()
     with pytest.raises(UnsupportedStructureError):
-        polynomial_function_set(make_zero_mul_ring(4), 0).indicator_supports()
+        polynomial_function_set(make_zero_mul_ring(4)).indicator_supports()
+
+
+_BOUNDED_LOOKUP = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from finring import function_table, is_polynomial_function, parse_ring_spec, poly_from
+from finring import polynomial_function_set, realize
+out = {}
+for spec in sys.argv[1:]:
+    ring = realize(parse_ring_spec(spec))
+    table = function_table(poly_from(ring, [(3 * k + 1) % ring.order for k in range(9)])).values
+    moved = (ring.add(table[0], ring.unity),) + table[1:]
+    witness = is_polynomial_function(ring, table)
+    out[spec] = [function_table(witness).values == table,
+                 is_polynomial_function(ring, moved) is None,
+                 polynomial_function_set(ring).tables is None]
+print(json.dumps(out))
+"""
+
+
+def test_lookups_on_2_24_functions_fit_in_a_bounded_address_space():
+    # Both rings induce exactly 2^24 functions, once tabulated row by row
+    # at several GB.  A present table (of a polynomial) and an absent one
+    # (a value moved by a unit, which leaves its J-coset) are solved under a
+    # 1 GB address-space limit, and no table is enumerated.
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import finring
+
+    specs = ["Z/32", "Z/4[x]/(x^2+x+1)"]
+    assert all(function_count(realize(parse_ring_spec(s))) == 1 << 24 for s in specs)
+    package_root = str(Path(finring.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _BOUNDED_LOOKUP, *specs],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {spec: [True, True, True] for spec in specs}

@@ -24,7 +24,6 @@ from finring import (
 from finring.polyfun import (
     Polynomial,
     PolyFunctionSet,
-    _coset_growth,
     function_count,
     poly_add,
     poly_mul,
@@ -53,7 +52,7 @@ from finring.theorems import (
     verify_subring_char_function,
 )
 
-from conftest import brute_force_function_tables, refuse_coset_growth, upper_triangular_f2
+from conftest import brute_force_function_tables, coset_growth, upper_triangular_f2
 
 
 # --- L1.1 ------------------------------------------------------------------
@@ -471,8 +470,7 @@ def test_classify_verification_mode(z4):
     assert not v.holds
 
 
-def test_classify_decided_without_function_set(monkeypatch):
-    refuse_coset_growth(monkeypatch)
+def test_classify_decided_without_function_set(refuse_index):
     v = classify_char_function_existence(make_zn(12))
     assert v.status == "pass" and v.witness == {"idempotent": 4}
 
@@ -536,7 +534,7 @@ def test_failed_side_witnesses_recheck(z4, z6, catalog9):
 def _oracle_tables(ring) -> list[tuple[int, ...]]:
     tables = list(brute_force_function_tables(ring)) if ring.order <= 6 else []
     if function_count(ring) <= 1 << 20:
-        tables += map(tuple, _coset_growth(ring).tables.tolist())
+        tables += map(tuple, coset_growth(ring).tables.tolist())
     return tables
 
 
@@ -613,7 +611,6 @@ def test_lift_data_invariants(z9):
     assert data.exponent % inv.unit_group_exponent == 0
 
 
-def test_char_functions_decided_without_function_set(monkeypatch):
-    refuse_coset_growth(monkeypatch)
+def test_char_functions_decided_without_function_set(refuse_index):
     v = check_char_functions_iff_field(make_zn(12))
     assert v.status == "pass" and v.witness == {"subset": [0], "non_unit": 2}
