@@ -303,6 +303,9 @@ def standard_catalog(max_order: int) -> list[tuple[str, FiniteRing]]:
 
     Includes all Z/n, the fields GF(4)/GF(8)/GF(9), a handful of quotient
     and product rings, and the two non-unital zero-multiplication rings.
+    GF(4) is built from GF_MODULI's x^2 + x + 1, so it is the same ring as
+    Z/2[x]/(x^2+x+1) and every sweep checks it twice; the duplicate stays
+    only because the benchmark pins the row count of a sweep.
     """
     if not 2 <= max_order <= 32:
         raise ValueError("max_order must be between 2 and 32")

@@ -2,8 +2,8 @@
 
 Exit codes: 0 pass/vacuous, 1 a check found a violation, 2 usage or I/O
 error, 4 internal error (a computed result broke an invariant the
-mathematics guarantees).  Every check is decided, so no verdict is
-``unknown``; the sweep summary keeps its ``unknown`` count, always 0.
+mathematics guarantees).  Every check is decided at every order, so a
+verdict is pass, fail or vacuous (a hypothesis failed).
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 4
+
+# Accepted so that older command lines parse; no answer has a cap or a skip any more.
+IGNORED_FLAGS = ("--cap-functions", "--max-bijection-order")
 
 
 def _witness_json(value):
@@ -82,12 +85,6 @@ def _invariants_json(ring: FiniteRing) -> dict:
         "is_local": inv.is_local,
         "residue_field_order": inv.residue_field_order,
     }
-
-
-def _check_options(args, **extra) -> CheckOptions:
-    """CheckOptions from the flags every subcommand shares, plus the given ones."""
-    return CheckOptions(max_bijection_order=args.max_bijection_order,
-                        max_subset_order=args.max_subset_order, **extra)
 
 
 def _status_exit(verdicts: list[Verdict]) -> int:
@@ -138,7 +135,7 @@ def cmd_check(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     ring = realize(parse_ring_spec(args.spec))
-    opts = _check_options(args, poly=args.poly, subset=args.subset, s_max=args.s_max)
+    opts = CheckOptions(poly=args.poly, subset=args.subset, s_max=args.s_max)
     check = CHECKS[args.result_id]
     if check.applies(ring):
         start = time.perf_counter()
@@ -166,8 +163,8 @@ def cmd_check(args) -> int:
     return _status_exit([verdict])
 
 
-def _sweep_rows(max_order: int, opts: CheckOptions):
-    rows = []
+def _sweep_rows(max_order: int):
+    rows, opts = [], CheckOptions()
     for name, ring in standard_catalog(max_order):
         for result_id, check in CHECKS.items():
             if not check.applies(ring):
@@ -181,8 +178,8 @@ def _sweep_rows(max_order: int, opts: CheckOptions):
 
 
 def cmd_sweep(args) -> int:
-    rows = _sweep_rows(args.max_order, _check_options(args))
-    counts = {"pass": 0, "fail": 0, "vacuous": 0, "unknown": 0}
+    rows = _sweep_rows(args.max_order)
+    counts = {"pass": 0, "fail": 0, "vacuous": 0}
     for _, _, verdict, _ in rows:
         counts[verdict.status] += 1
     json_rows = [
@@ -214,8 +211,7 @@ def cmd_sweep(args) -> int:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"sweep over catalog(max_order={args.max_order}): {len(json_rows)} rows -> {args.out}")
-    print(f"pass={counts['pass']} fail={counts['fail']} "
-          f"vacuous={counts['vacuous']} unknown={counts['unknown']}")
+    print(f"pass={counts['pass']} fail={counts['fail']} vacuous={counts['vacuous']}")
     return _status_exit([row[2] for row in rows])
 
 
@@ -229,14 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--cap-functions", type=int,
-                       help="ignored: every answer is exact and no cap applies; still "
-                            "accepted so that older command lines parse")
-        p.add_argument("--max-bijection-order", type=int, default=6,
-                       help="largest ring order for which bijection sweeps run")
-        p.add_argument("--max-subset-order", type=int, default=16,
-                       help="largest ring order (at most 32) for which R2.8 sweeps every "
-                            "0/1-valued polynomial function")
+        for flag in IGNORED_FLAGS:
+            p.add_argument(flag, type=int, help="ignored: every answer is exact; still "
+                                                "accepted so that older command lines parse")
 
     p_report = sub.add_parser("report", help="print a ring's invariants")
     p_report.add_argument("spec", help='ring spec, e.g. "Z/4" or "Z/2[x]/(x^3)"')

@@ -51,6 +51,7 @@ __all__ = [
     "FunctionTable",
     "PolyFunctionSet",
     "INDEX_LIMIT",
+    "SUPPORT_LIMIT",
     "poly_from",
     "poly_const",
     "poly_x",
@@ -72,6 +73,7 @@ __all__ = [
 ]
 
 INDEX_LIMIT = 1 << 16  # sets of at most this many tables are enumerated into an index
+SUPPORT_LIMIT = 32  # indicator supports are enumerated on rings of at most this order
 
 
 @dataclass(frozen=True)
@@ -443,7 +445,7 @@ class PolyFunctionSet:
     def indicator_supports(self) -> list[int]:
         """Every subset whose indicator (the unity on it, 0 elsewhere) is
         induced, the two constants included, as bit masks in increasing
-        order; refuses rings of order above 32 before any work.
+        order; refuses rings of order above ``SUPPORT_LIMIT`` before any work.
 
         An indicator's syndrome is the sum of the syndromes of the unity at
         each of its points, so the subsets of the lower and of the upper half
@@ -454,8 +456,8 @@ class PolyFunctionSet:
         if ring.unity is None:
             raise UnsupportedStructureError("indicator tables need 0 and 1 as values")
         n = ring.order
-        if n > 32:
-            raise ValueError(f"indicator supports are enumerated only up to order 32, not {n}")
+        if n > SUPPORT_LIMIT:
+            raise ValueError(f"indicator supports are enumerated up to order {SUPPORT_LIMIT}, not {n}")
         parts, moduli = self._lattice_basis()[:2]
         kept = moduli > 1  # a pivot of valuation 0 constrains nothing
         moduli = moduli[kept].astype(np.uint8)  # p^v <= n: sums of two stay below 2^8

@@ -3,16 +3,17 @@
 Every check returns a :class:`Verdict` whose ``holds`` flag reports whether
 the claimed equivalence or bound was confirmed, with a witness payload that
 can be re-verified independently (a polynomial to re-evaluate, an element
-pair to re-check, a bound with its ingredients).  Every check is decided;
-``vacuous=True`` means a hypothesis or precondition failed, so there was
-nothing to refute.
+pair to re-check, a bound with its ingredients).  Every check is decided at
+every order; ``vacuous=True`` only ever means that a hypothesis or
+precondition failed, so there was nothing to refute.
 
 Check codes:
 
 ====== =====================================================================
 L1.1   reachability of every nonzero target from every nonzero point by
        zero-constant polynomials, equivalent to being a field
-P1.2   every bijection induced by a polynomial, equivalent to being a field
+P1.2   every bijection induced by a polynomial, equivalent to being a field;
+       a swap moving F(c) - F(0) out of a proper left ideal Rc is not induced
 P1.3   every subset indicator induced by a polynomial (unital rings),
        equivalent to being a field; a non-field's least nonzero non-unit
        certifies that the indicator of {0} is not induced
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, filterfalse, permutations
+from itertools import filterfalse
 from typing import Any, Callable
 
 from .catalog import RingSpecError, parse_poly_text
@@ -62,6 +63,7 @@ from .core import (
     residue_field,
 )
 from .polyfun import (
+    SUPPORT_LIMIT,
     Polynomial,
     char_poly_for_subset,
     function_count,
@@ -260,31 +262,35 @@ def check_reachability_iff_field(ring: FiniteRing) -> Verdict:
     )
 
 
-def check_bijections_iff_field(ring: FiniteRing, max_order: int = 6) -> Verdict:
+def check_bijections_iff_field(ring: FiniteRing) -> Verdict:
     """P1.2: every bijection is induced by a polynomial iff the ring is a field.
 
-    A set of n^n tables holds every bijection at once.  Otherwise all order!
-    bijections are tried, transpositions first so a failing witness is a
-    swap whenever one exists.  Membership is read with ``contains``, so no
-    witness is built and the answer is exact on every ring.
+    Any polynomial F has F(c) - F(0) = sum_k (a_k c^(k-1)) * c, the k = 1
+    term being a_1 * c, so F(c) - F(0) lies in the left ideal Rc.  Only left
+    coefficients enter, so this holds on noncommutative and non-unital rings
+    too.  Let c be the least nonzero element with Rc != R and y the least
+    element outside Rc: the swap of c and y, or of 0 and c when y = c, moves
+    F(c) - F(0) out of Rc, so no polynomial induces it.  Without such a c no
+    product of nonzero elements is 0, so the ring is a finite division ring,
+    hence a field (Wedderburn), and a set of n^n tables holds every bijection.
     """
-    if ring.order > max_order:
-        return Verdict(
-            "P1.2", True, vacuous=True,
-            details=f"skipped-with-note: order {ring.order} exceeds bijection cap {max_order}",
-        )
     inv = analyze(ring)
     n = ring.order
-    swaps = (tuple(j if x == i else i if x == j else x for x in range(n))
-             for i, j in combinations(range(n), 2))
-    pset = polynomial_function_set(ring)
-    missing = None if pset.count == n ** n else \
-        next((b for b in chain(swaps, permutations(range(n))) if not pset.contains(b)), None)
-    all_bijections = missing is None
-    holds = all_bijections == inv.is_field
-    witness = None if all_bijections else {"bijection": list(missing)}
-    side = "every bijection is polynomial" if all_bijections else \
-        f"bijection {list(missing)} is not polynomial"
+    ideals = ((x, {row[x] for row in ring.mul_table}) for x in range(1, n))
+    c, ideal = next(((x, rx) for x, rx in ideals if len(rx) < n), (None, None))
+    witness = None
+    if c is None:
+        if function_count(ring) != n ** n:
+            raise InternalInvariantError(
+                f"Rc = R for every nonzero c, but {ring.label} does not induce all {n}^{n} tables")
+        side = "every bijection is polynomial"
+    else:
+        y = next(x for x in range(n) if x not in ideal)
+        a, b = (c, y) if y != c else (0, c)
+        swap = [b if x == a else a if x == b else x for x in range(n)]
+        witness = {"bijection": swap, "point": c}
+        side = f"bijection {swap} is not polynomial: it moves F({c}) - F(0) out of R*{c}"
+    holds = (witness is None) == inv.is_field
     return Verdict("P1.2", holds, witness=witness, details=f"{side}; is_field={inv.is_field}")
 
 
@@ -790,15 +796,14 @@ def classify_char_function_existence(ring: FiniteRing,
     return Verdict("P2.7", True, witness=witness, details=f"{side}; is_local={is_local}")
 
 
-def check_char_support_cosets(ring: FiniteRing, subset=None,
-                              sweep_limit: int = 16) -> Verdict:
+def check_char_support_cosets(ring: FiniteRing, subset=None) -> Verdict:
     """R2.8: the support of a polynomial indicator function on a local ring
     is a union of cosets of the maximal ideal.
 
-    Checks the given subset (default: the units) and, when the order is
-    within ``sweep_limit``, every subset whose indicator is induced.  On a
-    commutative ring the units' indicator is x^N (P2.7's witness), and any
-    other subset takes its witness from ``char_poly_for_subset``.
+    Checks the given subset (default: the units) and, when the order is at
+    most ``SUPPORT_LIMIT`` (32), every subset whose indicator is induced.
+    On a commutative ring the units' indicator is x^N (P2.7's witness), and
+    any other subset takes its witness from ``char_poly_for_subset``.
     The sweep matches syndromes of half-subsets (``indicator_supports``) and
     builds no row; the swept count leaves out the two constants.
     """
@@ -827,7 +832,7 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
             )
 
     swept = 0
-    if ring.order <= sweep_limit:
+    if ring.order <= SUPPORT_LIMIT:
         if inv.is_field:
             # Cosets are singletons, so every support is trivially a union.
             swept = -1
@@ -856,8 +861,6 @@ def check_char_support_cosets(ring: FiniteRing, subset=None,
 class CheckOptions:
     """Inputs a registry runner passes on to its check, as the CLI spells them."""
 
-    max_bijection_order: int = 6
-    max_subset_order: int = 16
     poly: str | None = None
     subset: str | None = None
     s_max: int = 3
@@ -896,8 +899,7 @@ def _subset_ids(opts: CheckOptions) -> list[int] | None:
 # attribute (e.g. a tracing wrapper) is what runs.
 CHECKS: dict[str, Check] = {
     "L1.1": Check("any", lambda ring, o: check_reachability_iff_field(ring)),
-    "P1.2": Check("any", lambda ring, o: check_bijections_iff_field(
-        ring, max_order=o.max_bijection_order)),
+    "P1.2": Check("any", lambda ring, o: check_bijections_iff_field(ring)),
     "P1.3": Check("unital", lambda ring, o: check_char_functions_iff_field(ring)),
     "P2.1": Check("comm-unital", lambda ring, o: verify_subring_char_function(
         identity_embedding(ring), _poly_or_x(o, ring))),
@@ -914,7 +916,7 @@ CHECKS: dict[str, Check] = {
     "P2.7": Check("comm-unital", lambda ring, o: classify_char_function_existence(
         ring, witness_poly=_poly_arg(o, ring))),
     "R2.8": Check("local-unital", lambda ring, o: check_char_support_cosets(
-        ring, subset=_subset_ids(o), sweep_limit=o.max_subset_order)),
+        ring, subset=_subset_ids(o))),
 }
 
 RESULT_IDS = tuple(CHECKS)

@@ -19,10 +19,13 @@ from itertools import count, product
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from finring import (
     interpolate_field,
     local_decomposition,
+    make_product,
+    make_quotient,
     make_table_ring,
     make_zn,
     parse_ring_spec,
@@ -133,6 +136,59 @@ def upper_triangular_f2():
             row.append((a * a2) | ((a * b2 + b * d2) & 1) << 1 | (d * d2) << 2)
         mul.append(row)
     return make_table_ring(add, mul, "T2(F2)")
+
+
+def m2f2():
+    """M2(F2): [[a, b], [c, d]] over F2 is element a + 2b + 4c + 8d.  It is
+    simple, so RcR = R for every c != 0, but a left ideal Rc of a rank-one c
+    is proper."""
+    def split(e):
+        return e & 1, e >> 1 & 1, e >> 2 & 1, e >> 3
+
+    add = [[x ^ y for y in range(16)] for x in range(16)]
+    mul = []
+    for x in range(16):
+        a, b, c, d = split(x)
+        row = []
+        for y in range(16):
+            a2, b2, c2, d2 = split(y)
+            row.append((a * a2 + b * c2) % 2 | (a * b2 + b * d2) % 2 << 1
+                       | (c * a2 + d * c2) % 2 << 2 | (c * b2 + d * d2) % 2 << 3)
+        mul.append(row)
+    return make_table_ring(add, mul, "M2(F2)")
+
+
+def row_matrices_f2():
+    """[[a, b], [0, 0]] over F2 as element a + 2b: noncommutative, non-unital,
+    of order 4, since (a, b)(a', b') = (a*a', a*b')."""
+    mul = [[(x & y & 1) | (x & 1) * (y >> 1) << 1 for y in range(4)] for x in range(4)]
+    return make_table_ring([[x ^ y for y in range(4)] for x in range(4)], mul, "row-matrices-F2")
+
+
+def relabelled(ring, nonzero_labels):
+    """An isomorphic copy whose element x != 0 is nonzero_labels[x - 1], so
+    that the basis search meets the elements in another order."""
+    new = [0, *nonzero_labels]
+    old = sorted(range(ring.order), key=new.__getitem__)
+    relabel = lambda table: [[new[table[old[a]][old[b]]] for b in range(ring.order)]
+                             for a in range(ring.order)]
+    return make_table_ring(relabel(ring.add_table), relabel(ring.mul_table), ring.label)
+
+
+_LOCAL_BASES = {2: 4, 3: 2, 4: 2, 5: 1, 7: 1, 8: 1, 9: 1, 11: 1, 13: 1, 16: 1, 17: 1, 19: 1}
+
+
+@st.composite
+def small_rings(draw):
+    """Z/m[x]/(monic) for a prime power m, times Z/2..Z/4 or not; order <= 20."""
+    m = draw(st.sampled_from(sorted(_LOCAL_BASES)))
+    degree = draw(st.integers(1, _LOCAL_BASES[m]))
+    lower = draw(st.lists(st.integers(0, m - 1), min_size=degree, max_size=degree))
+    ring = make_quotient(make_zn(m), lower + [1])
+    other = draw(st.sampled_from([None, 2, 3, 4]))
+    if other is not None and ring.order * other <= 20:
+        ring = make_product(ring, make_zn(other))
+    return relabelled(ring, draw(st.permutations(range(1, ring.order))))
 
 
 class Closure:
@@ -250,11 +306,6 @@ def gf8():
 @pytest.fixture(scope="session")
 def catalog4():
     return standard_catalog(4)
-
-
-@pytest.fixture(scope="session")
-def catalog6():
-    return standard_catalog(6)
 
 
 @pytest.fixture(scope="session")

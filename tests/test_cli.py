@@ -73,14 +73,24 @@ def test_check_witness_feeds_back(capsys):
     assert doc2["verdict"]["status"] == "pass"
 
 
-def test_check_skip_note_for_big_bijection_sweep(capsys):
+def test_check_p12_decides_every_order_and_ignores_the_old_flag(capsys):
+    # P1.2 is decided at every order; --max-bijection-order is parsed and
+    # ignored, and --max-subset-order is refused.
     code, doc = run_json(capsys, "check", "GF(8)", "P1.2")
     assert code == 0
-    assert doc["verdict"]["status"] == "vacuous"
-    assert "skipped" in doc["verdict"]["details"]
-    code, doc = run_json(capsys, "check", "GF(8)", "P1.2", "--max-bijection-order", "8")
+    assert doc["verdict"]["status"] == "pass" and doc["verdict"]["witness"] is None
+    for argv in (["Z/7", "P1.2", "--max-bijection-order", "7"],
+                 ["Z/7", "P1.2", "--max-bijection-order", "2"]):
+        code, doc = run_json(capsys, "check", *argv)
+        assert code == 0
+        assert doc["verdict"]["status"] == "pass" and doc["verdict"]["witness"] is None
+    code, doc = run_json(capsys, "check", "Z/9", "P1.2", "--max-bijection-order", "2")
     assert code == 0
-    assert doc["verdict"]["status"] == "pass"
+    assert doc["verdict"]["witness"] == {"bijection": [0, 3, 2, 1, 4, 5, 6, 7, 8], "point": 3}
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "Z/8", "R2.8", "--max-subset-order", "8"])
+    assert exc.value.code == 2
+    assert "--max-subset-order" in capsys.readouterr().err
 
 
 def test_check_capped_is_inconclusive(capsys):
@@ -216,8 +226,7 @@ def test_sweep_reproduces_the_golden_file(tmp_path):
     assert main(["sweep", "--max-order", "16", "--format", "json", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     golden = json.loads(GOLDEN_SWEEP.read_text())
-    assert doc["summary"] == golden["summary"] == {"pass": 269, "fail": 0, "vacuous": 43,
-                                                    "unknown": 0}
+    assert doc["summary"] == golden["summary"] == {"pass": 286, "fail": 0, "vacuous": 26}
     rows = [{k: v for k, v in row.items() if k != "ms"} for row in doc["rows"]]
     assert len(rows) == len(golden["rows"]) == 312
     assert rows == golden["rows"]
@@ -239,14 +248,18 @@ def test_char_checks_match_the_golden_file_without_function_sets(refuse_index):
 
 
 def test_sweep_covers_the_whole_catalog_at_the_default_cap(refuse_index, tmp_path):
-    # P1.2 and R2.8's sweep read the lattice syndrome, P1.3 and P2.7 argue
-    # from the ring's elements and R2.8's default subset (the units) is
-    # induced by x^N, so no check enumerates a table.
+    # P1.2, P1.3 and P2.7 argue from the ring's elements, R2.8's default
+    # subset (the units) is induced by x^N and its sweep reads the lattice
+    # syndrome, so no check enumerates a table.  Only P2.1's hypothesis fails.
     out = tmp_path / "sweep32.json"
     assert main(["sweep", "--max-order", "32", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
+    jsonschema.validate(doc, SCHEMA)
     assert len(doc["rows"]) == 480
-    assert doc["summary"] == {"pass": 405, "fail": 0, "vacuous": 75, "unknown": 0}
+    assert doc["summary"] == {"pass": 438, "fail": 0, "vacuous": 42}
+    assert {row["check"] for row in doc["rows"] if row["status"] == "vacuous"} == {"P2.1"}
+    swept = [row["witness"]["swept"] for row in doc["rows"] if row["check"] == "R2.8"]
+    assert len(swept) == 26 and 0 not in swept
 
 
 @pytest.mark.parametrize("spec", ["Z/4[x]/(x^2+x+1)", "Z/2[x]/(x^4+x^2+1)", "Z/4[x]/(x^2+3x+3)"])

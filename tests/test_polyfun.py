@@ -18,9 +18,6 @@ from finring import (
     interpolate_field,
     is_polynomial_function,
     local_decomposition,
-    make_product,
-    make_quotient,
-    make_table_ring,
     make_zero_mul_ring,
     make_zn,
     parse_ring_spec,
@@ -49,10 +46,13 @@ from conftest import (
     coset_growth,
     crt_interpolate,
     lagrange_interpolate,
+    relabelled,
+    row_matrices_f2,
     schoolbook_eval,
     schoolbook_mul,
     schoolbook_pow,
     set_index_limit,
+    small_rings,
     upper_triangular_f2,
 )
 
@@ -618,23 +618,6 @@ def _spec_ring(spec):
     return upper_triangular_f2() if spec == "T2(F2)" else realize(parse_ring_spec(spec))
 
 
-def _row_matrices_f2():
-    """[[a, b], [0, 0]] over F2 as element a + 2b: noncommutative, non-unital,
-    of order 4, since (a, b)(a', b') = (a*a', a*b')."""
-    mul = [[(x & y & 1) | (x & 1) * (y >> 1) << 1 for y in range(4)] for x in range(4)]
-    return make_table_ring([[x ^ y for y in range(4)] for x in range(4)], mul, "row-matrices-F2")
-
-
-def _relabelled(ring, nonzero_labels):
-    """An isomorphic copy whose element x != 0 is nonzero_labels[x - 1], so
-    that the basis search meets the elements in another order."""
-    new = [0, *nonzero_labels]
-    old = sorted(range(ring.order), key=new.__getitem__)
-    relabel = lambda table: [[new[table[old[a]][old[b]]] for b in range(ring.order)]
-                             for a in range(ring.order)]
-    return make_table_ring(relabel(ring.add_table), relabel(ring.mul_table), ring.label)
-
-
 def _non_reduced_catalog(max_order):
     # Rings with a nonzero nilpotent, or not commutative and unital: these
     # are the ones the lattice counts (products of fields have a closed form).
@@ -657,36 +640,20 @@ def test_function_count_ignores_element_labels(spec):
     count = function_count(ring)
     for labels in (range(ring.order - 1, 0, -1),
                    random.Random(0).sample(range(1, ring.order), ring.order - 1)):
-        copy = _relabelled(ring, list(labels))
+        copy = relabelled(ring, list(labels))
         assert function_count(copy) == count == coset_growth(copy).count
 
 
 def test_function_count_equals_brute_force_on_small_rings():
     rings = [ring for _, ring in standard_catalog(6)]
-    rings += [make_zero_mul_ring(2), make_zero_mul_ring(4), _row_matrices_f2()]
+    rings += [make_zero_mul_ring(2), make_zero_mul_ring(4), row_matrices_f2()]
     assert not analyze(rings[-1]).is_commutative and rings[-1].unity is None
     for ring in rings:
         assert function_count(ring) == len(brute_force_function_tables(ring)), ring.label
 
 
-_LOCAL_BASES = {2: 4, 3: 2, 4: 2, 5: 1, 7: 1, 8: 1, 9: 1, 11: 1, 13: 1, 16: 1, 17: 1, 19: 1}
-
-
-@st.composite
-def _small_rings(draw):
-    """Z/m[x]/(monic) for a prime power m, times Z/2..Z/4 or not; order <= 20."""
-    m = draw(st.sampled_from(sorted(_LOCAL_BASES)))
-    degree = draw(st.integers(1, _LOCAL_BASES[m]))
-    lower = draw(st.lists(st.integers(0, m - 1), min_size=degree, max_size=degree))
-    ring = make_quotient(make_zn(m), lower + [1])
-    other = draw(st.sampled_from([None, 2, 3, 4]))
-    if other is not None and ring.order * other <= 20:
-        ring = make_product(ring, make_zn(other))
-    return _relabelled(ring, draw(st.permutations(range(1, ring.order))))
-
-
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(ring=_small_rings())
+@given(ring=small_rings())
 def test_function_count_equals_coset_growth_on_random_rings(ring):
     # Products of fields have a closed form, not the lattice.  Five of these
     # rings have 2^24 functions, too many to grow here; the square-zero test
@@ -768,7 +735,7 @@ def test_syndrome_membership_matches_coset_growth(refuse_index, spec):
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(ring=_small_rings(), seed=st.integers(0, 2 ** 16))
+@given(ring=small_rings(), seed=st.integers(0, 2 ** 16))
 def test_syndrome_membership_matches_coset_growth_on_random_rings(ring, seed):
     assume(analyze(ring).nilpotents.size > 1)
     assume(function_count(ring) <= 1 << 16)
@@ -791,7 +758,7 @@ def test_lookup_matches_coset_growth(request, monkeypatch, spec, path):
 
 @pytest.mark.parametrize("path", ["index", "solve"])
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(ring=_small_rings(), seed=st.integers(0, 2 ** 16))
+@given(ring=small_rings(), seed=st.integers(0, 2 ** 16))
 def test_lookup_matches_coset_growth_on_random_rings(path, ring, seed):
     assume(analyze(ring).nilpotents.size > 1)
     assume(function_count(ring) <= 1 << 16)

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,10 @@ def _rings():
             make_zero_mul_ring(2), upper_triangular_f2()]
 
 
+def test_check_options_are_the_three_cli_inputs():
+    assert [f.name for f in fields(CheckOptions)] == ["poly", "subset", "s_max"]
+
+
 def test_result_ids_come_from_the_registry():
     assert RESULT_IDS == tuple(CHECKS)
     assert len(RESULT_IDS) == 13
@@ -47,7 +52,7 @@ def test_runners_look_checks_up_at_call_time(monkeypatch, z4):
 
 @pytest.mark.parametrize("ring", _rings(), ids=lambda r: r.label)
 def test_applies_exactly_when_the_check_accepts_the_ring(ring):
-    opts = CheckOptions(max_subset_order=8)
+    opts = CheckOptions()
     for result_id, check in CHECKS.items():
         if check.applies(ring):
             verdict = check.run(ring, opts)
@@ -79,8 +84,9 @@ def test_noncommutative_dispatch_on_t2f2():
     assert l11.witness == {"from": 1, "target": 2}
 
     p12 = verdicts["P1.2"]
-    assert p12.status == "vacuous"
-    assert p12.details.startswith("skipped-with-note: order 8")
+    assert p12.status == "pass"
+    # R*E11 = {0, E11}, so swapping E11 and E12 moves F(E11) - F(0) out of it
+    assert p12.witness == {"bijection": [0, 2, 1, 3, 4, 5, 6, 7], "point": 1}
 
     p13 = verdicts["P1.3"]
     assert p13.status == "pass"

@@ -3,6 +3,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from finring import (
     SubsetMask,
@@ -16,11 +17,13 @@ from finring import (
     parse_ring_spec,
     poly_from,
     poly_x,
+    polynomial_function_set,
     power_stabilization,
     realize,
     residue_field,
     standard_catalog,
 )
+from finring import polyfun
 from finring.polyfun import (
     Polynomial,
     PolyFunctionSet,
@@ -52,7 +55,14 @@ from finring.theorems import (
     verify_subring_char_function,
 )
 
-from conftest import brute_force_function_tables, coset_growth, upper_triangular_f2
+from conftest import (
+    brute_force_function_tables,
+    coset_growth,
+    m2f2,
+    row_matrices_f2,
+    small_rings,
+    upper_triangular_f2,
+)
 
 
 # --- L1.1 ------------------------------------------------------------------
@@ -88,6 +98,8 @@ def test_bijections_z4_prefers_transposition(z4):
     bij = v.witness["bijection"]
     assert sorted(bij) == [0, 1, 2, 3]
     assert sum(1 for i, x in enumerate(bij) if x != i) == 2
+    # R*2 = {0, 2}: swapping 2 and 1 makes F(2) - F(0) = 1
+    assert v.witness == {"bijection": [0, 2, 1, 3], "point": 2}
 
 
 def test_bijections_zero_ring():
@@ -96,12 +108,15 @@ def test_bijections_zero_ring():
     assert v.witness is not None
 
 
-def test_bijections_skip_note(gf8):
-    v = check_bijections_iff_field(gf8, max_order=6)
-    assert v.holds and v.vacuous
-    assert "skipped" in v.details
-    v = check_bijections_iff_field(gf8, max_order=8)
-    assert v.holds and not v.vacuous
+def test_bijections_decided_above_the_old_skip_order(gf8):
+    # P1.2 is decided at every order, on fields and on non-fields.
+    v = check_bijections_iff_field(gf8)
+    assert v.status == "pass" and v.witness is None
+    v = check_bijections_iff_field(make_zn(32))
+    assert v.status == "pass" and v.witness == {"bijection": [0, 2, 1] + list(range(3, 32)),
+                                                "point": 2}
+    with pytest.raises(TypeError):
+        check_bijections_iff_field(gf8, max_order=8)
 
 
 # --- P1.3 ------------------------------------------------------------------
@@ -126,7 +141,7 @@ def test_field_sweeps_never_interpolate(monkeypatch, gf8):
         raise AssertionError("membership sweeps must not build witnesses")
 
     monkeypatch.setattr("finring.polyfun._interpolant", refuse)
-    for v in (check_bijections_iff_field(gf8, max_order=8), check_char_functions_iff_field(make_zn(13))):
+    for v in (check_bijections_iff_field(gf8), check_char_functions_iff_field(make_zn(13))):
         assert v.holds is True and not v.vacuous
         assert v.witness is None
 
@@ -137,7 +152,7 @@ def test_sets_of_every_table_answer_without_membership(monkeypatch):
 
     monkeypatch.setattr(PolyFunctionSet, "contains", refuse)
     gf9 = realize(parse_ring_spec("GF(9)"))
-    for v in (check_bijections_iff_field(make_zn(7), max_order=7),
+    for v in (check_bijections_iff_field(make_zn(7)),
               check_char_functions_iff_field(make_zn(13)),
               check_char_functions_iff_field(gf9)):
         assert v.holds is True and not v.vacuous
@@ -576,6 +591,80 @@ def test_non_field_non_unit_certificate(spec):
     assert c != 0 and all(ring.mul(r, c) != minus_one for r in range(ring.order))
     indicator = (ring.unity,) + (0,) * (ring.order - 1)
     assert indicator not in _oracle_tables(ring)
+
+
+# P1.2's certificate: F(c) - F(0) lies in the left ideal Rc for every
+# polynomial F, so a swap that moves it out of Rc is not induced.  Checked on
+# the catalog, on noncommutative, non-unital and zero rings, and on larger
+# fields and non-fields; a table's absence is confirmed by coset growth up to
+# 2^18 functions and by the lattice syndrome above.
+
+_TABLE_RINGS = {"T2(F2)": upper_triangular_f2, "M2(F2)": m2f2,
+                "row-matrices-F2": row_matrices_f2}
+_BIJECTION_SPECS = [name for name, _ in standard_catalog(32)] + list(_TABLE_RINGS) + [
+    "zero-ring-3", "zero-ring-8", "Z/8 x Z/2", "Z/2[x]/(x^4)", "Z/4[x]/(x^2+x+1)",
+    "GF(16)", "GF(25)", "GF(27)", "Z/9[x]/(x^2+1)", "Z/49", "Z/64"]
+
+
+def _bijection_ring(spec):
+    return _TABLE_RINGS[spec]() if spec in _TABLE_RINGS else realize(parse_ring_spec(spec))
+
+
+def _assert_bijection_certificate(ring):
+    v = check_bijections_iff_field(ring)
+    n = ring.order
+    assert v.status == "pass"
+    if analyze(ring).is_field:
+        assert v.witness is None and function_count(ring) == n ** n
+        return
+    swap, c = v.witness["bijection"], v.witness["point"]
+    moved = [x for x in range(n) if swap[x] != x]
+    assert sorted(swap) == list(range(n)) and len(moved) == 2 and c in moved and c != 0
+    moved_by = ring.sub(swap[c], swap[0])
+    assert all(ring.mul(r, c) != moved_by for r in range(n))
+    if function_count(ring) <= 1 << 18:
+        assert not coset_growth(ring).contains(swap)
+    else:
+        assert not polynomial_function_set(ring).contains(swap)
+
+
+@pytest.mark.parametrize("spec", _BIJECTION_SPECS)
+def test_bijection_certificate(spec):
+    _assert_bijection_certificate(_bijection_ring(spec))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ring=small_rings())
+def test_bijection_certificate_on_random_rings(ring):
+    _assert_bijection_certificate(ring)
+
+
+def test_bijection_certificate_on_m2f2_needs_the_left_ideal():
+    # M2(F2) is simple: the two-sided ideal of every c != 0 is the whole ring,
+    # so only the left ideal R*E11 = {0, E11, E21, E11 + E21} certifies.
+    ring = m2f2()
+    for c in range(1, 16):
+        span = {0}  # the additive span of RcR; every element has order 2
+        for g in {ring.mul(ring.mul(r, c), s) for r in range(16) for s in range(16)}:
+            span |= {ring.add(x, g) for x in span}
+        assert len(span) == 16
+    v = check_bijections_iff_field(ring)
+    assert v.witness == {"bijection": [0, 2, 1] + list(range(3, 16)), "point": 1}
+
+
+def test_bijections_build_no_function_set_on_a_non_field(monkeypatch):
+    def refuse(ring):
+        raise AssertionError(f"function set of {ring.label} built")
+
+    monkeypatch.setattr(polyfun, "_function_set", refuse)
+    checked = 0
+    for spec in _BIJECTION_SPECS:
+        ring = _bijection_ring(spec)
+        if not analyze(ring).is_field:
+            v = check_bijections_iff_field(ring)
+            assert v.status == "pass" and v.witness is not None, spec
+            checked += 1
+    assert checked == 41
 
 
 def test_binomial_exponent_valuation_invariant():
