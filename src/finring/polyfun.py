@@ -31,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, product
+from itertools import count
 from typing import Iterable
 
 import numpy as np
@@ -51,7 +51,6 @@ __all__ = [
     "FunctionTable",
     "PolyFunctionSet",
     "INDEX_LIMIT",
-    "SUPPORT_LIMIT",
     "poly_from",
     "poly_const",
     "poly_x",
@@ -73,7 +72,6 @@ __all__ = [
 ]
 
 INDEX_LIMIT = 1 << 16  # sets of at most this many tables are enumerated into an index
-SUPPORT_LIMIT = 32  # indicator supports are enumerated on rings of at most this order
 
 
 @dataclass(frozen=True)
@@ -442,62 +440,9 @@ class PolyFunctionSet:
                                              f"{len(self._index)} tables, not {self.count}")
         return self._index
 
-    def indicator_supports(self) -> list[int]:
-        """Every subset whose indicator (the unity on it, 0 elsewhere) is
-        induced, the two constants included, as bit masks in increasing
-        order; refuses rings of order above ``SUPPORT_LIMIT`` before any work.
-
-        An indicator's syndrome is the sum of the syndromes of the unity at
-        each of its points, so the subsets of the lower and of the upper half
-        of R are summed apart (2 * 2^(n/2) sums, not 2^n) and matched on
-        syndromes that cancel.
-        """
-        ring = self.ring
-        if ring.unity is None:
-            raise UnsupportedStructureError("indicator tables need 0 and 1 as values")
-        n = ring.order
-        if n > SUPPORT_LIMIT:
-            raise ValueError(f"indicator supports are enumerated up to order {SUPPORT_LIMIT}, not {n}")
-        parts, moduli = self._lattice_basis()[:2]
-        kept = moduli > 1  # a pivot of valuation 0 constrains nothing
-        moduli = moduli[kept].astype(np.uint8)  # p^v <= n: sums of two stay below 2^8
-        ones = parts[:, ring.unity, kept].astype(np.uint8)
-        half = n // 2
-        sums = []  # row m of each: the syndrome of {x in the half : bit x of m set}
-        for points in (range(half), range(half, n)):
-            acc = np.zeros((1, len(moduli)), dtype=np.uint8)
-            for x in points:
-                acc = np.concatenate((acc, (acc + ones[x]) % moduli))
-            sums.append(acc)
-        upper = {}
-        for high, row in enumerate((moduli - sums[1]) % moduli):
-            upper.setdefault(row.tobytes(), []).append(high)
-        found = []
-        for low, row in enumerate(sums[0]):
-            for high in upper.get(row.tobytes(), ()):
-                found.append(low | high << half)
-        return sorted(found)
-
     def _induced(self, values: tuple[int, ...]) -> bool:
         """e*F(x) = e*F(e*x) for every idempotent e and every x."""
         return all(project[values[x]] == project[values[ex]] for project, x, ex in self._pairs)
-
-    def as_tuple_set(self, limit: int = 1 << 20) -> frozenset:
-        """Every table as a tuple; refuses sets of more than ``limit`` tables
-        before any work."""
-        if self.count > limit:
-            raise ValueError("function set too large to materialise")
-        if not self.idempotents:
-            return frozenset(map(tuple, self._enumerate()[0].tolist()))
-        # Every choice of g_e: eR -> eR, summed as x -> sum_e g_e(e*x).
-        n = self.ring.order
-        add = np.array(self.ring.add_table, dtype=np.intp)
-        rows = np.zeros((1, n), dtype=np.intp)
-        for e in self.idempotents:
-            ideal, position = np.unique(self.ring.mul_table[e], return_inverse=True)
-            g = np.array(list(product(ideal.tolist(), repeat=len(ideal))))[:, position]
-            rows = add[rows[:, None, :], g[None]].reshape(-1, n)
-        return frozenset(map(tuple, rows.tolist()))
 
 
 def _ring_sum(add: np.ndarray, terms) -> np.ndarray:

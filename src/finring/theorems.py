@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import filterfalse
 from typing import Any, Callable
 
 from .catalog import RingSpecError, parse_poly_text
@@ -63,7 +62,6 @@ from .core import (
     residue_field,
 )
 from .polyfun import (
-    SUPPORT_LIMIT,
     Polynomial,
     char_poly_for_subset,
     function_count,
@@ -798,59 +796,64 @@ def classify_char_function_existence(ring: FiniteRing,
 
 def check_char_support_cosets(ring: FiniteRing, subset=None) -> Verdict:
     """R2.8: the support of a polynomial indicator function on a local ring
-    is a union of cosets of the maximal ideal.
+    is a union of cosets of the maximal ideal J, the non-units.
 
-    Checks the given subset (default: the units) and, when the order is at
-    most ``SUPPORT_LIMIT`` (32), every subset whose indicator is induced.
-    On a commutative ring the units' indicator is x^N (P2.7's witness), and
-    any other subset takes its witness from ``char_poly_for_subset``.
-    The sweep matches syndromes of half-subsets (``indicator_supports``) and
-    builds no row; the swept count leaves out the two constants.
+    For any polynomial F and j in J, F(x + j) - F(x) lies in the two-sided
+    ideal that j generates, which is inside J: an indicator with F(x) = 1
+    and F(x + j) = 0 would put -1 in J.  So a subset (default: the units)
+    that is not a union of cosets has no polynomial, certified by
+    {"point": x, "shift": j} with x in it, j a non-unit and x + j outside
+    it; this holds on noncommutative rings too and needs no lookup.
+
+    ``swept`` counts the induced unions other than the two constants.  On
+    a commutative non-field, ``_lift_basis``'s raised[i] is the indicator
+    of alpha_i + J (P2.6's lift), so each of the q coset tables is checked
+    once and every union is induced by the sum of its raised[i]: 2^q - 2.
+    A field's cosets are points (``swept`` = -1, and ``char_poly_for_subset``
+    interpolates).  A noncommutative ring looks up its 2^q - 2 non-constant
+    unions; a non-field local ring has order q^l with l >= 2, so q <= sqrt(n).
     """
     inv = _require(ring, "local-unital")
     k, proj, _ = residue_field(ring)
-
-    def is_coset_union(bits: int) -> bool:
-        # membership is constant on each coset: one (coset, inside) pair per coset
-        return len({(proj[x], bits >> x & 1) for x in range(ring.order)}) == k.order
-
     subset = inv.units if subset is None else SubsetMask.of(ring, subset)
-    if inv.is_commutative and subset.bits == inv.units.bits:
-        wit = char_function_from_image(ring, poly_x(ring))
+    non_units = [j for j in range(ring.order) if j not in inv.units]
+    outside = next(((x, j) for x in subset.indices() for j in non_units
+                    if ring.add(x, j) not in subset), None)
+    raised = None
+    if inv.is_field:
+        swept = -1
+    elif inv.is_commutative:
+        raised = _lift_basis(ring)[4]
+        for i, w in enumerate(raised):
+            if _verify_char_polynomial(ring, w) != (True, [x for x, c in enumerate(proj) if c == i]):
+                raise InternalInvariantError(f"the lifted indicator of coset {i} of {ring.label} "
+                                             "has another support")
+        swept = 2 ** k.order - 2
     else:
-        wit = char_poly_for_subset(ring, subset)
-    subset_report: dict[str, Any] = {"subset": list(subset.indices()),
-                                     "polynomial_exists": wit is not None}
-    if wit is not None:
-        union = is_coset_union(subset.bits)
-        subset_report["coset_union"] = union
-        subset_report["polynomial"] = wit
-        if not union:
-            return Verdict(
-                "R2.8", False, witness=subset_report,
-                details="polynomial indicator found whose support is not a coset union",
-            )
+        pset = polynomial_function_set(ring)
+        swept = sum(pset.contains([ring.unity if bits >> c & 1 else 0 for c in proj])
+                    for bits in range(1, 2 ** k.order - 1))
 
-    swept = 0
-    if ring.order <= SUPPORT_LIMIT:
-        if inv.is_field:
-            # Cosets are singletons, so every support is trivially a union.
-            swept = -1
+    report: dict[str, Any] = {"subset": list(subset.indices())}
+    if outside is not None:
+        x, j = outside
+        report.update(polynomial_exists=False, coset_union=False,
+                      certificate={"point": x, "shift": j})
+        details = f"subset is not a coset union: {x} is in it and {x} + {j} is not"
+    else:
+        if raised is None:
+            wit = char_poly_for_subset(ring, subset)
         else:
-            supports = polynomial_function_set(ring).indicator_supports()
-            swept = len(supports) - 2
-            bad = next(filterfalse(is_coset_union, supports), None)
-            if bad is not None:
-                return Verdict(
-                    "R2.8", False,
-                    witness={"subset": list(SubsetMask(ring, bad).indices()),
-                             "polynomial": char_poly_for_subset(ring, SubsetMask(ring, bad))},
-                    details="swept indicator support is not a coset union",
-                )
-    subset_report["swept"] = swept
-    note = "all polynomial indicator supports are coset unions" if swept != 0 else \
-        "given subset checked"
-    return Verdict("R2.8", True, witness=subset_report, details=note)
+            wit = Polynomial(ring, ())
+            for i in sorted({proj[x] for x in subset.indices()}):
+                wit = poly_add(wit, raised[i])
+            wit = wit.stripped()
+        report.update(polynomial_exists=wit is not None, coset_union=True)
+        if wit is not None:
+            report["polynomial"] = wit
+        details = "all polynomial indicator supports are coset unions"
+    report["swept"] = swept
+    return Verdict("R2.8", True, witness=report, details=details)
 
 
 # ---------------------------------------------------------------------------

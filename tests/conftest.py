@@ -11,6 +11,9 @@ ring, interpolates there and glues the coefficients by the Chinese
 remainder theorem, where the library interpolates once inside the ring.
 The schoolbook oracles multiply and evaluate polynomials term by term
 through ``ring.add``/``ring.mul``, where the library indexes table rows.
+The syndrome oracle finds every induced indicator by matching the
+lattice syndromes of half-subsets, where R2.8 builds the coset indicators
+by P2.6's lift.
 """
 
 from __future__ import annotations
@@ -191,6 +194,20 @@ def small_rings(draw):
     return relabelled(ring, draw(st.permutations(range(1, ring.order))))
 
 
+def skew_dual_f4():
+    """GF(4)[t; Frobenius]/(t^2): a + b*t with t*a = a^2*t and t^2 = 0 is
+    element a + 4b, with GF(4) = F2[w]/(w^2 + w + 1) and w as 2.  It is
+    local and noncommutative, with maximal ideal GF(4)*t and residue
+    field GF(4)."""
+    def gf4_mul(a, b):
+        p = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+        return p ^ 0b111 if p & 0b100 else p
+
+    mul = [[gf4_mul(x & 3, y & 3) | (gf4_mul(x & 3, y >> 2) ^ gf4_mul(x >> 2, gf4_mul(y & 3, y & 3))) << 2
+            for y in range(16)] for x in range(16)]
+    return make_table_ring([[x ^ y for y in range(16)] for x in range(16)], mul, "GF(4)[t;F]/(t^2)")
+
+
 class Closure:
     """A function group grown as explicit tables: ``tables`` holds one row
     per function, ``witnesses`` a parallel coefficient row inducing it."""
@@ -246,6 +263,52 @@ def coset_growth(ring) -> Closure:
         if len(new_t) > 1:
             tables, wits = np.concatenate(new_t), np.concatenate(new_w)
     return Closure(ring, tables, wits, index)
+
+
+def as_tuple_set(pset, limit: int = 1 << 20) -> frozenset:
+    """Every table of a function set as a tuple; refuses sets of more than
+    ``limit`` tables before any work."""
+    if pset.count > limit:
+        raise ValueError("function set too large to materialise")
+    if not pset.idempotents:
+        return frozenset(map(tuple, pset._enumerate()[0].tolist()))
+    # Every choice of g_e: eR -> eR, summed as x -> sum_e g_e(e*x).
+    n = pset.ring.order
+    add = np.array(pset.ring.add_table, dtype=np.intp)
+    rows = np.zeros((1, n), dtype=np.intp)
+    for e in pset.idempotents:
+        ideal, position = np.unique(pset.ring.mul_table[e], return_inverse=True)
+        g = np.array(list(product(ideal.tolist(), repeat=len(ideal))))[:, position]
+        rows = add[rows[:, None, :], g[None]].reshape(-1, n)
+    return frozenset(map(tuple, rows.tolist()))
+
+
+def syndrome_supports(ring) -> list[int]:
+    """Every subset whose indicator (the unity on it, 0 elsewhere) is
+    induced, the two constants included, as sorted bit masks.
+
+    An indicator's syndrome is the sum of the syndromes of the unity at
+    each of its points, so the subsets of the lower and of the upper half
+    of R are summed apart (2 * 2^(n/2) sums, not 2^n) and matched on
+    syndromes that cancel.
+    """
+    n = ring.order
+    parts, moduli = polyfun.polynomial_function_set(ring)._lattice_basis()[:2]
+    kept = moduli > 1  # a pivot of valuation 0 constrains nothing
+    moduli = moduli[kept].astype(np.uint8)  # p^v <= n <= 32: sums of two stay below 2^8
+    ones = parts[:, ring.unity, kept].astype(np.uint8)
+    half = n // 2
+    sums = []  # row m of each: the syndrome of {x in the half : bit x of m set}
+    for points in (range(half), range(half, n)):
+        acc = np.zeros((1, len(moduli)), dtype=np.uint8)
+        for x in points:
+            acc = np.concatenate((acc, (acc + ones[x]) % moduli))
+        sums.append(acc)
+    upper = {}
+    for high, row in enumerate((moduli - sums[1]) % moduli):
+        upper.setdefault(row.tobytes(), []).append(high)
+    return sorted(low | high << half for low, row in enumerate(sums[0])
+                  for high in upper.get(row.tobytes(), ()))
 
 
 def set_index_limit(monkeypatch, limit: int) -> None:

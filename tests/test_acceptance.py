@@ -43,7 +43,7 @@ from finring.theorems import (
     verify_nilpotent_shift_power,
 )
 
-from conftest import brute_force_function_tables, coset_growth
+from conftest import as_tuple_set, brute_force_function_tables, coset_growth
 
 
 def _report(n, text):
@@ -197,7 +197,7 @@ def test_criterion_8_oracle_equivalence(catalog4):
         assert closure.as_tuple_set() == oracle, f"{name}: closure differs from the oracle"
         pset = polynomial_function_set(ring)
         assert pset.count == len(oracle)
-        assert pset.as_tuple_set() == oracle
+        assert as_tuple_set(pset) == oracle
     _report(8, f"closure set == brute-force enumeration on all {len(catalog4)} rings of order <= 4")
 
 
@@ -223,7 +223,8 @@ def test_criterion_10_indicator_supports_are_coset_unions(catalog16):
             continue
         verdict = check_char_support_cosets(ring)
         assert verdict.holds is True, f"{name}: {verdict.details}"
-        assert verdict.witness["swept"] != 0, f"{name}: not swept"
+        expected = -1 if inv.is_field else 2 ** inv.residue_field_order - 2
+        assert verdict.witness["swept"] == expected, f"{name}: swept {verdict.witness['swept']}"
         checked += 1
     _report(10, f"indicator supports factor through the maximal ideal on {checked} local rings")
 

@@ -113,7 +113,7 @@ def test_check_capped_is_inconclusive(capsys):
 
 def test_large_local_rings_are_decided_before_any_row_is_built(refuse_index, capsys):
     # Each of these induces 2^24 or more functions.  Counts come from the
-    # lattice, P2.7 and R2.8's default subset from x^N, and a lookup is
+    # lattice, P2.7 from x^N, R2.8 from P2.6's lift, and a lookup is
     # solved from the lattice basis, so no table is enumerated.
     for spec, count in (("Z/25", 30517578125), ("Z/27", 387420489), ("Z/32", 16777216)):
         code, doc = run_json(capsys, "report", spec)
@@ -154,6 +154,18 @@ def test_check_poly_arguments(capsys):
 def test_check_subset_argument(capsys):
     code, doc = run_json(capsys, "check", "Z/4", "R2.8", "--subset", "1,3")
     assert code == 0 and doc["verdict"]["status"] == "pass"
+
+
+def test_non_union_subsets_are_certified_without_an_index(refuse_index, capsys):
+    # Neither subset is a union of cosets of 2*Z/16: a (point, shift) pair
+    # certifies it from the tables, with no lookup into the 2^16 functions.
+    for subset, certificate in (("1,3", {"point": 1, "shift": 4}),
+                                ("1,2", {"point": 1, "shift": 2})):
+        code, doc = run_json(capsys, "check", "Z/16", "R2.8", "--subset", subset)
+        witness = doc["verdict"]["witness"]
+        assert code == 0 and doc["verdict"]["status"] == "pass"
+        assert witness["polynomial_exists"] is False and witness["coset_union"] is False
+        assert witness["certificate"] == certificate and witness["swept"] == 2
 
 
 def test_check_not_applicable_is_vacuous(capsys):
@@ -248,9 +260,9 @@ def test_char_checks_match_the_golden_file_without_function_sets(refuse_index):
 
 
 def test_sweep_covers_the_whole_catalog_at_the_default_cap(refuse_index, tmp_path):
-    # P1.2, P1.3 and P2.7 argue from the ring's elements, R2.8's default
-    # subset (the units) is induced by x^N and its sweep reads the lattice
-    # syndrome, so no check enumerates a table.  Only P2.1's hypothesis fails.
+    # P1.2, P1.3 and P2.7 argue from the ring's elements and R2.8 builds its
+    # coset indicators by P2.6's lift, so no check enumerates a table.  Only
+    # P2.1's hypothesis fails.
     out = tmp_path / "sweep32.json"
     assert main(["sweep", "--max-order", "32", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -276,11 +288,12 @@ def test_r28_sweeps_rings_of_2_24_functions_without_rows(refuse_index, capsys, s
 def test_internal_invariant_breach_exits_4(monkeypatch, capsys):
     assert not issubclass(InternalInvariantError, ValueError)
     monkeypatch.setattr("finring.theorems._verify_char_polynomial", lambda ring, f: (False, []))
-    assert main(["check", "GF(4)", "P2.7"]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("internal error:") and captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
+    for argv in (["GF(4)", "P2.7"], ["Z/4", "R2.8"]):  # R2.8 checks each lifted coset table
+        assert main(["check", *argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
 
 def test_sweep_rejects_large_order(capsys):

@@ -27,6 +27,7 @@ from finring import (
     polynomial_function_set,
     power_stabilization,
     realize,
+    residue_field,
     standard_catalog,
 )
 from finring import polyfun
@@ -42,6 +43,7 @@ from finring.polyfun import (
 from finring.theorems import check_char_support_cosets
 
 from conftest import (
+    as_tuple_set,
     brute_force_function_tables,
     coset_growth,
     crt_interpolate,
@@ -52,7 +54,9 @@ from conftest import (
     schoolbook_mul,
     schoolbook_pow,
     set_index_limit,
+    skew_dual_f4,
     small_rings,
+    syndrome_supports,
     upper_triangular_f2,
 )
 
@@ -135,13 +139,13 @@ def test_function_set_counts(z4, z6, gf4):
 
 
 def test_function_set_matches_brute_force(z4):
-    closure = polynomial_function_set(z4).as_tuple_set()
+    closure = as_tuple_set(polynomial_function_set(z4))
     assert closure == brute_force_function_tables(z4)
 
 
 def test_function_set_matches_brute_force_zero_ring():
     r = make_zero_mul_ring(2)
-    closure = polynomial_function_set(r).as_tuple_set()
+    closure = as_tuple_set(polynomial_function_set(r))
     oracle = brute_force_function_tables(r)
     assert closure == oracle == frozenset({(0, 0), (1, 1)})
 
@@ -158,18 +162,18 @@ def test_closure_matches_oracle_with_witnesses(spec):
     if not pset.idempotents:
         pset.lookup((0,) * ring.order)
         assert_rows_witnessed(pset)
-        assert pset.as_tuple_set() == closure.as_tuple_set()
+        assert as_tuple_set(pset) == closure.as_tuple_set()
 
 
 def test_field_set_agrees_with_coset_growth(gf4):
     pset = polynomial_function_set(gf4)
     closure = coset_growth(gf4)
     assert closure.count == pset.count == 256
-    assert closure.as_tuple_set() == pset.as_tuple_set()
+    assert closure.as_tuple_set() == as_tuple_set(pset)
 
 
 def test_function_set_closed_under_addition(z4):
-    tables = sorted(polynomial_function_set(z4).as_tuple_set())
+    tables = sorted(as_tuple_set(polynomial_function_set(z4)))
     as_set = set(tables)
     for s in tables:
         for t in tables:
@@ -178,7 +182,7 @@ def test_function_set_closed_under_addition(z4):
 
 def test_function_set_contains_constants_and_identity(z6):
     pset = polynomial_function_set(z6)
-    tables = pset.as_tuple_set()
+    tables = as_tuple_set(pset)
     for c in z6.elements():
         assert (c,) * 6 in tables
     assert tuple(range(6)) in tables  # unital case
@@ -186,7 +190,7 @@ def test_function_set_contains_constants_and_identity(z6):
 
 def test_function_set_of_zero_ring_lacks_identity():
     r = make_zero_mul_ring(4)
-    tables = polynomial_function_set(r).as_tuple_set()
+    tables = as_tuple_set(polynomial_function_set(r))
     assert tuple(range(4)) not in tables
     assert tables == {(c,) * 4 for c in range(4)}
 
@@ -231,8 +235,8 @@ def test_as_tuple_set_refuses_over_limit_before_work():
     pset = polynomial_function_set(make_zn(12))
     assert pset.count == 1728
     with pytest.raises(ValueError, match="too large"):
-        pset.as_tuple_set(limit=10)
-    assert pset.as_tuple_set(limit=1728) == coset_growth(make_zn(12)).as_tuple_set()
+        as_tuple_set(pset, limit=10)
+    assert as_tuple_set(pset, limit=1728) == coset_growth(make_zn(12)).as_tuple_set()
 
 
 def test_product_of_fields_is_exact_at_any_cap(monkeypatch, z6):
@@ -496,7 +500,7 @@ def test_poly_pow_matches_repeated_mul(z6):
 def test_function_set_addition_closure_sampled(z9):
     import random
 
-    tables = sorted(polynomial_function_set(z9).as_tuple_set())
+    tables = sorted(as_tuple_set(polynomial_function_set(z9)))
     as_set = set(tables)
     rng = random.Random(7)
     for _ in range(2000):
@@ -530,7 +534,7 @@ def test_crt_engine_matches_closure(spec):
     assert pset.complete and pset.tables is None
     assert pset.count == closure.count
     rows = [tuple(row) for row in closure.tables.tolist()]
-    tables = pset.as_tuple_set()
+    tables = as_tuple_set(pset)
     if ring.order <= 6:
         assert tables == brute_force_function_tables(ring)
     assert tables == frozenset(rows)
@@ -594,7 +598,7 @@ def test_product_of_three_fields_matches_coset_growth():
     ring = realize(parse_ring_spec("Z/2 x Z/2 x Z/2"))
     pset, closure = polynomial_function_set(ring), coset_growth(ring)
     assert pset.count == closure.count == (2 ** 2) ** 3
-    assert pset.as_tuple_set() == closure.as_tuple_set() == brute_force_function_tables(ring)
+    assert as_tuple_set(pset) == closure.as_tuple_set() == brute_force_function_tables(ring)
     rng = random.Random(8)
     tables = closure.tables.tolist() + [[rng.randrange(8) for _ in range(8)] for _ in range(300)]
     assert [pset.contains(t) for t in tables] == [closure.contains(t) for t in tables]
@@ -609,7 +613,7 @@ def test_products_of_fields_induce_no_nontrivial_indicator(spec):
     ring = realize(parse_ring_spec(spec))
     pset, closure = polynomial_function_set(ring), coset_growth(ring)
     assert not any(pset.contains(t) or closure.contains(t) for t in _nonconstant_indicators(ring))
-    assert polynomial_function_set(ring).indicator_supports() == [0, (1 << ring.order) - 1]
+    assert syndrome_supports(ring) == [0, (1 << ring.order) - 1]
 
 
 # --- exact counts: the per-prime lattice against independent oracles ---------
@@ -740,7 +744,7 @@ def test_syndrome_membership_matches_coset_growth_on_random_rings(ring, seed):
     assume(analyze(ring).nilpotents.size > 1)
     assume(function_count(ring) <= 1 << 16)
     closure = _assert_syndrome_matches_closure(ring, seed)
-    assert polynomial_function_set(ring).indicator_supports() == _indicator_rows(closure)
+    assert syndrome_supports(ring) == _indicator_rows(closure)
 
 
 @pytest.mark.parametrize("path", ["index", "solve"])
@@ -768,16 +772,62 @@ def test_lookup_matches_coset_growth_on_random_rings(path, ring, seed):
     assert (pset.tables is None) == (path == "solve")
 
 
-@pytest.mark.parametrize("spec", [name for name, ring in standard_catalog(16)
-                                  if analyze(ring).is_local and not analyze(ring).is_field])
+def _coset_unions(ring) -> list[int]:
+    """Every union of cosets of the maximal ideal, as sorted bit masks."""
+    field, proj, _ = residue_field(ring)
+    return sorted(sum(1 << x for x, c in enumerate(proj) if bits >> c & 1)
+                  for bits in range(1 << field.order))
+
+
+def _r28_supports(ring) -> list[int]:
+    """The coset unions whose indicator R2.8 answers with a witness, each
+    witness checked to induce that indicator."""
+    found = []
+    for bits in _coset_unions(ring):
+        subset = [x for x in range(ring.order) if bits >> x & 1]
+        witness = check_char_support_cosets(ring, subset).witness
+        assert witness["coset_union"] is True
+        if witness["polynomial_exists"]:
+            values = function_table(witness["polynomial"]).values
+            assert values == tuple(ring.unity if bits >> x & 1 else 0 for x in range(ring.order))
+            found.append(bits)
+    return found
+
+
+NON_FIELD_LOCAL_32 = [name for name, ring in standard_catalog(32)
+                      if analyze(ring).is_local and not analyze(ring).is_field]
+
+
+def test_catalog_has_eleven_non_field_local_rings():
+    assert len(NON_FIELD_LOCAL_32) == 11
+
+
+@pytest.mark.parametrize("spec", NON_FIELD_LOCAL_32)
 def test_indicator_supports_match_coset_growth(spec):
-    # Every non-field local ring R2.8 sweeps: the supports found by matching
-    # half-subset syndromes are exactly coset growth's 0/1 rows.
+    # Every non-field local ring up to order 32: the indicators that R2.8
+    # builds from P2.6's lift are exactly the supports found by matching
+    # half-subset syndromes, and coset growth's 0/1 rows where the group
+    # has at most 2^20 tables.
     ring = _spec_ring(spec)
-    expected = _indicator_rows(coset_growth(ring))
-    assert polynomial_function_set(ring).indicator_supports() == expected
+    expected = syndrome_supports(ring)
+    assert _r28_supports(ring) == _coset_unions(ring) == expected
+    if function_count(ring) <= 1 << 20:
+        assert _indicator_rows(coset_growth(ring)) == expected
     assert len(expected) == 2 ** analyze(ring).residue_field_order
     assert check_char_support_cosets(ring).witness["swept"] == len(expected) - 2
+
+
+def test_skew_ring_induces_half_of_its_coset_unions():
+    # GF(4)[t; Frobenius]/(t^2) is local but not commutative, so R2.8 looks
+    # each coset union up: 8 of the 16 are induced, as the syndrome oracle
+    # finds, and the units' indicator is one of them.
+    ring = skew_dual_f4()
+    supports = syndrome_supports(ring)
+    assert len(_coset_unions(ring)) == 16 and len(supports) == 8
+    assert _r28_supports(ring) == supports
+    verdict = check_char_support_cosets(ring)
+    assert verdict.status == "pass" and verdict.witness["swept"] == 6
+    assert verdict.witness["polynomial_exists"] is True
 
 
 def test_absent_indicators_are_decided_over_the_cap(refuse_index):
@@ -790,13 +840,6 @@ def test_absent_indicators_are_decided_over_the_cap(refuse_index):
     units = [x for x in range(27) if x % 3]
     witness = char_poly_for_subset(z27, units)
     assert function_table(witness).values == tuple(int(x % 3 != 0) for x in range(27))
-
-
-def test_indicator_supports_refuse_large_orders():
-    with pytest.raises(ValueError, match="order 32"):
-        polynomial_function_set(make_zn(64)).indicator_supports()
-    with pytest.raises(UnsupportedStructureError):
-        polynomial_function_set(make_zero_mul_ring(4)).indicator_supports()
 
 
 _BOUNDED_LOOKUP = """

@@ -34,6 +34,8 @@ from finring.polyfun import (
     poly_scale,
 )
 from finring.theorems import (
+    CHECKS,
+    CheckOptions,
     TrivialImageError,
     binomial_exponent,
     char_function_from_image,
@@ -60,6 +62,7 @@ from conftest import (
     coset_growth,
     m2f2,
     row_matrices_f2,
+    skew_dual_f4,
     small_rings,
     upper_triangular_f2,
 )
@@ -502,12 +505,57 @@ def test_cosets_units_of_z4(z4):
 def test_cosets_non_union_subset_has_no_poly(z4):
     v = check_char_support_cosets(z4, subset=[1, 2, 3])
     assert v.holds
-    assert v.witness["polynomial_exists"] is False
+    assert v.witness["polynomial_exists"] is False and v.witness["coset_union"] is False
+    assert v.witness["certificate"] == {"point": 2, "shift": 2}  # 2 + 2 = 0 is outside
+
+
+def _is_unit(ring, x) -> bool:
+    return any(ring.mul_table[x][y] == ring.unity or ring.mul_table[y][x] == ring.unity
+               for y in range(ring.order))
+
+
+@pytest.mark.parametrize("spec", [name for name, ring in standard_catalog(9)
+                                  if analyze(ring).is_local and not analyze(ring).is_field])
+def test_cosets_answer_every_subset_like_the_oracles(spec):
+    # Every subset of every non-field local ring up to order 9: R2.8's
+    # witness or certificate agrees with coset growth, and with brute force
+    # where it enumerates at most 8^5 coefficient tuples.  Each certificate
+    # is re-checked from the add and mul tables alone.
+    ring = realize(parse_ring_spec(spec))
+    closure = coset_growth(ring)
+    n, one = ring.order, ring.unity
+    brute = brute_force_function_tables(ring) if n ** sum(power_stabilization(ring)) <= 8 ** 5 \
+        else None
+    for bits in range(1 << n):
+        subset = [x for x in range(n) if bits >> x & 1]
+        table = tuple(one if bits >> x & 1 else 0 for x in range(n))
+        w = check_char_support_cosets(ring, subset).witness
+        assert w["polynomial_exists"] is closure.contains(table)
+        assert brute is None or w["polynomial_exists"] is (table in brute)
+        if w["polynomial_exists"]:
+            assert w["coset_union"] is True and function_table(w["polynomial"]).values == table
+        else:
+            point, shift = w["certificate"]["point"], w["certificate"]["shift"]
+            assert w["coset_union"] is False and not _is_unit(ring, shift)
+            assert point in subset and ring.add_table[point][shift] not in subset
 
 
 def test_cosets_field_case(gf4):
     v = check_char_support_cosets(gf4, subset=[2])
     assert v.holds
+
+
+def test_skew_ring_is_local_noncommutative_and_passes_its_checks():
+    # GF(4)[t; Frobenius]/(t^2) induces 2^20 functions.  Its R2.8 sweep is
+    # pinned against the syndrome oracle in test_polyfun.py.
+    ring = skew_dual_f4()
+    inv = analyze(ring)
+    assert inv.is_local and inv.is_unital and not inv.is_commutative
+    assert inv.residue_field_order == 4 and function_count(ring) == 1 << 20
+    applicable = [code for code, check in CHECKS.items() if check.applies(ring)]
+    assert applicable == ["L1.1", "P1.2", "P1.3", "P2.3i", "R2.8"]
+    for code in applicable:
+        assert CHECKS[code].run(ring, CheckOptions()).status == "pass", code
 
 
 def test_cosets_rejects_non_local(z6):
