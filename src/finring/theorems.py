@@ -11,7 +11,8 @@ Check codes:
 
 ====== =====================================================================
 L1.1   reachability of every nonzero target from every nonzero point by
-       zero-constant polynomials, equivalent to being a field
+       zero-constant polynomials, equivalent to being a field; the values at
+       u form the left ideal Ru, so the witness is P1.2's pair (c, y)
 P1.2   every bijection induced by a polynomial, equivalent to being a field;
        a swap moving F(c) - F(0) out of a proper left ideal Rc is not induced
 P1.3   every subset indicator induced by a polynomial (unital rings),
@@ -209,46 +210,39 @@ def _valuation_factorial(p: int, k: int) -> int:
     return v
 
 
-def _subgroup_closure(ring: FiniteRing, generators) -> set[int]:
-    """Additive closure of a set of elements (a subgroup of (R, +))."""
-    gens = set(generators)
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = ring.add_table[x][g]
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    return reached
-
-
 # ---------------------------------------------------------------------------
 # L1.1 / P1.2 / P1.3: field characterizations
 # ---------------------------------------------------------------------------
+
+def _proper_left_ideal(ring: FiniteRing) -> tuple[int, int] | None:
+    """The least nonzero c with Rc != R and the least y outside Rc, or None.
+
+    Rc is read off column c of the mul table.  Without such a c no product
+    of nonzero elements is 0, so the ring is a finite division ring, hence a
+    field (Wedderburn), and it must induce all n^n tables.
+    """
+    n = ring.order
+    for c in range(1, n):
+        ideal = {row[c] for row in ring.mul_table}
+        if len(ideal) < n:
+            return c, next(y for y in range(n) if y not in ideal)
+    if function_count(ring) != n ** n:
+        raise InternalInvariantError(
+            f"Rc = R for every nonzero c, but {ring.label} does not induce all {n}^{n} tables")
+    return None
+
 
 def check_reachability_iff_field(ring: FiniteRing) -> Verdict:
     """L1.1: every nonzero s reachable from every nonzero u via zero-constant
     polynomials, if and only if the ring is a field.
 
-    The values of zero-constant polynomials at u form the additive closure of
-    {a * u^k : a in R, k >= 1}, which is scanned per u.
+    The values at u of zero-constant polynomials form the left ideal Ru:
+    sum_{k>=1} a_k u^k = (a_1 + sum_{k>=2} a_k u^(k-1)) * u, and r * u is the
+    value of rX.  So the witness is P1.2's pair: the least nonzero c with
+    Rc != R and the least target y outside Rc.
     """
     inv = analyze(ring)
-    unreachable = None
-    for u in range(1, ring.order):
-        powers = set()
-        p = u
-        while p not in powers:
-            powers.add(p)
-            p = ring.mul_table[p][u]
-        gens = {ring.mul_table[a][pk] for a in range(ring.order) for pk in powers}
-        reach = _subgroup_closure(ring, gens)
-        missing = next((s for s in range(1, ring.order) if s not in reach), None)
-        if missing is not None:
-            unreachable = (u, missing)
-            break
+    unreachable = _proper_left_ideal(ring)
     reachable_all = unreachable is None
     holds = reachable_all == inv.is_field
     witness = None if reachable_all else {"from": unreachable[0], "target": unreachable[1]}
@@ -268,22 +262,17 @@ def check_bijections_iff_field(ring: FiniteRing) -> Verdict:
     coefficients enter, so this holds on noncommutative and non-unital rings
     too.  Let c be the least nonzero element with Rc != R and y the least
     element outside Rc: the swap of c and y, or of 0 and c when y = c, moves
-    F(c) - F(0) out of Rc, so no polynomial induces it.  Without such a c no
-    product of nonzero elements is 0, so the ring is a finite division ring,
-    hence a field (Wedderburn), and a set of n^n tables holds every bijection.
+    F(c) - F(0) out of Rc, so no polynomial induces it.  Without such a c the
+    ring is a field and a set of n^n tables holds every bijection.
     """
     inv = analyze(ring)
     n = ring.order
-    ideals = ((x, {row[x] for row in ring.mul_table}) for x in range(1, n))
-    c, ideal = next(((x, rx) for x, rx in ideals if len(rx) < n), (None, None))
+    proper = _proper_left_ideal(ring)
     witness = None
-    if c is None:
-        if function_count(ring) != n ** n:
-            raise InternalInvariantError(
-                f"Rc = R for every nonzero c, but {ring.label} does not induce all {n}^{n} tables")
+    if proper is None:
         side = "every bijection is polynomial"
     else:
-        y = next(x for x in range(n) if x not in ideal)
+        c, y = proper
         a, b = (c, y) if y != c else (0, c)
         swap = [b if x == a else a if x == b else x for x in range(n)]
         witness = {"bijection": swap, "point": c}
@@ -295,19 +284,19 @@ def check_bijections_iff_field(ring: FiniteRing) -> Verdict:
 def check_char_functions_iff_field(ring: FiniteRing) -> Verdict:
     """P1.3: every subset indicator is induced by a polynomial iff the ring is a field.
 
-    Without a nonzero non-unit the ring is a finite division ring, hence a
-    field (Wedderburn), and a set of n^n tables holds every indicator.
-    Otherwise let c be the least nonzero non-unit.  A polynomial F inducing
-    the indicator of {0} would give -1 = F(c) - F(0) = sum_k (a_k c^(k-1)) * c,
+    On a finite unital ring Rc = R exactly when c is a unit, so P1.2's c is
+    the least nonzero non-unit.  Without one the ring is a field and a set
+    of n^n tables holds every indicator.  A polynomial F inducing the
+    indicator of {0} would give -1 = F(c) - F(0) = sum_k (a_k c^(k-1)) * c,
     so some r would have r*c = -1 and c would be a unit.  Only left
     coefficients enter, so this holds on noncommutative rings too.
     """
     inv = _require(ring, "unital")
-    n = ring.order
-    c = next((x for x in range(1, n) if x not in inv.units), None)
-    if c is None:
-        all_subsets, witness = function_count(ring) == n ** n, None
+    proper = _proper_left_ideal(ring)
+    if proper is None:
+        all_subsets, witness = True, None
     else:
+        c = proper[0]
         minus_one = ring.neg(ring.unity)
         if any(row[c] == minus_one for row in ring.mul_table):
             raise InternalInvariantError(f"r*{c} = -1 for some r, but {c} is not a unit")
@@ -509,7 +498,8 @@ def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
     s = next(k for k in range(1, len(g.coeffs)) if g.coeffs[k] != 0)
     r_h = _poly_nilpotency_index(h)
     N = binomial_exponent(inv.characteristic, r_h).exponent
-    powers_equal = poly_pow(f, N).stripped() == poly_pow(g, N).stripped()
+    # h = 0 makes f = g, so the powers are compared only when h != 0.
+    powers_equal = h.degree is None or poly_pow(f, N).stripped() == poly_pow(g, N).stripped()
     bad_c = next(
         (c for c in inv.nilpotents.indices() if ring.pow(c, s * N) != 0),
         None,

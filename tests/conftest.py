@@ -13,7 +13,8 @@ The schoolbook oracles multiply and evaluate polynomials term by term
 through ``ring.add``/``ring.mul``, where the library indexes table rows.
 The syndrome oracle finds every induced indicator by matching the
 lattice syndromes of half-subsets, where R2.8 builds the coset indicators
-by P2.6's lift.
+by P2.6's lift.  The reach oracle closes {a * u^k} under addition, where
+L1.1 reads the left ideal Ru off the mul table.
 """
 
 from __future__ import annotations
@@ -58,6 +59,27 @@ def brute_force_function_tables(ring) -> frozenset:
             values.append(acc)
         tables.add(tuple(values))
     return frozenset(tables)
+
+
+def zero_constant_reach(ring, u: int) -> set[int]:
+    """The values at u of every zero-constant polynomial: the additive
+    closure of {a * u^k : a in R, k >= 1}."""
+    powers = set()
+    p = u
+    while p not in powers:
+        powers.add(p)
+        p = ring.mul_table[p][u]
+    gens = {ring.mul_table[a][pk] for a in range(ring.order) for pk in powers}
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = ring.add_table[x][g]
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    return reached
 
 
 def lagrange_interpolate(field, values) -> Polynomial:

@@ -65,6 +65,7 @@ from conftest import (
     skew_dual_f4,
     small_rings,
     upper_triangular_f2,
+    zero_constant_reach,
 )
 
 
@@ -645,29 +646,55 @@ def test_non_field_non_unit_certificate(spec):
 # polynomial F, so a swap that moves it out of Rc is not induced.  Checked on
 # the catalog, on noncommutative, non-unital and zero rings, and on larger
 # fields and non-fields; a table's absence is confirmed by coset growth up to
-# 2^18 functions and by the lattice syndrome above.
+# 2^18 functions and by the lattice syndrome above.  L1.1 and P1.3 share
+# P1.2's pair (c, y): the values at u of zero-constant polynomials, closed
+# under addition by brute force, are exactly Ru, so L1.1's witness is the
+# first (u, missing) pair of that closure, and on a unital ring c is the
+# least nonzero non-unit.
 
 _TABLE_RINGS = {"T2(F2)": upper_triangular_f2, "M2(F2)": m2f2,
-                "row-matrices-F2": row_matrices_f2}
+                "row-matrices-F2": row_matrices_f2, "GF(4)[t;F]/(t^2)": skew_dual_f4}
 _BIJECTION_SPECS = [name for name, _ in standard_catalog(32)] + list(_TABLE_RINGS) + [
-    "zero-ring-3", "zero-ring-8", "Z/8 x Z/2", "Z/2[x]/(x^4)", "Z/4[x]/(x^2+x+1)",
-    "GF(16)", "GF(25)", "GF(27)", "Z/9[x]/(x^2+1)", "Z/49", "Z/64"]
+    "zero-ring-3", "zero-ring-5", "zero-ring-6", "zero-ring-7", "zero-ring-8", "Z/8 x Z/2",
+    "Z/2[x]/(x^4)", "Z/4[x]/(x^2+x+1)", "GF(16)", "GF(25)", "GF(27)", "Z/9[x]/(x^2+1)",
+    "Z/49", "Z/64"]
 
 
 def _bijection_ring(spec):
     return _TABLE_RINGS[spec]() if spec in _TABLE_RINGS else realize(parse_ring_spec(spec))
 
 
+def _first_unreachable(ring):
+    """L1.1's witness by the brute-force closure, checked to equal Ru for every u."""
+    n = ring.order
+    first = None
+    for u in range(1, n):
+        reach = zero_constant_reach(ring, u)
+        assert reach == {ring.mul(r, u) for r in range(n)}, u
+        missing = next((s for s in range(1, n) if s not in reach), None)
+        if first is None and missing is not None:
+            first = {"from": u, "target": missing}
+    return first
+
+
 def _assert_bijection_certificate(ring):
     v = check_bijections_iff_field(ring)
     n = ring.order
     assert v.status == "pass"
+    l11 = check_reachability_iff_field(ring)
+    p13 = check_char_functions_iff_field(ring) if analyze(ring).is_unital else None
+    assert l11.status == "pass" and l11.witness == _first_unreachable(ring)
     if analyze(ring).is_field:
         assert v.witness is None and function_count(ring) == n ** n
+        assert l11.witness is None and p13.witness is None
         return
     swap, c = v.witness["bijection"], v.witness["point"]
     moved = [x for x in range(n) if swap[x] != x]
     assert sorted(swap) == list(range(n)) and len(moved) == 2 and c in moved and c != 0
+    y = l11.witness["target"]
+    assert l11.witness["from"] == c and set(moved) == ({c, y} if y != c else {0, c})
+    if p13 is not None:
+        assert p13.witness == {"subset": [0], "non_unit": c}
     moved_by = ring.sub(swap[c], swap[0])
     assert all(ring.mul(r, c) != moved_by for r in range(n))
     if function_count(ring) <= 1 << 18:
@@ -712,7 +739,7 @@ def test_bijections_build_no_function_set_on_a_non_field(monkeypatch):
             v = check_bijections_iff_field(ring)
             assert v.status == "pass" and v.witness is not None, spec
             checked += 1
-    assert checked == 41
+    assert checked == 45
 
 
 def test_binomial_exponent_valuation_invariant():
