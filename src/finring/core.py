@@ -3,9 +3,8 @@
 Rings here are not assumed commutative or unital.  Element indices run
 0..order-1 and index 0 is always the additive identity, so arithmetic is
 total table lookup.  Every constructor validates the complete set of ring
-axioms exhaustively (the O(order^3) associativity/distributivity scans are
-vectorised with numpy), which is cheap at the intended scale of orders up
-to about 64.
+axioms, checking associativity and distributivity against an additive
+generating set in O(order^2 log order) numpy work (``validate_ring``).
 """
 
 from __future__ import annotations
@@ -233,52 +232,70 @@ def _np_table(table, n: int, what: str) -> np.ndarray:
     arr = np.asarray(table, dtype=np.int64)
     if arr.shape != (n, n):
         raise ValueError(f"{what} table must be {n}x{n}")
-    if arr.min() < 0 or arr.max() >= n:
-        raise AxiomViolation(f"{what}-closure", tuple(np.argwhere((arr < 0) | (arr >= n))[0]))
+    _require_equal(f"{what}-closure", (arr >= 0) & (arr < n), True, range(n), range(n))
     return arr
 
 
+def _require_equal(axiom: str, left, right, *elements) -> None:
+    """AxiomViolation at the first index where left != right; axis i of the
+    arrays runs over elements[i], so the witness is a tuple of element indices."""
+    bad = np.argwhere(np.not_equal(left, right))
+    if len(bad):
+        raise AxiomViolation(axiom, tuple(int(e[i]) for e, i in zip(elements, bad[0])))
+
+
+def _additive_generators(add: tuple) -> list[int]:
+    """A greedy generating set: x joins when no left-normed sum
+    (..((0 + g1) + g2) ..) + gk of earlier members reaches it."""
+    gens, reached = [], {0}
+    for x in range(len(add)):
+        if x not in reached:
+            gens.append(x)
+            frontier = list(reached)
+            for s in frontier:  # a BFS: the list grows while it is walked
+                for g in gens:
+                    if add[s][g] not in reached:
+                        reached.add(add[s][g])
+                        frontier.append(add[s][g])
+    return gens
+
+
 def validate_ring(ring: FiniteRing) -> None:
-    """Exhaustively re-check every ring axiom; raises AxiomViolation on failure."""
+    """Re-check every ring axiom in O(order^2 * |G|); raises AxiomViolation,
+    whose witness is a violating tuple of element indices, on failure.
+
+    Closure, commutativity, zero and negatives of + are checked entrywise.
+    The rest is checked only against a generating set G of (R, +) from
+    ``_additive_generators``, of at most log2(order) elements once + is a
+    group.  Every element is a left-normed sum of members of G:
+      * (x+g)+y = x+(g+y) for all x, y and g in G (Light's test): the g that
+        pass contain 0 and G and are closed under +, so they are all of R;
+      * a(x+g) = ax+ag and (x+g)a = xa+ga for all a, x and g in G: with +
+        associative, the g that pass are closed under +, and 0 = g + (-g);
+      * (ab)c = a(bc) for a, b, c in G: with both distributive laws the
+        associator is additive in each argument, so it vanishes everywhere.
+    """
     n = ring.order
     A = _np_table(ring.add_table, n, "addition")
     M = _np_table(ring.mul_table, n, "multiplication")
-
-    if not np.array_equal(A, A.T):
-        a, b = np.argwhere(A != A.T)[0]
-        raise AxiomViolation("additive-commutativity", (int(a), int(b)))
     idx = np.arange(n)
+    _require_equal("additive-commutativity", A, A.T, idx, idx)
     if not (np.array_equal(A[0], idx) and np.array_equal(A[:, 0], idx)):
         raise AxiomViolation("additive-identity", (0,))
     neg = np.asarray(ring.neg_table, dtype=np.int64)
     if neg.shape != (n,):
         raise ValueError("neg_table must have one entry per element")
-    if not np.array_equal(A[idx, neg], np.zeros(n, dtype=np.int64)):
-        raise AxiomViolation("additive-inverse", (int(np.argwhere(A[idx, neg] != 0)[0][0]),))
+    _require_equal("additive-inverse", A[idx, neg], 0, idx)
 
-    # O(n^3) scans, one n^2 slab per leading element.
-    for a in range(n):
-        left = A[A[a]]            # (b,c) -> (a+b)+c
-        right = A[a][A]           # (b,c) -> a+(b+c)
-        if not np.array_equal(left, right):
-            b, c = np.argwhere(left != right)[0]
-            raise AxiomViolation("additive-associativity", (a, int(b), int(c)))
-        left = M[M[a]]            # (a*b)*c
-        right = M[a][M]           # a*(b*c)
-        if not np.array_equal(left, right):
-            b, c = np.argwhere(left != right)[0]
-            raise AxiomViolation("associativity", (a, int(b), int(c)))
-        left = M[a][A]            # a*(b+c)
-        right = A[M[a][:, None], M[a][None, :]]   # a*b + a*c
-        if not np.array_equal(left, right):
-            b, c = np.argwhere(left != right)[0]
-            raise AxiomViolation("left-distributivity", (a, int(b), int(c)))
-        col = M[:, a]
-        left = col[A]             # (b+c)*a
-        right = A[col[:, None], col[None, :]]     # b*a + c*a
-        if not np.array_equal(left, right):
-            b, c = np.argwhere(left != right)[0]
-            raise AxiomViolation("right-distributivity", (a, int(b), int(c)))
+    G = np.array(_additive_generators(ring.add_table), dtype=np.intp)
+    _require_equal("additive-associativity", A[A[:, G]], A[idx[:, None, None], A[G][None]],
+                   idx, G, idx)                                  # (x+g)+y, x+(g+y)
+    for axiom, P in (("left-distributivity", M), ("right-distributivity", M.T)):
+        _require_equal(axiom, P[:, A[:, G]], A[P[:, :, None], P[:, G][:, None, :]],
+                       idx, idx, G)                              # a(x+g), ax+ag
+    MG = M[np.ix_(G, G)]
+    _require_equal("associativity", M[MG][:, :, G], M[G[:, None, None], MG[None]],
+                   G, G, G)                                      # (ab)c, a(bc)
 
     if ring.unity is not None:
         u = ring.unity
@@ -306,26 +323,17 @@ def _build(add, mul, label: str) -> FiniteRing:
     if n < 2:
         raise ValueError(f"a ring needs at least 2 elements, got {n}")
     # Locate the additive identity before anything else; it must sit at index 0.
-    identity = None
-    for e in range(n):
-        if all(add[e][x] == x for x in range(n)):
-            identity = e
-            break
+    identity = next((e for e in range(n) if add[e] == tuple(range(n))), None)
     if identity is None:
         raise AxiomViolation("additive-identity", ())
     if identity != 0:
         raise ValueError(f"additive identity must be element 0, found it at index {identity}")
-    neg = []
-    for a in range(n):
-        inv = next((b for b in range(n) if add[a][b] == 0), None)
-        if inv is None:
-            raise AxiomViolation("additive-inverse", (a,))
-        neg.append(inv)
     ring = FiniteRing(
         order=n,
         add_table=add,
         mul_table=mul,
-        neg_table=tuple(neg),
+        # An element without a negative gets 0, which validate_ring reports.
+        neg_table=tuple(row.index(0) if 0 in row else 0 for row in add),
         unity=_detect_unity(mul, n),
         label=label,
     )
@@ -581,11 +589,14 @@ def local_decomposition(ring: FiniteRing) -> tuple[LocalFactor, ...]:
 
     The primitive idempotents are found by exhaustive scan: e is primitive
     when e != 0 and e*f is 0 or e for every idempotent f.  The number of
-    factors equals the number of maximal (= prime) ideals.
+    factors equals the number of maximal (= prime) ideals.  A local ring is
+    its own one factor, with the identity projection; no copy is built.
     """
     inv = analyze(ring)
     if not (inv.is_unital and inv.is_commutative):
         raise UnsupportedStructureError("local decomposition needs a commutative unital ring")
+    if inv.is_local:
+        return (LocalFactor(idempotent=ring.unity, ring=ring, projection=tuple(range(ring.order))),)
     idem = list(inv.idempotents.indices())
     primitive = [
         e for e in idem
@@ -611,10 +622,13 @@ def residue_field(ring: FiniteRing) -> tuple[FiniteRing, tuple[int, ...], tuple[
 
     Returns (field, projection, representatives): projection[x] is the field
     index of x's coset, representatives[i] the least element index in coset i.
+    A field is its own residue field, returned with identity maps.
     """
     inv = analyze(ring)
     if not (inv.is_unital and inv.is_local):
         raise UnsupportedStructureError("residue field needs a local unital ring")
+    if inv.is_field:
+        return ring, tuple(range(ring.order)), tuple(range(ring.order))
     m = [a for a in range(ring.order) if a not in inv.units]
     rep_of = {}
     for x in range(ring.order):

@@ -67,6 +67,7 @@ from .polyfun import (
     char_poly_for_subset,
     function_count,
     function_table,
+    interpolate_field,
     poly_add,
     poly_const,
     poly_eval,
@@ -647,21 +648,23 @@ def check_char_from_image(ring: FiniteRing, f: Polynomial) -> Verdict:
     )
 
 
+def _lift_exponent(inv: RingInvariants) -> int:
+    """N e' for the unit group exponent e' and the least N with N e' > nilpotency index."""
+    return (inv.nilpotency_index // inv.unit_group_exponent + 1) * inv.unit_group_exponent
+
+
 @lru_cache(maxsize=None)
-def _lift_basis(ring: FiniteRing):
-    """Per-ring data reused by every lift: residue field, representatives,
-    exponent, and the pre-raised products prod_{j != i} (X - alpha_j)^E.
+def _lift_basis(ring: FiniteRing) -> tuple[Polynomial, ...]:
+    """The pre-raised products prod_{j != i} (X - alpha_j)^E over the
+    residue field's coset representatives alpha_j, with E = ``_lift_exponent``.
 
     Every product and power is reduced modulo X^(t+p) - X^t for the power
     stabilization (t, p): x^(k+p) = x^k for k >= t, so the reduced
     polynomial induces the same function and its degree stays below t+p.
     """
     inv = _require(ring, "comm-local-unital")
-    k, proj, reps = residue_field(ring)
-    e = inv.nilpotency_index
-    e_units = inv.unit_group_exponent
-    n_big = e // e_units + 1          # least N with N * e_units > e
-    exponent = n_big * e_units
+    reps = residue_field(ring)[2]
+    exponent = _lift_exponent(inv)
     t, period = power_stabilization(ring)
 
     def reduced_mul(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -684,7 +687,7 @@ def _lift_basis(ring: FiniteRing):
             if rest:
                 base = reduced_mul(base, base)
         raised.append(power)
-    return k, proj, reps, exponent, tuple(raised)
+    return tuple(raised)
 
 
 def lift_residue_polynomial(ring: FiniteRing, f: Polynomial | None = None
@@ -696,19 +699,25 @@ def lift_residue_polynomial(ring: FiniteRing, f: Polynomial | None = None
 
     alpha_i are the least coset representatives, beta_i the least lifts of
     f's residue values (equal residues get equal lifts), and N the least
-    integer with N e' exceeding the nilpotency index.
+    integer with N e' exceeding the nilpotency index.  On a field the
+    reduced lift has degree below q, so it is the unique interpolant of its
+    table, the betas, and is built as such.
     """
-    k, proj, reps, exponent, raised = _lift_basis(ring)
+    inv = _require(ring, "comm-local-unital")
+    k, proj, reps = residue_field(ring)
     if f is None:
         f = poly_x(k)
     if f.ring is not k:
         raise ValueError("polynomial must be defined over the ring's residue field")
     betas = tuple(reps[poly_eval(f, i)] for i in range(k.order))
+    data = LiftData(alphas=reps, betas=betas, exponent=_lift_exponent(inv))
+    if inv.is_field:
+        return interpolate_field(ring, betas), data
     lifted = Polynomial(ring, ())
-    for beta, q in zip(betas, raised):
+    for beta, q in zip(betas, _lift_basis(ring)):
         if beta != 0:
             lifted = poly_add(lifted, poly_scale(beta, q))
-    return lifted, LiftData(alphas=reps, betas=betas, exponent=exponent)
+    return lifted, data
 
 
 def check_residue_lift(ring: FiniteRing, f: Polynomial | None = None) -> Verdict:
@@ -813,7 +822,7 @@ def check_char_support_cosets(ring: FiniteRing, subset=None) -> Verdict:
     if inv.is_field:
         swept = -1
     elif inv.is_commutative:
-        raised = _lift_basis(ring)[4]
+        raised = _lift_basis(ring)
         for i, w in enumerate(raised):
             if _verify_char_polynomial(ring, w) != (True, [x for x, c in enumerate(proj) if c == i]):
                 raise InternalInvariantError(f"the lifted indicator of coset {i} of {ring.label} "

@@ -14,7 +14,9 @@ through ``ring.add``/``ring.mul``, where the library indexes table rows.
 The syndrome oracle finds every induced indicator by matching the
 lattice syndromes of half-subsets, where R2.8 builds the coset indicators
 by P2.6's lift.  The reach oracle closes {a * u^k} under addition, where
-L1.1 reads the left ideal Ru off the mul table.
+L1.1 reads the left ideal Ru off the mul table.  The axiom scan checks
+associativity and distributivity at every triple of elements, where
+``validate_ring`` checks them only against an additive generating set.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from finring import (
     standard_catalog,
 )
 from finring import polyfun
-from finring.core import multiplicative_inverse
+from finring.core import AxiomViolation, multiplicative_inverse
 from finring.polyfun import Polynomial, poly_add, poly_const, poly_mul, poly_scale
 
 
@@ -80,6 +82,42 @@ def zero_constant_reach(ring, u: int) -> set[int]:
                 reached.add(y)
                 frontier.append(y)
     return reached
+
+
+def axiom_scan(ring) -> None:
+    """Every ring axiom at every element, in O(n^3): raises AxiomViolation
+    with a violating tuple of element indices on failure."""
+    n = ring.order
+    A = np.asarray(ring.add_table, dtype=np.int64)
+    M = np.asarray(ring.mul_table, dtype=np.int64)
+    for what, arr in (("addition", A), ("multiplication", M)):
+        if arr.min() < 0 or arr.max() >= n:
+            a, b = np.argwhere((arr < 0) | (arr >= n))[0]
+            raise AxiomViolation(f"{what}-closure", (int(a), int(b)))
+    if not np.array_equal(A, A.T):
+        a, b = np.argwhere(A != A.T)[0]
+        raise AxiomViolation("additive-commutativity", (int(a), int(b)))
+    idx = np.arange(n)
+    if not (np.array_equal(A[0], idx) and np.array_equal(A[:, 0], idx)):
+        raise AxiomViolation("additive-identity", (0,))
+    neg = np.asarray(ring.neg_table, dtype=np.int64)
+    if not np.array_equal(A[idx, neg], np.zeros(n, dtype=np.int64)):
+        raise AxiomViolation("additive-inverse", (int(np.argwhere(A[idx, neg] != 0)[0][0]),))
+    for a in range(n):
+        col = M[:, a]
+        for axiom, left, right in (
+            ("additive-associativity", A[A[a]], A[a][A]),          # (a+b)+c, a+(b+c)
+            ("associativity", M[M[a]], M[a][M]),                   # (ab)c, a(bc)
+            ("left-distributivity", M[a][A], A[M[a][:, None], M[a][None, :]]),
+            ("right-distributivity", col[A], A[col[:, None], col[None, :]]),
+        ):
+            if not np.array_equal(left, right):
+                b, c = np.argwhere(left != right)[0]
+                raise AxiomViolation(axiom, (a, int(b), int(c)))
+    if ring.unity is not None:
+        u = ring.unity
+        if not (np.array_equal(M[u], idx) and np.array_equal(M[:, u], idx)):
+            raise AxiomViolation("unity", (u,))
 
 
 def lagrange_interpolate(field, values) -> Polynomial:

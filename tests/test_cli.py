@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import finring
+from finring import catalog, core
 from finring import InternalInvariantError
 from finring.cli import _witness_json, main
 from finring.theorems import CHECKS, CheckOptions
@@ -257,6 +259,23 @@ def test_char_checks_match_the_golden_file_without_function_sets(refuse_index):
                     (row["status"], row["witness"]), f"{result_id} on {name}"
                 checked += 1
     assert checked == 54
+
+
+def test_sweep_builds_each_ring_once(monkeypatch, tmp_path):
+    # A local ring is its own local factor and a field its own residue
+    # field, so besides the catalog and the rings it is built from, only the
+    # factors of non-local rings and the residue fields of non-fields are built.
+    builds = []
+    build = core._build
+
+    def record(add, mul, label):
+        builds.append(label)
+        return build(add, mul, label)
+
+    monkeypatch.setattr(core, "_build", record)
+    monkeypatch.setattr(catalog, "realize", lru_cache(maxsize=None)(catalog.realize.__wrapped__))
+    assert main(["sweep", "--max-order", "16", "--out", str(tmp_path / "sweep.json")]) == 0
+    assert len(builds) <= 60, builds
 
 
 def test_sweep_covers_the_whole_catalog_at_the_default_cap(refuse_index, tmp_path):

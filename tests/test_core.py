@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from finring import (
     make_zn,
     residue_field,
     rings_isomorphic,
+    standard_catalog,
     validate_ring,
 )
 from finring.core import (
@@ -27,6 +32,8 @@ from finring.core import (
     multiplicative_inverse,
     multiplicative_order,
 )
+
+from conftest import axiom_scan, m2f2, skew_dual_f4, upper_triangular_f2
 
 
 def test_make_zn_2_is_field(z2):
@@ -139,6 +146,98 @@ def test_table_ring_axiom_violation_with_witness(z2):
         assert bad_mul[z2.add(b, c)][a] != z2.add(bad_mul[b][a], bad_mul[c][a])
 
 
+def test_closure_witness_is_plain_ints():
+    with pytest.raises(AxiomViolation, match=r"'multiplication-closure' fails at \(1, 1\)$") as exc:
+        make_table_ring([[0, 1], [1, 0]], [[0, 0], [0, 5]])
+    assert all(type(v) is int for v in exc.value.witness)
+
+
+def test_element_without_negative_is_the_witness():
+    add = [[0, 1, 2], [1, 2, 2], [2, 2, 0]]  # 1 + b is never 0
+    with pytest.raises(AxiomViolation, match=r"'additive-inverse' fails at \(1,\)$"):
+        make_table_ring(add, [[0] * 3] * 3)
+
+
+# Each axiom's failure at a witness, re-checked from the plain tables.
+_VIOLATES = {
+    "additive-identity": lambda r, z: any(r.add_table[0][x] != x or r.add_table[x][0] != x
+                                          for x in range(r.order)),
+    "additive-inverse": lambda r, a: r.add_table[a][r.neg_table[a]] != 0,
+    "additive-associativity": lambda r, a, b, c: r.add(r.add(a, b), c) != r.add(a, r.add(b, c)),
+    "associativity": lambda r, a, b, c: r.mul(r.mul(a, b), c) != r.mul(a, r.mul(b, c)),
+    "left-distributivity": lambda r, a, b, c: r.mul(a, r.add(b, c)) != r.add(r.mul(a, b), r.mul(a, c)),
+    "right-distributivity": lambda r, a, b, c: r.mul(r.add(b, c), a) != r.add(r.mul(b, a), r.mul(c, a)),
+    "unity": lambda r, u: any(r.mul_table[u][x] != x or r.mul_table[x][u] != x
+                              for x in range(r.order)),
+}
+
+
+def _corrupted(ring, rng):
+    """ring with 1-3 edits: each sets add[a][b] = add[b][a] or mul[a][b] to a new value."""
+    add = [list(row) for row in ring.add_table]
+    mul = [list(row) for row in ring.mul_table]
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.randrange(ring.order), rng.randrange(ring.order)
+        table = rng.choice((add, mul))
+        table[a][b] = rng.choice([v for v in range(ring.order) if v != table[a][b]])
+        if table is add:
+            add[b][a] = add[a][b]
+    neg = tuple(row.index(0) if 0 in row else 0 for row in add)  # as make_table_ring does
+    freeze = lambda table: tuple(map(tuple, table))
+    return dataclasses.replace(ring, add_table=freeze(add), mul_table=freeze(mul), neg_table=neg)
+
+
+def _bilinear_shift(ring, rng):
+    """ring, whose + is xor on bit vectors, with mul[a][b] ^ B(a, b) for a
+    random sparse F2-bilinear B: both distributive laws survive, while
+    associativity and unity often fail, at few triples."""
+    bits = (ring.order - 1).bit_length()
+    B = [[rng.randrange(ring.order) if rng.random() < 1 / bits else 0 for _ in range(bits)]
+         for _ in range(bits)]
+
+    def shift(a, b):
+        acc = 0
+        for i, j in product(range(bits), repeat=2):
+            if a >> i & b >> j & 1:
+                acc ^= B[i][j]
+        return acc
+
+    mul = tuple(tuple(ring.mul_table[a][b] ^ shift(a, b) for b in ring.elements())
+                for a in ring.elements())
+    return dataclasses.replace(ring, mul_table=mul)
+
+
+def _violation(check, ring):
+    try:
+        check(ring)
+    except AxiomViolation as exc:
+        return exc
+    return None
+
+
+_ORACLE_RINGS = {ring.label: ring for ring in (
+    *(ring for _, ring in standard_catalog(16)), upper_triangular_f2(), m2f2(), skew_dual_f4(),
+    *(make_zero_mul_ring(n) for n in range(2, 9)))}
+
+
+@pytest.mark.parametrize("label", sorted(_ORACLE_RINGS))
+def test_validate_ring_matches_axiom_scan_on_corrupted_tables(label):
+    ring = _ORACLE_RINGS[label]
+    rng = random.Random(label)
+    tables = [ring] + [_corrupted(ring, rng) for _ in range(100)]
+    if all(ring.add(a, b) == a ^ b for a in ring.elements() for b in ring.elements()):
+        tables += [_bilinear_shift(ring, rng) for _ in range(20)]
+    rejected = 0
+    for table_ring in tables:
+        found, expected = _violation(validate_ring, table_ring), _violation(axiom_scan, table_ring)
+        assert (found is None) == (expected is None), (found, expected)
+        if found is not None:
+            rejected += 1
+            assert all(type(v) is int for v in found.witness)
+            assert _VIOLATES[found.axiom](table_ring, *found.witness), (found.axiom, found.witness)
+    assert rejected >= 50
+
+
 def test_table_ring_identity_must_sit_at_zero():
     add = ((1, 0), (0, 1))  # identity is element 1
     mul = ((0, 0), (0, 0))
@@ -184,8 +283,21 @@ def test_local_decomposition_z6(z6):
 def test_local_decomposition_z4_is_itself(z4):
     factors = local_decomposition(z4)
     assert len(factors) == 1
-    assert factors[0].ring.order == 4
+    assert factors[0].ring is z4
+    assert factors[0].projection == (0, 1, 2, 3)
     assert factors[0].idempotent == z4.unity
+
+
+def test_local_rings_and_fields_are_their_own_factor_and_residue_field(catalog16):
+    for name, ring in catalog16:
+        inv = analyze(ring)
+        identity = tuple(range(ring.order))
+        if inv.is_unital and inv.is_commutative and inv.is_local:
+            (factor,) = local_decomposition(ring)
+            assert (factor.ring, factor.projection, factor.idempotent) == (ring, identity, ring.unity), name
+        if inv.is_field:
+            field, proj, reps = residue_field(ring)
+            assert field is ring and proj == reps == identity, name
 
 
 def test_local_decomposition_z12():

@@ -12,6 +12,7 @@ from finring import (
     embed,
     function_table,
     identity_embedding,
+    interpolate_field,
     make_zero_mul_ring,
     make_zn,
     parse_ring_spec,
@@ -23,7 +24,7 @@ from finring import (
     residue_field,
     standard_catalog,
 )
-from finring import polyfun
+from finring import polyfun, theorems
 from finring.polyfun import (
     Polynomial,
     PolyFunctionSet,
@@ -448,6 +449,20 @@ def test_reduced_lift_induces_the_unreduced_table(spec):
                         prod = poly_mul(prod, poly_from(ring, (ring.neg(alpha), ring.unity)))
                 unreduced = poly_add(unreduced, poly_scale(beta, poly_pow(prod, data.exponent)))
             assert function_table(lifted) == function_table(unreduced)
+
+
+@pytest.mark.parametrize("spec", [name for name, ring in standard_catalog(32)
+                                  if analyze(ring).is_field])
+def test_lift_on_a_field_is_the_interpolant_and_builds_no_lift_basis(spec):
+    ring = realize(parse_ring_spec(spec))
+    calls = theorems._lift_basis.cache_info()  # hits too: earlier tests may have filled it
+    for f in (poly_x(ring), poly_from(ring, (1, ring.unity, 0, ring.unity))):
+        verdict = check_residue_lift(ring, f)
+        _, data = lift_residue_polynomial(ring, f)
+        assert verdict.holds
+        assert verdict.witness["polynomial"] == \
+            interpolate_field(ring, _unreduced_lift_table(ring, data)).stripped()
+    assert theorems._lift_basis.cache_info() == calls
 
 
 def test_lift_constant(z4):
