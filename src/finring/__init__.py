@@ -21,6 +21,7 @@ from .core import (
     make_table_ring,
     make_zero_mul_ring,
     make_zn,
+    primitive_idempotents,
     residue_field,
     rings_isomorphic,
     validate_ring,

@@ -16,6 +16,7 @@ non-unital rings with identically zero multiplication.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -236,14 +237,42 @@ def render_ring_spec(ast: RingSpecAst) -> str:
 
 _ZERO_RING_RE = re.compile(r"zero-ring-(\d+)$")
 
+# The largest ring a spec may name: its elements fit the function set's byte keys.
+ORDER_LIMIT = 256
+
+
+def _spec_order(ast: RingSpecAst) -> int:
+    """The order of the ring a spec tree names, read from the tree alone and
+    capped at ORDER_LIMIT + 1, so that no huge power is ever formed."""
+    if isinstance(ast, Zn):
+        order = ast.n
+    elif isinstance(ast, Quotient):
+        q = _spec_order(ast.base)
+        # realize reads the modulus mod q, so high terms may vanish; 2^9 > ORDER_LIMIT
+        order = q ** min(9, max((i for i, c in enumerate(ast.modulus) if c % q), default=0))
+    elif isinstance(ast, Product):
+        order = math.prod(map(_spec_order, ast.parts))
+    elif isinstance(ast, TableRef):
+        m = _ZERO_RING_RE.match(ast.name)
+        if m is None:
+            raise RingSpecError(f"unknown ring name {ast.name!r}")
+        order = int(m.group(1))
+    else:
+        raise TypeError(f"not a ring spec node: {ast!r}")
+    return min(order, ORDER_LIMIT + 1)
+
 
 @lru_cache(maxsize=None)
 def realize(ast: RingSpecAst) -> FiniteRing:
-    """Build the ring a spec tree describes.
+    """Build the ring a spec tree describes, or refuse one of more than
+    ORDER_LIMIT elements before any table is built.
 
     Cached per AST node, so equal spec strings share one ring instance (and
     with it every per-ring cache downstream).
     """
+    order = _spec_order(ast)
+    if order > ORDER_LIMIT:
+        raise RingSpecError(f"ring order exceeds the limit of {ORDER_LIMIT} elements")
     if isinstance(ast, Zn):
         return make_zn(ast.n)
     if isinstance(ast, Quotient):
@@ -255,12 +284,7 @@ def realize(ast: RingSpecAst) -> FiniteRing:
         for part in ast.parts[1:]:
             ring = make_product(ring, realize(part))
         return ring
-    if isinstance(ast, TableRef):
-        m = _ZERO_RING_RE.match(ast.name)
-        if m:
-            return make_zero_mul_ring(int(m.group(1)))
-        raise RingSpecError(f"unknown ring name {ast.name!r}")
-    raise TypeError(f"not a ring spec node: {ast!r}")
+    return make_zero_mul_ring(order)
 
 
 def parse_poly_text(text: str, ring: FiniteRing):
@@ -299,7 +323,7 @@ _PRODUCT_SPECS = (
 
 
 def standard_catalog(max_order: int) -> list[tuple[str, FiniteRing]]:
-    """Named test rings of order <= max_order (max_order <= 32), deduplicated by name.
+    """Named test rings of order <= max_order (max_order <= 32), each built once.
 
     Includes all Z/n, the fields GF(4)/GF(8)/GF(9), a handful of quotient
     and product rings, and the two non-unital zero-multiplication rings.
@@ -309,21 +333,8 @@ def standard_catalog(max_order: int) -> list[tuple[str, FiniteRing]]:
     """
     if not 2 <= max_order <= 32:
         raise ValueError("max_order must be between 2 and 32")
-    entries: dict[str, FiniteRing] = {}
-
-    def put(name: str, ring: FiniteRing):
-        if ring.order <= max_order and name not in entries:
-            entries[name] = ring
-
-    for n in range(2, max_order + 1):
-        put(f"Z/{n}", make_zn(n))
-    for q in (4, 8, 9):
-        if q <= max_order:
-            put(f"GF({q})", realize(parse_ring_spec(f"GF({q})")))
-    for spec in _QUOTIENT_SPECS + _PRODUCT_SPECS:
-        ast = parse_ring_spec(spec)
-        ring = realize(ast)
-        put(spec, ring)
-    for n in (2, 4):
-        put(f"zero-ring-{n}", make_zero_mul_ring(n))
-    return list(entries.items())
+    specs = [f"Z/{n}" for n in range(2, max_order + 1)]
+    specs += ["GF(4)", "GF(8)", "GF(9)", *_QUOTIENT_SPECS, *_PRODUCT_SPECS, "zero-ring-2", "zero-ring-4"]
+    # realize builds each Z/n once, also as the base of a quotient or product
+    asts = {spec: parse_ring_spec(spec) for spec in specs}
+    return [(spec, realize(ast)) for spec, ast in asts.items() if _spec_order(ast) <= max_order]

@@ -27,7 +27,7 @@ from .core import (
     InternalInvariantError,
     UnsupportedStructureError,
     analyze,
-    local_decomposition,
+    primitive_idempotents,
 )
 from .polyfun import Polynomial, function_count, power_stabilization
 from .theorems import CHECKS, RESULT_IDS, CheckOptions, Verdict
@@ -37,8 +37,8 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 4
 
-# Accepted so that older command lines parse; no answer has a cap or a skip any more.
-IGNORED_FLAGS = ("--cap-functions", "--max-bijection-order")
+# Accepted so that older command lines parse; no answer has a cap, a skip or an s range.
+IGNORED_FLAGS = ("--cap-functions", "--max-bijection-order", "--s-max")
 
 
 def _witness_json(value):
@@ -106,8 +106,8 @@ def cmd_report(args) -> int:
     }
     if inv.is_unital and inv.is_commutative:
         doc["local_factors"] = [
-            {"idempotent": f.idempotent, "order": f.ring.order}
-            for f in local_decomposition(ring)
+            {"idempotent": e, "order": len(set(ring.mul_table[e]))}
+            for e in primitive_idempotents(ring)
         ]
     doc["stabilization"] = list(power_stabilization(ring))
     doc["function_count"] = function_count(ring)
@@ -135,7 +135,7 @@ def cmd_check(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     ring = realize(parse_ring_spec(args.spec))
-    opts = CheckOptions(poly=args.poly, subset=args.subset, s_max=args.s_max)
+    opts = CheckOptions(poly=args.poly, subset=args.subset)
     check = CHECKS[args.result_id]
     if check.applies(ring):
         start = time.perf_counter()
@@ -242,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.add_argument("--poly", help="polynomial in grammar syntax, e.g. x^2+x")
     p_check.add_argument("--subset", help="comma-separated element indices")
-    p_check.add_argument("--s-max", type=int, default=3,
-                         help="power multiplier range for the L2.2 check")
     common(p_check)
     p_check.set_defaults(func=cmd_check)
 

@@ -34,6 +34,7 @@ __all__ = [
     "make_zero_mul_ring",
     "analyze",
     "validate_ring",
+    "primitive_idempotents",
     "local_decomposition",
     "residue_field",
     "embed",
@@ -576,36 +577,30 @@ def analyze(ring: FiniteRing) -> RingInvariants:
 # decomposition into local factors and residue fields
 # ---------------------------------------------------------------------------
 
-def _subring_on(ring: FiniteRing, elems: list[int], label: str) -> tuple[FiniteRing, dict[int, int]]:
-    index = {e: i for i, e in enumerate(elems)}
-    add = [[index[ring.add_table[a][b]] for b in elems] for a in elems]
-    mul = [[index[ring.mul_table[a][b]] for b in elems] for a in elems]
-    return _build(add, mul, label), index
-
-
-@lru_cache(maxsize=None)
-def local_decomposition(ring: FiniteRing) -> tuple[LocalFactor, ...]:
-    """Split a commutative unital ring into its local factors e_i * R.
-
-    The primitive idempotents are found by exhaustive scan: e is primitive
-    when e != 0 and e*f is 0 or e for every idempotent f.  The number of
-    factors equals the number of maximal (= prime) ideals.  A local ring is
-    its own one factor, with the identity projection; no copy is built.
-    """
+def primitive_idempotents(ring: FiniteRing) -> tuple[int, ...]:
+    """The primitive idempotents e of a commutative unital ring, ascending: e != 0
+    and e*f is 0 or e for every idempotent f.  There is one per local factor eR,
+    so one per maximal (= prime) ideal; a local ring's only one is its unity."""
     inv = analyze(ring)
     if not (inv.is_unital and inv.is_commutative):
-        raise UnsupportedStructureError("local decomposition needs a commutative unital ring")
-    if inv.is_local:
+        raise UnsupportedStructureError("local factors need a commutative unital ring")
+    idem = inv.idempotents.indices()
+    return tuple(e for e in idem if e != 0 and all(ring.mul_table[e][f] in (0, e) for f in idem))
+
+
+def local_decomposition(ring: FiniteRing) -> tuple[LocalFactor, ...]:
+    """Split a commutative unital ring into its local factors eR, built as
+    rings, one per primitive idempotent e; a local ring is its own one factor,
+    with the identity projection.  Uncached: no check builds factor rings."""
+    primitive = primitive_idempotents(ring)
+    if len(primitive) == 1:
         return (LocalFactor(idempotent=ring.unity, ring=ring, projection=tuple(range(ring.order))),)
-    idem = list(inv.idempotents.indices())
-    primitive = [
-        e for e in idem
-        if e != 0 and all(ring.mul_table[e][f] in (0, e) for f in idem)
-    ]
     factors = []
     for e in primitive:
-        elems = sorted({ring.mul_table[e][r] for r in range(ring.order)})
-        sub, index = _subring_on(ring, elems, f"{ring.label}|e={e}")
+        elems = sorted(set(ring.mul_table[e]))
+        index = {x: i for i, x in enumerate(elems)}
+        sub = _build([[index[ring.add_table[a][b]] for b in elems] for a in elems],
+                     [[index[ring.mul_table[a][b]] for b in elems] for a in elems], f"{ring.label}|e={e}")
         if sub.unity != index[e]:
             raise InternalInvariantError("factor unity must be the defining idempotent")
         projection = tuple(index[ring.mul_table[e][x]] for x in range(ring.order))
@@ -692,7 +687,7 @@ def invariant_signature(ring: FiniteRing) -> tuple:
     )
     n_factors = None
     if inv.is_unital and inv.is_commutative:
-        n_factors = len(local_decomposition(ring))
+        n_factors = len(primitive_idempotents(ring))
     return (
         ring.order,
         inv.is_commutative,

@@ -43,7 +43,7 @@ from .core import (
     SubsetMask,
     UnsupportedStructureError,
     analyze,
-    local_decomposition,
+    primitive_idempotents,
 )
 
 __all__ = [
@@ -469,9 +469,7 @@ def polynomial_function_set(ring: FiniteRing) -> PolyFunctionSet:
 def _function_set(ring: FiniteRing) -> PolyFunctionSet:
     inv = analyze(ring)
     if inv.is_commutative and inv.is_unital and inv.nilpotents.size == 1:
-        idempotents = (ring.unity,) if inv.is_field else \
-            tuple(f.idempotent for f in local_decomposition(ring))
-        return PolyFunctionSet(ring, idempotents=idempotents)
+        return PolyFunctionSet(ring, idempotents=primitive_idempotents(ring))
     return PolyFunctionSet(ring, count=_lattice(ring)[0])
 
 

@@ -21,7 +21,8 @@ P1.3   every subset indicator induced by a polynomial (unital rings),
 P2.1   a subring whose nonzero elements are sent to 1 by a polynomial over
        the big ring is a finite field
 L2.2   the shift-by-nilpotent power identity (b+c)^(sN) = b^(sN) with the
-       exponent N built from the characteristic and the nilpotency index
+       exponent N built from the characteristic and the nilpotency index;
+       checked at s = 1, which gives every s
 P2.3i  every unit order divides N*(n-1) for the residue field order n
 P2.3ii from the unit-group exponent, a uniform exponent sN killing every
        nilpotent, via the unit/nilpotent coefficient split
@@ -58,8 +59,8 @@ from .core import (
     analyze,
     element_nilpotency_index,
     identity_embedding,
-    local_decomposition,
     multiplicative_order,
+    primitive_idempotents,
     residue_field,
 )
 from .polyfun import (
@@ -363,49 +364,38 @@ def binomial_exponent(char_n: int, nilp_index: int) -> BinomialExponent:
     return BinomialExponent(char_n, nilp_index, fact, betas, exponent)
 
 
-def verify_nilpotent_shift_power(ring: FiniteRing, b: int, c: int,
-                                 s_max: int = 5) -> Verdict:
+def verify_nilpotent_shift_power(ring: FiniteRing, b: int, c: int) -> Verdict:
     """L2.2: with N built from the characteristic and c's own nilpotency index,
-    (b + c)^(sN) = b^(sN) for s = 1..s_max."""
+    (b + c)^(sN) = b^(sN) for every s >= 1; x^(sN) = (x^N)^s, so only s = 1
+    is compared."""
     inv = _require(ring, "commutative")
-    if s_max < 1:
-        raise ValueError(f"s_max must be >= 1, got {s_max}")
     idx = element_nilpotency_index(ring, c)
     if idx is None:
         raise ValueError(f"element {c} is not nilpotent")
-    params = binomial_exponent(inv.characteristic, idx)
-    N = params.exponent
-    a = ring.add_table[b][c]
-    bad_s = next(
-        (s for s in range(1, s_max + 1) if ring.pow(a, s * N) != ring.pow(b, s * N)),
-        None,
-    )
-    holds = bad_s is None
-    witness = {"b": b, "c": c, "nilp_index": idx, "exponent": N, "s_max": s_max}
-    if bad_s is not None:
-        witness["failing_s"] = bad_s
+    N = binomial_exponent(inv.characteristic, idx).exponent
+    holds = ring.pow(ring.add_table[b][c], N) == ring.pow(b, N)
     return Verdict(
-        "L2.2", holds, witness=witness,
-        details=f"(b+c)^(sN) vs b^(sN) with N={N}, s<=s_max: {'equal' if holds else f'differ at s={bad_s}'}",
+        "L2.2", holds,
+        witness={"b": b, "c": c, "nilp_index": idx, "exponent": N},
+        details=f"(b+c)^N vs b^N with N={N}, hence (b+c)^(sN) vs b^(sN) for every s: "
+                f"{'equal' if holds else 'differ'}",
     )
 
 
-def check_nilpotent_shift_powers(ring: FiniteRing, s_max: int = 3) -> Verdict:
+def check_nilpotent_shift_powers(ring: FiniteRing) -> Verdict:
     """L2.2 over every (b, nilpotent c) pair of the ring."""
-    if s_max < 1:
-        raise ValueError(f"s_max must be >= 1, got {s_max}")
     inv = analyze(ring)
     checked = 0
     for c in inv.nilpotents.indices():
         for b in range(ring.order):
-            v = verify_nilpotent_shift_power(ring, b, c, s_max)
+            v = verify_nilpotent_shift_power(ring, b, c)
             if not v.holds:
                 return v
             checked += 1
     return Verdict(
         "L2.2", True,
-        witness={"pairs": checked, "s_max": s_max},
-        details=f"all {checked} (b, c) pairs agree up to s={s_max}",
+        witness={"pairs": checked},
+        details=f"all {checked} (b, c) pairs agree at s=1, hence at every s",
     )
 
 
@@ -524,13 +514,18 @@ def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _factor_residue_maps(ring: FiniteRing):
-    """Per local factor, the composite map ring -> factor -> residue field."""
+def _factor_residue_maps(ring: FiniteRing) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per primitive idempotent e, the factor's order |eR| and each x's key,
+    the least element of e*x + eJ.  The maximal ideals of R = sum eR are
+    J + (1-e)R for the radical J, so x and y share a residue modulo one
+    exactly when their keys for its e agree.  No ring is built."""
+    mul, add = ring.mul_table, ring.add_table
+    radical = analyze(ring).jacobson_radical.indices()
     out = []
-    for factor in local_decomposition(ring):
-        k, proj, _ = residue_field(factor.ring)
-        chain = tuple(proj[factor.projection[x]] for x in range(ring.order))
-        out.append((factor, k, chain))
+    for e in primitive_idempotents(ring):
+        e_radical = {mul[e][j] for j in radical}
+        keys = tuple(min(add[mul[e][x]][j] for j in e_radical) for x in range(ring.order))
+        out.append((len(set(mul[e])), keys))
     return tuple(out)
 
 
@@ -538,13 +533,13 @@ def _constant_modulo_a_maximal_ideal(result_id: str, ring: FiniteRing, values,
                                      subject: str) -> Verdict | None:
     """A precondition-failed verdict if the values (elements of ring) have a
     single residue modulo some maximal ideal, else None."""
-    for factor, _, to_residue in _factor_residue_maps(ring):
-        if len({to_residue[v] for v in values}) == 1:
+    for order, keys in _factor_residue_maps(ring):
+        if len({keys[v] for v in values}) == 1:
             return Verdict(
                 result_id, True, vacuous=True,
-                witness={"constant_factor_order": factor.ring.order},
+                witness={"constant_factor_order": order},
                 details=f"precondition-failed: {subject} constant modulo the maximal ideal "
-                        f"of the factor of order {factor.ring.order}",
+                        f"of the factor of order {order}",
             )
     return None
 
@@ -554,7 +549,8 @@ def check_residue_field_bound(emb: Embedding, f: Polynomial) -> Verdict:
 
     Precondition: for every maximal ideal of the big ring, the residues of
     f's values on the embedded subring are non-constant; otherwise the
-    verdict is precondition-failed (vacuous).
+    verdict is precondition-failed (vacuous).  Residues and residue field
+    orders come from ``_factor_residue_maps``, which builds no ring.
     """
     small, big = emb.small, emb.big
     if f.ring is not big:
@@ -568,7 +564,7 @@ def check_residue_field_bound(emb: Embedding, f: Polynomial) -> Verdict:
     img = len(set(values))
     deg = f.degree
     bound = img * deg
-    residue_orders = [analyze(fac.ring).residue_field_order for fac in local_decomposition(small)]
+    residue_orders = [len(set(keys)) for _, keys in _factor_residue_maps(small)]
     holds = all(n <= bound for n in residue_orders)
     return Verdict(
         "L2.4", holds,
@@ -583,6 +579,7 @@ def check_spectrum_bound(ring: FiniteRing, f: Polynomial) -> Verdict:
 
     Precondition: f is non-constant as a function modulo every maximal
     ideal; the failing factor is reported as precondition-failed otherwise.
+    Factors are counted by their primitive idempotents; none is built.
     """
     if f.ring is not ring:
         raise ValueError("polynomial must have coefficients in the ring itself")
@@ -593,7 +590,7 @@ def check_spectrum_bound(ring: FiniteRing, f: Polynomial) -> Verdict:
         return failed
     img = len(set(values))
     omega = _omega(img)
-    spectrum = len(local_decomposition(ring))
+    spectrum = len(_factor_residue_maps(ring))
     holds = spectrum <= omega
     return Verdict(
         "L2.5", holds,
@@ -865,7 +862,6 @@ class CheckOptions:
 
     poly: str | None = None
     subset: str | None = None
-    s_max: int = 3
 
 
 @dataclass(frozen=True)
@@ -905,7 +901,7 @@ CHECKS: dict[str, Check] = {
     "P1.3": Check("unital", lambda ring, o: check_char_functions_iff_field(ring)),
     "P2.1": Check("comm-unital", lambda ring, o: verify_subring_char_function(
         identity_embedding(ring), _poly_or_x(o, ring))),
-    "L2.2": Check("commutative", lambda ring, o: check_nilpotent_shift_powers(ring, s_max=o.s_max)),
+    "L2.2": Check("commutative", lambda ring, o: check_nilpotent_shift_powers(ring)),
     "P2.3i": Check("local-unital", lambda ring, o: check_unit_order_bound(ring)),
     "P2.3ii": Check("comm-local-unital", lambda ring, o: check_unit_exponent_nilpotency(ring)),
     "L2.4": Check("comm-unital", lambda ring, o: check_residue_field_bound(

@@ -9,6 +9,9 @@ polynomials, independently of the closed form in ``interpolate_field``.
 The CRT oracle builds each local factor of a product of fields as its own
 ring, interpolates there and glues the coefficients by the Chinese
 remainder theorem, where the library interpolates once inside the ring.
+The residue oracle maps each element through a built local factor into
+its built residue field, where L2.4 and L2.5 read the residues off the
+primitive idempotents and the radical.
 The schoolbook oracles multiply and evaluate polynomials term by term
 through ``ring.add``/``ring.mul``, where the library indexes table rows.
 The syndrome oracle finds every induced indicator by matching the
@@ -37,6 +40,7 @@ from finring import (
     parse_ring_spec,
     power_stabilization,
     realize,
+    residue_field,
     standard_catalog,
 )
 from finring import polyfun
@@ -152,6 +156,16 @@ def crt_interpolate(ring, values) -> Polynomial:
     width = max(map(len, rows))
     columns = zip(*(row + (0,) * (width - len(row)) for row in rows))
     return Polynomial(ring, tuple(crt[column] for column in columns)).stripped()
+
+
+def factor_residues(ring) -> list[tuple[int, tuple[int, ...]]]:
+    """Per local factor eR, built as a ring: its order and, for every x, the
+    index of e*x's class in the residue field of eR, also built."""
+    out = []
+    for factor in local_decomposition(ring):
+        _, proj, _ = residue_field(factor.ring)
+        out.append((factor.ring.order, tuple(proj[factor.projection[x]] for x in range(ring.order))))
+    return out
 
 
 def schoolbook_mul(f, g) -> Polynomial:

@@ -122,8 +122,10 @@ def test_criterion_4_shift_powers_randomized():
         b = rng.randrange(ring.order)
         c = rng.choice(nilpotents[i])
         s = rng.randint(1, 5)
-        verdict = verify_nilpotent_shift_power(ring, b, c, s_max=s)
+        verdict = verify_nilpotent_shift_power(ring, b, c)
         assert verdict.holds, f"{ring.label}, b={b}, c={c}: {verdict.details}"
+        sN = s * verdict.witness["exponent"]
+        assert ring.pow(ring.add(b, c), sN) == ring.pow(b, sN), f"{ring.label}, b={b}, c={c}, s={s}"
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _report(4, f"200 randomized shift-power identities in {elapsed:.2f}s")

@@ -184,7 +184,7 @@ def test_check_unknown_id_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["check", "Z/4", "R2.8", "--subset", "99"],
     ["check", "Z/4", "R2.8", "--subset", "-1"],
-    ["check", "Z/9", "L2.2", "--s-max", "0"],
+    ["check", "Z/16 x Z/17", "L2.2"],
     ["check", "Z/4", "R2.8", "--subset", "4"],
     ["report", "Z/1"],
     ["sweep", "--max-order", "1", "--out", "/nonexistent-dir/x.json"],
@@ -261,21 +261,65 @@ def test_char_checks_match_the_golden_file_without_function_sets(refuse_index):
     assert checked == 54
 
 
-def test_sweep_builds_each_ring_once(monkeypatch, tmp_path):
-    # A local ring is its own local factor and a field its own residue
-    # field, so besides the catalog and the rings it is built from, only the
-    # factors of non-local rings and the residue fields of non-fields are built.
-    builds = []
+@pytest.fixture
+def builds(monkeypatch):
+    """The label of every ring built while the test runs, with realize's
+    cache emptied first."""
+    labels = []
     build = core._build
 
     def record(add, mul, label):
-        builds.append(label)
+        labels.append(label)
         return build(add, mul, label)
 
     monkeypatch.setattr(core, "_build", record)
     monkeypatch.setattr(catalog, "realize", lru_cache(maxsize=None)(catalog.realize.__wrapped__))
+    return labels
+
+
+def test_sweep_builds_each_ring_once(builds, tmp_path):
+    # The catalog builds each Z/n once, also as the base of its quotients and
+    # products.  L2.4, L2.5 and the report read local factors from primitive
+    # idempotents, so besides the 28 distinct catalog rings only the 8
+    # residue fields of the non-field local rings are built.
     assert main(["sweep", "--max-order", "16", "--out", str(tmp_path / "sweep.json")]) == 0
-    assert len(builds) <= 60, builds
+    assert len(builds) <= 36, builds
+    assert not [label for label in builds if "|e=" in label], builds
+
+
+@pytest.mark.parametrize("spec", ["Z/18", "Z/8 x Z/2"])
+def test_report_builds_no_local_factor(builds, capsys, spec):
+    code, doc = run_json(capsys, "report", spec)
+    assert code == 0 and len(doc["local_factors"]) == 2
+    assert not [label for label in builds if "|e=" in label], builds
+
+
+@pytest.mark.parametrize("spec", ["Z/257", "Z/2[x]/(x^9)", "Z/16 x Z/17", "zero-ring-300"])
+def test_report_refuses_rings_above_the_order_limit_before_building(monkeypatch, capsys, spec):
+    def refuse(add, mul, label):
+        raise AssertionError(f"built {label}")
+
+    monkeypatch.setattr(core, "_build", refuse)
+    assert main(["report", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
+def test_report_accepts_the_order_limit(capsys):
+    assert main(["report", "Z/256"]) == 0
+    assert "order 256" in capsys.readouterr().out
+
+
+def test_s_max_is_accepted_and_ignored(capsys):
+    assert main(["check", "Z/9", "L2.2", "--format", "json"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(["check", "Z/9", "L2.2", "--s-max", "3", "--format", "json"]) == 0
+    flagged = json.loads(capsys.readouterr().out)
+    for doc in (plain, flagged):
+        del doc["verdict"]["ms"]
+    assert flagged == plain and plain["verdict"]["status"] == "pass"
+    assert plain["verdict"]["witness"] == {"pairs": 27}
 
 
 def test_sweep_covers_the_whole_catalog_at_the_default_cap(refuse_index, tmp_path):

@@ -29,8 +29,8 @@ def _rings():
             make_zero_mul_ring(2), upper_triangular_f2()]
 
 
-def test_check_options_are_the_three_cli_inputs():
-    assert [f.name for f in fields(CheckOptions)] == ["poly", "subset", "s_max"]
+def test_check_options_are_the_two_cli_inputs():
+    assert [f.name for f in fields(CheckOptions)] == ["poly", "subset"]
 
 
 def test_result_ids_come_from_the_registry():

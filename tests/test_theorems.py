@@ -13,6 +13,7 @@ from finring import (
     function_table,
     identity_embedding,
     interpolate_field,
+    local_decomposition,
     make_zero_mul_ring,
     make_zn,
     parse_ring_spec,
@@ -20,6 +21,7 @@ from finring import (
     poly_x,
     polynomial_function_set,
     power_stabilization,
+    primitive_idempotents,
     realize,
     residue_field,
     standard_catalog,
@@ -61,6 +63,7 @@ from finring.theorems import (
 from conftest import (
     brute_force_function_tables,
     coset_growth,
+    factor_residues,
     m2f2,
     row_matrices_f2,
     skew_dual_f4,
@@ -227,13 +230,6 @@ def test_shift_power_rejects_non_nilpotent(z4):
         verify_nilpotent_shift_power(z4, 1, 3)
 
 
-def test_shift_power_rejects_empty_s_range(z9):
-    with pytest.raises(ValueError, match="s_max"):
-        verify_nilpotent_shift_power(z9, 1, 3, s_max=0)
-    with pytest.raises(ValueError, match="s_max"):
-        check_nilpotent_shift_powers(z9, s_max=0)
-
-
 def test_shift_power_all_pairs(z9):
     v = check_nilpotent_shift_powers(z9)
     assert v.holds
@@ -309,6 +305,23 @@ def test_unit_exponent_nilpotency_field(z2):
 
 
 # --- L2.4 / L2.5 -----------------------------------------------------------
+
+_COMM_UNITAL_32 = [name for name, ring in standard_catalog(32)
+                   if analyze(ring).is_unital and analyze(ring).is_commutative]
+
+
+@pytest.mark.parametrize("spec", _COMM_UNITAL_32 + ["Z/4 x Z/16", "Z/8 x Z/9"])
+def test_factor_residue_maps_match_built_factors_and_residue_fields(spec):
+    ring = realize(parse_ring_spec(spec))
+    assert primitive_idempotents(ring) == tuple(f.idempotent for f in local_decomposition(ring))
+    maps = theorems._factor_residue_maps(ring)
+    oracle = factor_residues(ring)
+    assert [order for order, _ in maps] == [order for order, _ in oracle]
+    for (_, keys), (_, classes) in zip(maps, oracle):
+        # equal keys exactly when equal residues: key <-> class is a bijection
+        pairs = set(zip(keys, classes))
+        assert len(pairs) == len(set(keys)) == len(set(classes))
+
 
 def test_residue_bound_z4_square(z4):
     v = check_residue_field_bound(identity_embedding(z4), poly_from(z4, (0, 0, 1)))
