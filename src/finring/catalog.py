@@ -8,6 +8,8 @@ Grammar (whitespace-insensitive)::
     poly := mono ('+' mono)*
     mono := INT | INT 'x' ('^' INT)? | 'x' ('^' INT)?
 
+Exponents are at most ``EXPONENT_LIMIT`` = 4096.
+
 ``GF(q)`` resolves through a fixed table of irreducible moduli for
 q in {4, 8, 9, 16, 25, 27} (prime q is plain Z/q), so element indexing is
 reproducible across runs.  The only NAME forms are ``zero-ring-N``, the
@@ -88,6 +90,11 @@ GF_MODULI: dict[int, tuple[int, tuple[int, ...]]] = {
     25: (5, (2, 0, 1)),       # x^2 + 2
     27: (3, (1, 2, 0, 1)),    # x^3 + 2x + 1
 }
+
+# The largest exponent a poly may name, checked before it is expanded into
+# dense coefficients.  A witness that a check finds without --poly has degree
+# below t + p, at most about 2 * ORDER_LIMIT, so it parses back.
+EXPONENT_LIMIT = 4096
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
@@ -213,10 +220,14 @@ class _Parser:
         return tuple(coeffs.get(e, 0) for e in range(top + 1))
 
     def _exponent(self) -> int:
-        if self.peek()[:2] == ("sym", "^"):
-            self.i += 1
-            return self.take_int()
-        return 1
+        if self.peek()[:2] != ("sym", "^"):
+            return 1
+        self.i += 1
+        pos = self.peek()[2]
+        e = self.take_int()
+        if e > EXPONENT_LIMIT:
+            raise RingSpecError(f"exponent {e} exceeds the limit of {EXPONENT_LIMIT}", pos)
+        return e
 
 
 def parse_ring_spec(text: str) -> RingSpecAst:

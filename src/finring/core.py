@@ -304,83 +304,77 @@ def validate_ring(ring: FiniteRing) -> None:
             raise AxiomViolation("unity", (u,))
 
 
-def _detect_unity(mul: Sequence[Sequence[int]], n: int) -> int | None:
-    for u in range(n):
-        if all(mul[u][x] == x and mul[x][u] == x for x in range(n)):
-            return u
-    return None
+def _freeze(table: np.ndarray) -> tuple:
+    return tuple(map(tuple, table.tolist()))
 
 
-def _freeze(table) -> tuple:
-    return tuple(tuple(int(v) for v in row) for row in table)
-
-
-def _build(add, mul, label: str) -> FiniteRing:
-    add = _freeze(add)
-    mul = _freeze(mul)
+def _build(add: np.ndarray, mul: np.ndarray, label: str) -> FiniteRing:
+    """Freeze square index tables into a validated ring; the unity and the
+    negatives are read off the tables."""
     n = len(add)
-    if any(len(row) != n for row in add) or len(mul) != n or any(len(row) != n for row in mul):
-        raise ValueError("tables must be square matrices of equal size")
     if n < 2:
         raise ValueError(f"a ring needs at least 2 elements, got {n}")
+    idx = np.arange(n)
     # Locate the additive identity before anything else; it must sit at index 0.
-    identity = next((e for e in range(n) if add[e] == tuple(range(n))), None)
-    if identity is None:
-        raise AxiomViolation("additive-identity", ())
-    if identity != 0:
-        raise ValueError(f"additive identity must be element 0, found it at index {identity}")
+    if not (add[0] == idx).all():
+        identities = np.flatnonzero((add == idx).all(axis=1))
+        if not len(identities):
+            raise AxiomViolation("additive-identity", ())
+        raise ValueError(f"additive identity must be element 0, found it at index {identities[0]}")
+    unities = np.flatnonzero(((mul == idx) & (mul.T == idx)).all(axis=1))
     ring = FiniteRing(
         order=n,
-        add_table=add,
-        mul_table=mul,
+        add_table=_freeze(add),
+        mul_table=_freeze(mul),
         # An element without a negative gets 0, which validate_ring reports.
-        neg_table=tuple(row.index(0) if 0 in row else 0 for row in add),
-        unity=_detect_unity(mul, n),
+        neg_table=tuple((add == 0).argmax(axis=1).tolist()),
+        unity=int(unities[0]) if len(unities) else None,
         label=label,
     )
     validate_ring(ring)
     return ring
 
 
+def _tables(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
+    return np.array(ring.add_table), np.array(ring.mul_table)
+
+
 def make_zn(n: int, label: str | None = None) -> FiniteRing:
     """The ring of integers modulo n."""
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"modulus must be an integer >= 2, got {n}")
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
-    return _build(add, mul, label or f"Z/{n}")
+    idx = np.arange(n)
+    return _build(np.add.outer(idx, idx) % n, np.multiply.outer(idx, idx) % n, label or f"Z/{n}")
 
 
 def make_table_ring(add, mul, label: str = "table-ring") -> FiniteRing:
     """Build a ring from raw Cayley tables; unity is auto-detected."""
-    return _build(add, mul, label)
+    add, mul = (tuple(tuple(int(v) for v in row) for row in table) for table in (add, mul))
+    n = len(add)
+    if any(len(row) != n for row in add) or len(mul) != n or any(len(row) != n for row in mul):
+        raise ValueError("tables must be square matrices of equal size")
+    return _build(*(np.array(table, dtype=np.int64).reshape(n, n) for table in (add, mul)), label)
 
 
 def make_zero_mul_ring(n: int) -> FiniteRing:
     """The non-unital ring on the additive group Z/n whose product is identically zero."""
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"order must be an integer >= 2, got {n}")
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    return _build(add, mul, f"zero-ring-{n}")
+    idx = np.arange(n)
+    return _build(np.add.outer(idx, idx) % n, np.zeros((n, n), dtype=np.int64), f"zero-ring-{n}")
 
 
 def make_product(r1: FiniteRing, r2: FiniteRing, label: str | None = None) -> FiniteRing:
-    """Componentwise product ring; element (i, j) is packed as i*|r2| + j."""
-    n1, n2 = r1.order, r2.order
-    n = n1 * n2
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    for a1 in range(n1):
-        for a2 in range(n2):
-            a = a1 * n2 + a2
-            for b1 in range(n1):
-                ra, rm = r1.add_table[a1][b1], r1.mul_table[a1][b1]
-                for b2 in range(n2):
-                    b = b1 * n2 + b2
-                    add[a][b] = ra * n2 + r2.add_table[a2][b2]
-                    mul[a][b] = rm * n2 + r2.mul_table[a2][b2]
-    return _build(add, mul, label or f"{r1.label} x {r2.label}")
+    """Componentwise product ring r1 x r2.
+
+    Element (i, j) is packed as i*|r2| + j, and (i, j)(k, l) = (ik, jl) keeps
+    each factor's left/right order, so noncommutative factors are fine.
+    """
+    n = r1.order * r2.order
+    pair = lambda t1, t2: (np.array(t1)[:, None, :, None] * r2.order
+                           + np.array(t2)[None, :, None, :]).reshape(n, n)
+    return _build(pair(r1.add_table, r2.add_table), pair(r1.mul_table, r2.mul_table),
+                  label or f"{r1.label} x {r2.label}")
 
 
 def _modulus_coeffs(base: FiniteRing, modulus) -> tuple[int, ...]:
@@ -399,9 +393,15 @@ def make_quotient(base: FiniteRing, modulus, label: str | None = None) -> Finite
     """base[x]/(modulus) with polynomial-remainder arithmetic.
 
     The base must be commutative and unital and the modulus monic of degree
-    >= 1.  Elements are residue polynomials of degree < d, indexed mixed-radix
-    with the constant coefficient least significant; a Galois field GF(p^k)
-    is the special case of an irreducible modulus over Z/p.
+    d >= 1.  Element i is the residue polynomial of degree < d whose
+    coefficient k is the base element (i // q^k) % q, q = |base|: mixed
+    radix with the constant coefficient least significant.  A Galois field
+    GF(p^k) is the special case of an irreducible modulus over Z/p.
+
+    The tables are built in d numpy steps through the base's own tables,
+    so any commutative unital base works: the index of u*x^k comes from
+    u*x^(k-1) by a shift and one reduction by the monic modulus, and
+    u*v = sum_k v_k * (u*x^k).
     """
     if not base.is_unital or not analyze(base).is_commutative:
         raise UnsupportedStructureError("quotient base must be commutative and unital")
@@ -412,38 +412,21 @@ def make_quotient(base: FiniteRing, modulus, label: str | None = None) -> Finite
     if coeffs[-1] != base.unity:
         raise ValueError("modulus must be monic")
 
-    n = base.order ** d
-    radix = [base.order ** i for i in range(d)]
-
-    def decode(i: int) -> list[int]:
-        return [(i // radix[k]) % base.order for k in range(d)]
-
-    def encode(vec: Sequence[int]) -> int:
-        return sum(vec[k] * radix[k] for k in range(d))
-
-    def reduce_vec(vec: list[int]) -> list[int]:
-        for top in range(len(vec) - 1, d - 1, -1):
-            lead = vec[top]
-            if lead != 0:
-                shift = top - d
-                for j in range(d + 1):
-                    vec[shift + j] = base.sub(vec[shift + j], base.mul(lead, coeffs[j]))
-        return vec[:d]
-
-    elems = [decode(i) for i in range(n)]
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    for i, u in enumerate(elems):
-        for j, v in enumerate(elems):
-            add[i][j] = encode([base.add(u[k], v[k]) for k in range(d)])
-            conv = [0] * (2 * d - 1)
-            for k, uk in enumerate(u):
-                if uk == 0:
-                    continue
-                for l, vl in enumerate(v):
-                    if vl != 0:
-                        conv[k + l] = base.add(conv[k + l], base.mul(uk, vl))
-            mul[i][j] = encode(reduce_vec(conv) if len(conv) > d else conv + [0] * (d - len(conv)))
+    q = base.order
+    n = q ** d
+    A, M = _tables(base)
+    radix = q ** np.arange(d)
+    idx = np.arange(n)
+    elems = idx[:, None] // radix % q                  # coefficient k of element i
+    add = sum(A[np.ix_(elems[:, k], elems[:, k])] * radix[k] for k in range(d))
+    scale = M[:, elems] @ radix                        # scale[a, u]: a*u
+    # t*x^d = -(t*c_0 + ... + t*c_(d-1) x^(d-1)) for the top coefficient t
+    fold = np.array(base.neg_table)[M[:, list(coeffs[:d])]] @ radix
+    times_x = add[idx % (n // q) * q, fold[elems[:, -1]]]
+    mul, power = np.zeros((n, n), dtype=np.int64), idx  # power[u]: u*x^k
+    for k in range(d):
+        mul = add[mul, scale[elems[None, :, k], power[:, None]]]
+        power = times_x[power]
     return _build(add, mul, label or f"{base.label}[x]/({render_poly(coeffs)})")
 
 
@@ -595,15 +578,15 @@ def local_decomposition(ring: FiniteRing) -> tuple[LocalFactor, ...]:
     primitive = primitive_idempotents(ring)
     if len(primitive) == 1:
         return (LocalFactor(idempotent=ring.unity, ring=ring, projection=tuple(range(ring.order))),)
+    A, M = _tables(ring)
     factors = []
     for e in primitive:
-        elems = sorted(set(ring.mul_table[e]))
-        index = {x: i for i, x in enumerate(elems)}
-        sub = _build([[index[ring.add_table[a][b]] for b in elems] for a in elems],
-                     [[index[ring.mul_table[a][b]] for b in elems] for a in elems], f"{ring.label}|e={e}")
-        if sub.unity != index[e]:
+        elems = np.flatnonzero(np.bincount(M[e], minlength=ring.order))
+        sub = _build(*(np.searchsorted(elems, T[elems[:, None], elems]) for T in (A, M)),
+                     f"{ring.label}|e={e}")
+        if sub.unity is None or elems[sub.unity] != e:
             raise InternalInvariantError("factor unity must be the defining idempotent")
-        projection = tuple(index[ring.mul_table[e][x]] for x in range(ring.order))
+        projection = tuple(np.searchsorted(elems, M[e]).tolist())
         factors.append(LocalFactor(idempotent=e, ring=sub, projection=projection))
     total = math.prod(f.ring.order for f in factors)
     if total != ring.order:
@@ -624,19 +607,16 @@ def residue_field(ring: FiniteRing) -> tuple[FiniteRing, tuple[int, ...], tuple[
         raise UnsupportedStructureError("residue field needs a local unital ring")
     if inv.is_field:
         return ring, tuple(range(ring.order)), tuple(range(ring.order))
+    A, M = _tables(ring)
     m = [a for a in range(ring.order) if a not in inv.units]
-    rep_of = {}
-    for x in range(ring.order):
-        rep_of[x] = min(ring.add_table[x][z] for z in m)
-    reps = sorted(set(rep_of.values()))
-    pos = {r: i for i, r in enumerate(reps)}
-    proj = tuple(pos[rep_of[x]] for x in range(ring.order))
-    add = [[proj[ring.add_table[reps[i]][reps[j]]] for j in range(len(reps))] for i in range(len(reps))]
-    mul = [[proj[ring.mul_table[reps[i]][reps[j]]] for j in range(len(reps))] for i in range(len(reps))]
+    rep_of = A[:, m].min(axis=1)                       # the least element of x + m
+    reps = np.flatnonzero(np.bincount(rep_of, minlength=ring.order))
+    proj = np.searchsorted(reps, rep_of)
+    add, mul = (proj[T[reps[:, None], reps]] for T in (A, M))
     field = _build(add, mul, f"{ring.label}/m")
     if not analyze(field).is_field:
         raise InternalInvariantError("residue ring of a local ring must be a field")
-    return field, proj, tuple(reps)
+    return field, tuple(proj.tolist()), tuple(reps.tolist())
 
 
 # ---------------------------------------------------------------------------

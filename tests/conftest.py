@@ -20,6 +20,9 @@ by P2.6's lift.  The reach oracle closes {a * u^k} under addition, where
 L1.1 reads the left ideal Ru off the mul table.  The axiom scan checks
 associativity and distributivity at every triple of elements, where
 ``validate_ring`` checks them only against an additive generating set.
+The loop oracles fill Cayley tables pair by pair in plain Python (a
+polynomial product and remainder per pair for a quotient), where the
+constructors build them with numpy.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from finring import (
     standard_catalog,
 )
 from finring import polyfun
-from finring.core import AxiomViolation, multiplicative_inverse
+from finring.core import AxiomViolation, analyze, multiplicative_inverse, render_poly
 from finring.polyfun import Polynomial, poly_add, poly_const, poly_mul, poly_scale
 
 
@@ -122,6 +125,85 @@ def axiom_scan(ring) -> None:
         u = ring.unity
         if not (np.array_equal(M[u], idx) and np.array_equal(M[:, u], idx)):
             raise AxiomViolation("unity", (u,))
+
+
+def loop_tables(add, mul, label: str) -> tuple:
+    """(add, mul, neg, unity, label) of the ring on these tables: the negative
+    of x is the first 0 in its add row, the unity the first two-sided identity."""
+    n = len(add)
+    add, mul = tuple(map(tuple, add)), tuple(map(tuple, mul))
+    unity = next((u for u in range(n) if all(mul[u][x] == x and mul[x][u] == x for x in range(n))), None)
+    return add, mul, tuple(row.index(0) if 0 in row else 0 for row in add), unity, label
+
+
+def loop_zn(n: int, zero_mul: bool = False) -> tuple:
+    add = [[(a + b) % n for b in range(n)] for a in range(n)]
+    mul = [[0 if zero_mul else (a * b) % n for b in range(n)] for a in range(n)]
+    return loop_tables(add, mul, f"zero-ring-{n}" if zero_mul else f"Z/{n}")
+
+
+def loop_product(r1, r2) -> tuple:
+    """r1 x r2 with (a1, a2) at a1*|r2| + a2, one entry at a time."""
+    n1, n2 = r1.order, r2.order
+    n = n1 * n2
+    add = [[0] * n for _ in range(n)]
+    mul = [[0] * n for _ in range(n)]
+    for a1 in range(n1):
+        for a2 in range(n2):
+            for b1 in range(n1):
+                for b2 in range(n2):
+                    add[a1 * n2 + a2][b1 * n2 + b2] = r1.add(a1, b1) * n2 + r2.add(a2, b2)
+                    mul[a1 * n2 + a2][b1 * n2 + b2] = r1.mul(a1, b1) * n2 + r2.mul(a2, b2)
+    return loop_tables(add, mul, f"{r1.label} x {r2.label}")
+
+
+def loop_quotient(base, coeffs) -> tuple:
+    """base[x]/(coeffs), monic: each product u*v is a convolution of the
+    coefficient vectors, then a schoolbook remainder by the modulus."""
+    q, d = base.order, len(coeffs) - 1
+    n = q ** d
+    decode = lambda i: [i // q ** k % q for k in range(d)]
+    encode = lambda vec: sum(c * q ** k for k, c in enumerate(vec[:d]))
+
+    def remainder(vec):
+        for top in range(len(vec) - 1, d - 1, -1):
+            for j in range(d + 1):
+                vec[top - d + j] = base.sub(vec[top - d + j], base.mul(vec[top], coeffs[j]))
+        return vec
+
+    elems = [decode(i) for i in range(n)]
+    add = [[encode([base.add(a, b) for a, b in zip(u, v)]) for v in elems] for u in elems]
+    mul = []
+    for u in elems:
+        row = []
+        for v in elems:
+            conv = [0] * (2 * d - 1)
+            for k, uk in enumerate(u):
+                for l, vl in enumerate(v):
+                    conv[k + l] = base.add(conv[k + l], base.mul(uk, vl))
+            row.append(encode(remainder(conv)))
+        mul.append(row)
+    return loop_tables(add, mul, f"{base.label}[x]/({render_poly(coeffs)})")
+
+
+def loop_residue_field(ring) -> tuple:
+    """(tables, projection, representatives) of R/m, each coset named by
+    its least element."""
+    n = ring.order
+    m = [a for a in range(n) if a not in analyze(ring).units]
+    rep_of = [min(ring.add(x, z) for z in m) for x in range(n)]
+    reps = sorted(set(rep_of))
+    proj = tuple(reps.index(r) for r in rep_of)
+    table = lambda t: [[proj[t[a][b]] for b in reps] for a in reps]
+    return loop_tables(table(ring.add_table), table(ring.mul_table), f"{ring.label}/m"), proj, tuple(reps)
+
+
+def loop_factor(ring, e: int) -> tuple:
+    """(tables, projection) of the factor eR, its elements in ascending order."""
+    elems = sorted(set(ring.mul_table[e]))
+    table = lambda t: [[elems.index(t[a][b]) for b in elems] for a in elems]
+    projection = tuple(elems.index(ring.mul(e, x)) for x in range(ring.order))
+    return loop_tables(table(ring.add_table), table(ring.mul_table), f"{ring.label}|e={e}"), projection
 
 
 def lagrange_interpolate(field, values) -> Polynomial:

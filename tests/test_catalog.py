@@ -63,6 +63,14 @@ def test_parse_errors_carry_position():
         parse_ring_spec("Z/4 Z/2")
 
 
+def test_exponents_above_the_limit_are_refused_before_expansion(z4):
+    assert parse_poly_text("x^4096+1", z4).coeffs == (1,) + (0,) * 4095 + (1,)
+    with pytest.raises(RingSpecError, match=r"^exponent 4097 exceeds the limit of 4096 \(at position 4\)$"):
+        parse_poly_text("x+x^4097", z4)
+    with pytest.raises(RingSpecError, match="exponent 300000000 exceeds the limit"):
+        parse_ring_spec("Z/2[x]/(x^300000000+1)")
+
+
 def test_realize_orders():
     assert realize(parse_ring_spec("Z/6")).order == 6
     assert realize(parse_ring_spec("Z/2[x]/(x^2+x+1)")).order == 4

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -363,15 +364,33 @@ def test_sweep_rejects_large_order(capsys):
     assert main(["sweep", "--max-order", "33", "--out", "/tmp/x.json"]) == 2
 
 
-def test_module_entry_point():
+def _run_cli(*argv, **kwargs):
     # the child does not inherit pytest's pythonpath, so point it at this finring
     package_root = str(Path(finring.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "finring.cli", "report", "Z/4", "--format", "json"],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "finring.cli", *argv],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
+def test_module_entry_point():
+    proc = _run_cli("report", "Z/4", "--format", "json")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["invariants"]["is_local"] is True
+
+
+@pytest.mark.parametrize("argv", [("report", "Z/2[x]/(x^300000000)"),
+                                  ("check", "Z/4", "P2.7", "--poly", "x^300000000")], ids=["report", "check"])
+def test_huge_exponents_are_refused_in_bounded_memory(argv):
+    # A dense tuple of 300000001 coefficients would not fit the 1.5 GB limit.
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+    proc = _run_cli(*argv, preexec_fn=limit, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: exponent 300000000 exceeds the limit of 4096")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_exponent_at_the_limit_is_accepted(capsys):
+    assert main(["check", "Z/4", "P2.7", "--poly", "x^4096"]) == 0
+    assert '"polynomial": "x^4096"' in capsys.readouterr().out

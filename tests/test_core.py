@@ -21,6 +21,8 @@ from finring import (
     make_table_ring,
     make_zero_mul_ring,
     make_zn,
+    parse_ring_spec,
+    realize,
     residue_field,
     rings_isomorphic,
     standard_catalog,
@@ -33,7 +35,19 @@ from finring.core import (
     multiplicative_order,
 )
 
-from conftest import axiom_scan, m2f2, skew_dual_f4, upper_triangular_f2
+from finring.catalog import Product, Quotient, TableRef, Zn
+from conftest import (
+    axiom_scan,
+    loop_factor,
+    loop_product,
+    loop_quotient,
+    loop_residue_field,
+    loop_tables,
+    loop_zn,
+    m2f2,
+    skew_dual_f4,
+    upper_triangular_f2,
+)
 
 
 def test_make_zn_2_is_field(z2):
@@ -251,6 +265,77 @@ def test_table_ring_refuses_fewer_than_two_elements(add, mul):
     # number of non-units.
     with pytest.raises(ValueError, match="at least 2 elements"):
         make_table_ring(add, mul)
+
+
+@pytest.mark.parametrize("add, mul", [
+    ([[0, 1], [1]], [[0, 0], [0, 1]]),
+    ([[0, 1], [1, 0]], [[0, 0], [0, 1], [0, 0]]),
+    ([[0, 1, 2], [1, 2, 0]], [[0, 0, 0]] * 2),
+], ids=["ragged", "unequal", "non-square"])
+def test_table_ring_refuses_tables_that_are_not_square(add, mul):
+    with pytest.raises(ValueError, match="^tables must be square matrices of equal size$"):
+        make_table_ring(add, mul)
+
+
+def _ring(ring) -> tuple:
+    return ring.add_table, ring.mul_table, ring.neg_table, ring.unity, ring.label
+
+
+def _loop_spec(ast) -> tuple:
+    """The loop oracle's tables for a spec; bases and left factors are the library's."""
+    if isinstance(ast, Zn):
+        return loop_zn(ast.n)
+    if isinstance(ast, TableRef):
+        return loop_zn(int(ast.name.rsplit("-", 1)[1]), zero_mul=True)
+    if isinstance(ast, Quotient):
+        base = realize(ast.base)
+        coeffs = [c % base.order for c in ast.modulus]
+        while coeffs[-1] == 0:
+            coeffs.pop()
+        return loop_quotient(base, coeffs)
+    return loop_product(realize(Product(ast.parts[:-1]) if len(ast.parts) > 2 else ast.parts[0]),
+                        realize(ast.parts[-1]))
+
+
+_LARGER_SPECS = ("Z/2[x]/(x^7+x+1)", "Z/4[x]/(x^3+x+1)", "Z/8[x]/(x^2+x+1)", "Z/9[x]/(x^2+1)",
+                 "Z/3[x]/(x^3)", "Z/2[x]/(x^6)", "Z/4 x Z/16", "Z/5 x Z/2[x]/(x^2)",
+                 "Z/2[x]/(x^8)", "GF(4)[x]/(x^2)", "Z/2 x Z/3 x Z/2[x]/(x^2)")
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in standard_catalog(32)] + list(_LARGER_SPECS))
+def test_constructors_match_the_loop_oracle(spec):
+    ast = parse_ring_spec(spec)
+    assert _ring(realize(ast)) == _loop_spec(ast)
+
+
+@pytest.mark.parametrize("left, right", [(upper_triangular_f2, lambda: make_zn(2)),
+                                         (lambda: make_zn(3), m2f2)], ids=["T2(F2) x Z/2", "Z/3 x M2(F2)"])
+def test_noncommutative_products_match_the_loop_oracle(left, right):
+    r1, r2 = left(), right()
+    ring = make_product(r1, r2)
+    assert not analyze(ring).is_commutative
+    assert _ring(ring) == loop_product(r1, r2)
+
+
+def test_table_ring_keeps_its_tables_and_finds_unity_and_negatives():
+    for ring in (upper_triangular_f2(), m2f2(), skew_dual_f4(), make_zero_mul_ring(6)):
+        assert _ring(make_table_ring(ring.add_table, ring.mul_table, ring.label)) == \
+            loop_tables(ring.add_table, ring.mul_table, ring.label)
+
+
+@pytest.mark.parametrize("spec", ["Z/6", "Z/12", "Z/30", "Z/2 x Z/4", "Z/4 x Z/3", "Z/8 x Z/9",
+                                  "Z/5 x Z/2[x]/(x^2)", "Z/2 x Z/3 x Z/2[x]/(x^2)", "Z/27",
+                                  "Z/4[x]/(x^2+2)", "Z/2[x]/(x^6)", "Z/9[x]/(x^2+1)"])
+def test_factor_rings_match_the_loop_oracle(spec):
+    ring = realize(parse_ring_spec(spec))
+    factors = local_decomposition(ring)
+    for factor in factors:
+        if len(factors) > 1:  # a local ring is its own factor, not a copy
+            tables, projection = loop_factor(ring, factor.idempotent)
+            assert (_ring(factor.ring), factor.projection) == (tables, projection)
+        if not analyze(factor.ring).is_field:
+            field, proj, reps = residue_field(factor.ring)
+            assert (_ring(field), proj, reps) == loop_residue_field(factor.ring)
 
 
 def test_zero_mul_ring_is_non_unital():
