@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__
 from .catalog import (
@@ -23,7 +24,6 @@ from .catalog import (
     standard_catalog,
 )
 from .core import (
-    FiniteRing,
     InternalInvariantError,
     UnsupportedStructureError,
     analyze,
@@ -65,32 +65,6 @@ def _verdict_json(v: Verdict, ms: float) -> dict:
     }
 
 
-def _invariants_json(ring: FiniteRing) -> dict:
-    inv = analyze(ring)
-    mask = lambda m: list(m.indices()) if m is not None else None
-    return {
-        "order": ring.order,
-        "label": ring.label,
-        "is_commutative": inv.is_commutative,
-        "is_unital": inv.is_unital,
-        "is_field": inv.is_field,
-        "characteristic": inv.characteristic,
-        "zero_dimensional": inv.zero_dimensional,
-        "idempotents": mask(inv.idempotents),
-        "nilpotents": mask(inv.nilpotents),
-        "nilpotency_index": inv.nilpotency_index,
-        "units": mask(inv.units),
-        "unit_group_exponent": inv.unit_group_exponent,
-        "jacobson_radical": mask(inv.jacobson_radical),
-        "is_local": inv.is_local,
-        "residue_field_order": inv.residue_field_order,
-    }
-
-
-def _status_exit(verdicts: list[Verdict]) -> int:
-    return EXIT_VIOLATION if any(v.status == "fail" for v in verdicts) else EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -98,11 +72,28 @@ def _status_exit(verdicts: list[Verdict]) -> int:
 def cmd_report(args) -> int:
     ring = realize(parse_ring_spec(args.spec))
     inv = analyze(ring)
+    mask = lambda m: list(m.indices()) if m is not None else None
     doc = {
         "version": __version__,
         "kind": "report",
         "spec": args.spec,
-        "invariants": _invariants_json(ring),
+        "invariants": {
+            "order": ring.order,
+            "label": ring.label,
+            "is_commutative": inv.is_commutative,
+            "is_unital": inv.is_unital,
+            "is_field": inv.is_field,
+            "characteristic": inv.characteristic,
+            "zero_dimensional": inv.zero_dimensional,
+            "idempotents": mask(inv.idempotents),
+            "nilpotents": mask(inv.nilpotents),
+            "nilpotency_index": inv.nilpotency_index,
+            "units": mask(inv.units),
+            "unit_group_exponent": inv.unit_group_exponent,
+            "jacobson_radical": mask(inv.jacobson_radical),
+            "is_local": inv.is_local,
+            "residue_field_order": inv.residue_field_order,
+        },
     }
     if inv.is_unital and inv.is_commutative:
         doc["local_factors"] = [
@@ -160,25 +151,19 @@ def cmd_check(args) -> int:
         print(f"  {v['details']}")
         if v["witness"] is not None:
             print(f"  witness: {json.dumps(v['witness'])}")
-    return _status_exit([verdict])
+    return EXIT_VIOLATION if verdict.status == "fail" else EXIT_OK
 
 
-def _sweep_rows(max_order: int):
+def cmd_sweep(args) -> int:
     rows, opts = [], CheckOptions()
-    for name, ring in standard_catalog(max_order):
+    for name, ring in standard_catalog(args.max_order):
         for result_id, check in CHECKS.items():
             if not check.applies(ring):
                 continue
             start = time.perf_counter()
             verdict = check.run(ring, opts)
-            ms = (time.perf_counter() - start) * 1000.0
-            rows.append((name, result_id, verdict, ms))
+            rows.append((name, result_id, verdict, (time.perf_counter() - start) * 1000.0))
     rows.sort(key=lambda row: (row[0], row[1]))
-    return rows
-
-
-def cmd_sweep(args) -> int:
-    rows = _sweep_rows(args.max_order)
     counts = {"pass": 0, "fail": 0, "vacuous": 0}
     for _, _, verdict, _ in rows:
         counts[verdict.status] += 1
@@ -212,10 +197,14 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     print(f"sweep over catalog(max_order={args.max_order}): {len(json_rows)} rows -> {args.out}")
     print(f"pass={counts['pass']} fail={counts['fail']} vacuous={counts['vacuous']}")
-    return _status_exit([row[2] for row in rows])
+    return EXIT_VIOLATION if counts["fail"] else EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Each subcommand's
+    ``func`` names its command at call time, so a patched module attribute
+    (e.g. a tracing wrapper) is what runs."""
     parser = argparse.ArgumentParser(
         prog="finring",
         description="Finite-ring calculator: invariants, polynomial function sets, "
@@ -233,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("spec", help='ring spec, e.g. "Z/4" or "Z/2[x]/(x^3)"')
     p_report.add_argument("--format", choices=("text", "json"), default="text")
     common(p_report)
-    p_report.set_defaults(func=cmd_report)
+    p_report.set_defaults(func=lambda args: cmd_report(args))
 
     p_check = sub.add_parser("check", help="run one verification check")
     p_check.add_argument("spec")
@@ -243,20 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--poly", help="polynomial in grammar syntax, e.g. x^2+x")
     p_check.add_argument("--subset", help="comma-separated element indices")
     common(p_check)
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func=lambda args: cmd_check(args))
 
     p_sweep = sub.add_parser("sweep", help="run every applicable check over the catalog")
     p_sweep.add_argument("--max-order", type=int, required=True)
     p_sweep.add_argument("--out", required=True, help="output file for the rows")
     p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
     common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=lambda args: cmd_sweep(args))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (RingSpecError, ValueError, UnsupportedStructureError) as exc:

@@ -2,9 +2,12 @@
 
 Rings here are not assumed commutative or unital.  Element indices run
 0..order-1 and index 0 is always the additive identity, so arithmetic is
-total table lookup.  Every constructor validates the complete set of ring
-axioms, checking associativity and distributivity against an additive
-generating set in O(order^2 log order) numpy work (``validate_ring``).
+total table lookup.  A ring holds each table twice: as a tuple of tuples
+for scalar lookups and as a read-only numpy array for ring-wide kernels.
+Every constructor builds the arrays, validates the complete set of ring
+axioms on them, checking associativity and distributivity against an
+additive generating set in O(order^2 log order) numpy work, and only then
+freezes the tuples.  ``validate_ring`` re-checks a ring's tuples.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ class InternalInvariantError(RuntimeError):
 class FiniteRing:
     """A finite ring given by its addition and multiplication tables.
 
-    Tables are tuples of tuples of element indices.  ``unity`` is None for
-    non-unital rings.  Instances compare by identity; use
+    Tables are tuples of tuples of element indices, and ``add_array`` and
+    ``mul_array`` hold the same tables as read-only intp arrays.  ``unity``
+    is None for non-unital rings.  Instances compare by identity; use
     :func:`invariant_signature` / :func:`rings_isomorphic` for structural
     comparison.
     """
@@ -94,6 +98,8 @@ class FiniteRing:
     neg_table: tuple
     unity: int | None
     label: str
+    add_array: np.ndarray
+    mul_array: np.ndarray
     zero: int = 0
 
     def add(self, a: int, b: int) -> int:
@@ -229,20 +235,13 @@ class RingInvariants:
 # validation and construction
 # ---------------------------------------------------------------------------
 
-def _np_table(table, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.shape != (n, n):
-        raise ValueError(f"{what} table must be {n}x{n}")
-    _require_equal(f"{what}-closure", (arr >= 0) & (arr < n), True, range(n), range(n))
-    return arr
-
-
 def _require_equal(axiom: str, left, right, *elements) -> None:
     """AxiomViolation at the first index where left != right; axis i of the
     arrays runs over elements[i], so the witness is a tuple of element indices."""
-    bad = np.argwhere(np.not_equal(left, right))
-    if len(bad):
-        raise AxiomViolation(axiom, tuple(int(e[i]) for e, i in zip(elements, bad[0])))
+    differ = np.not_equal(left, right)
+    if differ.any():
+        bad = np.argwhere(differ)[0]
+        raise AxiomViolation(axiom, tuple(int(e[i]) for e, i in zip(elements, bad)))
 
 
 def _additive_generators(add: tuple) -> list[int]:
@@ -262,8 +261,9 @@ def _additive_generators(add: tuple) -> list[int]:
 
 
 def validate_ring(ring: FiniteRing) -> None:
-    """Re-check every ring axiom in O(order^2 * |G|); raises AxiomViolation,
-    whose witness is a violating tuple of element indices, on failure.
+    """Re-check every ring axiom on the ring's own tuples in O(order^2 * |G|);
+    raises AxiomViolation, whose witness is a violating tuple of element
+    indices, on failure.
 
     Closure, commutativity, zero and negatives of + are checked entrywise.
     The rest is checked only against a generating set G of (R, +) from
@@ -277,18 +277,25 @@ def validate_ring(ring: FiniteRing) -> None:
         associator is additive in each argument, so it vanishes everywhere.
     """
     n = ring.order
-    A = _np_table(ring.add_table, n, "addition")
-    M = _np_table(ring.mul_table, n, "multiplication")
-    idx = np.arange(n)
+    A, M, neg = (np.asarray(t, dtype=np.intp) for t in (ring.add_table, ring.mul_table, ring.neg_table))
+    if A.shape != (n, n) or M.shape != (n, n) or neg.shape != (n,):
+        raise ValueError(f"tables must be {n}x{n} and neg_table must have {n} entries")
+    _check_axioms(A, M, neg, ring.unity, ring.add_table)
+
+
+def _check_axioms(A: np.ndarray, M: np.ndarray, neg: np.ndarray, unity: int | None,
+                  add_rows) -> None:
+    """``validate_ring``'s checks on the arrays; ``add_rows`` is the addition
+    table as nested sequences, read for the generating set once + is closed."""
+    idx = np.arange(len(A))
+    for what, T in (("addition", A), ("multiplication", M)):
+        _require_equal(f"{what}-closure", (T >= 0) & (T < len(A)), True, idx, idx)
     _require_equal("additive-commutativity", A, A.T, idx, idx)
     if not (np.array_equal(A[0], idx) and np.array_equal(A[:, 0], idx)):
         raise AxiomViolation("additive-identity", (0,))
-    neg = np.asarray(ring.neg_table, dtype=np.int64)
-    if neg.shape != (n,):
-        raise ValueError("neg_table must have one entry per element")
     _require_equal("additive-inverse", A[idx, neg], 0, idx)
 
-    G = np.array(_additive_generators(ring.add_table), dtype=np.intp)
+    G = np.array(_additive_generators(add_rows), dtype=np.intp)
     _require_equal("additive-associativity", A[A[:, G]], A[idx[:, None, None], A[G][None]],
                    idx, G, idx)                                  # (x+g)+y, x+(g+y)
     for axiom, P in (("left-distributivity", M), ("right-distributivity", M.T)):
@@ -298,10 +305,8 @@ def validate_ring(ring: FiniteRing) -> None:
     _require_equal("associativity", M[MG][:, :, G], M[G[:, None, None], MG[None]],
                    G, G, G)                                      # (ab)c, a(bc)
 
-    if ring.unity is not None:
-        u = ring.unity
-        if not (np.array_equal(M[u], idx) and np.array_equal(M[:, u], idx)):
-            raise AxiomViolation("unity", (u,))
+    if unity is not None and not (np.array_equal(M[unity], idx) and np.array_equal(M[:, unity], idx)):
+        raise AxiomViolation("unity", (unity,))
 
 
 def _freeze(table: np.ndarray) -> tuple:
@@ -309,8 +314,8 @@ def _freeze(table: np.ndarray) -> tuple:
 
 
 def _build(add: np.ndarray, mul: np.ndarray, label: str) -> FiniteRing:
-    """Freeze square index tables into a validated ring; the unity and the
-    negatives are read off the tables."""
+    """A validated ring on square index tables; the unity and the negatives
+    are read off the tables, which the ring keeps as read-only arrays."""
     n = len(add)
     if n < 2:
         raise ValueError(f"a ring needs at least 2 elements, got {n}")
@@ -322,21 +327,15 @@ def _build(add: np.ndarray, mul: np.ndarray, label: str) -> FiniteRing:
             raise AxiomViolation("additive-identity", ())
         raise ValueError(f"additive identity must be element 0, found it at index {identities[0]}")
     unities = np.flatnonzero(((mul == idx) & (mul.T == idx)).all(axis=1))
-    ring = FiniteRing(
-        order=n,
-        add_table=_freeze(add),
-        mul_table=_freeze(mul),
-        # An element without a negative gets 0, which validate_ring reports.
-        neg_table=tuple((add == 0).argmax(axis=1).tolist()),
-        unity=int(unities[0]) if len(unities) else None,
-        label=label,
-    )
-    validate_ring(ring)
-    return ring
-
-
-def _tables(ring: FiniteRing) -> tuple[np.ndarray, np.ndarray]:
-    return np.array(ring.add_table), np.array(ring.mul_table)
+    unity = int(unities[0]) if len(unities) else None
+    neg = (add == 0).argmax(axis=1)  # an element without a negative gets 0, which fails
+    add, mul = (np.asarray(T, dtype=np.intp) for T in (add, mul))
+    add_table = _freeze(add)
+    _check_axioms(add, mul, neg, unity, add_table)
+    add.flags.writeable = mul.flags.writeable = False
+    return FiniteRing(order=n, add_table=add_table, mul_table=_freeze(mul),
+                      neg_table=tuple(neg.tolist()), unity=unity, label=label,
+                      add_array=add, mul_array=mul)
 
 
 def make_zn(n: int, label: str | None = None) -> FiniteRing:
@@ -371,22 +370,9 @@ def make_product(r1: FiniteRing, r2: FiniteRing, label: str | None = None) -> Fi
     each factor's left/right order, so noncommutative factors are fine.
     """
     n = r1.order * r2.order
-    pair = lambda t1, t2: (np.array(t1)[:, None, :, None] * r2.order
-                           + np.array(t2)[None, :, None, :]).reshape(n, n)
-    return _build(pair(r1.add_table, r2.add_table), pair(r1.mul_table, r2.mul_table),
+    pair = lambda t1, t2: (t1[:, None, :, None] * r2.order + t2[None, :, None, :]).reshape(n, n)
+    return _build(pair(r1.add_array, r2.add_array), pair(r1.mul_array, r2.mul_array),
                   label or f"{r1.label} x {r2.label}")
-
-
-def _modulus_coeffs(base: FiniteRing, modulus) -> tuple[int, ...]:
-    coeffs = getattr(modulus, "coeffs", modulus)
-    if getattr(modulus, "ring", base) is not base:
-        raise ValueError("modulus polynomial is defined over a different ring")
-    coeffs = tuple(int(c) for c in coeffs)
-    if any(not 0 <= c < base.order for c in coeffs):
-        raise ValueError("modulus coefficients must be element indices of the base ring")
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    return coeffs
 
 
 def make_quotient(base: FiniteRing, modulus, label: str | None = None) -> FiniteRing:
@@ -405,7 +391,13 @@ def make_quotient(base: FiniteRing, modulus, label: str | None = None) -> Finite
     """
     if not base.is_unital or not analyze(base).is_commutative:
         raise UnsupportedStructureError("quotient base must be commutative and unital")
-    coeffs = _modulus_coeffs(base, modulus)
+    if getattr(modulus, "ring", base) is not base:
+        raise ValueError("modulus polynomial is defined over a different ring")
+    coeffs = tuple(int(c) for c in getattr(modulus, "coeffs", modulus))
+    if any(not 0 <= c < base.order for c in coeffs):
+        raise ValueError("modulus coefficients must be element indices of the base ring")
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
     d = len(coeffs) - 1
     if d < 1:
         raise ValueError("modulus must have degree >= 1")
@@ -414,7 +406,7 @@ def make_quotient(base: FiniteRing, modulus, label: str | None = None) -> Finite
 
     q = base.order
     n = q ** d
-    A, M = _tables(base)
+    A, M = base.add_array, base.mul_array
     radix = q ** np.arange(d)
     idx = np.arange(n)
     elems = idx[:, None] // radix % q                  # coefficient k of element i
@@ -578,7 +570,7 @@ def local_decomposition(ring: FiniteRing) -> tuple[LocalFactor, ...]:
     primitive = primitive_idempotents(ring)
     if len(primitive) == 1:
         return (LocalFactor(idempotent=ring.unity, ring=ring, projection=tuple(range(ring.order))),)
-    A, M = _tables(ring)
+    A, M = ring.add_array, ring.mul_array
     factors = []
     for e in primitive:
         elems = np.flatnonzero(np.bincount(M[e], minlength=ring.order))
@@ -607,7 +599,7 @@ def residue_field(ring: FiniteRing) -> tuple[FiniteRing, tuple[int, ...], tuple[
         raise UnsupportedStructureError("residue field needs a local unital ring")
     if inv.is_field:
         return ring, tuple(range(ring.order)), tuple(range(ring.order))
-    A, M = _tables(ring)
+    A, M = ring.add_array, ring.mul_array
     m = [a for a in range(ring.order) if a not in inv.units]
     rep_of = A[:, m].min(axis=1)                       # the least element of x + m
     reps = np.flatnonzero(np.bincount(rep_of, minlength=ring.order))

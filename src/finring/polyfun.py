@@ -401,7 +401,7 @@ class PolyFunctionSet:
         the addition table; built on the first lookup."""
         if self._rows is None:
             n = self.ring.order
-            add = np.array(self.ring.add_table, dtype=np.intp)
+            add = self.ring.add_array
             times = np.zeros((n, n), dtype=np.intp)
             for c in range(1, n):
                 times[c] = add[times[c - 1], np.arange(n)]
@@ -515,8 +515,7 @@ def _lattice(ring: FiniteRing, track: bool = False) -> tuple[int, tuple | None]:
     3-part against the 2-part's lattice.
     """
     n = ring.order
-    add = np.array(ring.add_table, dtype=np.intp)
-    mul = np.array(ring.mul_table, dtype=np.intp)
+    add, mul = ring.add_array, ring.mul_array
     t, period = power_stabilization(ring)
     powers = np.empty((t + period, n), dtype=np.intp)  # x^0 is never read
     powers[1] = np.arange(n)

@@ -48,6 +48,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
 
+import numpy as np
+
 from .catalog import RingSpecError, parse_poly_text
 from .core import (
     Embedding,
@@ -197,21 +199,6 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _omega(n: int) -> int:
-    """Number of prime factors counted with multiplicity."""
-    return sum(e for _, e in _factorize(n))
-
-
-def _valuation_factorial(p: int, k: int) -> int:
-    """p-adic valuation of k! by Legendre's formula."""
-    v = 0
-    q = p
-    while q <= k:
-        v += k // q
-        q *= p
-    return v
-
-
 # ---------------------------------------------------------------------------
 # L1.1 / P1.2 / P1.3: field characterizations
 # ---------------------------------------------------------------------------
@@ -359,7 +346,8 @@ def binomial_exponent(char_n: int, nilp_index: int) -> BinomialExponent:
     if nilp_index < 1:
         raise ValueError("nilpotency index must be >= 1")
     fact = _factorize(char_n)
-    betas = tuple(_valuation_factorial(p, nilp_index - 1) for p, _ in fact)
+    k = nilp_index - 1  # v_p(k!) = sum_i floor(k / p^i) (Legendre), and p^i > k once 2^i > k
+    betas = tuple(sum(k // p ** i for i in range(1, k.bit_length() + 1)) for p, _ in fact)
     exponent = math.prod(p ** (e + b) for (p, e), b in zip(fact, betas))
     return BinomialExponent(char_n, nilp_index, fact, betas, exponent)
 
@@ -383,15 +371,37 @@ def verify_nilpotent_shift_power(ring: FiniteRing, b: int, c: int) -> Verdict:
 
 
 def check_nilpotent_shift_powers(ring: FiniteRing) -> Verdict:
-    """L2.2 over every (b, nilpotent c) pair of the ring."""
-    inv = analyze(ring)
-    checked = 0
+    """L2.2 over every (b, nilpotent c) pair of the ring, as array kernels.
+
+    The nilpotents c are grouped by their exponent N; each group builds the
+    power map x -> x^N by repeated squaring over the mul array and compares
+    (b+c)^N with b^N for every b at once.  A failure is reported as
+    ``verify_nilpotent_shift_power`` reports the first failing pair, c
+    ascending and then b ascending.
+    """
+    inv = _require(ring, "commutative")
+    A, M = ring.add_array, ring.mul_array
+    groups: dict[int, list[int]] = {}
     for c in inv.nilpotents.indices():
-        for b in range(ring.order):
-            v = verify_nilpotent_shift_power(ring, b, c)
-            if not v.holds:
-                return v
-            checked += 1
+        idx = element_nilpotency_index(ring, c)
+        groups.setdefault(binomial_exponent(inv.characteristic, idx).exponent, []).append(c)
+    failures = []
+    for N, cs in groups.items():
+        power, base, k = None, np.arange(ring.order), N
+        while k:
+            if k & 1:
+                power = base if power is None else M[power, base]
+            k >>= 1
+            if k:
+                base = M[base, base]
+        differ = power[A[:, cs]] != power[:, None]  # [b, i]: (b + cs[i])^N != b^N
+        if differ.any():
+            i, b = np.argwhere(differ.T)[0]
+            failures.append((cs[i], int(b)))
+    if failures:
+        c, b = min(failures)
+        return verify_nilpotent_shift_power(ring, b, c)
+    checked = inv.nilpotents.size * ring.order
     return Verdict(
         "L2.2", True,
         witness={"pairs": checked},
@@ -403,20 +413,14 @@ def check_nilpotent_shift_powers(ring: FiniteRing) -> Verdict:
 # P2.3: unit orders and the nilpotency/unit-exponent link
 # ---------------------------------------------------------------------------
 
-def _prime_power_characteristic(inv) -> tuple[int, int]:
-    fact = _factorize(inv.characteristic)
-    if len(fact) != 1:
-        raise UnsupportedStructureError("a local ring must have prime-power characteristic")
-    return fact[0]
-
-
 def check_unit_order_bound(ring: FiniteRing) -> Verdict:
     """P2.3i: with N = p^e * (r-1)! every unit satisfies u^(N*(n-1)) = 1,
     where p^e is the characteristic, r the nilpotency index and n the
     residue field order.  Cross-checks that the unit-group exponent divides
     N*(n-1)."""
     inv = _require(ring, "local-unital")
-    _prime_power_characteristic(inv)
+    if len(_factorize(inv.characteristic)) != 1:
+        raise UnsupportedStructureError("a local ring must have prime-power characteristic")
     N = inv.characteristic * math.factorial(inv.nilpotency_index - 1)
     E = N * (inv.residue_field_order - 1)
     bad = next((u for u in inv.units.indices() if ring.pow(u, E) != ring.unity), None)
@@ -452,20 +456,6 @@ def split_unit_nilpotent(f: Polynomial) -> tuple[Polynomial, Polynomial]:
     return Polynomial(ring, tuple(g)), Polynomial(ring, tuple(h))
 
 
-def _poly_nilpotency_index(h: Polynomial) -> int:
-    """Least k with h^k = 0 for a polynomial with nilpotent coefficients."""
-    if h.degree is None:
-        return 1
-    p = h
-    k = 1
-    while p.degree is not None:
-        p = poly_mul(p, h)
-        k += 1
-        if k > h.ring.order + 1:
-            raise ValueError("polynomial does not appear to be nilpotent")
-    return k
-
-
 def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
     """P2.3ii, both directions quantitatively.
 
@@ -473,8 +463,10 @@ def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
     (b) Converse: from the unit-group exponent m, form f = (X+1)^m - 1,
     split f = g + h into unit and nilpotent coefficients, take the least s
     with a unit coefficient on X^s, and the exponent N for h's nilpotency
-    index in R[X].  Then f^N = g^N in R[X] and c^(sN) = 0 for every
-    nilpotent c.
+    index r_h in R[X].  Then f^N = g^N in R[X] and c^(sN) = 0 for every
+    nilpotent c.  The powers agree without being expanded: f^N - g^N is
+    sum_{k=1}^{N} C(N, k) g^(N-k) h^k, h^k = 0 for k >= r_h, and N makes
+    the characteristic divide C(N, k) for 0 < k < r_h.
     """
     inv = _require(ring, "comm-local-unital")
     bound = check_unit_order_bound(ring)
@@ -487,10 +479,11 @@ def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
     f = poly_sub(poly_pow(x_plus_1, m), poly_const(ring, ring.unity))
     g, h = split_unit_nilpotent(f)
     s = next(k for k in range(1, len(g.coeffs)) if g.coeffs[k] != 0)
-    r_h = _poly_nilpotency_index(h)
+    r_h, power = 1, h  # the least r_h with h^(r_h) = 0
+    while power.degree is not None:
+        power, r_h = poly_mul(power, h), r_h + 1
     N = binomial_exponent(inv.characteristic, r_h).exponent
-    # h = 0 makes f = g, so the powers are compared only when h != 0.
-    powers_equal = h.degree is None or poly_pow(f, N).stripped() == poly_pow(g, N).stripped()
+    powers_equal = all(math.comb(N, k) % inv.characteristic == 0 for k in range(1, r_h))
     bad_c = next(
         (c for c in inv.nilpotents.indices() if ring.pow(c, s * N) != 0),
         None,
@@ -589,7 +582,7 @@ def check_spectrum_bound(ring: FiniteRing, f: Polynomial) -> Verdict:
     if failed is not None:
         return failed
     img = len(set(values))
-    omega = _omega(img)
+    omega = sum(e for _, e in _factorize(img))  # prime factors with multiplicity
     spectrum = len(_factor_residue_maps(ring))
     holds = spectrum <= omega
     return Verdict(
@@ -608,7 +601,8 @@ def char_function_from_image(ring: FiniteRing, f: Polynomial) -> Polynomial:
     every nilpotent value to 0 makes f^N a nontrivial 0/1-valued function.
 
     Refuses (TrivialImageError) when f's values are all units or all
-    non-units, since the power would then be the constant 1 or 0.
+    non-units, since the power would then be the constant 1 or 0.  The power
+    is returned reduced modulo X^(t+p) - X^t (``_reduced_pow``).
     """
     inv = _require(ring, "comm-local-unital")
     if f.ring is not ring:
@@ -623,7 +617,7 @@ def char_function_from_image(ring: FiniteRing, f: Polynomial) -> Polynomial:
     lcm_orders = math.lcm(*(multiplicative_order(ring, v) for v in unit_vals))
     kill = max(element_nilpotency_index(ring, v) for v in nil_vals)
     N = ((kill + lcm_orders - 1) // lcm_orders) * lcm_orders
-    result = poly_pow(f, N)
+    result = _reduced_pow(f, N)
     if not _verify_char_polynomial(ring, result)[0]:
         raise InternalInvariantError("power of the polynomial is not a nontrivial 0/1 table")
     return result
@@ -650,40 +644,45 @@ def _lift_exponent(inv: RingInvariants) -> int:
     return (inv.nilpotency_index // inv.unit_group_exponent + 1) * inv.unit_group_exponent
 
 
-@lru_cache(maxsize=None)
-def _lift_basis(ring: FiniteRing) -> tuple[Polynomial, ...]:
-    """The pre-raised products prod_{j != i} (X - alpha_j)^E over the
-    residue field's coset representatives alpha_j, with E = ``_lift_exponent``.
-
-    Every product and power is reduced modulo X^(t+p) - X^t for the power
-    stabilization (t, p): x^(k+p) = x^k for k >= t, so the reduced
-    polynomial induces the same function and its degree stays below t+p.
-    """
-    inv = _require(ring, "comm-local-unital")
-    reps = residue_field(ring)[2]
-    exponent = _lift_exponent(inv)
+def _reduced_pow(f: Polynomial, k: int) -> Polynomial:
+    """f^k for k >= 1 by repeated squaring, f and each product reduced
+    modulo X^(t+p) - X^t for the power stabilization (t, p) of the ring:
+    x^(k+p) = x^k for every x and k >= t, so the remainder induces the same
+    function, and its degree stays below t+p."""
+    ring = f.ring
     t, period = power_stabilization(ring)
 
-    def reduced_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-        coeffs = list(poly_mul(f, g).coeffs)
+    def reduced(g: Polynomial) -> Polynomial:
+        coeffs = list(g.coeffs)
         for d in range(len(coeffs) - 1, t + period - 1, -1):
             coeffs[d - period] = ring.add(coeffs[d - period], coeffs[d])
         return Polynomial(ring, tuple(coeffs[:t + period]))
 
+    power, base = None, reduced(f)
+    while k:
+        if k & 1:
+            power = base if power is None else reduced(poly_mul(power, base))
+        k >>= 1
+        if k:
+            base = reduced(poly_mul(base, base))
+    return power
+
+
+@lru_cache(maxsize=None)
+def _lift_basis(ring: FiniteRing) -> tuple[Polynomial, ...]:
+    """The pre-raised products prod_{j != i} (X - alpha_j)^E over the
+    residue field's coset representatives alpha_j, with E = ``_lift_exponent``,
+    every product and power reduced by ``_reduced_pow``.
+    """
+    inv = _require(ring, "comm-local-unital")
+    reps = residue_field(ring)[2]
     raised = []
     for i in range(len(reps)):
         prod = poly_const(ring, ring.unity)
         for j, alpha in enumerate(reps):
             if j != i:
-                prod = reduced_mul(prod, poly_from(ring, (ring.neg(alpha), ring.unity)))
-        power, base, rest = poly_const(ring, ring.unity), prod, exponent
-        while rest:
-            if rest & 1:
-                power = reduced_mul(power, base)
-            rest >>= 1
-            if rest:
-                base = reduced_mul(base, base)
-        raised.append(power)
+                prod = _reduced_pow(poly_mul(prod, poly_from(ring, (ring.neg(alpha), ring.unity))), 1)
+        raised.append(_reduced_pow(prod, _lift_exponent(inv)))
     return tuple(raised)
 
 

@@ -23,6 +23,10 @@ associativity and distributivity at every triple of elements, where
 The loop oracles fill Cayley tables pair by pair in plain Python (a
 polynomial product and remainder per pair for a quotient), where the
 constructors build them with numpy.
+The pair oracle checks L2.2 with two scalar powers per (b, c) pair, where
+the check compares whole-ring power maps.  The expansion oracle compares
+P2.3ii's f^N and g^N coefficient by coefficient, where the check reads the
+binomial coefficients C(N, k) only.
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ from finring import (
 )
 from finring import polyfun
 from finring.core import AxiomViolation, analyze, multiplicative_inverse, render_poly
-from finring.polyfun import Polynomial, poly_add, poly_const, poly_mul, poly_scale
+from finring.polyfun import (Polynomial, poly_add, poly_const, poly_from, poly_mul, poly_pow,
+                             poly_scale, poly_sub)
+from finring.theorems import Verdict, split_unit_nilpotent, verify_nilpotent_shift_power
 
 
 def brute_force_function_tables(ring) -> frozenset:
@@ -204,6 +210,29 @@ def loop_factor(ring, e: int) -> tuple:
     table = lambda t: [[elems.index(t[a][b]) for b in elems] for a in elems]
     projection = tuple(elems.index(ring.mul(e, x)) for x in range(ring.order))
     return loop_tables(table(ring.add_table), table(ring.mul_table), f"{ring.label}|e={e}"), projection
+
+
+def shift_powers_oracle(ring) -> Verdict:
+    """L2.2 pair by pair: ``verify_nilpotent_shift_power`` for each nilpotent
+    c and then each b, returned at the first pair that fails."""
+    checked = 0
+    for c in analyze(ring).nilpotents.indices():
+        for b in range(ring.order):
+            verdict = verify_nilpotent_shift_power(ring, b, c)
+            if not verdict.holds:
+                return verdict
+            checked += 1
+    return Verdict("L2.2", True, witness={"pairs": checked},
+                   details=f"all {checked} (b, c) pairs agree at s=1, hence at every s")
+
+
+def expanded_powers_agree(ring, exponent: int) -> bool:
+    """P2.3ii's f^N = g^N with both powers expanded, for f = (X+1)^m - 1 with
+    m the unit-group exponent and g the unit coefficients of f."""
+    x_plus_1 = poly_from(ring, (ring.unity, ring.unity))
+    f = poly_sub(poly_pow(x_plus_1, analyze(ring).unit_group_exponent), poly_const(ring, ring.unity))
+    g, _ = split_unit_nilpotent(f)
+    return poly_pow(f, exponent).stripped() == poly_pow(g, exponent).stripped()
 
 
 def lagrange_interpolate(field, values) -> Polynomial:

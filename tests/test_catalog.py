@@ -169,18 +169,18 @@ def test_catalog_dedup_and_validity(catalog9):
 
 
 def test_catalog_validates_each_ring_once(monkeypatch):
+    # Constructors check the axioms on the arrays that the ring then keeps.
     seen = []
-    validate = core.validate_ring
+    check = core._check_axioms
 
-    def record(ring):
-        seen.append(ring)
-        validate(ring)
+    def record(add, *args):
+        seen.append(add)
+        check(add, *args)
 
-    for module in (core, catalog):  # catalog would call it by an imported name
-        monkeypatch.setattr(module, "validate_ring", record, raising=False)
+    monkeypatch.setattr(core, "_check_axioms", record)
     monkeypatch.setattr(catalog, "realize", lru_cache(maxsize=None)(catalog.realize.__wrapped__))
     for name, ring in catalog.standard_catalog(16):
-        assert sum(r is ring for r in seen) == 1, name
+        assert sum(add is ring.add_array for add in seen) == 1, name
 
 
 def test_catalog_rejects_out_of_range():

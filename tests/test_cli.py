@@ -373,6 +373,35 @@ def _run_cli(*argv, **kwargs):
                           capture_output=True, text=True, env=env, **kwargs)
 
 
+def _main_in_process(capsys, argv) -> tuple:
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # --version and usage errors leave through argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_main_calls_print_what_a_fresh_process_prints(capsys, tmp_path):
+    out = tmp_path / "sweep.json"
+    commands = [("report", "Z/6", "--format", "json"), ("report", "Z/2[x]/(x^3)"),
+                ("check", "Z/9", "L2.2"), ("check", "Z/4", "P2.7", "--poly", "x^2"),
+                ("sweep", "--max-order", "4", "--out", str(out)), ("--version",),
+                ("check", "Z/4"), ("report", "Z/4", "--format", "yaml")]
+    sweep_rows = lambda: [{k: v for k, v in row.items() if k != "ms"}
+                          for row in json.loads(out.read_text())["rows"]]
+    fresh = []
+    for argv in commands:
+        proc = _run_cli(*argv)
+        fresh.append(((proc.returncode, proc.stdout, proc.stderr),
+                      sweep_rows() if argv[0] == "sweep" else None))
+    assert [result[0] for result, _ in fresh] == [0, 0, 0, 0, 0, 0, 2, 2]
+    for _ in range(2):  # one process, every command twice
+        for argv, expected in zip(commands, fresh):
+            assert (_main_in_process(capsys, argv),
+                    sweep_rows() if argv[0] == "sweep" else None) == expected, argv
+
+
 def test_module_entry_point():
     proc = _run_cli("report", "Z/4", "--format", "json")
     assert proc.returncode == 0

@@ -4,6 +4,7 @@ import dataclasses
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -306,6 +307,26 @@ _LARGER_SPECS = ("Z/2[x]/(x^7+x+1)", "Z/4[x]/(x^3+x+1)", "Z/8[x]/(x^2+x+1)", "Z/
 def test_constructors_match_the_loop_oracle(spec):
     ast = parse_ring_spec(spec)
     assert _ring(realize(ast)) == _loop_spec(ast)
+
+
+def _with_factors_and_residue_fields(ring) -> list:
+    """The ring, its local factors and the residue field of each factor."""
+    out = [ring]
+    inv = analyze(ring)
+    if inv.is_unital and inv.is_commutative:
+        for factor in local_decomposition(ring):
+            out += [factor.ring, residue_field(factor.ring)[0]]
+    return out
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in standard_catalog(32)] + list(_LARGER_SPECS))
+def test_rings_carry_their_tables_as_read_only_arrays(spec):
+    for ring in _with_factors_and_residue_fields(realize(parse_ring_spec(spec))):
+        for array, table in ((ring.add_array, ring.add_table), (ring.mul_array, ring.mul_table)):
+            assert array.dtype == np.intp and array.tolist() == [list(row) for row in table]
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
 
 
 @pytest.mark.parametrize("left, right", [(upper_triangular_f2, lambda: make_zn(2)),

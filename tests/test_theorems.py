@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import time
 from itertools import product
 
 import pytest
@@ -16,6 +18,7 @@ from finring import (
     local_decomposition,
     make_zero_mul_ring,
     make_zn,
+    parse_poly_text,
     parse_ring_spec,
     poly_from,
     poly_x,
@@ -23,6 +26,7 @@ from finring import (
     power_stabilization,
     primitive_idempotents,
     realize,
+    render_poly,
     residue_field,
     standard_catalog,
 )
@@ -38,6 +42,7 @@ from finring.polyfun import (
 )
 from finring.theorems import (
     CHECKS,
+    BinomialExponent,
     CheckOptions,
     TrivialImageError,
     binomial_exponent,
@@ -63,9 +68,11 @@ from finring.theorems import (
 from conftest import (
     brute_force_function_tables,
     coset_growth,
+    expanded_powers_agree,
     factor_residues,
     m2f2,
     row_matrices_f2,
+    shift_powers_oracle,
     skew_dual_f4,
     small_rings,
     upper_triangular_f2,
@@ -236,6 +243,45 @@ def test_shift_power_all_pairs(z9):
     assert v.witness["pairs"] == 9 * 3
 
 
+_COMMUTATIVE_32 = [name for name, ring in standard_catalog(32) if analyze(ring).is_commutative]
+
+
+def test_commutative_catalog_holds_both_zero_rings():
+    assert {"zero-ring-2", "zero-ring-4"} <= set(_COMMUTATIVE_32)
+
+
+@pytest.mark.parametrize("spec", _COMMUTATIVE_32)
+def test_shift_power_maps_match_the_pair_oracle(spec):
+    ring = realize(parse_ring_spec(spec))
+    verdict = check_nilpotent_shift_powers(ring)
+    assert verdict.holds
+    assert verdict == shift_powers_oracle(ring)
+
+
+@pytest.mark.parametrize("exponent", ["1", "r"])
+def test_shift_power_failure_is_the_first_failing_pair_of_the_oracle(monkeypatch, exponent):
+    # N = 1 fails at (b, c) = (0, least nonzero nilpotent).  N = r, c's own
+    # nilpotency index, has c^r = 0 = 0^r, so b = 0 passes and the first
+    # failure lies further on: the c-then-b order of the report is exercised.
+    real = theorems.binomial_exponent
+
+    def mutated(char_n: int, nilp_index: int) -> BinomialExponent:
+        params = real(char_n, nilp_index)
+        return dataclasses.replace(params, exponent=1 if exponent == "1" else nilp_index)
+
+    monkeypatch.setattr(theorems, "binomial_exponent", mutated)
+    failures = []
+    for spec in _COMMUTATIVE_32:
+        ring = realize(parse_ring_spec(spec))
+        verdict = check_nilpotent_shift_powers(ring)
+        assert verdict == shift_powers_oracle(ring), spec
+        if not verdict.holds:
+            failures.append((verdict.witness["b"], verdict.witness["c"]))
+    assert failures
+    if exponent == "r":
+        assert any(b != 0 for b, _ in failures)
+
+
 # --- P2.3 ------------------------------------------------------------------
 
 def test_unit_order_bound_z4(z4):
@@ -302,6 +348,45 @@ def test_unit_exponent_nilpotency_field(z2):
     v = check_unit_exponent_nilpotency(z2)
     assert v.holds
     assert v.witness["least_unit_degree"] == 1
+
+
+_COMM_LOCAL_32 = [name for name, ring in standard_catalog(32)
+                  if analyze(ring).is_local and analyze(ring).is_commutative]
+
+
+@pytest.mark.parametrize("spec", _COMM_LOCAL_32)
+def test_unit_exponent_binomials_match_the_expanded_powers(spec):
+    ring = realize(parse_ring_spec(spec))
+    verdict = check_unit_exponent_nilpotency(ring)
+    assert verdict.holds and "f^N = g^N: True" in verdict.details
+    assert expanded_powers_agree(ring, verdict.witness["exponent"])
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_unit_exponent_binomials_catch_a_smaller_exponent(monkeypatch, power):
+    # With N divided by p^power, p | char, the binomial criterion, which is
+    # sufficient but not necessary, must fail wherever the expanded powers
+    # differ, and it must fail somewhere.
+    real = theorems.binomial_exponent
+
+    def mutated(char_n: int, nilp_index: int) -> BinomialExponent:
+        params = real(char_n, nilp_index)
+        p = params.factorization[0][0]
+        return dataclasses.replace(params, exponent=max(1, params.exponent // p ** power))
+
+    monkeypatch.setattr(theorems, "binomial_exponent", mutated)
+    refuted = differ = 0
+    for spec in _COMM_LOCAL_32:
+        ring = realize(parse_ring_spec(spec))
+        verdict = check_unit_exponent_nilpotency(ring)
+        divisible = "f^N = g^N: True" in verdict.details
+        agree = expanded_powers_agree(ring, verdict.witness["exponent"])
+        assert agree or not divisible, spec
+        refuted += not divisible
+        differ += not agree
+    assert refuted
+    if power == 2:
+        assert differ
 
 
 # --- L2.4 / L2.5 -----------------------------------------------------------
@@ -379,6 +464,32 @@ def test_char_from_image_z9(z9):
 def test_char_from_image_f2(z2):
     w = char_function_from_image(z2, poly_x(z2))
     assert w.coeffs == (0, 1)
+
+
+def test_char_from_image_reduces_a_power_beyond_the_stabilization():
+    # f^N = x^(4096 * 127) is returned modulo X^(t+p) - X^t: degree below
+    # t + p = 128, so the witness parses back.
+    ring = realize(parse_ring_spec("Z/2[x]/(x^7+x+1)"))
+    t, p = power_stabilization(ring)
+    start = time.perf_counter()
+    verdict = check_char_from_image(ring, parse_poly_text("x^4096", ring))
+    assert time.perf_counter() - start < 2.0
+    w = verdict.witness["polynomial"]
+    assert w.degree < t + p
+    assert parse_poly_text(render_poly(w.coeffs), ring) == w
+    assert verdict.witness["support"] == list(range(1, ring.order))
+
+
+@pytest.mark.parametrize("spec", _COMM_LOCAL_32)
+def test_reduced_powers_induce_the_unreduced_tables(spec):
+    ring = realize(parse_ring_spec(spec))
+    t, p = power_stabilization(ring)
+    for coeffs in ((0, ring.unity), (ring.unity, ring.unity, 0, ring.unity)):
+        f = poly_from(ring, coeffs)
+        for k in (1, 2, 5, 12):
+            reduced = theorems._reduced_pow(f, k)
+            assert len(reduced.coeffs) <= t + p
+            assert function_table(reduced) == function_table(poly_pow(f, k))
 
 
 def test_char_from_image_refuses_constants(z4):
