@@ -3,17 +3,13 @@ exhaustive structural checks over a catalog of small examples."""
 
 from .core import (
     AxiomViolation,
-    Embedding,
     FiniteRing,
     InternalInvariantError,
-    InvalidEmbedding,
     LocalFactor,
     RingInvariants,
     SubsetMask,
     UnsupportedStructureError,
     analyze,
-    embed,
-    identity_embedding,
     invariant_signature,
     local_decomposition,
     make_product,

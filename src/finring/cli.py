@@ -3,7 +3,8 @@
 Exit codes: 0 pass/vacuous, 1 a check found a violation, 2 usage or I/O
 error, 4 internal error (a computed result broke an invariant the
 mathematics guarantees).  Every check is decided at every order, so a
-verdict is pass, fail or vacuous (a hypothesis failed).
+verdict is pass, fail or vacuous (a hypothesis failed).  ``check`` refuses
+with exit 2 a ``--poly`` or ``--subset`` that the check does not read.
 """
 
 from __future__ import annotations
@@ -125,9 +126,12 @@ def cmd_check(args) -> int:
         print(f"unknown check {args.result_id!r}; choose from {', '.join(RESULT_IDS)}",
               file=sys.stderr)
         return EXIT_USAGE
+    check = CHECKS[args.result_id]
+    for name in ("poly", "subset"):
+        if getattr(args, name) is not None and name != check.reads:
+            raise ValueError(f"{args.result_id} does not read --{name}")
     ring = realize(parse_ring_spec(args.spec))
     opts = CheckOptions(poly=args.poly, subset=args.subset)
-    check = CHECKS[args.result_id]
     if check.applies(ring):
         start = time.perf_counter()
         verdict = check.run(ring, opts)

@@ -24,10 +24,8 @@ __all__ = [
     "FiniteRing",
     "RingInvariants",
     "SubsetMask",
-    "Embedding",
     "LocalFactor",
     "AxiomViolation",
-    "InvalidEmbedding",
     "UnsupportedStructureError",
     "InternalInvariantError",
     "make_zn",
@@ -40,8 +38,6 @@ __all__ = [
     "primitive_idempotents",
     "local_decomposition",
     "residue_field",
-    "embed",
-    "identity_embedding",
     "element_additive_order",
     "element_nilpotency_index",
     "multiplicative_order",
@@ -62,14 +58,6 @@ class AxiomViolation(ValueError):
     def __init__(self, axiom: str, witness: tuple):
         super().__init__(f"ring axiom {axiom!r} fails at {witness}")
         self.axiom = axiom
-        self.witness = witness
-
-
-class InvalidEmbedding(ValueError):
-    def __init__(self, reason: str, witness=None):
-        msg = reason if witness is None else f"{reason} at {witness}"
-        super().__init__(msg)
-        self.reason = reason
         self.witness = witness
 
 
@@ -184,18 +172,6 @@ class SubsetMask:
     @property
     def size(self) -> int:
         return self.bits.bit_count()
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """A validated injective ring homomorphism small -> big."""
-
-    small: FiniteRing
-    big: FiniteRing
-    map: tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.map[a]
 
 
 @dataclass(frozen=True)
@@ -609,36 +585,6 @@ def residue_field(ring: FiniteRing) -> tuple[FiniteRing, tuple[int, ...], tuple[
     if not analyze(field).is_field:
         raise InternalInvariantError("residue ring of a local ring must be a field")
     return field, tuple(proj.tolist()), tuple(reps.tolist())
-
-
-# ---------------------------------------------------------------------------
-# embeddings
-# ---------------------------------------------------------------------------
-
-def embed(small: FiniteRing, big: FiniteRing, mapping: Sequence[int]) -> Embedding:
-    """Validate an injective homomorphism small -> big given as an index vector."""
-    mp = tuple(int(v) for v in mapping)
-    if len(mp) != small.order:
-        raise InvalidEmbedding("map must be total on the small ring")
-    if any(not 0 <= v < big.order for v in mp):
-        raise InvalidEmbedding("map values out of range")
-    if len(set(mp)) != small.order:
-        raise InvalidEmbedding("not-injective")
-    if mp[0] != 0:
-        raise InvalidEmbedding("not-homomorphic", (0,))
-    for a in range(small.order):
-        for b in range(small.order):
-            if mp[small.add_table[a][b]] != big.add_table[mp[a]][mp[b]]:
-                raise InvalidEmbedding("not-homomorphic", (a, b))
-            if mp[small.mul_table[a][b]] != big.mul_table[mp[a]][mp[b]]:
-                raise InvalidEmbedding("not-homomorphic", (a, b))
-    if small.unity is not None and big.unity is not None and mp[small.unity] != big.unity:
-        raise InvalidEmbedding("not-homomorphic", (small.unity,))
-    return Embedding(small=small, big=big, map=mp)
-
-
-def identity_embedding(ring: FiniteRing) -> Embedding:
-    return Embedding(small=ring, big=ring, map=tuple(range(ring.order)))
 
 
 # ---------------------------------------------------------------------------

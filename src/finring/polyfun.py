@@ -37,7 +37,6 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    Embedding,
     FiniteRing,
     InternalInvariantError,
     SubsetMask,
@@ -189,52 +188,30 @@ def poly_scale(c: int, f: Polynomial) -> Polynomial:
     return Polynomial(f.ring, tuple(f.ring.mul(c, a) for a in f.coeffs))
 
 
-def poly_eval(f: Polynomial, r: int, via: Embedding | None = None) -> int:
-    """Evaluate a_0 + sum_{i>=1} a_i * r^i with powers taken in the coefficient ring.
-
-    With ``via`` given, r is an element of via.small and is first mapped
-    into via.big, which must be the coefficient ring.
-    """
+def poly_eval(f: Polynomial, r: int) -> int:
+    """Evaluate a_0 + sum_{i>=1} a_i * r^i with powers taken in the coefficient ring."""
     ring = f.ring
-    if via is not None:
-        if via.big is not ring:
-            raise ValueError("embedding target differs from the coefficient ring")
-        if not 0 <= r < via.small.order:
-            raise ValueError("element out of the embedded ring's range")
-        x = via.map[r]
-    else:
-        if not 0 <= r < ring.order:
-            raise ValueError("element out of the ring's range")
-        x = r
+    if not 0 <= r < ring.order:
+        raise ValueError("element out of the ring's range")
     add, mul = ring.add_table, ring.mul_table
     acc = f.coeffs[0] if f.coeffs else 0
     power = None
     for c in f.coeffs[1:]:
-        power = x if power is None else mul[power][x]
+        power = r if power is None else mul[power][r]
         if c:
             acc = add[acc][mul[c][power]]
     return acc
 
 
-def function_table(f: Polynomial, r: FiniteRing | None = None,
-                   via: Embedding | None = None) -> FunctionTable:
-    """Tabulate f over every element of the domain ring."""
-    if via is not None:
-        domain = via.small
-        if r is not None and r is not domain:
-            raise ValueError("domain ring disagrees with the embedding")
-    else:
-        domain = r if r is not None else f.ring
-        if domain is not f.ring:
-            raise ValueError("evaluating over a foreign ring needs an embedding")
-    values = tuple(poly_eval(f, x, via) for x in range(domain.order))
-    return FunctionTable(domain=domain, codomain=f.ring, values=values)
+def function_table(f: Polynomial) -> FunctionTable:
+    """Tabulate f over every element of its coefficient ring."""
+    values = tuple(poly_eval(f, x) for x in range(f.ring.order))
+    return FunctionTable(domain=f.ring, codomain=f.ring, values=values)
 
 
-def image(f: Polynomial, r: FiniteRing | None = None) -> SubsetMask:
-    """The set of values f takes on the ring."""
-    table = function_table(f, r)
-    return SubsetMask.from_indices(f.ring, set(table.values))
+def image(f: Polynomial) -> SubsetMask:
+    """The set of values f takes on its coefficient ring."""
+    return SubsetMask.from_indices(f.ring, set(function_table(f).values))
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,17 @@ P1.2   every bijection induced by a polynomial, equivalent to being a field;
 P1.3   every subset indicator induced by a polynomial (unital rings),
        equivalent to being a field; a non-field's least nonzero non-unit
        certifies that the indicator of {0} is not induced
-P2.1   a subring whose nonzero elements are sent to 1 by a polynomial over
-       the big ring is a finite field
+P2.1   a ring whose nonzero elements a polynomial over a bigger ring sends
+       to 1, and 0 to 0, is a finite field; a field's witness is x^(q-1),
+       a non-field's a pair c, d != 0 with c*d = 0, which rules out every
+       such polynomial over every extension
 L2.2   the shift-by-nilpotent power identity (b+c)^(sN) = b^(sN) with the
        exponent N built from the characteristic and the nilpotency index;
        checked at s = 1, which gives every s
 P2.3i  every unit order divides N*(n-1) for the residue field order n
 P2.3ii from the unit-group exponent, a uniform exponent sN killing every
        nilpotent, via the unit/nilpotent coefficient split
-L2.4   residue field orders of a subring are bounded by |f(A)| * deg f
+L2.4   residue field orders of the ring are bounded by |f(R)| * deg f
 L2.5   the number of local factors is bounded by the number of prime
        factors of |f(R)| (with multiplicity)
 P2.6fwd raising a polynomial with mixed unit/non-unit values to a power
@@ -52,7 +54,6 @@ import numpy as np
 
 from .catalog import RingSpecError, parse_poly_text
 from .core import (
-    Embedding,
     FiniteRing,
     InternalInvariantError,
     RingInvariants,
@@ -60,7 +61,6 @@ from .core import (
     UnsupportedStructureError,
     analyze,
     element_nilpotency_index,
-    identity_embedding,
     multiplicative_order,
     primitive_idempotents,
     residue_field,
@@ -300,39 +300,44 @@ def check_char_functions_iff_field(ring: FiniteRing) -> Verdict:
 # P2.1: indicator of the nonzero elements over an extension ring
 # ---------------------------------------------------------------------------
 
-def verify_subring_char_function(emb: Embedding, f: Polynomial) -> Verdict:
-    """P2.1: if f (over the big ring) sends 0 to 0 and every nonzero element of
-    the embedded subring to 1, the subring must be a finite field.
+def verify_subring_char_function(ring: FiniteRing, f: Polynomial | None = None) -> Verdict:
+    """P2.1: if some f sends 0 to 0 and every nonzero element of the ring to
+    1, the ring is a finite field, whatever ring containing it f is over.
 
-    Verified on the given embedding: hypothesis checked by evaluation, and
-    when it holds the conclusion is confirmed by direct inspection of the
-    small ring.  A failed hypothesis is reported as vacuous.
+    A field passes with x^(q-1), confirmed by its unit-group exponent
+    dividing q - 1.  A non-field passes with its least nonzero non-unit c
+    and the least nonzero d with c*d = 0, which rule out every f over every
+    extension: f(c) - f(0) = c*g(c), so f(0) = 0 and f(c) = 1 would give
+    d = d*c*g(c) = 0.
+
+    With ``f`` given, verification mode: f (over the ring) is evaluated, and
+    a failed hypothesis is reported as vacuous.
     """
-    big, small = emb.big, emb.small
-    if f.ring is not big:
-        raise ValueError("polynomial must have coefficients in the big ring")
-    for r in (big, small):
-        _require(r, "comm-unital")
-    bad = None
-    if poly_eval(f, 0, via=emb) != 0:
-        bad = 0
+    inv = _require(ring, "comm-unital")
+    n = ring.order
+    if f is not None:
+        if f.ring is not ring:
+            raise ValueError("polynomial must have coefficients in the ring itself")
+        bad = next((a for a in range(n) if poly_eval(f, a) != (ring.unity if a else 0)), None)
+        if bad is not None:
+            return Verdict("P2.1", True, vacuous=True, witness={"hypothesis_fails_at": bad},
+                           details=f"hypothesis fails at element {bad}; implication is vacuous")
+        return Verdict("P2.1", inv.is_field, witness={"field": inv.is_field},
+                       details=f"hypothesis holds and is_field={inv.is_field} for {ring.label}")
+    if inv.is_field:
+        if (n - 1) % inv.unit_group_exponent:
+            raise InternalInvariantError(f"{ring.label}: unit group exponent does not divide {n - 1}")
+        witness = {"polynomial": Polynomial(ring, (0,) * (n - 1) + (ring.unity,)), "field": True}
+        details = (f"x^{n - 1} sends 0 to 0 and every nonzero element to 1: "
+                   f"the unit group exponent {inv.unit_group_exponent} divides {n - 1}")
     else:
-        for a in range(1, small.order):
-            if poly_eval(f, a, via=emb) != big.unity:
-                bad = a
-                break
-    if bad is not None:
-        return Verdict(
-            "P2.1", True, vacuous=True,
-            witness={"hypothesis_fails_at": bad},
-            details=f"hypothesis fails at element {bad}; implication is vacuous",
-        )
-    is_field = analyze(small).is_field
-    return Verdict(
-        "P2.1", is_field,
-        witness={"field": is_field},
-        details=f"hypothesis holds and is_field={is_field} for {small.label}",
-    )
+        c = next(x for x in range(1, n) if x not in inv.units)
+        d = next((y for y in range(1, n) if ring.mul_table[c][y] == 0), None)
+        if d is None:
+            raise InternalInvariantError(f"the non-unit {c} of {ring.label} annihilates nothing")
+        witness = {"non_unit": c, "annihilator": d}
+        details = f"{c}*{d} = 0, so no f over any extension sends 0 to 0 and {c} to 1"
+    return Verdict("P2.1", True, witness=witness, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -537,27 +542,25 @@ def _constant_modulo_a_maximal_ideal(result_id: str, ring: FiniteRing, values,
     return None
 
 
-def check_residue_field_bound(emb: Embedding, f: Polynomial) -> Verdict:
-    """L2.4: residue field orders of the small ring are at most |f(A)| * deg f.
+def check_residue_field_bound(ring: FiniteRing, f: Polynomial) -> Verdict:
+    """L2.4: residue field orders of the ring are at most |f(R)| * deg f.
 
-    Precondition: for every maximal ideal of the big ring, the residues of
-    f's values on the embedded subring are non-constant; otherwise the
-    verdict is precondition-failed (vacuous).  Residues and residue field
-    orders come from ``_factor_residue_maps``, which builds no ring.
+    Precondition: for every maximal ideal, the residues of f's values are
+    non-constant; otherwise the verdict is precondition-failed (vacuous).
+    Residues and residue field orders come from ``_factor_residue_maps``,
+    which builds no ring.
     """
-    small, big = emb.small, emb.big
-    if f.ring is not big:
-        raise ValueError("polynomial must have coefficients in the big ring")
-    for r in (small, big):
-        _require(r, "comm-unital")
-    values = [poly_eval(f, a, via=emb) for a in range(small.order)]
-    failed = _constant_modulo_a_maximal_ideal("L2.4", big, values, "values")
+    if f.ring is not ring:
+        raise ValueError("polynomial must have coefficients in the ring itself")
+    _require(ring, "comm-unital")
+    values = [poly_eval(f, a) for a in range(ring.order)]
+    failed = _constant_modulo_a_maximal_ideal("L2.4", ring, values, "values")
     if failed is not None:
         return failed
     img = len(set(values))
     deg = f.degree
     bound = img * deg
-    residue_orders = [len(set(keys)) for _, keys in _factor_residue_maps(small)]
+    residue_orders = [len(set(keys)) for _, keys in _factor_residue_maps(ring)]
     holds = all(n <= bound for n in residue_orders)
     return Verdict(
         "L2.4", holds,
@@ -865,10 +868,12 @@ class CheckOptions:
 
 @dataclass(frozen=True)
 class Check:
-    """One result code: the ring requirement it needs and how to run it."""
+    """One result code: the ring requirement it needs, how to run it, and
+    the ``CheckOptions`` field it reads, if any."""
 
     requires: str
     run: Callable[[FiniteRing, CheckOptions], Verdict]
+    reads: str | None = None
 
     def applies(self, ring: FiniteRing) -> bool:
         return _REQUIREMENTS[self.requires](analyze(ring))
@@ -899,21 +904,22 @@ CHECKS: dict[str, Check] = {
     "P1.2": Check("any", lambda ring, o: check_bijections_iff_field(ring)),
     "P1.3": Check("unital", lambda ring, o: check_char_functions_iff_field(ring)),
     "P2.1": Check("comm-unital", lambda ring, o: verify_subring_char_function(
-        identity_embedding(ring), _poly_or_x(o, ring))),
+        ring, _poly_arg(o, ring)), "poly"),
     "L2.2": Check("commutative", lambda ring, o: check_nilpotent_shift_powers(ring)),
     "P2.3i": Check("local-unital", lambda ring, o: check_unit_order_bound(ring)),
     "P2.3ii": Check("comm-local-unital", lambda ring, o: check_unit_exponent_nilpotency(ring)),
     "L2.4": Check("comm-unital", lambda ring, o: check_residue_field_bound(
-        identity_embedding(ring), _poly_or_x(o, ring))),
-    "L2.5": Check("comm-unital", lambda ring, o: check_spectrum_bound(ring, _poly_or_x(o, ring))),
+        ring, _poly_or_x(o, ring)), "poly"),
+    "L2.5": Check("comm-unital", lambda ring, o: check_spectrum_bound(ring, _poly_or_x(o, ring)),
+                  "poly"),
     "P2.6fwd": Check("comm-local-unital",
-                     lambda ring, o: check_char_from_image(ring, _poly_or_x(o, ring))),
+                     lambda ring, o: check_char_from_image(ring, _poly_or_x(o, ring)), "poly"),
     "P2.6lift": Check("comm-local-unital", lambda ring, o: check_residue_lift(
-        ring, _poly_arg(o, residue_field(ring)[0]))),
+        ring, _poly_arg(o, residue_field(ring)[0])), "poly"),
     "P2.7": Check("comm-unital", lambda ring, o: classify_char_function_existence(
-        ring, witness_poly=_poly_arg(o, ring))),
+        ring, witness_poly=_poly_arg(o, ring)), "poly"),
     "R2.8": Check("local-unital", lambda ring, o: check_char_support_cosets(
-        ring, subset=_subset_ids(o))),
+        ring, subset=_subset_ids(o)), "subset"),
 }
 
 RESULT_IDS = tuple(CHECKS)

@@ -26,7 +26,9 @@ constructors build them with numpy.
 The pair oracle checks L2.2 with two scalar powers per (b, c) pair, where
 the check compares whole-ring power maps.  The expansion oracle compares
 P2.3ii's f^N and g^N coefficient by coefficient, where the check reads the
-binomial coefficients C(N, k) only.
+binomial coefficients C(N, k) only.  The extension oracle closes the
+functions that polynomials over a ring S induce on a subring D, given by an
+embedding, where P2.1 reads a zero-divisor pair of D off its mul table.
 """
 
 from __future__ import annotations
@@ -235,6 +237,49 @@ def expanded_powers_agree(ring, exponent: int) -> bool:
     return poly_pow(f, exponent).stripped() == poly_pow(g, exponent).stripped()
 
 
+def embed(small, big, mapping) -> tuple[int, ...]:
+    """``mapping`` as an index vector, checked to be an injective unital ring
+    homomorphism small -> big; ValueError naming the first failure otherwise."""
+    mp = tuple(int(v) for v in mapping)
+    if len(mp) != small.order or any(not 0 <= v < big.order for v in mp):
+        raise ValueError("map must send every element of the small ring into the big ring")
+    if len(set(mp)) != small.order:
+        raise ValueError("not-injective")
+    for a, b in product(range(small.order), repeat=2):
+        if (mp[small.add(a, b)] != big.add(mp[a], mp[b])
+                or mp[small.mul(a, b)] != big.mul(mp[a], mp[b])):
+            raise ValueError(f"not-homomorphic at {(a, b)}")
+    if small.unity is not None and big.unity is not None and mp[small.unity] != big.unity:
+        raise ValueError(f"not-homomorphic at {(small.unity,)}")
+    return mp
+
+
+def extension_span(small, big, mapping) -> set[bytes]:
+    """Every function D -> S that a polynomial over S induces on the subring
+    D = small embedded by ``mapping``, as the bytes of its table: the
+    additive span of the constants b and the tables of b * x^k on D, for
+    every b in S and 1 <= k < t + p with D's power stabilization (t, p),
+    since x^k for x in D stays in D.  Grown one generator at a time, as
+    ``coset_growth`` does."""
+    mp = embed(small, big, mapping)
+    t, p = power_stabilization(small)
+    add = np.array(big.add_table, dtype=np.uint8)
+    powers = [[mp[small.pow(x, k)] for x in range(small.order)] for k in range(1, t + p)]
+    gens = [[b] * small.order for b in range(big.order)]
+    gens += [[big.mul(b, y) for y in row] for b in range(big.order) for row in powers]
+    span = np.zeros((1, small.order), dtype=np.uint8)
+    seen = {span.tobytes()}
+    for g in np.array(gens, dtype=np.uint8):
+        grown, step = [span], g
+        while step.tobytes() not in seen:
+            coset = add[span, step]
+            seen.update(row.tobytes() for row in coset)
+            grown.append(coset)
+            step = add[step, g]
+        span = np.concatenate(grown)
+    return seen
+
+
 def lagrange_interpolate(field, values) -> Polynomial:
     """The degree < |F| interpolant as sum_i y_i prod_{j != i} (X - j)/(i - j); O(q^3)."""
     n = field.order
@@ -361,6 +406,11 @@ def relabelled(ring, nonzero_labels):
     relabel = lambda table: [[new[table[old[a]][old[b]]] for b in range(ring.order)]
                              for a in range(ring.order)]
     return make_table_ring(relabel(ring.add_table), relabel(ring.mul_table), ring.label)
+
+
+LARGER_SPECS = ("Z/2[x]/(x^7+x+1)", "Z/4[x]/(x^3+x+1)", "Z/8[x]/(x^2+x+1)", "Z/9[x]/(x^2+1)",
+                "Z/3[x]/(x^3)", "Z/2[x]/(x^6)", "Z/4 x Z/16", "Z/5 x Z/2[x]/(x^2)",
+                "Z/2[x]/(x^8)", "GF(4)[x]/(x^2)", "Z/2 x Z/3 x Z/2[x]/(x^2)")
 
 
 _LOCAL_BASES = {2: 4, 3: 2, 4: 2, 5: 1, 7: 1, 8: 1, 9: 1, 11: 1, 13: 1, 16: 1, 17: 1, 19: 1}

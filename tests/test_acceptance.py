@@ -18,7 +18,6 @@ from finring import (
     analyze,
     function_count,
     function_table,
-    identity_embedding,
     interpolate_field,
     make_zn,
     parse_poly_text,
@@ -41,6 +40,7 @@ from finring.theorems import (
     check_spectrum_bound,
     classify_char_function_existence,
     verify_nilpotent_shift_power,
+    verify_subring_char_function,
 )
 
 from conftest import as_tuple_set, brute_force_function_tables, coset_growth
@@ -178,10 +178,9 @@ def test_criterion_7_image_bounds(catalog8):
             draws = list(product(range(n), repeat=4))
         else:
             draws = [tuple(rng.randrange(n) for _ in range(4)) for _ in range(10_000)]
-        emb = identity_embedding(ring)
         for coeffs in draws:
             f = poly_from(ring, coeffs)
-            v24 = check_residue_field_bound(emb, f)
+            v24 = check_residue_field_bound(ring, f)
             v25 = check_spectrum_bound(ring, f)
             for v in (v24, v25):
                 if v.vacuous:
@@ -254,6 +253,12 @@ def test_criterion_11_sweep_and_witness_audit(tmp_path, capsys):
         if row["check"] in ("P2.7", "P2.6fwd"):
             # a printed indicator polynomial must re-verify as one
             assert main(["check", row["ring"], "P2.7", "--poly", poly_text]) == 0
+            fed_back += 1
+        elif row["check"] == "P2.1":
+            # a field's x^(q-1) must meet P2.1's hypothesis when fed back
+            ring = realize(parse_ring_spec(row["ring"]))
+            fed = verify_subring_char_function(ring, parse_poly_text(poly_text, ring))
+            assert fed.status == "pass" and fed.witness == {"field": True}
             fed_back += 1
         elif row["check"] == "P2.6lift":
             ring = realize(parse_ring_spec(row["ring"]))

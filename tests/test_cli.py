@@ -171,6 +171,25 @@ def test_non_union_subsets_are_certified_without_an_index(refuse_index, capsys):
         assert witness["certificate"] == certificate and witness["swept"] == 2
 
 
+_FLAG_VALUES = {"--poly": "x^2", "--subset": "1,3", "--cap-functions": "50",
+                "--max-bijection-order": "2", "--s-max": "3"}
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAG_VALUES))
+@pytest.mark.parametrize("result_id", sorted(CHECKS))
+def test_check_refuses_a_flag_it_does_not_read(capsys, result_id, flag):
+    # Z/4 meets every requirement.  A check reads --poly or --subset only if
+    # its registry entry names it; the retired flags are accepted everywhere.
+    read = flag in finring.cli.IGNORED_FLAGS or CHECKS[result_id].reads == flag[2:]
+    code = main(["check", "Z/4", result_id, flag, _FLAG_VALUES[flag]])
+    captured = capsys.readouterr()
+    if read:
+        assert code == 0 and captured.err == ""
+    else:
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {result_id} does not read {flag}\n"
+
+
 def test_check_not_applicable_is_vacuous(capsys):
     code, doc = run_json(capsys, "check", "zero-ring-2", "P1.3")
     assert code == 0
@@ -241,7 +260,7 @@ def test_sweep_reproduces_the_golden_file(tmp_path):
     assert main(["sweep", "--max-order", "16", "--format", "json", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     golden = json.loads(GOLDEN_SWEEP.read_text())
-    assert doc["summary"] == golden["summary"] == {"pass": 286, "fail": 0, "vacuous": 26}
+    assert doc["summary"] == golden["summary"] == {"pass": 312, "fail": 0, "vacuous": 0}
     rows = [{k: v for k, v in row.items() if k != "ms"} for row in doc["rows"]]
     assert len(rows) == len(golden["rows"]) == 312
     assert rows == golden["rows"]
@@ -325,15 +344,15 @@ def test_s_max_is_accepted_and_ignored(capsys):
 
 def test_sweep_covers_the_whole_catalog_at_the_default_cap(refuse_index, tmp_path):
     # P1.2, P1.3 and P2.7 argue from the ring's elements and R2.8 builds its
-    # coset indicators by P2.6's lift, so no check enumerates a table.  Only
-    # P2.1's hypothesis fails.
+    # coset indicators by P2.6's lift, so no check enumerates a table.  P2.1
+    # certifies a non-field by a zero-divisor pair, so no row is vacuous.
     out = tmp_path / "sweep32.json"
     assert main(["sweep", "--max-order", "32", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, SCHEMA)
     assert len(doc["rows"]) == 480
-    assert doc["summary"] == {"pass": 438, "fail": 0, "vacuous": 42}
-    assert {row["check"] for row in doc["rows"] if row["status"] == "vacuous"} == {"P2.1"}
+    assert doc["summary"] == {"pass": 480, "fail": 0, "vacuous": 0}
+    assert not [row for row in doc["rows"] if row["vacuous"]]
     swept = [row["witness"]["swept"] for row in doc["rows"] if row["check"] == "R2.8"]
     assert len(swept) == 26 and 0 not in swept
 

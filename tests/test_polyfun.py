@@ -11,7 +11,6 @@ from finring import (
     UnsupportedStructureError,
     analyze,
     char_poly_for_subset,
-    embed,
     function_count,
     function_table,
     image,
@@ -97,21 +96,6 @@ def test_eval_constant_enters_as_element():
     assert function_table(f).values == (1, 1)
     g = poly_from(r, (0, 1))
     assert function_table(g).values == (0, 0)
-
-
-def test_eval_through_embedding(z2, gf4):
-    emb = embed(z2, gf4, [0, 1])
-    f = poly_x(gf4)
-    assert poly_eval(f, 1, via=emb) == 1
-    table = function_table(f, via=emb)
-    assert table.domain is z2 and table.codomain is gf4
-    assert table.values == (0, 1)
-
-
-def test_eval_rejects_foreign_ring(z4, z6):
-    f = poly_x(z4)
-    with pytest.raises(ValueError):
-        function_table(f, z6)
 
 
 def test_identity_table(z6):
@@ -320,7 +304,7 @@ def test_membership_rejects_a_table_of_another_ring(z2, z4, gf4):
     over_gf4 = function_table(poly_x(gf4))
     with pytest.raises(ValueError, match="not Z/4 to itself"):
         is_polynomial_function(z4, over_gf4)
-    into_gf4 = function_table(poly_x(gf4), via=embed(z2, gf4, [0, 1]))
+    into_gf4 = FunctionTable(z2, gf4, (0, 1))
     for pset in (polynomial_function_set(gf4), polynomial_function_set(z2)):
         with pytest.raises(ValueError, match="table maps Z/2 to"):
             pset.contains(into_gf4)

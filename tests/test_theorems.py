@@ -11,15 +11,14 @@ from finring import (
     SubsetMask,
     UnsupportedStructureError,
     analyze,
-    embed,
     function_table,
-    identity_embedding,
     interpolate_field,
     local_decomposition,
     make_zero_mul_ring,
     make_zn,
     parse_poly_text,
     parse_ring_spec,
+    poly_eval,
     poly_from,
     poly_x,
     polynomial_function_set,
@@ -66,12 +65,16 @@ from finring.theorems import (
 )
 
 from conftest import (
+    LARGER_SPECS,
     brute_force_function_tables,
     coset_growth,
+    embed,
     expanded_powers_agree,
+    extension_span,
     factor_residues,
     m2f2,
     row_matrices_f2,
+    schoolbook_eval,
     shift_powers_oracle,
     skew_dual_f4,
     small_rings,
@@ -182,25 +185,70 @@ def test_char_functions_need_unity():
 # --- P2.1 ------------------------------------------------------------------
 
 def test_subring_char_f2_in_f4(z2, gf4):
-    emb = embed(z2, gf4, [0, 1])
-    v = verify_subring_char_function(emb, poly_x(gf4))
+    # x over GF(4) sends 0 to 0 and the nonzero element of Z/2 to 1, and P2.1
+    # on Z/2 itself certifies the field by x^(2-1) = x
+    mp = embed(z2, gf4, [0, 1])
+    assert [poly_eval(poly_x(gf4), mp[a]) for a in range(2)] == [0, gf4.unity]
+    v = verify_subring_char_function(z2)
     assert v.holds and not v.vacuous
+    assert v.witness == {"polynomial": poly_x(z2), "field": True}
 
 
 def test_subring_char_f4_cube(gf4):
-    emb = identity_embedding(gf4)
     f = poly_from(gf4, (0, 0, 0, 1))  # X^3 sends every nonzero element to 1
-    v = verify_subring_char_function(emb, f)
-    assert v.holds and not v.vacuous
+    for v in (verify_subring_char_function(gf4, f), verify_subring_char_function(gf4)):
+        assert v.holds and not v.vacuous
+    assert v.witness == {"polynomial": f, "field": True}
 
 
 def test_subring_char_z4_always_vacuous(z4):
     # no polynomial with f(0) = 0 can send 2 to 1, whatever its coefficients
-    emb = identity_embedding(z4)
     for coeffs in product(range(4), repeat=3):
         f = poly_from(z4, (0,) + coeffs)
-        v = verify_subring_char_function(emb, f)
+        v = verify_subring_char_function(z4, f)
         assert v.holds and v.vacuous
+    v = verify_subring_char_function(z4)
+    assert v.status == "pass" and v.witness == {"non_unit": 2, "annihilator": 2}
+
+
+def test_subring_char_certificates_recheck_from_the_tables():
+    # a non-field's pair c, d != 0 with c*d = 0 and c not a unit; a field's
+    # x^(q-1), evaluated term by term
+    larger = [(spec, realize(parse_ring_spec(spec))) for spec in LARGER_SPECS]
+    checked = 0
+    for name, ring in standard_catalog(32) + larger:
+        inv = analyze(ring)
+        if not (inv.is_unital and inv.is_commutative):
+            continue
+        v = verify_subring_char_function(ring)
+        assert v.status == "pass", name
+        n, one = ring.order, ring.unity
+        if inv.is_field:
+            f = v.witness["polynomial"]
+            assert v.witness["field"] is True and f.coeffs == (0,) * (n - 1) + (one,), name
+            assert [schoolbook_eval(f, x) for x in range(n)] == [0] + [one] * (n - 1), name
+        else:
+            c, d = v.witness["non_unit"], v.witness["annihilator"]
+            assert c != 0 and d != 0 and ring.mul_table[c][d] == 0, name
+            assert one not in ring.mul_table[c], name
+        checked += 1
+    assert checked == 43 + len(LARGER_SPECS)
+
+
+@pytest.mark.parametrize("small, big", [
+    ("Z/2", "GF(4)"), ("Z/2", "GF(8)"), ("Z/2", "GF(16)"), ("Z/3", "GF(9)"), ("Z/3", "GF(27)"),
+    ("Z/4", "Z/4[x]/(x^2+x+1)"), ("Z/4", "Z/4[x]/(x^2+2)")])
+def test_subring_char_matches_the_extension_oracle(small, big):
+    # D is the scalars of S, so it embeds as its own indices.  The functions
+    # that polynomials over S induce on D reach the indicator of D \ {0}
+    # exactly when D is a field, and P2.1 on D alone says which.
+    d_ring, s_ring = (realize(parse_ring_spec(spec)) for spec in (small, big))
+    assert s_ring.order ** d_ring.order <= 1 << 16
+    span = extension_span(d_ring, s_ring, range(d_ring.order))
+    indicator = bytes([0] + [s_ring.unity] * (d_ring.order - 1))
+    is_field = analyze(d_ring).is_field
+    assert (indicator in span) == is_field
+    assert ("field" in verify_subring_char_function(d_ring).witness) == is_field
 
 
 # --- L2.2 ------------------------------------------------------------------
@@ -409,19 +457,19 @@ def test_factor_residue_maps_match_built_factors_and_residue_fields(spec):
 
 
 def test_residue_bound_z4_square(z4):
-    v = check_residue_field_bound(identity_embedding(z4), poly_from(z4, (0, 0, 1)))
+    v = check_residue_field_bound(z4, poly_from(z4, (0, 0, 1)))
     assert v.holds
     assert v.witness == {"image_size": 2, "degree": 2, "bound": 4, "residue_orders": [2]}
 
 
 def test_residue_bound_tight_on_f3(z3):
-    v = check_residue_field_bound(identity_embedding(z3), poly_x(z3))
+    v = check_residue_field_bound(z3, poly_x(z3))
     assert v.holds
     assert v.witness["bound"] == 3 and v.witness["residue_orders"] == [3]
 
 
 def test_residue_bound_precondition_z6(z6):
-    v = check_residue_field_bound(identity_embedding(z6), poly_from(z6, (0, 1, 1)))
+    v = check_residue_field_bound(z6, poly_from(z6, (0, 1, 1)))
     assert v.holds and v.vacuous
     assert "precondition" in v.details
     assert v.witness["constant_factor_order"] == 2
