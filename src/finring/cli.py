@@ -49,8 +49,6 @@ def _witness_json(value):
         return {k: _witness_json(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_witness_json(v) for v in value]
-    if hasattr(value, "indices"):
-        return list(value.indices())
     return value
 
 
@@ -123,9 +121,7 @@ def cmd_report(args) -> int:
 
 def cmd_check(args) -> int:
     if args.result_id not in CHECKS:
-        print(f"unknown check {args.result_id!r}; choose from {', '.join(RESULT_IDS)}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown check {args.result_id!r}; choose from {', '.join(RESULT_IDS)}")
     check = CHECKS[args.result_id]
     for name in ("poly", "subset"):
         if getattr(args, name) is not None and name != check.reads:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "invariant_signature",
     "rings_isomorphic",
     "render_poly",
+    "binary_power",
 ]
 
 
@@ -67,6 +68,23 @@ class UnsupportedStructureError(ValueError):
 
 class InternalInvariantError(RuntimeError):
     """A computed object broke a guarantee of the mathematics: a bug, not bad input."""
+
+
+def binary_power(op: Callable, x, k: int):
+    """x op x op ... op x, k >= 1 copies, by repeated squaring: O(log k)
+    calls of the associative ``op``, the running result always on the left.
+    ``FiniteRing.pow`` keeps its own loop so that a scalar power pays no call
+    per step."""
+    if k < 1:
+        raise ValueError(f"binary_power needs k >= 1, got {k}")
+    result = None
+    while True:
+        if k & 1:
+            result = x if result is None else op(result, x)
+        k >>= 1
+        if not k:
+            return result
+        x = op(x, x)
 
 
 @dataclass(frozen=True, eq=False)

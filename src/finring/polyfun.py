@@ -42,6 +42,7 @@ from .core import (
     SubsetMask,
     UnsupportedStructureError,
     analyze,
+    binary_power,
     primitive_idempotents,
 )
 
@@ -166,21 +167,11 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def poly_pow(f: Polynomial, k: int) -> Polynomial:
-    if k < 0:
-        raise ValueError("negative polynomial powers are not defined")
     if k == 0:
         if f.ring.unity is None:
             raise UnsupportedStructureError("f^0 needs unity")
         return poly_const(f.ring, f.ring.unity)
-    result = None
-    base = f
-    while k:
-        if k & 1:
-            result = base if result is None else poly_mul(result, base)
-        k >>= 1
-        if k:
-            base = poly_mul(base, base)
-    return result
+    return binary_power(poly_mul, f, k)
 
 
 def poly_scale(c: int, f: Polynomial) -> Polynomial:
@@ -565,23 +556,18 @@ def _p_basis(add: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray]:
     each b_i was chosen of largest order, so b = x - sum (c_i / p^e) * b_i
     has order p^e and S + <b> is direct.
     """
-    def times(k: int, x: np.ndarray) -> np.ndarray:
-        """k * x for every element of x, by doubling."""
-        acc = np.zeros_like(x)
-        while k:
-            if k & 1:
-                acc = add[acc, x]
-            x = add[x, x]
-            k >>= 1
-        return acc
-
     n = len(add)
     elements = np.arange(n)
+
+    def times(k: int) -> np.ndarray:
+        """k * x for every element x, by doubling."""
+        return binary_power(lambda a, b: add[a, b], elements, k)
+
     p_order = 1
     while n % (p_order * p) == 0:
         p_order *= p
-    part = np.flatnonzero(times(p_order, elements) == 0)
-    times_p = times(p, elements)
+    part = np.flatnonzero(times(p_order) == 0)
+    times_p = times(p)
     inside = elements == 0
     embed = np.zeros((n, len(part).bit_length()), dtype=np.intp)
     basis = np.zeros(embed.shape[1], dtype=np.intp)
@@ -606,7 +592,7 @@ def _p_basis(add: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray]:
             inside[grown] = True
         r += 1
     cofactor = n // p_order
-    return basis[:r], s, embed[times(cofactor * pow(cofactor, -1, p_order), elements), :r]
+    return basis[:r], s, embed[times(cofactor * pow(cofactor, -1, p_order)), :r]
 
 
 polynomial_function_set.cache_info = _function_set.cache_info

@@ -16,7 +16,7 @@ import finring
 from finring import catalog, core
 from finring import InternalInvariantError
 from finring.cli import _witness_json, main
-from finring.theorems import CHECKS, CheckOptions
+from finring.theorems import CHECKS, Check, CheckOptions, Verdict
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report.schema.json").read_text())
 GOLDEN_SWEEP = Path(__file__).resolve().parent / "data" / "sweep16.json"
@@ -199,6 +199,27 @@ def test_check_not_applicable_is_vacuous(capsys):
 
 def test_check_unknown_id_exits_2(capsys):
     assert main(["check", "Z/4", "P9.9"]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown check 'P9.9'")
+
+
+@pytest.mark.parametrize("poly, values", [("1", "units"), ("2", "non-units")])
+def test_p26fwd_refuses_a_constant_power(capsys, poly, values):
+    code, doc = run_json(capsys, "check", "Z/4", "P2.6fwd", "--poly", poly)
+    assert code == 0 and doc["verdict"]["status"] == "vacuous"
+    assert f"all values of the polynomial are {values}" in doc["verdict"]["witness"]["refused"]
+
+
+def test_a_failing_verdict_exits_1(monkeypatch, capsys, tmp_path):
+    monkeypatch.setitem(CHECKS, "L2.2", Check("commutative", lambda ring, o: Verdict("L2.2", False)))
+    assert main(["check", "Z/4", "L2.2"]) == 1
+    assert "L2.2 on Z/4: fail" in capsys.readouterr().out
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--max-order", "4", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    failed = [row["check"] for row in doc["rows"] if row["status"] == "fail"]
+    assert failed and set(failed) == {"L2.2"}
+    assert doc["summary"]["fail"] == len(failed)
+    assert f"fail={len(failed)}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
@@ -208,11 +229,17 @@ def test_check_unknown_id_exits_2(capsys):
     ["check", "Z/4", "R2.8", "--subset", "4"],
     ["report", "Z/1"],
     ["sweep", "--max-order", "1", "--out", "/nonexistent-dir/x.json"],
+    ["report", "Z/4[x"],
+    ["report", "x"],
+    ["check", "Z/4", "L2.4", "--poly", "x+"],
+    ["check", "Z/4", "L2.4", "--poly", "x)"],
+    ["check", "Z/4", "R2.8", "--subset", "a,b"],
 ])
 def test_out_of_range_input_exits_2(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
 
 
 def test_sweep_small_catalog(tmp_path, capsys):

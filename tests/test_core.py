@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -28,6 +29,7 @@ from finring import (
     validate_ring,
 )
 from finring.core import (
+    binary_power,
     element_additive_order,
     element_nilpotency_index,
     multiplicative_inverse,
@@ -35,6 +37,7 @@ from finring.core import (
 )
 
 from finring.catalog import Product, Quotient, TableRef, Zn
+from finring.polyfun import poly_from, poly_mul
 from conftest import (
     LARGER_SPECS,
     axiom_scan,
@@ -482,6 +485,31 @@ def test_pow(z4):
     assert z4.pow(3, 0) == 1
     with pytest.raises(UnsupportedStructureError):
         make_zero_mul_ring(2).pow(1, 0)
+    with pytest.raises(ValueError):
+        z4.pow(3, -1)
+
+
+def test_binary_power_matches_a_left_fold(z6):
+    ops = [
+        (lambda a, b: z6.mul_table[a][b], 5),
+        (poly_mul, poly_from(z6, (1, 2, 3))),
+        (lambda a, b: z6.add_array[a, b], np.arange(z6.order)),
+    ]
+    for op, x in ops:
+        for k in range(1, 41):
+            expected = reduce(op, [x] * k)
+            got = binary_power(op, x, k)
+            if isinstance(x, np.ndarray):
+                assert np.array_equal(got, expected), k
+            else:
+                assert got == expected, k
+        with pytest.raises(ValueError):
+            binary_power(op, x, 0)
+
+
+def test_rings_isomorphic_decides_or_declines():
+    assert rings_isomorphic(make_zn(4), make_product(make_zn(2), make_zn(2))) is False
+    assert rings_isomorphic(make_zn(9), make_zn(9)) is None  # two builds, order above 8
 
 
 _SMALL_RINGS = [make_zn(n) for n in (2, 3, 4, 6)] + [make_zero_mul_ring(4)]

@@ -481,6 +481,15 @@ def test_poly_pow_matches_repeated_mul(z6):
         assert poly_pow(f, k) == acc
 
 
+def test_poly_pow_at_zero_and_negative_exponents(z6):
+    f = poly_from(z6, (1, 2, 3))
+    assert poly_pow(f, 0) == poly_from(z6, (z6.unity,))
+    with pytest.raises(UnsupportedStructureError, match="unity"):
+        poly_pow(poly_x(make_zero_mul_ring(2)), 0)
+    with pytest.raises(ValueError):
+        poly_pow(f, -1)
+
+
 def test_function_set_addition_closure_sampled(z9):
     import random
 
