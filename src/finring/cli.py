@@ -167,35 +167,28 @@ def cmd_sweep(args) -> int:
     counts = {"pass": 0, "fail": 0, "vacuous": 0}
     for _, _, verdict, _ in rows:
         counts[verdict.status] += 1
-    json_rows = [
+    json_rows = (  # built one at a time as they are written
         {"ring": name, "check": result_id, **_verdict_json(verdict, ms)}
         for name, result_id, verdict, ms in rows
-    ]
-    try:
-        if args.format == "csv":
-            with open(args.out, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["ring", "check", "status", "holds", "witness", "details", "ms"])
-                for row in json_rows:
-                    writer.writerow([
-                        row["ring"], row["check"], row["status"], row["holds"],
-                        json.dumps(row["witness"]), row["details"], row["ms"],
-                    ])
-        else:
-            doc = {
-                "version": __version__,
-                "kind": "sweep",
-                "max_order": args.max_order,
-                "rows": json_rows,
-                "summary": counts,
-            }
-            with open(args.out, "w") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"sweep over catalog(max_order={args.max_order}): {len(json_rows)} rows -> {args.out}")
+    )
+    if args.format == "csv":
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["ring", "check", "status", "holds", "witness", "details", "ms"])
+            for row in json_rows:
+                writer.writerow([
+                    row["ring"], row["check"], row["status"], row["holds"],
+                    json.dumps(row["witness"]), row["details"], row["ms"],
+                ])
+    else:
+        # one row per line, each through the C encoder (which ignores indent)
+        head = json.dumps({"version": __version__, "kind": "sweep", "max_order": args.max_order})
+        with open(args.out, "w") as fh:
+            fh.write(f'{head[:-1]},\n "rows": [')
+            for i, row in enumerate(json_rows):
+                fh.write(f'{"," if i else ""}\n  {json.dumps(row)}')
+            fh.write(f'\n ],\n "summary": {json.dumps(counts)}}}\n')
+    print(f"sweep over catalog(max_order={args.max_order}): {len(rows)} rows -> {args.out}")
     print(f"pass={counts['pass']} fail={counts['fail']} vacuous={counts['vacuous']}")
     return EXIT_VIOLATION if counts["fail"] else EXIT_OK
 
@@ -249,6 +242,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (RingSpecError, ValueError, UnsupportedStructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: cannot write: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -14,7 +14,9 @@ A product of fields (a commutative unital ring without nonzero
 nilpotents; a field is the one-factor case) is answered analytically by
 its primitive idempotents e: R is the sum of the fields eR, a table F is
 induced iff e*F(x) = e*F(e*x) for every e and x, and one interpolant sums
-each field's closed form inside R.
+each field's closed form inside R.  That sum is linear in the additive
+coordinates of R, so after a setup kept on the set each interpolant is
+one gather, one matrix product and one decode.
 
 Any other ring is answered by one elimination per prime, of G as a
 Z/p^s-lattice (``_lattice``).  Untracked, it counts G without building a
@@ -258,35 +260,16 @@ def _stripped(ring: FiniteRing, coeffs: list[int]) -> Polynomial:
     return Polynomial(ring, tuple(coeffs))
 
 
-def _interpolant(ring: FiniteRing, idempotents: Iterable[int], values) -> Polynomial:
-    """The least-degree polynomial inducing an induced table F on a product of
-    fields, given by its primitive idempotents e (a field's is its unity).
-
-    On the field eR, e*F has c_0 = e*F(0) and c_j = -sum_{a in eR} F(a) a^(q-1-j)
-    for 1 <= j < q = |eR|, with a^0 = e, since a^k lies in eR and in
-    characteristic p every C(q-1, j) is (-1)^j.  Summed over e these are R's
-    coefficients, with c_0 = F(0): O(n*q) reads of R's own tables.
-    """
-    add, mul = ring.add_table, ring.mul_table
-    acc = [0] * ring.order
-    for e in idempotents:
-        ideal = set(mul[e])
-        for a in ideal:
-            by_y, by_a, power = mul[values[a]], mul[a], e
-            for j in range(len(ideal) - 1, 0, -1):
-                acc[j] = add[acc[j]][by_y[power]]
-                power = by_a[power]
-    return _stripped(ring, [values[0]] + [ring.neg_table[c] for c in acc[1:]])
-
-
 class PolyFunctionSet:
     """All function tables induced by polynomials over one ring: ``count``
     is exact, and every lookup is decided, with a witness when present.
 
     Analytic (``idempotents`` given): the ring is the product of the fields
     eR for its primitive ``idempotents`` e (one for a field: ``field_mode``).
-    A table F is induced iff e*F(x) = e*F(e*x) for every e and x;
-    witnesses are interpolated on demand.
+    A table F is induced iff e*F(x) = e*F(e*x) for every e and x; its
+    witness is interpolated by one matrix product over R's additive
+    coordinates (``_interpolate``), whose fixed factor is built on the
+    first interpolation and kept on the set.
 
     Lattice (any other ring): G is the direct sum of the cyclic groups
     <g_a> of ``_lattice``, each with a witness coefficient row.  On the
@@ -307,7 +290,7 @@ class PolyFunctionSet:
         self.tables = self.witnesses = None
         self.idempotents = idempotents
         self.field_mode = len(idempotents) == 1
-        self._basis = self._rows = self._index = None
+        self._basis = self._rows = self._index = self._setup = None
         if idempotents:
             mul = ring.mul_table
             self.count = math.prod(q ** q for q in (len(set(mul[e])) for e in idempotents))
@@ -322,7 +305,7 @@ class PolyFunctionSet:
         if self.idempotents:
             if not self._induced(values):
                 return "absent", None
-            return "present", _interpolant(self.ring, self.idempotents, values)
+            return "present", self._interpolate(values)
         if self.count <= INDEX_LIMIT and self.ring.order <= 256:  # bytes keys need values < 256
             idx = self._table_index().get(bytes(values))
             if idx is None:
@@ -408,6 +391,69 @@ class PolyFunctionSet:
                                              f"{len(self._index)} tables, not {self.count}")
         return self._index
 
+    def _interpolate(self, values) -> Polynomial:
+        """The least-degree polynomial inducing an induced table F on a
+        product of fields, with c_0 = F(0).
+
+        On the field eR of order q, c_j = -sum_{a in eR} F(a) a^(q-1-j) for
+        1 <= j < q, with a^0 = e, since a^k lies in eR and in characteristic
+        p every C(q-1, j) is (-1)^j; R's c_j sums these over e.  In additive
+        coordinates (``_field_coordinates``) with basis b, coord_l(F(a) a^k)
+        = sum_i coord_i(a^k) L[F(a), i, l], where L[y, i, l] = coord_l(y b_i),
+        so all the sums are one product Y @ X of Y[j, (a, i)] =
+        coord_i(a^(q-1-j)) and X = L[F(a)], taken mod p per coordinate, whose
+        mixed-radix key ``decode`` maps to the negated element.  The product
+        is exact: with r coordinates its partial sums are integers below
+        n r (p-1)^2, under 2^24 on every ring of order at most 256.
+        """
+        points, L, Y, moduli, weights, decode = self._interpolation_setup()
+        x = L[np.asarray(values)[points]].reshape(Y.shape[1], -1)
+        keys = (Y @ x).astype(np.intp) % moduli @ weights
+        return _stripped(self.ring, [values[0], *decode[keys].tolist()])
+
+    def _interpolation_setup(self) -> tuple:
+        """``_interpolate``'s fixed factors, built on its first call and kept
+        on the set: the points a of every eR in turn, L, Y, the coordinate
+        moduli and mixed-radix weights, and the decode table.
+
+        Powers are filled by block doubling, a^(k+j) = a^k a^j, in log2(q)
+        gathers; column a of Y lists the coordinates of a^(q-2), ..., a^0 and
+        then zeros, up to the largest factor's q - 1 rows.  Y and L are
+        float32, exact while the product's partial sums stay below 2^24, and
+        float64 beyond.
+        """
+        if self._setup is None:
+            ring, n = self.ring, self.ring.order
+            mul = ring.mul_table
+            fields = [[x for x in range(n) if mul[e][x] == x] for e in self.idempotents]
+            basis, moduli, key = _field_coordinates(ring, fields)
+            weights = np.cumprod([1, *moduli[:-1]])
+            key = np.array(key)
+            coords = key[:, None] // weights % moduli
+            decode = np.empty(n, dtype=np.intp)
+            decode[key] = ring.neg_table
+            sizes = [len(field) for field in fields]
+            points, top = np.concatenate(fields), max(sizes)
+            small = ring.mul_array.astype(np.min_scalar_type(n - 1))
+            powers = np.empty((top, len(points)), dtype=small.dtype)  # powers[k, a] = a^k
+            powers[0] = np.repeat(self.idempotents, sizes)
+            powers[1] = points
+            k = 1  # rows 0..k are filled
+            while k < top - 1:
+                step = min(k, top - 1 - k)
+                powers[k + 1:k + 1 + step] = small[powers[1:step + 1], powers[k]]
+                k += step
+            index = np.zeros((top - 1, len(points)), dtype=small.dtype)
+            start = 0
+            for q in sizes:
+                index[:q - 1, start:start + q] = powers[q - 2::-1, start:start + q]
+                start += q
+            dtype = np.float32 if n * len(basis) * (max(moduli) - 1) ** 2 < 1 << 24 else float
+            Y = np.take(coords.astype(dtype), index, axis=0).reshape(top - 1, -1)
+            L = coords[small[:, basis]].astype(dtype)
+            self._setup = points, L, Y, np.array(moduli), weights, decode
+        return self._setup
+
     def _induced(self, values: tuple[int, ...]) -> bool:
         """e*F(x) = e*F(e*x) for every idempotent e and every x."""
         return all(project[values[x]] == project[values[ex]] for project, x, ex in self._pairs)
@@ -419,6 +465,41 @@ def _ring_sum(add: np.ndarray, terms) -> np.ndarray:
     for term in rest:
         acc = add[acc, term]
     return acc
+
+
+def _field_coordinates(ring: FiniteRing, fields: list[list[int]]
+                       ) -> tuple[list[int], list[int], list[int]]:
+    """Additive coordinates on a product of the fields eR whose elements
+    ``fields`` lists: a basis b_i of R, the prime p_i = ord(b_i), and
+    key[x] = sum_i c_i * w_i for x = sum_i c_i * b_i (0 <= c_i < p_i), with
+    w_i = p_1 * ... * p_(i-1).
+
+    Each b_i is the least element of some eR outside the span S so far.  It
+    has the prime order of eR's characteristic, so S + <b_i> is direct, and
+    z + c*b_i for z in S is keyed key[z] + c*w_i: every element is keyed
+    once, in O(n) reads of the addition table.
+    """
+    add = ring.add_table
+    key = [0] + [None] * (ring.order - 1)
+    members, basis, moduli, weight = [0], [], [], 1
+    for field in fields:
+        for b in field:
+            if key[b] is not None:
+                continue
+            multiples = [b]  # c*b for 1 <= c < p
+            while (m := add[multiples[-1]][b]) != 0:
+                multiples.append(m)
+            grown = []
+            for c, cb in enumerate(multiples, 1):
+                row, shift = add[cb], c * weight
+                for z in members:
+                    key[row[z]] = key[z] + shift
+                    grown.append(row[z])
+            members += grown
+            basis.append(b)
+            moduli.append(len(multiples) + 1)
+            weight *= len(multiples) + 1
+    return basis, moduli, key
 
 
 def polynomial_function_set(ring: FiniteRing) -> PolyFunctionSet:
@@ -605,12 +686,14 @@ def is_polynomial_function(ring: FiniteRing, table) -> Polynomial | None:
 
 
 def interpolate_field(field: FiniteRing, table) -> Polynomial:
-    """The unique polynomial of degree < q = |F| inducing the table, in O(q^2):
+    """The unique polynomial of degree < q = |F| inducing the table:
     c_0 = f(0) and c_j = -sum_a f(a) a^(q-1-j) for 1 <= j <= q-1, with
-    0^0 = 1 (``_interpolant`` with the unity as the one idempotent)."""
+    0^0 = 1.  The field's function set interpolates (``_interpolate``), so
+    this and its lookups share one matrix Y, built on the first call; each
+    call is then one gather, one matrix product and one decode."""
     if not analyze(field).is_field:
         raise UnsupportedStructureError(f"{field.label} is not a field")
-    return _interpolant(field, (field.unity,), _table_values(field, table))
+    return _function_set(field)._interpolate(_table_values(field, table))
 
 
 def char_poly_for_subset(ring: FiniteRing, subset) -> Polynomial | None:

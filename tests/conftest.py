@@ -6,6 +6,8 @@ coset-growth oracle grows the function group one generator at a time as
 explicit tables with witness rows; it shares no code with the lattice that
 the library counts, decides and solves membership with.  The Lagrange oracle builds field interpolants from basis
 polynomials, independently of the closed form in ``interpolate_field``.
+The closed-form oracle sums that closed form one table read at a time,
+where the library takes one matrix product over additive coordinates.
 The CRT oracle builds each local factor of a product of fields as its own
 ring, interpolates there and glues the coefficients by the Chinese
 remainder theorem, where the library interpolates once inside the ring.
@@ -298,6 +300,27 @@ def lagrange_interpolate(field, values) -> Polynomial:
         scale = field.mul(y, multiplicative_inverse(field, denom))
         acc = poly_add(acc, poly_scale(scale, num))
     return acc.stripped()
+
+
+def closed_form_interpolant(ring, idempotents, values) -> Polynomial:
+    """The least-degree polynomial inducing an induced table F on a product
+    of fields, given by its primitive idempotents e (a field's is its unity).
+
+    On the field eR, e*F has c_0 = e*F(0) and c_j = -sum_{a in eR} F(a) a^(q-1-j)
+    for 1 <= j < q = |eR|, with a^0 = e; summed over e these are R's
+    coefficients, with c_0 = F(0): O(n*q) reads of R's own tables, one
+    power and one sum at a time.
+    """
+    add, mul = ring.add_table, ring.mul_table
+    acc = [0] * ring.order
+    for e in idempotents:
+        ideal = set(mul[e])
+        for a in ideal:
+            by_y, by_a, power = mul[values[a]], mul[a], e
+            for j in range(len(ideal) - 1, 0, -1):
+                acc[j] = add[acc[j]][by_y[power]]
+                power = by_a[power]
+    return Polynomial(ring, (values[0], *(ring.neg_table[c] for c in acc[1:]))).stripped()
 
 
 def crt_interpolate(ring, values) -> Polynomial:

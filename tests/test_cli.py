@@ -234,6 +234,7 @@ def test_a_failing_verdict_exits_1(monkeypatch, capsys, tmp_path):
     ["check", "Z/4", "L2.4", "--poly", "x+"],
     ["check", "Z/4", "L2.4", "--poly", "x)"],
     ["check", "Z/4", "R2.8", "--subset", "a,b"],
+    ["sweep", "--max-order", "2", "--out", "/nonexistent-dir/x.json"],
 ])
 def test_out_of_range_input_exits_2(capsys, argv):
     assert main(argv) == 2
@@ -251,6 +252,8 @@ def test_sweep_small_catalog(tmp_path, capsys):
     assert elapsed < 5.0
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, SCHEMA)
+    assert list(doc) == ["version", "kind", "max_order", "rows", "summary"]
+    assert out.read_text().count("\n") == len(doc["rows"]) + 4  # one row per line
     assert doc["summary"]["fail"] == 0
     assert doc["summary"]["pass"] > 0
     rows = [(r["ring"], r["check"]) for r in doc["rows"]]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,7 @@ from finring import (
     residue_field,
     standard_catalog,
 )
-from finring import polyfun
+from finring import catalog, cli, core, polyfun, theorems
 from finring.core import SubsetMask
 from finring.polyfun import (
     FunctionTable,
@@ -44,6 +45,7 @@ from finring.theorems import check_char_support_cosets
 from conftest import (
     as_tuple_set,
     brute_force_function_tables,
+    closed_form_interpolant,
     coset_growth,
     crt_interpolate,
     lagrange_interpolate,
@@ -356,6 +358,83 @@ def test_closed_form_matches_lagrange(spec):
         assert w == lagrange_interpolate(field, values)
         assert w.degree is None or w.degree < q
         assert function_table(w).values == values
+
+
+def _products_of_fields():
+    """Every field and product of fields of standard_catalog(32), the fields
+    of orders 64, 128, 243 and 256, and three products of several fields."""
+    rings = [ring for _, ring in standard_catalog(32)]
+    rings += [realize(parse_ring_spec(spec)) for spec in (
+        "Z/2[x]/(x^6+x+1)", "Z/2[x]/(x^7+x+1)", "Z/3[x]/(x^5+2x+1)",
+        "Z/2[x]/(x^8+x^4+x^3+x+1)", "Z/251", "Z/2 x Z/3 x Z/5 x Z/7", "GF(4) x Z/3")]
+    return [ring for ring in rings if polynomial_function_set(ring).idempotents]
+
+
+@pytest.mark.parametrize("ring", _products_of_fields(), ids=lambda ring: ring.label)
+def test_interpolants_match_the_closed_form_oracle(ring):
+    # F = sum_e e * G(e * x) is induced for any G; the library's matrix
+    # product must give the oracle's coefficients, one table read at a time.
+    pset = polynomial_function_set(ring)
+    mul, n = ring.mul_table, ring.order
+    rng = random.Random(n)
+    for _ in range(4):
+        g = [rng.randrange(n) for _ in range(n)]
+        values = [0] * n
+        for e in pset.idempotents:
+            for x in range(n):
+                values[x] = ring.add(values[x], mul[e][g[mul[e][x]]])
+        want = closed_form_interpolant(ring, pset.idempotents, values)
+        assert pset.lookup(values) == ("present", want)
+        if pset.field_mode:
+            assert interpolate_field(ring, values) == want
+    if ring.label == "Z/251":
+        # the largest partial sums of any ring of order <= 256: 251 * 250^2
+        values = (250,) * n
+        assert interpolate_field(ring, values) == closed_form_interpolant(ring, (1,), values)
+
+
+def test_interpolation_beyond_float32_sums_stays_exact():
+    # Z/257's partial sums reach 257 * 256^2 > 2^24, so Y and L are float64
+    field = make_zn(257)
+    rng = random.Random(257)
+    for values in ([256] * 257, [rng.randrange(257) for _ in range(257)]):
+        want = closed_form_interpolant(field, (1,), values)
+        assert interpolate_field(field, values) == want
+    assert polynomial_function_set(field)._setup[2].dtype == np.float64
+
+
+def test_interpolation_setup_is_built_once_per_set(monkeypatch):
+    calls = []
+
+    def counted(ring, fields):
+        calls.append(ring)
+        return coordinates(ring, fields)
+
+    coordinates = polyfun._field_coordinates
+    monkeypatch.setattr(polyfun, "_field_coordinates", counted)
+    field = make_zn(11)  # a new ring, so a new function set
+    pset = polynomial_function_set(field)
+    assert pset.count == 11 ** 11
+    assert pset.contains(tuple(range(11)))
+    assert calls == [] and pset._setup is None
+    assert interpolate_field(field, tuple(range(11))).coeffs == (0, 1)
+    assert pset.lookup((3,) * 11) == ("present", Polynomial(field, (3,)))
+    assert calls == [field]
+
+
+def test_function_sets_are_the_only_interpolation_cache():
+    # the setup lives on each set, so no module gains an lru_cache for it
+    cached = {module.__name__: sorted(name for name, value in vars(module).items()
+                                      if hasattr(value, "cache_info")
+                                      and value.__module__ == module.__name__)
+              for module in (core, catalog, polyfun, theorems, cli)}
+    assert cached == {
+        "finring.core": ["analyze", "residue_field"],
+        "finring.catalog": ["realize"],
+        "finring.polyfun": ["_function_set", "polynomial_function_set", "power_stabilization"],
+        "finring.theorems": ["_factor_residue_maps", "_lift_basis"],
+        "finring.cli": ["build_parser"],
+    }
 
 
 @pytest.mark.parametrize("spec, index_limit", [("GF(4)", 1 << 24), ("Z/12", 1 << 24),
