@@ -8,15 +8,20 @@ Every constructor builds the arrays, validates the complete set of ring
 axioms on them, checking associativity and distributivity against an
 additive generating set in O(order^2 log order) numpy work, and only then
 freezes the tuples.  ``validate_ring`` re-checks a ring's tuples.
+
+A construction that more than one check or caller reads, such as the
+residue field, is built once per ring through ``per_ring``, which keeps it
+in the ring's ``store``: the store stays None until the first such call
+and is freed with the ring.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -46,6 +51,7 @@ __all__ = [
     "rings_isomorphic",
     "render_poly",
     "binary_power",
+    "per_ring",
 ]
 
 
@@ -95,7 +101,8 @@ class FiniteRing:
     ``mul_array`` hold the same tables as read-only intp arrays.  ``unity``
     is None for non-unital rings.  Instances compare by identity; use
     :func:`invariant_signature` / :func:`rings_isomorphic` for structural
-    comparison.
+    comparison.  ``store`` maps each builder passed to ``per_ring`` to its
+    construction, and is None until the first is built.
     """
 
     order: int
@@ -107,6 +114,7 @@ class FiniteRing:
     add_array: np.ndarray
     mul_array: np.ndarray
     zero: int = 0
+    store: dict | None = field(default=None, init=False, repr=False)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
@@ -147,6 +155,20 @@ class FiniteRing:
 
     def __repr__(self) -> str:
         return f"FiniteRing({self.label!r}, order={self.order})"
+
+
+def per_ring(ring: FiniteRing, build: Callable[[FiniteRing], Any]) -> Any:
+    """build(ring), built on the first call with this ring and builder and
+    kept in the ring's ``store``, so every later caller gets the same object
+    and the construction is freed with the ring.  A build that raises
+    stores nothing."""
+    store = ring.store
+    if store is None:
+        store = {}
+        object.__setattr__(ring, "store", store)
+    if build not in store:
+        store[build] = build(ring)
+    return store[build]
 
 
 @dataclass(frozen=True)
@@ -580,14 +602,18 @@ def local_decomposition(ring: FiniteRing) -> tuple[LocalFactor, ...]:
     return tuple(factors)
 
 
-@lru_cache(maxsize=None)
 def residue_field(ring: FiniteRing) -> tuple[FiniteRing, tuple[int, ...], tuple[int, ...]]:
     """For a local unital ring, the quotient by its maximal ideal.
 
     Returns (field, projection, representatives): projection[x] is the field
     index of x's coset, representatives[i] the least element index in coset i.
-    A field is its own residue field, returned with identity maps.
+    A field is its own residue field, returned with identity maps.  Built
+    once per ring (``per_ring``), so every call returns the same objects.
     """
+    return per_ring(ring, _residue_field)
+
+
+def _residue_field(ring: FiniteRing) -> tuple[FiniteRing, tuple[int, ...], tuple[int, ...]]:
     inv = analyze(ring)
     if not (inv.is_unital and inv.is_local):
         raise UnsupportedStructureError("residue field needs a local unital ring")

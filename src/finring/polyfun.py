@@ -635,7 +635,8 @@ def _p_basis(add: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray]:
     Each b is an element x of largest order p^e modulo the span S so far,
     lifted: p^e * x = sum c_i * b_i with every c_i divisible by p^e, because
     each b_i was chosen of largest order, so b = x - sum (c_i / p^e) * b_i
-    has order p^e and S + <b> is direct.
+    has order p^e and S + <b> is direct, grown from S in one gather over
+    the multiples j * b, 1 <= j < p^e.
     """
     n = len(add)
     elements = np.arange(n)
@@ -664,13 +665,14 @@ def _p_basis(add: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray]:
         s = s or e
         lift = np.flatnonzero(inside & (embed == embed[w[i]] // p ** e).all(axis=1))[0]
         basis[r] = np.flatnonzero(add[:, lift] == part[i])[0]  # b + lift = x
-        members, step = np.flatnonzero(inside), 0
-        for j in range(1, p ** e):
-            step = add[step, basis[r]]
-            grown = add[members, step]
-            embed[grown] = embed[members]
-            embed[grown, r] = j * p ** (s - e)
-            inside[grown] = True
+        members, column = np.flatnonzero(inside), add[:, basis[r]].tolist()
+        multiples = [column[0]]  # j * b for 1 <= j < p^e
+        while len(multiples) < p ** e - 1:
+            multiples.append(column[multiples[-1]])
+        grown = add[members, np.array(multiples)[:, None]]  # grown[j - 1]: S + j * b
+        embed[grown] = embed[members]
+        embed[grown, r] = (np.arange(1, p ** e) * p ** (s - e))[:, None]
+        inside[grown] = True
         r += 1
     cofactor = n // p_order
     return basis[:r], s, embed[times(cofactor * pow(cofactor, -1, p_order)), :r]

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -63,6 +62,7 @@ from .core import (
     binary_power,
     element_nilpotency_index,
     multiplicative_order,
+    per_ring,
     primitive_idempotents,
     residue_field,
 )
@@ -205,7 +205,8 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 
 def _proper_left_ideal(ring: FiniteRing) -> tuple[int, int] | None:
-    """The least nonzero c with Rc != R and the least y outside Rc, or None.
+    """The least nonzero c with Rc != R and the least y outside Rc, or None;
+    L1.1, P1.2 and P1.3 share it through ``per_ring``.
 
     Rc is read off column c of the mul table.  Without such a c no product
     of nonzero elements is 0, so the ring is a finite division ring, hence a
@@ -232,7 +233,7 @@ def check_reachability_iff_field(ring: FiniteRing) -> Verdict:
     Rc != R and the least target y outside Rc.
     """
     inv = analyze(ring)
-    unreachable = _proper_left_ideal(ring)
+    unreachable = per_ring(ring, _proper_left_ideal)
     reachable_all = unreachable is None
     holds = reachable_all == inv.is_field
     witness = None if reachable_all else {"from": unreachable[0], "target": unreachable[1]}
@@ -257,7 +258,7 @@ def check_bijections_iff_field(ring: FiniteRing) -> Verdict:
     """
     inv = analyze(ring)
     n = ring.order
-    proper = _proper_left_ideal(ring)
+    proper = per_ring(ring, _proper_left_ideal)
     witness = None
     if proper is None:
         side = "every bijection is polynomial"
@@ -282,7 +283,7 @@ def check_char_functions_iff_field(ring: FiniteRing) -> Verdict:
     coefficients enter, so this holds on noncommutative rings too.
     """
     inv = _require(ring, "unital")
-    proper = _proper_left_ideal(ring)
+    proper = per_ring(ring, _proper_left_ideal)
     if proper is None:
         all_subsets, witness = True, None
     else:
@@ -413,18 +414,26 @@ def check_nilpotent_shift_powers(ring: FiniteRing) -> Verdict:
 # P2.3: unit orders and the nilpotency/unit-exponent link
 # ---------------------------------------------------------------------------
 
+def _unit_order_bound(ring: FiniteRing) -> tuple[int, int, int | None]:
+    """P2.3i's N = p^e * (r-1)! and E = N*(n-1), with the least unit u
+    whose u^E is not 1, or None; P2.3ii starts from the same bound, read
+    through ``per_ring``."""
+    inv = _require(ring, "local-unital")
+    if len(_factorize(inv.characteristic)) != 1:
+        raise UnsupportedStructureError("a local ring must have prime-power characteristic")
+    N = inv.characteristic * math.factorial(inv.nilpotency_index - 1)
+    E = N * (inv.residue_field_order - 1)
+    return N, E, next((u for u in inv.units.indices() if ring.pow(u, E) != ring.unity), None)
+
+
 def check_unit_order_bound(ring: FiniteRing) -> Verdict:
     """P2.3i: with N = p^e * (r-1)! every unit satisfies u^(N*(n-1)) = 1,
     where p^e is the characteristic, r the nilpotency index and n the
     residue field order.  Cross-checks that the unit-group exponent divides
     N*(n-1)."""
     inv = _require(ring, "local-unital")
-    if len(_factorize(inv.characteristic)) != 1:
-        raise UnsupportedStructureError("a local ring must have prime-power characteristic")
-    N = inv.characteristic * math.factorial(inv.nilpotency_index - 1)
-    E = N * (inv.residue_field_order - 1)
-    bad = next((u for u in inv.units.indices() if ring.pow(u, E) != ring.unity), None)
-    divides = inv.unit_group_exponent is not None and E % inv.unit_group_exponent == 0
+    N, E, bad = per_ring(ring, _unit_order_bound)
+    divides = E % inv.unit_group_exponent == 0
     holds = bad is None and divides
     witness = {"exponent": E, "n_residue": inv.residue_field_order,
                "unit_exponent": inv.unit_group_exponent, "big_n": N}
@@ -459,7 +468,8 @@ def split_unit_nilpotent(f: Polynomial) -> tuple[Polynomial, Polynomial]:
 def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
     """P2.3ii, both directions quantitatively.
 
-    (a) Every unit's order divides the N*(n-1) bound of P2.3i.
+    (a) Every unit's order divides the N*(n-1) bound of P2.3i
+    (``_unit_order_bound``).
     (b) Converse: from the unit-group exponent m, form f = (X+1)^m - 1,
     split f = g + h into unit and nilpotent coefficients, take the least s
     with a unit coefficient on X^s, and the exponent N for h's nilpotency
@@ -469,9 +479,9 @@ def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
     the characteristic divide C(N, k) for 0 < k < r_h.
     """
     inv = _require(ring, "comm-local-unital")
-    bound = check_unit_order_bound(ring)
-    orders_divide = bound.holds  # u^E = 1 exactly when ord(u) divides E
     m = inv.unit_group_exponent
+    _, bound, bad_u = per_ring(ring, _unit_order_bound)
+    orders_divide = bad_u is None and bound % m == 0  # u^E = 1 exactly when ord(u) divides E
     x_plus_1 = poly_from(ring, (ring.unity, ring.unity))
     f = poly_sub(poly_pow(x_plus_1, m), poly_const(ring, ring.unity))
     g, h = split_unit_nilpotent(f)
@@ -488,12 +498,12 @@ def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
     holds = orders_divide and powers_equal and bad_c is None
     witness = {"unit_exponent": m, "least_unit_degree": s,
                "exponent": N, "uniform_power": s * N,
-               "order_bound": bound.witness["exponent"]}
+               "order_bound": bound}
     if bad_c is not None:
         witness["failing_nilpotent"] = bad_c
     return Verdict(
         "P2.3ii", holds, witness=witness,
-        details=f"unit orders divide {bound.witness['exponent']}: {orders_divide}; "
+        details=f"unit orders divide {bound}: {orders_divide}; "
                 f"f^N = g^N: {powers_equal}; c^{s * N} = 0 for all "
                 f"{inv.nilpotents.size} nilpotents: {bad_c is None}",
     )
@@ -503,12 +513,12 @@ def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
 # L2.4 / L2.5: image-size bounds
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _factor_residue_maps(ring: FiniteRing) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Per primitive idempotent e, the factor's order |eR| and each x's key,
     the least element of e*x + eJ.  The maximal ideals of R = sum eR are
     J + (1-e)R for the radical J, so x and y share a residue modulo one
-    exactly when their keys for its e agree.  No ring is built."""
+    exactly when their keys for its e agree.  No ring is built; L2.4 and
+    L2.5 read it through ``per_ring``."""
     mul, add = ring.mul_table, ring.add_table
     radical = analyze(ring).jacobson_radical.indices()
     out = []
@@ -523,7 +533,7 @@ def _constant_modulo_a_maximal_ideal(result_id: str, ring: FiniteRing, values,
                                      subject: str) -> Verdict | None:
     """A precondition-failed verdict if the values (elements of ring) have a
     single residue modulo some maximal ideal, else None."""
-    for order, keys in _factor_residue_maps(ring):
+    for order, keys in per_ring(ring, _factor_residue_maps):
         if len({keys[v] for v in values}) == 1:
             return Verdict(
                 result_id, True, vacuous=True,
@@ -552,7 +562,7 @@ def check_residue_field_bound(ring: FiniteRing, f: Polynomial) -> Verdict:
     img = len(set(values))
     deg = f.degree
     bound = img * deg
-    residue_orders = [len(set(keys)) for _, keys in _factor_residue_maps(ring)]
+    residue_orders = [len(set(keys)) for _, keys in per_ring(ring, _factor_residue_maps)]
     holds = all(n <= bound for n in residue_orders)
     return Verdict(
         "L2.4", holds,
@@ -578,7 +588,7 @@ def check_spectrum_bound(ring: FiniteRing, f: Polynomial) -> Verdict:
         return failed
     img = len(set(values))
     omega = sum(e for _, e in _factorize(img))  # prime factors with multiplicity
-    spectrum = len(_factor_residue_maps(ring))
+    spectrum = len(per_ring(ring, _factor_residue_maps))
     holds = spectrum <= omega
     return Verdict(
         "L2.5", holds,
@@ -591,13 +601,14 @@ def check_spectrum_bound(ring: FiniteRing, f: Polynomial) -> Verdict:
 # P2.6: building indicator functions and lifting residue polynomials
 # ---------------------------------------------------------------------------
 
-def char_function_from_image(ring: FiniteRing, f: Polynomial) -> Polynomial:
+def char_function_from_image(ring: FiniteRing, f: Polynomial) -> tuple[Polynomial, list[int]]:
     """P2.6 forward step: the least N sending every unit value of f to 1 and
     every nilpotent value to 0 makes f^N a nontrivial 0/1-valued function.
 
     Refuses (TrivialImageError) when f's values are all units or all
     non-units, since the power would then be the constant 1 or 0.  The power
-    is returned reduced modulo X^(t+p) - X^t (``_reduced_pow``).
+    is returned reduced modulo X^(t+p) - X^t (``_reduced_pow``), with the
+    support on which its table was verified to be 1.
     """
     inv = _require(ring, "comm-local-unital")
     if f.ring is not ring:
@@ -613,23 +624,35 @@ def char_function_from_image(ring: FiniteRing, f: Polynomial) -> Polynomial:
     kill = max(element_nilpotency_index(ring, v) for v in nil_vals)
     N = ((kill + lcm_orders - 1) // lcm_orders) * lcm_orders
     result = _reduced_pow(f, N)
-    if not _verify_char_polynomial(ring, result)[0]:
+    ok, support = _verify_char_polynomial(ring, result)
+    if not ok:
         raise InternalInvariantError("power of the polynomial is not a nontrivial 0/1 table")
-    return result
+    return result, support
+
+
+def _units_indicator(ring: FiniteRing) -> tuple[Polynomial, tuple[int, ...]]:
+    """x^N, the indicator of the units of a commutative local ring, with its
+    support: P2.6fwd's default witness and P2.7's on a local ring, shared
+    through ``per_ring``."""
+    w, support = char_function_from_image(ring, poly_x(ring))
+    return w, tuple(support)
 
 
 def check_char_from_image(ring: FiniteRing, f: Polynomial) -> Verdict:
-    """P2.6fwd as a verdict: run the construction and confirm its output table."""
+    """P2.6fwd as a verdict: run the construction, which confirms its
+    output table; f = x reads the ring's ``_units_indicator``."""
     try:
-        result = char_function_from_image(ring, f)
+        if f.ring is ring and f.coeffs == (0, ring.unity):
+            result, support = per_ring(ring, _units_indicator)
+        else:
+            result, support = char_function_from_image(ring, f)
     except TrivialImageError as exc:
         return Verdict("P2.6fwd", True, vacuous=True,
                        witness={"refused": str(exc)},
                        details=f"refused: {exc}")
-    _, support = _verify_char_polynomial(ring, result)
     return Verdict(
         "P2.6fwd", True,
-        witness={"polynomial": result.stripped(), "support": support},
+        witness={"polynomial": result.stripped(), "support": list(support)},
         details=f"0/1-valued non-constant table with support of size {len(support)}",
     )
 
@@ -656,11 +679,11 @@ def _reduced_pow(f: Polynomial, k: int) -> Polynomial:
     return binary_power(lambda g, h: reduced(poly_mul(g, h)), reduced(f), k)
 
 
-@lru_cache(maxsize=None)
 def _lift_basis(ring: FiniteRing) -> tuple[Polynomial, ...]:
     """The pre-raised products prod_{j != i} (X - alpha_j)^E over the
     residue field's coset representatives alpha_j, with E = ``_lift_exponent``,
-    every product and power reduced by ``_reduced_pow``.
+    every product and power reduced by ``_reduced_pow``.  P2.6lift and
+    R2.8 read it through ``per_ring``.
     """
     inv = _require(ring, "comm-local-unital")
     reps = residue_field(ring)[2]
@@ -698,7 +721,7 @@ def lift_residue_polynomial(ring: FiniteRing, f: Polynomial | None = None
     if inv.is_field:
         return interpolate_field(ring, betas), data
     lifted = Polynomial(ring, ())
-    for beta, q in zip(betas, _lift_basis(ring)):
+    for beta, q in zip(betas, per_ring(ring, _lift_basis)):
         if beta != 0:
             lifted = poly_add(lifted, poly_scale(beta, q))
     return lifted, data
@@ -744,11 +767,11 @@ def classify_char_function_existence(ring: FiniteRing,
     zero-dimensionality and finiteness of residue field and nilpotency
     index, hold automatically.)
 
-    A local ring's witness is x^N, the indicator of the units
-    (``char_function_from_image`` on x).  A non-local ring has an idempotent
-    e not in {0, 1}, which is the witness: every generator g of the induced
-    functions (the constants and the b * x^k) has e*g(x) = e*g(e*x), so
-    every induced F does.  A 0/1-valued F then has F(x) = F(e*x), since
+    A local ring's witness is x^N, the indicator of the units, which
+    P2.6fwd builds too (``_units_indicator``).  A non-local ring has an
+    idempotent e not in {0, 1}, which is the witness: every generator g of
+    the induced functions (the constants and the b * x^k) has
+    e*g(x) = e*g(e*x), so every induced F does.  A 0/1-valued F then has F(x) = F(e*x), since
     e*0 != e*1, and so F(x) = F(e*x) = F((1-e)*e*x) = F(0): F is constant.
 
     With ``witness_poly`` given, verification mode: the supplied polynomial
@@ -767,8 +790,8 @@ def classify_char_function_existence(ring: FiniteRing,
         )
 
     if is_local:
-        w = char_function_from_image(ring, poly_x(ring))
-        witness = {"polynomial": w, "support": _verify_char_polynomial(ring, w)[1]}
+        w, support = per_ring(ring, _units_indicator)
+        witness = {"polynomial": w, "support": list(support)}
         side = "x^N is the indicator of the units"
     else:
         e = next(x for x in inv.idempotents if x not in (0, ring.unity))
@@ -806,7 +829,7 @@ def check_char_support_cosets(ring: FiniteRing, subset=None) -> Verdict:
     if inv.is_field:
         swept = -1
     elif inv.is_commutative:
-        raised = _lift_basis(ring)
+        raised = per_ring(ring, _lift_basis)
         for i, w in enumerate(raised):
             if _verify_char_polynomial(ring, w) != (True, [x for x, c in enumerate(proj) if c == i]):
                 raise InternalInvariantError(f"the lifted indicator of coset {i} of {ring.label} "

@@ -153,9 +153,10 @@ def test_criterion_6_char_from_image(catalog9):
             values = set(function_table(f).values)
             mixed = bool(values & units) and bool(values - units)
             if mixed:
-                w = char_function_from_image(ring, f)
+                w, support = char_function_from_image(ring, f)
                 table = function_table(w).values
                 assert set(table) == {0, one}, f"{name}, f={coeffs}: not 0/1-valued"
+                assert support == [x for x, v in enumerate(table) if v == one]
                 built += 1
             else:
                 # one-sided values would power to a constant table; the

@@ -401,6 +401,9 @@ def test_r28_sweeps_rings_of_2_24_functions_without_rows(refuse_index, capsys, s
 def test_internal_invariant_breach_exits_4(monkeypatch, capsys):
     assert not issubclass(InternalInvariantError, ValueError)
     monkeypatch.setattr("finring.theorems._verify_char_polynomial", lambda ring, f: (False, []))
+    # fresh rings: a ring from realize keeps the indicator that an earlier
+    # test stored, and would never reach the patched verification
+    monkeypatch.setattr("finring.cli.realize", catalog.realize.__wrapped__)
     for argv in (["GF(4)", "P2.7"], ["Z/4", "R2.8"]):  # R2.8 checks each lifted coset table
         assert main(["check", *argv]) == 4
         captured = capsys.readouterr()

@@ -536,3 +536,16 @@ def test_local_radical_equals_non_units(catalog9):
         if inv.is_local:
             non_units = tuple(a for a in ring.elements() if a not in inv.units)
             assert inv.jacobson_radical.indices() == non_units
+
+
+def test_residue_field_returns_the_same_objects_on_every_call(catalog16):
+    for name, ring in catalog16:
+        inv = analyze(ring)
+        if inv.is_unital and inv.is_local:
+            assert residue_field(ring) is residue_field(ring), name
+
+
+def test_a_replaced_ring_starts_with_its_own_empty_store(z4):
+    residue_field(z4)
+    copy = dataclasses.replace(z4, label="copy of Z/4")
+    assert z4.store and copy.store is None

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
+import gc
 import time
+import weakref
 from itertools import product
 
 import pytest
@@ -30,6 +33,7 @@ from finring import (
     standard_catalog,
 )
 from finring import polyfun, theorems
+from finring.cli import main
 from finring.polyfun import (
     Polynomial,
     PolyFunctionSet,
@@ -496,22 +500,25 @@ def test_spectrum_bound_z4(z4):
 # --- P2.6 ------------------------------------------------------------------
 
 def test_char_from_image_z4(z4):
-    w = char_function_from_image(z4, poly_x(z4))
+    w, support = char_function_from_image(z4, poly_x(z4))
     assert w.coeffs == (0, 0, 1)  # the minimal exponent is 2
     assert function_table(w).values == (0, 1, 0, 1)
+    assert support == [1, 3]
 
 
 def test_char_from_image_z9(z9):
-    w = char_function_from_image(z9, poly_x(z9))
+    w, support = char_function_from_image(z9, poly_x(z9))
     assert w.degree == 6
     values = function_table(w).values
     assert set(values) == {0, 1}
     assert values == tuple(0 if x % 3 == 0 else 1 for x in range(9))
+    assert support == [x for x in range(9) if x % 3]
 
 
 def test_char_from_image_f2(z2):
-    w = char_function_from_image(z2, poly_x(z2))
+    w, support = char_function_from_image(z2, poly_x(z2))
     assert w.coeffs == (0, 1)
+    assert support == [1]
 
 
 def test_char_from_image_reduces_a_power_beyond_the_stabilization():
@@ -627,14 +634,13 @@ def test_reduced_lift_induces_the_unreduced_table(spec):
                                   if analyze(ring).is_field])
 def test_lift_on_a_field_is_the_interpolant_and_builds_no_lift_basis(spec):
     ring = realize(parse_ring_spec(spec))
-    calls = theorems._lift_basis.cache_info()  # hits too: earlier tests may have filled it
     for f in (poly_x(ring), poly_from(ring, (1, ring.unity, 0, ring.unity))):
         verdict = check_residue_lift(ring, f)
         _, data = lift_residue_polynomial(ring, f)
         assert verdict.holds
         assert verdict.witness["polynomial"] == \
             interpolate_field(ring, _unreduced_lift_table(ring, data)).stripped()
-    assert theorems._lift_basis.cache_info() == calls
+    assert theorems._lift_basis not in ring.store  # residue_field created the store
 
 
 def test_lift_constant(z4):
@@ -965,3 +971,80 @@ def test_lift_data_invariants(z9):
 def test_char_functions_decided_without_function_set(refuse_index):
     v = check_char_functions_iff_field(make_zn(12))
     assert v.status == "pass" and v.witness == {"subset": [0], "non_unit": 2}
+
+
+# --- the per-ring store ----------------------------------------------------
+
+class _CountingStore(dict):
+    """A ring store that counts how often each construction is put in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = collections.Counter()
+
+    def __setitem__(self, key, value):
+        self.builds[key.__name__] += 1
+        super().__setitem__(key, value)
+
+
+def test_one_sweep_builds_each_store_entry_once_per_ring(tmp_path, capsys):
+    rings = [ring for _, ring in standard_catalog(32)]
+    saved = [ring.store for ring in rings]
+    stores = [_CountingStore() for _ in rings]
+    try:
+        for ring, store in zip(rings, stores):
+            object.__setattr__(ring, "store", store)
+        assert main(["sweep", "--max-order", "32", "--out", str(tmp_path / "s.json")]) == 0
+    finally:
+        for ring, store in zip(rings, saved):
+            object.__setattr__(ring, "store", store)
+    assert all(count == 1 for store in stores for count in store.builds.values())
+    built = set().union(*(store.builds for store in stores))
+    assert built == {"_proper_left_ideal", "_unit_order_bound", "_units_indicator",
+                     "_residue_field", "_factor_residue_maps", "_lift_basis"}
+
+
+@pytest.mark.parametrize("spec", _COMM_LOCAL_32)
+def test_local_indicator_is_shared_by_p27_and_p26fwd(spec):
+    ring = realize(parse_ring_spec(spec))
+    fwd = CHECKS["P2.6fwd"].run(ring, CheckOptions()).witness
+    p27 = CHECKS["P2.7"].run(ring, CheckOptions()).witness
+    assert p27["polynomial"].stripped() == fwd["polynomial"]
+    assert p27["support"] == fwd["support"]
+    w, support = char_function_from_image(ring, poly_x(ring))  # built afresh
+    assert (w.stripped(), support) == (fwd["polynomial"], fwd["support"])
+
+
+@pytest.mark.parametrize("spec", _COMM_LOCAL_32)
+def test_p23ii_starts_from_the_p23i_bound(spec):
+    ring = realize(parse_ring_spec(spec))
+    assert check_unit_exponent_nilpotency(ring).witness["order_bound"] == \
+        check_unit_order_bound(ring).witness["exponent"]
+
+
+def test_a_ring_that_ran_no_check_has_no_store():
+    ring = make_zn(12)
+    analyze(ring)
+    power_stabilization(ring)
+    function_count(ring)
+    polynomial_function_set(ring).lookup(tuple(range(12)))
+    primitive_idempotents(ring)
+    assert ring.store is None
+    check_reachability_iff_field(ring)
+    assert set(ring.store) == {theorems._proper_left_ideal}
+
+
+def test_a_ring_and_its_store_are_freed_together():
+    ring = make_zn(9)
+    for check in CHECKS.values():  # P2.7 and every other store reader
+        if check.applies(ring):
+            assert check.run(ring, CheckOptions()).holds
+    assert theorems._units_indicator in ring.store and theorems._lift_basis in ring.store
+    ref = weakref.ref(ring)
+    # the module caches that still key on rings (analyze, power_stabilization,
+    # the function sets) hold it too until they are cleared
+    for cached in (analyze, power_stabilization, polynomial_function_set):
+        cached.cache_clear()
+    del ring
+    gc.collect()
+    assert ref() is None
