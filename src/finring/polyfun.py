@@ -34,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -47,6 +47,9 @@ from .core import (
     binary_power,
     primitive_idempotents,
 )
+
+if TYPE_CHECKING:
+    from array import array
 
 __all__ = [
     "Polynomial",
@@ -253,6 +256,42 @@ def _table_values(ring: FiniteRing, table) -> tuple[int, ...]:
     return values
 
 
+def _table_view(ring: FiniteRing, table) -> bytes | array:
+    """A table's values as one validated view of element indices of ``ring``:
+    bytes, or an array of unsigned shorts on a ring above order 256.
+
+    A tuple or list is read in one pass by ``bytes`` or ``array``, which
+    take exactly the values that ``operator.index`` takes, and then checked
+    for its length and largest value.  Any other table, and any that this
+    rejects, goes through ``_table_values``, so every malformed table raises
+    the same ValueError."""
+    small = ring.order <= 256
+    if not small:  # only these rings need the array module
+        from array import array
+    if type(table) in (tuple, list):
+        try:
+            view = bytes(table) if small else array("H", table)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if len(view) == ring.order and max(view) < ring.order:
+                return view
+    values = _table_values(ring, table)
+    return bytes(values) if small else array("H", values)
+
+
+def _witness(ring: FiniteRing, coeffs: list[int]) -> Polynomial:
+    """The polynomial with these coefficients, trailing zeros dropped, made
+    without ``Polynomial.__post_init__``: only for coefficients that are
+    element indices by construction."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    witness = object.__new__(Polynomial)
+    object.__setattr__(witness, "ring", ring)
+    object.__setattr__(witness, "coeffs", tuple(coeffs))
+    return witness
+
+
 def _stripped(ring: FiniteRing, coeffs: list[int]) -> Polynomial:
     """The polynomial with these coefficients, trailing zeros dropped first."""
     while coeffs and coeffs[-1] == 0:
@@ -269,7 +308,9 @@ class PolyFunctionSet:
     A table F is induced iff e*F(x) = e*F(e*x) for every e and x; its
     witness is interpolated by one matrix product over R's additive
     coordinates (``_interpolate``), whose fixed factor is built on the
-    first interpolation and kept on the set.
+    first interpolation and kept on the set.  Each table is validated
+    once, into the integer view that both steps read (``_table_view``),
+    and no witness coefficient is checked again.
 
     Lattice (any other ring): G is the direct sum of the cyclic groups
     <g_a> of ``_lattice``, each with a witness coefficient row.  On the
@@ -301,11 +342,12 @@ class PolyFunctionSet:
 
     def lookup(self, table) -> tuple[str, Polynomial | None]:
         """('present', witness) or ('absent', None)."""
-        values = _table_values(self.ring, table)
         if self.idempotents:
-            if not self._induced(values):
+            view = _table_view(self.ring, table)
+            if not self._induced(view):
                 return "absent", None
-            return "present", self._interpolate(values)
+            return "present", self._interpolate(view)
+        values = _table_values(self.ring, table)
         if self.count <= INDEX_LIMIT and self.ring.order <= 256:  # bytes keys need values < 256
             idx = self._table_index().get(bytes(values))
             if idx is None:
@@ -322,9 +364,10 @@ class PolyFunctionSet:
     def contains(self, table) -> bool:
         """Whether the table is induced, building no witness: from the index
         once a lookup has built it, and from the lattice syndrome before."""
-        values = _table_values(self.ring, table)
         if self.idempotents:
-            return self.field_mode or self._induced(values)
+            view = _table_view(self.ring, table)
+            return self.field_mode or self._induced(view)
+        values = _table_values(self.ring, table)
         if self._index is not None:
             return bytes(values) in self._index
         parts, moduli = self._lattice_basis()[:2]
@@ -391,36 +434,44 @@ class PolyFunctionSet:
                                              f"{len(self._index)} tables, not {self.count}")
         return self._index
 
-    def _interpolate(self, values) -> Polynomial:
+    def _interpolate(self, view: bytes | array) -> Polynomial:
         """The least-degree polynomial inducing an induced table F on a
-        product of fields, with c_0 = F(0).
+        product of fields, with c_0 = F(0).  F is read only from
+        ``_table_view``'s validated view, and the witness is made without
+        checking its coefficients again (``_witness``): each is an entry of
+        ``decode``, which the setup checked once.
 
         On the field eR of order q, c_j = -sum_{a in eR} F(a) a^(q-1-j) for
         1 <= j < q, with a^0 = e, since a^k lies in eR and in characteristic
         p every C(q-1, j) is (-1)^j; R's c_j sums these over e.  In additive
         coordinates (``_field_coordinates``) with basis b, coord_l(F(a) a^k)
-        = sum_i coord_i(a^k) L[F(a), i, l], where L[y, i, l] = coord_l(y b_i),
-        so all the sums are one product Y @ X of Y[j, (a, i)] =
-        coord_i(a^(q-1-j)) and X = L[F(a)], taken mod p per coordinate, whose
-        mixed-radix key ``decode`` maps to the negated element.  The product
-        is exact: with r coordinates its partial sums are integers below
-        n r (p-1)^2, under 2^24 on every ring of order at most 256.
+        = sum_i coord_i(a^k) L[F(a), (i, l)], where L[y, (i, l)] =
+        coord_l(y b_i), so all the sums are one product Y @ X of
+        Y[j, (a, i)] = coord_i(a^(q-1-j)) and X = L[F(x)] over every x of R,
+        taken mod p per coordinate, whose mixed-radix key ``decode`` maps to
+        the negated element.  Row 0 of Y holds coord(-1) at x = 0, so it
+        gives c_0 = F(0) the same way.  The product is exact: with r
+        coordinates its partial sums are integers below n r (p-1)^2, under
+        2^24 on every ring of order at most 256.
         """
-        points, L, Y, moduli, weights, decode = self._interpolation_setup()
-        x = L[np.asarray(values)[points]].reshape(Y.shape[1], -1)
-        keys = (Y @ x).astype(np.intp) % moduli @ weights
-        return _stripped(self.ring, [values[0], *decode[keys].tolist()])
+        L, Y, moduli, weights, decode = self._interpolation_setup()
+        values = np.frombuffer(view, np.uint8 if type(view) is bytes else np.uint16)
+        x = L.take(values, axis=0).reshape(Y.shape[1], -1)
+        keys = (Y.dot(x).astype(np.intp) % moduli).dot(weights)
+        return _witness(self.ring, decode[keys].tolist())
 
     def _interpolation_setup(self) -> tuple:
         """``_interpolate``'s fixed factors, built on its first call and kept
-        on the set: the points a of every eR in turn, L, Y, the coordinate
-        moduli and mixed-radix weights, and the decode table.
+        on the set: L, Y, the coordinate moduli and mixed-radix weights, and
+        the decode table, checked here to hold only element indices.
 
         Powers are filled by block doubling, a^(k+j) = a^k a^j, in log2(q)
-        gathers; column a of Y lists the coordinates of a^(q-2), ..., a^0 and
-        then zeros, up to the largest factor's q - 1 rows.  Y and L are
-        float32, exact while the product's partial sums stay below 2^24, and
-        float64 beyond.
+        gathers; the columns of a point a of eR list the coordinates of
+        a^(q-2), ..., a^0 from row 1 on, and then zeros, up to the largest
+        factor's q - 1 rows.  0 lies in every eR, so its columns sum the
+        factors'; an x in no eR has zero columns.  Y and L are float32,
+        exact while the product's partial sums stay below 2^24, and float64
+        beyond.
         """
         if self._setup is None:
             ring, n = self.ring, self.ring.order
@@ -430,8 +481,11 @@ class PolyFunctionSet:
             weights = np.cumprod([1, *moduli[:-1]])
             key = np.array(key)
             coords = key[:, None] // weights % moduli
-            decode = np.empty(n, dtype=np.intp)
+            decode = np.full(n, n, dtype=np.intp)  # n stays where no element is keyed
             decode[key] = ring.neg_table
+            if decode.max() >= n:
+                raise InternalInvariantError(f"{ring.label}: the interpolation's decode table "
+                                             f"leaves range({n})")
             sizes = [len(field) for field in fields]
             points, top = np.concatenate(fields), max(sizes)
             small = ring.mul_array.astype(np.min_scalar_type(n - 1))
@@ -443,18 +497,20 @@ class PolyFunctionSet:
                 step = min(k, top - 1 - k)
                 powers[k + 1:k + 1 + step] = small[powers[1:step + 1], powers[k]]
                 k += step
-            index = np.zeros((top - 1, len(points)), dtype=small.dtype)
+            index = np.zeros((top, n), dtype=small.dtype)  # Y[j, x] = coord(index[j, x])
             start = 0
-            for q in sizes:
-                index[:q - 1, start:start + q] = powers[q - 2::-1, start:start + q]
+            for e, q in zip(self.idempotents, sizes):  # each field lists 0 first
+                index[1:q, points[start + 1:start + q]] = powers[q - 2::-1, start + 1:start + q]
+                index[q - 1, 0] = ring.add(int(index[q - 1, 0]), e)  # 0^0 = e, 0^k = 0
                 start += q
+            index[0, 0] = ring.neg_table[ring.unity]
             dtype = np.float32 if n * len(basis) * (max(moduli) - 1) ** 2 < 1 << 24 else float
-            Y = np.take(coords.astype(dtype), index, axis=0).reshape(top - 1, -1)
-            L = coords[small[:, basis]].astype(dtype)
-            self._setup = points, L, Y, np.array(moduli), weights, decode
+            Y = np.take(coords.astype(dtype), index, axis=0)
+            L = coords[small[:, basis]].reshape(n, -1).astype(dtype)
+            self._setup = L, Y.reshape(top, -1), np.array(moduli), weights, decode
         return self._setup
 
-    def _induced(self, values: tuple[int, ...]) -> bool:
+    def _induced(self, values: bytes | array) -> bool:
         """e*F(x) = e*F(e*x) for every idempotent e and every x."""
         return all(project[values[x]] == project[values[ex]] for project, x, ex in self._pairs)
 
@@ -691,11 +747,13 @@ def interpolate_field(field: FiniteRing, table) -> Polynomial:
     """The unique polynomial of degree < q = |F| inducing the table:
     c_0 = f(0) and c_j = -sum_a f(a) a^(q-1-j) for 1 <= j <= q-1, with
     0^0 = 1.  The field's function set interpolates (``_interpolate``), so
-    this and its lookups share one matrix Y, built on the first call; each
-    call is then one gather, one matrix product and one decode."""
+    this and its lookups share one matrix Y, built on the first call.  The
+    table is validated once (a tuple or list in one pass, ``_table_view``),
+    and each call is then one gather, one matrix product and one decode
+    into a witness whose coefficients are not checked again."""
     if not analyze(field).is_field:
         raise UnsupportedStructureError(f"{field.label} is not a field")
-    return _function_set(field)._interpolate(_table_values(field, table))
+    return _function_set(field)._interpolate(_table_view(field, table))
 
 
 def char_poly_for_subset(ring: FiniteRing, subset) -> Polynomial | None:

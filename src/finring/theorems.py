@@ -77,9 +77,7 @@ from .polyfun import (
     poly_eval,
     poly_from,
     poly_mul,
-    poly_pow,
     poly_scale,
-    poly_sub,
     poly_x,
     polynomial_function_set,
     power_stabilization,
@@ -465,6 +463,17 @@ def split_unit_nilpotent(f: Polynomial) -> tuple[Polynomial, Polynomial]:
     return Polynomial(ring, tuple(g)), Polynomial(ring, tuple(h))
 
 
+def _binomial_polynomial(ring: FiniteRing, m: int, characteristic: int) -> Polynomial:
+    """(X+1)^m - 1, written down: its X^k coefficient is C(m, k) * 1, and
+    k * 1 depends only on k mod the characteristic.  O(m) coefficients,
+    where expanding the power takes O(m^2) products."""
+    multiples = [0]  # k * 1 for 0 <= k < characteristic
+    while len(multiples) < characteristic:
+        multiples.append(ring.add(multiples[-1], ring.unity))
+    return Polynomial(ring, (0, *(multiples[math.comb(m, k) % characteristic]
+                                  for k in range(1, m + 1))))
+
+
 def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
     """P2.3ii, both directions quantitatively.
 
@@ -482,9 +491,7 @@ def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
     m = inv.unit_group_exponent
     _, bound, bad_u = per_ring(ring, _unit_order_bound)
     orders_divide = bad_u is None and bound % m == 0  # u^E = 1 exactly when ord(u) divides E
-    x_plus_1 = poly_from(ring, (ring.unity, ring.unity))
-    f = poly_sub(poly_pow(x_plus_1, m), poly_const(ring, ring.unity))
-    g, h = split_unit_nilpotent(f)
+    g, h = split_unit_nilpotent(_binomial_polynomial(ring, m, inv.characteristic))
     s = next(k for k in range(1, len(g.coeffs)) if g.coeffs[k] != 0)
     r_h, power = 1, h  # the least r_h with h^(r_h) = 0
     while power.degree is not None:

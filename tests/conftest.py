@@ -35,6 +35,7 @@ embedding, where P2.1 reads a zero-divisor pair of D off its mul table.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from itertools import count, product
 
 import numpy as np
@@ -487,12 +488,32 @@ class Closure:
         return frozenset(map(tuple, self.tables.tolist()))
 
 
+_GROWN: OrderedDict = OrderedDict()  # (add_table, mul_table) -> grown group, latest last
+_GROWN_KEPT = 8
+
+
 def coset_growth(ring) -> Closure:
     """The group generated by the constants and every a * x^k (k <= t+p-1),
-    grown one generator at a time.  For a generator g the least i with i*g
-    in the grown group H splits H + <g> into the disjoint cosets H + j*g,
-    j < i, so new rows are appended as they come; a row h + j*g is
-    witnessed by h's coefficients with a_k replaced by a_k + j*a."""
+    grown one generator at a time (``_grow``).  Many tests compare against
+    the same rings, so the group is grown once per ring's tables and kept
+    for the session, for the last ``_GROWN_KEPT`` tables used; its arrays
+    are read-only."""
+    key = (ring.add_table, ring.mul_table)
+    if key in _GROWN:
+        _GROWN.move_to_end(key)
+    else:
+        _GROWN[key] = _grow(ring)
+        if len(_GROWN) > _GROWN_KEPT:
+            _GROWN.popitem(last=False)
+    return Closure(ring, *_GROWN[key])
+
+
+def _grow(ring) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Tables, witness rows and index of the group grown from every
+    generator in turn.  For a generator g the least i with i*g in the grown
+    group H splits H + <g> into the disjoint cosets H + j*g, j < i, so new
+    rows are appended as they come; a row h + j*g is witnessed by h's
+    coefficients with a_k replaced by a_k + j*a."""
     n = ring.order
     t, p = power_stabilization(ring)
     add = np.array(ring.add_table, dtype=np.uint8)
@@ -520,7 +541,8 @@ def coset_growth(ring) -> Closure:
             step, coeff = add[step, g], add[coeff, a]
         if len(new_t) > 1:
             tables, wits = np.concatenate(new_t), np.concatenate(new_w)
-    return Closure(ring, tables, wits, index)
+    tables.flags.writeable = wits.flags.writeable = False
+    return tables, wits, index
 
 
 def as_tuple_set(pset, limit: int = 1 << 20) -> frozenset:

@@ -400,7 +400,8 @@ def test_interpolation_beyond_float32_sums_stays_exact():
     for values in ([256] * 257, [rng.randrange(257) for _ in range(257)]):
         want = closed_form_interpolant(field, (1,), values)
         assert interpolate_field(field, values) == want
-    assert polynomial_function_set(field)._setup[2].dtype == np.float64
+    L, Y = polynomial_function_set(field)._setup[:2]
+    assert L.dtype == Y.dtype == np.float64
 
 
 def test_interpolation_setup_is_built_once_per_set(monkeypatch):
@@ -420,6 +421,170 @@ def test_interpolation_setup_is_built_once_per_set(monkeypatch):
     assert interpolate_field(field, tuple(range(11))).coeffs == (0, 1)
     assert pset.lookup((3,) * 11) == ("present", Polynomial(field, (3,)))
     assert calls == [field]
+
+
+# --- the analytic kernel: each table validated once, each witness built once --
+
+_z257 = make_zn(257)  # its tables are read as unsigned shorts
+_KERNEL_RINGS = {"GF(4)": lambda: realize(parse_ring_spec("GF(4)")),
+                 "Z/6": lambda: realize(parse_ring_spec("Z/6")),
+                 "Z/257": lambda: _z257}
+_OTHER_RING = make_zn(3)
+
+# Each input as a function of the ring and a valid table t of it.
+_KERNEL_INPUTS = {
+    "tuple": lambda ring, t: tuple(t),
+    "list": lambda ring, t: list(t),
+    "range": lambda ring, t: range(ring.order),
+    "float": lambda ring, t: (1.5, *t[1:]),
+    "integral-float": lambda ring, t: [float(v) for v in t],
+    "str-value": lambda ring, t: ["1", *t[1:]],
+    "str-table": lambda ring, t: "".join(map(str, t)),
+    "none-value": lambda ring, t: (None, *t[1:]),
+    "none-table": lambda ring, t: None,
+    "negative": lambda ring, t: (-1, *t[1:]),
+    "n": lambda ring, t: (*t[:-1], ring.order),
+    "256": lambda ring, t: [256, *t[1:]],
+    "300": lambda ring, t: (*t[:-1], 300),
+    "huge": lambda ring, t: (2 ** 70, *t[1:]),
+    "short": lambda ring, t: tuple(t[:-1]),
+    "long": lambda ring, t: [*t, 0],
+    "empty": lambda ring, t: (),
+    "generator": lambda ring, t: (v for v in t),
+    "numpy": lambda ring, t: np.array(t),
+    "numpy-uint16-list": lambda ring, t: list(np.array(t, dtype=np.uint16)),
+    "numpy-scalars": lambda ring, t: tuple(np.int64(v) for v in t),
+    "numpy-float": lambda ring, t: np.array(t, dtype=float),
+    "numpy-bool": lambda ring, t: (np.True_, *t[1:]),
+    "bools": lambda ring, t: (True, False, *t[2:]),
+    "tuple-subclass": lambda ring, t: type("Row", (tuple,), {})(t),
+    "same-ring-table": lambda ring, t: FunctionTable(ring, ring, t),
+    "other-ring-table": lambda ring, t: FunctionTable(_OTHER_RING, _OTHER_RING, (0, 1, 2)),
+}
+
+
+def _kernel_table(ring, name):
+    """Input ``name`` on ``ring``, around a valid table that is induced on a
+    product of fields (F = sum_e e * G(e * x))."""
+    n = ring.order
+    rng = random.Random(n)
+    g = [rng.randrange(n) for _ in range(n)]
+    valid = [0] * n
+    for e in polynomial_function_set(ring).idempotents:
+        for x in range(n):
+            valid[x] = ring.add(valid[x], ring.mul(e, g[ring.mul(e, x)]))
+    return _KERNEL_INPUTS[name](ring, valid)
+
+
+def _slow_path_answer(ring, name, answer):
+    """``answer(values)`` on the values that ``_table_values`` reads from the
+    input, or the (type, message) of the error it raises: what each entry
+    point answered before the fast path existed."""
+    try:
+        values = polyfun._table_values(ring, _kernel_table(ring, name))
+    except ValueError as err:
+        return type(err), str(err)
+    return answer(values)
+
+
+def _answer(call):
+    try:
+        return call()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_INPUTS))
+@pytest.mark.parametrize("spec", list(_KERNEL_RINGS))
+def test_kernel_entry_points_read_every_input_as_the_slow_path_does(spec, name):
+    ring = _KERNEL_RINGS[spec]()
+    pset = polynomial_function_set(ring)
+    n, idempotents = ring.order, pset.idempotents
+
+    def induced(values):
+        return all(ring.mul(e, values[x]) == ring.mul(e, values[ring.mul(e, x)])
+                   for e in idempotents for x in range(n))
+
+    def looked_up(values):
+        if not induced(values):
+            return "absent", None
+        return "present", closed_form_interpolant(ring, idempotents, values)
+
+    table = lambda: _kernel_table(ring, name)
+    assert _answer(lambda: pset.lookup(table())) == _slow_path_answer(ring, name, looked_up)
+    assert _answer(lambda: pset.contains(table())) == _slow_path_answer(ring, name, induced)
+    if pset.field_mode:
+        assert _answer(lambda: interpolate_field(ring, table())) == _slow_path_answer(
+            ring, name, lambda values: closed_form_interpolant(ring, idempotents, values))
+    else:
+        with pytest.raises(UnsupportedStructureError):
+            interpolate_field(ring, table())
+
+
+def test_a_tuple_or_list_is_validated_once_and_no_witness_is_checked(monkeypatch):
+    # a tuple or list is read by the view alone; any other input by
+    # _table_values once; the witness's coefficients are never re-checked
+    calls = []
+    indices = polyfun._indices
+    monkeypatch.setattr(polyfun, "_indices", lambda *args: calls.append(args[2]) or indices(*args))
+    for ring in (realize(parse_ring_spec("GF(8)")), realize(parse_ring_spec("Z/30")), _z257):
+        pset = polynomial_function_set(ring)
+        table = [ring.mul(e, 1) for e in range(ring.order)]  # x -> x
+        for call in (pset.lookup, pset.contains):
+            call(table)
+            call(tuple(table))
+        if pset.field_mode:
+            interpolate_field(ring, table)
+        assert calls == []
+        pset.lookup(iter(table))
+        assert calls == ["table values"]
+        calls.clear()
+
+
+def test_a_setup_whose_decode_leaves_the_ring_raises(monkeypatch):
+    # two elements given one key leave a key that decodes to no element
+    def collided(ring, fields):
+        basis, moduli, key = coordinates(ring, fields)
+        return basis, moduli, [*key[:-1], key[-2]]
+
+    coordinates = polyfun._field_coordinates
+    monkeypatch.setattr(polyfun, "_field_coordinates", collided)
+    for ring in (make_zn(7), make_zn(6)):  # new rings, so new sets
+        with pytest.raises(core.InternalInvariantError, match="decode table leaves range"):
+            polynomial_function_set(ring).lookup(tuple(range(ring.order)))
+
+
+@pytest.mark.parametrize("field", [_z257, make_zn(251)], ids=lambda field: field.label)
+def test_round_trips_on_the_largest_prime_fields_equal_the_closed_form(field):
+    # Z/257 reads its tables as unsigned shorts and interpolates in float64;
+    # Z/251 as bytes in float32
+    n = field.order
+    rng = random.Random(n)
+    tables = [[rng.randrange(n) for _ in range(n)] for _ in range(3)]
+    tables += [[n - 1] * n, list(range(n)), [0] * n]
+    for table in tables:
+        want = closed_form_interpolant(field, (1,), table)
+        assert interpolate_field(field, table) == interpolate_field(field, tuple(table)) == want
+        assert polynomial_function_set(field).lookup(table) == ("present", want)
+    assert function_table(interpolate_field(field, tables[0])).values == tuple(tables[0])
+
+
+@pytest.mark.parametrize("spec", ["GF(4)", "GF(27)", "Z/30", "GF(4) x Z/3"])
+def test_trusted_witnesses_equal_and_hash_as_checked_ones(spec):
+    ring = realize(parse_ring_spec(spec))
+    pset = polynomial_function_set(ring)
+    n = ring.order
+    tables = [[0] * n, [ring.unity] * n]
+    tables += [[ring.mul(e, x) for x in range(n)] for e in pset.idempotents]
+    for table in tables:
+        witness = pset.lookup(table)[1]
+        checked = Polynomial(ring, witness.coeffs)
+        assert witness == checked and hash(witness) == hash(checked)
+        assert {checked: "found"}[witness] == "found"
+        assert witness == checked.stripped() and repr(witness) == repr(checked)
+        assert all(type(c) is int and 0 <= c < n for c in witness.coeffs)
+        assert not witness.coeffs or witness.coeffs[-1] != 0
+    assert pset.lookup([0] * n)[1].coeffs == ()
 
 
 def test_function_sets_are_the_only_interpolation_cache():
@@ -758,11 +923,11 @@ def test_function_count_of_square_zero_local_rings(spec, q):
 
 def _syndrome_probes(closure, rng) -> list[tuple[int, ...]]:
     """Present rows, random tables and present rows with one value moved."""
-    n = closure.ring.order
-    rows = [tuple(row) for row in closure.tables.tolist()]
-    probes = rng.sample(rows, min(200, len(rows)))
+    n, rows = closure.ring.order, closure.tables
+    picked = lambda: rows[rng.sample(range(len(rows)), min(200, len(rows)))].tolist()
+    probes = list(map(tuple, picked()))
     probes += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(200)]
-    for row in rng.sample(rows, min(200, len(rows))):
+    for row in picked():
         moved = list(row)
         moved[rng.randrange(n)] = rng.randrange(n)
         probes.append(tuple(moved))
@@ -771,9 +936,9 @@ def _syndrome_probes(closure, rng) -> list[tuple[int, ...]]:
 
 def _indicator_rows(closure) -> list[int]:
     """The supports of coset growth's 0/1-valued rows, as sorted bit masks."""
-    one = closure.ring.unity
-    return sorted(sum(1 << x for x, v in enumerate(row) if v == one)
-                  for row in closure.tables.tolist() if set(row) <= {0, one})
+    tables, one = closure.tables, closure.ring.unity
+    rows = tables[((tables == 0) | (tables == one)).all(axis=1)] == one
+    return sorted((rows @ (1 << np.arange(closure.ring.order, dtype=np.int64))).tolist())
 
 
 def _assert_syndrome_matches_closure(ring, seed):

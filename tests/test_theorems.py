@@ -414,6 +414,18 @@ def test_unit_exponent_binomials_match_the_expanded_powers(spec):
     assert expanded_powers_agree(ring, verdict.witness["exponent"])
 
 
+@pytest.mark.parametrize("spec", _COMM_LOCAL_32)
+def test_binomial_polynomial_is_the_expanded_power(spec):
+    # P2.3ii writes (X+1)^m - 1 down from C(m, k) * 1; poly_pow expands it,
+    # at the unit-group exponent and at every smaller and a few larger m
+    ring = realize(parse_ring_spec(spec))
+    inv = analyze(ring)
+    x_plus_1, one = poly_from(ring, (ring.unity, ring.unity)), poly_from(ring, (ring.unity,))
+    for m in range(1, inv.unit_group_exponent + 4):
+        expanded = poly_add(poly_pow(x_plus_1, m), poly_scale(ring.neg(ring.unity), one))
+        assert theorems._binomial_polynomial(ring, m, inv.characteristic) == expanded, m
+
+
 @pytest.mark.parametrize("power", [1, 2])
 def test_unit_exponent_binomials_catch_a_smaller_exponent(monkeypatch, power):
     # With N divided by p^power, p | char, the binomial criterion, which is
