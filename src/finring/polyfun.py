@@ -24,7 +24,8 @@ table (``function_count``).  Tracked, it writes G as a direct sum of cyclic
 groups <g_a>, each with a witness coefficient row, and gives a syndrome
 map that decides membership (``contains``) and solves for the multiple of
 each g_a.  ``lookup`` enumerates a set of at most ``INDEX_LIMIT`` tables
-into an index on its first call, and solves on a larger one.
+into an index on its first call, and solves on a larger one.  An index
+hit returns the witness its row built on its first hit.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class Polynomial:
         return None
 
     def stripped(self) -> "Polynomial":
-        return _stripped(self.ring, list(self.coeffs))
+        return _witness(self.ring, list(self.coeffs))
 
     def __repr__(self) -> str:
         return f"Polynomial({self.ring.label!r}, {list(self.coeffs)})"
@@ -280,6 +281,11 @@ def _table_view(ring: FiniteRing, table) -> bytes | array:
     return bytes(values) if small else array("H", values)
 
 
+def _view_array(view: bytes | array) -> np.ndarray:
+    """``_table_view``'s view as a numpy array, without a copy."""
+    return np.frombuffer(view, np.uint8 if type(view) is bytes else np.uint16)
+
+
 def _witness(ring: FiniteRing, coeffs: list[int]) -> Polynomial:
     """The polynomial with these coefficients, trailing zeros dropped, made
     without ``Polynomial.__post_init__``: only for coefficients that are
@@ -292,13 +298,6 @@ def _witness(ring: FiniteRing, coeffs: list[int]) -> Polynomial:
     return witness
 
 
-def _stripped(ring: FiniteRing, coeffs: list[int]) -> Polynomial:
-    """The polynomial with these coefficients, trailing zeros dropped first."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return Polynomial(ring, tuple(coeffs))
-
-
 class PolyFunctionSet:
     """All function tables induced by polynomials over one ring: ``count``
     is exact, and every lookup is decided, with a witness when present.
@@ -308,18 +307,24 @@ class PolyFunctionSet:
     A table F is induced iff e*F(x) = e*F(e*x) for every e and x; its
     witness is interpolated by one matrix product over R's additive
     coordinates (``_interpolate``), whose fixed factor is built on the
-    first interpolation and kept on the set.  Each table is validated
-    once, into the integer view that both steps read (``_table_view``),
-    and no witness coefficient is checked again.
+    first interpolation and kept on the set.
 
     Lattice (any other ring): G is the direct sum of the cyclic groups
     <g_a> of ``_lattice``, each with a witness coefficient row.  On the
     first ``lookup``, a set of at most ``INDEX_LIMIT`` tables is enumerated
     from them: ``tables`` holds every table, ``witnesses`` a parallel
-    coefficient row, and an index maps each table's bytes to its row.  A
-    larger set solves each lookup for the multiples z_a and sums the
-    z_a-fold witness rows.  ``contains`` reads the index once it is built,
-    and the syndrome otherwise.
+    coefficient row, and an index maps each table's bytes to its row.  An
+    index hit returns its row's witness, built on the row's first hit and
+    the same (frozen) object on every later one.  A larger set solves each
+    lookup for the multiples z_a and sums the z_a-fold witness rows.
+    ``contains`` reads the index once it is built, and the syndrome
+    otherwise.
+
+    On every engine, ``lookup`` and ``contains`` validate a table once,
+    into the view that each step reads (``_table_view``), and build each
+    witness without checking its coefficients again (``_witness``): the
+    index rows, the decode table and the ring's addition table hold only
+    element indices.
 
     ``complete`` is always True; it stays for readers of earlier releases.
     """
@@ -331,7 +336,7 @@ class PolyFunctionSet:
         self.tables = self.witnesses = None
         self.idempotents = idempotents
         self.field_mode = len(idempotents) == 1
-        self._basis = self._rows = self._index = self._setup = None
+        self._basis = self._rows = self._index = self._witness_cache = self._setup = None
         if idempotents:
             mul = ring.mul_table
             self.count = math.prod(q ** q for q in (len(set(mul[e])) for e in idempotents))
@@ -342,36 +347,38 @@ class PolyFunctionSet:
 
     def lookup(self, table) -> tuple[str, Polynomial | None]:
         """('present', witness) or ('absent', None)."""
+        view = _table_view(self.ring, table)
         if self.idempotents:
-            view = _table_view(self.ring, table)
             if not self._induced(view):
                 return "absent", None
             return "present", self._interpolate(view)
-        values = _table_values(self.ring, table)
         if self.count <= INDEX_LIMIT and self.ring.order <= 256:  # bytes keys need values < 256
-            idx = self._table_index().get(bytes(values))
+            idx = self._table_index().get(view)
             if idx is None:
                 return "absent", None
-            return "present", _stripped(self.ring, self.witnesses[idx].tolist())
+            witness = self._witness_cache[idx]
+            if witness is None:
+                witness = self._witness_cache[idx] = _witness(self.ring,
+                                                              self.witnesses[idx].tolist())
+            return "present", witness
         parts, moduli, (columns, shifts, inverses, orders), _ = self._lattice_basis()
-        syndrome = parts[np.arange(len(values)), values].sum(axis=0)
+        syndrome = parts[np.arange(len(view)), _view_array(view)].sum(axis=0)
         if (syndrome % moduli).any():
             return "absent", None
         z = syndrome[columns] // shifts * inverses % orders
         rows, _, times, add = self._witness_rows()
-        return "present", _stripped(self.ring, _ring_sum(add, times[z[:, None], rows]).tolist())
+        return "present", _witness(self.ring, _ring_sum(add, times[z[:, None], rows]).tolist())
 
     def contains(self, table) -> bool:
         """Whether the table is induced, building no witness: from the index
         once a lookup has built it, and from the lattice syndrome before."""
+        view = _table_view(self.ring, table)
         if self.idempotents:
-            view = _table_view(self.ring, table)
             return self.field_mode or self._induced(view)
-        values = _table_values(self.ring, table)
         if self._index is not None:
-            return bytes(values) in self._index
+            return view in self._index
         parts, moduli = self._lattice_basis()[:2]
-        return not (parts[np.arange(len(values)), values].sum(axis=0) % moduli).any()
+        return not (parts[np.arange(len(view)), _view_array(view)].sum(axis=0) % moduli).any()
 
     def _lattice_basis(self) -> tuple:
         """G as the direct sum of the cyclic groups <g_a>, one per pivot of
@@ -424,14 +431,23 @@ class PolyFunctionSet:
         return np.split(both, [self.ring.order], axis=1)
 
     def _table_index(self) -> dict[bytes, int]:
-        """The bytes of every table mapped to its row, built once per set."""
+        """The bytes of every table mapped to its row, built once per set,
+        with one empty witness slot per row for ``lookup`` to fill.  The
+        witness rows are checked here, once, to hold only element indices
+        (InternalInvariantError otherwise), so no witness built from them
+        is checked again."""
         if self._index is None:
+            n = self.ring.order
             self.tables, self.witnesses = self._enumerate()
-            keys = self.tables.view(np.dtype((np.void, self.ring.order))).ravel().tolist()
+            if self.witnesses.max(initial=0) >= n:  # unsigned, so never negative
+                raise InternalInvariantError(f"{self.ring.label}: an index witness row "
+                                             f"leaves range({n})")
+            keys = self.tables.view(np.dtype((np.void, n))).ravel().tolist()
             self._index = dict(zip(keys, count()))
             if len(self._index) != self.count:
                 raise InternalInvariantError(f"{self.ring.label}: the lattice basis spans "
                                              f"{len(self._index)} tables, not {self.count}")
+            self._witness_cache = [None] * self.count
         return self._index
 
     def _interpolate(self, view: bytes | array) -> Polynomial:
@@ -455,8 +471,7 @@ class PolyFunctionSet:
         2^24 on every ring of order at most 256.
         """
         L, Y, moduli, weights, decode = self._interpolation_setup()
-        values = np.frombuffer(view, np.uint8 if type(view) is bytes else np.uint16)
-        x = L.take(values, axis=0).reshape(Y.shape[1], -1)
+        x = L.take(_view_array(view), axis=0).reshape(Y.shape[1], -1)
         keys = (Y.dot(x).astype(np.intp) % moduli).dot(weights)
         return _witness(self.ring, decode[keys].tolist())
 

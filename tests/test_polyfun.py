@@ -423,12 +423,17 @@ def test_interpolation_setup_is_built_once_per_set(monkeypatch):
     assert calls == [field]
 
 
-# --- the analytic kernel: each table validated once, each witness built once --
+# --- every engine: each table validated once, each witness built once --------
 
 _z257 = make_zn(257)  # its tables are read as unsigned shorts
+_t2f2 = upper_triangular_f2()
 _KERNEL_RINGS = {"GF(4)": lambda: realize(parse_ring_spec("GF(4)")),
                  "Z/6": lambda: realize(parse_ring_spec("Z/6")),
-                 "Z/257": lambda: _z257}
+                 "Z/257": lambda: _z257,
+                 "Z/9": lambda: realize(parse_ring_spec("Z/9")),  # lattice rings: the index
+                 "T2(F2)": lambda: _t2f2,
+                 "Z/9 solve": lambda: realize(parse_ring_spec("Z/9"))}  # and the solve path
+_SOLVED = {"Z/9 solve"}  # looked up with INDEX_LIMIT at 0
 _OTHER_RING = make_zn(3)
 
 # Each input as a function of the ring and a valid table t of it.
@@ -464,13 +469,15 @@ _KERNEL_INPUTS = {
 
 
 def _kernel_table(ring, name):
-    """Input ``name`` on ``ring``, around a valid table that is induced on a
-    product of fields (F = sum_e e * G(e * x))."""
+    """Input ``name`` on ``ring``, around a valid table that is induced: on a
+    product of fields F = sum_e e * G(e * x), and on any other ring the
+    table of a polynomial."""
     n = ring.order
     rng = random.Random(n)
     g = [rng.randrange(n) for _ in range(n)]
-    valid = [0] * n
-    for e in polynomial_function_set(ring).idempotents:
+    idempotents = polynomial_function_set(ring).idempotents
+    valid = [0] * n if idempotents else list(function_table(poly_from(ring, g)).values)
+    for e in idempotents:
         for x in range(n):
             valid[x] = ring.add(valid[x], ring.mul(e, g[ring.mul(e, x)]))
     return _KERNEL_INPUTS[name](ring, valid)
@@ -496,22 +503,40 @@ def _answer(call):
 
 @pytest.mark.parametrize("name", list(_KERNEL_INPUTS))
 @pytest.mark.parametrize("spec", list(_KERNEL_RINGS))
-def test_kernel_entry_points_read_every_input_as_the_slow_path_does(spec, name):
+def test_kernel_entry_points_read_every_input_as_the_slow_path_does(monkeypatch, spec, name):
+    # on a product of fields a witness is the closed form; on any other
+    # ring it is compared by the table it induces, with coset growth deciding
     ring = _KERNEL_RINGS[spec]()
+    if spec in _SOLVED:
+        set_index_limit(monkeypatch, 0)
     pset = polynomial_function_set(ring)
     n, idempotents = ring.order, pset.idempotents
-
-    def induced(values):
-        return all(ring.mul(e, values[x]) == ring.mul(e, values[ring.mul(e, x)])
-                   for e in idempotents for x in range(n))
-
-    def looked_up(values):
-        if not induced(values):
-            return "absent", None
-        return "present", closed_form_interpolant(ring, idempotents, values)
-
     table = lambda: _kernel_table(ring, name)
-    assert _answer(lambda: pset.lookup(table())) == _slow_path_answer(ring, name, looked_up)
+    if idempotents:
+        def induced(values):
+            return all(ring.mul(e, values[x]) == ring.mul(e, values[ring.mul(e, x)])
+                       for e in idempotents for x in range(n))
+
+        def looked_up(values):
+            if not induced(values):
+                return "absent", None
+            return "present", closed_form_interpolant(ring, idempotents, values)
+
+        lookup = lambda: pset.lookup(table())
+    else:
+        closure = coset_growth(ring)
+        pset.lookup(_kernel_table(ring, "tuple"))  # builds the index, unless solving
+        assert (pset.tables is None) == (spec in _SOLVED)
+        induced = closure.contains
+
+        def looked_up(values):
+            return ("present", values) if induced(values) else ("absent", None)
+
+        def lookup():
+            status, witness = pset.lookup(table())
+            return status, None if witness is None else function_table(witness).values
+
+    assert _answer(lookup) == _slow_path_answer(ring, name, looked_up)
     assert _answer(lambda: pset.contains(table())) == _slow_path_answer(ring, name, induced)
     if pset.field_mode:
         assert _answer(lambda: interpolate_field(ring, table())) == _slow_path_answer(
@@ -526,10 +551,14 @@ def test_a_tuple_or_list_is_validated_once_and_no_witness_is_checked(monkeypatch
     # _table_values once; the witness's coefficients are never re-checked
     calls = []
     indices = polyfun._indices
+    gf8, z30, z9 = (realize(parse_ring_spec(spec)) for spec in ("GF(8)", "Z/30", "Z/9"))
     monkeypatch.setattr(polyfun, "_indices", lambda *args: calls.append(args[2]) or indices(*args))
-    for ring in (realize(parse_ring_spec("GF(8)")), realize(parse_ring_spec("Z/30")), _z257):
+    for ring, solve in ((gf8, False), (z30, False), (_z257, False), (z9, False),
+                        (_t2f2, False), (z9, True)):
+        if solve:
+            set_index_limit(monkeypatch, 0)
         pset = polynomial_function_set(ring)
-        table = [ring.mul(e, 1) for e in range(ring.order)]  # x -> x
+        table = list(range(ring.order))  # x -> x
         for call in (pset.lookup, pset.contains):
             call(table)
             call(tuple(table))
@@ -538,6 +567,7 @@ def test_a_tuple_or_list_is_validated_once_and_no_witness_is_checked(monkeypatch
         assert calls == []
         pset.lookup(iter(table))
         assert calls == ["table values"]
+        assert (pset.tables is not None) == (not pset.idempotents and not solve)
         calls.clear()
 
 
@@ -552,6 +582,76 @@ def test_a_setup_whose_decode_leaves_the_ring_raises(monkeypatch):
     for ring in (make_zn(7), make_zn(6)):  # new rings, so new sets
         with pytest.raises(core.InternalInvariantError, match="decode table leaves range"):
             polynomial_function_set(ring).lookup(tuple(range(ring.order)))
+
+
+def test_an_index_whose_witness_row_leaves_the_ring_raises(monkeypatch):
+    # the index's witness rows are checked once, when it is built
+    def stray(self):
+        tables, witnesses = enumerate_tables(self)
+        witnesses = witnesses.copy()
+        witnesses[-1, 0] = self.ring.order
+        return tables, witnesses
+
+    enumerate_tables = polyfun.PolyFunctionSet._enumerate
+    monkeypatch.setattr(polyfun.PolyFunctionSet, "_enumerate", stray)
+    for ring in (make_zn(9), upper_triangular_f2()):  # new rings, so new sets
+        with pytest.raises(core.InternalInvariantError, match="witness row leaves range"):
+            polynomial_function_set(ring).lookup(tuple(range(ring.order)))
+
+
+def test_the_solve_path_reads_a_ring_above_order_256():
+    # Z/264 = Z/8 x Z/3 x Z/11 is solved, its tables read as unsigned shorts;
+    # moving F(0) by 1 moves it off F(4) modulo 4, which no polynomial does
+    ring = make_zn(264)
+    pset = polynomial_function_set(ring)
+    rng = random.Random(264)
+    for _ in range(3):
+        table = function_table(poly_from(ring, [rng.randrange(264) for _ in range(5)])).values
+        status, witness = pset.lookup(list(table))
+        assert status == "present" and function_table(witness).values == table
+        assert pset.contains(table)
+        moved = (ring.add(table[0], 1), *table[1:])
+        assert pset.lookup(moved) == ("absent", None) and not pset.contains(list(moved))
+    assert pset.tables is None
+
+
+# --- the index: each row's witness built once and shared ---------------------
+
+@pytest.mark.parametrize("spec", ["Z/9", "T2(F2)", "Z/12"])
+def test_an_index_hit_returns_its_rows_cached_witness(spec):
+    ring = _t2f2 if spec == "T2(F2)" else realize(parse_ring_spec(spec))
+    pset = polynomial_function_set(ring)
+    rng = random.Random(ring.order)
+    closure = coset_growth(ring)
+    for row in rng.sample(closure.tables.tolist(), 20):
+        status, witness = pset.lookup(tuple(row))
+        assert status == "present" and pset.lookup(row)[1] is witness
+        checked = Polynomial(ring, tuple(pset.witnesses[pset._index[bytes(row)]].tolist()))
+        assert witness == checked.stripped() and function_table(witness).values == tuple(row)
+
+
+def test_every_row_of_z12_keeps_at_most_one_cached_witness():
+    ring = realize(parse_ring_spec("Z/12"))
+    pset = polynomial_function_set(ring)
+    rows = coset_growth(ring).tables.tolist()
+    first = [pset.lookup(tuple(row))[1] for row in rows]
+    second = [pset.lookup(row)[1] for row in rows]
+    assert len(pset._witness_cache) == len(rows) == pset.count
+    assert all(a is b for a, b in zip(first, second))
+    assert len({id(w) for w in pset._witness_cache}) == pset.count
+    assert {id(w) for w in pset._witness_cache} == {id(w) for w in first}
+
+
+def test_a_new_set_builds_fresh_witnesses():
+    ring = realize(parse_ring_spec("Z/9"))
+    table = tuple(range(ring.order))
+    witness = polynomial_function_set(ring).lookup(table)[1]
+    polynomial_function_set.cache_clear()
+    pset = polynomial_function_set(ring)
+    assert pset._witness_cache is None
+    fresh = pset.lookup(table)[1]
+    assert fresh == witness and fresh is not witness
+    assert pset.lookup(table)[1] is fresh
 
 
 @pytest.mark.parametrize("field", [_z257, make_zn(251)], ids=lambda field: field.label)
