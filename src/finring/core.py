@@ -93,6 +93,23 @@ def binary_power(op: Callable, x, k: int):
         x = op(x, x)
 
 
+def _factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime powers of n as (p, e) pairs, p ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteRing:
     """A finite ring given by its addition and multiplication tables.
@@ -526,9 +543,9 @@ def analyze(ring: FiniteRing) -> RingInvariants:
         characteristic = math.lcm(*(element_additive_order(ring, a) for a in range(n))) if n > 1 else 1
 
     idempotents = SubsetMask.from_indices(ring, (a for a in range(n) if mul[a][a] == a))
-    nilp = [a for a in range(n) if element_nilpotency_index(ring, a) is not None]
+    nilp = {a: k for a in range(n) if (k := element_nilpotency_index(ring, a)) is not None}
     nilpotents = SubsetMask.from_indices(ring, nilp)
-    nilpotency_index = max(element_nilpotency_index(ring, a) for a in nilp)
+    nilpotency_index = max(nilp.values())
 
     units = unit_exp = radical = is_local = residue_order = None
     is_field = False

@@ -18,6 +18,11 @@ each field's closed form inside R.  That sum is linear in the additive
 coordinates of R, so after a setup kept on the set each interpolant is
 one gather, one matrix product and one decode.
 
+Both engines read one additive coordinate map per ring (``_coordinates``,
+in the ring's store): R as a direct sum of cyclic groups Z/p^e, with
+each element's digits and a decode table back, so that any ring sum is
+an integer sum of digits reduced mod p^e.
+
 Any other ring is answered by one elimination per prime, of G as a
 Z/p^s-lattice (``_lattice``).  Untracked, it counts G without building a
 table (``function_count``).  Tracked, it writes G as a direct sum of cyclic
@@ -35,7 +40,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -44,8 +49,10 @@ from .core import (
     InternalInvariantError,
     SubsetMask,
     UnsupportedStructureError,
+    _factorize,
     analyze,
     binary_power,
+    per_ring,
     primitive_idempotents,
 )
 
@@ -323,8 +330,8 @@ class PolyFunctionSet:
     On every engine, ``lookup`` and ``contains`` validate a table once,
     into the view that each step reads (``_table_view``), and build each
     witness without checking its coefficients again (``_witness``): the
-    index rows, the decode table and the ring's addition table hold only
-    element indices.
+    index rows and the coordinate map's decode table hold only element
+    indices.
 
     ``complete`` is always True; it stays for readers of earlier releases.
     """
@@ -366,8 +373,9 @@ class PolyFunctionSet:
         if (syndrome % moduli).any():
             return "absent", None
         z = syndrome[columns] // shifts * inverses % orders
-        rows, _, times, add = self._witness_rows()
-        return "present", _witness(self.ring, _ring_sum(add, times[z[:, None], rows]).tolist())
+        digits = np.tensordot(z, self._witness_rows()[2], 1)  # of sum_a z_a * row_a
+        coeffs = per_ring(self.ring, _coordinates).element(digits)
+        return "present", _witness(self.ring, coeffs.tolist())
 
     def contains(self, table) -> bool:
         """Whether the table is induced, building no witness: from the index
@@ -397,30 +405,26 @@ class PolyFunctionSet:
             self._basis = _lattice(self.ring, track=True)[1]
         return self._basis
 
-    def _witness_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Each g_a's coefficient row and table, ``times[c, y]`` = c*y, and
-        the addition table; built on the first lookup."""
+    def _witness_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each g_a's coefficient row and table, decoded from integer sums
+        of coordinates (``_coordinates``), and the row's reduced digits for
+        the solve path to sum; built on the first lookup."""
         if self._rows is None:
-            n = self.ring.order
-            add = self.ring.add_array
-            times = np.zeros((n, n), dtype=np.intp)
-            for c in range(1, n):
-                times[c] = add[times[c - 1], np.arange(n)]
+            coords = per_ring(self.ring, _coordinates)
             generators = self._lattice_basis()[3]
-            rows = np.concatenate([  # sum over i of U_a[k, i] * b_i
-                _ring_sum(add, np.moveaxis(times[u.reshape(len(u), -1, len(b)), b], 2, 0))
-                for b, u, _ in generators])
-            tables = np.concatenate([  # sum over generators g of U_a[g] * table_g
-                _ring_sum(add, np.moveaxis(times[u[:, :, None], gens], 1, 0))
-                for _, u, gens in generators])
-            self._rows = rows, tables, times, add
+            row_digits = np.concatenate([  # sum over i of U_a[k, i] * b_i
+                np.einsum("aki,ir->akr", u.reshape(len(u), -1, len(b)), coords.digits[b])
+                for b, u, _ in generators]) % coords.moduli
+            tables = coords.element(np.concatenate([  # sum over g of U_a[g] * table_g
+                np.einsum("ag,gxr->axr", u, coords.digits[gens]) for _, u, gens in generators]))
+            self._rows = coords.element(row_digits), tables, row_digits
         return self._rows
 
     def _enumerate(self) -> tuple[np.ndarray, np.ndarray]:
         """Every table of G and a witness row for each: the sums of z_a * g_a
         over 0 <= z_a < orders[a], in mixed radix."""
-        rows, row_tables, _, add = self._witness_rows()
-        add = add.astype(np.min_scalar_type(self.ring.order - 1))
+        rows, row_tables, _ = self._witness_rows()
+        add = self.ring.add_array.astype(np.min_scalar_type(self.ring.order - 1))
         both = np.zeros((1, self.ring.order + rows.shape[1]), dtype=add.dtype)  # table | row
         orders = self._lattice_basis()[2][3]
         for g, order in zip(np.concatenate((row_tables, rows), axis=1), orders):
@@ -455,18 +459,19 @@ class PolyFunctionSet:
         product of fields, with c_0 = F(0).  F is read only from
         ``_table_view``'s validated view, and the witness is made without
         checking its coefficients again (``_witness``): each is an entry of
-        ``decode``, which the setup checked once.
+        ``decode``, which the coordinate map checked once.
 
         On the field eR of order q, c_j = -sum_{a in eR} F(a) a^(q-1-j) for
         1 <= j < q, with a^0 = e, since a^k lies in eR and in characteristic
-        p every C(q-1, j) is (-1)^j; R's c_j sums these over e.  In additive
-        coordinates (``_field_coordinates``) with basis b, coord_l(F(a) a^k)
-        = sum_i coord_i(a^k) L[F(a), (i, l)], where L[y, (i, l)] =
-        coord_l(y b_i), so all the sums are one product Y @ X of
-        Y[j, (a, i)] = coord_i(a^(q-1-j)) and X = L[F(x)] over every x of R,
-        taken mod p per coordinate, whose mixed-radix key ``decode`` maps to
-        the negated element.  Row 0 of Y holds coord(-1) at x = 0, so it
-        gives c_0 = F(0) the same way.  The product is exact: with r
+        p every C(q-1, j) is (-1)^j; R's c_j sums these over e.  In the
+        ring's additive coordinates (``_coordinates``, mod p on a product of
+        fields) with basis b, coord_l(-F(a) a^k) = sum_i coord_i(a^k)
+        L[F(a), (i, l)], where L[y, (i, l)] = coord_l(-y b_i), so all the
+        sums are one product Y @ X of Y[j, (a, i)] = coord_i(a^(q-1-j)) and
+        X = L[F(x)] over every x of R, taken mod p per coordinate, whose
+        mixed-radix key ``decode`` maps back to an element.
+        Row 0 of Y holds coord(-1) at x = 0, so it gives c_0 = F(0) the
+        same way.  The product is exact: with r
         coordinates its partial sums are integers below n r (p-1)^2, under
         2^24 on every ring of order at most 256.
         """
@@ -477,8 +482,8 @@ class PolyFunctionSet:
 
     def _interpolation_setup(self) -> tuple:
         """``_interpolate``'s fixed factors, built on its first call and kept
-        on the set: L, Y, the coordinate moduli and mixed-radix weights, and
-        the decode table, checked here to hold only element indices.
+        on the set: L, Y, and the moduli, weights and decode table of the
+        ring's coordinate map.
 
         Powers are filled by block doubling, a^(k+j) = a^k a^j, in log2(q)
         gathers; the columns of a point a of eR list the coordinates of
@@ -492,15 +497,8 @@ class PolyFunctionSet:
             ring, n = self.ring, self.ring.order
             mul = ring.mul_table
             fields = [[x for x in range(n) if mul[e][x] == x] for e in self.idempotents]
-            basis, moduli, key = _field_coordinates(ring, fields)
-            weights = np.cumprod([1, *moduli[:-1]])
-            key = np.array(key)
-            coords = key[:, None] // weights % moduli
-            decode = np.full(n, n, dtype=np.intp)  # n stays where no element is keyed
-            decode[key] = ring.neg_table
-            if decode.max() >= n:
-                raise InternalInvariantError(f"{ring.label}: the interpolation's decode table "
-                                             f"leaves range({n})")
+            coordinates = per_ring(ring, _coordinates)
+            basis, moduli, coords = coordinates.basis, coordinates.moduli, coordinates.digits
             sizes = [len(field) for field in fields]
             points, top = np.concatenate(fields), max(sizes)
             small = ring.mul_array.astype(np.min_scalar_type(n - 1))
@@ -519,58 +517,15 @@ class PolyFunctionSet:
                 index[q - 1, 0] = ring.add(int(index[q - 1, 0]), e)  # 0^0 = e, 0^k = 0
                 start += q
             index[0, 0] = ring.neg_table[ring.unity]
-            dtype = np.float32 if n * len(basis) * (max(moduli) - 1) ** 2 < 1 << 24 else float
+            dtype = np.float32 if n * len(basis) * (moduli.max() - 1) ** 2 < 1 << 24 else float
             Y = np.take(coords.astype(dtype), index, axis=0)
-            L = coords[small[:, basis]].reshape(n, -1).astype(dtype)
-            self._setup = L, Y.reshape(top, -1), np.array(moduli), weights, decode
+            L = coords[small[:, basis][list(ring.neg_table)]].reshape(n, -1).astype(dtype)
+            self._setup = L, Y.reshape(top, -1), moduli, coordinates.weights, coordinates.decode
         return self._setup
 
     def _induced(self, values: bytes | array) -> bool:
         """e*F(x) = e*F(e*x) for every idempotent e and every x."""
         return all(project[values[x]] == project[values[ex]] for project, x, ex in self._pairs)
-
-
-def _ring_sum(add: np.ndarray, terms) -> np.ndarray:
-    """The elementwise ring sum of the arrays in ``terms`` (at least one)."""
-    acc, *rest = terms
-    for term in rest:
-        acc = add[acc, term]
-    return acc
-
-
-def _field_coordinates(ring: FiniteRing, fields: list[list[int]]
-                       ) -> tuple[list[int], list[int], list[int]]:
-    """Additive coordinates on a product of the fields eR whose elements
-    ``fields`` lists: a basis b_i of R, the prime p_i = ord(b_i), and
-    key[x] = sum_i c_i * w_i for x = sum_i c_i * b_i (0 <= c_i < p_i), with
-    w_i = p_1 * ... * p_(i-1).
-
-    Each b_i is the least element of some eR outside the span S so far.  It
-    has the prime order of eR's characteristic, so S + <b_i> is direct, and
-    z + c*b_i for z in S is keyed key[z] + c*w_i: every element is keyed
-    once, in O(n) reads of the addition table.
-    """
-    add = ring.add_table
-    key = [0] + [None] * (ring.order - 1)
-    members, basis, moduli, weight = [0], [], [], 1
-    for field in fields:
-        for b in field:
-            if key[b] is not None:
-                continue
-            multiples = [b]  # c*b for 1 <= c < p
-            while (m := add[multiples[-1]][b]) != 0:
-                multiples.append(m)
-            grown = []
-            for c, cb in enumerate(multiples, 1):
-                row, shift = add[cb], c * weight
-                for z in members:
-                    key[row[z]] = key[z] + shift
-                    grown.append(row[z])
-            members += grown
-            basis.append(b)
-            moduli.append(len(multiples) + 1)
-            weight *= len(multiples) + 1
-    return basis, moduli, key
 
 
 def polynomial_function_set(ring: FiniteRing) -> PolyFunctionSet:
@@ -615,13 +570,14 @@ def _lattice(ring: FiniteRing, track: bool = False) -> tuple[int, tuple | None]:
     G is the Z-span of the constants b and the tables b * x^k
     (k = 1..t+p-1) for b in an additive basis of R, since a * x^k is
     additive in a; noncommutative and non-unital rings need nothing extra.
-    Per prime p, ``_p_basis`` embeds the p-part R_p in (Z/p^s)^r, so the
-    generators' tables for a basis of R_p become the rows of a matrix M over
-    Z/p^s.  Each step pivots on an entry of least valuation v among all
-    rows, which divides every other entry of its column and row; clearing
-    the column leaves a summand Z/p^(s-v), so |G_p| = prod p^(s - v) over
-    the pivots (Storjohann and Mulders, "Fast algorithms for linear algebra
-    modulo N", ESA 1998).
+    Per prime p, the ring's coordinates (``_coordinates``) embed the p-part
+    R_p in (Z/p^s)^r, with b_i's coordinate c_i scaled to c_i * p^(s - e_i),
+    so the generators' tables for the basis b of R_p become the rows of a
+    matrix M over Z/p^s.  Each step pivots on an entry of least valuation v
+    among all rows, which divides every other entry of its column and row;
+    clearing the column leaves a summand Z/p^(s-v), so |G_p| = prod p^(s - v)
+    over the pivots (Storjohann and Mulders, "Fast algorithms for linear
+    algebra modulo N", ESA 1998).
 
     Tracking records the pivot rows g_a as combinations U_a of the
     generators, and clears each pivot's row too by column operations
@@ -630,26 +586,24 @@ def _lattice(ring: FiniteRing, track: bool = False) -> tuple[int, tuple | None]:
     is then in the row span of M iff (w*V)_j = 0 mod p^v_j for every column
     j, with v_j = s where no pivot fell, and w = sum_a z_a * g_a with
     z_a = (w*V)_j / p^v * u^-1 mod p^(s-v).  A table F is in G iff for each
-    p its p-part e_p * F passes (``_p_basis`` maps each value to its
-    p-part); without that projection a ring such as Z/12 would test its
-    3-part against the 2-part's lattice.
+    p its p-part e_p * F passes (the embedding reads a value's digits on
+    R_p, which are its p-part's); without that projection a ring such as
+    Z/12 would test its 3-part against the 2-part's lattice.
     """
     n = ring.order
-    add, mul = ring.add_array, ring.mul_array
+    mul = ring.mul_array
+    coords = per_ring(ring, _coordinates)
     t, period = power_stabilization(ring)
     powers = np.empty((t + period, n), dtype=np.intp)  # x^0 is never read
     powers[1] = np.arange(n)
     for k in range(2, t + period):
         powers[k] = mul[powers[k - 1], powers[1]]
-    total, rest, offset = 1, n, 0
+    total, offset = 1, 0
     parts, moduli, pivots, generators = [], [], [], []
-    for p in range(2, n + 1):
-        if rest % p:  # smaller primes are divided out, so p | rest means p is prime
-            continue
-        while rest % p == 0:
-            rest //= p
-        basis, s, embed = _p_basis(add, p)
-        q, r = p ** s, len(basis)
+    for p, s, cols in coords.primes:
+        basis, q = coords.basis[cols], p ** s
+        embed = coords.digits[:, cols] * (q // coords.moduli[cols])
+        r = len(basis)
         # row k*r + i is the table of b_i * x^k, and of the constant b_i at k = 0
         gens = np.concatenate((np.repeat(basis[:, None], n, axis=1),
                                mul[basis[:, None], powers[1:, None]].reshape(-1, n)))
@@ -696,57 +650,100 @@ def _lattice(ring: FiniteRing, track: bool = False) -> tuple[int, tuple | None]:
                    np.array(pivots).T, generators)
 
 
-def _p_basis(add: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """A basis b_1, b_2, ... of the p-part R_p of (R, +) with orders
-    p^e_1 >= p^e_2 >= ..., s = e_1, and the additive map R -> (Z/p^s)^r
-    that embeds R_p: row z = sum c_i * b_i of R_p holds the c_i * p^(s - e_i),
-    and any other row z that of its p-part e_p * z, where e_p = 1 mod |R_p|
-    and e_p = 0 mod n/|R_p|.
+# ---------------------------------------------------------------------------
+# the additive coordinate map
+# ---------------------------------------------------------------------------
 
-    Each b is an element x of largest order p^e modulo the span S so far,
-    lifted: p^e * x = sum c_i * b_i with every c_i divisible by p^e, because
-    each b_i was chosen of largest order, so b = x - sum (c_i / p^e) * b_i
-    has order p^e and S + <b> is direct, grown from S in one gather over
-    the multiples j * b, 1 <= j < p^e.
+class _Coordinates(NamedTuple):
+    """(R, +) as the direct sum of cyclic groups <b_i> of orders p^e_i
+    (``moduli``): x = sum_i c_i * b_i (0 <= c_i < p^e_i) has ``digits[x]`` = c
+    and the mixed-radix key c . ``weights``, which ``decode`` maps back to
+    x.  ``primes`` lists each prime p of |R| with the largest exponent s of
+    its orders and the columns of its basis, which spans the p-part R_p.
     """
-    n = len(add)
-    elements = np.arange(n)
 
-    def times(k: int) -> np.ndarray:
-        """k * x for every element x, by doubling."""
-        return binary_power(lambda a, b: add[a, b], elements, k)
+    basis: np.ndarray
+    moduli: np.ndarray
+    weights: np.ndarray
+    digits: np.ndarray
+    decode: np.ndarray
+    primes: tuple[tuple[int, int, slice], ...]
 
-    p_order = 1
-    while n % (p_order * p) == 0:
-        p_order *= p
-    part = np.flatnonzero(times(p_order) == 0)
-    times_p = times(p)
-    inside = elements == 0
-    embed = np.zeros((n, len(part).bit_length()), dtype=np.intp)
-    basis = np.zeros(embed.shape[1], dtype=np.intp)
-    r = s = 0
-    while not inside[part].all():
-        # order[i] = e with p^e * part[i] the first multiple in S, at w[i]
-        order, w = np.zeros(len(part), dtype=np.intp), part
-        while (outside := ~inside[w]).any():
-            order += outside
-            w = np.where(outside, times_p[w], w)
-        i = int(order.argmax())
-        e = int(order[i])
-        s = s or e
-        lift = np.flatnonzero(inside & (embed == embed[w[i]] // p ** e).all(axis=1))[0]
-        basis[r] = np.flatnonzero(add[:, lift] == part[i])[0]  # b + lift = x
-        members, column = np.flatnonzero(inside), add[:, basis[r]].tolist()
-        multiples = [column[0]]  # j * b for 1 <= j < p^e
-        while len(multiples) < p ** e - 1:
-            multiples.append(column[multiples[-1]])
-        grown = add[members, np.array(multiples)[:, None]]  # grown[j - 1]: S + j * b
-        embed[grown] = embed[members]
-        embed[grown, r] = (np.arange(1, p ** e) * p ** (s - e))[:, None]
-        inside[grown] = True
-        r += 1
-    cofactor = n // p_order
-    return basis[:r], s, embed[times(cofactor * pow(cofactor, -1, p_order)), :r]
+    def element(self, digits: np.ndarray) -> np.ndarray:
+        """The elements with these integer digits (last axis) mod the moduli,
+        so a ring sum is an integer sum of digits."""
+        return self.decode[(digits % self.moduli).dot(self.weights)]
+
+
+def _coordinates(ring: FiniteRing) -> _Coordinates:
+    """The ring's additive coordinates (``_additive_basis``), built once per
+    ring through ``per_ring``; the decode table is checked here, once, to be
+    a permutation of range(n) (InternalInvariantError otherwise), so every
+    element decoded from it is an element index."""
+    n = ring.order
+    basis, moduli, primes, decode = _additive_basis(ring)
+    if len(decode) != n or len(set(decode)) != n:  # its entries are elements
+        raise InternalInvariantError(f"{ring.label}: the coordinate decode table is not a "
+                                     f"permutation of range({n})")
+    weights = np.array([math.prod(moduli[:i]) for i in range(len(moduli))], dtype=np.intp)
+    moduli, decode = np.array(moduli, dtype=np.intp), np.array(decode)
+    return _Coordinates(np.array(basis, dtype=np.intp), moduli, weights,
+                        decode.argsort()[:, None] // weights % moduli, decode, primes)
+
+
+def _additive_basis(ring: FiniteRing) -> tuple[list[int], list[int], tuple, list[int]]:
+    """A basis b_i of (R, +) with the orders p^e_i, prime by prime in
+    ascending order and p^e_1 >= p^e_2 >= ... per prime, each prime's s and
+    columns, and the decode table of the mixed-radix keys (``_Coordinates``).
+
+    Per prime p, each b is the least element x of R_p of largest order p^e
+    modulo the span S of the b so far, lifted: p^e * x = sum c_i * b_i with
+    every c_i divisible by p^e, because each b_i was chosen of largest
+    order, so b = x - sum (c_i / p^e) * b_i has order p^e and S + <b> is
+    direct.  No order modulo S exceeds the last one, nor the first the
+    p-part p^s of the characteristic (the exponent of (R, +)), so a scan
+    stops at the first x that reaches it: on a field, the least x outside
+    S.  An x outside R_p never reaches S, whose keys on R_p are the
+    multiples of p's first weight.  z + j * b, for z in S and 1 <= j < p^e,
+    has the key of z plus j times b's weight: ``decode`` grows by one block
+    of |S| elements per multiple j * b, in O(n) reads in all.
+    """
+    n, add, neg = ring.order, ring.add_table, ring.neg_table
+    characteristic = analyze(ring).characteristic
+    plus = lambda u, v: add[u][v]
+    key = [0] + [None] * (n - 1)
+    decode, basis, moduli, primes = [0], [], [], []
+    for p, a in _factorize(n):
+        start, low = len(decode), len(basis)  # p's first weight and column
+        s = bound = dict(_factorize(characteristic))[p]
+        while len(decode) < start * p ** a:
+            best = None
+            for x in range(n):
+                if key[x] is not None:
+                    continue
+                w, e = binary_power(plus, x, p), 1  # w = p^e * x
+                while (key[w] is None or key[w] % start) and e < bound:
+                    w, e = binary_power(plus, w, p), e + 1
+                if key[w] is None or key[w] % start:
+                    continue  # x is not in R_p
+                if best is None or e > best[1]:
+                    best = x, e, w
+                    if e == bound:
+                        break
+            x, bound, w = best
+            lift, weight = 0, start  # the key of sum (c_i / p^e) * b_i
+            for m in moduli[low:]:
+                lift += key[w] // weight % m // p ** bound * weight
+                weight *= m
+            b, size = add[x][neg[decode[lift]]], len(decode)
+            decode += [0] * (size * (p ** bound - 1))
+            for k in range(size, len(decode)):  # (z + (j - 1) * b) + b, keyed size on
+                decode[k] = add[decode[k - size]][b]
+                key[decode[k]] = k
+            basis.append(b)
+            moduli.append(p ** bound)
+        primes.append((p, s, slice(low, len(basis))))
+    return basis, moduli, tuple(primes), decode
 
 
 polynomial_function_set.cache_info = _function_set.cache_info

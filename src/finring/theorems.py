@@ -58,6 +58,7 @@ from .core import (
     RingInvariants,
     SubsetMask,
     UnsupportedStructureError,
+    _factorize,
     analyze,
     binary_power,
     element_nilpotency_index,
@@ -176,26 +177,6 @@ def _require(ring: FiniteRing, name: str) -> RingInvariants:
     if not _REQUIREMENTS[name](inv):
         raise UnsupportedStructureError(f"{ring.label} is not {name}")
     return inv
-
-
-# ---------------------------------------------------------------------------
-# small number-theory helpers
-# ---------------------------------------------------------------------------
-
-def _factorize(n: int) -> tuple[tuple[int, int], ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

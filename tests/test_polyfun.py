@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from itertools import product
 
@@ -49,6 +50,7 @@ from conftest import (
     coset_growth,
     crt_interpolate,
     lagrange_interpolate,
+    m2f2,
     relabelled,
     row_matrices_f2,
     schoolbook_eval,
@@ -407,20 +409,21 @@ def test_interpolation_beyond_float32_sums_stays_exact():
 def test_interpolation_setup_is_built_once_per_set(monkeypatch):
     calls = []
 
-    def counted(ring, fields):
+    def counted(ring):
         calls.append(ring)
-        return coordinates(ring, fields)
+        return coordinates(ring)
 
-    coordinates = polyfun._field_coordinates
-    monkeypatch.setattr(polyfun, "_field_coordinates", counted)
+    coordinates = polyfun._coordinates
+    monkeypatch.setattr(polyfun, "_coordinates", counted)
     field = make_zn(11)  # a new ring, so a new function set
     pset = polynomial_function_set(field)
     assert pset.count == 11 ** 11
     assert pset.contains(tuple(range(11)))
     assert calls == [] and pset._setup is None
     assert interpolate_field(field, tuple(range(11))).coeffs == (0, 1)
+    setup = pset._setup
     assert pset.lookup((3,) * 11) == ("present", Polynomial(field, (3,)))
-    assert calls == [field]
+    assert calls == [field] and pset._setup is setup
 
 
 # --- every engine: each table validated once, each witness built once --------
@@ -572,16 +575,17 @@ def test_a_tuple_or_list_is_validated_once_and_no_witness_is_checked(monkeypatch
 
 
 def test_a_setup_whose_decode_leaves_the_ring_raises(monkeypatch):
-    # two elements given one key leave a key that decodes to no element
-    def collided(ring, fields):
-        basis, moduli, key = coordinates(ring, fields)
-        return basis, moduli, [*key[:-1], key[-2]]
+    # one element decoded from two keys leaves another decoded from none
+    def collided(ring):
+        basis, moduli, primes, decode = additive_basis(ring)
+        return basis, moduli, primes, [*decode[:-1], decode[-2]]
 
-    coordinates = polyfun._field_coordinates
-    monkeypatch.setattr(polyfun, "_field_coordinates", collided)
-    for ring in (make_zn(7), make_zn(6)):  # new rings, so new sets
-        with pytest.raises(core.InternalInvariantError, match="decode table leaves range"):
+    additive_basis = polyfun._additive_basis
+    monkeypatch.setattr(polyfun, "_additive_basis", collided)
+    for ring in (make_zn(7), make_zn(6), make_zn(9)):  # new rings, so new sets and maps
+        with pytest.raises(core.InternalInvariantError, match="decode table is not a permutation"):
             polynomial_function_set(ring).lookup(tuple(range(ring.order)))
+        assert polyfun._coordinates not in (ring.store or {})  # a failed build stores nothing
 
 
 def test_an_index_whose_witness_row_leaves_the_ring_raises(monkeypatch):
@@ -953,6 +957,85 @@ def test_products_of_fields_induce_no_nontrivial_indicator(spec):
     pset, closure = polynomial_function_set(ring), coset_growth(ring)
     assert not any(pset.contains(t) or closure.contains(t) for t in _nonconstant_indicators(ring))
     assert syndrome_supports(ring) == [0, (1 << ring.order) - 1]
+
+
+# --- the additive coordinate map against its defining properties ------------
+
+def assert_coordinates(ring) -> None:
+    """The ring's coordinate map, built afresh, checked against the addition
+    table alone: digits add mod the moduli, the key and the decode table
+    invert each other, each modulus is a prime power, their product is |R|,
+    each basis element has a unit vector of digits, and each prime's columns
+    hold its powers, largest first."""
+    coords, n = polyfun._coordinates(ring), ring.order
+    moduli = coords.moduli.tolist()
+    assert math.prod(moduli) == n
+    assert all(len(core._factorize(m)) == 1 for m in moduli)
+    digits = coords.digits
+    assert ((0 <= digits) & (digits < coords.moduli)).all()
+    sums = (digits[:, None] + digits[None, :]) % coords.moduli
+    assert np.array_equal(digits[ring.add_array], sums)
+    keys = digits @ coords.weights
+    assert np.array_equal(coords.decode[keys], np.arange(n))
+    assert np.array_equal(np.sort(keys), np.arange(n))
+    assert np.array_equal(digits[coords.basis], np.eye(len(moduli), dtype=digits.dtype))
+    assert [p for p, _, _ in coords.primes] == [p for p, _ in core._factorize(n)]
+    for p, s, cols in coords.primes:
+        powers = moduli[cols]
+        assert powers[0] == p ** s and powers == sorted(powers, reverse=True)
+        assert all(len(core._factorize(m)) == 1 and m % p == 0 for m in powers)
+
+
+@pytest.mark.parametrize("spec", [name for name, _ in standard_catalog(32)])
+def test_coordinates_on_the_catalog(spec):
+    assert_coordinates(realize(parse_ring_spec(spec)))
+
+
+@pytest.mark.parametrize("make", [upper_triangular_f2, m2f2, row_matrices_f2, skew_dual_f4,
+                                  lambda: make_zero_mul_ring(4), lambda: make_zn(264)],
+                         ids=["T2(F2)", "M2(F2)", "row-matrices", "skew-dual", "zero-mul", "Z/264"])
+def test_coordinates_on_noncommutative_nonunital_and_large_rings(make):
+    assert_coordinates(make())
+
+
+@settings(max_examples=25, deadline=None)
+@given(ring=small_rings())
+def test_coordinates_on_relabelled_rings(ring):
+    assert_coordinates(ring)
+
+
+@pytest.mark.parametrize("spec", ["Z/8 x Z/2", "Z/9 x Z/3", "Z/8 x Z/9 x Z/3"])
+def test_coordinates_lift_what_the_labels_put_first(spec):
+    # with these labels an element of largest order modulo the span, whose
+    # p-multiple is not 0, comes first, so only the lifted basis is direct
+    ring = realize(parse_ring_spec(spec))
+    for labels in (range(ring.order - 1, 0, -1),
+                   random.Random(0).sample(range(1, ring.order), ring.order - 1)):
+        assert_coordinates(relabelled(ring, list(labels)))
+
+
+def test_the_coordinate_map_is_built_once_per_ring(monkeypatch):
+    built = []
+
+    def counted(ring):
+        built.append(ring.label)
+        return coordinates(ring)
+
+    coordinates = polyfun._coordinates
+    monkeypatch.setattr(polyfun, "_coordinates", counted)
+    lattice, fields = make_zn(9), make_zn(6)  # new rings, so new sets and stores
+    table = function_table(poly_from(lattice, (1, 2, 3))).values
+    assert function_count(lattice) == 3 ** 9
+    assert built == ["Z/9"]
+    pset = polynomial_function_set(lattice)
+    assert pset.lookup(table)[0] == "present" and pset.tables is not None  # the index
+    set_index_limit(monkeypatch, 0)  # a new set, which solves
+    pset = polynomial_function_set(lattice)
+    assert pset.lookup(table)[0] == "present" and pset.tables is None
+    assert function_count(fields) == 2 ** 2 * 3 ** 3 and built == ["Z/9"]
+    for values in (tuple(range(6)), (1,) * 6):  # the same set interpolates both
+        assert polynomial_function_set(fields).lookup(values)[0] == "present"
+    assert built == ["Z/9", "Z/6"]
 
 
 # --- exact counts: the per-prime lattice against independent oracles ---------

@@ -1013,7 +1013,7 @@ def test_one_sweep_builds_each_store_entry_once_per_ring(tmp_path, capsys):
     assert all(count == 1 for store in stores for count in store.builds.values())
     built = set().union(*(store.builds for store in stores))
     assert built == {"_proper_left_ideal", "_unit_order_bound", "_units_indicator",
-                     "_residue_field", "_factor_residue_maps", "_lift_basis"}
+                     "_residue_field", "_factor_residue_maps", "_lift_basis", "_coordinates"}
 
 
 @pytest.mark.parametrize("spec", _COMM_LOCAL_32)
@@ -1034,16 +1034,17 @@ def test_p23ii_starts_from_the_p23i_bound(spec):
         check_unit_order_bound(ring).witness["exponent"]
 
 
-def test_a_ring_that_ran_no_check_has_no_store():
+def test_a_ring_that_ran_no_check_stores_only_its_coordinates():
     ring = make_zn(12)
     analyze(ring)
     power_stabilization(ring)
-    function_count(ring)
-    polynomial_function_set(ring).lookup(tuple(range(12)))
     primitive_idempotents(ring)
     assert ring.store is None
+    function_count(ring)
+    polynomial_function_set(ring).lookup(tuple(range(12)))
+    assert set(ring.store) == {polyfun._coordinates}
     check_reachability_iff_field(ring)
-    assert set(ring.store) == {theorems._proper_left_ideal}
+    assert set(ring.store) == {polyfun._coordinates, theorems._proper_left_ideal}
 
 
 def test_a_ring_and_its_store_are_freed_together():
