@@ -12,7 +12,8 @@ freezes the tuples.  ``validate_ring`` re-checks a ring's tuples.
 A construction that more than one check or caller reads, such as the
 residue field, is built once per ring through ``per_ring``, which keeps it
 in the ring's ``store``: the store stays None until the first such call
-and is freed with the ring.
+and is freed with the ring.  Every power of an element is read from one
+of them, the power table (``_powers``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import count, permutations
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -51,6 +52,7 @@ __all__ = [
     "rings_isomorphic",
     "render_poly",
     "binary_power",
+    "power_map",
     "per_ring",
 ]
 
@@ -78,9 +80,7 @@ class InternalInvariantError(RuntimeError):
 
 def binary_power(op: Callable, x, k: int):
     """x op x op ... op x, k >= 1 copies, by repeated squaring: O(log k)
-    calls of the associative ``op``, the running result always on the left.
-    ``FiniteRing.pow`` keeps its own loop so that a scalar power pays no call
-    per step."""
+    calls of the associative ``op``, the running result always on the left."""
     if k < 1:
         raise ValueError(f"binary_power needs k >= 1, got {k}")
     result = None
@@ -146,22 +146,14 @@ class FiniteRing:
         return self.add_table[a][self.neg_table[b]]
 
     def pow(self, a: int, k: int) -> int:
-        """a^k for k >= 1 (k = 0 needs unity)."""
+        """a^k for k >= 1, read from the power table (``power_map``); k = 0 needs unity."""
         if k == 0:
             if self.unity is None:
                 raise UnsupportedStructureError("a^0 undefined without unity")
             return self.unity
         if k < 0:
             raise ValueError("negative exponents are not defined")
-        result = None
-        base = a
-        while k:
-            if k & 1:
-                result = base if result is None else self.mul_table[result][base]
-            k >>= 1
-            if k:
-                base = self.mul_table[base][base]
-        return result
+        return int(power_map(self, k)[a])
 
     def elements(self) -> range:
         return range(self.order)
@@ -483,31 +475,50 @@ def element_additive_order(ring: FiniteRing, a: int) -> int:
     return k
 
 
+def _powers(ring: FiniteRing) -> tuple[np.ndarray, int, int]:
+    """The power table (rows, t, p), built once per ring through ``per_ring``:
+    rows[k] is x -> x^k over every element for 1 <= k < t + p (row 0 is not a
+    power), in the smallest unsigned dtype.  Row k+1 is a function of row k,
+    so the rows form a rho whose first repeat, row t + p = row t, gives the
+    least (t, p) with x^(k+p) = x^k for all x and k >= t; one gather doubles
+    the m rows so far, x^(j+m) = x^j x^m."""
+    mul = ring.mul_array.astype(np.min_scalar_type(ring.order - 1))
+    powers = np.arange(ring.order, dtype=mul.dtype)[None]  # powers[k - 1] is row k
+    seen = {}
+    for k in count(1):
+        if k > len(powers):
+            powers = np.concatenate((powers, mul[powers, powers[-1]]))
+        t = seen.setdefault(powers[k - 1].tobytes(), k)
+        if t < k:
+            break
+    rows = np.concatenate((np.zeros_like(powers[:1]), powers[:k - 1]))
+    rows.flags.writeable = False
+    return rows, t, k - t
+
+
+def power_map(ring: FiniteRing, k: int) -> np.ndarray:
+    """x -> x^k over every element, for any k >= 1, read from the ring's
+    power table: past its last row, x^k is row t + (k - t) mod p."""
+    if k < 1:
+        raise ValueError(f"power_map needs k >= 1, got {k}")
+    rows, t, p = per_ring(ring, _powers)
+    return rows[k if k < len(rows) else t + (k - t) % p]
+
+
 def element_nilpotency_index(ring: FiniteRing, a: int) -> int | None:
-    """Least k >= 1 with a^k = 0, or None if a is not nilpotent."""
-    seen = set()
-    p = a
-    k = 1
-    while p not in seen:
-        if p == 0:
-            return k
-        seen.add(p)
-        p = ring.mul_table[p][a]
-        k += 1
-    return None
+    """Least k >= 1 with a^k = 0 (a's first zero power row), or None."""
+    powers = per_ring(ring, _powers)[0][1:, a].tolist()
+    return powers.index(0) + 1 if 0 in powers else None
 
 
 def multiplicative_order(ring: FiniteRing, u: int) -> int:
+    """Least k >= 1 with u^k = 1: u's first unity power row."""
     if ring.unity is None:
         raise UnsupportedStructureError("multiplicative order needs unity")
-    p = u
-    k = 1
-    while p != ring.unity:
-        p = ring.mul_table[p][u]
-        k += 1
-        if k > ring.order:
-            raise ValueError(f"element {u} is not a unit")
-    return k
+    powers = per_ring(ring, _powers)[0][1:, u].tolist()
+    if ring.unity not in powers:
+        raise ValueError(f"element {u} is not a unit")
+    return powers.index(ring.unity) + 1
 
 
 def multiplicative_inverse(ring: FiniteRing, u: int) -> int | None:
@@ -527,14 +538,16 @@ def multiplicative_inverse(ring: FiniteRing, u: int) -> int | None:
 def analyze(ring: FiniteRing) -> RingInvariants:
     """Compute all structural invariants by exhaustive scan.
 
-    Deterministic and cached per ring instance.  Locality is decided by
-    additive closure of the non-units (for a finite unital ring the
-    non-units absorb multiplication automatically), and the Jacobson
-    radical as {x : 1 + r*x is a unit for every r}.
+    Deterministic and cached per ring instance.  Powers are read from the
+    power table: x is nilpotent iff x^t = 0, and a unit iff x^p = 1 (a
+    unit's order divides p).  Locality is decided by additive closure of
+    the non-units (for a finite unital ring the non-units absorb
+    multiplication automatically), and the Jacobson radical as
+    {x : 1 + r*x is a unit for every r}.
     """
     n = ring.order
-    mul = ring.mul_table
-    is_comm = all(mul[a][b] == mul[b][a] for a in range(n) for b in range(a + 1, n))
+    A, M = ring.add_array, ring.mul_array
+    is_comm = bool((M == M.T).all())
     unital = ring.unity is not None
 
     if unital:
@@ -542,26 +555,24 @@ def analyze(ring: FiniteRing) -> RingInvariants:
     else:
         characteristic = math.lcm(*(element_additive_order(ring, a) for a in range(n))) if n > 1 else 1
 
-    idempotents = SubsetMask.from_indices(ring, (a for a in range(n) if mul[a][a] == a))
-    nilp = {a: k for a in range(n) if (k := element_nilpotency_index(ring, a)) is not None}
-    nilpotents = SubsetMask.from_indices(ring, nilp)
-    nilpotency_index = max(nilp.values())
+    mask = lambda flags: SubsetMask.from_indices(ring, np.flatnonzero(flags).tolist())
+    idempotents = mask(M.diagonal() == np.arange(n))
+    rows, t, p = per_ring(ring, _powers)
+    nilpotent = rows[t] == 0
+    nilpotents = mask(nilpotent)
+    # the first row that is zero at every nilpotent, and unity at every unit
+    nilpotency_index = int((rows[1:, nilpotent] == 0).all(axis=1).argmax()) + 1
 
     units = unit_exp = radical = is_local = residue_order = None
     is_field = False
     if unital:
-        unit_ids = [u for u in range(n) if multiplicative_inverse(ring, u) is not None]
-        units = SubsetMask.from_indices(ring, unit_ids)
-        unit_exp = math.lcm(*(multiplicative_order(ring, u) for u in unit_ids))
-        unit_set = set(unit_ids)
-        non_units = [a for a in range(n) if a not in unit_set]
-        is_local = all(ring.add_table[a][b] not in unit_set for a in non_units for b in non_units)
-        radical = SubsetMask.from_indices(
-            ring,
-            (x for x in range(n)
-             if all(ring.add_table[ring.unity][mul[r][x]] in unit_set for r in range(n))),
-        )
-        is_field = is_comm and len(unit_ids) == n - 1
+        is_unit = rows[p] == ring.unity
+        units = mask(is_unit)
+        unit_exp = int((rows[1:, is_unit] == ring.unity).all(axis=1).argmax()) + 1
+        non_units = np.flatnonzero(~is_unit)
+        is_local = not is_unit[A[non_units[:, None], non_units]].any()
+        radical = mask(is_unit[A[ring.unity, M]].all(axis=0))  # 1 + r*x is a unit for every r
+        is_field = is_comm and units.size == n - 1
         if is_local:
             residue_order = n // len(non_units)
 
@@ -696,21 +707,12 @@ def rings_isomorphic(r1: FiniteRing, r2: FiniteRing, search_limit: int = 8) -> b
     n = r1.order
     if n > search_limit:
         return None
-    rest = [x for x in range(1, n)]
-    fixed_unity = r1.unity is not None
-    for perm in permutations(rest):
+    A1, M1, A2, M2 = r1.add_table, r1.mul_table, r2.add_table, r2.mul_table
+    for perm in permutations(range(1, n)):
         mp = (0,) + perm
-        if fixed_unity and mp[r1.unity] != r2.unity:
+        if r1.unity is not None and mp[r1.unity] != r2.unity:
             continue
-        ok = True
-        for a in range(n):
-            for b in range(n):
-                if (mp[r1.add_table[a][b]] != r2.add_table[mp[a]][mp[b]]
-                        or mp[r1.mul_table[a][b]] != r2.mul_table[mp[a]][mp[b]]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(mp[A1[a][b]] == A2[mp[a]][mp[b]] and mp[M1[a][b]] == M2[mp[a]][mp[b]]
+               for a in range(n) for b in range(n)):
             return True
     return False

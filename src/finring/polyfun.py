@@ -7,8 +7,8 @@ coefficients are used throughout, so noncommutative rings are supported.
 
 The set of all functions induced by polynomials is an additive subgroup G of
 R^R: power vectors v_k(x) = x^k repeat with preperiod t and period p, so
-G = {constants} + span{a * v_k : a in R, 1 <= k <= t+p-1}.  Every
-answer is exact, on any ring.
+G = {constants} + span{a * v_k : a in R, 1 <= k <= t+p-1}, read from the
+ring's power table (``core._powers``).  Every answer is exact, on any ring.
 
 A product of fields (a commutative unital ring without nonzero
 nilpotents; a field is the one-factor case) is answered analytically by
@@ -50,6 +50,7 @@ from .core import (
     SubsetMask,
     UnsupportedStructureError,
     _factorize,
+    _powers,
     analyze,
     binary_power,
     per_ring,
@@ -222,21 +223,10 @@ def image(f: Polynomial) -> SubsetMask:
 # power stabilization and the function set
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def power_stabilization(ring: FiniteRing) -> tuple[int, int]:
-    """Least (t, p) with x^(k+p) = x^k for every x and every k >= t.
-
-    Per element the power sequence is a rho: tail values never recur, so the
-    per-element preperiod and cycle length combine by max and lcm.
-    """
-    t = p = 1
-    for x in range(ring.order):
-        seen, power = {}, x  # seen[x^k] = k
-        while power not in seen:
-            seen[power] = len(seen) + 1
-            power = ring.mul_table[power][x]
-        t, p = max(t, seen[power]), math.lcm(p, len(seen) + 1 - seen[power])
-    return t, p
+    """Least (t, p) with x^(k+p) = x^k for every x and every k >= t, read
+    off the ring's power table (``core._powers``)."""
+    return per_ring(ring, _powers)[1:]
 
 
 def _indices(values, order: int, what: str) -> tuple[int, ...]:
@@ -347,8 +337,9 @@ class PolyFunctionSet:
         if idempotents:
             mul = ring.mul_table
             self.count = math.prod(q ** q for q in (len(set(mul[e])) for e in idempotents))
-            self._pairs = [(mul[e], x, ex) for e in idempotents
-                           for x, ex in enumerate(mul[e]) if ex != x]
+            project = ring.mul_array[list(idempotents)].T.copy()  # [x, i]: e_i * x
+            at_ex = project * len(idempotents) + np.arange(len(idempotents))  # of [e_i * x, i]
+            self._project = project, at_ex.ravel()
         else:
             self.count = count
 
@@ -368,8 +359,8 @@ class PolyFunctionSet:
                 witness = self._witness_cache[idx] = _witness(self.ring,
                                                               self.witnesses[idx].tolist())
             return "present", witness
-        parts, moduli, (columns, shifts, inverses, orders), _ = self._lattice_basis()
-        syndrome = parts[np.arange(len(view)), _view_array(view)].sum(axis=0)
+        _, moduli, (columns, shifts, inverses, orders), _ = self._lattice_basis()
+        syndrome = self._syndrome(view)
         if (syndrome % moduli).any():
             return "absent", None
         z = syndrome[columns] // shifts * inverses % orders
@@ -382,21 +373,27 @@ class PolyFunctionSet:
         once a lookup has built it, and from the lattice syndrome before."""
         view = _table_view(self.ring, table)
         if self.idempotents:
-            return self.field_mode or self._induced(view)
+            return self._induced(view)
         if self._index is not None:
             return view in self._index
-        parts, moduli = self._lattice_basis()[:2]
-        return not (parts[np.arange(len(view)), _view_array(view)].sum(axis=0) % moduli).any()
+        return not (self._syndrome(view) % self._lattice_basis()[1]).any()
+
+    def _syndrome(self, view: bytes | array) -> np.ndarray:
+        """The digits of every value F(x), in one row, times ``transform``."""
+        digits = per_ring(self.ring, _coordinates).digits[_view_array(view)]
+        return (digits.reshape(-1) @ self._lattice_basis()[0]).astype(np.intp)
 
     def _lattice_basis(self) -> tuple:
         """G as the direct sum of the cyclic groups <g_a>, one per pivot of
-        the tracked ``_lattice``, built once per set: (parts, moduli,
+        the tracked ``_lattice``, built once per set: (transform, moduli,
         pivots, generators).
 
-        A table F has the syndrome S = sum_x parts[x, F(x)].  F is in G iff
-        S is 0 modulo ``moduli``, and then F = sum_a z_a * g_a, where pivot a
-        has the column, shift, inverse and order in ``pivots[:, a]`` and
-        z_a = S[column] / shift * inverse mod order.  Per prime p,
+        A table F has the syndrome S (``_syndrome``), on each prime's
+        columns (w*V) mod p^s for F's embedded row w, unreduced.  F is in G
+        iff S is 0 modulo ``moduli``, and then F = sum_a z_a * g_a, where
+        pivot a has the column, shift, inverse and order in ``pivots[:, a]``
+        and z_a = S[column] / shift * inverse mod order, unchanged by
+        multiples of p^s in S since the order is p^s / shift.  Per prime p,
         ``generators`` holds the additive basis b of R_p, the rows U_a of
         its pivots and the generators' tables: g_a is sum_g U_a[g] times
         table g, and has the coefficient sum_i U_a[k, i] * b_i at x^k.
@@ -485,9 +482,9 @@ class PolyFunctionSet:
         on the set: L, Y, and the moduli, weights and decode table of the
         ring's coordinate map.
 
-        Powers are filled by block doubling, a^(k+j) = a^k a^j, in log2(q)
-        gathers; the columns of a point a of eR list the coordinates of
-        a^(q-2), ..., a^0 from row 1 on, and then zeros, up to the largest
+        The powers are rows of the ring's power table (``core._powers``):
+        the columns of a point a of eR list the coordinates of a^(q-2), ...,
+        a^1 and a^0 = e from row 1 on, and then zeros, up to the largest
         factor's q - 1 rows.  0 lies in every eR, so its columns sum the
         factors'; an x in no eR has zero columns.  Y and L are float32,
         exact while the product's partial sums stay below 2^24, and float64
@@ -495,37 +492,32 @@ class PolyFunctionSet:
         """
         if self._setup is None:
             ring, n = self.ring, self.ring.order
-            mul = ring.mul_table
-            fields = [[x for x in range(n) if mul[e][x] == x] for e in self.idempotents]
             coordinates = per_ring(ring, _coordinates)
             basis, moduli, coords = coordinates.basis, coordinates.moduli, coordinates.digits
-            sizes = [len(field) for field in fields]
-            points, top = np.concatenate(fields), max(sizes)
-            small = ring.mul_array.astype(np.min_scalar_type(n - 1))
-            powers = np.empty((top, len(points)), dtype=small.dtype)  # powers[k, a] = a^k
-            powers[0] = np.repeat(self.idempotents, sizes)
-            powers[1] = points
-            k = 1  # rows 0..k are filled
-            while k < top - 1:
-                step = min(k, top - 1 - k)
-                powers[k + 1:k + 1 + step] = small[powers[1:step + 1], powers[k]]
-                k += step
-            index = np.zeros((top, n), dtype=small.dtype)  # Y[j, x] = coord(index[j, x])
-            start = 0
-            for e, q in zip(self.idempotents, sizes):  # each field lists 0 first
-                index[1:q, points[start + 1:start + q]] = powers[q - 2::-1, start + 1:start + q]
+            powers = per_ring(ring, _powers)[0]
+            fields = [np.flatnonzero(ring.mul_array[e] == np.arange(n)) for e in self.idempotents]
+            top = max(map(len, fields))
+            index = np.zeros((top, n), dtype=powers.dtype)  # Y[j, x] = coord(index[j, x])
+            for e, field in zip(self.idempotents, fields):  # each field lists 0 first
+                q, points = len(field), field[1:]
+                index[1:q - 1, points] = powers[q - 2:0:-1, points]
+                index[q - 1, points] = e
                 index[q - 1, 0] = ring.add(int(index[q - 1, 0]), e)  # 0^0 = e, 0^k = 0
-                start += q
             index[0, 0] = ring.neg_table[ring.unity]
             dtype = np.float32 if n * len(basis) * (moduli.max() - 1) ** 2 < 1 << 24 else float
             Y = np.take(coords.astype(dtype), index, axis=0)
-            L = coords[small[:, basis][list(ring.neg_table)]].reshape(n, -1).astype(dtype)
+            L = coords[ring.mul_array[:, basis][list(ring.neg_table)]].reshape(n, -1).astype(dtype)
             self._setup = L, Y.reshape(top, -1), moduli, coordinates.weights, coordinates.decode
         return self._setup
 
-    def _induced(self, values: bytes | array) -> bool:
-        """e*F(x) = e*F(e*x) for every idempotent e and every x."""
-        return all(project[values[x]] == project[values[ex]] for project, x, ex in self._pairs)
+    def _induced(self, view: bytes | array) -> bool:
+        """e*F(x) = e*F(e*x) for every idempotent e and every x, in two
+        gathers; a field's only e is its unity, so every table passes."""
+        if self.field_mode:
+            return True
+        project, at_ex = self._project
+        values = project.take(_view_array(view), axis=0)
+        return values.tobytes() == values.take(at_ex).tobytes()
 
 
 def polynomial_function_set(ring: FiniteRing) -> PolyFunctionSet:
@@ -588,21 +580,24 @@ def _lattice(ring: FiniteRing, track: bool = False) -> tuple[int, tuple | None]:
     z_a = (w*V)_j / p^v * u^-1 mod p^(s-v).  A table F is in G iff for each
     p its p-part e_p * F passes (the embedding reads a value's digits on
     R_p, which are its p-part's); without that projection a ring such as
-    Z/12 would test its 3-part against the 2-part's lattice.
+    Z/12 would test its 3-part against the 2-part's lattice.  Tracked, V
+    is kept with each p's rows scaled by the embedding, as one n*r x n*r
+    float64 ``transform`` over every prime (r the rank of R's coordinates),
+    which the digits of every F(x) multiply exactly: each sum is an integer
+    below n r n^2.
     """
     n = ring.order
     mul = ring.mul_array
     coords = per_ring(ring, _coordinates)
-    t, period = power_stabilization(ring)
-    powers = np.empty((t + period, n), dtype=np.intp)  # x^0 is never read
-    powers[1] = np.arange(n)
-    for k in range(2, t + period):
-        powers[k] = mul[powers[k - 1], powers[1]]
-    total, offset = 1, 0
-    parts, moduli, pivots, generators = [], [], [], []
+    powers = per_ring(ring, _powers)[0]  # row 0 is never read
+    total, offset, rank = 1, 0, len(coords.basis)
+    moduli, pivots, generators = [], [], []
+    if track:  # V, scaled by the embedding: row x*rank + i, and p's columns from its offset
+        transform = np.zeros((n, rank, n * rank))
     for p, s, cols in coords.primes:
         basis, q = coords.basis[cols], p ** s
-        embed = coords.digits[:, cols] * (q // coords.moduli[cols])
+        scale = q // coords.moduli[cols]
+        embed = coords.digits[:, cols] * scale
         r = len(basis)
         # row k*r + i is the table of b_i * x^k, and of the constant b_i at k = 0
         gens = np.concatenate((np.repeat(basis[:, None], n, axis=1),
@@ -640,13 +635,13 @@ def _lattice(ring: FiniteRing, track: bool = False) -> tuple[int, tuple | None]:
             rows = reduce[rows - factor[:, None] * rows[i]]
         if not track:
             continue
-        parts.append(np.einsum("yi,xik->xyk", embed, columns.reshape(n, r, width)) % q)
+        transform[:, cols, offset:offset + width] = columns.reshape(n, r, width) * scale[:, None]
         moduli.append(p ** level)
         generators.append((basis, np.array(pivot_rows), gens))
         offset += width
     if not track:
         return total, None
-    return total, (np.concatenate(parts, axis=2), np.concatenate(moduli),
+    return total, (transform.reshape(n * rank, -1), np.concatenate(moduli),
                    np.array(pivots).T, generators)
 
 
@@ -703,10 +698,11 @@ def _additive_basis(ring: FiniteRing) -> tuple[list[int], list[int], tuple, list
     direct.  No order modulo S exceeds the last one, nor the first the
     p-part p^s of the characteristic (the exponent of (R, +)), so a scan
     stops at the first x that reaches it: on a field, the least x outside
-    S.  An x outside R_p never reaches S, whose keys on R_p are the
-    multiples of p's first weight.  z + j * b, for z in S and 1 <= j < p^e,
-    has the key of z plus j times b's weight: ``decode`` grows by one block
-    of |S| elements per multiple j * b, in O(n) reads in all.
+    S.  The scans read only R_p = {x : p^s * x = 0} (all of R when n is a
+    power of p), where every element with a key lies in S.  z + j * b, for
+    z in S and 1 <= j < p^e, has the key of z plus j times b's weight:
+    ``decode`` grows by one block of |S| elements per multiple j * b, in
+    O(n) reads in all.
     """
     n, add, neg = ring.order, ring.add_table, ring.neg_table
     characteristic = analyze(ring).characteristic
@@ -716,16 +712,16 @@ def _additive_basis(ring: FiniteRing) -> tuple[list[int], list[int], tuple, list
     for p, a in _factorize(n):
         start, low = len(decode), len(basis)  # p's first weight and column
         s = bound = dict(_factorize(characteristic))[p]
+        p_part = range(n) if p ** a == n else np.flatnonzero(  # R_p, ascending
+            binary_power(lambda u, v: ring.add_array[u, v], np.arange(n), p ** s) == 0).tolist()
         while len(decode) < start * p ** a:
             best = None
-            for x in range(n):
+            for x in p_part:
                 if key[x] is not None:
                     continue
                 w, e = binary_power(plus, x, p), 1  # w = p^e * x
-                while (key[w] is None or key[w] % start) and e < bound:
+                while key[w] is None and e < bound:
                     w, e = binary_power(plus, w, p), e + 1
-                if key[w] is None or key[w] % start:
-                    continue  # x is not in R_p
                 if best is None or e > best[1]:
                     best = x, e, w
                     if e == bound:

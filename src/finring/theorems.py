@@ -64,6 +64,7 @@ from .core import (
     element_nilpotency_index,
     multiplicative_order,
     per_ring,
+    power_map,
     primitive_idempotents,
     residue_field,
 )
@@ -347,7 +348,8 @@ def verify_nilpotent_shift_power(ring: FiniteRing, b: int, c: int) -> Verdict:
     if idx is None:
         raise ValueError(f"element {c} is not nilpotent")
     N = binomial_exponent(inv.characteristic, idx).exponent
-    holds = ring.pow(ring.add_table[b][c], N) == ring.pow(b, N)
+    power = power_map(ring, N)
+    holds = bool(power[ring.add_table[b][c]] == power[b])
     return Verdict(
         "L2.2", holds,
         witness={"b": b, "c": c, "nilp_index": idx, "exponent": N},
@@ -359,21 +361,21 @@ def verify_nilpotent_shift_power(ring: FiniteRing, b: int, c: int) -> Verdict:
 def check_nilpotent_shift_powers(ring: FiniteRing) -> Verdict:
     """L2.2 over every (b, nilpotent c) pair of the ring, as array kernels.
 
-    The nilpotents c are grouped by their exponent N; each group builds the
-    power map x -> x^N by repeated squaring over the mul array and compares
-    (b+c)^N with b^N for every b at once.  A failure is reported as
+    The nilpotents c are grouped by their exponent N; each group reads the
+    power map x -> x^N from the ring's power table (``core.power_map``) and
+    compares (b+c)^N with b^N for every b at once.  A failure is reported as
     ``verify_nilpotent_shift_power`` reports the first failing pair, c
     ascending and then b ascending.
     """
     inv = _require(ring, "commutative")
-    A, M = ring.add_array, ring.mul_array
+    A = ring.add_array
     groups: dict[int, list[int]] = {}
     for c in inv.nilpotents.indices():
         idx = element_nilpotency_index(ring, c)
         groups.setdefault(binomial_exponent(inv.characteristic, idx).exponent, []).append(c)
     failures = []
     for N, cs in groups.items():
-        power = binary_power(lambda a, b: M[a, b], np.arange(ring.order), N)
+        power = power_map(ring, N)
         differ = power[A[:, cs]] != power[:, None]  # [b, i]: (b + cs[i])^N != b^N
         if differ.any():
             i, b = np.argwhere(differ.T)[0]
@@ -395,14 +397,15 @@ def check_nilpotent_shift_powers(ring: FiniteRing) -> Verdict:
 
 def _unit_order_bound(ring: FiniteRing) -> tuple[int, int, int | None]:
     """P2.3i's N = p^e * (r-1)! and E = N*(n-1), with the least unit u
-    whose u^E is not 1, or None; P2.3ii starts from the same bound, read
-    through ``per_ring``."""
+    whose u^E is not 1, or None, read off the power map x -> x^E; P2.3ii
+    starts from the same bound, read through ``per_ring``."""
     inv = _require(ring, "local-unital")
     if len(_factorize(inv.characteristic)) != 1:
         raise UnsupportedStructureError("a local ring must have prime-power characteristic")
     N = inv.characteristic * math.factorial(inv.nilpotency_index - 1)
     E = N * (inv.residue_field_order - 1)
-    return N, E, next((u for u in inv.units.indices() if ring.pow(u, E) != ring.unity), None)
+    power = power_map(ring, E)
+    return N, E, next((u for u in inv.units.indices() if power[u] != ring.unity), None)
 
 
 def check_unit_order_bound(ring: FiniteRing) -> Verdict:
@@ -479,10 +482,8 @@ def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
         power, r_h = poly_mul(power, h), r_h + 1
     N = binomial_exponent(inv.characteristic, r_h).exponent
     powers_equal = all(math.comb(N, k) % inv.characteristic == 0 for k in range(1, r_h))
-    bad_c = next(
-        (c for c in inv.nilpotents.indices() if ring.pow(c, s * N) != 0),
-        None,
-    )
+    power = power_map(ring, s * N)
+    bad_c = next((c for c in inv.nilpotents.indices() if power[c] != 0), None)
     holds = orders_divide and powers_equal and bad_c is None
     witness = {"unit_exponent": m, "least_unit_degree": s,
                "exponent": N, "uniform_power": s * N,

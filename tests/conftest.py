@@ -31,10 +31,14 @@ P2.3ii's f^N and g^N coefficient by coefficient, where the check reads the
 binomial coefficients C(N, k) only.  The extension oracle closes the
 functions that polynomials over a ring S induce on a subring D, given by an
 embedding, where P2.1 reads a zero-divisor pair of D off its mul table.
+The walk oracles follow one element's powers a product at a time (the rho
+of each power sequence, the nilpotency index and the multiplicative
+order), where the library reads every power off one table per ring.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from itertools import count, product
 
@@ -60,6 +64,41 @@ from finring.core import AxiomViolation, analyze, multiplicative_inverse, render
 from finring.polyfun import (Polynomial, poly_add, poly_const, poly_from, poly_mul, poly_pow,
                              poly_scale, poly_sub)
 from finring.theorems import Verdict, split_unit_nilpotent, verify_nilpotent_shift_power
+
+
+def rho_stabilization(ring) -> tuple[int, int]:
+    """Least (t, p) with x^(k+p) = x^k for every x and every k >= t, one
+    element at a time: each power sequence is a rho whose tail values never
+    recur, so the preperiods and cycle lengths combine by max and lcm."""
+    t = p = 1
+    for x in range(ring.order):
+        seen, power = {}, x  # seen[x^k] = k
+        while power not in seen:
+            seen[power] = len(seen) + 1
+            power = ring.mul_table[power][x]
+        t, p = max(t, seen[power]), math.lcm(p, len(seen) + 1 - seen[power])
+    return t, p
+
+
+def walk_nilpotency_index(ring, a: int) -> int | None:
+    """Least k >= 1 with a^k = 0, or None once a power recurs first."""
+    seen, power, k = set(), a, 1
+    while power not in seen:
+        if power == 0:
+            return k
+        seen.add(power)
+        power, k = ring.mul_table[power][a], k + 1
+    return None
+
+
+def walk_multiplicative_order(ring, u: int) -> int:
+    """Least k >= 1 with u^k = 1; ValueError after |R| products without it."""
+    power, k = u, 1
+    while power != ring.unity:
+        power, k = ring.mul_table[power][u], k + 1
+        if k > ring.order:
+            raise ValueError(f"element {u} is not a unit")
+    return k
 
 
 def brute_force_function_tables(ring) -> frozenset:
@@ -573,10 +612,13 @@ def syndrome_supports(ring) -> list[int]:
     syndromes that cancel.
     """
     n = ring.order
-    parts, moduli = polyfun.polynomial_function_set(ring)._lattice_basis()[:2]
+    transform, moduli = polyfun.polynomial_function_set(ring)._lattice_basis()[:2]
+    unity = polyfun.per_ring(ring, polyfun._coordinates).digits[ring.unity]
+    # the syndrome of the unity at x alone: its digits times the rows of x
+    ones = np.einsum("i,xik->xk", unity, transform.reshape(n, len(unity), -1)) % moduli
     kept = moduli > 1  # a pivot of valuation 0 constrains nothing
     moduli = moduli[kept].astype(np.uint8)  # p^v <= n <= 32: sums of two stay below 2^8
-    ones = parts[:, ring.unity, kept].astype(np.uint8)
+    ones = ones[:, kept].astype(np.uint8)
     half = n // 2
     sums = []  # row m of each: the syndrome of {x in the half : bit x of m set}
     for points in (range(half), range(half, n)):

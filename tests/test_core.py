@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from functools import reduce
 from itertools import product
@@ -29,15 +30,18 @@ from finring import (
     validate_ring,
 )
 from finring.core import (
+    _powers,
     binary_power,
     element_additive_order,
     element_nilpotency_index,
     multiplicative_inverse,
     multiplicative_order,
+    per_ring,
+    power_map,
 )
 
 from finring.catalog import Product, Quotient, TableRef, Zn
-from finring.polyfun import poly_from, poly_mul
+from finring.polyfun import poly_from, poly_mul, power_stabilization
 from conftest import (
     LARGER_SPECS,
     axiom_scan,
@@ -49,8 +53,12 @@ from conftest import (
     loop_tables,
     loop_zn,
     m2f2,
+    rho_stabilization,
+    row_matrices_f2,
     skew_dual_f4,
     upper_triangular_f2,
+    walk_multiplicative_order,
+    walk_nilpotency_index,
 )
 
 
@@ -549,3 +557,56 @@ def test_a_replaced_ring_starts_with_its_own_empty_store(z4):
     residue_field(z4)
     copy = dataclasses.replace(z4, label="copy of Z/4")
     assert z4.store and copy.store is None
+
+
+# --- the power table ---------------------------------------------------------
+
+_POWER_TABLE_RINGS = [
+    *(ring for _, ring in standard_catalog(32)),
+    upper_triangular_f2(), m2f2(), skew_dual_f4(), row_matrices_f2(),
+    make_zero_mul_ring(2), make_zero_mul_ring(4),
+    *(realize(parse_ring_spec(spec)) for spec in ("Z/81", "Z/243", "Z/251", "GF(27)",
+                                                   "Z/2[x]/(x^6)", "Z/2 x Z/3 x Z/5 x Z/7")),
+]
+
+
+def _outcome(function, *args):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return function(*args)
+    except (ValueError, UnsupportedStructureError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("ring", _POWER_TABLE_RINGS, ids=lambda ring: ring.label)
+def test_the_power_table_reads_as_the_per_element_walks(ring):
+    n, inv = ring.order, analyze(ring)
+    rows, t, p = per_ring(ring, _powers)
+    assert (t, p) == power_stabilization(ring) == rho_stabilization(ring)
+    assert rows.shape == (t + p, n) and rows.dtype == np.min_scalar_type(n - 1)
+    assert not rows.flags.writeable
+    index = [walk_nilpotency_index(ring, a) for a in range(n)]
+    assert [element_nilpotency_index(ring, a) for a in range(n)] == index
+    assert inv.nilpotents.indices() == tuple(a for a in range(n) if index[a] is not None)
+    assert inv.nilpotency_index == max(k for k in index if k is not None)
+    if ring.unity is None:
+        assert inv.units is None and inv.unit_group_exponent is None
+        assert _outcome(multiplicative_order, ring, 0) == \
+            (UnsupportedStructureError, "multiplicative order needs unity")
+        return
+    orders = [_outcome(walk_multiplicative_order, ring, a) for a in range(n)]
+    assert [_outcome(multiplicative_order, ring, a) for a in range(n)] == orders
+    units = tuple(u for u in range(n) if multiplicative_inverse(ring, u) is not None)
+    assert inv.units.indices() == units
+    assert inv.unit_group_exponent == math.lcm(*(orders[u] for u in units))
+
+
+@pytest.mark.parametrize("ring", _POWER_TABLE_RINGS, ids=lambda ring: ring.label)
+def test_power_map_equals_repeated_squaring(ring):
+    t, p = power_stabilization(ring)
+    elements = np.arange(ring.order)
+    times = lambda a, b: ring.mul_array[a, b]
+    for k in [*range(1, 3 * (t + p) + 1), 4096, 10 ** 6]:
+        assert np.array_equal(power_map(ring, k), binary_power(times, elements, k)), k
+    with pytest.raises(ValueError):
+        power_map(ring, 0)

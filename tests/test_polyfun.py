@@ -702,7 +702,7 @@ def test_function_sets_are_the_only_interpolation_cache():
     assert cached == {
         "finring.core": ["analyze"],
         "finring.catalog": ["realize"],
-        "finring.polyfun": ["_function_set", "polynomial_function_set", "power_stabilization"],
+        "finring.polyfun": ["_function_set", "polynomial_function_set"],
         "finring.theorems": [],
         "finring.cli": ["build_parser"],
     }
@@ -1304,3 +1304,24 @@ def test_lookups_on_2_24_functions_fit_in_a_bounded_address_space():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {spec: [True, True, True] for spec in specs}
+
+
+def test_a_solved_lookup_keeps_no_row_per_value_and_point():
+    # The syndrome is the digits of the table's values times the lattice's
+    # column transform, O(n r width) to keep.  An array of the row of every
+    # value at every point was n x n x width: 12.6 MB on Z/2[x]/(x^6)
+    # (n = 64, width 384), and 1 GB at order 256.
+    import tracemalloc
+
+    ring = core.make_quotient(make_zn(2), [0, 0, 0, 0, 0, 0, 1])  # a new ring: nothing cached
+    pset = polynomial_function_set(ring)
+    assert pset.count > polyfun.INDEX_LIMIT  # the lookup solves
+    table = tuple(range(ring.order))
+    tracemalloc.start()
+    try:
+        status, witness = pset.lookup(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == "present" and function_table(witness).values == table
+    assert peak < 10 << 20

@@ -32,7 +32,7 @@ from finring import (
     residue_field,
     standard_catalog,
 )
-from finring import polyfun, theorems
+from finring import core, polyfun, theorems
 from finring.cli import main
 from finring.polyfun import (
     Polynomial,
@@ -1013,7 +1013,8 @@ def test_one_sweep_builds_each_store_entry_once_per_ring(tmp_path, capsys):
     assert all(count == 1 for store in stores for count in store.builds.values())
     built = set().union(*(store.builds for store in stores))
     assert built == {"_proper_left_ideal", "_unit_order_bound", "_units_indicator",
-                     "_residue_field", "_factor_residue_maps", "_lift_basis", "_coordinates"}
+                     "_residue_field", "_factor_residue_maps", "_lift_basis", "_coordinates",
+                     "_powers"}
 
 
 @pytest.mark.parametrize("spec", _COMM_LOCAL_32)
@@ -1034,17 +1035,19 @@ def test_p23ii_starts_from_the_p23i_bound(spec):
         check_unit_order_bound(ring).witness["exponent"]
 
 
-def test_a_ring_that_ran_no_check_stores_only_its_coordinates():
+def test_a_ring_that_ran_no_check_stores_only_its_powers_and_coordinates():
     ring = make_zn(12)
+    assert ring.store is None
     analyze(ring)
+    assert set(ring.store) == {core._powers}
     power_stabilization(ring)
     primitive_idempotents(ring)
-    assert ring.store is None
+    assert set(ring.store) == {core._powers}
     function_count(ring)
     polynomial_function_set(ring).lookup(tuple(range(12)))
-    assert set(ring.store) == {polyfun._coordinates}
+    assert set(ring.store) == {core._powers, polyfun._coordinates}
     check_reachability_iff_field(ring)
-    assert set(ring.store) == {polyfun._coordinates, theorems._proper_left_ideal}
+    assert set(ring.store) == {core._powers, polyfun._coordinates, theorems._proper_left_ideal}
 
 
 def test_a_ring_and_its_store_are_freed_together():
@@ -1054,9 +1057,9 @@ def test_a_ring_and_its_store_are_freed_together():
             assert check.run(ring, CheckOptions()).holds
     assert theorems._units_indicator in ring.store and theorems._lift_basis in ring.store
     ref = weakref.ref(ring)
-    # the module caches that still key on rings (analyze, power_stabilization,
-    # the function sets) hold it too until they are cleared
-    for cached in (analyze, power_stabilization, polynomial_function_set):
+    # the module caches that still key on rings (analyze and the function
+    # sets) hold it too until they are cleared
+    for cached in (analyze, polynomial_function_set):
         cached.cache_clear()
     del ring
     gc.collect()
