@@ -24,10 +24,11 @@ each element's digits and a decode table back, so that any ring sum is
 an integer sum of digits reduced mod p^e.
 
 Any other ring is answered by one elimination per prime, of G as a
-Z/p^s-lattice (``_lattice``).  Untracked, it counts G without building a
-table (``function_count``).  Tracked, it writes G as a direct sum of cyclic
-groups <g_a>, each with a witness coefficient row, and gives a syndrome
-map that decides membership (``contains``) and solves for the multiple of
+Z/p^s-lattice (``_lattice``), run once per ring and kept on its set.  Its
+pivot rows write G as a direct sum of cyclic groups <g_a>, each with a
+witness coefficient row, so it counts G without building a table
+(``function_count``), and one small triangular matrix on its pivot
+columns decides membership (``contains``) and solves for the multiple of
 each g_a.  ``lookup`` enumerates a set of at most ``INDEX_LIMIT`` tables
 into an index on its first call, and solves on a larger one.  An index
 hit returns the witness its row built on its first hit.
@@ -307,15 +308,16 @@ class PolyFunctionSet:
     first interpolation and kept on the set.
 
     Lattice (any other ring): G is the direct sum of the cyclic groups
-    <g_a> of ``_lattice``, each with a witness coefficient row.  On the
-    first ``lookup``, a set of at most ``INDEX_LIMIT`` tables is enumerated
-    from them: ``tables`` holds every table, ``witnesses`` a parallel
-    coefficient row, and an index maps each table's bytes to its row.  An
-    index hit returns its row's witness, built on the row's first hit and
-    the same (frozen) object on every later one.  A larger set solves each
-    lookup for the multiples z_a and sums the z_a-fold witness rows.
-    ``contains`` reads the index once it is built, and the syndrome
-    otherwise.
+    <g_a> of ``_lattice``, whose pivot rows hold each g_a's table and
+    witness coefficients; the set is built with them, and ``count`` is the
+    product of their orders.  On the first ``lookup``, a set of at most
+    ``INDEX_LIMIT`` tables is enumerated from them: ``tables`` holds every
+    table, ``witnesses`` a parallel coefficient row, and an index maps each
+    table's bytes to its row.  An index hit returns its row's witness,
+    built on the row's first hit and the same (frozen) object on every
+    later one.  A larger set solves each lookup for the multiples z_a and
+    sums the z_a-fold pivot rows (``_solve``).  ``contains`` reads the
+    index once it is built, and solves otherwise.
 
     On every engine, ``lookup`` and ``contains`` validate a table once,
     into the view that each step reads (``_table_view``), and build each
@@ -327,13 +329,14 @@ class PolyFunctionSet:
     """
 
     def __init__(self, ring: FiniteRing, idempotents: tuple[int, ...] = (),
-                 count: int | None = None):
+                 basis: _Basis | None = None):
         self.ring = ring
         self.complete = True
         self.tables = self.witnesses = None
         self.idempotents = idempotents
         self.field_mode = len(idempotents) == 1
-        self._basis = self._rows = self._index = self._witness_cache = self._setup = None
+        self._basis = basis
+        self._index = self._witness_cache = self._setup = self._clearing = None
         if idempotents:
             mul = ring.mul_table
             self.count = math.prod(q ** q for q in (len(set(mul[e])) for e in idempotents))
@@ -341,7 +344,7 @@ class PolyFunctionSet:
             at_ex = project * len(idempotents) + np.arange(len(idempotents))  # of [e_i * x, i]
             self._project = project, at_ex.ravel()
         else:
-            self.count = count
+            self.count = math.prod(basis.orders.tolist())
 
     def lookup(self, table) -> tuple[str, Polynomial | None]:
         """('present', witness) or ('absent', None)."""
@@ -359,77 +362,69 @@ class PolyFunctionSet:
                 witness = self._witness_cache[idx] = _witness(self.ring,
                                                               self.witnesses[idx].tolist())
             return "present", witness
-        _, moduli, (columns, shifts, inverses, orders), _ = self._lattice_basis()
-        syndrome = self._syndrome(view)
-        if (syndrome % moduli).any():
+        coeffs = self._solve(view)
+        if coeffs is None:
             return "absent", None
-        z = syndrome[columns] // shifts * inverses % orders
-        digits = np.tensordot(z, self._witness_rows()[2], 1)  # of sum_a z_a * row_a
-        coeffs = per_ring(self.ring, _coordinates).element(digits)
         return "present", _witness(self.ring, coeffs.tolist())
 
     def contains(self, table) -> bool:
-        """Whether the table is induced, building no witness: from the index
-        once a lookup has built it, and from the lattice syndrome before."""
+        """Whether the table is induced: from the index once a lookup has
+        built it, and solved from the pivot rows before."""
         view = _table_view(self.ring, table)
         if self.idempotents:
             return self._induced(view)
         if self._index is not None:
             return view in self._index
-        return not (self._syndrome(view) % self._lattice_basis()[1]).any()
+        return self._solve(view) is not None
 
-    def _syndrome(self, view: bytes | array) -> np.ndarray:
-        """The digits of every value F(x), in one row, times ``transform``."""
-        digits = per_ring(self.ring, _coordinates).digits[_view_array(view)]
-        return (digits.reshape(-1) @ self._lattice_basis()[0]).astype(np.intp)
+    def _solve(self, view: bytes | array) -> np.ndarray | None:
+        """The witness coefficients of the table F, or None when F is not
+        induced.  For F's embedded row w = sum_a z_a * g_a, S = w[J] V is
+        z_a * u_a * p^v_a modulo p^s (``_lattice``), so F is absent unless
+        p^v_a divides S_a, and z_a = S_a / p^v_a * u_a^-1 mod p^(s - v_a).
+        One product z [G | C] gives the digits of sum_a z_a * g_a, which
+        must be F's, and of its witness."""
+        basis, values = self._basis, _view_array(view)
+        coords = per_ring(self.ring, _coordinates)
+        syndrome = coords.digits[values[basis.points], basis.digits] @ self._clearing_matrix()
+        if (syndrome % basis.shifts).any():
+            return None
+        z = syndrome // basis.shifts * basis.inverses % basis.orders
+        both = coords.element((z @ basis.rows).reshape(-1, len(coords.basis)))
+        n = self.ring.order
+        return both[n:] if np.array_equal(both[:n], values) else None
 
-    def _lattice_basis(self) -> tuple:
-        """G as the direct sum of the cyclic groups <g_a>, one per pivot of
-        the tracked ``_lattice``, built once per set: (transform, moduli,
-        pivots, generators).
-
-        A table F has the syndrome S (``_syndrome``), on each prime's
-        columns (w*V) mod p^s for F's embedded row w, unreduced.  F is in G
-        iff S is 0 modulo ``moduli``, and then F = sum_a z_a * g_a, where
-        pivot a has the column, shift, inverse and order in ``pivots[:, a]``
-        and z_a = S[column] / shift * inverse mod order, unchanged by
-        multiples of p^s in S since the order is p^s / shift.  Per prime p,
-        ``generators`` holds the additive basis b of R_p, the rows U_a of
-        its pivots and the generators' tables: g_a is sum_g U_a[g] times
-        table g, and has the coefficient sum_i U_a[k, i] * b_i at x^k.
-        """
-        if self._basis is None:
-            self._basis = _lattice(self.ring, track=True)[1]
-        return self._basis
-
-    def _witness_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each g_a's coefficient row and table, decoded from integer sums
-        of coordinates (``_coordinates``), and the row's reduced digits for
-        the solve path to sum; built on the first lookup."""
-        if self._rows is None:
-            coords = per_ring(self.ring, _coordinates)
-            generators = self._lattice_basis()[3]
-            row_digits = np.concatenate([  # sum over i of U_a[k, i] * b_i
-                np.einsum("aki,ir->akr", u.reshape(len(u), -1, len(b)), coords.digits[b])
-                for b, u, _ in generators]) % coords.moduli
-            tables = coords.element(np.concatenate([  # sum over g of U_a[g] * table_g
-                np.einsum("ag,gxr->axr", u, coords.digits[gens]) for _, u, gens in generators]))
-            self._rows = coords.element(row_digits), tables, row_digits
-        return self._rows
+    def _clearing_matrix(self) -> np.ndarray:
+        """V = W^-1 of ``_lattice``, on the pivots' unscaled digits, built on
+        the first solve and kept on the set.  Row a of W V = 1 is
+        V[a] = e_a - sum_{b>a} W[a, b] V[b], from the last row up; two
+        primes' pivots meet only in zeros, so column j is taken mod its p^s."""
+        if self._clearing is None:
+            basis, coords = self._basis, per_ring(self.ring, _coordinates)
+            q = basis.shifts * basis.orders
+            scale = q // coords.moduli[basis.digits]
+            block = basis.rows[:, basis.points * len(coords.basis) + basis.digits] * scale
+            ratios = block // basis.shifts[:, None] * basis.inverses[:, None] % q[:, None]  # W
+            clearing = np.eye(len(q), dtype=np.intp)
+            for a in range(len(q) - 2, -1, -1):
+                clearing[a, a + 1:] = -ratios[a, a + 1:] @ clearing[a + 1:, a + 1:] % q[a + 1:]
+            self._clearing = clearing * scale[:, None]
+        return self._clearing
 
     def _enumerate(self) -> tuple[np.ndarray, np.ndarray]:
         """Every table of G and a witness row for each: the sums of z_a * g_a
-        over 0 <= z_a < orders[a], in mixed radix."""
-        rows, row_tables, _ = self._witness_rows()
-        add = self.ring.add_array.astype(np.min_scalar_type(self.ring.order - 1))
-        both = np.zeros((1, self.ring.order + rows.shape[1]), dtype=add.dtype)  # table | row
-        orders = self._lattice_basis()[2][3]
-        for g, order in zip(np.concatenate((row_tables, rows), axis=1), orders):
+        over 0 <= z_a < orders[a], in mixed radix, from the pivot rows."""
+        basis, n = self._basis, self.ring.order
+        coords = per_ring(self.ring, _coordinates)
+        add = self.ring.add_array.astype(np.min_scalar_type(n - 1))
+        gens = coords.element(basis.rows.reshape(len(basis.rows), -1, len(coords.basis)))
+        both = np.zeros((1, gens.shape[1]), dtype=add.dtype)  # table | row
+        for g, order in zip(gens.astype(add.dtype), basis.orders.tolist()):
             steps = [both]
             for _ in range(1, order):
                 steps.append(add[steps[-1], g])
             both = np.concatenate(steps)
-        return np.split(both, [self.ring.order], axis=1)
+        return np.split(both, [n], axis=1)
 
     def _table_index(self) -> dict[bytes, int]:
         """The bytes of every table mapped to its row, built once per set,
@@ -537,7 +532,7 @@ def _function_set(ring: FiniteRing) -> PolyFunctionSet:
     inv = analyze(ring)
     if inv.is_commutative and inv.is_unital and inv.nilpotents.size == 1:
         return PolyFunctionSet(ring, idempotents=primitive_idempotents(ring))
-    return PolyFunctionSet(ring, count=_lattice(ring)[0])
+    return PolyFunctionSet(ring, basis=_lattice(ring))
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +549,24 @@ def function_count(ring: FiniteRing) -> int:
     return _function_set(ring).count
 
 
-def _lattice(ring: FiniteRing, track: bool = False) -> tuple[int, tuple | None]:
-    """|G| as the product of its p-parts |G_p|, each the order of a lattice,
-    and with ``track`` the basis of G that decides and solves membership
-    (``PolyFunctionSet._lattice_basis``).
+class _Basis(NamedTuple):
+    """``_lattice``'s cyclic groups <g_a>, in pivot order: row a of ``rows``
+    holds the digits of g_a(x) for every x and then of its witness's
+    coefficient at every x^k.  Pivot a is coordinate ``digits[a]`` of the
+    value at ``points[a]``, with the shift p^v_a, u_a^-1 mod p^s and the
+    order p^(s - v_a) of g_a."""
+
+    rows: np.ndarray
+    points: np.ndarray
+    digits: np.ndarray
+    shifts: np.ndarray
+    inverses: np.ndarray
+    orders: np.ndarray
+
+
+def _lattice(ring: FiniteRing) -> _Basis:
+    """G as a direct sum of cyclic groups <g_a>, each with a witness, from
+    one elimination per prime: |G| is the product of their orders.
 
     G is the Z-span of the constants b and the tables b * x^k
     (k = 1..t+p-1) for b in an additive basis of R, since a * x^k is
@@ -569,80 +578,65 @@ def _lattice(ring: FiniteRing, track: bool = False) -> tuple[int, tuple | None]:
     among all rows, which divides every other entry of its column and row;
     clearing the column leaves a summand Z/p^(s-v), so |G_p| = prod p^(s - v)
     over the pivots (Storjohann and Mulders, "Fast algorithms for linear
-    algebra modulo N", ESA 1998).
+    algebra modulo N", ESA 1998).  A table F is in G iff for each p its
+    p-part e_p * F is in G_p, and the embedding reads a value's digits on
+    R_p, which are its p-part's.
 
-    Tracking records the pivot rows g_a as combinations U_a of the
-    generators, and clears each pivot's row too by column operations
-    recorded in V, so that g_a * V = u * p^v at the pivot's column j and 0
-    elsewhere (Howell, "Spans in the module (Z_m)^s", 1986).  A vector w
-    is then in the row span of M iff (w*V)_j = 0 mod p^v_j for every column
-    j, with v_j = s where no pivot fell, and w = sum_a z_a * g_a with
-    z_a = (w*V)_j / p^v * u^-1 mod p^(s-v).  A table F is in G iff for each
-    p its p-part e_p * F passes (the embedding reads a value's digits on
-    R_p, which are its p-part's); without that projection a ring such as
-    Z/12 would test its 3-part against the 2-part's lattice.  Tracked, V
-    is kept with each p's rows scaled by the embedding, as one n*r x n*r
-    float64 ``transform`` over every prime (r the rank of R's coordinates),
-    which the digits of every F(x) multiply exactly: each sum is an integer
-    below n r n^2.
+    Each pivot row g_a is kept as it stood when chosen, with its
+    combination U_a of the generators, carried as M's extra columns, which
+    gives its witness.  Every later row is 0 at the pivot's column j_a, so
+    the block G[:, J] of the pivot columns is upper triangular with diagonal
+    u_a * p^v_a, and p^v_a divides row a.  It is D W over Z/p^s for
+    D = diag(u_a * p^v_a) and a unit upper-triangular W, so V = W^-1
+    (``PolyFunctionSet._clearing_matrix``) clears it to D: z G[:, J] V = z D.
+    G is the direct sum of the <g_a>, so each z_a is unique modulo
+    p^(s - v_a) and every witness is determined.
     """
     n = ring.order
     mul = ring.mul_array
     coords = per_ring(ring, _coordinates)
     powers = per_ring(ring, _powers)[0]  # row 0 is never read
-    total, offset, rank = 1, 0, len(coords.basis)
-    moduli, pivots, generators = [], [], []
-    if track:  # V, scaled by the embedding: row x*rank + i, and p's columns from its offset
-        transform = np.zeros((n, rank, n * rank))
+    m, rank = len(powers), len(coords.basis)
+    basis_rows, points, digits, shifts, inverses, orders = [], [], [], [], [], []
     for p, s, cols in coords.primes:
         basis, q = coords.basis[cols], p ** s
         scale = q // coords.moduli[cols]
         embed = coords.digits[:, cols] * scale
         r = len(basis)
-        # row k*r + i is the table of b_i * x^k, and of the constant b_i at k = 0
+        # row k*r + i is the table of b_i * x^k, and of the constant b_i at k = 0,
+        # and then U, the digits of its coefficient b_i at x^k
         gens = np.concatenate((np.repeat(basis[:, None], n, axis=1),
                                mul[basis[:, None], powers[1:, None]].reshape(-1, n)))
-        rows = embed[gens].reshape(len(gens), -1)
-        width = rows.shape[1]
-        if track:
-            columns = np.eye(width, dtype=np.intp)  # V
-            combos = np.eye(len(gens), dtype=np.intp)  # U
-            level = np.full(width, s)  # v_j
-            pivot_rows = []
-        valuation = np.zeros(q, dtype=np.intp)
+        width = n * r
+        rows = np.hstack((embed[gens].reshape(-1, width), np.eye(len(gens), dtype=np.intp)))
+        valuation = np.zeros(q, dtype=np.int8)
         for k in range(1, s + 1):
             valuation[::p ** k] += 1
         reduce = np.arange(q * q) % q  # y mod q for -(q-1)^2 <= y < q, negatives by wrapping
+        picked = []
         while True:
-            v_rows = valuation[rows]
+            v_rows = valuation[rows[:, :width]]
             at = int(v_rows.argmin())
             v = int(v_rows.flat[at])
             if v == s:
                 break
-            total *= p ** (s - v)
             i, j = divmod(at, width)
             pv = p ** v
             inverse = pow(int(rows[i, j]) // pv, -1, q)
-            factor = rows[:, j] // pv * inverse % q
-            if track:
-                clear = rows[i] // pv * inverse % q
-                clear[j] = 0
-                columns = reduce[columns - columns[:, j, None] * clear]
-                level[j] = v
-                pivots.append((offset + j, pv, inverse, q // pv))
-                pivot_rows.append(combos[i])
-                combos = reduce[combos - factor[:, None] * combos[i]]
-            rows = reduce[rows - factor[:, None] * rows[i]]
-        if not track:
-            continue
-        transform[:, cols, offset:offset + width] = columns.reshape(n, r, width) * scale[:, None]
-        moduli.append(p ** level)
-        generators.append((basis, np.array(pivot_rows), gens))
-        offset += width
-    if not track:
-        return total, None
-    return total, (transform.reshape(n * rank, -1), np.concatenate(moduli),
-                   np.array(pivots).T, generators)
+            picked.append(rows[i].copy())
+            points.append(j // r)
+            digits.append(cols.start + j % r)
+            shifts.append(pv)
+            inverses.append(inverse)
+            orders.append(q // pv)
+            rows = reduce[rows - (rows[:, j] // pv * inverse % q)[:, None] * rows[i]]
+        picked = np.array(picked)
+        full = np.zeros((len(picked), n + m, rank), dtype=np.intp)
+        full[:, :n, cols] = picked[:, :width].reshape(-1, n, r) // scale
+        full[:, n:, cols] = picked[:, width:].reshape(-1, m, r)
+        basis_rows.append(full.reshape(len(picked), -1))
+    pivots = map(np.array, (points, digits, shifts, inverses, orders))
+    return _Basis(np.concatenate(basis_rows), *pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -606,16 +606,38 @@ def syndrome_supports(ring) -> list[int]:
     """Every subset whose indicator (the unity on it, 0 elsewhere) is
     induced, the two constants included, as sorted bit masks.
 
+    The syndrome is Howell's ("Spans in the module (Z_m)^s", 1986), built
+    here from the pivot rows g_a of ``polyfun._lattice`` (on any ring, a
+    product of fields included): column operations V clear each embedded
+    g_a across every column, top row first, so that g_a V is u_a * p^v_a at
+    its pivot's column and 0 elsewhere.  A row w is then in G iff (w V)_j is
+    0 modulo p^v at a pivot's column j and modulo p^s at every other.
+
     An indicator's syndrome is the sum of the syndromes of the unity at
     each of its points, so the subsets of the lower and of the upper half
     of R are summed apart (2 * 2^(n/2) sums, not 2^n) and matched on
     syndromes that cancel.
     """
     n = ring.order
-    transform, moduli = polyfun.polynomial_function_set(ring)._lattice_basis()[:2]
-    unity = polyfun.per_ring(ring, polyfun._coordinates).digits[ring.unity]
+    coords = polyfun.per_ring(ring, polyfun._coordinates)
+    basis, rank = polyfun._lattice(ring), len(coords.basis)
+    q = np.ones(rank, dtype=np.intp)  # p^s of each coordinate
+    for p, s, cols in coords.primes:
+        q[cols] = p ** s
+    scale = q // coords.moduli
+    rows = (basis.rows.reshape(len(basis.rows), -1, rank)[:, :n] * scale).reshape(len(basis.rows), -1)
+    q = np.tile(q, n)  # of each column x * rank + i
+    pivots = basis.points * rank + basis.digits
+    transform = np.eye(n * rank, dtype=np.intp)
+    for row, j, shift, inverse in zip(rows, pivots, basis.shifts, basis.inverses):
+        clear = row // shift * inverse % q[j]
+        clear[j] = 0
+        transform = (transform - transform[:, j, None] * clear) % q
+    moduli = q.copy()
+    moduli[pivots] = basis.shifts
+    unity = coords.digits[ring.unity] * scale
     # the syndrome of the unity at x alone: its digits times the rows of x
-    ones = np.einsum("i,xik->xk", unity, transform.reshape(n, len(unity), -1)) % moduli
+    ones = np.einsum("i,xik->xk", unity, transform.reshape(n, rank, -1)) % moduli
     kept = moduli > 1  # a pivot of valuation 0 constrains nothing
     moduli = moduli[kept].astype(np.uint8)  # p^v <= n <= 32: sums of two stay below 2^8
     ones = ones[:, kept].astype(np.uint8)

@@ -40,6 +40,7 @@ from finring.core import (
     power_map,
 )
 
+from finring import core
 from finring.catalog import Product, Quotient, TableRef, Zn
 from finring.polyfun import poly_from, poly_mul, power_stabilization
 from conftest import (
@@ -443,6 +444,17 @@ def test_residue_field_z4(z4):
     assert analyze(field).is_field
     assert proj == (0, 1, 0, 1)
     assert reps == (0, 1)
+
+
+@pytest.mark.parametrize("quotient", [lambda: make_zn(4), lambda: make_zero_mul_ring(2)],
+                         ids=["Z/4", "zero-ring-2"])
+def test_a_residue_ring_that_is_no_field_raises(monkeypatch, quotient):
+    # a nonzero row of Z/4's product table (2 * y) misses the unity, and the
+    # zero ring has none
+    ring, wrong = make_quotient(make_zn(2), [0, 0, 1]), quotient()
+    monkeypatch.setattr(core, "_build", lambda add, mul, label: wrong)
+    with pytest.raises(core.InternalInvariantError, match="must be a field"):
+        residue_field(ring)
 
 
 def test_embed_prime_subfield(z2, gf4):

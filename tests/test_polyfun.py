@@ -1015,33 +1015,44 @@ def test_coordinates_lift_what_the_labels_put_first(spec):
 
 
 def test_the_coordinate_map_is_built_once_per_ring(monkeypatch):
-    built = []
+    # and the elimination runs once per set: the count, the index and
+    # ``contains`` all read its pivot rows
+    built, eliminated = [], []
 
     def counted(ring):
         built.append(ring.label)
         return coordinates(ring)
 
-    coordinates = polyfun._coordinates
+    def counted_lattice(ring):
+        eliminated.append(ring.label)
+        return lattice_of(ring)
+
+    coordinates, lattice_of = polyfun._coordinates, polyfun._lattice
     monkeypatch.setattr(polyfun, "_coordinates", counted)
+    monkeypatch.setattr(polyfun, "_lattice", counted_lattice)
     lattice, fields = make_zn(9), make_zn(6)  # new rings, so new sets and stores
     table = function_table(poly_from(lattice, (1, 2, 3))).values
     assert function_count(lattice) == 3 ** 9
     assert built == ["Z/9"]
     pset = polynomial_function_set(lattice)
     assert pset.lookup(table)[0] == "present" and pset.tables is not None  # the index
+    assert pset.contains(table) and eliminated == ["Z/9"]
     set_index_limit(monkeypatch, 0)  # a new set, which solves
     pset = polynomial_function_set(lattice)
     assert pset.lookup(table)[0] == "present" and pset.tables is None
+    assert pset.contains(table) and eliminated == ["Z/9", "Z/9"]
     assert function_count(fields) == 2 ** 2 * 3 ** 3 and built == ["Z/9"]
     for values in (tuple(range(6)), (1,) * 6):  # the same set interpolates both
         assert polynomial_function_set(fields).lookup(values)[0] == "present"
-    assert built == ["Z/9", "Z/6"]
+    assert built == ["Z/9", "Z/6"] and eliminated == ["Z/9", "Z/9"]
 
 
 # --- exact counts: the per-prime lattice against independent oracles ---------
 
 def _spec_ring(spec):
-    return upper_triangular_f2() if spec == "T2(F2)" else realize(parse_ring_spec(spec))
+    if spec == "T2(F2)":
+        return upper_triangular_f2()
+    return row_matrices_f2() if spec == "row-matrices-F2" else realize(parse_ring_spec(spec))
 
 
 def _non_reduced_catalog(max_order):
@@ -1149,7 +1160,7 @@ def _assert_lookup_matches_closure(ring, seed):
 
 
 MEMBERSHIP_RINGS = ["Z/4", "Z/9", "Z/12", "Z/18", "Z/20", "Z/24", "Z/4 x Z/3", "Z/8 x Z/2",
-                    "T2(F2)", "zero-ring-4"]
+                    "T2(F2)", "row-matrices-F2", "zero-ring-4"]
 
 
 @pytest.mark.parametrize("spec", MEMBERSHIP_RINGS)
@@ -1307,21 +1318,43 @@ def test_lookups_on_2_24_functions_fit_in_a_bounded_address_space():
 
 
 def test_a_solved_lookup_keeps_no_row_per_value_and_point():
-    # The syndrome is the digits of the table's values times the lattice's
-    # column transform, O(n r width) to keep.  An array of the row of every
-    # value at every point was n x n x width: 12.6 MB on Z/2[x]/(x^6)
-    # (n = 64, width 384), and 1 GB at order 256.
+    # Counting the set and its first lookup run one elimination, which keeps
+    # its pivot rows and a pivots x pivots transform.  An array of the row of
+    # every value at every point was n x n x width: 12.6 MB on Z/2[x]/(x^6)
+    # (n = 64, width 384), and 1 GB at order 256.  A width x width column
+    # transform, tracked in a second elimination, took 139 MB on Z/2[x]/(x^8).
     import tracemalloc
 
-    ring = core.make_quotient(make_zn(2), [0, 0, 0, 0, 0, 0, 1])  # a new ring: nothing cached
+    for degree, limit_mb in ((6, 10), (8, 15)):
+        ring = core.make_quotient(make_zn(2), [0] * degree + [1])  # a new ring: nothing cached
+        table = tuple(range(ring.order))
+        tracemalloc.start()
+        try:
+            pset = polynomial_function_set(ring)
+            status, witness = pset.lookup(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pset.count > polyfun.INDEX_LIMIT  # the lookup solved
+        assert status == "present" and function_table(witness).values == table
+        assert peak < limit_mb << 20, (degree, peak)
+
+
+def test_the_solve_path_decides_m2f2():
+    # M2(F2) is simple and noncommutative, and induces 2^24 functions, too
+    # many to enumerate: tables of random polynomials are solved, with
+    # witnesses that re-evaluate to them, and P1.2's bijection, which moves
+    # F(c) - F(0) out of the left ideal Rc, is absent.
+    ring = m2f2()
     pset = polynomial_function_set(ring)
-    assert pset.count > polyfun.INDEX_LIMIT  # the lookup solves
-    table = tuple(range(ring.order))
-    tracemalloc.start()
-    try:
+    assert pset.count == 1 << 24
+    rng = random.Random(16)
+    for _ in range(20):
+        f = poly_from(ring, [rng.randrange(16) for _ in range(rng.randrange(1, 12))])
+        table = tuple(schoolbook_eval(f, x) for x in range(16))
         status, witness = pset.lookup(table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert status == "present" and function_table(witness).values == table
-    assert peak < 10 << 20
+        assert status == "present" and pset.contains(list(table))
+        assert tuple(schoolbook_eval(witness, x) for x in range(16)) == table
+    swap = theorems.check_bijections_iff_field(ring).witness["bijection"]
+    assert pset.lookup(swap) == ("absent", None) and not pset.contains(swap)
+    assert pset.tables is None
