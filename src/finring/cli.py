@@ -27,6 +27,7 @@ from .catalog import (
 from .core import (
     InternalInvariantError,
     UnsupportedStructureError,
+    _factor_elements,
     analyze,
     primitive_idempotents,
 )
@@ -96,7 +97,7 @@ def cmd_report(args) -> int:
     }
     if inv.is_unital and inv.is_commutative:
         doc["local_factors"] = [
-            {"idempotent": e, "order": len(set(ring.mul_table[e]))}
+            {"idempotent": e, "order": len(_factor_elements(ring, e))}
             for e in primitive_idempotents(ring)
         ]
     doc["stabilization"] = list(power_stabilization(ring))

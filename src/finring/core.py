@@ -2,12 +2,12 @@
 
 Rings here are not assumed commutative or unital.  Element indices run
 0..order-1 and index 0 is always the additive identity, so arithmetic is
-total table lookup.  A ring holds each table twice: as a tuple of tuples
-for scalar lookups and as a read-only numpy array for ring-wide kernels.
-Every constructor builds the arrays, validates the complete set of ring
-axioms on them, checking associativity and distributivity against an
-additive generating set in O(order^2 log order) numpy work, and only then
-freezes the tuples.  ``validate_ring`` re-checks a ring's tuples.
+total table lookup.  A ring holds each table once, as a read-only intp
+numpy array.  Every constructor builds the arrays and validates the
+complete set of ring axioms on them, checking associativity and
+distributivity against an additive generating set in O(order^2 log order)
+numpy work; ``validate_ring`` re-checks a ring's arrays.  A scalar reader
+walks the ``tolist()`` of the one row or column it needs.
 
 A construction that more than one check or caller reads, such as the
 residue field, is built once per ring through ``per_ring``, which keeps it
@@ -114,36 +114,34 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
 class FiniteRing:
     """A finite ring given by its addition and multiplication tables.
 
-    Tables are tuples of tuples of element indices, and ``add_array`` and
-    ``mul_array`` hold the same tables as read-only intp arrays.  ``unity``
-    is None for non-unital rings.  Instances compare by identity; use
-    :func:`invariant_signature` / :func:`rings_isomorphic` for structural
-    comparison.  ``store`` maps each builder passed to ``per_ring`` to its
-    construction, and is None until the first is built.
+    ``add_table``, ``mul_table`` and ``neg_table`` are read-only intp arrays
+    of element indices; ``add``, ``mul``, ``neg`` and ``sub`` return Python
+    ints.  ``unity`` is None for non-unital rings.  Instances compare by
+    identity; use :func:`invariant_signature` / :func:`rings_isomorphic`
+    for structural comparison.  ``store`` maps each builder passed to
+    ``per_ring`` to its construction, and is None until the first is built.
     """
 
     order: int
-    add_table: tuple
-    mul_table: tuple
-    neg_table: tuple
+    add_table: np.ndarray
+    mul_table: np.ndarray
+    neg_table: np.ndarray
     unity: int | None
     label: str
-    add_array: np.ndarray
-    mul_array: np.ndarray
     zero: int = 0
     store: dict | None = field(default=None, init=False, repr=False)
 
     def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
+        return int(self.add_table[a, b])
 
     def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
+        return int(self.mul_table[a, b])
 
     def neg(self, a: int) -> int:
-        return self.neg_table[a]
+        return int(self.neg_table[a])
 
     def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
+        return int(self.add_table[a, self.neg_table[b]])
 
     def pow(self, a: int, k: int) -> int:
         """a^k for k >= 1, read from the power table (``power_map``); k = 0 needs unity."""
@@ -269,24 +267,24 @@ def _require_equal(axiom: str, left, right, *elements) -> None:
         raise AxiomViolation(axiom, tuple(int(e[i]) for e, i in zip(elements, bad)))
 
 
-def _additive_generators(add: tuple) -> list[int]:
+def _additive_generators(A: np.ndarray) -> list[int]:
     """A greedy generating set: x joins when no left-normed sum
     (..((0 + g1) + g2) ..) + gk of earlier members reaches it."""
-    gens, reached = [], {0}
-    for x in range(len(add)):
+    rows, reached = {}, {0}  # rows[g]: y -> y + g for each member g, a row of the commutative +
+    for x in range(len(A)):
         if x not in reached:
-            gens.append(x)
+            rows[x] = A[x].tolist()
             frontier = list(reached)
             for s in frontier:  # a BFS: the list grows while it is walked
-                for g in gens:
-                    if add[s][g] not in reached:
-                        reached.add(add[s][g])
-                        frontier.append(add[s][g])
-    return gens
+                for plus_g in rows.values():
+                    if plus_g[s] not in reached:
+                        reached.add(plus_g[s])
+                        frontier.append(plus_g[s])
+    return list(rows)
 
 
 def validate_ring(ring: FiniteRing) -> None:
-    """Re-check every ring axiom on the ring's own tuples in O(order^2 * |G|);
+    """Re-check every ring axiom on the ring's own arrays in O(order^2 * |G|);
     raises AxiomViolation, whose witness is a violating tuple of element
     indices, on failure.
 
@@ -305,13 +303,11 @@ def validate_ring(ring: FiniteRing) -> None:
     A, M, neg = (np.asarray(t, dtype=np.intp) for t in (ring.add_table, ring.mul_table, ring.neg_table))
     if A.shape != (n, n) or M.shape != (n, n) or neg.shape != (n,):
         raise ValueError(f"tables must be {n}x{n} and neg_table must have {n} entries")
-    _check_axioms(A, M, neg, ring.unity, ring.add_table)
+    _check_axioms(A, M, neg, ring.unity)
 
 
-def _check_axioms(A: np.ndarray, M: np.ndarray, neg: np.ndarray, unity: int | None,
-                  add_rows) -> None:
-    """``validate_ring``'s checks on the arrays; ``add_rows`` is the addition
-    table as nested sequences, read for the generating set once + is closed."""
+def _check_axioms(A: np.ndarray, M: np.ndarray, neg: np.ndarray, unity: int | None) -> None:
+    """``validate_ring``'s checks on intp arrays."""
     idx = np.arange(len(A))
     for what, T in (("addition", A), ("multiplication", M)):
         _require_equal(f"{what}-closure", (T >= 0) & (T < len(A)), True, idx, idx)
@@ -320,7 +316,7 @@ def _check_axioms(A: np.ndarray, M: np.ndarray, neg: np.ndarray, unity: int | No
         raise AxiomViolation("additive-identity", (0,))
     _require_equal("additive-inverse", A[idx, neg], 0, idx)
 
-    G = np.array(_additive_generators(add_rows), dtype=np.intp)
+    G = np.array(_additive_generators(A), dtype=np.intp)
     _require_equal("additive-associativity", A[A[:, G]], A[idx[:, None, None], A[G][None]],
                    idx, G, idx)                                  # (x+g)+y, x+(g+y)
     for axiom, P in (("left-distributivity", M), ("right-distributivity", M.T)):
@@ -334,13 +330,9 @@ def _check_axioms(A: np.ndarray, M: np.ndarray, neg: np.ndarray, unity: int | No
         raise AxiomViolation("unity", (unity,))
 
 
-def _freeze(table: np.ndarray) -> tuple:
-    return tuple(map(tuple, table.tolist()))
-
-
 def _build(add: np.ndarray, mul: np.ndarray, label: str) -> FiniteRing:
     """A validated ring on square index tables; the unity and the negatives
-    are read off the tables, which the ring keeps as read-only arrays."""
+    are read off the tables, which the ring keeps as read-only intp arrays."""
     n = len(add)
     if n < 2:
         raise ValueError(f"a ring needs at least 2 elements, got {n}")
@@ -355,12 +347,9 @@ def _build(add: np.ndarray, mul: np.ndarray, label: str) -> FiniteRing:
     unity = int(unities[0]) if len(unities) else None
     neg = (add == 0).argmax(axis=1)  # an element without a negative gets 0, which fails
     add, mul = (np.asarray(T, dtype=np.intp) for T in (add, mul))
-    add_table = _freeze(add)
-    _check_axioms(add, mul, neg, unity, add_table)
-    add.flags.writeable = mul.flags.writeable = False
-    return FiniteRing(order=n, add_table=add_table, mul_table=_freeze(mul),
-                      neg_table=tuple(neg.tolist()), unity=unity, label=label,
-                      add_array=add, mul_array=mul)
+    _check_axioms(add, mul, neg, unity)
+    add.flags.writeable = mul.flags.writeable = neg.flags.writeable = False
+    return FiniteRing(n, add, mul, neg, unity, label)
 
 
 def make_zn(n: int, label: str | None = None) -> FiniteRing:
@@ -396,7 +385,7 @@ def make_product(r1: FiniteRing, r2: FiniteRing, label: str | None = None) -> Fi
     """
     n = r1.order * r2.order
     pair = lambda t1, t2: (t1[:, None, :, None] * r2.order + t2[None, :, None, :]).reshape(n, n)
-    return _build(pair(r1.add_array, r2.add_array), pair(r1.mul_array, r2.mul_array),
+    return _build(pair(r1.add_table, r2.add_table), pair(r1.mul_table, r2.mul_table),
                   label or f"{r1.label} x {r2.label}")
 
 
@@ -431,14 +420,14 @@ def make_quotient(base: FiniteRing, modulus, label: str | None = None) -> Finite
 
     q = base.order
     n = q ** d
-    A, M = base.add_array, base.mul_array
+    A, M = base.add_table, base.mul_table
     radix = q ** np.arange(d)
     idx = np.arange(n)
     elems = idx[:, None] // radix % q                  # coefficient k of element i
     add = sum(A[np.ix_(elems[:, k], elems[:, k])] * radix[k] for k in range(d))
     scale = M[:, elems] @ radix                        # scale[a, u]: a*u
     # t*x^d = -(t*c_0 + ... + t*c_(d-1) x^(d-1)) for the top coefficient t
-    fold = np.array(base.neg_table)[M[:, list(coeffs[:d])]] @ radix
+    fold = base.neg_table[M[:, list(coeffs[:d])]] @ radix
     times_x = add[idx % (n // q) * q, fold[elems[:, -1]]]
     mul, power = np.zeros((n, n), dtype=np.int64), idx  # power[u]: u*x^k
     for k in range(d):
@@ -467,11 +456,9 @@ def render_poly(coeffs: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 
 def element_additive_order(ring: FiniteRing, a: int) -> int:
-    acc = a
-    k = 1
+    plus_a, acc, k = ring.add_table[a].tolist(), a, 1
     while acc != 0:
-        acc = ring.add_table[acc][a]
-        k += 1
+        acc, k = plus_a[acc], k + 1
     return k
 
 
@@ -482,7 +469,7 @@ def _powers(ring: FiniteRing) -> tuple[np.ndarray, int, int]:
     so the rows form a rho whose first repeat, row t + p = row t, gives the
     least (t, p) with x^(k+p) = x^k for all x and k >= t; one gather doubles
     the m rows so far, x^(j+m) = x^j x^m."""
-    mul = ring.mul_array.astype(np.min_scalar_type(ring.order - 1))
+    mul = ring.mul_table.astype(np.min_scalar_type(ring.order - 1))
     powers = np.arange(ring.order, dtype=mul.dtype)[None]  # powers[k - 1] is row k
     seen = {}
     for k in count(1):
@@ -524,10 +511,8 @@ def multiplicative_order(ring: FiniteRing, u: int) -> int:
 def multiplicative_inverse(ring: FiniteRing, u: int) -> int | None:
     if ring.unity is None:
         raise UnsupportedStructureError("inverses need unity")
-    for v in range(ring.order):
-        if ring.mul_table[u][v] == ring.unity and ring.mul_table[v][u] == ring.unity:
-            return v
-    return None
+    by_u, u_by = ring.mul_table[u].tolist(), ring.mul_table[:, u].tolist()
+    return next((v for v in range(ring.order) if by_u[v] == u_by[v] == ring.unity), None)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +531,7 @@ def analyze(ring: FiniteRing) -> RingInvariants:
     {x : 1 + r*x is a unit for every r}.
     """
     n = ring.order
-    A, M = ring.add_array, ring.mul_array
+    A, M = ring.add_table, ring.mul_table
     is_comm = bool((M == M.T).all())
     unital = ring.unity is not None
 
@@ -603,8 +588,14 @@ def primitive_idempotents(ring: FiniteRing) -> tuple[int, ...]:
     inv = analyze(ring)
     if not (inv.is_unital and inv.is_commutative):
         raise UnsupportedStructureError("local factors need a commutative unital ring")
-    idem = inv.idempotents.indices()
-    return tuple(e for e in idem if e != 0 and all(ring.mul_table[e][f] in (0, e) for f in idem))
+    idem = inv.idempotents.indices()  # 0 first
+    rows = (ring.mul_table[e].tolist() for e in idem[1:])
+    return tuple(e for e, by_e in zip(idem[1:], rows) if all(by_e[f] in (0, e) for f in idem))
+
+
+def _factor_elements(ring: FiniteRing, e: int) -> list[int]:
+    """The elements of the factor eR = {e*x}, ascending (0 first); |eR| is its length."""
+    return sorted(set(ring.mul_table[e].tolist()))
 
 
 def local_decomposition(ring: FiniteRing) -> tuple[LocalFactor, ...]:
@@ -614,10 +605,10 @@ def local_decomposition(ring: FiniteRing) -> tuple[LocalFactor, ...]:
     primitive = primitive_idempotents(ring)
     if len(primitive) == 1:
         return (LocalFactor(idempotent=ring.unity, ring=ring, projection=tuple(range(ring.order))),)
-    A, M = ring.add_array, ring.mul_array
+    A, M = ring.add_table, ring.mul_table
     factors = []
     for e in primitive:
-        elems = np.flatnonzero(np.bincount(M[e], minlength=ring.order))
+        elems = np.array(_factor_elements(ring, e))
         sub = _build(*(np.searchsorted(elems, T[elems[:, None], elems]) for T in (A, M)),
                      f"{ring.label}|e={e}")
         if sub.unity is None or elems[sub.unity] != e:
@@ -647,7 +638,7 @@ def _residue_field(ring: FiniteRing) -> tuple[FiniteRing, tuple[int, ...], tuple
         raise UnsupportedStructureError("residue field needs a local unital ring")
     if inv.is_field:
         return ring, tuple(range(ring.order)), tuple(range(ring.order))
-    A, M = ring.add_array, ring.mul_array
+    A, M = ring.add_table, ring.mul_table
     m = [a for a in range(ring.order) if a not in inv.units]
     rep_of = A[:, m].min(axis=1)                       # the least element of x + m
     reps = np.flatnonzero(np.bincount(rep_of, minlength=ring.order))
@@ -657,7 +648,7 @@ def _residue_field(ring: FiniteRing) -> tuple[FiniteRing, tuple[int, ...], tuple
     # every nonzero x with x*y = 1 for some y makes a finite ring with unity
     # a division ring, hence a field (Wedderburn)
     if field.unity is None or field.order < 2 or \
-            not (field.mul_array[1:] == field.unity).any(axis=1).all():
+            not (field.mul_table[1:] == field.unity).any(axis=1).all():
         raise InternalInvariantError("residue ring of a local ring must be a field")
     return field, tuple(proj.tolist()), tuple(reps.tolist())
 
@@ -710,7 +701,7 @@ def rings_isomorphic(r1: FiniteRing, r2: FiniteRing, search_limit: int = 8) -> b
     n = r1.order
     if n > search_limit:
         return None
-    A1, M1, A2, M2 = r1.add_table, r1.mul_table, r2.add_table, r2.mul_table
+    A1, M1, A2, M2 = (T.tolist() for T in (r1.add_table, r1.mul_table, r2.add_table, r2.mul_table))
     for perm in permutations(range(1, n)):
         mp = (0,) + perm
         if r1.unity is not None and mp[r1.unity] != r2.unity:

@@ -4,6 +4,8 @@ Evaluation follows the non-unital convention exactly: for
 f = a_0 + a_1 X + ... + a_n X^n the value at r is a_0 + sum a_i * r^i,
 with the constant entering as a ring element (never as a_0 * r^0).  Left
 coefficients are used throughout, so noncommutative rings are supported.
+Polynomial arithmetic and evaluation read one nested-list view of the
+ring's tables (``_table_lists``); the function sets read its arrays.
 
 The set of all functions induced by polynomials is an additive subgroup G of
 R^R: power vectors v_k(x) = x^k repeat with preperiod t and period p, so
@@ -40,7 +42,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
+from itertools import count, zip_longest
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
@@ -50,6 +52,7 @@ from .core import (
     InternalInvariantError,
     SubsetMask,
     UnsupportedStructureError,
+    _factor_elements,
     _factorize,
     _powers,
     analyze,
@@ -149,12 +152,15 @@ def _same_ring(f: Polynomial, g: Polynomial) -> FiniteRing:
     return f.ring
 
 
+def _table_lists(ring: FiniteRing) -> tuple[list, list]:
+    """The + and * tables as nested lists (``per_ring``): at these orders list loops beat numpy."""
+    return ring.add_table.tolist(), ring.mul_table.tolist()
+
+
 def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
     r = _same_ring(f, g)
-    n = max(len(f.coeffs), len(g.coeffs))
-    fc = f.coeffs + (0,) * (n - len(f.coeffs))
-    gc = g.coeffs + (0,) * (n - len(g.coeffs))
-    return Polynomial(r, tuple(r.add(a, b) for a, b in zip(fc, gc)))
+    add = per_ring(r, _table_lists)[0]
+    return Polynomial(r, tuple(add[a][b] for a, b in zip_longest(f.coeffs, g.coeffs, fillvalue=0)))
 
 
 def poly_neg(f: Polynomial) -> Polynomial:
@@ -170,7 +176,7 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
     fd, gd = f.degree, g.degree
     if fd is None or gd is None:
         return Polynomial(r, ())
-    add, mul = r.add_table, r.mul_table
+    add, mul = per_ring(r, _table_lists)
     terms = [(j, b) for j, b in enumerate(g.coeffs[: gd + 1]) if b]
     out = [0] * (fd + gd + 1)
     for i, a in enumerate(f.coeffs[: fd + 1]):
@@ -191,15 +197,15 @@ def poly_pow(f: Polynomial, k: int) -> Polynomial:
 
 def poly_scale(c: int, f: Polynomial) -> Polynomial:
     """Left scalar multiple c * f."""
-    return Polynomial(f.ring, tuple(f.ring.mul(c, a) for a in f.coeffs))
+    by_c = per_ring(f.ring, _table_lists)[1][c]
+    return Polynomial(f.ring, tuple(by_c[a] for a in f.coeffs))
 
 
 def poly_eval(f: Polynomial, r: int) -> int:
     """Evaluate a_0 + sum_{i>=1} a_i * r^i with powers taken in the coefficient ring."""
-    ring = f.ring
-    if not 0 <= r < ring.order:
+    if not 0 <= r < f.ring.order:
         raise ValueError("element out of the ring's range")
-    add, mul = ring.add_table, ring.mul_table
+    add, mul = per_ring(f.ring, _table_lists)
     acc = f.coeffs[0] if f.coeffs else 0
     power = None
     for c in f.coeffs[1:]:
@@ -338,9 +344,8 @@ class PolyFunctionSet:
         self._basis = basis
         self._index = self._witness_cache = self._setup = self._clearing = None
         if idempotents:
-            mul = ring.mul_table
-            self.count = math.prod(q ** q for q in (len(set(mul[e])) for e in idempotents))
-            project = ring.mul_array[list(idempotents)].T.copy()  # [x, i]: e_i * x
+            self.count = math.prod(q ** q for q in (len(_factor_elements(ring, e)) for e in idempotents))
+            project = ring.mul_table[list(idempotents)].T.copy()  # [x, i]: e_i * x
             at_ex = project * len(idempotents) + np.arange(len(idempotents))  # of [e_i * x, i]
             self._project = project, at_ex.ravel()
         else:
@@ -382,17 +387,18 @@ class PolyFunctionSet:
         induced.  For F's embedded row w = sum_a z_a * g_a, S = w[J] V is
         z_a * u_a * p^v_a modulo p^s (``_lattice``), so F is absent unless
         p^v_a divides S_a, and z_a = S_a / p^v_a * u_a^-1 mod p^(s - v_a).
-        One product z [G | C] gives the digits of sum_a z_a * g_a, which
-        must be F's, and of its witness."""
+        The product z G gives the digits of sum_a z_a * g_a, which must be
+        F's, and only then z C those of its witness."""
         basis, values = self._basis, _view_array(view)
         coords = per_ring(self.ring, _coordinates)
         syndrome = coords.digits[values[basis.points], basis.digits] @ self._clearing_matrix()
         if (syndrome % basis.shifts).any():
             return None
         z = syndrome // basis.shifts * basis.inverses % basis.orders
-        both = coords.element((z @ basis.rows).reshape(-1, len(coords.basis)))
-        n = self.ring.order
-        return both[n:] if np.array_equal(both[:n], values) else None
+        rank = len(coords.basis)
+        table, witness = basis.rows[:, :len(values) * rank], basis.rows[:, len(values) * rank:]
+        present = np.array_equal(coords.element((z @ table).reshape(-1, rank)), values)
+        return coords.element((z @ witness).reshape(-1, rank)) if present else None
 
     def _clearing_matrix(self) -> np.ndarray:
         """V = W^-1 of ``_lattice``, on the pivots' unscaled digits, built on
@@ -416,7 +422,7 @@ class PolyFunctionSet:
         over 0 <= z_a < orders[a], in mixed radix, from the pivot rows."""
         basis, n = self._basis, self.ring.order
         coords = per_ring(self.ring, _coordinates)
-        add = self.ring.add_array.astype(np.min_scalar_type(n - 1))
+        add = self.ring.add_table.astype(np.min_scalar_type(n - 1))
         gens = coords.element(basis.rows.reshape(len(basis.rows), -1, len(coords.basis)))
         both = np.zeros((1, gens.shape[1]), dtype=add.dtype)  # table | row
         for g, order in zip(gens.astype(add.dtype), basis.orders.tolist()):
@@ -490,7 +496,7 @@ class PolyFunctionSet:
             coordinates = per_ring(ring, _coordinates)
             basis, moduli, coords = coordinates.basis, coordinates.moduli, coordinates.digits
             powers = per_ring(ring, _powers)[0]
-            fields = [np.flatnonzero(ring.mul_array[e] == np.arange(n)) for e in self.idempotents]
+            fields = [_factor_elements(ring, e) for e in self.idempotents]
             top = max(map(len, fields))
             index = np.zeros((top, n), dtype=powers.dtype)  # Y[j, x] = coord(index[j, x])
             for e, field in zip(self.idempotents, fields):  # each field lists 0 first
@@ -501,7 +507,7 @@ class PolyFunctionSet:
             index[0, 0] = ring.neg_table[ring.unity]
             dtype = np.float32 if n * len(basis) * (moduli.max() - 1) ** 2 < 1 << 24 else float
             Y = np.take(coords.astype(dtype), index, axis=0)
-            L = coords[ring.mul_array[:, basis][list(ring.neg_table)]].reshape(n, -1).astype(dtype)
+            L = coords[ring.mul_table[:, basis][ring.neg_table]].reshape(n, -1).astype(dtype)
             self._setup = L, Y.reshape(top, -1), moduli, coordinates.weights, coordinates.decode
         return self._setup
 
@@ -593,7 +599,7 @@ def _lattice(ring: FiniteRing) -> _Basis:
     p^(s - v_a) and every witness is determined.
     """
     n = ring.order
-    mul = ring.mul_array
+    mul = ring.mul_table
     coords = per_ring(ring, _coordinates)
     powers = per_ring(ring, _powers)[0]  # row 0 is never read
     m, rank = len(powers), len(coords.basis)
@@ -698,7 +704,7 @@ def _additive_basis(ring: FiniteRing) -> tuple[list[int], list[int], tuple, list
     ``decode`` grows by one block of |S| elements per multiple j * b, in
     O(n) reads in all.
     """
-    n, add, neg = ring.order, ring.add_table, ring.neg_table
+    n, add = ring.order, per_ring(ring, _table_lists)[0]
     characteristic = analyze(ring).characteristic
     plus = lambda u, v: add[u][v]
     key = [0] + [None] * (n - 1)
@@ -707,7 +713,7 @@ def _additive_basis(ring: FiniteRing) -> tuple[list[int], list[int], tuple, list
         start, low = len(decode), len(basis)  # p's first weight and column
         s = bound = dict(_factorize(characteristic))[p]
         p_part = range(n) if p ** a == n else np.flatnonzero(  # R_p, ascending
-            binary_power(lambda u, v: ring.add_array[u, v], np.arange(n), p ** s) == 0).tolist()
+            binary_power(lambda u, v: ring.add_table[u, v], np.arange(n), p ** s) == 0).tolist()
         while len(decode) < start * p ** a:
             best = None
             for x in p_part:
@@ -725,7 +731,7 @@ def _additive_basis(ring: FiniteRing) -> tuple[list[int], list[int], tuple, list
             for m in moduli[low:]:
                 lift += key[w] // weight % m // p ** bound * weight
                 weight *= m
-            b, size = add[x][neg[decode[lift]]], len(decode)
+            b, size = add[x][ring.neg(decode[lift])], len(decode)
             decode += [0] * (size * (p ** bound - 1))
             for k in range(size, len(decode)):  # (z + (j - 1) * b) + b, keyed size on
                 decode[k] = add[decode[k - size]][b]

@@ -58,6 +58,7 @@ from .core import (
     RingInvariants,
     SubsetMask,
     UnsupportedStructureError,
+    _factor_elements,
     _factorize,
     analyze,
     binary_power,
@@ -70,6 +71,7 @@ from .core import (
 )
 from .polyfun import (
     Polynomial,
+    _table_lists,
     char_poly_for_subset,
     function_count,
     function_table,
@@ -194,7 +196,7 @@ def _proper_left_ideal(ring: FiniteRing) -> tuple[int, int] | None:
     """
     n = ring.order
     for c in range(1, n):
-        ideal = {row[c] for row in ring.mul_table}
+        ideal = set(ring.mul_table[:, c].tolist())
         if len(ideal) < n:
             return c, next(y for y in range(n) if y not in ideal)
     if function_count(ring) != n ** n:
@@ -268,8 +270,7 @@ def check_char_functions_iff_field(ring: FiniteRing) -> Verdict:
         all_subsets, witness = True, None
     else:
         c = proper[0]
-        minus_one = ring.neg(ring.unity)
-        if any(row[c] == minus_one for row in ring.mul_table):
+        if ring.neg(ring.unity) in ring.mul_table[:, c].tolist():
             raise InternalInvariantError(f"r*{c} = -1 for some r, but {c} is not a unit")
         all_subsets, witness = False, {"subset": [0], "non_unit": c}
     holds = all_subsets == inv.is_field
@@ -314,7 +315,7 @@ def verify_subring_char_function(ring: FiniteRing, f: Polynomial | None = None) 
                    f"the unit group exponent {inv.unit_group_exponent} divides {n - 1}")
     else:
         c = next(x for x in range(1, n) if x not in inv.units)
-        d = next((y for y in range(1, n) if ring.mul_table[c][y] == 0), None)
+        d = next((y for y, cy in enumerate(ring.mul_table[c].tolist()) if y and cy == 0), None)
         if d is None:
             raise InternalInvariantError(f"the non-unit {c} of {ring.label} annihilates nothing")
         witness = {"non_unit": c, "annihilator": d}
@@ -349,7 +350,7 @@ def verify_nilpotent_shift_power(ring: FiniteRing, b: int, c: int) -> Verdict:
         raise ValueError(f"element {c} is not nilpotent")
     N = binomial_exponent(inv.characteristic, idx).exponent
     power = power_map(ring, N)
-    holds = bool(power[ring.add_table[b][c]] == power[b])
+    holds = bool(power[ring.add_table[b, c]] == power[b])
     return Verdict(
         "L2.2", holds,
         witness={"b": b, "c": c, "nilp_index": idx, "exponent": N},
@@ -368,7 +369,7 @@ def check_nilpotent_shift_powers(ring: FiniteRing) -> Verdict:
     ascending and then b ascending.
     """
     inv = _require(ring, "commutative")
-    A = ring.add_array
+    A = ring.add_table
     groups: dict[int, list[int]] = {}
     for c in inv.nilpotents.indices():
         idx = element_nilpotency_index(ring, c)
@@ -503,18 +504,17 @@ def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def _factor_residue_maps(ring: FiniteRing) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Per primitive idempotent e, the factor's order |eR| and each x's key,
-    the least element of e*x + eJ.  The maximal ideals of R = sum eR are
-    J + (1-e)R for the radical J, so x and y share a residue modulo one
-    exactly when their keys for its e agree.  No ring is built; L2.4 and
-    L2.5 read it through ``per_ring``."""
-    mul, add = ring.mul_table, ring.add_table
+    """Per primitive idempotent e, e and each x's key, the least element of
+    e*x + eJ.  The maximal ideals of R = sum eR are J + (1-e)R for the
+    radical J, so x and y share a residue modulo one exactly when their
+    keys for its e agree.  No ring is built; L2.4 and L2.5 read it through
+    ``per_ring``."""
     radical = analyze(ring).jacobson_radical.indices()
     out = []
     for e in primitive_idempotents(ring):
-        e_radical = {mul[e][j] for j in radical}
-        keys = tuple(min(add[mul[e][x]][j] for j in e_radical) for x in range(ring.order))
-        out.append((len(set(mul[e])), keys))
+        by_e = ring.mul_table[e].tolist()
+        rows = [ring.add_table[j].tolist() for j in {by_e[j] for j in radical}]  # y -> y + j
+        out.append((e, tuple(map(min, zip(*([row[y] for y in by_e] for row in rows))))))
     return tuple(out)
 
 
@@ -522,8 +522,9 @@ def _constant_modulo_a_maximal_ideal(result_id: str, ring: FiniteRing, values,
                                      subject: str) -> Verdict | None:
     """A precondition-failed verdict if the values (elements of ring) have a
     single residue modulo some maximal ideal, else None."""
-    for order, keys in per_ring(ring, _factor_residue_maps):
+    for e, keys in per_ring(ring, _factor_residue_maps):
         if len({keys[v] for v in values}) == 1:
+            order = len(_factor_elements(ring, e))
             return Verdict(
                 result_id, True, vacuous=True,
                 witness={"constant_factor_order": order},
@@ -658,11 +659,12 @@ def _reduced_pow(f: Polynomial, k: int) -> Polynomial:
     function, and its degree stays below t+p."""
     ring = f.ring
     t, period = power_stabilization(ring)
+    add = per_ring(ring, _table_lists)[0]
 
     def reduced(g: Polynomial) -> Polynomial:
         coeffs = list(g.coeffs)
         for d in range(len(coeffs) - 1, t + period - 1, -1):
-            coeffs[d - period] = ring.add(coeffs[d - period], coeffs[d])
+            coeffs[d - period] = add[coeffs[d - period]][coeffs[d]]
         return Polynomial(ring, tuple(coeffs[:t + period]))
 
     return binary_power(lambda g, h: reduced(poly_mul(g, h)), reduced(f), k)
@@ -811,9 +813,9 @@ def check_char_support_cosets(ring: FiniteRing, subset=None) -> Verdict:
     inv = _require(ring, "local-unital")
     k, proj, _ = residue_field(ring)
     subset = inv.units if subset is None else SubsetMask.of(ring, subset)
-    non_units = [j for j in range(ring.order) if j not in inv.units]
-    outside = next(((x, j) for x in subset.indices() for j in non_units
-                    if ring.add(x, j) not in subset), None)
+    shifts = [(j, ring.add_table[j].tolist()) for j in range(ring.order) if j not in inv.units]
+    outside = next(((x, j) for x in subset.indices() for j, plus_j in shifts  # plus_j[x] = x + j
+                    if plus_j[x] not in subset), None)
     raised = None
     if inv.is_field:
         swept = -1

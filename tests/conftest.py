@@ -527,7 +527,7 @@ class Closure:
         return frozenset(map(tuple, self.tables.tolist()))
 
 
-_GROWN: OrderedDict = OrderedDict()  # (add_table, mul_table) -> grown group, latest last
+_GROWN: OrderedDict = OrderedDict()  # (order, table bytes) -> grown group, latest last
 _GROWN_KEPT = 8
 
 
@@ -537,7 +537,7 @@ def coset_growth(ring) -> Closure:
     the same rings, so the group is grown once per ring's tables and kept
     for the session, for the last ``_GROWN_KEPT`` tables used; its arrays
     are read-only."""
-    key = (ring.add_table, ring.mul_table)
+    key = (ring.order, ring.add_table.tobytes(), ring.mul_table.tobytes())
     if key in _GROWN:
         _GROWN.move_to_end(key)
     else:

@@ -10,12 +10,15 @@ from functools import lru_cache
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import finring
+from conftest import m2f2, upper_triangular_f2
 from finring import catalog, core
 from finring import InternalInvariantError
-from finring.cli import _witness_json, main
+from finring.cli import _verdict_json, _witness_json, main
+from finring.polyfun import Polynomial
 from finring.theorems import CHECKS, Check, CheckOptions, Verdict
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "report.schema.json").read_text())
@@ -55,6 +58,34 @@ def test_report_text_mode(capsys):
 def test_report_bad_spec_exits_2(capsys):
     assert main(["report", "Z/0"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _numpy_scalars(value) -> list:
+    """Every numpy scalar in a witness, polynomial coefficients included."""
+    if isinstance(value, np.generic):
+        return [value]
+    if isinstance(value, Polynomial):
+        value = value.coeffs
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [s for v in value for s in _numpy_scalars(v)]
+    return []
+
+
+def test_answers_are_python_ints():
+    # the rings keep numpy tables: a numpy count would overflow at 17^17 > 2^63,
+    # and json refuses numpy scalars
+    for spec, q in (("Z/17", 17), ("GF(27)", 27)):
+        count = finring.function_count(catalog.realize(finring.parse_ring_spec(spec)))
+        assert type(count) is int and count == q ** q
+    rings = [ring for _, ring in finring.standard_catalog(32)] + [upper_triangular_f2(), m2f2()]
+    for ring in rings:
+        for result_id, check in CHECKS.items():
+            if check.applies(ring):
+                verdict = check.run(ring, CheckOptions())
+                assert not _numpy_scalars(verdict.witness), (ring.label, result_id)
+                json.dumps(_verdict_json(verdict, 0.0))
 
 
 def test_check_p27_holds(capsys):

@@ -154,8 +154,8 @@ def test_product_z2_z2_idempotents():
 
 def test_table_ring_round_trip(z4):
     r = make_table_ring(z4.add_table, z4.mul_table)
-    assert r.add_table == z4.add_table
-    assert r.mul_table == z4.mul_table
+    assert np.array_equal(r.add_table, z4.add_table)
+    assert np.array_equal(r.mul_table, z4.mul_table)
     assert r.unity == 1
 
 
@@ -201,17 +201,15 @@ _VIOLATES = {
 
 def _corrupted(ring, rng):
     """ring with 1-3 edits: each sets add[a][b] = add[b][a] or mul[a][b] to a new value."""
-    add = [list(row) for row in ring.add_table]
-    mul = [list(row) for row in ring.mul_table]
+    add, mul = ring.add_table.copy(), ring.mul_table.copy()
     for _ in range(rng.randint(1, 3)):
         a, b = rng.randrange(ring.order), rng.randrange(ring.order)
         table = rng.choice((add, mul))
-        table[a][b] = rng.choice([v for v in range(ring.order) if v != table[a][b]])
+        table[a, b] = rng.choice([v for v in range(ring.order) if v != table[a, b]])
         if table is add:
-            add[b][a] = add[a][b]
-    neg = tuple(row.index(0) if 0 in row else 0 for row in add)  # as make_table_ring does
-    freeze = lambda table: tuple(map(tuple, table))
-    return dataclasses.replace(ring, add_table=freeze(add), mul_table=freeze(mul), neg_table=neg)
+            add[b, a] = add[a, b]
+    neg = (add == 0).argmax(axis=1)  # the first 0 of each row, or 0, as make_table_ring does
+    return dataclasses.replace(ring, add_table=add, mul_table=mul, neg_table=neg)
 
 
 def _bilinear_shift(ring, rng):
@@ -229,9 +227,8 @@ def _bilinear_shift(ring, rng):
                 acc ^= B[i][j]
         return acc
 
-    mul = tuple(tuple(ring.mul_table[a][b] ^ shift(a, b) for b in ring.elements())
-                for a in ring.elements())
-    return dataclasses.replace(ring, mul_table=mul)
+    shifts = np.array([[shift(a, b) for b in ring.elements()] for a in ring.elements()])
+    return dataclasses.replace(ring, mul_table=ring.mul_table ^ shifts)
 
 
 def _violation(check, ring):
@@ -291,7 +288,10 @@ def test_table_ring_refuses_tables_that_are_not_square(add, mul):
 
 
 def _ring(ring) -> tuple:
-    return ring.add_table, ring.mul_table, ring.neg_table, ring.unity, ring.label
+    """The ring's tables as nested tuples, its unity and its label, as ``loop_tables`` gives them."""
+    rows = lambda table: tuple(map(tuple, table.tolist()))
+    return rows(ring.add_table), rows(ring.mul_table), tuple(ring.neg_table.tolist()), ring.unity, \
+        ring.label
 
 
 def _loop_spec(ast) -> tuple:
@@ -329,11 +329,17 @@ def _with_factors_and_residue_fields(ring) -> list:
 @pytest.mark.parametrize("spec", [spec for spec, _ in standard_catalog(32)] + list(LARGER_SPECS))
 def test_rings_carry_their_tables_as_read_only_arrays(spec):
     for ring in _with_factors_and_residue_fields(realize(parse_ring_spec(spec))):
-        for array, table in ((ring.add_array, ring.add_table), (ring.mul_array, ring.mul_table)):
-            assert array.dtype == np.intp and array.tolist() == [list(row) for row in table]
-            assert not array.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0
+        _assert_read_only_tables(ring)
+
+
+def _assert_read_only_tables(ring):
+    n = ring.order
+    for table, shape in ((ring.add_table, (n, n)), (ring.mul_table, (n, n)), (ring.neg_table, (n,))):
+        assert type(table) is np.ndarray and table.dtype == np.intp and table.shape == shape
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * len(shape)] = 0
+    assert all(type(v) is int for v in (ring.add(1, 1), ring.mul(1, 1), ring.neg(1), ring.sub(0, 1)))
 
 
 @pytest.mark.parametrize("left, right", [(upper_triangular_f2, lambda: make_zn(2)),
@@ -347,8 +353,9 @@ def test_noncommutative_products_match_the_loop_oracle(left, right):
 
 def test_table_ring_keeps_its_tables_and_finds_unity_and_negatives():
     for ring in (upper_triangular_f2(), m2f2(), skew_dual_f4(), make_zero_mul_ring(6)):
+        _assert_read_only_tables(ring)
         assert _ring(make_table_ring(ring.add_table, ring.mul_table, ring.label)) == \
-            loop_tables(ring.add_table, ring.mul_table, ring.label)
+            loop_tables(ring.add_table.tolist(), ring.mul_table.tolist(), ring.label)
 
 
 @pytest.mark.parametrize("spec", ["Z/6", "Z/12", "Z/30", "Z/2 x Z/4", "Z/4 x Z/3", "Z/8 x Z/9",
@@ -513,7 +520,7 @@ def test_binary_power_matches_a_left_fold(z6):
     ops = [
         (lambda a, b: z6.mul_table[a][b], 5),
         (poly_mul, poly_from(z6, (1, 2, 3))),
-        (lambda a, b: z6.add_array[a, b], np.arange(z6.order)),
+        (lambda a, b: z6.add_table[a, b], np.arange(z6.order)),
     ]
     for op, x in ops:
         for k in range(1, 41):
@@ -617,7 +624,7 @@ def test_the_power_table_reads_as_the_per_element_walks(ring):
 def test_power_map_equals_repeated_squaring(ring):
     t, p = power_stabilization(ring)
     elements = np.arange(ring.order)
-    times = lambda a, b: ring.mul_array[a, b]
+    times = lambda a, b: ring.mul_table[a, b]
     for k in [*range(1, 3 * (t + p) + 1), 4096, 10 ** 6]:
         assert np.array_equal(power_map(ring, k), binary_power(times, elements, k)), k
     with pytest.raises(ValueError):

@@ -974,7 +974,7 @@ def assert_coordinates(ring) -> None:
     digits = coords.digits
     assert ((0 <= digits) & (digits < coords.moduli)).all()
     sums = (digits[:, None] + digits[None, :]) % coords.moduli
-    assert np.array_equal(digits[ring.add_array], sums)
+    assert np.array_equal(digits[ring.add_table], sums)
     keys = digits @ coords.weights
     assert np.array_equal(coords.decode[keys], np.arange(n))
     assert np.array_equal(np.sort(keys), np.arange(n))

@@ -465,7 +465,7 @@ def test_factor_residue_maps_match_built_factors_and_residue_fields(spec):
     assert primitive_idempotents(ring) == tuple(f.idempotent for f in local_decomposition(ring))
     maps = theorems._factor_residue_maps(ring)
     oracle = factor_residues(ring)
-    assert [order for order, _ in maps] == [order for order, _ in oracle]
+    assert [len(core._factor_elements(ring, e)) for e, _ in maps] == [order for order, _ in oracle]
     for (_, keys), (_, classes) in zip(maps, oracle):
         # equal keys exactly when equal residues: key <-> class is a bijection
         pairs = set(zip(keys, classes))
@@ -1014,7 +1014,7 @@ def test_one_sweep_builds_each_store_entry_once_per_ring(tmp_path, capsys):
     built = set().union(*(store.builds for store in stores))
     assert built == {"_proper_left_ideal", "_unit_order_bound", "_units_indicator",
                      "_residue_field", "_factor_residue_maps", "_lift_basis", "_coordinates",
-                     "_powers"}
+                     "_powers", "_table_lists"}
 
 
 @pytest.mark.parametrize("spec", _COMM_LOCAL_32)
@@ -1045,9 +1045,10 @@ def test_a_ring_that_ran_no_check_stores_only_its_powers_and_coordinates():
     assert set(ring.store) == {core._powers}
     function_count(ring)
     polynomial_function_set(ring).lookup(tuple(range(12)))
-    assert set(ring.store) == {core._powers, polyfun._coordinates}
+    assert set(ring.store) == {core._powers, polyfun._coordinates, polyfun._table_lists}
     check_reachability_iff_field(ring)
-    assert set(ring.store) == {core._powers, polyfun._coordinates, theorems._proper_left_ideal}
+    assert set(ring.store) == {core._powers, polyfun._coordinates, polyfun._table_lists,
+                               theorems._proper_left_ideal}
 
 
 def test_a_ring_and_its_store_are_freed_together():
