@@ -6,7 +6,9 @@ total table lookup.  A ring holds each table once, as a read-only intp
 numpy array.  Every constructor builds the arrays and validates the
 complete set of ring axioms on them, checking associativity and
 distributivity against an additive generating set in O(order^2 log order)
-numpy work; ``validate_ring`` re-checks a ring's arrays.  A scalar reader
+numpy work; ``validate_ring`` re-checks a ring's arrays.  A residue field
+or a local factor is the image of a validated ring (``_image``), checked
+to be one by a homomorphism test over all pairs instead.  A scalar reader
 walks the ``tolist()`` of the one row or column it needs.
 
 A construction that more than one check or caller reads, such as the
@@ -599,22 +601,19 @@ def _factor_elements(ring: FiniteRing, e: int) -> list[int]:
 
 
 def local_decomposition(ring: FiniteRing) -> tuple[LocalFactor, ...]:
-    """Split a commutative unital ring into its local factors eR, built as
-    rings, one per primitive idempotent e; a local ring is its own one factor,
-    with the identity projection.  Uncached: no check builds factor rings."""
+    """Split a commutative unital ring into its local factors eR, one per
+    primitive idempotent e, each the image of x -> e*x (``_image``); a local
+    ring is its own one factor, with the identity projection.  Uncached: no
+    check builds factor rings."""
     primitive = primitive_idempotents(ring)
     if len(primitive) == 1:
         return (LocalFactor(idempotent=ring.unity, ring=ring, projection=tuple(range(ring.order))),)
-    A, M = ring.add_table, ring.mul_table
     factors = []
     for e in primitive:
         elems = np.array(_factor_elements(ring, e))
-        sub = _build(*(np.searchsorted(elems, T[elems[:, None], elems]) for T in (A, M)),
-                     f"{ring.label}|e={e}")
-        if sub.unity is None or elems[sub.unity] != e:
-            raise InternalInvariantError("factor unity must be the defining idempotent")
-        projection = tuple(np.searchsorted(elems, M[e]).tolist())
-        factors.append(LocalFactor(idempotent=e, ring=sub, projection=projection))
+        projection = np.searchsorted(elems, ring.mul_table[e])
+        sub = _image(ring, projection, elems, f"{ring.label}|e={e}")
+        factors.append(LocalFactor(idempotent=e, ring=sub, projection=tuple(projection.tolist())))
     total = math.prod(f.ring.order for f in factors)
     if total != ring.order:
         raise InternalInvariantError("local factor orders do not multiply to the ring order")
@@ -626,8 +625,9 @@ def residue_field(ring: FiniteRing) -> tuple[FiniteRing, tuple[int, ...], tuple[
 
     Returns (field, projection, representatives): projection[x] is the field
     index of x's coset, representatives[i] the least element index in coset i.
-    A field is its own residue field, returned with identity maps.  Built
-    once per ring (``per_ring``), so every call returns the same objects.
+    The field is the image of the projection (``_image``), checked to be a
+    field; a field is its own residue field, returned with identity maps.
+    Built once per ring (``per_ring``), so every call returns the same objects.
     """
     return per_ring(ring, _residue_field)
 
@@ -638,19 +638,38 @@ def _residue_field(ring: FiniteRing) -> tuple[FiniteRing, tuple[int, ...], tuple
         raise UnsupportedStructureError("residue field needs a local unital ring")
     if inv.is_field:
         return ring, tuple(range(ring.order)), tuple(range(ring.order))
-    A, M = ring.add_table, ring.mul_table
     m = [a for a in range(ring.order) if a not in inv.units]
-    rep_of = A[:, m].min(axis=1)                       # the least element of x + m
+    rep_of = ring.add_table[:, m].min(axis=1)          # the least element of x + m
     reps = np.flatnonzero(np.bincount(rep_of, minlength=ring.order))
     proj = np.searchsorted(reps, rep_of)
-    add, mul = (proj[T[reps[:, None], reps]] for T in (A, M))
-    field = _build(add, mul, f"{ring.label}/m")
+    field = _image(ring, proj, reps, f"{ring.label}/m")
     # every nonzero x with x*y = 1 for some y makes a finite ring with unity
     # a division ring, hence a field (Wedderburn)
-    if field.unity is None or field.order < 2 or \
-            not (field.mul_table[1:] == field.unity).any(axis=1).all():
+    if field.order < 2 or not (field.mul_table[1:] == field.unity).any(axis=1).all():
         raise InternalInvariantError("residue ring of a local ring must be a field")
     return field, tuple(proj.tolist()), tuple(reps.tolist())
+
+
+def _image(ring: FiniteRing, proj: np.ndarray, reps: np.ndarray, label: str) -> FiniteRing:
+    """The image of a validated unital ring under x -> proj[x], a map onto
+    range(len(reps)) with proj[reps[i]] = i and proj[0] = 0, on the tables
+    proj[T[reps, reps]].  It is made without ``_check_axioms``: once proj
+    respects + and * at all n^2 pairs (InternalInvariantError otherwise),
+    it is a surjective homomorphism, so its image is a ring with unity
+    proj[1] and every axiom holds there because it holds in the ring."""
+    k = len(reps)
+    if proj[0] != 0 or proj.max() >= k or not np.array_equal(proj[reps], np.arange(k)):
+        raise InternalInvariantError(f"{label}: the projection is not onto its representatives")
+    tables = []
+    for what, T in (("addition", ring.add_table), ("multiplication", ring.mul_table)):
+        image = proj[T[reps[:, None], reps]]
+        if not np.array_equal(proj[T], image.take(proj, 0).take(proj, 1)):  # at (proj x, proj y)
+            raise InternalInvariantError(f"{label}: the projection does not respect {what}")
+        image.flags.writeable = False
+        tables.append(image)
+    neg = proj[ring.neg_table[reps]]
+    neg.flags.writeable = False
+    return FiniteRing(k, *tables, neg, int(proj[ring.unity]), label)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,13 @@ INDEX_LIMIT = 1 << 16  # sets of at most this many tables are enumerated into an
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Coefficient vector (a_0, a_1, ...) of element indices over a fixed ring."""
+    """Coefficient vector (a_0, a_1, ...) of element indices over a fixed ring.
+
+    ``Polynomial(ring, coeffs)`` checks that every coefficient is an element
+    index.  The results of ``poly_add``, ``poly_neg``, ``poly_mul`` and
+    ``poly_scale`` (so of ``poly_sub``, ``poly_pow`` and P2.6's reduced
+    powers too) and the lookup witnesses skip the check (``_trusted``):
+    their coefficients are read from the ring's own tables."""
 
     ring: FiniteRing
     coeffs: tuple[int, ...]
@@ -119,7 +125,9 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class FunctionTable:
-    """A total function between rings as a dense vector of codomain indices."""
+    """A total function between rings as a dense vector of codomain indices,
+    checked when a caller builds one; ``function_table``'s values are read
+    from the ring's tables and are not checked again."""
 
     domain: FiniteRing
     codomain: FiniteRing
@@ -160,11 +168,11 @@ def _table_lists(ring: FiniteRing) -> tuple[list, list]:
 def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
     r = _same_ring(f, g)
     add = per_ring(r, _table_lists)[0]
-    return Polynomial(r, tuple(add[a][b] for a, b in zip_longest(f.coeffs, g.coeffs, fillvalue=0)))
+    return _trusted(r, tuple(add[a][b] for a, b in zip_longest(f.coeffs, g.coeffs, fillvalue=0)))
 
 
 def poly_neg(f: Polynomial) -> Polynomial:
-    return Polynomial(f.ring, tuple(f.ring.neg(c) for c in f.coeffs))
+    return _trusted(f.ring, tuple(f.ring.neg(c) for c in f.coeffs))
 
 
 def poly_sub(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -184,7 +192,7 @@ def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
             by_a = mul[a]
             for j, b in terms:
                 out[i + j] = add[out[i + j]][by_a[b]]
-    return Polynomial(r, tuple(out))
+    return _trusted(r, tuple(out))
 
 
 def poly_pow(f: Polynomial, k: int) -> Polynomial:
@@ -198,7 +206,7 @@ def poly_pow(f: Polynomial, k: int) -> Polynomial:
 def poly_scale(c: int, f: Polynomial) -> Polynomial:
     """Left scalar multiple c * f."""
     by_c = per_ring(f.ring, _table_lists)[1][c]
-    return Polynomial(f.ring, tuple(by_c[a] for a in f.coeffs))
+    return _trusted(f.ring, tuple(by_c[a] for a in f.coeffs))
 
 
 def poly_eval(f: Polynomial, r: int) -> int:
@@ -217,8 +225,11 @@ def poly_eval(f: Polynomial, r: int) -> int:
 
 def function_table(f: Polynomial) -> FunctionTable:
     """Tabulate f over every element of its coefficient ring."""
-    values = tuple(poly_eval(f, x) for x in range(f.ring.order))
-    return FunctionTable(domain=f.ring, codomain=f.ring, values=values)
+    table = object.__new__(FunctionTable)  # without the checks, as in ``_trusted``
+    object.__setattr__(table, "domain", f.ring)
+    object.__setattr__(table, "codomain", f.ring)
+    object.__setattr__(table, "values", tuple(poly_eval(f, x) for x in range(f.ring.order)))
+    return table
 
 
 def image(f: Polynomial) -> SubsetMask:
@@ -290,16 +301,23 @@ def _view_array(view: bytes | array) -> np.ndarray:
     return np.frombuffer(view, np.uint8 if type(view) is bytes else np.uint16)
 
 
+def _trusted(ring: FiniteRing, coeffs: tuple[int, ...]) -> Polynomial:
+    """Polynomial(ring, coeffs) made without ``__post_init__``'s checks:
+    only for a tuple of ints that are element indices by construction,
+    such as values read from the ring's own tables."""
+    poly = object.__new__(Polynomial)
+    object.__setattr__(poly, "ring", ring)
+    object.__setattr__(poly, "coeffs", coeffs)
+    return poly
+
+
 def _witness(ring: FiniteRing, coeffs: list[int]) -> Polynomial:
     """The polynomial with these coefficients, trailing zeros dropped, made
-    without ``Polynomial.__post_init__``: only for coefficients that are
+    without checking them (``_trusted``): only for coefficients that are
     element indices by construction."""
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    witness = object.__new__(Polynomial)
-    object.__setattr__(witness, "ring", ring)
-    object.__setattr__(witness, "coeffs", tuple(coeffs))
-    return witness
+    return _trusted(ring, tuple(coeffs))
 
 
 class PolyFunctionSet:

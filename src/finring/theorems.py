@@ -72,6 +72,7 @@ from .core import (
 from .polyfun import (
     Polynomial,
     _table_lists,
+    _trusted,
     char_poly_for_subset,
     function_count,
     function_table,
@@ -665,7 +666,7 @@ def _reduced_pow(f: Polynomial, k: int) -> Polynomial:
         coeffs = list(g.coeffs)
         for d in range(len(coeffs) - 1, t + period - 1, -1):
             coeffs[d - period] = add[coeffs[d - period]][coeffs[d]]
-        return Polynomial(ring, tuple(coeffs[:t + period]))
+        return _trusted(ring, tuple(coeffs[:t + period]))
 
     return binary_power(lambda g, h: reduced(poly_mul(g, h)), reduced(f), k)
 

@@ -344,35 +344,38 @@ def test_char_checks_match_the_golden_file_without_function_sets(refuse_index):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The label of every ring built while the test runs, with realize's
-    cache emptied first."""
-    labels = []
-    build = core._build
+    """The label of every ring built while the test runs, from tables it
+    validates (``_build``) or as the image of a ring (``_image``), with
+    realize's cache emptied first."""
+    labels = {"validated": [], "image": []}
+    for name, kind in (("_build", "validated"), ("_image", "image")):
+        build = getattr(core, name)
 
-    def record(add, mul, label):
-        labels.append(label)
-        return build(add, mul, label)
+        def record(*args, build=build, kind=kind):
+            labels[kind].append(args[-1])
+            return build(*args)
 
-    monkeypatch.setattr(core, "_build", record)
+        monkeypatch.setattr(core, name, record)
     monkeypatch.setattr(catalog, "realize", lru_cache(maxsize=None)(catalog.realize.__wrapped__))
     return labels
 
 
 def test_sweep_builds_each_ring_once(builds, tmp_path):
     # The catalog builds each Z/n once, also as the base of its quotients and
-    # products.  L2.4, L2.5 and the report read local factors from primitive
-    # idempotents, so besides the 28 distinct catalog rings only the 8
-    # residue fields of the non-field local rings are built.
+    # products, so only its 28 distinct rings are built from tables.  L2.4,
+    # L2.5 and the report read local factors from primitive idempotents, so
+    # the only images are the 8 residue fields of the non-field local rings.
     assert main(["sweep", "--max-order", "16", "--out", str(tmp_path / "sweep.json")]) == 0
-    assert len(builds) <= 36, builds
-    assert not [label for label in builds if "|e=" in label], builds
+    assert len(builds["validated"]) <= 28, builds
+    assert all(label.endswith("/m") for label in builds["image"]), builds
+    assert len(builds["image"]) <= 8, builds
 
 
 @pytest.mark.parametrize("spec", ["Z/18", "Z/8 x Z/2"])
 def test_report_builds_no_local_factor(builds, capsys, spec):
     code, doc = run_json(capsys, "report", spec)
     assert code == 0 and len(doc["local_factors"]) == 2
-    assert not [label for label in builds if "|e=" in label], builds
+    assert not [label for label in builds["image"] if "|e=" in label], builds
 
 
 @pytest.mark.parametrize("spec", ["Z/257", "Z/2[x]/(x^9)", "Z/16 x Z/17", "zero-ring-300"])

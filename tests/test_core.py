@@ -373,6 +373,30 @@ def test_factor_rings_match_the_loop_oracle(spec):
             assert (_ring(field), proj, reps) == loop_residue_field(factor.ring)
 
 
+def _image_cases():
+    """The unital rings that are local or commutative among the catalog's,
+    GF(4)[t; Frobenius]/(t^2) (local and noncommutative) and two larger
+    local quotients."""
+    rings = [ring for _, ring in standard_catalog(32)] + [skew_dual_f4()]
+    rings += [realize(parse_ring_spec(spec)) for spec in ("Z/169", "Z/2[x]/(x^8)")]
+    return [ring for ring in rings if analyze(ring).is_unital
+            and (analyze(ring).is_local or analyze(ring).is_commutative)]
+
+
+@pytest.mark.parametrize("ring", _image_cases(), ids=lambda ring: ring.label)
+def test_images_match_rings_built_from_their_tables(ring):
+    # the residue field and the local factors are images (core._image), made
+    # without _check_axioms: _build on the same tables must give the same ring
+    if analyze(ring).is_local:
+        images = [residue_field(ring)[0]]
+    else:
+        images = [factor.ring for factor in local_decomposition(ring)]
+    for image in images:
+        validate_ring(image)
+        built = core._build(image.add_table.copy(), image.mul_table.copy(), image.label)
+        assert _ring(image) == _ring(built), image.label
+
+
 def test_zero_mul_ring_is_non_unital():
     r = make_zero_mul_ring(2)
     inv = analyze(r)
@@ -453,14 +477,17 @@ def test_residue_field_z4(z4):
     assert reps == (0, 1)
 
 
-@pytest.mark.parametrize("quotient", [lambda: make_zn(4), lambda: make_zero_mul_ring(2)],
-                         ids=["Z/4", "zero-ring-2"])
-def test_a_residue_ring_that_is_no_field_raises(monkeypatch, quotient):
-    # a nonzero row of Z/4's product table (2 * y) misses the unity, and the
-    # zero ring has none
-    ring, wrong = make_quotient(make_zn(2), [0, 0, 1]), quotient()
-    monkeypatch.setattr(core, "_build", lambda add, mul, label: wrong)
-    with pytest.raises(core.InternalInvariantError, match="must be a field"):
+@pytest.mark.parametrize("non_units, match", [((0,), "must be a field"),
+                                              ((0, 1), "does not respect addition")],
+                         ids=["Z/4", "not-an-ideal"])
+def test_a_residue_ring_that_is_no_field_raises(monkeypatch, non_units, match):
+    # Z/4 with its non-units faked: {0} gives the quotient Z/4, whose row of 2
+    # misses the unity, and {0, 1} is no ideal, so x -> x + m is no homomorphism
+    ring, analyze_ring = make_zn(4), core.analyze
+    units = core.SubsetMask.from_indices(ring, (x for x in range(4) if x not in non_units))
+    monkeypatch.setattr(core, "analyze", lambda r: dataclasses.replace(analyze_ring(r), units=units)
+                        if r is ring else analyze_ring(r))
+    with pytest.raises(core.InternalInvariantError, match=match):
         residue_field(ring)
 
 

@@ -39,6 +39,8 @@ from finring.polyfun import (
     poly_add,
     poly_mul,
     poly_pow,
+    poly_scale,
+    poly_sub,
 )
 
 from finring.theorems import check_char_support_cosets
@@ -821,6 +823,27 @@ def test_arithmetic_matches_the_schoolbook_oracle(ring, data):
     assert poly_pow(f, k).stripped() == schoolbook_pow(f, k)
     assert [poly_eval(f, x) for x in range(ring.order)] == \
         [schoolbook_eval(f, x) for x in range(ring.order)]
+
+
+_TRUSTED_RINGS = [ring for _, ring in standard_catalog(16)] + [upper_triangular_f2()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(ring=st.sampled_from(_TRUSTED_RINGS), data=st.data())
+def test_arithmetic_results_are_valid_polynomials(ring, data):
+    # poly_add, poly_mul, poly_scale and the reduced powers build their
+    # results without Polynomial's checks; each must be what the checks accept
+    coeff = st.integers(min_value=0, max_value=ring.order - 1)
+    f, g = (poly_from(ring, data.draw(st.lists(coeff, max_size=6))) for _ in range(2))
+    k = data.draw(st.integers(min_value=1, max_value=6))
+    results = [poly_add(f, g), poly_sub(f, g), poly_mul(f, g), poly_scale(data.draw(coeff), f),
+               poly_pow(f, k), theorems._reduced_pow(f, k)]
+    for result in results:
+        assert all(type(c) is int and 0 <= c < ring.order for c in result.coeffs), result
+        assert result == Polynomial(ring, result.coeffs)
+    table = function_table(f)
+    assert all(type(v) is int for v in table.values)
+    assert table == FunctionTable(ring, ring, table.values)
 
 
 def test_poly_pow_matches_repeated_mul(z6):
