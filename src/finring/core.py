@@ -405,7 +405,7 @@ def make_quotient(base: FiniteRing, modulus, label: str | None = None) -> Finite
     u*x^(k-1) by a shift and one reduction by the monic modulus, and
     u*v = sum_k v_k * (u*x^k).
     """
-    if not base.is_unital or not analyze(base).is_commutative:
+    if not base.is_unital or not (base.mul_table == base.mul_table.T).all():
         raise UnsupportedStructureError("quotient base must be commutative and unital")
     if getattr(modulus, "ring", base) is not base:
         raise ValueError("modulus polynomial is defined over a different ring")

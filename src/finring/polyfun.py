@@ -27,13 +27,14 @@ an integer sum of digits reduced mod p^e.
 
 Any other ring is answered by one elimination per prime, of G as a
 Z/p^s-lattice (``_lattice``), run once per ring and kept on its set.  Its
-pivot rows write G as a direct sum of cyclic groups <g_a>, each with a
-witness coefficient row, so it counts G without building a table
-(``function_count``), and one small triangular matrix on its pivot
-columns decides membership (``contains``) and solves for the multiple of
-each g_a.  ``lookup`` enumerates a set of at most ``INDEX_LIMIT`` tables
-into an index on its first call, and solves on a larger one.  An index
-hit returns the witness its row built on its first hit.
+pivot rows write G as a direct sum of cyclic groups <g_a>, so it counts G
+without building a table or a witness (``function_count``), and one small
+triangular matrix on its pivot columns decides membership (``contains``)
+and solves for the multiple of each g_a.  The first lookup rebuilds each
+g_a's witness coefficients from the steps the elimination recorded.
+``lookup`` enumerates a set of at most ``INDEX_LIMIT`` tables into an
+index on its first call, and solves on a larger one.  An index hit
+returns the witness its row built on its first hit.
 """
 
 from __future__ import annotations
@@ -281,7 +282,8 @@ def _table_view(ring: FiniteRing, table) -> bytes | array:
     for its length and largest value.  Any other table, and any that this
     rejects, goes through ``_table_values``, so every malformed table raises
     the same ValueError."""
-    small = ring.order <= 256
+    n = ring.order
+    small = n <= 256
     if not small:  # only these rings need the array module
         from array import array
     if type(table) in (tuple, list):
@@ -290,7 +292,7 @@ def _table_view(ring: FiniteRing, table) -> bytes | array:
         except (TypeError, ValueError, OverflowError):
             pass
         else:
-            if len(view) == ring.order and max(view) < ring.order:
+            if len(view) == n and max(view) < n:
                 return view
     values = _table_values(ring, table)
     return bytes(values) if small else array("H", values)
@@ -332,11 +334,14 @@ class PolyFunctionSet:
     first interpolation and kept on the set.
 
     Lattice (any other ring): G is the direct sum of the cyclic groups
-    <g_a> of ``_lattice``, whose pivot rows hold each g_a's table and
-    witness coefficients; the set is built with them, and ``count`` is the
-    product of their orders.  On the first ``lookup``, a set of at most
-    ``INDEX_LIMIT`` tables is enumerated from them: ``tables`` holds every
-    table, ``witnesses`` a parallel coefficient row, and an index maps each
+    <g_a> of ``_lattice``, whose pivot rows hold each g_a's table; the set
+    is built with them, and ``count`` is the product of their orders.  The
+    elimination ran on the table columns only, so counting builds no
+    witness: the first lookup that reads one rebuilds every g_a's witness
+    coefficients from its recorded steps (``_coefficient_digits``), once
+    per set.  On the first ``lookup``, a set of at most ``INDEX_LIMIT``
+    tables is enumerated from them: ``tables`` holds every table,
+    ``witnesses`` a parallel coefficient row, and an index maps each
     table's bytes to its row.  An index hit returns its row's witness,
     built on the row's first hit and the same (frozen) object on every
     later one.  A larger set solves each lookup for the multiples z_a and
@@ -360,7 +365,8 @@ class PolyFunctionSet:
         self.idempotents = idempotents
         self.field_mode = len(idempotents) == 1
         self._basis = basis
-        self._index = self._witness_cache = self._setup = self._clearing = None
+        self._index = self._witness_cache = self._setup = None
+        self._clearing = self._coefficients = None
         if idempotents:
             self.count = math.prod(q ** q for q in (len(_factor_elements(ring, e)) for e in idempotents))
             project = ring.mul_table[list(idempotents)].T.copy()  # [x, i]: e_i * x
@@ -372,23 +378,25 @@ class PolyFunctionSet:
     def lookup(self, table) -> tuple[str, Polynomial | None]:
         """('present', witness) or ('absent', None)."""
         view = _table_view(self.ring, table)
-        if self.idempotents:
-            if not self._induced(view):
-                return "absent", None
-            return "present", self._interpolate(view)
-        if self.count <= INDEX_LIMIT and self.ring.order <= 256:  # bytes keys need values < 256
-            idx = self._table_index().get(view)
-            if idx is None:
-                return "absent", None
-            witness = self._witness_cache[idx]
-            if witness is None:
-                witness = self._witness_cache[idx] = _witness(self.ring,
-                                                              self.witnesses[idx].tolist())
-            return "present", witness
-        coeffs = self._solve(view)
-        if coeffs is None:
+        index = self._index
+        if index is None:
+            if self.idempotents:
+                if not self._induced(view):
+                    return "absent", None
+                return "present", self._interpolate(view)
+            if self.count > INDEX_LIMIT or self.ring.order > 256:  # bytes keys need values < 256
+                coeffs = self._solve(view)
+                if coeffs is None:
+                    return "absent", None
+                return "present", _witness(self.ring, coeffs.tolist())
+            index = self._table_index()
+        idx = index.get(view)
+        if idx is None:
             return "absent", None
-        return "present", _witness(self.ring, coeffs.tolist())
+        witness = self._witness_cache[idx]
+        if witness is None:
+            witness = self._witness_cache[idx] = _witness(self.ring, self.witnesses[idx].tolist())
+        return "present", witness
 
     def contains(self, table) -> bool:
         """Whether the table is induced: from the index once a lookup has
@@ -414,9 +422,9 @@ class PolyFunctionSet:
             return None
         z = syndrome // basis.shifts * basis.inverses % basis.orders
         rank = len(coords.basis)
-        table, witness = basis.rows[:, :len(values) * rank], basis.rows[:, len(values) * rank:]
-        present = np.array_equal(coords.element((z @ table).reshape(-1, rank)), values)
-        return coords.element((z @ witness).reshape(-1, rank)) if present else None
+        if not np.array_equal(coords.element((z @ basis.rows).reshape(-1, rank)), values):
+            return None
+        return coords.element((z @ self._coefficient_digits()).reshape(-1, rank))
 
     def _clearing_matrix(self) -> np.ndarray:
         """V = W^-1 of ``_lattice``, on the pivots' unscaled digits, built on
@@ -435,13 +443,36 @@ class PolyFunctionSet:
             self._clearing = clearing * scale[:, None]
         return self._clearing
 
+    def _coefficient_digits(self) -> np.ndarray:
+        """C, the digits of each g_a's witness coefficient at every x^k,
+        rebuilt from ``_lattice``'s recorded steps by the first lookup that
+        reads them (a solve's witness product or ``_enumerate``) and kept
+        on the set.  g_a is the combination U_a = e_(i_a) - sum_(b<a)
+        f_b[i_a] * U_b of the generators, which is 0 off the pivot rows
+        i_b (b <= a).  Its entries there are row a of K = T^-1 for the unit
+        lower-triangular ``multipliers`` T, so K[a] = e_a - sum_(b<a)
+        T[a, b] K[b], from the first row down; two primes' steps meet only
+        in zeros, so column b is taken mod its p^s.  Row a of C holds K[a]
+        at the digits ``sources`` and zeros elsewhere."""
+        if self._coefficients is None:
+            basis, ring = self._basis, self.ring
+            q = basis.shifts * basis.orders
+            combination = np.eye(len(q), dtype=np.intp)  # K
+            for a in range(1, len(q)):
+                combination[a, :a] = -basis.multipliers[a, :a] @ combination[:a, :a] % q[:a]
+            width = len(per_ring(ring, _powers)[0]) * len(per_ring(ring, _coordinates).basis)
+            self._coefficients = np.zeros((len(q), width), dtype=np.intp)
+            self._coefficients[:, basis.sources] = combination
+        return self._coefficients
+
     def _enumerate(self) -> tuple[np.ndarray, np.ndarray]:
         """Every table of G and a witness row for each: the sums of z_a * g_a
         over 0 <= z_a < orders[a], in mixed radix, from the pivot rows."""
         basis, n = self._basis, self.ring.order
         coords = per_ring(self.ring, _coordinates)
         add = self.ring.add_table.astype(np.min_scalar_type(n - 1))
-        gens = coords.element(basis.rows.reshape(len(basis.rows), -1, len(coords.basis)))
+        rows = np.hstack((basis.rows, self._coefficient_digits()))
+        gens = coords.element(rows.reshape(len(rows), -1, len(coords.basis)))
         both = np.zeros((1, gens.shape[1]), dtype=add.dtype)  # table | row
         for g, order in zip(gens.astype(add.dtype), basis.orders.tolist()):
             steps = [both]
@@ -575,10 +606,13 @@ def function_count(ring: FiniteRing) -> int:
 
 class _Basis(NamedTuple):
     """``_lattice``'s cyclic groups <g_a>, in pivot order: row a of ``rows``
-    holds the digits of g_a(x) for every x and then of its witness's
-    coefficient at every x^k.  Pivot a is coordinate ``digits[a]`` of the
-    value at ``points[a]``, with the shift p^v_a, u_a^-1 mod p^s and the
-    order p^(s - v_a) of g_a."""
+    holds the digits of g_a(x) for every x.  Pivot a is coordinate
+    ``digits[a]`` of the value at ``points[a]``, with the shift p^v_a,
+    u_a^-1 mod p^s and the order p^(s - v_a) of g_a.  Its elimination step
+    pivoted on generator i_a, the coefficient digit ``sources[a]`` (at
+    x^k, k * rank + i for the basis element b_i), and ``multipliers[a, b]``
+    is step b's multiplier f_b[i_a]: a unit lower-triangular matrix, block
+    diagonal by prime, from which the set rebuilds the witness digits."""
 
     rows: np.ndarray
     points: np.ndarray
@@ -586,11 +620,13 @@ class _Basis(NamedTuple):
     shifts: np.ndarray
     inverses: np.ndarray
     orders: np.ndarray
+    sources: np.ndarray
+    multipliers: np.ndarray
 
 
 def _lattice(ring: FiniteRing) -> _Basis:
-    """G as a direct sum of cyclic groups <g_a>, each with a witness, from
-    one elimination per prime: |G| is the product of their orders.
+    """G as a direct sum of cyclic groups <g_a>, from one elimination per
+    prime that records its steps: |G| is the product of their orders.
 
     G is the Z-span of the constants b and the tables b * x^k
     (k = 1..t+p-1) for b in an additive basis of R, since a * x^k is
@@ -606,40 +642,43 @@ def _lattice(ring: FiniteRing) -> _Basis:
     p-part e_p * F is in G_p, and the embedding reads a value's digits on
     R_p, which are its p-part's.
 
-    Each pivot row g_a is kept as it stood when chosen, with its
-    combination U_a of the generators, carried as M's extra columns, which
-    gives its witness.  Every later row is 0 at the pivot's column j_a, so
-    the block G[:, J] of the pivot columns is upper triangular with diagonal
-    u_a * p^v_a, and p^v_a divides row a.  It is D W over Z/p^s for
-    D = diag(u_a * p^v_a) and a unit upper-triangular W, so V = W^-1
-    (``PolyFunctionSet._clearing_matrix``) clears it to D: z G[:, J] V = z D.
-    G is the direct sum of the <g_a>, so each z_a is unique modulo
-    p^(s - v_a) and every witness is determined.
+    Only the table columns are eliminated.  Each pivot row g_a is kept as
+    it stood when chosen, and each step records its pivot row i_a and its
+    multiplier column f_a, which subtracts f_a[i] * g_a from every row i.
+    So g_a is the combination U_a = e_(i_a) - sum_(b<a) f_b[i_a] * U_b of
+    the generators, whose coefficients make its witness: the set rebuilds
+    them on its first lookup (``PolyFunctionSet._coefficient_digits``) from
+    ``sources`` and ``multipliers``, and a count never builds them.  Every
+    later row is 0 at the pivot's column j_a, so the block G[:, J] of the
+    pivot columns is upper triangular with diagonal u_a * p^v_a, and p^v_a
+    divides row a.  It is D W over Z/p^s for D = diag(u_a * p^v_a) and a
+    unit upper-triangular W, so V = W^-1 (``PolyFunctionSet._clearing_matrix``)
+    clears it to D: z G[:, J] V = z D.  G is the direct sum of the <g_a>, so
+    each z_a is unique modulo p^(s - v_a) and every witness is determined.
     """
     n = ring.order
     mul = ring.mul_table
     coords = per_ring(ring, _coordinates)
     powers = per_ring(ring, _powers)[0]  # row 0 is never read
-    m, rank = len(powers), len(coords.basis)
-    basis_rows, points, digits, shifts, inverses, orders = [], [], [], [], [], []
+    rank = len(coords.basis)
+    table_rows, points, digits, shifts, inverses, orders, sources, blocks = ([] for _ in range(8))
     for p, s, cols in coords.primes:
         basis, q = coords.basis[cols], p ** s
         scale = q // coords.moduli[cols]
         embed = coords.digits[:, cols] * scale
         r = len(basis)
-        # row k*r + i is the table of b_i * x^k, and of the constant b_i at k = 0,
-        # and then U, the digits of its coefficient b_i at x^k
+        # row k*r + i is the table of b_i * x^k, and of the constant b_i at k = 0
         gens = np.concatenate((np.repeat(basis[:, None], n, axis=1),
                                mul[basis[:, None], powers[1:, None]].reshape(-1, n)))
         width = n * r
-        rows = np.hstack((embed[gens].reshape(-1, width), np.eye(len(gens), dtype=np.intp)))
+        rows = embed[gens].reshape(-1, width)
         valuation = np.zeros(q, dtype=np.int8)
         for k in range(1, s + 1):
             valuation[::p ** k] += 1
         reduce = np.arange(q * q) % q  # y mod q for -(q-1)^2 <= y < q, negatives by wrapping
-        picked = []
+        picked, at_rows, steps = [], [], []
         while True:
-            v_rows = valuation[rows[:, :width]]
+            v_rows = valuation[rows]
             at = int(v_rows.argmin())
             v = int(v_rows.flat[at])
             if v == s:
@@ -647,20 +686,29 @@ def _lattice(ring: FiniteRing) -> _Basis:
             i, j = divmod(at, width)
             pv = p ** v
             inverse = pow(int(rows[i, j]) // pv, -1, q)
+            factors = rows[:, j] // pv * inverse % q  # 1 at row i, which the step clears
             picked.append(rows[i].copy())
+            at_rows.append(i)
+            steps.append(factors)
             points.append(j // r)
             digits.append(cols.start + j % r)
             shifts.append(pv)
             inverses.append(inverse)
             orders.append(q // pv)
-            rows = reduce[rows - (rows[:, j] // pv * inverse % q)[:, None] * rows[i]]
-        picked = np.array(picked)
-        full = np.zeros((len(picked), n + m, rank), dtype=np.intp)
-        full[:, :n, cols] = picked[:, :width].reshape(-1, n, r) // scale
-        full[:, n:, cols] = picked[:, width:].reshape(-1, m, r)
-        basis_rows.append(full.reshape(len(picked), -1))
-    pivots = map(np.array, (points, digits, shifts, inverses, orders))
-    return _Basis(np.concatenate(basis_rows), *pivots)
+            rows = reduce[rows - factors[:, None] * rows[i]]
+        full = np.zeros((len(picked), n, rank), dtype=np.intp)
+        full[:, :, cols] = np.array(picked).reshape(-1, n, r) // scale
+        table_rows.append(full.reshape(len(picked), -1))
+        # generator k*r + i has the coefficient b_i at x^k, digit k*rank + i of a witness
+        sources.extend(i // r * rank + cols.start + i % r for i in at_rows)
+        blocks.append(np.array(steps)[:, at_rows].T)  # [a, b]: f_b[i_a]
+    multipliers = np.zeros((len(points), len(points)), dtype=np.intp)
+    start = 0
+    for block in blocks:  # block diagonal: two primes' steps never meet
+        multipliers[start:start + len(block), start:start + len(block)] = block
+        start += len(block)
+    pivots = map(np.array, (points, digits, shifts, inverses, orders, sources))
+    return _Basis(np.concatenate(table_rows), *pivots, multipliers)
 
 
 # ---------------------------------------------------------------------------

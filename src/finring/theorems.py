@@ -76,7 +76,6 @@ from .polyfun import (
     char_poly_for_subset,
     function_count,
     function_table,
-    interpolate_field,
     poly_add,
     poly_const,
     poly_eval,
@@ -700,7 +699,8 @@ def lift_residue_polynomial(ring: FiniteRing, f: Polynomial | None = None
     f's residue values (equal residues get equal lifts), and N the least
     integer with N e' exceeding the nilpotency index.  On a field the
     reduced lift has degree below q, so it is the unique interpolant of its
-    table, the betas, and is built as such.
+    table, the betas, which are f's values: it is f itself reduced modulo
+    X^q - X (t + p = q on a field), and is returned as that.
     """
     inv = _require(ring, "comm-local-unital")
     k, proj, reps = residue_field(ring)
@@ -711,7 +711,7 @@ def lift_residue_polynomial(ring: FiniteRing, f: Polynomial | None = None
     betas = tuple(reps[poly_eval(f, i)] for i in range(k.order))
     data = LiftData(alphas=reps, betas=betas, exponent=_lift_exponent(inv))
     if inv.is_field:
-        return interpolate_field(ring, betas), data
+        return _reduced_pow(f, 1).stripped(), data
     lifted = Polynomial(ring, ())
     for beta, q in zip(betas, per_ring(ring, _lift_basis)):
         if beta != 0:

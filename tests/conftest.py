@@ -34,6 +34,10 @@ embedding, where P2.1 reads a zero-divisor pair of D off its mul table.
 The walk oracles follow one element's powers a product at a time (the rho
 of each power sequence, the nilpotency index and the multiplicative
 order), where the library reads every power off one table per ring.
+The tracked-lattice oracle carries each row's combination of the
+generators through the elimination as extra columns, where the library
+eliminates the table columns only and rebuilds the witness digits from
+the steps it recorded.
 """
 
 from __future__ import annotations
@@ -625,7 +629,7 @@ def syndrome_supports(ring) -> list[int]:
     for p, s, cols in coords.primes:
         q[cols] = p ** s
     scale = q // coords.moduli
-    rows = (basis.rows.reshape(len(basis.rows), -1, rank)[:, :n] * scale).reshape(len(basis.rows), -1)
+    rows = (basis.rows.reshape(len(basis.rows), n, rank) * scale).reshape(len(basis.rows), -1)
     q = np.tile(q, n)  # of each column x * rank + i
     pivots = basis.points * rank + basis.digits
     transform = np.eye(n * rank, dtype=np.intp)
@@ -653,6 +657,55 @@ def syndrome_supports(ring) -> list[int]:
         upper.setdefault(row.tobytes(), []).append(high)
     return sorted(low | high << half for low, row in enumerate(sums[0])
                   for high in upper.get(row.tobytes(), ()))
+
+
+def tracked_lattice(ring) -> dict[str, np.ndarray]:
+    """``polyfun._lattice``'s pivots, table rows and witness digits from one
+    elimination per prime that carries each row's combination U of the
+    generators as extra columns, so that every pivot row holds its
+    witness's digits when it is chosen.  ``rows`` lays out each pivot's
+    table digits and then its witness digits in the library's order: the
+    value at every x, then the coefficient at every x^k, each in the
+    ring's coordinates."""
+    n, mul = ring.order, ring.mul_table
+    coords = polyfun.per_ring(ring, polyfun._coordinates)
+    powers = polyfun.per_ring(ring, polyfun._powers)[0]
+    m, rank = len(powers), len(coords.basis)
+    out = {name: [] for name in ("rows", "points", "digits", "shifts", "inverses", "orders")}
+    for p, s, cols in coords.primes:
+        basis, q = coords.basis[cols], p ** s
+        scale = q // coords.moduli[cols]
+        r = len(basis)
+        gens = np.concatenate((np.repeat(basis[:, None], n, axis=1),
+                               mul[basis[:, None], powers[1:, None]].reshape(-1, n)))
+        width = n * r
+        embedded = (coords.digits[:, cols] * scale)[gens].reshape(-1, width)
+        rows = np.hstack((embedded, np.eye(len(gens), dtype=np.intp)))
+        picked = []
+        while True:
+            # the valuation of every table entry, s at 0
+            v_rows = np.full(rows[:, :width].shape, s)
+            for k in range(s - 1, -1, -1):
+                v_rows[rows[:, :width] % p ** (k + 1) != 0] = k
+            i, j = divmod(int(v_rows.argmin()), width)
+            v = int(v_rows[i, j])
+            if v == s:
+                break
+            inverse = pow(int(rows[i, j]) // p ** v, -1, q)
+            picked.append(rows[i].copy())
+            out["points"].append(j // r)
+            out["digits"].append(cols.start + j % r)
+            out["shifts"].append(p ** v)
+            out["inverses"].append(inverse)
+            out["orders"].append(q // p ** v)
+            rows = (rows - (rows[:, j] // p ** v * inverse % q)[:, None] * rows[i]) % q
+        picked = np.array(picked)
+        full = np.zeros((len(picked), n + m, rank), dtype=np.intp)
+        full[:, :n, cols] = picked[:, :width].reshape(-1, n, r) // scale
+        full[:, n:, cols] = picked[:, width:].reshape(-1, m, r)
+        out["rows"].append(full.reshape(len(picked), -1))
+    out["rows"] = np.concatenate(out["rows"])
+    return {name: np.array(values) for name, values in out.items()}
 
 
 def set_index_limit(monkeypatch, limit: int) -> None:

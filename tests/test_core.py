@@ -135,6 +135,13 @@ def test_quotient_requires_monic():
         make_quotient(make_zn(4), (3,))
 
 
+@pytest.mark.parametrize("base", [upper_triangular_f2(), make_zero_mul_ring(4)],
+                         ids=["noncommutative", "non-unital"])
+def test_quotient_requires_a_commutative_unital_base(base):
+    with pytest.raises(UnsupportedStructureError, match="commutative and unital"):
+        make_quotient(base, (0, 1))
+
+
 def test_product_z2_z3_matches_z6(z6):
     r = make_product(make_zn(2), make_zn(3))
     assert r.order == 6

@@ -62,6 +62,7 @@ from conftest import (
     skew_dual_f4,
     small_rings,
     syndrome_supports,
+    tracked_lattice,
     upper_triangular_f2,
 )
 
@@ -658,6 +659,49 @@ def test_a_new_set_builds_fresh_witnesses():
     fresh = pset.lookup(table)[1]
     assert fresh == witness and fresh is not witness
     assert pset.lookup(table)[1] is fresh
+
+
+# --- the witness digits: rebuilt from the elimination's recorded steps -------
+
+_TRACKED = ([ring for _, ring in standard_catalog(32)]
+            + [realize(parse_ring_spec(spec)) for spec in ("Z/81", "Z/2[x]/(x^6)")]
+            + [_t2f2, m2f2(), skew_dual_f4(), make_zero_mul_ring(4)])
+
+
+@pytest.mark.parametrize("ring", _TRACKED, ids=lambda ring: ring.label)
+def test_rebuilt_witness_digits_match_the_tracked_elimination(ring):
+    basis, tracked = polyfun._lattice(ring), tracked_lattice(ring)
+    for name in ("points", "digits", "shifts", "inverses", "orders"):
+        assert np.array_equal(getattr(basis, name), tracked[name]), name
+    width = basis.rows.shape[1]
+    assert np.array_equal(basis.rows, tracked["rows"][:, :width])
+    digits = polyfun.PolyFunctionSet(ring, basis=basis)._coefficient_digits()
+    assert np.array_equal(digits, tracked["rows"][:, width:])
+
+
+@pytest.mark.parametrize("limit", [polyfun.INDEX_LIMIT, 0], ids=["index", "solve"])
+def test_counting_builds_no_witness_digits_and_the_first_lookup_builds_them_once(
+        monkeypatch, limit):
+    built = []
+
+    def counted(self):
+        if self._coefficients is None:
+            built.append(self.ring.label)
+        return coefficient_digits(self)
+
+    coefficient_digits = polyfun.PolyFunctionSet._coefficient_digits
+    monkeypatch.setattr(polyfun.PolyFunctionSet, "_coefficient_digits", counted)
+    set_index_limit(monkeypatch, limit)
+    ring = make_zn(16)  # a new ring, so a new set
+    assert function_count(ring) == 1 << 16
+    pset = polynomial_function_set(ring)
+    assert pset._coefficients is None and built == []
+    tables = [function_table(poly_from(ring, (k, 3, k, 1))).values for k in range(4)]
+    for table in tables:
+        status, witness = pset.lookup(table)
+        assert status == "present" and function_table(witness).values == table
+        assert pset.contains(table)
+    assert built == ["Z/16"] and (pset.tables is None) == (limit == 0)
 
 
 @pytest.mark.parametrize("field", [_z257, make_zn(251)], ids=lambda field: field.label)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import gc
+import random
 import time
 import weakref
 from itertools import product
@@ -643,15 +644,20 @@ def test_reduced_lift_induces_the_unreduced_table(spec):
 
 
 @pytest.mark.parametrize("spec", [name for name, ring in standard_catalog(32)
-                                  if analyze(ring).is_field])
+                                  if analyze(ring).is_field]
+                         + ["Z/251", "Z/2[x]/(x^8+x^4+x^3+x+1)"])
 def test_lift_on_a_field_is_the_interpolant_and_builds_no_lift_basis(spec):
+    # the lift of f is f reduced modulo X^q - X: one of degree 2q + 2 is reduced
     ring = realize(parse_ring_spec(spec))
-    for f in (poly_x(ring), poly_from(ring, (1, ring.unity, 0, ring.unity))):
+    rng = random.Random(ring.order)
+    long = poly_from(ring, [rng.randrange(ring.order) for _ in range(2 * ring.order + 3)])
+    for f in (poly_x(ring), poly_from(ring, (1, ring.unity, 0, ring.unity)), long):
         verdict = check_residue_lift(ring, f)
-        _, data = lift_residue_polynomial(ring, f)
-        assert verdict.holds
-        assert verdict.witness["polynomial"] == \
-            interpolate_field(ring, _unreduced_lift_table(ring, data)).stripped()
+        lifted, data = lift_residue_polynomial(ring, f)
+        assert verdict.holds and verdict.witness["polynomial"] == lifted
+        assert lifted == interpolate_field(ring, function_table(f).values)
+        if ring.order <= 32:
+            assert lifted == interpolate_field(ring, _unreduced_lift_table(ring, data))
     assert theorems._lift_basis not in ring.store  # residue_field created the store
 
 
