@@ -273,15 +273,20 @@ def _table_values(ring: FiniteRing, table) -> tuple[int, ...]:
     return values
 
 
+_BELOW = [bytes(range(n)) for n in range(257)]  # the element indices of a ring of order n
+
+
 def _table_view(ring: FiniteRing, table) -> bytes | array:
     """A table's values as one validated view of element indices of ``ring``:
     bytes, or an array of unsigned shorts on a ring above order 256.
 
     A tuple or list is read in one pass by ``bytes`` or ``array``, which
     take exactly the values that ``operator.index`` takes, and then checked
-    for its length and largest value.  Any other table, and any that this
-    rejects, goes through ``_table_values``, so every malformed table raises
-    the same ValueError."""
+    for its length and range: bytes by deleting every byte below the order
+    (``bytes.translate``), which must leave none, and an array by its
+    largest value.  Any other table, and any that this rejects, goes
+    through ``_table_values``, so every malformed table raises the same
+    ValueError."""
     n = ring.order
     small = n <= 256
     if not small:  # only these rings need the array module
@@ -292,7 +297,8 @@ def _table_view(ring: FiniteRing, table) -> bytes | array:
         except (TypeError, ValueError, OverflowError):
             pass
         else:
-            if len(view) == n and max(view) < n:
+            if len(view) == n and (not view.translate(None, _BELOW[n]) if small
+                                   else max(view) < n):
                 return view
     values = _table_values(ring, table)
     return bytes(values) if small else array("H", values)
@@ -343,14 +349,16 @@ class PolyFunctionSet:
     tables is enumerated from them: ``tables`` holds every table,
     ``witnesses`` a parallel coefficient row, and an index maps each
     table's bytes to its row.  An index hit returns its row's witness,
-    built on the row's first hit and the same (frozen) object on every
-    later one.  A larger set solves each lookup for the multiples z_a and
-    sums the z_a-fold pivot rows (``_solve``).  ``contains`` reads the
-    index once it is built, and solves otherwise.
+    built on the row's first hit from the row's bytes, trailing zero bytes
+    stripped, and the same (frozen) object on every later one.  A larger
+    set solves each lookup for the multiples z_a (``_multiples``) and sums
+    the z_a-fold witnesses of the g_a (``_solve``).  ``contains`` reads
+    the index once it is built, and otherwise solves for the multiples
+    alone, so it never builds the witness digits.
 
     On every engine, ``lookup`` and ``contains`` validate a table once,
     into the view that each step reads (``_table_view``), and build each
-    witness without checking its coefficients again (``_witness``): the
+    witness without checking its coefficients again (``_trusted``): the
     index rows and the coordinate map's decode table hold only element
     indices.
 
@@ -394,8 +402,9 @@ class PolyFunctionSet:
         if idx is None:
             return "absent", None
         witness = self._witness_cache[idx]
-        if witness is None:
-            witness = self._witness_cache[idx] = _witness(self.ring, self.witnesses[idx].tolist())
+        if witness is None:  # the index is bytes-keyed, so its witness rows are uint8
+            witness = self._witness_cache[idx] = _trusted(
+                self.ring, tuple(self.witnesses[idx].tobytes().rstrip(b"\0")))
         return "present", witness
 
     def contains(self, table) -> bool:
@@ -406,25 +415,35 @@ class PolyFunctionSet:
             return self._induced(view)
         if self._index is not None:
             return view in self._index
-        return self._solve(view) is not None
+        return self._multiples(view) is not None
 
-    def _solve(self, view: bytes | array) -> np.ndarray | None:
-        """The witness coefficients of the table F, or None when F is not
-        induced.  For F's embedded row w = sum_a z_a * g_a, S = w[J] V is
+    def _multiples(self, view: bytes | array) -> np.ndarray | None:
+        """The multiples z_a with F = sum_a z_a * g_a for the table F, or
+        None when F is not induced.  For F's embedded row w, S = w[J] V is
         z_a * u_a * p^v_a modulo p^s (``_lattice``), so F is absent unless
         p^v_a divides S_a, and z_a = S_a / p^v_a * u_a^-1 mod p^(s - v_a).
         The product z G gives the digits of sum_a z_a * g_a, which must be
-        F's, and only then z C those of its witness."""
+        F's.  No witness digit is read, so ``contains`` builds none."""
         basis, values = self._basis, _view_array(view)
         coords = per_ring(self.ring, _coordinates)
         syndrome = coords.digits[values[basis.points], basis.digits] @ self._clearing_matrix()
         if (syndrome % basis.shifts).any():
             return None
         z = syndrome // basis.shifts * basis.inverses % basis.orders
-        rank = len(coords.basis)
-        if not np.array_equal(coords.element((z @ basis.rows).reshape(-1, rank)), values):
+        if not np.array_equal(coords.element((z @ basis.rows).reshape(-1, len(coords.basis))),
+                              values):
             return None
-        return coords.element((z @ self._coefficient_digits()).reshape(-1, rank))
+        return z
+
+    def _solve(self, view: bytes | array) -> np.ndarray | None:
+        """The witness coefficients of the table F, or None when F is not
+        induced: z C for F's multiples z (``_multiples``) gives the digits
+        of its witness."""
+        z = self._multiples(view)
+        if z is None:
+            return None
+        coords = per_ring(self.ring, _coordinates)
+        return coords.element((z @ self._coefficient_digits()).reshape(-1, len(coords.basis)))
 
     def _clearing_matrix(self) -> np.ndarray:
         """V = W^-1 of ``_lattice``, on the pivots' unscaled digits, built on

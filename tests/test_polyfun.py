@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -704,6 +705,24 @@ def test_counting_builds_no_witness_digits_and_the_first_lookup_builds_them_once
     assert built == ["Z/16"] and (pset.tables is None) == (limit == 0)
 
 
+def test_contains_on_the_solve_path_builds_no_witness_digits(monkeypatch):
+    # contains solves for the multiples alone; lookup then agrees with it
+    set_index_limit(monkeypatch, 0)
+    ring = make_zn(16)  # a new ring, so a new set
+    pset = polynomial_function_set(ring)
+    rng = random.Random(16)
+    present = [function_table(poly_from(ring, [rng.randrange(16) for _ in range(6)])).values
+               for _ in range(20)]
+    absent = [(ring.add(t[0], ring.unity), *t[1:]) for t in present]  # then F(0) != F(2) mod 2
+    answers = [pset.contains(t) for t in present + absent]
+    assert answers == [True] * 20 + [False] * 20
+    assert pset._coefficients is None and pset.tables is None
+    for table, answer in zip(present + absent, answers):
+        status, witness = pset.lookup(table)
+        assert (status == "present") is answer is (witness is not None)
+        assert witness is None or function_table(witness).values == table
+
+
 @pytest.mark.parametrize("field", [_z257, make_zn(251)], ids=lambda field: field.label)
 def test_round_trips_on_the_largest_prime_fields_equal_the_closed_form(field):
     # Z/257 reads its tables as unsigned shorts and interpolates in float64;
@@ -719,13 +738,19 @@ def test_round_trips_on_the_largest_prime_fields_equal_the_closed_form(field):
     assert function_table(interpolate_field(field, tables[0])).values == tuple(tables[0])
 
 
-@pytest.mark.parametrize("spec", ["GF(4)", "GF(27)", "Z/30", "GF(4) x Z/3"])
+@pytest.mark.parametrize("spec", ["GF(4)", "GF(27)", "Z/30", "GF(4) x Z/3",  # analytic
+                                  "Z/9", "Z/12", "Z/8 x Z/2",  # lattice, the index
+                                  "Z/27"])  # lattice, solved: 3^18 tables
 def test_trusted_witnesses_equal_and_hash_as_checked_ones(spec):
     ring = realize(parse_ring_spec(spec))
     pset = polynomial_function_set(ring)
     n = ring.order
+    rng = random.Random(n)
     tables = [[0] * n, [ring.unity] * n]
     tables += [[ring.mul(e, x) for x in range(n)] for e in pset.idempotents]
+    if not pset.idempotents:
+        polys = [poly_from(ring, [rng.randrange(n) for _ in range(n)]) for _ in range(20)]
+        tables += [list(function_table(f).values) for f in polys]
     for table in tables:
         witness = pset.lookup(table)[1]
         checked = Polynomial(ring, witness.coeffs)
@@ -734,7 +759,9 @@ def test_trusted_witnesses_equal_and_hash_as_checked_ones(spec):
         assert witness == checked.stripped() and repr(witness) == repr(checked)
         assert all(type(c) is int and 0 <= c < n for c in witness.coeffs)
         assert not witness.coeffs or witness.coeffs[-1] != 0
+        assert function_table(witness).values == tuple(table)
     assert pset.lookup([0] * n)[1].coeffs == ()
+    assert (pset.tables is not None) == (spec in ("Z/9", "Z/12", "Z/8 x Z/2"))
 
 
 def test_function_sets_are_the_only_interpolation_cache():
@@ -793,6 +820,29 @@ def test_contains_validates_like_lookup(spec, bad, match):
         pset.contains(table)
     with pytest.raises(ValueError, match=match):
         pset.lookup(table)
+
+
+@pytest.mark.parametrize("ring", [make_zn(2), make_zn(9), make_zn(12), make_zn(256)],
+                         ids=lambda ring: ring.label)
+def test_a_byte_view_is_range_checked_as_table_values_checks(ring):
+    # bytes.translate deletes every index below the order; anything left is
+    # out of range, and _table_values (the oracle) raises the same error
+    n = ring.order
+    base = [n - 1 - x for x in range(n)]  # largest value n - 1
+    accepted = [base, tuple(base), [*base[1:], n - 1], [np.int64(v) for v in base],
+                tuple(np.uint8(v) for v in base), [True, *base[1:]], (*base[:-1], True)]
+    rejected = [[256, *base[1:]], (-1, *base[1:]), [2.0, *base[1:]], tuple(base[:-1]),
+                [*base, 0], []]
+    if n < 256:
+        rejected += [[*base[:-1], n], (n, *base[1:])]
+    for table in accepted:
+        view = polyfun._table_view(ring, table)
+        assert type(view) is bytes and view == bytes(polyfun._table_values(ring, table))
+    for table in rejected:
+        with pytest.raises(ValueError) as want:
+            polyfun._table_values(ring, table)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            polyfun._table_view(ring, table)
 
 
 def test_interpolate_rejects_non_field(z4):
