@@ -10,31 +10,22 @@ ring's tables (``_table_lists``); the function sets read its arrays.
 The set of all functions induced by polynomials is an additive subgroup G of
 R^R: power vectors v_k(x) = x^k repeat with preperiod t and period p, so
 G = {constants} + span{a * v_k : a in R, 1 <= k <= t+p-1}, read from the
-ring's power table (``core._powers``).  Every answer is exact, on any ring.
+ring's power table (``core._powers``).  Every answer is exact, on any ring,
+from one of three engines that ``_function_set`` picks by structure:
 
-A product of fields (a commutative unital ring without nonzero
-nilpotents; a field is the one-factor case) is answered analytically by
-its primitive idempotents e: R is the sum of the fields eR, a table F is
-induced iff e*F(x) = e*F(e*x) for every e and x, and one interpolant sums
-each field's closed form inside R.  That sum is linear in the additive
-coordinates of R, so after a setup kept on the set each interpolant is
-one gather, one matrix product and one decode.
+* a product of fields (a field included) answers analytically through its
+  primitive idempotents e (``_FieldProduct``): F is induced iff
+  e*F(x) = e*F(e*x), and one interpolant sums each field's closed form;
+* a commutative unital ring whose local factors are all chain rings
+  answers factor by factor from a P-ordering of each (``_Chain``): no
+  elimination, and a closed-form count certified when the set is built;
+* any other ring runs one elimination per prime of G as a Z/p^s-lattice
+  (``_lattice``), whose pivot rows count G and solve each table.
 
-Both engines read one additive coordinate map per ring (``_coordinates``,
-in the ring's store): R as a direct sum of cyclic groups Z/p^e, with
-each element's digits and a decode table back, so that any ring sum is
-an integer sum of digits reduced mod p^e.
-
-Any other ring is answered by one elimination per prime, of G as a
-Z/p^s-lattice (``_lattice``), run once per ring and kept on its set.  Its
-pivot rows write G as a direct sum of cyclic groups <g_a>, so it counts G
-without building a table or a witness (``function_count``), and one small
-triangular matrix on its pivot columns decides membership (``contains``)
-and solves for the multiple of each g_a.  The first lookup rebuilds each
-g_a's witness coefficients from the steps the elimination recorded.
-``lookup`` enumerates a set of at most ``INDEX_LIMIT`` tables into an
-index on its first call, and solves on a larger one.  An index hit
-returns the witness its row built on its first hit.
+``PolyFunctionSet`` keeps what they share: a chain or lattice set of at
+most ``INDEX_LIMIT`` tables is enumerated into an index on its first
+lookup, and a larger one solves.  The engines read one additive coordinate
+map per ring (``_coordinates``), in which a ring sum is a sum of digits.
 """
 
 from __future__ import annotations
@@ -332,71 +323,42 @@ class PolyFunctionSet:
     """All function tables induced by polynomials over one ring: ``count``
     is exact, and every lookup is decided, with a witness when present.
 
-    Analytic (``idempotents`` given): the ring is the product of the fields
-    eR for its primitive ``idempotents`` e (one for a field: ``field_mode``).
-    A table F is induced iff e*F(x) = e*F(e*x) for every e and x; its
-    witness is interpolated by one matrix product over R's additive
-    coordinates (``_interpolate``), whose fixed factor is built on the
-    first interpolation and kept on the set.
+    ``engine`` (``_function_set`` picks it) has ``count``; ``multiples(view)``,
+    what it solves a table for, or None when the table is not induced;
+    ``witness(multiples)``, the witness's coefficients; and ``summands()``,
+    lists of choices whose sums, one choice from each, give every table of
+    G once (None on ``_FieldProduct``, which interpolates more cheaply).
 
-    Lattice (any other ring): G is the direct sum of the cyclic groups
-    <g_a> of ``_lattice``, whose pivot rows hold each g_a's table; the set
-    is built with them, and ``count`` is the product of their orders.  The
-    elimination ran on the table columns only, so counting builds no
-    witness: the first lookup that reads one rebuilds every g_a's witness
-    coefficients from its recorded steps (``_coefficient_digits``), once
-    per set.  On the first ``lookup``, a set of at most ``INDEX_LIMIT``
-    tables is enumerated from them: ``tables`` holds every table,
-    ``witnesses`` a parallel coefficient row, and an index maps each
-    table's bytes to its row.  An index hit returns its row's witness,
-    built on the row's first hit from the row's bytes, trailing zero bytes
-    stripped, and the same (frozen) object on every later one.  A larger
-    set solves each lookup for the multiples z_a (``_multiples``) and sums
-    the z_a-fold witnesses of the g_a (``_solve``).  ``contains`` reads
-    the index once it is built, and otherwise solves for the multiples
-    alone, so it never builds the witness digits.
-
-    On every engine, ``lookup`` and ``contains`` validate a table once,
-    into the view that each step reads (``_table_view``), and build each
-    witness without checking its coefficients again (``_trusted``): the
-    index rows and the coordinate map's decode table hold only element
-    indices.
+    The first ``lookup`` on a set with summands, at most ``INDEX_LIMIT``
+    tables and order at most 256 enumerates it (``_enumerate``) into
+    ``tables``, a parallel coefficient row in ``witnesses``, and an index
+    from each table's bytes to its row, whose witness is built from the
+    row's bytes on its first hit and shared later.  Any other lookup solves;
+    ``contains`` reads the index once it is built.  A table is validated
+    once (``_table_view``), and no witness is checked again (``_trusted``).
 
     ``complete`` is always True; it stays for readers of earlier releases.
     """
 
-    def __init__(self, ring: FiniteRing, idempotents: tuple[int, ...] = (),
-                 basis: _Basis | None = None):
+    def __init__(self, ring: FiniteRing, engine: _FieldProduct | _Chain | _Lattice):
         self.ring = ring
+        self.engine = engine
+        self.count = engine.count
         self.complete = True
         self.tables = self.witnesses = None
-        self.idempotents = idempotents
-        self.field_mode = len(idempotents) == 1
-        self._basis = basis
-        self._index = self._witness_cache = self._setup = None
-        self._clearing = self._coefficients = None
-        if idempotents:
-            self.count = math.prod(q ** q for q in (len(_factor_elements(ring, e)) for e in idempotents))
-            project = ring.mul_table[list(idempotents)].T.copy()  # [x, i]: e_i * x
-            at_ex = project * len(idempotents) + np.arange(len(idempotents))  # of [e_i * x, i]
-            self._project = project, at_ex.ravel()
-        else:
-            self.count = math.prod(basis.orders.tolist())
+        self._index = self._witness_cache = None
 
     def lookup(self, table) -> tuple[str, Polynomial | None]:
         """('present', witness) or ('absent', None)."""
         view = _table_view(self.ring, table)
         index = self._index
         if index is None:
-            if self.idempotents:
-                if not self._induced(view):
+            engine = self.engine
+            if engine.summands is None or self.count > INDEX_LIMIT or self.ring.order > 256:
+                multiples = engine.multiples(view)
+                if multiples is None:
                     return "absent", None
-                return "present", self._interpolate(view)
-            if self.count > INDEX_LIMIT or self.ring.order > 256:  # bytes keys need values < 256
-                coeffs = self._solve(view)
-                if coeffs is None:
-                    return "absent", None
-                return "present", _witness(self.ring, coeffs.tolist())
+                return "present", _witness(self.ring, engine.witness(multiples).tolist())
             index = self._table_index()
         idx = index.get(view)
         if idx is None:
@@ -409,95 +371,25 @@ class PolyFunctionSet:
 
     def contains(self, table) -> bool:
         """Whether the table is induced: from the index once a lookup has
-        built it, and solved from the pivot rows before."""
+        built it, and solved for the multiples before."""
         view = _table_view(self.ring, table)
-        if self.idempotents:
-            return self._induced(view)
         if self._index is not None:
             return view in self._index
-        return self._multiples(view) is not None
-
-    def _multiples(self, view: bytes | array) -> np.ndarray | None:
-        """The multiples z_a with F = sum_a z_a * g_a for the table F, or
-        None when F is not induced.  For F's embedded row w, S = w[J] V is
-        z_a * u_a * p^v_a modulo p^s (``_lattice``), so F is absent unless
-        p^v_a divides S_a, and z_a = S_a / p^v_a * u_a^-1 mod p^(s - v_a).
-        The product z G gives the digits of sum_a z_a * g_a, which must be
-        F's.  No witness digit is read, so ``contains`` builds none."""
-        basis, values = self._basis, _view_array(view)
-        coords = per_ring(self.ring, _coordinates)
-        syndrome = coords.digits[values[basis.points], basis.digits] @ self._clearing_matrix()
-        if (syndrome % basis.shifts).any():
-            return None
-        z = syndrome // basis.shifts * basis.inverses % basis.orders
-        if not np.array_equal(coords.element((z @ basis.rows).reshape(-1, len(coords.basis))),
-                              values):
-            return None
-        return z
-
-    def _solve(self, view: bytes | array) -> np.ndarray | None:
-        """The witness coefficients of the table F, or None when F is not
-        induced: z C for F's multiples z (``_multiples``) gives the digits
-        of its witness."""
-        z = self._multiples(view)
-        if z is None:
-            return None
-        coords = per_ring(self.ring, _coordinates)
-        return coords.element((z @ self._coefficient_digits()).reshape(-1, len(coords.basis)))
-
-    def _clearing_matrix(self) -> np.ndarray:
-        """V = W^-1 of ``_lattice``, on the pivots' unscaled digits, built on
-        the first solve and kept on the set.  Row a of W V = 1 is
-        V[a] = e_a - sum_{b>a} W[a, b] V[b], from the last row up; two
-        primes' pivots meet only in zeros, so column j is taken mod its p^s."""
-        if self._clearing is None:
-            basis, coords = self._basis, per_ring(self.ring, _coordinates)
-            q = basis.shifts * basis.orders
-            scale = q // coords.moduli[basis.digits]
-            block = basis.rows[:, basis.points * len(coords.basis) + basis.digits] * scale
-            ratios = block // basis.shifts[:, None] * basis.inverses[:, None] % q[:, None]  # W
-            clearing = np.eye(len(q), dtype=np.intp)
-            for a in range(len(q) - 2, -1, -1):
-                clearing[a, a + 1:] = -ratios[a, a + 1:] @ clearing[a + 1:, a + 1:] % q[a + 1:]
-            self._clearing = clearing * scale[:, None]
-        return self._clearing
-
-    def _coefficient_digits(self) -> np.ndarray:
-        """C, the digits of each g_a's witness coefficient at every x^k,
-        rebuilt from ``_lattice``'s recorded steps by the first lookup that
-        reads them (a solve's witness product or ``_enumerate``) and kept
-        on the set.  g_a is the combination U_a = e_(i_a) - sum_(b<a)
-        f_b[i_a] * U_b of the generators, which is 0 off the pivot rows
-        i_b (b <= a).  Its entries there are row a of K = T^-1 for the unit
-        lower-triangular ``multipliers`` T, so K[a] = e_a - sum_(b<a)
-        T[a, b] K[b], from the first row down; two primes' steps meet only
-        in zeros, so column b is taken mod its p^s.  Row a of C holds K[a]
-        at the digits ``sources`` and zeros elsewhere."""
-        if self._coefficients is None:
-            basis, ring = self._basis, self.ring
-            q = basis.shifts * basis.orders
-            combination = np.eye(len(q), dtype=np.intp)  # K
-            for a in range(1, len(q)):
-                combination[a, :a] = -basis.multipliers[a, :a] @ combination[:a, :a] % q[:a]
-            width = len(per_ring(ring, _powers)[0]) * len(per_ring(ring, _coordinates).basis)
-            self._coefficients = np.zeros((len(q), width), dtype=np.intp)
-            self._coefficients[:, basis.sources] = combination
-        return self._coefficients
+        return self.engine.multiples(view) is not None
 
     def _enumerate(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every table of G and a witness row for each: the sums of z_a * g_a
-        over 0 <= z_a < orders[a], in mixed radix, from the pivot rows."""
-        basis, n = self._basis, self.ring.order
-        coords = per_ring(self.ring, _coordinates)
-        add = self.ring.add_table.astype(np.min_scalar_type(n - 1))
-        rows = np.hstack((basis.rows, self._coefficient_digits()))
-        gens = coords.element(rows.reshape(len(rows), -1, len(coords.basis)))
-        both = np.zeros((1, gens.shape[1]), dtype=add.dtype)  # table | row
-        for g, order in zip(gens.astype(add.dtype), basis.orders.tolist()):
-            steps = [both]
-            for _ in range(1, order):
-                steps.append(add[steps[-1], g])
-            both = np.concatenate(steps)
+        """Every table of G and a witness row for each: one choice from each
+        of the engine's summands, summed in mixed radix, the summands with
+        the fewest choices first, which adds the fewest rows.  The index
+        needs order n <= 256, so y + c = add[c, y] is entry c n + y of the
+        flat uint8 table, an offset below 2^16."""
+        n = self.ring.order
+        flat = self.ring.add_table.astype(np.uint8).ravel()
+        summands = sorted(self.engine.summands(), key=len)
+        both = np.zeros((1, summands[0].shape[1]), dtype=np.uint8)  # table | row
+        for choices in summands:
+            both = np.concatenate([flat[offset + both]
+                                   for offset in (choices * n).astype(np.uint16)])
         return np.split(both, [n], axis=1)
 
     def _table_index(self) -> dict[bytes, int]:
@@ -515,17 +407,43 @@ class PolyFunctionSet:
             keys = self.tables.view(np.dtype((np.void, n))).ravel().tolist()
             self._index = dict(zip(keys, count()))
             if len(self._index) != self.count:
-                raise InternalInvariantError(f"{self.ring.label}: the lattice basis spans "
+                raise InternalInvariantError(f"{self.ring.label}: the summands span "
                                              f"{len(self._index)} tables, not {self.count}")
             self._witness_cache = [None] * self.count
         return self._index
 
-    def _interpolate(self, view: bytes | array) -> Polynomial:
-        """The least-degree polynomial inducing an induced table F on a
-        product of fields, with c_0 = F(0).  F is read only from
-        ``_table_view``'s validated view, and the witness is made without
-        checking its coefficients again (``_witness``): each is an entry of
-        ``decode``, which the coordinate map checked once.
+
+class _FieldProduct:
+    """A product of the fields eR over its primitive ``idempotents`` e (one
+    for a field): a table is induced iff e*F(x) = e*F(e*x) for every e and
+    x, and its witness is one matrix product (``witness``)."""
+
+    summands = None  # never indexed: one interpolation costs less than an index
+
+    def __init__(self, ring: FiniteRing, idempotents: tuple[int, ...]):
+        self.ring = ring
+        self.idempotents = idempotents
+        self.count = math.prod(q ** q for q in (len(_factor_elements(ring, e)) for e in idempotents))
+        project = ring.mul_table[list(idempotents)].T.copy()  # [x, i]: e_i * x
+        at_ex = project * len(idempotents) + np.arange(len(idempotents))  # of [e_i * x, i]
+        self._project = project, at_ex.ravel()
+        self._setup = None
+
+    def multiples(self, view: bytes | array) -> bytes | array | None:
+        """The view itself when it is induced: e*F(x) = e*F(e*x) for every
+        idempotent e and every x, in two gathers; a field's only e is its
+        unity, so every table passes."""
+        if len(self.idempotents) == 1:
+            return view
+        project, at_ex = self._project
+        values = project.take(_view_array(view), axis=0)
+        return view if values.tobytes() == values.take(at_ex).tobytes() else None
+
+    def witness(self, view: bytes | array) -> np.ndarray:
+        """The coefficients of the least-degree polynomial inducing an
+        induced table F, with c_0 = F(0).  F is read only from
+        ``_table_view``'s validated view, and each coefficient is an entry
+        of ``decode``, which the coordinate map checked once.
 
         On the field eR of order q, c_j = -sum_{a in eR} F(a) a^(q-1-j) for
         1 <= j < q, with a^0 = e, since a^k lies in eR and in characteristic
@@ -535,20 +453,18 @@ class PolyFunctionSet:
         L[F(a), (i, l)], where L[y, (i, l)] = coord_l(-y b_i), so all the
         sums are one product Y @ X of Y[j, (a, i)] = coord_i(a^(q-1-j)) and
         X = L[F(x)] over every x of R, taken mod p per coordinate, whose
-        mixed-radix key ``decode`` maps back to an element.
-        Row 0 of Y holds coord(-1) at x = 0, so it gives c_0 = F(0) the
-        same way.  The product is exact: with r
-        coordinates its partial sums are integers below n r (p-1)^2, under
-        2^24 on every ring of order at most 256.
+        mixed-radix key ``decode`` maps back to an element.  Row 0 of Y
+        holds coord(-1) at x = 0, so it gives c_0 = F(0) the same way.  The
+        product is exact: with r coordinates its partial sums are integers
+        below n r (p-1)^2, under 2^24 on every ring of order at most 256.
         """
         L, Y, moduli, weights, decode = self._interpolation_setup()
         x = L.take(_view_array(view), axis=0).reshape(Y.shape[1], -1)
-        keys = (Y.dot(x).astype(np.intp) % moduli).dot(weights)
-        return _witness(self.ring, decode[keys].tolist())
+        return decode[(Y.dot(x).astype(np.intp) % moduli).dot(weights)]
 
     def _interpolation_setup(self) -> tuple:
-        """``_interpolate``'s fixed factors, built on its first call and kept
-        on the set: L, Y, and the moduli, weights and decode table of the
+        """``witness``'s fixed factors, built on its first call and kept on
+        the engine: L, Y, and the moduli, weights and decode table of the
         ring's coordinate map.
 
         The powers are rows of the ring's power table (``core._powers``):
@@ -579,21 +495,214 @@ class PolyFunctionSet:
             self._setup = L, Y.reshape(top, -1), moduli, coordinates.weights, coordinates.decode
         return self._setup
 
-    def _induced(self, view: bytes | array) -> bool:
-        """e*F(x) = e*F(e*x) for every idempotent e and every x, in two
-        gathers; a field's only e is its unity, so every table passes."""
-        if self.field_mode:
-            return True
-        project, at_ex = self._project
-        values = project.take(_view_array(view), axis=0)
-        return values.tobytes() == values.take(at_ex).tobytes()
+
+class _Lattice:
+    """Any ring: G is the direct sum of the cyclic groups <g_a> of
+    ``_lattice``, and ``count`` the product of their orders.  Counting
+    builds no witness: the first lookup that reads one rebuilds the g_a's
+    witness coefficients (``_coefficient_digits``)."""
+
+    def __init__(self, ring: FiniteRing):
+        self.ring = ring
+        self.basis = _lattice(ring)
+        self.count = math.prod(self.basis.orders.tolist())
+        self._clearing = self._coefficients = None
+
+    def multiples(self, view: bytes | array) -> np.ndarray | None:
+        """The multiples z_a with F = sum_a z_a * g_a for the table F, or
+        None when F is not induced.  For F's embedded row w, S = w[J] V is
+        z_a * u_a * p^v_a modulo p^s (``_lattice``), so F is absent unless
+        p^v_a divides S_a, and z_a = S_a / p^v_a * u_a^-1 mod p^(s - v_a).
+        The product z G gives the digits of sum_a z_a * g_a, which must be
+        F's.  No witness digit is read, so ``contains`` builds none."""
+        basis, values = self.basis, _view_array(view)
+        coords = per_ring(self.ring, _coordinates)
+        syndrome = coords.digits[values[basis.points], basis.digits] @ self._clearing_matrix()
+        if (syndrome % basis.shifts).any():
+            return None
+        z = syndrome // basis.shifts * basis.inverses % basis.orders
+        if not np.array_equal(coords.element((z @ basis.rows).reshape(-1, len(coords.basis))),
+                              values):
+            return None
+        return z
+
+    def witness(self, z: np.ndarray) -> np.ndarray:
+        """The witness coefficients of the table with multiples z: z C
+        gives their digits (``_coefficient_digits``)."""
+        coords = per_ring(self.ring, _coordinates)
+        return coords.element((z @ self._coefficient_digits()).reshape(-1, len(coords.basis)))
+
+    def summands(self) -> list[np.ndarray]:
+        """Per g_a, its multiples (table, then witness coefficients)."""
+        basis, coords = self.basis, per_ring(self.ring, _coordinates)
+        rows = np.hstack((basis.rows, self._coefficient_digits()))
+        return [coords.element(np.arange(order)[:, None, None] * row)  # digits of j * g_a
+                for row, order in zip(rows.reshape(len(rows), -1, len(coords.basis)),
+                                      basis.orders.tolist())]
+
+    def _clearing_matrix(self) -> np.ndarray:
+        """V = W^-1 of ``_lattice``, on the pivots' unscaled digits, built on
+        the first solve and kept on the engine.  Row a of W V = 1 is
+        V[a] = e_a - sum_{b>a} W[a, b] V[b], from the last row up; two
+        primes' pivots meet only in zeros, so column j is taken mod its p^s."""
+        if self._clearing is None:
+            basis, coords = self.basis, per_ring(self.ring, _coordinates)
+            q = basis.shifts * basis.orders
+            scale = q // coords.moduli[basis.digits]
+            block = basis.rows[:, basis.points * len(coords.basis) + basis.digits] * scale
+            ratios = block // basis.shifts[:, None] * basis.inverses[:, None] % q[:, None]  # W
+            clearing = np.eye(len(q), dtype=np.intp)
+            for a in range(len(q) - 2, -1, -1):
+                clearing[a, a + 1:] = -ratios[a, a + 1:] @ clearing[a + 1:, a + 1:] % q[a + 1:]
+            self._clearing = clearing * scale[:, None]
+        return self._clearing
+
+    def _coefficient_digits(self) -> np.ndarray:
+        """C, the digits of each g_a's witness coefficient at every x^k,
+        rebuilt from ``_lattice``'s recorded steps by the first lookup that
+        reads them (a solve's witness or ``summands``) and kept on the
+        engine.  g_a is the combination U_a = e_(i_a) - sum_(b<a)
+        f_b[i_a] * U_b of the generators, which is 0 off the pivot rows
+        i_b (b <= a).  Its entries there are row a of K = T^-1 for the unit
+        lower-triangular ``multipliers`` T, so K[a] = e_a - sum_(b<a)
+        T[a, b] K[b], from the first row down; two primes' steps meet only
+        in zeros, so column b is taken mod its p^s.  Row a of C holds K[a]
+        at the digits ``sources`` and zeros elsewhere."""
+        if self._coefficients is None:
+            basis, ring = self.basis, self.ring
+            q = basis.shifts * basis.orders
+            combination = np.eye(len(q), dtype=np.intp)  # K
+            for a in range(1, len(q)):
+                combination[a, :a] = -basis.multipliers[a, :a] @ combination[:a, :a] % q[:a]
+            width = len(per_ring(ring, _powers)[0]) * len(per_ring(ring, _coordinates).basis)
+            self._coefficients = np.zeros((len(q), width), dtype=np.intp)
+            self._coefficients[:, basis.sources] = combination
+        return self._coefficients
+
+
+class _Chain:
+    """A commutative unital ring whose local factors eR are all chain rings
+    (``_chain_factor``; a local ring is the one-factor case), read from R's
+    own tables: G is the direct sum of the eR * B_(e,k) over e and
+    k < mu_e, and ``count`` is prod_e prod_(k<mu) q^(N - w_q(k)).  Each
+    c_(e,k) of a table is unique modulo pi^(N - w_q(k)); the canonical one
+    is the point a_i with i < q^(N - w_q(k)), so a solve and the index give
+    the same witness sum c_(e,k) * B_(e,k), of degree < max mu.  Counting
+    builds neither ``_columns`` nor ``_solver``."""
+
+    def __init__(self, ring: FiniteRing, factors: list[_ChainFactor]):
+        self.ring = ring
+        self.factors = factors
+        self.count = math.prod(f.q ** sum(f.depth - w for w in f.weights) for f in factors)
+        self._columns_built = self._solver_built = None
+
+    def multiples(self, view: bytes | array) -> np.ndarray | None:
+        """The digit sums of the witness of the table F (``witness`` decodes
+        them), or None when F is not induced.  On factor e, F's values y at
+        a_0, ..., a_(mu-1) satisfy e*y = c T for the triangle
+        T[k, j] = B_k(a_j) = D W, with D = diag(pi^(w_q(k)) u_k) and W unit
+        upper triangular, so z = y S, for S = W^-1 diag(u_k^-1) over eR
+        (``_solver``), is c_k pi^(w_q(k)): F is absent unless pi^(w_q(k))
+        divides z_k, and the canonical c_k is z_k's digits shifted down by
+        w_q(k) (``_solver``'s ``canonical``).  One product of c's digits
+        then gives the digits of sum c_(e,k) * B_(e,k), which must be F,
+        and of its coefficients."""
+        values, coords = _view_array(view), per_ring(self.ring, _coordinates)
+        at, scales, offsets, canonical, columns, digits = self._solver()
+        c = canonical[offsets + _decode(coords, digits[values[at]].ravel() @ scales)]
+        if c[c.argmin()] < 0:  # an early exit: the table check would fail too
+            return None
+        sums = digits[c].ravel() @ columns  # n r digits of the table, then the witness's
+        table = _decode(coords, sums[:digits.size]).astype(values.dtype)
+        return sums[digits.size:] if table.tobytes() == values.tobytes() else None
+
+    def witness(self, sums: np.ndarray) -> np.ndarray:
+        """The coefficients of sum_(e,k) c_(e,k) * B_(e,k), from their digit sums."""
+        return _decode(per_ring(self.ring, _coordinates), sums)
+
+    def summands(self) -> list[np.ndarray]:
+        """Per slot (e, k), c * B_(e,k) for every canonical c: its table, then its coefficients."""
+        rows = iter(np.hstack(self._columns()))
+        return [self.ring.mul_table[f.points[:f.q ** (f.depth - w), None], next(rows)]
+                for f in self.factors for w in f.weights]
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per slot (e, k), B_(e,k)'s table, B_(e,k)(e*x) at x, and its
+        coefficients, from B_(k+1) = (X - a_k) B_k; built on the first lookup."""
+        if self._columns_built is None:
+            ring, width = self.ring, max(len(f.weights) for f in self.factors)
+            add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
+            tables, coefficients = [], []
+            for f in self.factors:
+                tables.append(f.values[:, f.positions[mul[f.unity]]])
+                coeffs = np.zeros((len(f.weights), width), dtype=np.intp)
+                coeffs[0, 0] = f.unity
+                for k in range(1, len(f.weights)):  # degree k - 1 < width - 1: the roll is X B
+                    times_a = neg[mul[f.points[k - 1], coeffs[k - 1]]]
+                    coeffs[k] = add[np.roll(coeffs[k - 1], 1), times_a]
+                coefficients.append(coeffs)
+            self._columns_built = np.concatenate(tables), np.concatenate(coefficients)
+        return self._columns_built
+
+    def _solver(self) -> tuple:
+        """``multiples``' points, the ``_digit_matrix`` of block-diagonal S,
+        the offsets k n and ``canonical``, the digit matrix of the B_(e,k)'s
+        tables and coefficients side by side, and the digit table as floats,
+        built on the first solve and kept.  Per factor,
+        W[k, j] = u_k^-1 T[k, j] / pi^(w_q(k)), each quotient a digit shift,
+        and V = W^-1 from V[a] = e_a - sum_(b>a) W[a, b] V[b], last row up.
+        ``canonical`` holds at k n + z the canonical c_k with
+        c_k pi^(w_q(k)) = z, or -1 where pi^(w_q(k)) does not divide z."""
+        if self._solver_built is None:
+            ring, mul, size = self.ring, self.ring.mul_table, len(self._columns()[0])
+            coords = per_ring(ring, _coordinates)
+            scales = np.zeros((size, size), dtype=np.intp)
+            at, canonical, slot = [], [], 0
+            for f in self.factors:
+                mu = len(f.weights)
+                divisor = f.q ** np.array(f.weights)
+                quotients = f.points[f.positions[f.values[:, :mu]] // divisor[:, None]]
+                inverted = mul[quotients.diagonal()[:, None], f.points] == f.unity
+                inverses = f.points[inverted.argmax(axis=1)]  # u_k^-1
+                ratios = mul[inverses[:, None], quotients]  # W
+                inverse = np.where(np.eye(mu, dtype=bool), f.unity, 0)  # V
+                for a in range(mu - 2, -1, -1):  # the digits of W[a, b] V[b], summed over b > a
+                    sums = coords.digits[mul[ratios[a, a + 1:, None], inverse[a + 1:, a + 1:]]]
+                    inverse[a, a + 1:] = ring.neg_table[coords.element(sums.sum(axis=0))]
+                scales[slot:slot + mu, slot:slot + mu] = mul[inverse, inverses]
+                at += f.points[:mu].tolist()
+                shifted, left = np.divmod(f.positions, divisor[:, None])  # z = y S lies in eR
+                canonical.append(np.where(left == 0, f.points[shifted], -1))
+                slot += mu
+            self._solver_built = (np.array(at), _digit_matrix(ring, scales),
+                                  np.arange(size) * ring.order, np.concatenate(canonical).ravel(),
+                                  _digit_matrix(ring, np.hstack(self._columns())),
+                                  coords.digits.astype(float))
+        return self._solver_built
+
+
+def _digit_matrix(ring: FiniteRing, rows: np.ndarray) -> np.ndarray:
+    """M[(a, i), (x, l)] = coord_l(b_i * rows[a, x]) over R's additive basis
+    b (``_coordinates``), as floats: the scalars' digits times M are the
+    digit sums of sum_a scalars[a] * rows[a] (``_decode``)."""
+    coords = per_ring(ring, _coordinates)
+    products = ring.mul_table[coords.basis[:, None], rows[:, None, :]]  # [a, i, x]
+    return coords.digits[products].reshape(len(rows) * len(coords.basis), -1).astype(float)
+
+
+def _decode(coords: _Coordinates, digits: np.ndarray) -> np.ndarray:
+    """The elements with these digit sums, a basis's length at a time: each sums at most
+    n log2(n) products below n^2, so it is exact in float64 up to order 2^16."""
+    return coords.element(digits.astype(np.intp).reshape(-1, len(coords.basis)))
 
 
 def polynomial_function_set(ring: FiniteRing) -> PolyFunctionSet:
     """The set {r -> a_0 + sum a_k r^k} of functions polynomials induce.
 
     A product of fields, a field included, is answered through its primitive
-    idempotents, and any other ring through its lattice (``_lattice``).  No
+    idempotents (``_FieldProduct``); a commutative unital ring whose local
+    factors are all chain rings through a P-ordering of each factor
+    (``_Chain``); and any other ring through its lattice (``_Lattice``).  No
     table is built until a lookup needs one, and every answer is exact.
 
     Cached per ring however the argument is passed.
@@ -604,9 +713,14 @@ def polynomial_function_set(ring: FiniteRing) -> PolyFunctionSet:
 @lru_cache(maxsize=None)
 def _function_set(ring: FiniteRing) -> PolyFunctionSet:
     inv = analyze(ring)
-    if inv.is_commutative and inv.is_unital and inv.nilpotents.size == 1:
-        return PolyFunctionSet(ring, idempotents=primitive_idempotents(ring))
-    return PolyFunctionSet(ring, basis=_lattice(ring))
+    if inv.is_commutative and inv.is_unital:
+        idempotents = primitive_idempotents(ring)
+        if inv.nilpotents.size == 1:
+            return PolyFunctionSet(ring, _FieldProduct(ring, idempotents))
+        factors = [_chain_factor(ring, e) for e in idempotents]
+        if None not in factors:
+            return PolyFunctionSet(ring, _Chain(ring, factors))
+    return PolyFunctionSet(ring, _Lattice(ring))
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +732,9 @@ def function_count(ring: FiniteRing) -> int:
     and without materialising a table, on any finite ring.
 
     A product of fields has prod |eR|^|eR| over its primitive idempotents e;
-    any other ring is counted by ``_lattice``.
+    a commutative unital ring whose local factors are chain rings has
+    prod_e prod_(k<mu) q^(N - w_q(k)), certified on its tables
+    (``_chain_factor``); any other ring is counted by ``_lattice``.
     """
     return _function_set(ring).count
 
@@ -666,12 +782,12 @@ def _lattice(ring: FiniteRing) -> _Basis:
     multiplier column f_a, which subtracts f_a[i] * g_a from every row i.
     So g_a is the combination U_a = e_(i_a) - sum_(b<a) f_b[i_a] * U_b of
     the generators, whose coefficients make its witness: the set rebuilds
-    them on its first lookup (``PolyFunctionSet._coefficient_digits``) from
+    them on its first lookup (``_Lattice._coefficient_digits``) from
     ``sources`` and ``multipliers``, and a count never builds them.  Every
     later row is 0 at the pivot's column j_a, so the block G[:, J] of the
     pivot columns is upper triangular with diagonal u_a * p^v_a, and p^v_a
     divides row a.  It is D W over Z/p^s for D = diag(u_a * p^v_a) and a
-    unit upper-triangular W, so V = W^-1 (``PolyFunctionSet._clearing_matrix``)
+    unit upper-triangular W, so V = W^-1 (``_Lattice._clearing_matrix``)
     clears it to D: z G[:, J] V = z D.  G is the direct sum of the <g_a>, so
     each z_a is unique modulo p^(s - v_a) and every witness is determined.
     """
@@ -728,6 +844,88 @@ def _lattice(ring: FiniteRing) -> _Basis:
         start += len(block)
     pivots = map(np.array, (points, digits, shifts, inverses, orders, sources))
     return _Basis(np.concatenate(table_rows), *pivots, multipliers)
+
+
+# ---------------------------------------------------------------------------
+# chain rings: the function group from a P-ordering of each local factor
+# ---------------------------------------------------------------------------
+
+class _ChainFactor(NamedTuple):
+    """A chain ring factor eR (``_chain_factor``): its unity, q, N, w_q(k) for
+    k < mu, the points a_i (i < q^N), each element's digit index i (0 off
+    eR), and B_k(a_i) at [k, i]."""
+
+    unity: int
+    q: int
+    depth: int
+    weights: list[int]
+    points: np.ndarray
+    positions: np.ndarray
+    values: np.ndarray
+
+
+def _chain_factor(ring: FiniteRing, e: int) -> _ChainFactor | None:
+    """The local factor eR as a chain ring, read from R's tables, or None.
+
+    pi is the element of the radical J_e with the largest nilpotency index
+    N (0 and 1 on a field), and q = |eR/J_e|.  Each of the N steps
+    eR > pi eR > ... > pi^N eR = 0 has index at least q, so eR is a chain
+    ring (pi eR = J_e) exactly when q^N = |eR|.  Then the points
+    a_i = sum_j t_(d_j) pi^j, over the base-q digits d_j of i < q^N and the
+    least elements t_0 = 0, t_1, ... of the cosets of J_e, are distinct
+    (one bincount), and y = a_i is pi^v u for a unit u, v being the number
+    of trailing zero digits of i.  With B_k = e prod_(i<k) (X - a_i),
+    w_q(k) = sum_(j>=1) floor(k / q^j) and mu the least k with w_q(k) >= N,
+    the valuation of B_k(x) is at least w_q(k) on eR, and w_q(k) at a_k,
+    for each k < mu, and B_mu vanishes on eR (a P-ordering): checked here
+    (InternalInvariantError otherwise), and all the count needs.  The monic
+    B_k span every polynomial, and if sum c_k B_k vanishes then, at a_0,
+    a_1, ... in turn, c_k B_k(a_k) = 0, so c_k is in pi^(N - w_q(k)) eR,
+    where c_k B_k vanishes: G_e is the direct sum of the eR B_k, of orders
+    q^(N - w_q(k)).
+    """
+    n, (rows, t, _) = ring.order, per_ring(ring, _powers)
+    add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
+    elements = np.flatnonzero(mul[e] == np.arange(n))
+    radical = elements[rows[t, elements] == 0]
+    depths = (rows[1:t, radical] != 0).sum(axis=0) + 1  # nilpotency indices
+    pi, depth = int(radical[depths.argmax()]), int(depths.max())
+    q = len(elements) // len(radical)
+    if q ** depth != len(elements):
+        return None
+    reps = np.flatnonzero(np.bincount(add[elements[:, None], radical].min(axis=1), minlength=n))
+    powers = np.array([e, *rows[1:depth, pi].tolist()])
+    points = np.zeros(1, dtype=np.intp)
+    for step in mul[powers[:, None], reps]:  # a_(d q^j + i) = t_d pi^j + a_i
+        points = add[step[:, None], points].ravel()
+    if np.bincount(points, minlength=n).max() > 1:
+        raise InternalInvariantError(f"{ring.label}: two points of the factor e={e} coincide")
+    positions = np.zeros(n, dtype=np.intp)
+    positions[points] = np.arange(len(points))
+    weights = _p_ordering_weights(q, depth)
+    mu = len(weights)
+    differences = add[points, neg[points[:mu, None]]]  # [k, i]: a_i - a_k
+    values = [np.full(len(points), e)]
+    for row in differences:
+        values.append(mul[values[-1], row])
+    values = np.array(values)
+    valuation = np.zeros(len(points), dtype=np.intp)
+    for j in range(1, depth + 1):
+        valuation[::q ** j] += 1
+    found, w = valuation[positions[values[:mu]]], np.array(weights)
+    if values[mu].any() or (found.min(axis=1) != w).any() or (found.diagonal() != w).any():
+        raise InternalInvariantError(f"{ring.label}: the points of the factor e={e} are not "
+                                     "a P-ordering")
+    return _ChainFactor(e, q, depth, weights, points, positions, values[:mu])
+
+
+def _p_ordering_weights(q: int, depth: int) -> list[int]:
+    """w_q(k) = sum_(j>=1) floor(k / q^j) for every k < mu, the least k with
+    w_q(k) >= depth."""
+    weights = []  # k < mu <= q depth < q^(depth + 1), so j <= depth suffices
+    while (w := sum(len(weights) // q ** j for j in range(1, depth + 1))) < depth:
+        weights.append(w)
+    return weights
 
 
 # ---------------------------------------------------------------------------
@@ -839,14 +1037,15 @@ def is_polynomial_function(ring: FiniteRing, table) -> Polynomial | None:
 def interpolate_field(field: FiniteRing, table) -> Polynomial:
     """The unique polynomial of degree < q = |F| inducing the table:
     c_0 = f(0) and c_j = -sum_a f(a) a^(q-1-j) for 1 <= j <= q-1, with
-    0^0 = 1.  The field's function set interpolates (``_interpolate``), so
+    0^0 = 1.  The field's function set interpolates (``_FieldProduct``), so
     this and its lookups share one matrix Y, built on the first call.  The
     table is validated once (a tuple or list in one pass, ``_table_view``),
     and each call is then one gather, one matrix product and one decode
     into a witness whose coefficients are not checked again."""
     if not analyze(field).is_field:
         raise UnsupportedStructureError(f"{field.label} is not a field")
-    return _function_set(field)._interpolate(_table_view(field, table))
+    coeffs = _function_set(field).engine.witness(_table_view(field, table))
+    return _witness(field, coeffs.tolist())
 
 
 def char_poly_for_subset(ring: FiniteRing, subset) -> Polynomial | None:

@@ -588,18 +588,25 @@ def _grow(ring) -> tuple[np.ndarray, np.ndarray, dict]:
     return tables, wits, index
 
 
+def field_idempotents(pset) -> tuple[int, ...]:
+    """The primitive idempotents of a set answered as a product of fields
+    (one for a field), and () for a set on any other engine."""
+    engine = pset.engine
+    return engine.idempotents if isinstance(engine, polyfun._FieldProduct) else ()
+
+
 def as_tuple_set(pset, limit: int = 1 << 20) -> frozenset:
     """Every table of a function set as a tuple; refuses sets of more than
     ``limit`` tables before any work."""
     if pset.count > limit:
         raise ValueError("function set too large to materialise")
-    if not pset.idempotents:
+    if not field_idempotents(pset):
         return frozenset(map(tuple, pset._enumerate()[0].tolist()))
     # Every choice of g_e: eR -> eR, summed as x -> sum_e g_e(e*x).
     n = pset.ring.order
     add = np.array(pset.ring.add_table, dtype=np.intp)
     rows = np.zeros((1, n), dtype=np.intp)
-    for e in pset.idempotents:
+    for e in field_idempotents(pset):
         ideal, position = np.unique(pset.ring.mul_table[e], return_inverse=True)
         g = np.array(list(product(ideal.tolist(), repeat=len(ideal))))[:, position]
         rows = add[rows[:, None, :], g[None]].reshape(-1, n)

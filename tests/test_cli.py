@@ -147,8 +147,8 @@ def test_check_capped_is_inconclusive(capsys):
 
 def test_large_local_rings_are_decided_before_any_row_is_built(refuse_index, capsys):
     # Each of these induces 2^24 or more functions.  Counts come from the
-    # lattice, P2.7 from x^N, R2.8 from P2.6's lift, and a lookup is
-    # solved from the lattice basis, so no table is enumerated.
+    # chain engine, P2.7 from x^N, R2.8 from P2.6's lift, and a lookup is
+    # solved at the chain points, so no table is enumerated.
     for spec, count in (("Z/25", 30517578125), ("Z/27", 387420489), ("Z/32", 16777216)):
         code, doc = run_json(capsys, "report", spec)
         assert code == 0 and doc["function_count"] == count and doc["function_count_complete"]
@@ -486,6 +486,32 @@ def test_repeated_main_calls_print_what_a_fresh_process_prints(capsys, tmp_path)
         for argv, expected in zip(commands, fresh):
             assert (_main_in_process(capsys, argv),
                     sweep_rows() if argv[0] == "sweep" else None) == expected, argv
+
+
+_NO_MASKED_ARRAYS = """
+import contextlib, io, sys
+from finring import cli, function_table, is_polynomial_function, parse_ring_spec, poly_from, realize
+for spec in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["report", spec, "--format", "json"]) == 0
+    ring = realize(parse_ring_spec(spec))
+    table = function_table(poly_from(ring, [1, 2, 3])).values
+    assert function_table(is_polynomial_function(ring, table)).values == table
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_chain_and_split_rings_answer_without_importing_masked_arrays():
+    # np.unique and np.setdiff1d import numpy.ma on their first call, which
+    # costs a fresh process more than a chain ring's count: a report and a
+    # lookup on a chain ring (Z/27, solved) and a split one (Z/4 x Z/3, the
+    # index) must not make that first call
+    package_root = str(Path(finring.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS, "Z/27", "Z/4 x Z/3"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point():

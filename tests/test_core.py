@@ -404,6 +404,58 @@ def test_images_match_rings_built_from_their_tables(ring):
         assert _ring(image) == _ring(built), image.label
 
 
+@pytest.mark.parametrize("ring", _image_cases(), ids=lambda ring: ring.label)
+def test_images_match_the_loop_oracles(ring):
+    # each residue field and local factor has the tables the loop oracles build
+    if analyze(ring).is_field:
+        assert residue_field(ring)[0] is ring  # its own residue field: no image
+    elif analyze(ring).is_local:
+        field, proj, reps = residue_field(ring)
+        assert (_ring(field), proj, reps) == loop_residue_field(ring)
+    else:
+        for factor in local_decomposition(ring):
+            tables, projection = loop_factor(ring, factor.idempotent)
+            assert (_ring(factor.ring), factor.projection) == (tables, projection)
+
+
+def _quotient_map(ring, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """x -> its coset of the additive subgroup ``kernel``, each coset named
+    by its least element, as _image's (proj, reps)."""
+    rep_of = ring.add_table[:, list(kernel)].min(axis=1)
+    reps = np.flatnonzero(np.bincount(rep_of, minlength=ring.order))
+    return np.searchsorted(reps, rep_of), reps
+
+
+@pytest.mark.parametrize("make, kernel, what", [
+    (upper_triangular_f2, (0, 4), "multiplication"),  # K R in K, R K not
+    (upper_triangular_f2, (0, 1), "multiplication"),  # R K in K, K R not
+    (lambda: realize(parse_ring_spec("GF(4)")), (0, 1), "multiplication"),  # no ideal
+    (lambda: make_zn(9), (0, 3, 6), None),  # the ideal 3Z/9: a homomorphism
+], ids=["right-ideal", "left-ideal", "GF(4)", "Z/9"])
+def test_a_projection_that_is_no_homomorphism_raises(make, kernel, what):
+    ring = make()
+    proj, reps = _quotient_map(ring, kernel)
+    if what is None:
+        image = core._image(ring, proj, reps, "quotient")
+        assert image.order == ring.order // len(kernel)
+        validate_ring(image)
+    else:
+        with pytest.raises(core.InternalInvariantError, match=f"does not respect {what}"):
+            core._image(ring, proj, reps, "quotient")
+
+
+@pytest.mark.parametrize("spec", ["Z/9", "Z/2[x]/(x^3)", "Z/169", "Z/2[x]/(x^8)"])
+def test_a_corrupted_projection_raises(spec):
+    # one element moved to another coset breaks the sums through it
+    ring = realize(parse_ring_spec(spec))
+    _, proj, reps = residue_field(ring)
+    proj, reps = np.array(proj), np.array(reps)
+    x = next(x for x in range(ring.order - 1, 0, -1) if x not in reps)
+    proj[x] = (proj[x] + 1) % len(reps)
+    with pytest.raises(core.InternalInvariantError, match="does not respect addition"):
+        core._image(ring, proj, reps, "corrupted")
+
+
 def test_zero_mul_ring_is_non_unital():
     r = make_zero_mul_ring(2)
     inv = analyze(r)

@@ -1,9 +1,12 @@
 """Witness coefficients pinned in ``tests/data/witnesses.json``.
 
-A lattice witness depends on the additive basis that the lattice is built
-over, so this pins the basis choice as well as the elimination: 20 seeded
-lookups per ring, through the index and through the solve path.  Field and
-product-of-field interpolants are unique, and are pinned too.
+A witness on a ring that is not a product of fields depends on its engine:
+on a ring whose local factors are chain rings (all of these but T2(F2)) on
+each factor's coset representatives and points, and on the lattice on the
+additive basis and the elimination.  So this pins those choices: 20 seeded
+lookups per ring, through the index and through the solve path, which give
+the same witnesses.  Field and product-of-field interpolants are unique, and
+are pinned too.
 
 Regenerate the file with ``PYTHONPATH=src python tests/test_golden_witnesses.py``.
 """

@@ -52,6 +52,7 @@ from conftest import (
     closed_form_interpolant,
     coset_growth,
     crt_interpolate,
+    field_idempotents,
     lagrange_interpolate,
     m2f2,
     relabelled,
@@ -126,7 +127,7 @@ def test_function_set_counts(z4, z6, gf4):
     assert polynomial_function_set(z6).count == 108
     assert polynomial_function_set(make_zn(8)).count == 1024
     fset = polynomial_function_set(gf4)
-    assert fset.field_mode and fset.complete
+    assert field_idempotents(fset) == (gf4.unity,) and fset.complete
     assert fset.count == 4 ** 4
 
 
@@ -144,14 +145,14 @@ def test_function_set_matches_brute_force_zero_ring():
 
 @pytest.mark.parametrize("spec", ["T2(F2)", "Z/6", "Z/8", "Z/2 x Z/4", "zero-ring-4"])
 def test_closure_matches_oracle_with_witnesses(spec):
-    # The coset-growth oracle against brute force, then the lattice
-    # basis's enumerated index against both.
+    # The coset-growth oracle against brute force, then the enumerated index
+    # of the chain (Z/8, Z/2 x Z/4) or lattice engine against both.
     ring = upper_triangular_f2() if spec == "T2(F2)" else realize(parse_ring_spec(spec))
     closure = coset_growth(ring)
     assert closure.as_tuple_set() == brute_force_function_tables(ring)
     assert_rows_witnessed(closure)
     pset = polynomial_function_set(ring)
-    if not pset.idempotents:
+    if not field_idempotents(pset):
         pset.lookup((0,) * ring.order)
         assert_rows_witnessed(pset)
         assert as_tuple_set(pset) == closure.as_tuple_set()
@@ -373,7 +374,7 @@ def _products_of_fields():
     rings += [realize(parse_ring_spec(spec)) for spec in (
         "Z/2[x]/(x^6+x+1)", "Z/2[x]/(x^7+x+1)", "Z/3[x]/(x^5+2x+1)",
         "Z/2[x]/(x^8+x^4+x^3+x+1)", "Z/251", "Z/2 x Z/3 x Z/5 x Z/7", "GF(4) x Z/3")]
-    return [ring for ring in rings if polynomial_function_set(ring).idempotents]
+    return [ring for ring in rings if field_idempotents(polynomial_function_set(ring))]
 
 
 @pytest.mark.parametrize("ring", _products_of_fields(), ids=lambda ring: ring.label)
@@ -386,12 +387,12 @@ def test_interpolants_match_the_closed_form_oracle(ring):
     for _ in range(4):
         g = [rng.randrange(n) for _ in range(n)]
         values = [0] * n
-        for e in pset.idempotents:
+        for e in field_idempotents(pset):
             for x in range(n):
                 values[x] = ring.add(values[x], mul[e][g[mul[e][x]]])
-        want = closed_form_interpolant(ring, pset.idempotents, values)
+        want = closed_form_interpolant(ring, field_idempotents(pset), values)
         assert pset.lookup(values) == ("present", want)
-        if pset.field_mode:
+        if len(field_idempotents(pset)) == 1:
             assert interpolate_field(ring, values) == want
     if ring.label == "Z/251":
         # the largest partial sums of any ring of order <= 256: 251 * 250^2
@@ -406,7 +407,7 @@ def test_interpolation_beyond_float32_sums_stays_exact():
     for values in ([256] * 257, [rng.randrange(257) for _ in range(257)]):
         want = closed_form_interpolant(field, (1,), values)
         assert interpolate_field(field, values) == want
-    L, Y = polynomial_function_set(field)._setup[:2]
+    L, Y = polynomial_function_set(field).engine._setup[:2]
     assert L.dtype == Y.dtype == np.float64
 
 
@@ -423,11 +424,11 @@ def test_interpolation_setup_is_built_once_per_set(monkeypatch):
     pset = polynomial_function_set(field)
     assert pset.count == 11 ** 11
     assert pset.contains(tuple(range(11)))
-    assert calls == [] and pset._setup is None
+    assert calls == [] and pset.engine._setup is None
     assert interpolate_field(field, tuple(range(11))).coeffs == (0, 1)
-    setup = pset._setup
+    setup = pset.engine._setup
     assert pset.lookup((3,) * 11) == ("present", Polynomial(field, (3,)))
-    assert calls == [field] and pset._setup is setup
+    assert calls == [field] and pset.engine._setup is setup
 
 
 # --- every engine: each table validated once, each witness built once --------
@@ -437,7 +438,7 @@ _t2f2 = upper_triangular_f2()
 _KERNEL_RINGS = {"GF(4)": lambda: realize(parse_ring_spec("GF(4)")),
                  "Z/6": lambda: realize(parse_ring_spec("Z/6")),
                  "Z/257": lambda: _z257,
-                 "Z/9": lambda: realize(parse_ring_spec("Z/9")),  # lattice rings: the index
+                 "Z/9": lambda: realize(parse_ring_spec("Z/9")),  # chain and lattice: the index
                  "T2(F2)": lambda: _t2f2,
                  "Z/9 solve": lambda: realize(parse_ring_spec("Z/9"))}  # and the solve path
 _SOLVED = {"Z/9 solve"}  # looked up with INDEX_LIMIT at 0
@@ -482,7 +483,7 @@ def _kernel_table(ring, name):
     n = ring.order
     rng = random.Random(n)
     g = [rng.randrange(n) for _ in range(n)]
-    idempotents = polynomial_function_set(ring).idempotents
+    idempotents = field_idempotents(polynomial_function_set(ring))
     valid = [0] * n if idempotents else list(function_table(poly_from(ring, g)).values)
     for e in idempotents:
         for x in range(n):
@@ -517,7 +518,7 @@ def test_kernel_entry_points_read_every_input_as_the_slow_path_does(monkeypatch,
     if spec in _SOLVED:
         set_index_limit(monkeypatch, 0)
     pset = polynomial_function_set(ring)
-    n, idempotents = ring.order, pset.idempotents
+    n, idempotents = ring.order, field_idempotents(pset)
     table = lambda: _kernel_table(ring, name)
     if idempotents:
         def induced(values):
@@ -545,7 +546,7 @@ def test_kernel_entry_points_read_every_input_as_the_slow_path_does(monkeypatch,
 
     assert _answer(lookup) == _slow_path_answer(ring, name, looked_up)
     assert _answer(lambda: pset.contains(table())) == _slow_path_answer(ring, name, induced)
-    if pset.field_mode:
+    if len(field_idempotents(pset)) == 1:
         assert _answer(lambda: interpolate_field(ring, table())) == _slow_path_answer(
             ring, name, lambda values: closed_form_interpolant(ring, idempotents, values))
     else:
@@ -569,12 +570,12 @@ def test_a_tuple_or_list_is_validated_once_and_no_witness_is_checked(monkeypatch
         for call in (pset.lookup, pset.contains):
             call(table)
             call(tuple(table))
-        if pset.field_mode:
+        if len(field_idempotents(pset)) == 1:
             interpolate_field(ring, table)
         assert calls == []
         pset.lookup(iter(table))
         assert calls == ["table values"]
-        assert (pset.tables is not None) == (not pset.idempotents and not solve)
+        assert (pset.tables is not None) == (not field_idempotents(pset) and not solve)
         calls.clear()
 
 
@@ -586,7 +587,8 @@ def test_a_setup_whose_decode_leaves_the_ring_raises(monkeypatch):
 
     additive_basis = polyfun._additive_basis
     monkeypatch.setattr(polyfun, "_additive_basis", collided)
-    for ring in (make_zn(7), make_zn(6), make_zn(9)):  # new rings, so new sets and maps
+    # new rings, so new sets and maps; a chain ring maps its coordinates to solve
+    for ring in (make_zn(7), make_zn(6), make_zn(27)):
         with pytest.raises(core.InternalInvariantError, match="decode table is not a permutation"):
             polynomial_function_set(ring).lookup(tuple(range(ring.order)))
         assert polyfun._coordinates not in (ring.store or {})  # a failed build stores nothing
@@ -671,12 +673,13 @@ _TRACKED = ([ring for _, ring in standard_catalog(32)]
 
 @pytest.mark.parametrize("ring", _TRACKED, ids=lambda ring: ring.label)
 def test_rebuilt_witness_digits_match_the_tracked_elimination(ring):
-    basis, tracked = polyfun._lattice(ring), tracked_lattice(ring)
+    lattice, tracked = polyfun._Lattice(ring), tracked_lattice(ring)
+    basis = lattice.basis
     for name in ("points", "digits", "shifts", "inverses", "orders"):
         assert np.array_equal(getattr(basis, name), tracked[name]), name
     width = basis.rows.shape[1]
     assert np.array_equal(basis.rows, tracked["rows"][:, :width])
-    digits = polyfun.PolyFunctionSet(ring, basis=basis)._coefficient_digits()
+    digits = lattice._coefficient_digits()
     assert np.array_equal(digits, tracked["rows"][:, width:])
 
 
@@ -690,33 +693,56 @@ def test_counting_builds_no_witness_digits_and_the_first_lookup_builds_them_once
             built.append(self.ring.label)
         return coefficient_digits(self)
 
-    coefficient_digits = polyfun.PolyFunctionSet._coefficient_digits
-    monkeypatch.setattr(polyfun.PolyFunctionSet, "_coefficient_digits", counted)
+    coefficient_digits = polyfun._Lattice._coefficient_digits
+    monkeypatch.setattr(polyfun._Lattice, "_coefficient_digits", counted)
     set_index_limit(monkeypatch, limit)
-    ring = make_zn(16)  # a new ring, so a new set
-    assert function_count(ring) == 1 << 16
+    ring = core.make_quotient(make_zn(4), [0, 0, 1])  # a new ring, and not a chain ring
+    assert function_count(ring) == 1 << 14
     pset = polynomial_function_set(ring)
-    assert pset._coefficients is None and built == []
+    assert pset.engine._coefficients is None and built == []
     tables = [function_table(poly_from(ring, (k, 3, k, 1))).values for k in range(4)]
     for table in tables:
         status, witness = pset.lookup(table)
         assert status == "present" and function_table(witness).values == table
         assert pset.contains(table)
-    assert built == ["Z/16"] and (pset.tables is None) == (limit == 0)
+    assert built == ["Z/4[x]/(x^2)"] and (pset.tables is None) == (limit == 0)
+
+
+@pytest.mark.parametrize("limit", [polyfun.INDEX_LIMIT, 0], ids=["index", "solve"])
+def test_counting_a_chain_ring_builds_no_column_and_no_triangle_inverse(monkeypatch, limit):
+    # the B_k tables and coefficients come with the first lookup, and the
+    # triangle inverse with the first solve, once per set
+    set_index_limit(monkeypatch, limit)
+    ring = make_zn(16)  # a new ring, so a new set
+    assert function_count(ring) == 1 << 16
+    pset = polynomial_function_set(ring)
+    engine = pset.engine
+    assert isinstance(engine, polyfun._Chain)
+    assert engine._columns_built is None and engine._solver_built is None
+    tables = [function_table(poly_from(ring, (k, 3, k, 1))).values for k in range(4)]
+    built = []
+    for table in tables:
+        status, witness = pset.lookup(table)
+        assert status == "present" and function_table(witness).values == table
+        assert pset.contains(table)
+        built.append((engine._columns_built, engine._solver_built))
+    assert all(a is b for a, b in zip(built[0], built[-1]))
+    assert built[0][0] is not None and (built[0][1] is None) == (limit != 0)
+    assert (pset.tables is None) == (limit == 0)
 
 
 def test_contains_on_the_solve_path_builds_no_witness_digits(monkeypatch):
     # contains solves for the multiples alone; lookup then agrees with it
     set_index_limit(monkeypatch, 0)
-    ring = make_zn(16)  # a new ring, so a new set
+    ring = core.make_quotient(make_zn(4), [0, 0, 1])  # a new ring, and not a chain ring
     pset = polynomial_function_set(ring)
     rng = random.Random(16)
     present = [function_table(poly_from(ring, [rng.randrange(16) for _ in range(6)])).values
                for _ in range(20)]
-    absent = [(ring.add(t[0], ring.unity), *t[1:]) for t in present]  # then F(0) != F(2) mod 2
+    absent = [(ring.add(t[0], ring.unity), *t[1:]) for t in present]  # F(0) leaves its J-coset
     answers = [pset.contains(t) for t in present + absent]
     assert answers == [True] * 20 + [False] * 20
-    assert pset._coefficients is None and pset.tables is None
+    assert pset.engine._coefficients is None and pset.tables is None
     for table, answer in zip(present + absent, answers):
         status, witness = pset.lookup(table)
         assert (status == "present") is answer is (witness is not None)
@@ -739,16 +765,16 @@ def test_round_trips_on_the_largest_prime_fields_equal_the_closed_form(field):
 
 
 @pytest.mark.parametrize("spec", ["GF(4)", "GF(27)", "Z/30", "GF(4) x Z/3",  # analytic
-                                  "Z/9", "Z/12", "Z/8 x Z/2",  # lattice, the index
-                                  "Z/27"])  # lattice, solved: 3^18 tables
+                                  "Z/9", "Z/12", "Z/8 x Z/2",  # chain, the index
+                                  "Z/27"])  # chain, solved: 3^18 tables
 def test_trusted_witnesses_equal_and_hash_as_checked_ones(spec):
     ring = realize(parse_ring_spec(spec))
     pset = polynomial_function_set(ring)
     n = ring.order
     rng = random.Random(n)
     tables = [[0] * n, [ring.unity] * n]
-    tables += [[ring.mul(e, x) for x in range(n)] for e in pset.idempotents]
-    if not pset.idempotents:
+    tables += [[ring.mul(e, x) for x in range(n)] for e in field_idempotents(pset)]
+    if not field_idempotents(pset):
         polys = [poly_from(ring, [rng.randrange(n) for _ in range(n)]) for _ in range(20)]
         tables += [list(function_table(f).values) for f in polys]
     for table in tables:
@@ -802,8 +828,8 @@ def test_contains_agrees_with_lookup(monkeypatch, spec, index_limit):
         assert status == closure.lookup(table)[0]
         assert pset.contains(table) is (status == "present") is (witness is not None)
         assert witness is None or function_table(witness).values == table
-    assert {pset.contains(t) for t in tables} == ({True} if pset.field_mode else {True, False})
-    assert (pset.tables is not None) == (not pset.idempotents and pset.count <= index_limit)
+    assert {pset.contains(t) for t in tables} == ({True} if len(field_idempotents(pset)) == 1 else {True, False})
+    assert (pset.tables is not None) == (not field_idempotents(pset) and pset.count <= index_limit)
 
 
 @pytest.mark.parametrize("spec", ["GF(5)", "Z/6"])
@@ -982,7 +1008,8 @@ def _nonconstant_indicators(ring) -> list[tuple[int, ...]]:
 
 
 def test_catalog_products_of_fields_are_answered_by_crt(catalog16):
-    crt = {name for name, ring in catalog16 if len(polynomial_function_set(ring).idempotents) > 1}
+    crt = {name for name, ring in catalog16
+           if len(field_idempotents(polynomial_function_set(ring))) > 1}
     assert crt == set(PRODUCTS_OF_FIELDS)
 
 
@@ -1042,7 +1069,8 @@ def test_crt_engine_on_z14_materialises_nothing():
 def test_witnesses_equal_the_crt_oracle(spec):
     ring = realize(parse_ring_spec(spec))
     pset = polynomial_function_set(ring)
-    assert pset.tables is None and len(pset.idempotents) == len(local_decomposition(ring)) > 1
+    assert pset.tables is None
+    assert len(field_idempotents(pset)) == len(local_decomposition(ring)) > 1
     n = ring.order
     width = max(f.ring.order for f in local_decomposition(ring))
     rng = random.Random(n)
@@ -1147,21 +1175,28 @@ def test_the_coordinate_map_is_built_once_per_ring(monkeypatch):
     coordinates, lattice_of = polyfun._coordinates, polyfun._lattice
     monkeypatch.setattr(polyfun, "_coordinates", counted)
     monkeypatch.setattr(polyfun, "_lattice", counted_lattice)
-    lattice, fields = make_zn(9), make_zn(6)  # new rings, so new sets and stores
+    lattice, fields = core.make_quotient(make_zn(4), [0, 0, 1]), make_zn(6)  # new rings
+    name = lattice.label  # Z/4[x]/(x^2), which is not a chain ring
     table = function_table(poly_from(lattice, (1, 2, 3))).values
-    assert function_count(lattice) == 3 ** 9
-    assert built == ["Z/9"]
+    assert function_count(lattice) == 4 ** 7
+    assert built == [name]
     pset = polynomial_function_set(lattice)
     assert pset.lookup(table)[0] == "present" and pset.tables is not None  # the index
-    assert pset.contains(table) and eliminated == ["Z/9"]
+    assert pset.contains(table) and eliminated == [name]
     set_index_limit(monkeypatch, 0)  # a new set, which solves
     pset = polynomial_function_set(lattice)
     assert pset.lookup(table)[0] == "present" and pset.tables is None
-    assert pset.contains(table) and eliminated == ["Z/9", "Z/9"]
-    assert function_count(fields) == 2 ** 2 * 3 ** 3 and built == ["Z/9"]
+    assert pset.contains(table) and eliminated == [name, name]
+    assert function_count(fields) == 2 ** 2 * 3 ** 3 and built == [name]
     for values in (tuple(range(6)), (1,) * 6):  # the same set interpolates both
         assert polynomial_function_set(fields).lookup(values)[0] == "present"
-    assert built == ["Z/9", "Z/6"] and eliminated == ["Z/9", "Z/9"]
+    assert built == [name, "Z/6"] and eliminated == [name, name]
+    chain = make_zn(9)  # counted from its tables alone; its first solve maps it
+    assert function_count(chain) == 3 ** 9 and built == [name, "Z/6"]
+    table = function_table(poly_from(chain, (1, 2, 3))).values
+    for values in (table, table):
+        assert polynomial_function_set(chain).lookup(values)[0] == "present"
+    assert built == [name, "Z/6", "Z/9"] and eliminated == [name, name]
 
 
 # --- exact counts: the per-prime lattice against independent oracles ---------
@@ -1174,7 +1209,8 @@ def _spec_ring(spec):
 
 def _non_reduced_catalog(max_order):
     # Rings with a nonzero nilpotent, or not commutative and unital: these
-    # are the ones the lattice counts (products of fields have a closed form).
+    # are the ones the chain engine or the lattice counts (products of
+    # fields have a closed form).
     return [(name, ring) for name, ring in standard_catalog(max_order)
             if not (analyze(ring).is_commutative and ring.unity is not None
                     and analyze(ring).nilpotents.size == 1)]
@@ -1209,7 +1245,7 @@ def test_function_count_equals_brute_force_on_small_rings():
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(ring=small_rings())
 def test_function_count_equals_coset_growth_on_random_rings(ring):
-    # Products of fields have a closed form, not the lattice.  Five of these
+    # Products of fields have a closed form, not tested here.  Five of these
     # rings have 2^24 functions, too many to grow here; the square-zero test
     # below covers them.
     assume(analyze(ring).nilpotents.size > 1)
@@ -1230,7 +1266,7 @@ def test_function_count_of_square_zero_local_rings(spec, q):
     assert function_count(ring) == q ** (3 * q)
 
 
-# --- membership and witnesses from the lattice against coset growth ---------
+# --- membership and witnesses from chain and lattice sets against coset growth
 
 def _syndrome_probes(closure, rng) -> list[tuple[int, ...]]:
     """Present rows, random tables and present rows with one value moved."""
@@ -1254,7 +1290,7 @@ def _indicator_rows(closure) -> list[int]:
 
 def _assert_syndrome_matches_closure(ring, seed):
     pset, closure = polynomial_function_set(ring), coset_growth(ring)
-    assert not pset.idempotents
+    assert not field_idempotents(pset)
     probes = _syndrome_probes(closure, random.Random(seed))
     assert [pset.contains(t) for t in probes] == [closure.contains(t) for t in probes]
     assert {closure.contains(t) for t in probes} == {True, False}
@@ -1300,8 +1336,8 @@ def test_syndrome_membership_matches_coset_growth_on_random_rings(ring, seed):
 @pytest.mark.parametrize("path", ["index", "solve"])
 @pytest.mark.parametrize("spec", MEMBERSHIP_RINGS)
 def test_lookup_matches_coset_growth(request, monkeypatch, spec, path):
-    # The index enumerated from the lattice basis, and with an index limit
-    # of 0 the solve path, which enumerates nothing.
+    # The index enumerated from the engine's summands, and with an index
+    # limit of 0 the solve path, which enumerates nothing.
     set_index_limit(monkeypatch, 1 << 16 if path == "index" else 0)
     if path == "solve":
         request.getfixturevalue("refuse_index")
@@ -1435,11 +1471,11 @@ def test_lookups_on_2_24_functions_fit_in_a_bounded_address_space():
 
 
 def test_a_solved_lookup_keeps_no_row_per_value_and_point():
-    # Counting the set and its first lookup run one elimination, which keeps
-    # its pivot rows and a pivots x pivots transform.  An array of the row of
-    # every value at every point was n x n x width: 12.6 MB on Z/2[x]/(x^6)
-    # (n = 64, width 384), and 1 GB at order 256.  A width x width column
-    # transform, tracked in a second elimination, took 139 MB on Z/2[x]/(x^8).
+    # Both are chain rings: the first lookup keeps mu tables of B_k and a
+    # mu x mu triangle inverse.  An array of the row of every value at every
+    # point was n x n x width: 12.6 MB on Z/2[x]/(x^6) (n = 64, width 384),
+    # and 1 GB at order 256.  A width x width column transform, tracked in a
+    # second elimination, took 139 MB on Z/2[x]/(x^8).
     import tracemalloc
 
     for degree, limit_mb in ((6, 10), (8, 15)):
@@ -1475,3 +1511,103 @@ def test_the_solve_path_decides_m2f2():
     swap = theorems.check_bijections_iff_field(ring).witness["bijection"]
     assert pset.lookup(swap) == ("absent", None) and not pset.contains(swap)
     assert pset.tables is None
+
+
+# --- the chain engine against the lattice ------------------------------------
+
+# Every Z/p^n up to 256 but Z/16 and Z/64 (the catalog holds those), powers of
+# x over Z/p, Galois rings, and ramified chain rings
+CHAIN_SPECS = tuple(f"Z/{m}" for m in (4, 8, 32, 128, 9, 27, 81, 243, 25, 125, 49, 121, 169,
+                                        256)) + (
+    "Z/2[x]/(x^2)", "Z/2[x]/(x^3)", "Z/2[x]/(x^4)", "Z/2[x]/(x^6)", "Z/2[x]/(x^7)",
+    "Z/2[x]/(x^8)", "Z/3[x]/(x^2)", "Z/3[x]/(x^5)", "Z/5[x]/(x^3)",
+    "Z/4[x]/(x^2+x+1)", "Z/4[x]/(x^3+x+1)", "Z/4[x]/(x^4+x+1)", "Z/8[x]/(x^2+x+1)",
+    "Z/9[x]/(x^2+1)", "Z/16[x]/(x^2+x+1)",
+    "Z/4[x]/(x^2+2)", "Z/8[x]/(x^2+2)", "Z/9[x]/(x^2+3)", "Z/4[x]/(x^3+2)")
+
+
+def _comm_unital_32():
+    return [name for name, ring in standard_catalog(32)
+            if analyze(ring).is_commutative and ring.unity is not None]
+
+
+def _assert_agrees_with_the_lattice(ring, probes: int, seed) -> None:
+    """Count, contains and every witness's table against a lattice set, on
+    tables of random polynomials and on the same tables with one value moved."""
+    pset = polynomial_function_set(ring)
+    lattice = polyfun.PolyFunctionSet(ring, polyfun._Lattice(ring))
+    assert pset.count == lattice.count
+    n, rng = ring.order, random.Random(seed)
+    tables = []
+    for _ in range(probes):
+        coeffs = [rng.randrange(n) for _ in range(rng.randrange(1, 40))]
+        table = function_table(poly_from(ring, coeffs))
+        moved = list(table.values)
+        moved[rng.randrange(n)] = rng.randrange(n)
+        tables += [table.values, tuple(moved)]
+    for table in tables:
+        status, witness = pset.lookup(table)
+        assert pset.contains(table) is lattice.contains(table) is (status == "present")
+        if witness is not None:
+            assert function_table(witness).values == table
+            assert function_table(lattice.lookup(table)[1]).values == table
+
+
+@pytest.mark.parametrize("limit", [polyfun.INDEX_LIMIT, 0], ids=["index", "solve"])
+@pytest.mark.parametrize("spec", list(dict.fromkeys(_comm_unital_32() + list(CHAIN_SPECS))))
+def test_the_chain_engine_agrees_with_the_lattice(monkeypatch, spec, limit):
+    # every commutative unital ring of the catalog that is not a product of
+    # fields has chain factors only
+    set_index_limit(monkeypatch, limit)
+    ring = realize(parse_ring_spec(spec))
+    engine = polynomial_function_set(ring).engine
+    if analyze(ring).nilpotents.size > 1:
+        assert isinstance(engine, polyfun._Chain), spec
+    _assert_agrees_with_the_lattice(ring, 15 if ring.order <= 64 else 4, spec)
+
+
+@pytest.mark.parametrize("spec, chain", [("Z/4[x]/(x^2)", False), ("Z/4[x]/(x^2) x Z/3", False),
+                                         ("Z/2[x]/(x^2) x Z/2[x]/(x^2)", True),
+                                         ("Z/9 x Z/4 x Z/2", True), ("GF(4) x Z/8", True),
+                                         ("Z/3[x]/(x^2) x Z/4[x]/(x^2+2)", True)])
+@pytest.mark.parametrize("limit", [polyfun.INDEX_LIMIT, 0], ids=["index", "solve"])
+def test_products_take_the_chain_engine_unless_a_factor_is_no_chain_ring(monkeypatch, spec,
+                                                                        chain, limit):
+    set_index_limit(monkeypatch, limit)
+    ring = realize(parse_ring_spec(spec))
+    engine = polynomial_function_set(ring).engine
+    assert isinstance(engine, polyfun._Chain if chain else polyfun._Lattice)
+    _assert_agrees_with_the_lattice(ring, 10, spec)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(ring=small_rings(), seed=st.integers(0, 2 ** 16))
+def test_the_chain_engine_agrees_with_the_lattice_on_random_rings(ring, seed):
+    # relabelled local rings Z/m[x]/(f) and their products with Z/2, Z/3 or
+    # Z/4, chain rings or not
+    assume(analyze(ring).nilpotents.size > 1)
+    for limit in (polyfun.INDEX_LIMIT, 0):  # the index, then a new set that solves
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            set_index_limit(monkeypatch, limit)
+            _assert_agrees_with_the_lattice(ring, 5, seed)
+
+
+@pytest.mark.parametrize("change", [lambda w: w[:-1], lambda w: [*w[:2], w[2] + 1, *w[3:]],
+                                    lambda w: [*w[:2], w[2] - 1, *w[3:]]],
+                         ids=["mu-1", "raised", "lowered"])
+def test_weights_that_are_no_p_ordering_raise(monkeypatch, change):
+    # B_(mu-1) does not vanish, or a valuation misses its weight
+    weights = polyfun._p_ordering_weights
+    monkeypatch.setattr(polyfun, "_p_ordering_weights", lambda q, depth: change(weights(q, depth)))
+    for ring in (make_zn(27), core.make_quotient(make_zn(2), [0] * 5 + [1])):  # new rings
+        with pytest.raises(core.InternalInvariantError, match="not a P-ordering"):
+            function_count(ring)
+
+
+@pytest.mark.parametrize("q, depth", [(2, 1), (2, 8), (3, 5), (13, 2), (16, 2), (4, 4)])
+def test_p_ordering_weights_are_legendre_sums(q, depth):
+    # w_q(k) = sum_j floor(k / q^j), for k up to the first that reaches depth
+    legendre = lambda k: sum(k // q ** j for j in range(1, 12))
+    weights = polyfun._p_ordering_weights(q, depth)
+    assert weights == [legendre(k) for k in range(len(weights))]
+    assert all(w < depth for w in weights) and legendre(len(weights)) >= depth

@@ -163,7 +163,7 @@ def test_field_sweeps_never_interpolate(monkeypatch, gf8):
     def refuse(*args):
         raise AssertionError("membership sweeps must not build witnesses")
 
-    monkeypatch.setattr(PolyFunctionSet, "_interpolate", refuse)
+    monkeypatch.setattr(polyfun._FieldProduct, "witness", refuse)
     for v in (check_bijections_iff_field(gf8), check_char_functions_iff_field(make_zn(13))):
         assert v.holds is True and not v.vacuous
         assert v.witness is None
@@ -1050,7 +1050,10 @@ def test_a_ring_that_ran_no_check_stores_only_its_powers_and_coordinates():
     primitive_idempotents(ring)
     assert set(ring.store) == {core._powers}
     function_count(ring)
-    polynomial_function_set(ring).lookup(tuple(range(12)))
+    pset = polynomial_function_set(ring)
+    pset.lookup(tuple(range(12)))  # the chain engine's index reads the tables alone
+    assert set(ring.store) == {core._powers}
+    assert pset.engine.multiples(bytes(range(12))) is not None  # a solve sums digits
     assert set(ring.store) == {core._powers, polyfun._coordinates, polyfun._table_lists}
     check_reachability_iff_field(ring)
     assert set(ring.store) == {core._powers, polyfun._coordinates, polyfun._table_lists,
