@@ -23,9 +23,10 @@ from one of three engines that ``_function_set`` picks by structure:
   (``_lattice``), whose pivot rows count G and solve each table.
 
 ``PolyFunctionSet`` keeps what they share: a chain or lattice set of at
-most ``INDEX_LIMIT`` tables is enumerated into an index on its first
-lookup, and a larger one solves.  The engines read one additive coordinate
-map per ring (``_coordinates``), in which a ring sum is a sum of digits.
+most ``INDEX_LIMIT`` tables solves its first lookup and is enumerated into
+an index on its second, and a larger one solves every lookup.  The engines
+read one additive coordinate map per ring (``_coordinates``), in which a
+ring sum is a sum of digits.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ __all__ = [
     "char_poly_for_subset",
 ]
 
-INDEX_LIMIT = 1 << 16  # sets of at most this many tables are enumerated into an index
+INDEX_LIMIT = 1 << 16  # sets of at most this many tables are indexed from their second lookup
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,7 @@ def _table_values(ring: FiniteRing, table) -> tuple[int, ...]:
     return values
 
 
-_BELOW = [bytes(range(n)) for n in range(257)]  # the element indices of a ring of order n
+_ABOVE = [bytes(b >= n for b in range(256)) for n in range(257)]  # 1 at each byte >= n
 
 
 def _table_view(ring: FiniteRing, table) -> bytes | array:
@@ -273,9 +274,9 @@ def _table_view(ring: FiniteRing, table) -> bytes | array:
 
     A tuple or list is read in one pass by ``bytes`` or ``array``, which
     take exactly the values that ``operator.index`` takes, and then checked
-    for its length and range: bytes by deleting every byte below the order
-    (``bytes.translate``), which must leave none, and an array by its
-    largest value.  Any other table, and any that this rejects, goes
+    for its length and range: bytes by mapping each byte through
+    ``_ABOVE[n]`` (``bytes.translate``), which must give no 1, and an array
+    by its largest value.  Any other table, and any that this rejects, goes
     through ``_table_values``, so every malformed table raises the same
     ValueError."""
     n = ring.order
@@ -288,7 +289,7 @@ def _table_view(ring: FiniteRing, table) -> bytes | array:
         except (TypeError, ValueError, OverflowError):
             pass
         else:
-            if len(view) == n and (not view.translate(None, _BELOW[n]) if small
+            if len(view) == n and (1 not in view.translate(_ABOVE[n]) if small
                                    else max(view) < n):
                 return view
     values = _table_values(ring, table)
@@ -329,13 +330,16 @@ class PolyFunctionSet:
     lists of choices whose sums, one choice from each, give every table of
     G once (None on ``_FieldProduct``, which interpolates more cheaply).
 
-    The first ``lookup`` on a set with summands, at most ``INDEX_LIMIT``
-    tables and order at most 256 enumerates it (``_enumerate``) into
-    ``tables``, a parallel coefficient row in ``witnesses``, and an index
-    from each table's bytes to its row, whose witness is built from the
-    row's bytes on its first hit and shared later.  Any other lookup solves;
-    ``contains`` reads the index once it is built.  A table is validated
-    once (``_table_view``), and no witness is checked again (``_trusted``).
+    A set with summands, at most ``INDEX_LIMIT`` tables and order at most
+    256 solves its first ``lookup`` and enumerates itself (``_enumerate``)
+    on the second into ``tables``, a parallel coefficient row in
+    ``witnesses``, and an index from each table's bytes to its row, whose
+    witness is built from the row's bytes on its first hit and shared
+    later; a one-off lookup so costs one solve, not the whole set.  Any
+    other lookup solves; ``contains`` reads the index once it is built.
+    The index is probed with a table's bytes (``_row``); any other table is
+    validated once (``_table_view``), and no witness is checked again
+    (``_trusted``).
 
     ``complete`` is always True; it stays for readers of earlier releases.
     """
@@ -347,35 +351,56 @@ class PolyFunctionSet:
         self.complete = True
         self.tables = self.witnesses = None
         self._index = self._witness_cache = None
+        self._solved = False  # whether a lookup has solved, so that the next builds the index
 
     def lookup(self, table) -> tuple[str, Polynomial | None]:
         """('present', witness) or ('absent', None)."""
-        view = _table_view(self.ring, table)
-        index = self._index
-        if index is None:
+        if self._index is not None:
+            row = self._row(table)
+        else:
+            view = _table_view(self.ring, table)
             engine = self.engine
-            if engine.summands is None or self.count > INDEX_LIMIT or self.ring.order > 256:
+            if (not self._solved or engine.summands is None or self.count > INDEX_LIMIT
+                    or self.ring.order > 256):
+                self._solved = True
                 multiples = engine.multiples(view)
                 if multiples is None:
                     return "absent", None
                 return "present", _witness(self.ring, engine.witness(multiples).tolist())
-            index = self._table_index()
-        idx = index.get(view)
-        if idx is None:
+            row = self._table_index().get(view)
+        if row is None:
             return "absent", None
-        witness = self._witness_cache[idx]
+        witness = self._witness_cache[row]
         if witness is None:  # the index is bytes-keyed, so its witness rows are uint8
-            witness = self._witness_cache[idx] = _trusted(
-                self.ring, tuple(self.witnesses[idx].tobytes().rstrip(b"\0")))
+            witness = self._witness_cache[row] = _trusted(
+                self.ring, tuple(self.witnesses[row].tobytes().rstrip(b"\0")))
         return "present", witness
 
     def contains(self, table) -> bool:
         """Whether the table is induced: from the index once a lookup has
         built it, and solved for the multiples before."""
-        view = _table_view(self.ring, table)
         if self._index is not None:
-            return view in self._index
-        return self.engine.multiples(view) is not None
+            return self._row(table) is not None
+        return self.engine.multiples(_table_view(self.ring, table)) is not None
+
+    def _row(self, table) -> int | None:
+        """The table's row in the index, or None when it is not induced.  A
+        tuple or list is turned into bytes once and probed once: a hit needs
+        no range check, since every key is the bytes of a valid table, and a
+        miss checks the same bytes as ``_table_view`` does.  Any other
+        table, and one that fails, goes through ``_table_view``, which
+        raises its ValueError on a malformed one."""
+        if type(table) in (tuple, list):
+            try:
+                key = bytes(table)
+            except (TypeError, ValueError):
+                pass
+            else:
+                row = self._index.get(key)
+                n = self.ring.order
+                if row is not None or len(key) == n and 1 not in key.translate(_ABOVE[n]):
+                    return row
+        return self._index.get(_table_view(self.ring, table))
 
     def _enumerate(self) -> tuple[np.ndarray, np.ndarray]:
         """Every table of G and a witness row for each: one choice from each
@@ -1030,8 +1055,9 @@ polynomial_function_set.cache_clear = _function_set.cache_clear
 
 
 def is_polynomial_function(ring: FiniteRing, table) -> Polynomial | None:
-    """A witness polynomial inducing the table, or None when none exists."""
-    return polynomial_function_set(ring).lookup(table)[1]
+    """A witness polynomial inducing the table, or None when none exists
+    (the cached set is read without its wrapper: one call less per lookup)."""
+    return _function_set(ring).lookup(table)[1]
 
 
 def interpolate_field(field: FiniteRing, table) -> Polynomial:

@@ -146,14 +146,15 @@ def test_function_set_matches_brute_force_zero_ring():
 @pytest.mark.parametrize("spec", ["T2(F2)", "Z/6", "Z/8", "Z/2 x Z/4", "zero-ring-4"])
 def test_closure_matches_oracle_with_witnesses(spec):
     # The coset-growth oracle against brute force, then the enumerated index
-    # of the chain (Z/8, Z/2 x Z/4) or lattice engine against both.
+    # of the chain (Z/8, Z/2 x Z/4) or lattice engine against both; the
+    # first lookup solves and the second builds the index.
     ring = upper_triangular_f2() if spec == "T2(F2)" else realize(parse_ring_spec(spec))
     closure = coset_growth(ring)
     assert closure.as_tuple_set() == brute_force_function_tables(ring)
     assert_rows_witnessed(closure)
     pset = polynomial_function_set(ring)
     if not field_idempotents(pset):
-        pset.lookup((0,) * ring.order)
+        assert pset.lookup((0,) * ring.order) == pset.lookup((0,) * ring.order)
         assert_rows_witnessed(pset)
         assert as_tuple_set(pset) == closure.as_tuple_set()
 
@@ -252,7 +253,8 @@ def test_cap_bounds_a_set_of_constants(monkeypatch):
     assert pset.tables is None
     set_index_limit(monkeypatch, 4)
     full = polynomial_function_set(ring)
-    assert full.lookup((1,) * 4) == ("present", Polynomial(ring, (1,)))
+    for _ in range(2):  # a solve, then the index
+        assert full.lookup((1,) * 4) == ("present", Polynomial(ring, (1,)))
     assert full.count == 4
     assert_rows_witnessed(full)
 
@@ -533,7 +535,8 @@ def test_kernel_entry_points_read_every_input_as_the_slow_path_does(monkeypatch,
         lookup = lambda: pset.lookup(table())
     else:
         closure = coset_growth(ring)
-        pset.lookup(_kernel_table(ring, "tuple"))  # builds the index, unless solving
+        for _ in range(2):  # the second lookup builds the index, unless solving
+            pset.lookup(_kernel_table(ring, "tuple"))
         assert (pset.tables is None) == (spec in _SOLVED)
         induced = closure.contains
 
@@ -595,7 +598,7 @@ def test_a_setup_whose_decode_leaves_the_ring_raises(monkeypatch):
 
 
 def test_an_index_whose_witness_row_leaves_the_ring_raises(monkeypatch):
-    # the index's witness rows are checked once, when it is built
+    # the index's witness rows are checked once, when the second lookup builds it
     def stray(self):
         tables, witnesses = enumerate_tables(self)
         witnesses = witnesses.copy()
@@ -605,8 +608,10 @@ def test_an_index_whose_witness_row_leaves_the_ring_raises(monkeypatch):
     enumerate_tables = polyfun.PolyFunctionSet._enumerate
     monkeypatch.setattr(polyfun.PolyFunctionSet, "_enumerate", stray)
     for ring in (make_zn(9), upper_triangular_f2()):  # new rings, so new sets
+        pset = polynomial_function_set(ring)
+        pset.lookup(tuple(range(ring.order)))
         with pytest.raises(core.InternalInvariantError, match="witness row leaves range"):
-            polynomial_function_set(ring).lookup(tuple(range(ring.order)))
+            pset.lookup(tuple(range(ring.order)))
 
 
 def test_the_solve_path_reads_a_ring_above_order_256():
@@ -633,7 +638,9 @@ def test_an_index_hit_returns_its_rows_cached_witness(spec):
     pset = polynomial_function_set(ring)
     rng = random.Random(ring.order)
     closure = coset_growth(ring)
-    for row in rng.sample(closure.tables.tolist(), 20):
+    rows = rng.sample(closure.tables.tolist(), 20)
+    assert pset.lookup(rows[0]) == pset.lookup(rows[0])  # a solve, then the index
+    for row in rows:
         status, witness = pset.lookup(tuple(row))
         assert status == "present" and pset.lookup(row)[1] is witness
         checked = Polynomial(ring, tuple(pset.witnesses[pset._index[bytes(row)]].tolist()))
@@ -655,13 +662,97 @@ def test_every_row_of_z12_keeps_at_most_one_cached_witness():
 def test_a_new_set_builds_fresh_witnesses():
     ring = realize(parse_ring_spec("Z/9"))
     table = tuple(range(ring.order))
-    witness = polynomial_function_set(ring).lookup(table)[1]
+    first = polynomial_function_set(ring)
+    witness = [first.lookup(table)[1] for _ in range(2)][1]  # a solve, then the index
     polynomial_function_set.cache_clear()
     pset = polynomial_function_set(ring)
+    solved = pset.lookup(table)[1]
     assert pset._witness_cache is None
     fresh = pset.lookup(table)[1]
-    assert fresh == witness and fresh is not witness
+    assert fresh == solved == witness and fresh is not witness
     assert pset.lookup(table)[1] is fresh
+
+
+# --- the lookup policy: a solve first, the index from the second lookup -----
+
+@pytest.mark.parametrize("spec", ["Z/16", "Z/2[x]/(x^4)"])
+def test_a_set_builds_its_index_on_its_second_lookup(spec):
+    # a one-off lookup on a set of 2^16 tables solves; the second lookup
+    # enumerates the set, and both give the same witness
+    ring = realize(parse_ring_spec(spec))  # a new ring, so a new set
+    pset = polynomial_function_set(ring)
+    assert pset.count == 1 << 16
+    table = function_table(poly_from(ring, (3, 1, 4, 1, 5))).values
+    first = pset.lookup(table)
+    assert first[0] == "present" and pset.tables is None
+    second = pset.lookup(list(table))
+    assert pset.tables is not None and second == first
+    assert function_table(second[1]).values == table
+
+
+_PROBE_INPUTS = ["n", "256", "negative", "integral-float", "short", "long", "numpy-scalars",
+                 "bools", "other-ring-table"]
+
+
+@pytest.mark.parametrize("name", _PROBE_INPUTS)
+@pytest.mark.parametrize("spec", ["Z/12", "T2(F2)"])
+def test_the_index_probe_reads_every_input_as_the_slow_path_does(spec, name):
+    # lookup and contains raise _table_view's ValueError on a malformed
+    # table and answer a valid one as its values, both on a new set, which
+    # solves, and once the index exists, where a tuple or list is probed as
+    # bytes; a malformed table does not count as a set's first lookup
+    ring = _t2f2 if spec == "T2(F2)" else realize(parse_ring_spec(spec))
+    closure = coset_growth(ring)
+
+    def looked_up(values):
+        return ("present", values) if closure.contains(values) else ("absent", None)
+
+    def lookup():
+        status, witness = pset.lookup(_kernel_table(ring, name))
+        return status, None if witness is None else function_table(witness).values
+
+    valid = _kernel_table(ring, "tuple")
+    for indexed in (False, True):
+        polynomial_function_set.cache_clear()
+        pset = polynomial_function_set(ring)
+        if indexed:
+            pset.lookup(valid)
+            pset.lookup(valid)
+        assert (pset.tables is not None) == indexed
+        assert _answer(lambda: pset.contains(_kernel_table(ring, name))) == \
+            _slow_path_answer(ring, name, closure.contains)
+        assert _answer(lookup) == _slow_path_answer(ring, name, looked_up)
+        if not indexed and isinstance(_slow_path_answer(ring, name, looked_up)[0], type):
+            pset.lookup(valid)  # the first lookup
+            assert pset.tables is None
+
+
+_MEMBERSHIP_RINGS = ["Z/9", "Z/12", "Z/4 x Z/3", "Z/8 x Z/2", "Z/2[x]/(x^3) x Z/2", "T2(F2)"]
+
+
+@pytest.mark.parametrize("spec", _MEMBERSHIP_RINGS)
+def test_index_answers_equal_the_solve_paths(monkeypatch, spec):
+    # present tables of random polynomials, and random tables, nearly all
+    # absent, answered through the index and by a set that solves every
+    # lookup (INDEX_LIMIT 0): the same status and the same witness
+    ring = _t2f2 if spec == "T2(F2)" else realize(parse_ring_spec(spec))
+    rng = random.Random(ring.order)
+    n = ring.order
+    tables = [function_table(poly_from(ring, [rng.randrange(n) for _ in range(2 * n)])).values
+              for _ in range(40)]
+    tables += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(40)]
+    set_index_limit(monkeypatch, polyfun.INDEX_LIMIT)
+    indexed = polynomial_function_set(ring)
+    indexed.lookup(tables[0])
+    indexed.lookup(tables[0])
+    assert indexed.tables is not None
+    set_index_limit(monkeypatch, 0)
+    solved = polynomial_function_set(ring)
+    answers = [indexed.lookup(table) for table in tables]
+    assert answers == [solved.lookup(table) for table in tables] and solved.tables is None
+    assert [indexed.contains(table) for table in tables] == \
+        [solved.contains(table) for table in tables] == [a[0] == "present" for a in answers]
+    assert all(a[0] == "present" for a in answers[:40]) and ("absent", None) in answers[40:]
 
 
 # --- the witness digits: rebuilt from the elimination's recorded steps -------
@@ -710,8 +801,8 @@ def test_counting_builds_no_witness_digits_and_the_first_lookup_builds_them_once
 
 @pytest.mark.parametrize("limit", [polyfun.INDEX_LIMIT, 0], ids=["index", "solve"])
 def test_counting_a_chain_ring_builds_no_column_and_no_triangle_inverse(monkeypatch, limit):
-    # the B_k tables and coefficients come with the first lookup, and the
-    # triangle inverse with the first solve, once per set
+    # the B_k tables and coefficients and the triangle inverse come with
+    # the first lookup, which solves on either path, once per set
     set_index_limit(monkeypatch, limit)
     ring = make_zn(16)  # a new ring, so a new set
     assert function_count(ring) == 1 << 16
@@ -727,8 +818,7 @@ def test_counting_a_chain_ring_builds_no_column_and_no_triangle_inverse(monkeypa
         assert pset.contains(table)
         built.append((engine._columns_built, engine._solver_built))
     assert all(a is b for a, b in zip(built[0], built[-1]))
-    assert built[0][0] is not None and (built[0][1] is None) == (limit != 0)
-    assert (pset.tables is None) == (limit == 0)
+    assert None not in built[0] and (pset.tables is None) == (limit == 0)
 
 
 def test_contains_on_the_solve_path_builds_no_witness_digits(monkeypatch):
@@ -1181,6 +1271,7 @@ def test_the_coordinate_map_is_built_once_per_ring(monkeypatch):
     assert function_count(lattice) == 4 ** 7
     assert built == [name]
     pset = polynomial_function_set(lattice)
+    assert pset.lookup(table)[0] == "present" and pset.tables is None  # a solve
     assert pset.lookup(table)[0] == "present" and pset.tables is not None  # the index
     assert pset.contains(table) and eliminated == [name]
     set_index_limit(monkeypatch, 0)  # a new set, which solves
