@@ -13,10 +13,10 @@ G = {constants} + span{a * v_k : a in R, 1 <= k <= t+p-1}, read from the
 ring's power table (``core._powers``).  Every answer is exact, on any ring,
 from one of three engines that ``_function_set`` picks by structure:
 
-* a product of fields (a field included) answers analytically through its
-  primitive idempotents e (``_FieldProduct``): F is induced iff
-  e*F(x) = e*F(e*x), and one interpolant sums each field's closed form;
-* a commutative unital ring whose local factors are all chain rings
+* a field answers analytically (``_Field``): every table is induced, and
+  its interpolant is the closed form, one matrix product;
+* any other commutative unital ring whose local factors are all chain
+  rings (a product of fields included, each factor of depth N = 1)
   answers factor by factor from a P-ordering of each (``_Chain``): no
   elimination, and a closed-form count certified when the set is built;
 * any other ring runs one elimination per prime of G as a Z/p^s-lattice
@@ -45,7 +45,6 @@ from .core import (
     InternalInvariantError,
     SubsetMask,
     UnsupportedStructureError,
-    _factor_elements,
     _factorize,
     _powers,
     analyze,
@@ -328,7 +327,7 @@ class PolyFunctionSet:
     what it solves a table for, or None when the table is not induced;
     ``witness(multiples)``, the witness's coefficients; and ``summands()``,
     lists of choices whose sums, one choice from each, give every table of
-    G once (None on ``_FieldProduct``, which interpolates more cheaply).
+    G once (None on ``_Field``, which interpolates more cheaply).
 
     A set with summands, at most ``INDEX_LIMIT`` tables and order at most
     256 solves its first ``lookup`` and enumerates itself (``_enumerate``)
@@ -344,7 +343,7 @@ class PolyFunctionSet:
     ``complete`` is always True; it stays for readers of earlier releases.
     """
 
-    def __init__(self, ring: FiniteRing, engine: _FieldProduct | _Chain | _Lattice):
+    def __init__(self, ring: FiniteRing, engine: _Field | _Chain | _Lattice):
         self.ring = ring
         self.engine = engine
         self.count = engine.count
@@ -438,50 +437,38 @@ class PolyFunctionSet:
         return self._index
 
 
-class _FieldProduct:
-    """A product of the fields eR over its primitive ``idempotents`` e (one
-    for a field): a table is induced iff e*F(x) = e*F(e*x) for every e and
-    x, and its witness is one matrix product (``witness``)."""
+class _Field:
+    """A field of order q: all q^q tables are induced, and a witness is one
+    matrix product (``witness``)."""
 
     summands = None  # never indexed: one interpolation costs less than an index
 
-    def __init__(self, ring: FiniteRing, idempotents: tuple[int, ...]):
+    def __init__(self, ring: FiniteRing):
         self.ring = ring
-        self.idempotents = idempotents
-        self.count = math.prod(q ** q for q in (len(_factor_elements(ring, e)) for e in idempotents))
-        project = ring.mul_table[list(idempotents)].T.copy()  # [x, i]: e_i * x
-        at_ex = project * len(idempotents) + np.arange(len(idempotents))  # of [e_i * x, i]
-        self._project = project, at_ex.ravel()
+        self.count = ring.order ** ring.order
         self._setup = None
 
-    def multiples(self, view: bytes | array) -> bytes | array | None:
-        """The view itself when it is induced: e*F(x) = e*F(e*x) for every
-        idempotent e and every x, in two gathers; a field's only e is its
-        unity, so every table passes."""
-        if len(self.idempotents) == 1:
-            return view
-        project, at_ex = self._project
-        values = project.take(_view_array(view), axis=0)
-        return view if values.tobytes() == values.take(at_ex).tobytes() else None
+    def multiples(self, view: bytes | array) -> bytes | array:
+        """The view itself: every table is induced."""
+        return view
 
     def witness(self, view: bytes | array) -> np.ndarray:
-        """The coefficients of the least-degree polynomial inducing an
-        induced table F, with c_0 = F(0).  F is read only from
-        ``_table_view``'s validated view, and each coefficient is an entry
-        of ``decode``, which the coordinate map checked once.
+        """The coefficients of the least-degree polynomial inducing the
+        table F, with c_0 = F(0).  F is read only from ``_table_view``'s
+        validated view, and each coefficient is an entry of ``decode``,
+        which the coordinate map checked once.
 
-        On the field eR of order q, c_j = -sum_{a in eR} F(a) a^(q-1-j) for
-        1 <= j < q, with a^0 = e, since a^k lies in eR and in characteristic
-        p every C(q-1, j) is (-1)^j; R's c_j sums these over e.  In the
-        ring's additive coordinates (``_coordinates``, mod p on a product of
-        fields) with basis b, coord_l(-F(a) a^k) = sum_i coord_i(a^k)
-        L[F(a), (i, l)], where L[y, (i, l)] = coord_l(-y b_i), so all the
-        sums are one product Y @ X of Y[j, (a, i)] = coord_i(a^(q-1-j)) and
-        X = L[F(x)] over every x of R, taken mod p per coordinate, whose
-        mixed-radix key ``decode`` maps back to an element.  Row 0 of Y
-        holds coord(-1) at x = 0, so it gives c_0 = F(0) the same way.  The
-        product is exact: with r coordinates its partial sums are integers
-        below n r (p-1)^2, under 2^24 on every ring of order at most 256.
+        c_j = -sum_a F(a) a^(q-1-j) for 1 <= j < q, with 0^0 = 1, since in
+        characteristic p every C(q-1, j) is (-1)^j.  In the field's additive
+        coordinates (``_coordinates``, mod p) with basis b,
+        coord_l(-F(a) a^k) = sum_i coord_i(a^k) L[F(a), (i, l)], where
+        L[y, (i, l)] = coord_l(-y b_i), so all the sums are one product
+        Y @ X of Y[j, (a, i)] = coord_i(a^(q-1-j)) and X = L[F(x)] over
+        every x, taken mod p per coordinate, whose mixed-radix key
+        ``decode`` maps back to an element.  Row 0 of Y holds coord(-1) at
+        x = 0, so it gives c_0 = F(0) the same way.  The product is exact:
+        with r coordinates its partial sums are integers below q r (p-1)^2,
+        under 2^24 on every field of order at most 256.
         """
         L, Y, moduli, weights, decode = self._interpolation_setup()
         x = L.take(_view_array(view), axis=0).reshape(Y.shape[1], -1)
@@ -490,34 +477,27 @@ class _FieldProduct:
     def _interpolation_setup(self) -> tuple:
         """``witness``'s fixed factors, built on its first call and kept on
         the engine: L, Y, and the moduli, weights and decode table of the
-        ring's coordinate map.
+        field's coordinate map.
 
-        The powers are rows of the ring's power table (``core._powers``):
-        the columns of a point a of eR list the coordinates of a^(q-2), ...,
-        a^1 and a^0 = e from row 1 on, and then zeros, up to the largest
-        factor's q - 1 rows.  0 lies in every eR, so its columns sum the
-        factors'; an x in no eR has zero columns.  Y and L are float32,
-        exact while the product's partial sums stay below 2^24, and float64
-        beyond.
+        The powers are rows of the field's power table (``core._powers``):
+        the column of a point a lists the coordinates of a^(q-2), ..., a^1
+        from row 1 on, and of a^0 = 1, at a = 0 too, in row q - 1.  Y and L
+        are float32, exact while the product's partial sums stay below
+        2^24, and float64 beyond.
         """
         if self._setup is None:
             ring, n = self.ring, self.ring.order
             coordinates = per_ring(ring, _coordinates)
             basis, moduli, coords = coordinates.basis, coordinates.moduli, coordinates.digits
             powers = per_ring(ring, _powers)[0]
-            fields = [_factor_elements(ring, e) for e in self.idempotents]
-            top = max(map(len, fields))
-            index = np.zeros((top, n), dtype=powers.dtype)  # Y[j, x] = coord(index[j, x])
-            for e, field in zip(self.idempotents, fields):  # each field lists 0 first
-                q, points = len(field), field[1:]
-                index[1:q - 1, points] = powers[q - 2:0:-1, points]
-                index[q - 1, points] = e
-                index[q - 1, 0] = ring.add(int(index[q - 1, 0]), e)  # 0^0 = e, 0^k = 0
+            index = np.zeros((n, n), dtype=powers.dtype)  # Y[j, x] = coord(index[j, x])
+            index[1:n - 1] = powers[n - 2:0:-1]  # 0^k = 0
+            index[n - 1] = ring.unity
             index[0, 0] = ring.neg_table[ring.unity]
             dtype = np.float32 if n * len(basis) * (moduli.max() - 1) ** 2 < 1 << 24 else float
             Y = np.take(coords.astype(dtype), index, axis=0)
             L = coords[ring.mul_table[:, basis][ring.neg_table]].reshape(n, -1).astype(dtype)
-            self._setup = L, Y.reshape(top, -1), moduli, coordinates.weights, coordinates.decode
+            self._setup = L, Y.reshape(n, -1), moduli, coordinates.weights, coordinates.decode
         return self._setup
 
 
@@ -724,9 +704,9 @@ def _decode(coords: _Coordinates, digits: np.ndarray) -> np.ndarray:
 def polynomial_function_set(ring: FiniteRing) -> PolyFunctionSet:
     """The set {r -> a_0 + sum a_k r^k} of functions polynomials induce.
 
-    A product of fields, a field included, is answered through its primitive
-    idempotents (``_FieldProduct``); a commutative unital ring whose local
-    factors are all chain rings through a P-ordering of each factor
+    A field is answered by its closed form (``_Field``); any other
+    commutative unital ring whose local factors are all chain rings, a
+    product of fields included, through a P-ordering of each factor
     (``_Chain``); and any other ring through its lattice (``_Lattice``).  No
     table is built until a lookup needs one, and every answer is exact.
 
@@ -738,11 +718,10 @@ def polynomial_function_set(ring: FiniteRing) -> PolyFunctionSet:
 @lru_cache(maxsize=None)
 def _function_set(ring: FiniteRing) -> PolyFunctionSet:
     inv = analyze(ring)
+    if inv.is_field:
+        return PolyFunctionSet(ring, _Field(ring))
     if inv.is_commutative and inv.is_unital:
-        idempotents = primitive_idempotents(ring)
-        if inv.nilpotents.size == 1:
-            return PolyFunctionSet(ring, _FieldProduct(ring, idempotents))
-        factors = [_chain_factor(ring, e) for e in idempotents]
+        factors = [_chain_factor(ring, e) for e in primitive_idempotents(ring)]
         if None not in factors:
             return PolyFunctionSet(ring, _Chain(ring, factors))
     return PolyFunctionSet(ring, _Lattice(ring))
@@ -756,10 +735,10 @@ def function_count(ring: FiniteRing) -> int:
     """|G|, the number of functions R -> R induced by polynomials, exactly
     and without materialising a table, on any finite ring.
 
-    A product of fields has prod |eR|^|eR| over its primitive idempotents e;
-    a commutative unital ring whose local factors are chain rings has
-    prod_e prod_(k<mu) q^(N - w_q(k)), certified on its tables
-    (``_chain_factor``); any other ring is counted by ``_lattice``.
+    A field of order q has q^q; any other commutative unital ring whose
+    local factors are chain rings has prod_e prod_(k<mu) q^(N - w_q(k)),
+    certified on its tables (``_chain_factor``), which is prod_e q^q on a
+    product of fields; any other ring is counted by ``_lattice``.
     """
     return _function_set(ring).count
 
@@ -1063,7 +1042,7 @@ def is_polynomial_function(ring: FiniteRing, table) -> Polynomial | None:
 def interpolate_field(field: FiniteRing, table) -> Polynomial:
     """The unique polynomial of degree < q = |F| inducing the table:
     c_0 = f(0) and c_j = -sum_a f(a) a^(q-1-j) for 1 <= j <= q-1, with
-    0^0 = 1.  The field's function set interpolates (``_FieldProduct``), so
+    0^0 = 1.  The field's function set interpolates (``_Field``), so
     this and its lookups share one matrix Y, built on the first call.  The
     table is validated once (a tuple or list in one pass, ``_table_view``),
     and each call is then one gather, one matrix product and one decode

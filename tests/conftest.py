@@ -589,10 +589,15 @@ def _grow(ring) -> tuple[np.ndarray, np.ndarray, dict]:
 
 
 def field_idempotents(pset) -> tuple[int, ...]:
-    """The primitive idempotents of a set answered as a product of fields
-    (one for a field), and () for a set on any other engine."""
+    """The primitive idempotents of a product of fields: a field's unity, or
+    the unity of each factor of a chain set whose factors all have depth 1;
+    () for any other set."""
     engine = pset.engine
-    return engine.idempotents if isinstance(engine, polyfun._FieldProduct) else ()
+    if isinstance(engine, polyfun._Field):
+        return (pset.ring.unity,)
+    if isinstance(engine, polyfun._Chain) and all(f.depth == 1 for f in engine.factors):
+        return tuple(f.unity for f in engine.factors)
+    return ()
 
 
 def as_tuple_set(pset, limit: int = 1 << 20) -> frozenset:

@@ -234,7 +234,7 @@ def test_as_tuple_set_refuses_over_limit_before_work():
 
 
 def test_product_of_fields_is_exact_at_any_cap(monkeypatch, z6):
-    # A product of fields builds no table at any index limit.
+    # With the index limit at 0, a product of fields builds no table.
     set_index_limit(monkeypatch, 0)
     pset = polynomial_function_set(z6)
     assert pset.complete and pset.tables is None and pset.count == 108
@@ -854,9 +854,9 @@ def test_round_trips_on_the_largest_prime_fields_equal_the_closed_form(field):
     assert function_table(interpolate_field(field, tables[0])).values == tuple(tables[0])
 
 
-@pytest.mark.parametrize("spec", ["GF(4)", "GF(27)", "Z/30", "GF(4) x Z/3",  # analytic
-                                  "Z/9", "Z/12", "Z/8 x Z/2",  # chain, the index
-                                  "Z/27"])  # chain, solved: 3^18 tables
+@pytest.mark.parametrize("spec", ["GF(4)", "GF(27)",  # analytic
+                                  "GF(4) x Z/3", "Z/9", "Z/12", "Z/8 x Z/2",  # chain, the index
+                                  "Z/30", "Z/27"])  # chain, solved: over 2^16 tables
 def test_trusted_witnesses_equal_and_hash_as_checked_ones(spec):
     ring = realize(parse_ring_spec(spec))
     pset = polynomial_function_set(ring)
@@ -877,7 +877,7 @@ def test_trusted_witnesses_equal_and_hash_as_checked_ones(spec):
         assert not witness.coeffs or witness.coeffs[-1] != 0
         assert function_table(witness).values == tuple(table)
     assert pset.lookup([0] * n)[1].coeffs == ()
-    assert (pset.tables is not None) == (spec in ("Z/9", "Z/12", "Z/8 x Z/2"))
+    assert (pset.tables is not None) == (spec in ("GF(4) x Z/3", "Z/9", "Z/12", "Z/8 x Z/2"))
 
 
 def test_function_sets_are_the_only_interpolation_cache():
@@ -1108,7 +1108,7 @@ def test_crt_engine_matches_closure(spec):
     ring = realize(parse_ring_spec(spec))
     pset = polynomial_function_set(ring)
     closure = coset_growth(ring)
-    assert pset.complete and pset.tables is None
+    assert pset.complete
     assert pset.count == closure.count
     rows = [tuple(row) for row in closure.tables.tolist()]
     tables = as_tuple_set(pset)
@@ -1159,7 +1159,6 @@ def test_crt_engine_on_z14_materialises_nothing():
 def test_witnesses_equal_the_crt_oracle(spec):
     ring = realize(parse_ring_spec(spec))
     pset = polynomial_function_set(ring)
-    assert pset.tables is None
     assert len(field_idempotents(pset)) == len(local_decomposition(ring)) > 1
     n = ring.order
     width = max(f.ring.order for f in local_decomposition(ring))
@@ -1170,6 +1169,38 @@ def test_witnesses_equal_the_crt_oracle(spec):
         witness = crt_interpolate(ring, table.values)
         assert pset.lookup(table) == ("present", witness)
         assert function_table(witness) == table
+    # a set of at most INDEX_LIMIT tables answered the later lookups from its index
+    assert (pset.tables is not None) == (pset.count <= polyfun.INDEX_LIMIT)
+
+
+def _products_of_several_fields():
+    """Every product of two or more fields in standard_catalog(32), and two
+    more: the reduced commutative unital rings that are not fields."""
+    rings = [ring for _, ring in standard_catalog(32)]
+    rings += [realize(parse_ring_spec(spec)) for spec in ("Z/2 x Z/3 x Z/5 x Z/7", "GF(4) x Z/3")]
+    return [ring for ring in rings if (inv := analyze(ring)).is_commutative and inv.is_unital
+            and inv.nilpotents.size == 1 and not inv.is_field]
+
+
+@pytest.mark.parametrize("ring", _products_of_several_fields(), ids=lambda ring: ring.label)
+def test_products_of_fields_answer_through_the_chain_engine(ring):
+    # each factor is a chain ring of depth N = 1, with q^q functions
+    pset = polynomial_function_set(ring)
+    assert type(pset.engine) is polyfun._Chain
+    assert pset.count == math.prod(f.ring.order ** f.ring.order for f in local_decomposition(ring))
+
+
+def test_a_product_of_fields_is_indexed_on_its_second_lookup():
+    # a new Z/6, so a new set: the first lookup solves, the second builds
+    # the index, and every hit is the CRT oracle's witness
+    ring = make_zn(6)
+    pset = polynomial_function_set(ring)
+    tables = sorted(as_tuple_set(pset))
+    assert pset.lookup(tables[-1]) == ("present", crt_interpolate(ring, tables[-1]))
+    assert pset.tables is None
+    for table in tables:
+        assert pset.lookup(table) == ("present", crt_interpolate(ring, table))
+    assert pset.tables is not None and len(pset.tables) == pset.count == 108
 
 
 def test_product_of_three_fields_matches_coset_growth():

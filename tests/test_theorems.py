@@ -163,7 +163,7 @@ def test_field_sweeps_never_interpolate(monkeypatch, gf8):
     def refuse(*args):
         raise AssertionError("membership sweeps must not build witnesses")
 
-    monkeypatch.setattr(polyfun._FieldProduct, "witness", refuse)
+    monkeypatch.setattr(polyfun._Field, "witness", refuse)
     for v in (check_bijections_iff_field(gf8), check_char_functions_iff_field(make_zn(13))):
         assert v.holds is True and not v.vacuous
         assert v.witness is None
