@@ -27,9 +27,9 @@ from .catalog import (
 from .core import (
     InternalInvariantError,
     UnsupportedStructureError,
-    _factor_elements,
+    _local_factors,
     analyze,
-    primitive_idempotents,
+    per_ring,
 )
 from .polyfun import Polynomial, function_count, power_stabilization
 from .theorems import CHECKS, RESULT_IDS, CheckOptions, Verdict
@@ -96,10 +96,8 @@ def cmd_report(args) -> int:
         },
     }
     if inv.is_unital and inv.is_commutative:
-        doc["local_factors"] = [
-            {"idempotent": e, "order": len(_factor_elements(ring, e))}
-            for e in primitive_idempotents(ring)
-        ]
+        doc["local_factors"] = [{"idempotent": local.idempotent, "order": len(local.elements)}
+                                for local in per_ring(ring, _local_factors)]
     doc["stabilization"] = list(power_stabilization(ring))
     doc["function_count"] = function_count(ring)
     doc["function_count_complete"] = True

@@ -15,7 +15,8 @@ A construction that more than one check or caller reads, such as the
 residue field, is built once per ring through ``per_ring``, which keeps it
 in the ring's ``store``: the store stays None until the first such call
 and is freed with the ring.  Every power of an element is read from one
-of them, the power table (``_powers``).
+of them, the power table (``_powers``), and every local factor eR, its
+radical eJ and the cosets of eJ from another (``_local_factors``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count, permutations
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -595,28 +596,50 @@ def primitive_idempotents(ring: FiniteRing) -> tuple[int, ...]:
     return tuple(e for e, by_e in zip(idem[1:], rows) if all(by_e[f] in (0, e) for f in idem))
 
 
-def _factor_elements(ring: FiniteRing, e: int) -> list[int]:
-    """The elements of the factor eR = {e*x}, ascending (0 first); |eR| is its length."""
-    return sorted(set(ring.mul_table[e].tolist()))
+class _Local(NamedTuple):
+    """A factor of ``_local_factors``: e, eR, eJ, each x's key and the distinct keys, ascending."""
+
+    idempotent: int
+    elements: np.ndarray
+    radical: np.ndarray
+    key: np.ndarray
+    representatives: np.ndarray
+
+
+def _local_factors(ring: FiniteRing) -> tuple[_Local, ...]:
+    """One ``_Local`` per primitive idempotent e of a commutative unital ring, or
+    for e = 1 on a local unital ring, noncommutative too (UnsupportedStructureError
+    otherwise), built once per ring through ``per_ring``.  eJ is the nilpotents of
+    eR = {x : e*x = x} (J is the nilradical of a commutative ring, the non-units
+    of a local one) and x's key the least element of e*x + eJ: x and y share a
+    residue modulo the maximal ideal J + (1-e)R exactly when their keys agree."""
+    idempotents = (ring.unity,) if analyze(ring).is_local else primitive_idempotents(ring)
+    n, add, mul, (rows, t, _) = ring.order, ring.add_table, ring.mul_table, per_ring(ring, _powers)
+    nilpotent, idx, factors = rows[t] == 0, np.arange(n), []
+    for e in idempotents:  # nonzero()[0], not flatnonzero: these arrays are small and 1-d
+        in_factor = mul[e] == idx
+        radical = (in_factor & nilpotent).nonzero()[0]
+        key = add[mul[e][:, None], radical].min(axis=1)
+        factors.append(_Local(e, in_factor.nonzero()[0], radical, key,
+                              np.bincount(key, minlength=n).nonzero()[0]))
+    if math.prod(len(local.elements) for local in factors) != n:
+        raise InternalInvariantError("local factor orders do not multiply to the ring order")
+    return tuple(factors)
 
 
 def local_decomposition(ring: FiniteRing) -> tuple[LocalFactor, ...]:
-    """Split a commutative unital ring into its local factors eR, one per
-    primitive idempotent e, each the image of x -> e*x (``_image``); a local
-    ring is its own one factor, with the identity projection.  Uncached: no
-    check builds factor rings."""
-    primitive = primitive_idempotents(ring)
-    if len(primitive) == 1:
+    """Split a commutative unital ring into its local factors eR, each the
+    image of x -> e*x (``_image``) onto the elements of eR (``_local_factors``);
+    a local ring, noncommutative too, is its own one factor, with the identity
+    projection.  Uncached: no check builds factor rings."""
+    structure = per_ring(ring, _local_factors)
+    if len(structure) == 1:
         return (LocalFactor(idempotent=ring.unity, ring=ring, projection=tuple(range(ring.order))),)
     factors = []
-    for e in primitive:
-        elems = np.array(_factor_elements(ring, e))
-        projection = np.searchsorted(elems, ring.mul_table[e])
-        sub = _image(ring, projection, elems, f"{ring.label}|e={e}")
+    for e, elements, *_ in structure:
+        projection = np.searchsorted(elements, ring.mul_table[e])
+        sub = _image(ring, projection, elements, f"{ring.label}|e={e}")
         factors.append(LocalFactor(idempotent=e, ring=sub, projection=tuple(projection.tolist())))
-    total = math.prod(f.ring.order for f in factors)
-    if total != ring.order:
-        raise InternalInvariantError("local factor orders do not multiply to the ring order")
     return tuple(factors)
 
 
@@ -638,10 +661,8 @@ def _residue_field(ring: FiniteRing) -> tuple[FiniteRing, tuple[int, ...], tuple
         raise UnsupportedStructureError("residue field needs a local unital ring")
     if inv.is_field:
         return ring, tuple(range(ring.order)), tuple(range(ring.order))
-    m = [a for a in range(ring.order) if a not in inv.units]
-    rep_of = ring.add_table[:, m].min(axis=1)          # the least element of x + m
-    reps = np.flatnonzero(np.bincount(rep_of, minlength=ring.order))
-    proj = np.searchsorted(reps, rep_of)
+    (local,) = per_ring(ring, _local_factors)  # the cosets of J, named by their least elements
+    reps, proj = local.representatives, np.searchsorted(local.representatives, local.key)
     field = _image(ring, proj, reps, f"{ring.label}/m")
     # every nonzero x with x*y = 1 for some y makes a finite ring with unity
     # a division ring, hence a field (Wedderburn)

@@ -46,11 +46,12 @@ from .core import (
     SubsetMask,
     UnsupportedStructureError,
     _factorize,
+    _Local,
+    _local_factors,
     _powers,
     analyze,
     binary_power,
     per_ring,
-    primitive_idempotents,
 )
 
 if TYPE_CHECKING:
@@ -546,9 +547,8 @@ class _Lattice:
                                       basis.orders.tolist())]
 
     def _clearing_matrix(self) -> np.ndarray:
-        """V = W^-1 of ``_lattice``, on the pivots' unscaled digits, built on
-        the first solve and kept on the engine.  Row a of W V = 1 is
-        V[a] = e_a - sum_{b>a} W[a, b] V[b], from the last row up; two
+        """V = W^-1 of ``_lattice`` (``_unit_triangular_inverse``) on the pivots'
+        unscaled digits, built on the first solve and kept on the engine; two
         primes' pivots meet only in zeros, so column j is taken mod its p^s."""
         if self._clearing is None:
             basis, coords = self.basis, per_ring(self.ring, _coordinates)
@@ -556,10 +556,7 @@ class _Lattice:
             scale = q // coords.moduli[basis.digits]
             block = basis.rows[:, basis.points * len(coords.basis) + basis.digits] * scale
             ratios = block // basis.shifts[:, None] * basis.inverses[:, None] % q[:, None]  # W
-            clearing = np.eye(len(q), dtype=np.intp)
-            for a in range(len(q) - 2, -1, -1):
-                clearing[a, a + 1:] = -ratios[a, a + 1:] @ clearing[a + 1:, a + 1:] % q[a + 1:]
-            self._clearing = clearing * scale[:, None]
+            self._clearing = _unit_triangular_inverse(ratios, q) * scale[:, None]
         return self._clearing
 
     def _coefficient_digits(self) -> np.ndarray:
@@ -569,20 +566,26 @@ class _Lattice:
         engine.  g_a is the combination U_a = e_(i_a) - sum_(b<a)
         f_b[i_a] * U_b of the generators, which is 0 off the pivot rows
         i_b (b <= a).  Its entries there are row a of K = T^-1 for the unit
-        lower-triangular ``multipliers`` T, so K[a] = e_a - sum_(b<a)
-        T[a, b] K[b], from the first row down; two primes' steps meet only
-        in zeros, so column b is taken mod its p^s.  Row a of C holds K[a]
-        at the digits ``sources`` and zeros elsewhere."""
+        lower-triangular ``multipliers`` T: K reversed in both axes is the
+        ``_unit_triangular_inverse`` of T reversed, column b mod its p^s (two
+        primes' steps meet only in zeros).  Row a of C is K[a] at ``sources``."""
         if self._coefficients is None:
             basis, ring = self.basis, self.ring
             q = basis.shifts * basis.orders
-            combination = np.eye(len(q), dtype=np.intp)  # K
-            for a in range(1, len(q)):
-                combination[a, :a] = -basis.multipliers[a, :a] @ combination[:a, :a] % q[:a]
             width = len(per_ring(ring, _powers)[0]) * len(per_ring(ring, _coordinates).basis)
             self._coefficients = np.zeros((len(q), width), dtype=np.intp)
-            self._coefficients[:, basis.sources] = combination
+            self._coefficients[:, basis.sources] = _unit_triangular_inverse(
+                basis.multipliers[::-1, ::-1], q[::-1])[::-1, ::-1]
         return self._coefficients
+
+
+def _unit_triangular_inverse(upper: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """V = W^-1 for a unit upper-triangular W, column j mod moduli[j], read above the diagonal
+    only: row a of W V = 1 is V[a] = e_a - sum_(b>a) W[a, b] V[b], from the last row up."""
+    inverse = np.eye(len(moduli), dtype=np.intp)
+    for a in range(len(moduli) - 2, -1, -1):
+        inverse[a, a + 1:] = -upper[a, a + 1:] @ inverse[a + 1:, a + 1:] % moduli[a + 1:]
+    return inverse
 
 
 class _Chain:
@@ -721,7 +724,7 @@ def _function_set(ring: FiniteRing) -> PolyFunctionSet:
     if inv.is_field:
         return PolyFunctionSet(ring, _Field(ring))
     if inv.is_commutative and inv.is_unital:
-        factors = [_chain_factor(ring, e) for e in primitive_idempotents(ring)]
+        factors = [_chain_factor(ring, local) for local in per_ring(ring, _local_factors)]
         if None not in factors:
             return PolyFunctionSet(ring, _Chain(ring, factors))
     return PolyFunctionSet(ring, _Lattice(ring))
@@ -868,8 +871,8 @@ class _ChainFactor(NamedTuple):
     values: np.ndarray
 
 
-def _chain_factor(ring: FiniteRing, e: int) -> _ChainFactor | None:
-    """The local factor eR as a chain ring, read from R's tables, or None.
+def _chain_factor(ring: FiniteRing, local: _Local) -> _ChainFactor | None:
+    """The local factor eR (``core._local_factors``) as a chain ring, or None.
 
     pi is the element of the radical J_e with the largest nilpotency index
     N (0 and 1 on a field), and q = |eR/J_e|.  Each of the N steps
@@ -890,14 +893,12 @@ def _chain_factor(ring: FiniteRing, e: int) -> _ChainFactor | None:
     """
     n, (rows, t, _) = ring.order, per_ring(ring, _powers)
     add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
-    elements = np.flatnonzero(mul[e] == np.arange(n))
-    radical = elements[rows[t, elements] == 0]
+    e, elements, radical, _, reps = local
     depths = (rows[1:t, radical] != 0).sum(axis=0) + 1  # nilpotency indices
     pi, depth = int(radical[depths.argmax()]), int(depths.max())
     q = len(elements) // len(radical)
     if q ** depth != len(elements):
         return None
-    reps = np.flatnonzero(np.bincount(add[elements[:, None], radical].min(axis=1), minlength=n))
     powers = np.array([e, *rows[1:depth, pi].tolist()])
     points = np.zeros(1, dtype=np.intp)
     for step in mul[powers[:, None], reps]:  # a_(d q^j + i) = t_d pi^j + a_i

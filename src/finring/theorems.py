@@ -58,15 +58,14 @@ from .core import (
     RingInvariants,
     SubsetMask,
     UnsupportedStructureError,
-    _factor_elements,
     _factorize,
+    _local_factors,
     analyze,
     binary_power,
     element_nilpotency_index,
     multiplicative_order,
     per_ring,
     power_map,
-    primitive_idempotents,
     residue_field,
 )
 from .polyfun import (
@@ -503,35 +502,25 @@ def check_unit_exponent_nilpotency(ring: FiniteRing) -> Verdict:
 # L2.4 / L2.5: image-size bounds
 # ---------------------------------------------------------------------------
 
-def _factor_residue_maps(ring: FiniteRing) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Per primitive idempotent e, e and each x's key, the least element of
-    e*x + eJ.  The maximal ideals of R = sum eR are J + (1-e)R for the
-    radical J, so x and y share a residue modulo one exactly when their
-    keys for its e agree.  No ring is built; L2.4 and L2.5 read it through
-    ``per_ring``."""
-    radical = analyze(ring).jacobson_radical.indices()
-    out = []
-    for e in primitive_idempotents(ring):
-        by_e = ring.mul_table[e].tolist()
-        rows = [ring.add_table[j].tolist() for j in {by_e[j] for j in radical}]  # y -> y + j
-        out.append((e, tuple(map(min, zip(*([row[y] for y in by_e] for row in rows))))))
-    return tuple(out)
-
-
-def _constant_modulo_a_maximal_ideal(result_id: str, ring: FiniteRing, values,
-                                     subject: str) -> Verdict | None:
-    """A precondition-failed verdict if the values (elements of ring) have a
-    single residue modulo some maximal ideal, else None."""
-    for e, keys in per_ring(ring, _factor_residue_maps):
-        if len({keys[v] for v in values}) == 1:
-            order = len(_factor_elements(ring, e))
-            return Verdict(
+def _image_size(result_id: str, ring: FiniteRing, f: Polynomial,
+                subject: str) -> tuple[int | None, Verdict | None]:
+    """(|f(R)|, None), or (None, a precondition-failed verdict) if f's values have one
+    residue modulo some maximal ideal: equal keys on a factor of ``core._local_factors``."""
+    if f.ring is not ring:
+        raise ValueError("polynomial must have coefficients in the ring itself")
+    _require(ring, "comm-unital")
+    values = [poly_eval(f, x) for x in range(ring.order)]
+    for local in per_ring(ring, _local_factors):
+        key = local.key.tolist()
+        if len({key[v] for v in values}) == 1:
+            order = len(local.elements)
+            return None, Verdict(
                 result_id, True, vacuous=True,
                 witness={"constant_factor_order": order},
                 details=f"precondition-failed: {subject} constant modulo the maximal ideal "
                         f"of the factor of order {order}",
             )
-    return None
+    return len(set(values)), None
 
 
 def check_residue_field_bound(ring: FiniteRing, f: Polynomial) -> Verdict:
@@ -539,20 +528,15 @@ def check_residue_field_bound(ring: FiniteRing, f: Polynomial) -> Verdict:
 
     Precondition: for every maximal ideal, the residues of f's values are
     non-constant; otherwise the verdict is precondition-failed (vacuous).
-    Residues and residue field orders come from ``_factor_residue_maps``,
+    Residues and residue field orders come from ``core._local_factors``,
     which builds no ring.
     """
-    if f.ring is not ring:
-        raise ValueError("polynomial must have coefficients in the ring itself")
-    _require(ring, "comm-unital")
-    values = [poly_eval(f, a) for a in range(ring.order)]
-    failed = _constant_modulo_a_maximal_ideal("L2.4", ring, values, "values")
+    img, failed = _image_size("L2.4", ring, f, "values")
     if failed is not None:
         return failed
-    img = len(set(values))
     deg = f.degree
     bound = img * deg
-    residue_orders = [len(set(keys)) for _, keys in per_ring(ring, _factor_residue_maps)]
+    residue_orders = [len(local.representatives) for local in per_ring(ring, _local_factors)]
     holds = all(n <= bound for n in residue_orders)
     return Verdict(
         "L2.4", holds,
@@ -567,18 +551,13 @@ def check_spectrum_bound(ring: FiniteRing, f: Polynomial) -> Verdict:
 
     Precondition: f is non-constant as a function modulo every maximal
     ideal; the failing factor is reported as precondition-failed otherwise.
-    Factors are counted by their primitive idempotents; none is built.
+    Factors are counted in ``core._local_factors``; none is built.
     """
-    if f.ring is not ring:
-        raise ValueError("polynomial must have coefficients in the ring itself")
-    _require(ring, "comm-unital")
-    values = [poly_eval(f, x) for x in range(ring.order)]
-    failed = _constant_modulo_a_maximal_ideal("L2.5", ring, values, "f is")
+    img, failed = _image_size("L2.5", ring, f, "f is")
     if failed is not None:
         return failed
-    img = len(set(values))
     omega = sum(e for _, e in _factorize(img))  # prime factors with multiplicity
-    spectrum = len(per_ring(ring, _factor_residue_maps))
+    spectrum = len(per_ring(ring, _local_factors))
     holds = spectrum <= omega
     return Verdict(
         "L2.5", holds,

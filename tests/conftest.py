@@ -60,7 +60,6 @@ from finring import (
     parse_ring_spec,
     power_stabilization,
     realize,
-    residue_field,
     standard_catalog,
 )
 from finring import polyfun
@@ -381,16 +380,6 @@ def crt_interpolate(ring, values) -> Polynomial:
     return Polynomial(ring, tuple(crt[column] for column in columns)).stripped()
 
 
-def factor_residues(ring) -> list[tuple[int, tuple[int, ...]]]:
-    """Per local factor eR, built as a ring: its order and, for every x, the
-    index of e*x's class in the residue field of eR, also built."""
-    out = []
-    for factor in local_decomposition(ring):
-        _, proj, _ = residue_field(factor.ring)
-        out.append((factor.ring.order, tuple(proj[factor.projection[x]] for x in range(ring.order))))
-    return out
-
-
 def schoolbook_mul(f, g) -> Polynomial:
     """f*g with left coefficients: c_k = sum_{i+j=k} a_i * b_j, stripped."""
     ring = f.ring
@@ -508,6 +497,16 @@ def skew_dual_f4():
     mul = [[gf4_mul(x & 3, y & 3) | (gf4_mul(x & 3, y >> 2) ^ gf4_mul(x >> 2, gf4_mul(y & 3, y & 3))) << 2
             for y in range(16)] for x in range(16)]
     return make_table_ring([[x ^ y for y in range(16)] for x in range(16)], mul, "GF(4)[t;F]/(t^2)")
+
+
+def image_cases() -> list[tuple[str, object]]:
+    """The unital rings that are local or commutative among the catalog's,
+    GF(4)[t; Frobenius]/(t^2) (local and noncommutative) and two larger
+    local quotients, each with its catalog name or its label."""
+    rings = standard_catalog(32) + [(ring.label, ring) for ring in (
+        skew_dual_f4(), realize(parse_ring_spec("Z/169")), realize(parse_ring_spec("Z/2[x]/(x^8)")))]
+    return [(name, ring) for name, ring in rings if analyze(ring).is_unital
+            and (analyze(ring).is_local or analyze(ring).is_commutative)]
 
 
 class Closure:

@@ -47,6 +47,7 @@ from conftest import (
     LARGER_SPECS,
     axiom_scan,
     embed,
+    image_cases,
     loop_factor,
     loop_product,
     loop_quotient,
@@ -380,17 +381,10 @@ def test_factor_rings_match_the_loop_oracle(spec):
             assert (_ring(field), proj, reps) == loop_residue_field(factor.ring)
 
 
-def _image_cases():
-    """The unital rings that are local or commutative among the catalog's,
-    GF(4)[t; Frobenius]/(t^2) (local and noncommutative) and two larger
-    local quotients."""
-    rings = [ring for _, ring in standard_catalog(32)] + [skew_dual_f4()]
-    rings += [realize(parse_ring_spec(spec)) for spec in ("Z/169", "Z/2[x]/(x^8)")]
-    return [ring for ring in rings if analyze(ring).is_unital
-            and (analyze(ring).is_local or analyze(ring).is_commutative)]
+_IMAGE_CASES = [ring for _, ring in image_cases()]
 
 
-@pytest.mark.parametrize("ring", _image_cases(), ids=lambda ring: ring.label)
+@pytest.mark.parametrize("ring", _IMAGE_CASES, ids=lambda ring: ring.label)
 def test_images_match_rings_built_from_their_tables(ring):
     # the residue field and the local factors are images (core._image), made
     # without _check_axioms: _build on the same tables must give the same ring
@@ -404,7 +398,7 @@ def test_images_match_rings_built_from_their_tables(ring):
         assert _ring(image) == _ring(built), image.label
 
 
-@pytest.mark.parametrize("ring", _image_cases(), ids=lambda ring: ring.label)
+@pytest.mark.parametrize("ring", _IMAGE_CASES, ids=lambda ring: ring.label)
 def test_images_match_the_loop_oracles(ring):
     # each residue field and local factor has the tables the loop oracles build
     if analyze(ring).is_field:
@@ -492,10 +486,11 @@ def test_local_decomposition_z4_is_itself(z4):
 
 
 def test_local_rings_and_fields_are_their_own_factor_and_residue_field(catalog16):
-    for name, ring in catalog16:
+    skew = skew_dual_f4()  # local and noncommutative: its own one factor too
+    for name, ring in catalog16 + [(skew.label, skew)]:
         inv = analyze(ring)
         identity = tuple(range(ring.order))
-        if inv.is_unital and inv.is_commutative and inv.is_local:
+        if inv.is_unital and inv.is_local:
             (factor,) = local_decomposition(ring)
             assert (factor.ring, factor.projection, factor.idempotent) == (ring, identity, ring.unity), name
         if inv.is_field:
@@ -536,16 +531,21 @@ def test_residue_field_z4(z4):
     assert reps == (0, 1)
 
 
-@pytest.mark.parametrize("non_units, match", [((0,), "must be a field"),
-                                              ((0, 1), "does not respect addition")],
+@pytest.mark.parametrize("radical, match", [((0,), "must be a field"),
+                                            ((0, 1), "does not respect addition")],
                          ids=["Z/4", "not-an-ideal"])
-def test_a_residue_ring_that_is_no_field_raises(monkeypatch, non_units, match):
-    # Z/4 with its non-units faked: {0} gives the quotient Z/4, whose row of 2
-    # misses the unity, and {0, 1} is no ideal, so x -> x + m is no homomorphism
-    ring, analyze_ring = make_zn(4), core.analyze
-    units = core.SubsetMask.from_indices(ring, (x for x in range(4) if x not in non_units))
-    monkeypatch.setattr(core, "analyze", lambda r: dataclasses.replace(analyze_ring(r), units=units)
-                        if r is ring else analyze_ring(r))
+def test_a_residue_ring_that_is_no_field_raises(monkeypatch, radical, match):
+    # Z/4 with the radical of its local structure faked: {0} gives the quotient
+    # Z/4, whose row of 2 misses the unity, and {0, 1} is no ideal, so
+    # x -> x + m is no homomorphism
+    ring, local_factors = make_zn(4), core._local_factors
+
+    def faked(r):
+        (local,) = local_factors(r)
+        key = r.add_table[:, list(radical)].min(axis=1)
+        return (local._replace(radical=np.array(radical), key=key, representatives=np.unique(key)),)
+
+    monkeypatch.setattr(core, "_local_factors", faked)
     with pytest.raises(core.InternalInvariantError, match=match):
         residue_field(ring)
 

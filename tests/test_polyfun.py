@@ -1085,7 +1085,7 @@ def test_function_set_addition_closure_sampled(z9):
         assert tuple(z9.add(a, b) for a, b in zip(s, t)) in as_set
 
 
-# --- products of fields: the CRT engine against independent oracles ---------
+# --- products of fields: the chain engine (_Chain) against independent oracles
 
 PRODUCTS_OF_FIELDS = ("Z/6", "Z/10", "Z/14", "Z/15", "Z/2 x Z/2", "Z/2 x Z/3")
 
@@ -1097,14 +1097,14 @@ def _nonconstant_indicators(ring) -> list[tuple[int, ...]]:
             for bits in range(1, (1 << n) - 1)]
 
 
-def test_catalog_products_of_fields_are_answered_by_crt(catalog16):
+def test_catalog_products_of_fields_are_answered_by_chain(catalog16):
     crt = {name for name, ring in catalog16
            if len(field_idempotents(polynomial_function_set(ring))) > 1}
     assert crt == set(PRODUCTS_OF_FIELDS)
 
 
 @pytest.mark.parametrize("spec", [s for s in PRODUCTS_OF_FIELDS if s != "Z/14"])
-def test_crt_engine_matches_closure(spec):
+def test_chain_engine_matches_closure_on_products_of_fields(spec):
     ring = realize(parse_ring_spec(spec))
     pset = polynomial_function_set(ring)
     closure = coset_growth(ring)
@@ -1130,7 +1130,7 @@ def test_crt_engine_matches_closure(spec):
     assert not any(pset.contains(t) or closure.contains(t) for t in _nonconstant_indicators(ring))
 
 
-def test_crt_engine_on_z14_materialises_nothing():
+def test_chain_engine_on_z14_materialises_nothing():
     # 14^2 * 7^5 = 3,294,172 tables: the engine answers without building them.
     ring = make_zn(14)
     pset = polynomial_function_set(ring)

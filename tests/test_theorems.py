@@ -17,7 +17,7 @@ from finring import (
     analyze,
     function_table,
     interpolate_field,
-    local_decomposition,
+    make_table_ring,
     make_zero_mul_ring,
     make_zn,
     parse_poly_text,
@@ -76,7 +76,9 @@ from conftest import (
     embed,
     expanded_powers_agree,
     extension_span,
-    factor_residues,
+    image_cases,
+    loop_factor,
+    loop_residue_field,
     m2f2,
     row_matrices_f2,
     schoolbook_eval,
@@ -460,17 +462,45 @@ _COMM_UNITAL_32 = [name for name, ring in standard_catalog(32)
                    if analyze(ring).is_unital and analyze(ring).is_commutative]
 
 
-@pytest.mark.parametrize("spec", _COMM_UNITAL_32 + ["Z/4 x Z/16", "Z/8 x Z/9"])
-def test_factor_residue_maps_match_built_factors_and_residue_fields(spec):
-    ring = realize(parse_ring_spec(spec))
-    assert primitive_idempotents(ring) == tuple(f.idempotent for f in local_decomposition(ring))
-    maps = theorems._factor_residue_maps(ring)
-    oracle = factor_residues(ring)
-    assert [len(core._factor_elements(ring, e)) for e, _ in maps] == [order for order, _ in oracle]
-    for (_, keys), (_, classes) in zip(maps, oracle):
-        # equal keys exactly when equal residues: key <-> class is a bijection
-        pairs = set(zip(keys, classes))
-        assert len(pairs) == len(set(keys)) == len(set(classes))
+def _local_structure_cases() -> list:
+    """``image_cases``, which hold every ring of ``_COMM_UNITAL_32``, and three
+    products with larger or non-chain factors, by catalog name or spec."""
+    specs = ("Z/4 x Z/16", "Z/8 x Z/9", "Z/4[x]/(x^2) x Z/3")
+    cases = image_cases() + [(spec, realize(parse_ring_spec(spec))) for spec in specs]
+    return [pytest.param(ring, id=name) for name, ring in cases]
+
+
+@pytest.mark.parametrize("ring", _local_structure_cases())
+def test_factor_residue_maps_match_built_factors_and_residue_fields(ring):
+    # core._local_factors against the loop oracles: per factor eR, built
+    # entry by entry unless R is local, its elements, its radical (residue 0),
+    # each x's key (the least element of e*x's residue class) and the least
+    # element of each class
+    local = analyze(ring).is_local
+    structure = core._local_factors(ring)
+    if local:
+        assert [f.idempotent for f in structure] == [ring.unity]
+    else:
+        assert tuple(f.idempotent for f in structure) == primitive_idempotents(ring)
+    for f in structure:
+        if local:
+            factor, projection = ring, range(ring.order)
+        else:
+            (add, mul, *_), projection = loop_factor(ring, f.idempotent)
+            factor = make_table_ring(add, mul)
+        elements = sorted(set(ring.mul_table[f.idempotent].tolist()))
+        _, proj, reps = loop_residue_field(factor)
+        assert f.elements.tolist() == elements
+        assert f.radical.tolist() == [y for y, c in zip(elements, proj) if c == 0]
+        assert f.key.tolist() == [elements[reps[proj[i]]] for i in projection]
+        assert f.representatives.tolist() == [elements[r] for r in reps]
+
+
+@pytest.mark.parametrize("make", [upper_triangular_f2, m2f2, lambda: make_zero_mul_ring(4)],
+                         ids=["T2(F2)", "M2(F2)", "zero-ring-4"])
+def test_local_factors_need_a_local_or_commutative_unital_ring(make):
+    with pytest.raises(UnsupportedStructureError):
+        core._local_factors(make())
 
 
 def test_residue_bound_z4_square(z4):
@@ -1019,7 +1049,7 @@ def test_one_sweep_builds_each_store_entry_once_per_ring(tmp_path, capsys):
     assert all(count == 1 for store in stores for count in store.builds.values())
     built = set().union(*(store.builds for store in stores))
     assert built == {"_proper_left_ideal", "_unit_order_bound", "_units_indicator",
-                     "_residue_field", "_factor_residue_maps", "_lift_basis", "_coordinates",
+                     "_residue_field", "_local_factors", "_lift_basis", "_coordinates",
                      "_powers", "_table_lists"}
 
 
@@ -1049,15 +1079,17 @@ def test_a_ring_that_ran_no_check_stores_only_its_powers_and_coordinates():
     power_stabilization(ring)
     primitive_idempotents(ring)
     assert set(ring.store) == {core._powers}
-    function_count(ring)
+    function_count(ring)  # the chain factors read the local structure
+    assert set(ring.store) == {core._powers, core._local_factors}
     pset = polynomial_function_set(ring)
     pset._table_index()  # the chain engine's index reads the tables alone
-    assert set(ring.store) == {core._powers}
+    assert set(ring.store) == {core._powers, core._local_factors}
     assert pset.engine.multiples(bytes(range(12))) is not None  # a solve sums digits
-    assert set(ring.store) == {core._powers, polyfun._coordinates, polyfun._table_lists}
+    assert set(ring.store) == {core._powers, core._local_factors, polyfun._coordinates,
+                               polyfun._table_lists}
     check_reachability_iff_field(ring)
-    assert set(ring.store) == {core._powers, polyfun._coordinates, polyfun._table_lists,
-                               theorems._proper_left_ideal}
+    assert set(ring.store) == {core._powers, core._local_factors, polyfun._coordinates,
+                               polyfun._table_lists, theorems._proper_left_ideal}
 
 
 def test_a_ring_and_its_store_are_freed_together():
