@@ -342,11 +342,11 @@ def _build(add: np.ndarray, mul: np.ndarray, label: str) -> FiniteRing:
     idx = np.arange(n)
     # Locate the additive identity before anything else; it must sit at index 0.
     if not (add[0] == idx).all():
-        identities = np.flatnonzero((add == idx).all(axis=1))
+        identities = (add == idx).all(axis=1).nonzero()[0]
         if not len(identities):
             raise AxiomViolation("additive-identity", ())
         raise ValueError(f"additive identity must be element 0, found it at index {identities[0]}")
-    unities = np.flatnonzero(((mul == idx) & (mul.T == idx)).all(axis=1))
+    unities = ((mul == idx) & (mul.T == idx)).all(axis=1).nonzero()[0]
     unity = int(unities[0]) if len(unities) else None
     neg = (add == 0).argmax(axis=1)  # an element without a negative gets 0, which fails
     add, mul = (np.asarray(T, dtype=np.intp) for T in (add, mul))
@@ -543,7 +543,7 @@ def analyze(ring: FiniteRing) -> RingInvariants:
     else:
         characteristic = math.lcm(*(element_additive_order(ring, a) for a in range(n))) if n > 1 else 1
 
-    mask = lambda flags: SubsetMask.from_indices(ring, np.flatnonzero(flags).tolist())
+    mask = lambda flags: SubsetMask.from_indices(ring, flags.nonzero()[0].tolist())
     idempotents = mask(M.diagonal() == np.arange(n))
     rows, t, p = per_ring(ring, _powers)
     nilpotent = rows[t] == 0
@@ -557,7 +557,7 @@ def analyze(ring: FiniteRing) -> RingInvariants:
         is_unit = rows[p] == ring.unity
         units = mask(is_unit)
         unit_exp = int((rows[1:, is_unit] == ring.unity).all(axis=1).argmax()) + 1
-        non_units = np.flatnonzero(~is_unit)
+        non_units = (~is_unit).nonzero()[0]
         is_local = not is_unit[A[non_units[:, None], non_units]].any()
         radical = mask(is_unit[A[ring.unity, M]].all(axis=0))  # 1 + r*x is a unit for every r
         is_field = is_comm and units.size == n - 1
@@ -616,7 +616,7 @@ def _local_factors(ring: FiniteRing) -> tuple[_Local, ...]:
     idempotents = (ring.unity,) if analyze(ring).is_local else primitive_idempotents(ring)
     n, add, mul, (rows, t, _) = ring.order, ring.add_table, ring.mul_table, per_ring(ring, _powers)
     nilpotent, idx, factors = rows[t] == 0, np.arange(n), []
-    for e in idempotents:  # nonzero()[0], not flatnonzero: these arrays are small and 1-d
+    for e in idempotents:
         in_factor = mul[e] == idx
         radical = (in_factor & nilpotent).nonzero()[0]
         key = add[mul[e][:, None], radical].min(axis=1)

@@ -20,7 +20,8 @@ from one of three engines that ``_function_set`` picks by structure:
   answers factor by factor from a P-ordering of each (``_Chain``): no
   elimination, and a closed-form count certified when the set is built;
 * any other ring runs one elimination per prime of G as a Z/p^s-lattice
-  (``_lattice``), whose pivot rows count G and solve each table.
+  (``_lattice``), whose pivot rows count G, solve each table and carry
+  their witnesses.
 
 ``PolyFunctionSet`` keeps what they share: a chain or lattice set of at
 most ``INDEX_LIMIT`` tables solves its first lookup and is enumerated into
@@ -504,15 +505,13 @@ class _Field:
 
 class _Lattice:
     """Any ring: G is the direct sum of the cyclic groups <g_a> of
-    ``_lattice``, and ``count`` the product of their orders.  Counting
-    builds no witness: the first lookup that reads one rebuilds the g_a's
-    witness coefficients (``_coefficient_digits``)."""
+    ``_lattice``, and ``count`` the product of their orders."""
 
     def __init__(self, ring: FiniteRing):
         self.ring = ring
         self.basis = _lattice(ring)
         self.count = math.prod(self.basis.orders.tolist())
-        self._clearing = self._coefficients = None
+        self._clearing = None
 
     def multiples(self, view: bytes | array) -> np.ndarray | None:
         """The multiples z_a with F = sum_a z_a * g_a for the table F, or
@@ -520,7 +519,7 @@ class _Lattice:
         z_a * u_a * p^v_a modulo p^s (``_lattice``), so F is absent unless
         p^v_a divides S_a, and z_a = S_a / p^v_a * u_a^-1 mod p^(s - v_a).
         The product z G gives the digits of sum_a z_a * g_a, which must be
-        F's.  No witness digit is read, so ``contains`` builds none."""
+        F's."""
         basis, values = self.basis, _view_array(view)
         coords = per_ring(self.ring, _coordinates)
         syndrome = coords.digits[values[basis.points], basis.digits] @ self._clearing_matrix()
@@ -534,21 +533,22 @@ class _Lattice:
 
     def witness(self, z: np.ndarray) -> np.ndarray:
         """The witness coefficients of the table with multiples z: z C
-        gives their digits (``_coefficient_digits``)."""
+        gives their digits, for the g_a's coefficient digits C."""
         coords = per_ring(self.ring, _coordinates)
-        return coords.element((z @ self._coefficient_digits()).reshape(-1, len(coords.basis)))
+        return coords.element((z @ self.basis.coefficients).reshape(-1, len(coords.basis)))
 
     def summands(self) -> list[np.ndarray]:
         """Per g_a, its multiples (table, then witness coefficients)."""
         basis, coords = self.basis, per_ring(self.ring, _coordinates)
-        rows = np.hstack((basis.rows, self._coefficient_digits()))
+        rows = np.hstack((basis.rows, basis.coefficients))
         return [coords.element(np.arange(order)[:, None, None] * row)  # digits of j * g_a
                 for row, order in zip(rows.reshape(len(rows), -1, len(coords.basis)),
                                       basis.orders.tolist())]
 
     def _clearing_matrix(self) -> np.ndarray:
-        """V = W^-1 of ``_lattice`` (``_unit_triangular_inverse``) on the pivots'
-        unscaled digits, built on the first solve and kept on the engine; two
+        """V = W^-1 of ``_lattice`` on the pivots' unscaled digits, built on
+        the first solve and kept on the engine.  Row a of W V = 1 is
+        V[a] = e_a - sum_(b>a) W[a, b] V[b], from the last row up; two
         primes' pivots meet only in zeros, so column j is taken mod its p^s."""
         if self._clearing is None:
             basis, coords = self.basis, per_ring(self.ring, _coordinates)
@@ -556,36 +556,11 @@ class _Lattice:
             scale = q // coords.moduli[basis.digits]
             block = basis.rows[:, basis.points * len(coords.basis) + basis.digits] * scale
             ratios = block // basis.shifts[:, None] * basis.inverses[:, None] % q[:, None]  # W
-            self._clearing = _unit_triangular_inverse(ratios, q) * scale[:, None]
+            inverse = np.eye(len(q), dtype=np.intp)
+            for a in range(len(q) - 2, -1, -1):
+                inverse[a, a + 1:] = -ratios[a, a + 1:] @ inverse[a + 1:, a + 1:] % q[a + 1:]
+            self._clearing = inverse * scale[:, None]
         return self._clearing
-
-    def _coefficient_digits(self) -> np.ndarray:
-        """C, the digits of each g_a's witness coefficient at every x^k,
-        rebuilt from ``_lattice``'s recorded steps by the first lookup that
-        reads them (a solve's witness or ``summands``) and kept on the
-        engine.  g_a is the combination U_a = e_(i_a) - sum_(b<a)
-        f_b[i_a] * U_b of the generators, which is 0 off the pivot rows
-        i_b (b <= a).  Its entries there are row a of K = T^-1 for the unit
-        lower-triangular ``multipliers`` T: K reversed in both axes is the
-        ``_unit_triangular_inverse`` of T reversed, column b mod its p^s (two
-        primes' steps meet only in zeros).  Row a of C is K[a] at ``sources``."""
-        if self._coefficients is None:
-            basis, ring = self.basis, self.ring
-            q = basis.shifts * basis.orders
-            width = len(per_ring(ring, _powers)[0]) * len(per_ring(ring, _coordinates).basis)
-            self._coefficients = np.zeros((len(q), width), dtype=np.intp)
-            self._coefficients[:, basis.sources] = _unit_triangular_inverse(
-                basis.multipliers[::-1, ::-1], q[::-1])[::-1, ::-1]
-        return self._coefficients
-
-
-def _unit_triangular_inverse(upper: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    """V = W^-1 for a unit upper-triangular W, column j mod moduli[j], read above the diagonal
-    only: row a of W V = 1 is V[a] = e_a - sum_(b>a) W[a, b] V[b], from the last row up."""
-    inverse = np.eye(len(moduli), dtype=np.intp)
-    for a in range(len(moduli) - 2, -1, -1):
-        inverse[a, a + 1:] = -upper[a, a + 1:] @ inverse[a + 1:, a + 1:] % moduli[a + 1:]
-    return inverse
 
 
 class _Chain:
@@ -748,27 +723,23 @@ def function_count(ring: FiniteRing) -> int:
 
 class _Basis(NamedTuple):
     """``_lattice``'s cyclic groups <g_a>, in pivot order: row a of ``rows``
-    holds the digits of g_a(x) for every x.  Pivot a is coordinate
+    holds the digits of g_a(x) for every x, and of ``coefficients`` those of
+    its witness's coefficient at every x^k.  Pivot a is coordinate
     ``digits[a]`` of the value at ``points[a]``, with the shift p^v_a,
-    u_a^-1 mod p^s and the order p^(s - v_a) of g_a.  Its elimination step
-    pivoted on generator i_a, the coefficient digit ``sources[a]`` (at
-    x^k, k * rank + i for the basis element b_i), and ``multipliers[a, b]``
-    is step b's multiplier f_b[i_a]: a unit lower-triangular matrix, block
-    diagonal by prime, from which the set rebuilds the witness digits."""
+    u_a^-1 mod p^s and the order p^(s - v_a) of g_a."""
 
     rows: np.ndarray
+    coefficients: np.ndarray
     points: np.ndarray
     digits: np.ndarray
     shifts: np.ndarray
     inverses: np.ndarray
     orders: np.ndarray
-    sources: np.ndarray
-    multipliers: np.ndarray
 
 
 def _lattice(ring: FiniteRing) -> _Basis:
-    """G as a direct sum of cyclic groups <g_a>, from one elimination per
-    prime that records its steps: |G| is the product of their orders.
+    """G as a direct sum of cyclic groups <g_a>, each with a witness, from
+    one elimination per prime: |G| is the product of their orders.
 
     G is the Z-span of the constants b and the tables b * x^k
     (k = 1..t+p-1) for b in an additive basis of R, since a * x^k is
@@ -784,43 +755,40 @@ def _lattice(ring: FiniteRing) -> _Basis:
     p-part e_p * F is in G_p, and the embedding reads a value's digits on
     R_p, which are its p-part's.
 
-    Only the table columns are eliminated.  Each pivot row g_a is kept as
-    it stood when chosen, and each step records its pivot row i_a and its
-    multiplier column f_a, which subtracts f_a[i] * g_a from every row i.
-    So g_a is the combination U_a = e_(i_a) - sum_(b<a) f_b[i_a] * U_b of
-    the generators, whose coefficients make its witness: the set rebuilds
-    them on its first lookup (``_Lattice._coefficient_digits``) from
-    ``sources`` and ``multipliers``, and a count never builds them.  Every
-    later row is 0 at the pivot's column j_a, so the block G[:, J] of the
-    pivot columns is upper triangular with diagonal u_a * p^v_a, and p^v_a
-    divides row a.  It is D W over Z/p^s for D = diag(u_a * p^v_a) and a
-    unit upper-triangular W, so V = W^-1 (``_Lattice._clearing_matrix``)
-    clears it to D: z G[:, J] V = z D.  G is the direct sum of the <g_a>, so
-    each z_a is unique modulo p^(s - v_a) and every witness is determined.
+    Each pivot row g_a is kept as it stood when chosen, with its
+    combination U_a of the generators, carried as M's extra columns, which
+    gives its witness.  Every later row is 0 at the pivot's column j_a, so
+    the block G[:, J] of the pivot columns is upper triangular with diagonal
+    u_a * p^v_a, and p^v_a divides row a.  It is D W over Z/p^s for
+    D = diag(u_a * p^v_a) and a unit upper-triangular W, so V = W^-1
+    (``_Lattice._clearing_matrix``) clears it to D: z G[:, J] V = z D.
+    G is the direct sum of the <g_a>, so each z_a is unique modulo
+    p^(s - v_a) and every witness is determined.
     """
     n = ring.order
     mul = ring.mul_table
     coords = per_ring(ring, _coordinates)
     powers = per_ring(ring, _powers)[0]  # row 0 is never read
-    rank = len(coords.basis)
-    table_rows, points, digits, shifts, inverses, orders, sources, blocks = ([] for _ in range(8))
+    m, rank = len(powers), len(coords.basis)
+    basis_rows, points, digits, shifts, inverses, orders = ([] for _ in range(6))
     for p, s, cols in coords.primes:
         basis, q = coords.basis[cols], p ** s
         scale = q // coords.moduli[cols]
         embed = coords.digits[:, cols] * scale
         r = len(basis)
-        # row k*r + i is the table of b_i * x^k, and of the constant b_i at k = 0
+        # row k*r + i is the table of b_i * x^k, and of the constant b_i at k = 0,
+        # and then U, the digits of its coefficient b_i at x^k
         gens = np.concatenate((np.repeat(basis[:, None], n, axis=1),
                                mul[basis[:, None], powers[1:, None]].reshape(-1, n)))
         width = n * r
-        rows = embed[gens].reshape(-1, width)
+        rows = np.hstack((embed[gens].reshape(-1, width), np.eye(len(gens), dtype=np.intp)))
         valuation = np.zeros(q, dtype=np.int8)
         for k in range(1, s + 1):
             valuation[::p ** k] += 1
         reduce = np.arange(q * q) % q  # y mod q for -(q-1)^2 <= y < q, negatives by wrapping
-        picked, at_rows, steps = [], [], []
+        picked = []
         while True:
-            v_rows = valuation[rows]
+            v_rows = valuation[rows[:, :width]]
             at = int(v_rows.argmin())
             v = int(v_rows.flat[at])
             if v == s:
@@ -828,29 +796,20 @@ def _lattice(ring: FiniteRing) -> _Basis:
             i, j = divmod(at, width)
             pv = p ** v
             inverse = pow(int(rows[i, j]) // pv, -1, q)
-            factors = rows[:, j] // pv * inverse % q  # 1 at row i, which the step clears
             picked.append(rows[i].copy())
-            at_rows.append(i)
-            steps.append(factors)
             points.append(j // r)
             digits.append(cols.start + j % r)
             shifts.append(pv)
             inverses.append(inverse)
             orders.append(q // pv)
-            rows = reduce[rows - factors[:, None] * rows[i]]
-        full = np.zeros((len(picked), n, rank), dtype=np.intp)
-        full[:, :, cols] = np.array(picked).reshape(-1, n, r) // scale
-        table_rows.append(full.reshape(len(picked), -1))
-        # generator k*r + i has the coefficient b_i at x^k, digit k*rank + i of a witness
-        sources.extend(i // r * rank + cols.start + i % r for i in at_rows)
-        blocks.append(np.array(steps)[:, at_rows].T)  # [a, b]: f_b[i_a]
-    multipliers = np.zeros((len(points), len(points)), dtype=np.intp)
-    start = 0
-    for block in blocks:  # block diagonal: two primes' steps never meet
-        multipliers[start:start + len(block), start:start + len(block)] = block
-        start += len(block)
-    pivots = map(np.array, (points, digits, shifts, inverses, orders, sources))
-    return _Basis(np.concatenate(table_rows), *pivots, multipliers)
+            rows = reduce[rows - (rows[:, j] // pv * inverse % q)[:, None] * rows[i]]
+        picked = np.array(picked)
+        full = np.zeros((len(picked), n + m, rank), dtype=np.intp)
+        full[:, :n, cols] = picked[:, :width].reshape(-1, n, r) // scale
+        full[:, n:, cols] = picked[:, width:].reshape(-1, m, r)
+        basis_rows.append(full.reshape(len(picked), -1))
+    pivots = map(np.array, (points, digits, shifts, inverses, orders))
+    return _Basis(*np.hsplit(np.concatenate(basis_rows), [n * rank]), *pivots)
 
 
 # ---------------------------------------------------------------------------

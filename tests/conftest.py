@@ -34,10 +34,9 @@ embedding, where P2.1 reads a zero-divisor pair of D off its mul table.
 The walk oracles follow one element's powers a product at a time (the rho
 of each power sequence, the nilpotency index and the multiplicative
 order), where the library reads every power off one table per ring.
-The tracked-lattice oracle carries each row's combination of the
-generators through the elimination as extra columns, where the library
-eliminates the table columns only and rebuilds the witness digits from
-the steps it recorded.
+The tracked-lattice oracle finds each entry's valuation by its own loop
+and reduces by ``% q``, where the library reads valuations and residues
+off lookup tables.
 """
 
 from __future__ import annotations

@@ -755,7 +755,7 @@ def test_index_answers_equal_the_solve_paths(monkeypatch, spec):
     assert all(a[0] == "present" for a in answers[:40]) and ("absent", None) in answers[40:]
 
 
-# --- the witness digits: rebuilt from the elimination's recorded steps -------
+# --- the lattice's pivots and witness digits, against the tracked oracle -----
 
 _TRACKED = ([ring for _, ring in standard_catalog(32)]
             + [realize(parse_ring_spec(spec)) for spec in ("Z/81", "Z/2[x]/(x^6)")]
@@ -764,39 +764,29 @@ _TRACKED = ([ring for _, ring in standard_catalog(32)]
 
 @pytest.mark.parametrize("ring", _TRACKED, ids=lambda ring: ring.label)
 def test_rebuilt_witness_digits_match_the_tracked_elimination(ring):
-    lattice, tracked = polyfun._Lattice(ring), tracked_lattice(ring)
-    basis = lattice.basis
+    # the pivots, table rows and witness digits of the library's elimination
+    # are the oracle's, which finds valuations by its own loop and reduces by % q
+    basis, tracked = polyfun._lattice(ring), tracked_lattice(ring)
     for name in ("points", "digits", "shifts", "inverses", "orders"):
         assert np.array_equal(getattr(basis, name), tracked[name]), name
     width = basis.rows.shape[1]
     assert np.array_equal(basis.rows, tracked["rows"][:, :width])
-    digits = lattice._coefficient_digits()
-    assert np.array_equal(digits, tracked["rows"][:, width:])
+    assert np.array_equal(basis.coefficients, tracked["rows"][:, width:])
 
 
 @pytest.mark.parametrize("limit", [polyfun.INDEX_LIMIT, 0], ids=["index", "solve"])
-def test_counting_builds_no_witness_digits_and_the_first_lookup_builds_them_once(
-        monkeypatch, limit):
-    built = []
-
-    def counted(self):
-        if self._coefficients is None:
-            built.append(self.ring.label)
-        return coefficient_digits(self)
-
-    coefficient_digits = polyfun._Lattice._coefficient_digits
-    monkeypatch.setattr(polyfun._Lattice, "_coefficient_digits", counted)
+def test_lattice_lookups_re_evaluate_to_their_tables(monkeypatch, limit):
     set_index_limit(monkeypatch, limit)
     ring = core.make_quotient(make_zn(4), [0, 0, 1])  # a new ring, and not a chain ring
     assert function_count(ring) == 1 << 14
     pset = polynomial_function_set(ring)
-    assert pset.engine._coefficients is None and built == []
+    assert isinstance(pset.engine, polyfun._Lattice)
     tables = [function_table(poly_from(ring, (k, 3, k, 1))).values for k in range(4)]
     for table in tables:
         status, witness = pset.lookup(table)
         assert status == "present" and function_table(witness).values == table
         assert pset.contains(table)
-    assert built == ["Z/4[x]/(x^2)"] and (pset.tables is None) == (limit == 0)
+    assert (pset.tables is None) == (limit == 0)
 
 
 @pytest.mark.parametrize("limit", [polyfun.INDEX_LIMIT, 0], ids=["index", "solve"])
@@ -821,7 +811,7 @@ def test_counting_a_chain_ring_builds_no_column_and_no_triangle_inverse(monkeypa
     assert None not in built[0] and (pset.tables is None) == (limit == 0)
 
 
-def test_contains_on_the_solve_path_builds_no_witness_digits(monkeypatch):
+def test_contains_on_the_solve_path_agrees_with_lookup(monkeypatch):
     # contains solves for the multiples alone; lookup then agrees with it
     set_index_limit(monkeypatch, 0)
     ring = core.make_quotient(make_zn(4), [0, 0, 1])  # a new ring, and not a chain ring
@@ -832,7 +822,7 @@ def test_contains_on_the_solve_path_builds_no_witness_digits(monkeypatch):
     absent = [(ring.add(t[0], ring.unity), *t[1:]) for t in present]  # F(0) leaves its J-coset
     answers = [pset.contains(t) for t in present + absent]
     assert answers == [True] * 20 + [False] * 20
-    assert pset.engine._coefficients is None and pset.tables is None
+    assert pset.tables is None
     for table, answer in zip(present + absent, answers):
         status, witness = pset.lookup(table)
         assert (status == "present") is answer is (witness is not None)
