@@ -10,7 +10,6 @@ from .core import (
     SubsetMask,
     UnsupportedStructureError,
     analyze,
-    invariant_signature,
     local_decomposition,
     make_product,
     make_quotient,
@@ -19,7 +18,6 @@ from .core import (
     make_zn,
     primitive_idempotents,
     residue_field,
-    rings_isomorphic,
     validate_ring,
 )
 from .polyfun import (

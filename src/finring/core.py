@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count, permutations
+from itertools import count
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -51,8 +51,6 @@ __all__ = [
     "element_nilpotency_index",
     "multiplicative_order",
     "multiplicative_inverse",
-    "invariant_signature",
-    "rings_isomorphic",
     "render_poly",
     "binary_power",
     "power_map",
@@ -120,9 +118,9 @@ class FiniteRing:
     ``add_table``, ``mul_table`` and ``neg_table`` are read-only intp arrays
     of element indices; ``add``, ``mul``, ``neg`` and ``sub`` return Python
     ints.  ``unity`` is None for non-unital rings.  Instances compare by
-    identity; use :func:`invariant_signature` / :func:`rings_isomorphic`
-    for structural comparison.  ``store`` maps each builder passed to
-    ``per_ring`` to its construction, and is None until the first is built.
+    identity; equal rings are found by comparing their tables and unity.
+    ``store`` maps each builder passed to ``per_ring`` to its construction,
+    and is None until the first is built.
     """
 
     order: int
@@ -691,62 +689,3 @@ def _image(ring: FiniteRing, proj: np.ndarray, reps: np.ndarray, label: str) -> 
     neg = proj[ring.neg_table[reps]]
     neg.flags.writeable = False
     return FiniteRing(k, *tables, neg, int(proj[ring.unity]), label)
-
-
-# ---------------------------------------------------------------------------
-# structural comparison
-# ---------------------------------------------------------------------------
-
-def invariant_signature(ring: FiniteRing) -> tuple:
-    """A hashable invariant vector used as an isomorphism heuristic."""
-    inv = analyze(ring)
-    per_elem = sorted(
-        (
-            element_additive_order(ring, a),
-            a in inv.idempotents,
-            a in inv.nilpotents,
-            multiplicative_order(ring, a) if inv.units is not None and a in inv.units else 0,
-        )
-        for a in range(ring.order)
-    )
-    n_factors = None
-    if inv.is_unital and inv.is_commutative:
-        n_factors = len(primitive_idempotents(ring))
-    return (
-        ring.order,
-        inv.is_commutative,
-        inv.is_unital,
-        inv.is_field,
-        inv.characteristic,
-        inv.idempotents.size,
-        inv.nilpotents.size,
-        inv.nilpotency_index,
-        inv.units.size if inv.units is not None else -1,
-        inv.unit_group_exponent,
-        inv.is_local,
-        inv.residue_field_order,
-        n_factors,
-        tuple(per_elem),
-    )
-
-
-def rings_isomorphic(r1: FiniteRing, r2: FiniteRing, search_limit: int = 8) -> bool | None:
-    """Invariant comparison plus, for orders <= search_limit, exhaustive bijection search.
-
-    Returns True/False when decided, None when the order exceeds the search
-    limit and the invariants agree (full isomorphism testing is out of scope).
-    """
-    if invariant_signature(r1) != invariant_signature(r2):
-        return False
-    n = r1.order
-    if n > search_limit:
-        return None
-    A1, M1, A2, M2 = (T.tolist() for T in (r1.add_table, r1.mul_table, r2.add_table, r2.mul_table))
-    for perm in permutations(range(1, n)):
-        mp = (0,) + perm
-        if r1.unity is not None and mp[r1.unity] != r2.unity:
-            continue
-        if all(mp[A1[a][b]] == A2[mp[a]][mp[b]] and mp[M1[a][b]] == M2[mp[a]][mp[b]]
-               for a in range(n) for b in range(n)):
-            return True
-    return False

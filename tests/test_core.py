@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
+import importlib
+import inspect
 import math
 import random
 from functools import reduce
@@ -13,9 +16,10 @@ from hypothesis import strategies as st
 
 from finring import (
     AxiomViolation,
+    RingInvariants,
+    SubsetMask,
     UnsupportedStructureError,
     analyze,
-    invariant_signature,
     local_decomposition,
     make_product,
     make_quotient,
@@ -25,7 +29,6 @@ from finring import (
     parse_ring_spec,
     realize,
     residue_field,
-    rings_isomorphic,
     standard_catalog,
     validate_ring,
 )
@@ -143,13 +146,16 @@ def test_quotient_requires_a_commutative_unital_base(base):
         make_quotient(base, (0, 1))
 
 
-def test_product_z2_z3_matches_z6(z6):
-    r = make_product(make_zn(2), make_zn(3))
-    assert r.order == 6
-    assert analyze(r).characteristic == 6
+@pytest.mark.parametrize("m, k", [(2, 3), (4, 3), (2, 9), (8, 3)])
+def test_product_zm_zk_matches_zmk(m, k):
+    r = make_product(make_zn(m), make_zn(k))
+    assert r.order == m * k
+    assert analyze(r).characteristic == m * k
     assert len(local_decomposition(r)) == 2
-    assert invariant_signature(r) == invariant_signature(z6)
-    assert rings_isomorphic(r, z6) is True
+    # the CRT map x -> (x mod m, x mod k), packed as make_product packs (i, j): i*k + j
+    phi = [x % m * k + x % k for x in range(m * k)]
+    assert sorted(phi) == list(range(m * k))
+    assert embed(make_zn(m * k), r, phi) == tuple(phi)  # carries +, * and the unity
 
 
 def test_product_z2_z2_idempotents():
@@ -468,7 +474,13 @@ def test_catalog_revalidates(catalog9):
 
 def test_analyze_deterministic(z4):
     r = make_zn(4)
-    assert invariant_signature(r) == invariant_signature(z4)
+    assert r is not z4
+    # a mask holds its ring, and rings compare by identity: masks compare by indices
+    for f in dataclasses.fields(RingInvariants):
+        mine, theirs = getattr(analyze(r), f.name), getattr(analyze(z4), f.name)
+        if isinstance(mine, SubsetMask):
+            mine, theirs = mine.indices(), theirs.indices()
+        assert mine == theirs, f.name
     assert analyze(r) == analyze(r)
 
 
@@ -620,9 +632,26 @@ def test_binary_power_matches_a_left_fold(z6):
             binary_power(op, x, 0)
 
 
-def test_rings_isomorphic_decides_or_declines():
-    assert rings_isomorphic(make_zn(4), make_product(make_zn(2), make_zn(2))) is False
-    assert rings_isomorphic(make_zn(9), make_zn(9)) is None  # two builds, order above 8
+def test_exported_names_resolve_and_come_from_their_modules():
+    modules = {name: importlib.import_module(f"finring.{name}")
+               for name in ("core", "polyfun", "catalog", "theorems")}
+    for name, module in modules.items():
+        for export in module.__all__:
+            assert hasattr(module, export), (name, export)
+    package = importlib.import_module("finring")
+    imports = [node for node in ast.parse(inspect.getsource(package)).body
+               if isinstance(node, ast.ImportFrom)]
+    assert {node.module for node in imports} == set(modules)
+    imported = {alias.name for node in imports for alias in node.names}
+    for node in imports:
+        for alias in node.names:
+            assert alias.name in modules[node.module].__all__, (node.module, alias.name)
+    public = {name for name, value in vars(package).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == imported
+    # no isomorphism heuristic is exported: rings are compared by their tables
+    names = public | set(vars(core)) | {n for module in modules.values() for n in module.__all__}
+    assert not [name for name in names if "isomorphic" in name or "signature" in name]
 
 
 _SMALL_RINGS = [make_zn(n) for n in (2, 3, 4, 6)] + [make_zero_mul_ring(4)]
