@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -26,13 +27,14 @@ from .catalog import (
 )
 from .core import (
     InternalInvariantError,
+    SubsetMask,
     UnsupportedStructureError,
     _local_factors,
     analyze,
     per_ring,
 )
 from .polyfun import Polynomial, function_count, power_stabilization
-from .theorems import CHECKS, RESULT_IDS, CheckOptions, Verdict
+from .theorems import _REQUIREMENTS, CHECKS, RESULT_IDS, CheckOptions, Verdict
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -72,30 +74,12 @@ def _verdict_json(v: Verdict, ms: float) -> dict:
 def cmd_report(args) -> int:
     ring = realize(parse_ring_spec(args.spec))
     inv = analyze(ring)
-    mask = lambda m: list(m.indices()) if m is not None else None
-    doc = {
-        "version": __version__,
-        "kind": "report",
-        "spec": args.spec,
-        "invariants": {
-            "order": ring.order,
-            "label": ring.label,
-            "is_commutative": inv.is_commutative,
-            "is_unital": inv.is_unital,
-            "is_field": inv.is_field,
-            "characteristic": inv.characteristic,
-            "zero_dimensional": inv.zero_dimensional,
-            "idempotents": mask(inv.idempotents),
-            "nilpotents": mask(inv.nilpotents),
-            "nilpotency_index": inv.nilpotency_index,
-            "units": mask(inv.units),
-            "unit_group_exponent": inv.unit_group_exponent,
-            "jacobson_radical": mask(inv.jacobson_radical),
-            "is_local": inv.is_local,
-            "residue_field_order": inv.residue_field_order,
-        },
-    }
-    if inv.is_unital and inv.is_commutative:
+    invariants = {"order": ring.order, "label": ring.label}
+    for field in dataclasses.fields(inv):  # a mask as its list of element indices
+        value = getattr(inv, field.name)
+        invariants[field.name] = list(value.indices()) if isinstance(value, SubsetMask) else value
+    doc = {"version": __version__, "kind": "report", "spec": args.spec, "invariants": invariants}
+    if _REQUIREMENTS["comm-unital"](inv):
         doc["local_factors"] = [{"idempotent": local.idempotent, "order": len(local.elements)}
                                 for local in per_ring(ring, _local_factors)]
     doc["stabilization"] = list(power_stabilization(ring))

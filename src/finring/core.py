@@ -244,6 +244,7 @@ class RingInvariants:
     is_unital: bool
     is_field: bool
     characteristic: int
+    zero_dimensional: bool
     idempotents: SubsetMask
     nilpotents: SubsetMask
     nilpotency_index: int
@@ -252,7 +253,6 @@ class RingInvariants:
     jacobson_radical: SubsetMask | None
     is_local: bool | None
     residue_field_order: int | None
-    zero_dimensional: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +567,7 @@ def analyze(ring: FiniteRing) -> RingInvariants:
         is_unital=unital,
         is_field=is_field,
         characteristic=characteristic,
+        zero_dimensional=True,
         idempotents=idempotents,
         nilpotents=nilpotents,
         nilpotency_index=nilpotency_index,

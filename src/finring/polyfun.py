@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count, zip_longest
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -448,7 +448,6 @@ class _Field:
     def __init__(self, ring: FiniteRing):
         self.ring = ring
         self.count = ring.order ** ring.order
-        self._setup = None
 
     def multiples(self, view: bytes | array) -> bytes | array:
         """The view itself: every table is induced."""
@@ -472,11 +471,12 @@ class _Field:
         with r coordinates its partial sums are integers below q r (p-1)^2,
         under 2^24 on every field of order at most 256.
         """
-        L, Y, moduli, weights, decode = self._interpolation_setup()
+        L, Y, moduli, weights, decode = self._setup
         x = L.take(_view_array(view), axis=0).reshape(Y.shape[1], -1)
         return decode[(Y.dot(x).astype(np.intp) % moduli).dot(weights)]
 
-    def _interpolation_setup(self) -> tuple:
+    @cached_property
+    def _setup(self) -> tuple:
         """``witness``'s fixed factors, built on its first call and kept on
         the engine: L, Y, and the moduli, weights and decode table of the
         field's coordinate map.
@@ -487,20 +487,18 @@ class _Field:
         are float32, exact while the product's partial sums stay below
         2^24, and float64 beyond.
         """
-        if self._setup is None:
-            ring, n = self.ring, self.ring.order
-            coordinates = per_ring(ring, _coordinates)
-            basis, moduli, coords = coordinates.basis, coordinates.moduli, coordinates.digits
-            powers = per_ring(ring, _powers)[0]
-            index = np.zeros((n, n), dtype=powers.dtype)  # Y[j, x] = coord(index[j, x])
-            index[1:n - 1] = powers[n - 2:0:-1]  # 0^k = 0
-            index[n - 1] = ring.unity
-            index[0, 0] = ring.neg_table[ring.unity]
-            dtype = np.float32 if n * len(basis) * (moduli.max() - 1) ** 2 < 1 << 24 else float
-            Y = np.take(coords.astype(dtype), index, axis=0)
-            L = coords[ring.mul_table[:, basis][ring.neg_table]].reshape(n, -1).astype(dtype)
-            self._setup = L, Y.reshape(n, -1), moduli, coordinates.weights, coordinates.decode
-        return self._setup
+        ring, n = self.ring, self.ring.order
+        coordinates = per_ring(ring, _coordinates)
+        basis, moduli, coords = coordinates.basis, coordinates.moduli, coordinates.digits
+        powers = per_ring(ring, _powers)[0]
+        index = np.zeros((n, n), dtype=powers.dtype)  # Y[j, x] = coord(index[j, x])
+        index[1:n - 1] = powers[n - 2:0:-1]  # 0^k = 0
+        index[n - 1] = ring.unity
+        index[0, 0] = ring.neg_table[ring.unity]
+        dtype = np.float32 if n * len(basis) * (moduli.max() - 1) ** 2 < 1 << 24 else float
+        Y = np.take(coords.astype(dtype), index, axis=0)
+        L = coords[ring.mul_table[:, basis][ring.neg_table]].reshape(n, -1).astype(dtype)
+        return L, Y.reshape(n, -1), moduli, coordinates.weights, coordinates.decode
 
 
 class _Lattice:
@@ -511,7 +509,6 @@ class _Lattice:
         self.ring = ring
         self.basis = _lattice(ring)
         self.count = math.prod(self.basis.orders.tolist())
-        self._clearing = None
 
     def multiples(self, view: bytes | array) -> np.ndarray | None:
         """The multiples z_a with F = sum_a z_a * g_a for the table F, or
@@ -522,7 +519,7 @@ class _Lattice:
         F's."""
         basis, values = self.basis, _view_array(view)
         coords = per_ring(self.ring, _coordinates)
-        syndrome = coords.digits[values[basis.points], basis.digits] @ self._clearing_matrix()
+        syndrome = coords.digits[values[basis.points], basis.digits] @ self._clearing
         if (syndrome % basis.shifts).any():
             return None
         z = syndrome // basis.shifts * basis.inverses % basis.orders
@@ -545,22 +542,21 @@ class _Lattice:
                 for row, order in zip(rows.reshape(len(rows), -1, len(coords.basis)),
                                       basis.orders.tolist())]
 
-    def _clearing_matrix(self) -> np.ndarray:
+    @cached_property
+    def _clearing(self) -> np.ndarray:
         """V = W^-1 of ``_lattice`` on the pivots' unscaled digits, built on
         the first solve and kept on the engine.  Row a of W V = 1 is
         V[a] = e_a - sum_(b>a) W[a, b] V[b], from the last row up; two
         primes' pivots meet only in zeros, so column j is taken mod its p^s."""
-        if self._clearing is None:
-            basis, coords = self.basis, per_ring(self.ring, _coordinates)
-            q = basis.shifts * basis.orders
-            scale = q // coords.moduli[basis.digits]
-            block = basis.rows[:, basis.points * len(coords.basis) + basis.digits] * scale
-            ratios = block // basis.shifts[:, None] * basis.inverses[:, None] % q[:, None]  # W
-            inverse = np.eye(len(q), dtype=np.intp)
-            for a in range(len(q) - 2, -1, -1):
-                inverse[a, a + 1:] = -ratios[a, a + 1:] @ inverse[a + 1:, a + 1:] % q[a + 1:]
-            self._clearing = inverse * scale[:, None]
-        return self._clearing
+        basis, coords = self.basis, per_ring(self.ring, _coordinates)
+        q = basis.shifts * basis.orders
+        scale = q // coords.moduli[basis.digits]
+        block = basis.rows[:, basis.points * len(coords.basis) + basis.digits] * scale
+        ratios = block // basis.shifts[:, None] * basis.inverses[:, None] % q[:, None]  # W
+        inverse = np.eye(len(q), dtype=np.intp)
+        for a in range(len(q) - 2, -1, -1):
+            inverse[a, a + 1:] = -ratios[a, a + 1:] @ inverse[a + 1:, a + 1:] % q[a + 1:]
+        return inverse * scale[:, None]
 
 
 class _Chain:
@@ -577,7 +573,6 @@ class _Chain:
         self.ring = ring
         self.factors = factors
         self.count = math.prod(f.q ** sum(f.depth - w for w in f.weights) for f in factors)
-        self._columns_built = self._solver_built = None
 
     def multiples(self, view: bytes | array) -> np.ndarray | None:
         """The digit sums of the witness of the table F (``witness`` decodes
@@ -591,7 +586,7 @@ class _Chain:
         then gives the digits of sum c_(e,k) * B_(e,k), which must be F,
         and of its coefficients."""
         values, coords = _view_array(view), per_ring(self.ring, _coordinates)
-        at, scales, offsets, canonical, columns, digits = self._solver()
+        at, scales, offsets, canonical, columns, digits = self._solver
         c = canonical[offsets + _decode(coords, digits[values[at]].ravel() @ scales)]
         if c[c.argmin()] < 0:  # an early exit: the table check would fail too
             return None
@@ -605,28 +600,28 @@ class _Chain:
 
     def summands(self) -> list[np.ndarray]:
         """Per slot (e, k), c * B_(e,k) for every canonical c: its table, then its coefficients."""
-        rows = iter(np.hstack(self._columns()))
+        rows = iter(np.hstack(self._columns))
         return [self.ring.mul_table[f.points[:f.q ** (f.depth - w), None], next(rows)]
                 for f in self.factors for w in f.weights]
 
+    @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Per slot (e, k), B_(e,k)'s table, B_(e,k)(e*x) at x, and its
         coefficients, from B_(k+1) = (X - a_k) B_k; built on the first lookup."""
-        if self._columns_built is None:
-            ring, width = self.ring, max(len(f.weights) for f in self.factors)
-            add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
-            tables, coefficients = [], []
-            for f in self.factors:
-                tables.append(f.values[:, f.positions[mul[f.unity]]])
-                coeffs = np.zeros((len(f.weights), width), dtype=np.intp)
-                coeffs[0, 0] = f.unity
-                for k in range(1, len(f.weights)):  # degree k - 1 < width - 1: the roll is X B
-                    times_a = neg[mul[f.points[k - 1], coeffs[k - 1]]]
-                    coeffs[k] = add[np.roll(coeffs[k - 1], 1), times_a]
-                coefficients.append(coeffs)
-            self._columns_built = np.concatenate(tables), np.concatenate(coefficients)
-        return self._columns_built
+        ring, width = self.ring, max(len(f.weights) for f in self.factors)
+        add, mul, neg = ring.add_table, ring.mul_table, ring.neg_table
+        tables, coefficients = [], []
+        for f in self.factors:
+            tables.append(f.values[:, f.positions[mul[f.unity]]])
+            coeffs = np.zeros((len(f.weights), width), dtype=np.intp)
+            coeffs[0, 0] = f.unity
+            for k in range(1, len(f.weights)):  # degree k - 1 < width - 1: the roll is X B
+                times_a = neg[mul[f.points[k - 1], coeffs[k - 1]]]
+                coeffs[k] = add[np.roll(coeffs[k - 1], 1), times_a]
+            coefficients.append(coeffs)
+        return np.concatenate(tables), np.concatenate(coefficients)
 
+    @cached_property
     def _solver(self) -> tuple:
         """``multiples``' points, the ``_digit_matrix`` of block-diagonal S,
         the offsets k n and ``canonical``, the digit matrix of the B_(e,k)'s
@@ -636,32 +631,29 @@ class _Chain:
         and V = W^-1 from V[a] = e_a - sum_(b>a) W[a, b] V[b], last row up.
         ``canonical`` holds at k n + z the canonical c_k with
         c_k pi^(w_q(k)) = z, or -1 where pi^(w_q(k)) does not divide z."""
-        if self._solver_built is None:
-            ring, mul, size = self.ring, self.ring.mul_table, len(self._columns()[0])
-            coords = per_ring(ring, _coordinates)
-            scales = np.zeros((size, size), dtype=np.intp)
-            at, canonical, slot = [], [], 0
-            for f in self.factors:
-                mu = len(f.weights)
-                divisor = f.q ** np.array(f.weights)
-                quotients = f.points[f.positions[f.values[:, :mu]] // divisor[:, None]]
-                inverted = mul[quotients.diagonal()[:, None], f.points] == f.unity
-                inverses = f.points[inverted.argmax(axis=1)]  # u_k^-1
-                ratios = mul[inverses[:, None], quotients]  # W
-                inverse = np.where(np.eye(mu, dtype=bool), f.unity, 0)  # V
-                for a in range(mu - 2, -1, -1):  # the digits of W[a, b] V[b], summed over b > a
-                    sums = coords.digits[mul[ratios[a, a + 1:, None], inverse[a + 1:, a + 1:]]]
-                    inverse[a, a + 1:] = ring.neg_table[coords.element(sums.sum(axis=0))]
-                scales[slot:slot + mu, slot:slot + mu] = mul[inverse, inverses]
-                at += f.points[:mu].tolist()
-                shifted, left = np.divmod(f.positions, divisor[:, None])  # z = y S lies in eR
-                canonical.append(np.where(left == 0, f.points[shifted], -1))
-                slot += mu
-            self._solver_built = (np.array(at), _digit_matrix(ring, scales),
-                                  np.arange(size) * ring.order, np.concatenate(canonical).ravel(),
-                                  _digit_matrix(ring, np.hstack(self._columns())),
-                                  coords.digits.astype(float))
-        return self._solver_built
+        ring, mul, size = self.ring, self.ring.mul_table, len(self._columns[0])
+        coords = per_ring(ring, _coordinates)
+        scales = np.zeros((size, size), dtype=np.intp)
+        at, canonical, slot = [], [], 0
+        for f in self.factors:
+            mu = len(f.weights)
+            divisor = f.q ** np.array(f.weights)
+            quotients = f.points[f.positions[f.values[:, :mu]] // divisor[:, None]]
+            inverted = mul[quotients.diagonal()[:, None], f.points] == f.unity
+            inverses = f.points[inverted.argmax(axis=1)]  # u_k^-1
+            ratios = mul[inverses[:, None], quotients]  # W
+            inverse = np.where(np.eye(mu, dtype=bool), f.unity, 0)  # V
+            for a in range(mu - 2, -1, -1):  # the digits of W[a, b] V[b], summed over b > a
+                sums = coords.digits[mul[ratios[a, a + 1:, None], inverse[a + 1:, a + 1:]]]
+                inverse[a, a + 1:] = ring.neg_table[coords.element(sums.sum(axis=0))]
+            scales[slot:slot + mu, slot:slot + mu] = mul[inverse, inverses]
+            at += f.points[:mu].tolist()
+            shifted, left = np.divmod(f.positions, divisor[:, None])  # z = y S lies in eR
+            canonical.append(np.where(left == 0, f.points[shifted], -1))
+            slot += mu
+        return (np.array(at), _digit_matrix(ring, scales),
+                np.arange(size) * ring.order, np.concatenate(canonical).ravel(),
+                _digit_matrix(ring, np.hstack(self._columns)), coords.digits.astype(float))
 
 
 def _digit_matrix(ring: FiniteRing, rows: np.ndarray) -> np.ndarray:
@@ -761,7 +753,7 @@ def _lattice(ring: FiniteRing) -> _Basis:
     the block G[:, J] of the pivot columns is upper triangular with diagonal
     u_a * p^v_a, and p^v_a divides row a.  It is D W over Z/p^s for
     D = diag(u_a * p^v_a) and a unit upper-triangular W, so V = W^-1
-    (``_Lattice._clearing_matrix``) clears it to D: z G[:, J] V = z D.
+    (``_Lattice._clearing``) clears it to D: z G[:, J] V = z D.
     G is the direct sum of the <g_a>, so each z_a is unique modulo
     p^(s - v_a) and every witness is determined.
     """

@@ -652,8 +652,9 @@ def _reduced_pow(f: Polynomial, k: int) -> Polynomial:
 def _lift_basis(ring: FiniteRing) -> tuple[Polynomial, ...]:
     """The pre-raised products prod_{j != i} (X - alpha_j)^E over the
     residue field's coset representatives alpha_j, with E = ``_lift_exponent``,
-    every product and power reduced by ``_reduced_pow``.  P2.6lift and
-    R2.8 read it through ``per_ring``.
+    each power reduced by ``_reduced_pow``.  A product of q - 1 linear factors
+    needs no reduction: its degree q - 1 is below t + p, since the period p is
+    a multiple of q - 1.  P2.6lift and R2.8 read it through ``per_ring``.
     """
     inv = _require(ring, "comm-local-unital")
     reps = residue_field(ring)[2]
@@ -662,7 +663,7 @@ def _lift_basis(ring: FiniteRing) -> tuple[Polynomial, ...]:
         prod = poly_const(ring, ring.unity)
         for j, alpha in enumerate(reps):
             if j != i:
-                prod = _reduced_pow(poly_mul(prod, poly_from(ring, (ring.neg(alpha), ring.unity))), 1)
+                prod = poly_mul(prod, poly_from(ring, (ring.neg(alpha), ring.unity)))
         raised.append(_reduced_pow(prod, _lift_exponent(inv)))
     return tuple(raised)
 

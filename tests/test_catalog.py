@@ -212,3 +212,17 @@ def test_z2xz3_isomorphic_to_z6(z6):
     phi = [x % 2 * 3 + x % 3 for x in range(6)]  # the CRT map, packed as (i, j) -> 3i + j
     assert sorted(phi) == list(range(6))
     assert embed(z6, r, phi) == tuple(phi)  # carries +, * and the unity
+
+
+# --- user-input errors ------------------------------------------------------
+
+def test_realize_refuses_an_unknown_ring_name():
+    with pytest.raises(RingSpecError, match="^unknown ring name 'nope'$") as exc:
+        realize(TableRef("nope"))
+    assert type(exc.value) is RingSpecError
+
+
+def test_render_ring_spec_refuses_what_is_not_a_spec_node():
+    with pytest.raises(TypeError, match="^not a ring spec node: <object object at 0x") as exc:
+        render_ring_spec(object())
+    assert type(exc.value) is TypeError

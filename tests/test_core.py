@@ -744,3 +744,37 @@ def test_power_map_equals_repeated_squaring(ring):
         assert np.array_equal(power_map(ring, k), binary_power(times, elements, k)), k
     with pytest.raises(ValueError):
         power_map(ring, 0)
+
+
+# --- user-input errors ------------------------------------------------------
+
+_Z4 = make_zn(4)
+
+
+@pytest.mark.parametrize("table, cut", [("add_table", np.s_[:3]), ("mul_table", np.s_[:, :3]),
+                                        ("neg_table", np.s_[:3])], ids=["add", "mul", "neg"])
+def test_validate_ring_refuses_mis_shaped_tables(table, cut):
+    ring = dataclasses.replace(_Z4, **{table: getattr(_Z4, table)[cut]})
+    with pytest.raises(ValueError, match="^tables must be 4x4 and neg_table must have 4 entries$"
+                       ) as exc:
+        validate_ring(ring)
+    assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SubsetMask(_Z4, 1 << 4), ValueError, "mask wider than the ring"),
+    (lambda: make_table_ring(((1, 1), (1, 1)), ((0, 0), (0, 0))), AxiomViolation,
+     r"ring axiom 'additive-identity' fails at \(\)"),
+    (lambda: make_zero_mul_ring(1), ValueError, "order must be an integer >= 2, got 1"),
+    (lambda: make_quotient(_Z4, poly_from(make_zn(2), (1, 1))), ValueError,
+     "modulus polynomial is defined over a different ring"),
+    (lambda: make_quotient(_Z4, (4, 1)), ValueError,
+     "modulus coefficients must be element indices of the base ring"),
+    (lambda: multiplicative_inverse(make_zero_mul_ring(4), 1), UnsupportedStructureError,
+     "inverses need unity"),
+], ids=["mask-past-the-ring", "no-additive-identity", "zero-ring-of-order-1",
+        "modulus-over-another-ring", "modulus-coefficient-past-the-base", "inverse-without-unity"])
+def test_user_input_errors_name_the_input(call, error, message):
+    with pytest.raises(error, match=f"^{message}$") as exc:
+        call()
+    assert type(exc.value) is error

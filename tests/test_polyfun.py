@@ -426,9 +426,9 @@ def test_interpolation_setup_is_built_once_per_set(monkeypatch):
     pset = polynomial_function_set(field)
     assert pset.count == 11 ** 11
     assert pset.contains(tuple(range(11)))
-    assert calls == [] and pset.engine._setup is None
+    assert calls == [] and "_setup" not in vars(pset.engine)
     assert interpolate_field(field, tuple(range(11))).coeffs == (0, 1)
-    setup = pset.engine._setup
+    setup = vars(pset.engine)["_setup"]
     assert pset.lookup((3,) * 11) == ("present", Polynomial(field, (3,)))
     assert calls == [field] and pset.engine._setup is setup
 
@@ -799,16 +799,16 @@ def test_counting_a_chain_ring_builds_no_column_and_no_triangle_inverse(monkeypa
     pset = polynomial_function_set(ring)
     engine = pset.engine
     assert isinstance(engine, polyfun._Chain)
-    assert engine._columns_built is None and engine._solver_built is None
+    assert "_columns" not in vars(engine) and "_solver" not in vars(engine)
     tables = [function_table(poly_from(ring, (k, 3, k, 1))).values for k in range(4)]
     built = []
     for table in tables:
         status, witness = pset.lookup(table)
         assert status == "present" and function_table(witness).values == table
         assert pset.contains(table)
-        built.append((engine._columns_built, engine._solver_built))
+        built.append((vars(engine)["_columns"], vars(engine)["_solver"]))
     assert all(a is b for a, b in zip(built[0], built[-1]))
-    assert None not in built[0] and (pset.tables is None) == (limit == 0)
+    assert (pset.tables is None) == (limit == 0)
 
 
 def test_contains_on_the_solve_path_agrees_with_lookup(monkeypatch):
@@ -1723,3 +1723,23 @@ def test_p_ordering_weights_are_legendre_sums(q, depth):
     weights = polyfun._p_ordering_weights(q, depth)
     assert weights == [legendre(k) for k in range(len(weights))]
     assert all(w < depth for w in weights) and legendre(len(weights)) >= depth
+
+
+# --- user-input errors ------------------------------------------------------
+
+_Z4 = make_zn(4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: poly_pow(poly_from(make_zero_mul_ring(4), (1,)), 0), UnsupportedStructureError,
+     r"f\^0 needs unity"),
+    (lambda: FunctionTable(_Z4, _Z4, (0, 1, 2)), ValueError,
+     "table must assign a value to every domain element"),
+    (lambda: poly_add(poly_from(_Z4, (1,)), poly_from(make_zn(2), (1,))), ValueError,
+     "polynomials live over different rings"),
+    (lambda: poly_eval(poly_from(_Z4, (1, 1)), 4), ValueError, "element out of the ring's range"),
+], ids=["pow-0-without-unity", "short-table", "add-across-rings", "eval-past-the-ring"])
+def test_user_input_errors_name_the_input(call, error, message):
+    with pytest.raises(error, match=f"^{message}$") as exc:
+        call()
+    assert type(exc.value) is error

@@ -1106,3 +1106,30 @@ def test_a_ring_and_its_store_are_freed_together():
     del ring
     gc.collect()
     assert ref() is None
+
+
+# --- user-input errors ------------------------------------------------------
+
+@pytest.mark.parametrize("char_n, nilp_index, message", [
+    (1, 2, "characteristic must be >= 2"), (4, 0, "nilpotency index must be >= 1")],
+    ids=["characteristic-1", "nilpotency-index-0"])
+def test_binomial_exponent_refuses_out_of_range_arguments(char_n, nilp_index, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as exc:
+        binomial_exponent(char_n, nilp_index)
+    assert type(exc.value) is ValueError
+
+
+_OVER_THE_RING = "polynomial must have coefficients in the ring itself"
+
+
+@pytest.mark.parametrize("check, message", [
+    (verify_subring_char_function, _OVER_THE_RING),
+    (check_residue_field_bound, _OVER_THE_RING),
+    (check_char_from_image, _OVER_THE_RING),
+    (check_residue_lift, "polynomial must be defined over the ring's residue field"),
+], ids=["P2.1", "L2.4", "P2.6fwd", "P2.6lift"])
+def test_checks_refuse_a_polynomial_over_the_wrong_ring(check, message):
+    # Z/2 is isomorphic to Z/4's residue field, but is not the ring residue_field builds
+    with pytest.raises(ValueError, match=f"^{message}$") as exc:
+        check(make_zn(4), poly_x(make_zn(2)))
+    assert type(exc.value) is ValueError
